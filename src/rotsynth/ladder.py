@@ -19,8 +19,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 THETA0 = math.pi / 8
 TAN_THETA0 = math.sqrt(2) - 1  # tan(pi/8)
 MAX_LEVEL = 150
@@ -130,8 +128,25 @@ class ClimbResult:
 
 
 @lru_cache(maxsize=None)
-def _success_probs(family: Family, levels: int) -> tuple[float, ...]:
-    return tuple(merge_success_prob(family, l) for l in range(levels))
+def success_probs(family: Family) -> tuple[float, ...]:
+    """Up-outcome probabilities of the merges from levels 0..MAX_LEVEL-1."""
+    return tuple(merge_success_prob(family, l) for l in range(MAX_LEVEL))
+
+
+def climb_walk(probs: tuple[float, ...], target_level: int, rnd) -> tuple[int, int]:
+    """Walk from level 0 to target_level, one rnd() draw per merge.  Returns
+    (merges, level-0 restarts): every merge consumes one top resource, every
+    restart discards the bottom, which must be re-billed."""
+    level = downs = restarts = 0
+    while level < target_level:
+        if rnd() < probs[level]:
+            level += 1
+        elif level:
+            level -= 1
+            downs += 1
+        else:
+            restarts += 1
+    return target_level + 2 * downs + restarts, restarts
 
 
 def simulate_climb(family: Family, target_level: int, rng: random.Random) -> ClimbResult:
@@ -143,37 +158,16 @@ def simulate_climb(family: Family, target_level: int, rng: random.Random) -> Cli
     billed at the factory average), merge tops are raw resources, and a
     level-0 failure re-bills a fresh base state.
     """
-    if target_level < 0:
-        raise ValueError("target level must be >= 0")
-    if target_level > MAX_LEVEL:
-        raise ValueError(f"target level exceeds the cap of {MAX_LEVEL}")
-    is_h = family is Family.H
-    h = 1 if is_h else 0
-    base = 0 if is_h else 1
-    if target_level == 0:
-        return ClimbResult(h, base, 0)
-    probs = _success_probs(family, target_level)
-    rnd = rng.random
-    level = 0
-    steps = 0
-    while level < target_level:
-        h += 1
-        steps += 1
-        if rnd() < probs[level]:
-            level += 1
-        elif level == 0:
-            if is_h:
-                h += 1
-            else:
-                base += 1
-        else:
-            level -= 1
-    return ClimbResult(h, base, steps)
+    if not 0 <= target_level <= MAX_LEVEL:
+        raise ValueError(f"target level must be in [0, {MAX_LEVEL}]")
+    steps, restarts = climb_walk(success_probs(family), target_level, rng.random)
+    if family is Family.H:
+        return ClimbResult(steps + restarts + 1, 0, steps)
+    return ClimbResult(steps, restarts + 1, steps)
 
 
 def climb_cost(result: ClimbResult, family: Family) -> float:
-    """Total cost in raw-resource units, base states billed at the factory
-    average."""
+    """Total cost in raw-resource units, base states billed at the factory average."""
     return result.h_consumed + result.base_states_consumed * _BASE_COST[family]
 
 
@@ -181,33 +175,15 @@ def climb_cost(result: ClimbResult, family: Family) -> float:
 def expected_climb_cost(family: Family, target_level: int) -> float:
     """Exact expected climb cost in raw-resource units.
 
-    First-step analysis of the walk: E_l = 1 + p_l E_{l+1} + (1-p_l) E_{l-1}
-    for interior levels, with absorption at the target and the restart
-    boundary at level 0 (the down outcome re-bills the bottom resource).
+    A climb is a chain of first passages l -> l+1, each costing one top
+    resource per merge; a failure drops to l-1, from where the walk must
+    return to l first: T_l = (1 + (1-p_l) T_{l-1}) / p_l.  A level-0 failure
+    re-bills the bottom, i.e. T_{-1} = c, the base cost; E = c + sum T_l.
     """
-    if target_level < 0:
-        raise ValueError("target level must be >= 0")
-    if target_level == 0:
-        return _BASE_COST[family]
-    n = target_level
-    p = _success_probs(family, n)
-    a = np.zeros((n, n))
-    rhs_h = np.ones(n)  # one top resource per merge
-    rhs_base = np.zeros(n)
-    for l in range(n):
-        a[l, l] = 1.0
-        if l + 1 < n:
-            a[l, l + 1] = -p[l]
-        if l > 0:
-            a[l, l - 1] = -(1 - p[l])
-    # level-0 failure: stay at 0 and re-bill the bottom
-    a[0, 0] -= 1 - p[0]
-    if family is Family.H:
-        rhs_h[0] += 1 - p[0]
-    else:
-        rhs_base[0] += 1 - p[0]
-    e_h = np.linalg.solve(a, rhs_h)
-    e_base = np.linalg.solve(a, rhs_base)
-    if family is Family.H:
-        return 1.0 + float(e_h[0])
-    return float(e_h[0]) + (1.0 + float(e_base[0])) * _BASE_COST[family]
+    if not 0 <= target_level <= MAX_LEVEL:
+        raise ValueError(f"target level must be in [0, {MAX_LEVEL}]")
+    total = passage = _BASE_COST[family]
+    for p in success_probs(family)[:target_level]:
+        passage = (1 + (1 - p) * passage) / p
+        total += passage
+    return total

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .ladder import ALL_FAMILIES, Family
@@ -114,6 +113,8 @@ def run_scaling_study(
     ln_lo, ln_hi = math.log(eps_range[0]), math.log(eps_range[1])
     tasks = [(scheme, ln_lo, ln_hi, seed, i) for i in range(n_samples)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             samples = list(pool.map(_one_sample, tasks, chunksize=256))
     else:

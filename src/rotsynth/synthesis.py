@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -23,18 +23,17 @@ from .ladder import (
     ALL_FAMILIES,
     MAX_LEVEL,
     Family,
-    climb_cost,
+    base_average_cost,
+    climb_walk,
     expected_climb_cost,
     rotation_angle,
-    simulate_climb,
+    success_probs,
 )
 from .seeding import DEFAULT_SEED, derive_rng
 
 TAU = 2 * math.pi
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
-
-_FAMILY_RANK = {f: i for i, f in enumerate(ALL_FAMILIES)}
 
 
 def wrap_angle(x: float) -> float:
@@ -85,7 +84,8 @@ class SynthesisConfig:
     """Planner settings.
 
     max_level None sizes the ladder automatically: the smallest level whose
-    rotation is <= epsilon/2, capped at 150.
+    rotation is <= epsilon/2, capped at 150.  synthesize rejects a config
+    whose finest enabled rotation at that level is larger than epsilon/2.
     """
 
     epsilon: float
@@ -95,8 +95,8 @@ class SynthesisConfig:
     master_seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not self.families:
             raise ValueError("at least one family must be enabled")
         if self.max_level is not None and not 0 <= self.max_level <= MAX_LEVEL:
@@ -118,54 +118,52 @@ class SynthesisResult:
 
 def auto_max_level(epsilon: float) -> int:
     """Smallest level whose rotation is <= epsilon/2, capped at 150."""
-    lo, hi = 0, MAX_LEVEL
-    if rotation_angle(Family.H, MAX_LEVEL) > epsilon / 2:
-        return MAX_LEVEL
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if rotation_angle(Family.H, mid) <= epsilon / 2:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    # the H table lists the H rotations finest first: level = MAX_LEVEL - index
+    finer = bisect_right(_angle_table((Family.H,)).angles, epsilon / 2)
+    return min(MAX_LEVEL, MAX_LEVEL + 1 - finer)
 
 
 class _AngleTable:
-    """Sorted rotation angles for the enabled families, with tie-break keys."""
+    """All (family, level) states of a family set by ascending rotation angle,
+    then expected climb cost, family rank and level.  One level shrinks an
+    angle by more than the families differ, so the states up to a level cap
+    form a suffix.  lower_wins[i] settles a tie between neighbours i-1, i."""
 
-    def __init__(self, families: tuple[Family, ...], max_level: int):
-        entries = []
-        for fam in families:
-            for lvl in range(max_level + 1):
-                entries.append(
-                    (
-                        rotation_angle(fam, lvl),
-                        expected_climb_cost(fam, lvl),
-                        _FAMILY_RANK[fam],
-                        lvl,
-                        fam,
-                    )
-                )
-        entries.sort()
-        self.entries = entries
-        self.angles = [e[0] for e in entries]
+    def __init__(self, families: tuple[Family, ...]):
+        entries = sorted(
+            (rotation_angle(f, lvl), expected_climb_cost(f, lvl), ALL_FAMILIES.index(f), lvl, f)
+            for f in families
+            for lvl in range(MAX_LEVEL + 1)
+        )
+        self.levels = [e[3] for e in entries]
+        assert self.levels == sorted(self.levels, reverse=True), "level caps must cut suffixes"
+        # an infinite sentinel gives every lookup an upper neighbour
+        self.angles = [e[0] for e in entries] + [math.inf]
+        self.lower_wins = [False] + [lo[1:4] < hi[1:4] for lo, hi in zip(entries, entries[1:])]
+        self.probs = [success_probs(e[4]) for e in entries]
+        self.base_costs = [base_average_cost(e[4]) for e in entries]
+        self.plus = [(e[4], e[3], 1) for e in entries]
+        self.minus = [(e[4], e[3], -1) for e in entries]
+        self.n_families = len(families)
 
-    def nearest(self, magnitude: float) -> tuple[Family, int, float]:
-        i = bisect_left(self.angles, magnitude)
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(self.entries):
-                angle, cost, rank, lvl, fam = self.entries[j]
-                key = (abs(magnitude - angle), cost, rank, lvl)
-                if best is None or key < best[0]:
-                    best = (key, fam, lvl, angle)
-        _, fam, lvl, angle = best
-        return fam, lvl, angle
+    def start(self, max_level: int) -> int:
+        """Index of the first state with level <= max_level."""
+        return len(self.levels) - (max_level + 1) * self.n_families
+
+    def lookup(self, magnitude: float, start: int) -> int:
+        """Index of the state nearest to magnitude among those from start on."""
+        angles = self.angles
+        i = bisect_left(angles, magnitude, start)
+        if i > start:
+            below, above = magnitude - angles[i - 1], angles[i] - magnitude
+            if below < above or (below == above and self.lower_wins[i]):
+                return i - 1
+        return i
 
 
 @lru_cache(maxsize=None)
-def _angle_table(families: tuple[Family, ...], max_level: int) -> _AngleTable:
-    return _AngleTable(families, max_level)
+def _angle_table(families: tuple[Family, ...]) -> _AngleTable:
+    return _AngleTable(families)
 
 
 def pick_state(residual: float, config: SynthesisConfig) -> tuple[Family, int]:
@@ -174,9 +172,19 @@ def pick_state(residual: float, config: SynthesisConfig) -> tuple[Family, int]:
     Ties go to the lower expected climb cost, then the family order
     H < PSI0 < PSI1 < PSI2, then the lower level.
     """
-    table = _angle_table(tuple(config.families), config.resolved_max_level())
-    fam, lvl, _ = table.nearest(abs(residual))
-    return fam, lvl
+    table = _angle_table(tuple(config.families))
+    return table.plus[table.lookup(abs(residual), table.start(config.resolved_max_level()))][:2]
+
+
+def _table_and_start(config: SynthesisConfig) -> tuple[_AngleTable, int]:
+    """The config's angle table and level-cap start; rejects too shallow a ladder."""
+    table = _angle_table(tuple(config.families))
+    start = table.start(config.resolved_max_level())
+    if table.angles[start] > config.epsilon / 2:
+        raise ValueError(
+            f"finest enabled rotation {table.angles[start]:.3e} exceeds epsilon/2; raise max_level"
+        )
+    return table, start
 
 
 def synthesize(
@@ -187,27 +195,41 @@ def synthesize(
     Offline cost totals the raw resources of one simulated ladder instance
     per consumed state; online cost counts the consumed states.
     """
+    if not math.isfinite(target):
+        raise ValueError("target must be finite")
     if rng is None:
         rng = derive_rng(config.master_seed, "synthesize")
-    eps = config.epsilon
-    table = _angle_table(tuple(config.families), config.resolved_max_level())
-    reduce_free = config.free_clifford_reduction
-
-    residual = wrap_angle(target)
-    corrections = 0
-    if reduce_free:
-        residual, k = reduce_by_clifford(residual)
-        corrections += k
+    table, start = _table_and_start(config)
+    eps, reduce_free, rnd = config.epsilon, config.free_clifford_reduction, rng.random
+    lookup, angles, levels, probs = table.lookup, table.angles, table.levels, table.probs
+    base_costs, plus, minus = table.base_costs, table.plus, table.minus
     applied: list[tuple[Family, int, int]] = []
-    offline = 0.0
-    while abs(residual) > eps:
-        fam, lvl, angle = table.nearest(abs(residual))
-        offline += climb_cost(simulate_climb(fam, lvl, rng), fam)
-        residual, sign = apply_random_rotation(residual, angle, rng)
-        applied.append((fam, lvl, sign))
+    offline, corrections = 0.0, 0
+    residual = target
+    while True:
+        # wrap_angle, then reduce_by_clifford
+        residual = math.remainder(residual, TAU)
+        if residual <= -math.pi:
+            residual += TAU
         if reduce_free:
-            residual, k = reduce_by_clifford(residual)
-            corrections += k
+            k = round(residual / HALF_PI)
+            residual -= k * HALF_PI
+            if residual <= -QUARTER_PI:
+                residual += HALF_PI
+                k -= 1
+            corrections += abs(k)
+        if abs(residual) <= eps:
+            break
+        i = lookup(abs(residual), start)
+        steps, restarts = climb_walk(probs[i], levels[i], rnd)
+        offline += steps + (restarts + 1) * base_costs[i]
+        # consume the state: rotate by +angle or -angle with probability 1/2
+        if rnd() < 0.5:
+            residual -= angles[i]
+            applied.append(plus[i])
+        else:
+            residual += angles[i]
+            applied.append(minus[i])
     return SynthesisResult(
         target=target,
         applied=tuple(applied),
@@ -235,19 +257,23 @@ def min_online_synthesize(
     budget needs no subdivision.  online_cost counts only the ancilla uses;
     applied is empty because no ladder state touches the data qubit directly.
     """
+    if not math.isfinite(target):
+        raise ValueError("target must be finite")
+    # validates eps as the inner accuracy, and the ladder depth it needs
+    inner_config = replace(config, epsilon=eps, max_level=None)
+    _table_and_start(inner_config)
     if rng is None:
         rng = derive_rng(config.master_seed, "min-online")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    corrections = 0
-    remaining = wrap_angle(target)
-    if config.free_clifford_reduction:
-        remaining, k = reduce_by_clifford(remaining)
-        corrections += k
-    online = 0
+    corrections = online = 0
     offline = 0.0
-    inner_config = replace(config, epsilon=eps, max_level=None)
-    while abs(remaining) > eps:
+    remaining = target
+    while True:
+        remaining = wrap_angle(remaining)
+        if config.free_clifford_reduction:
+            remaining, k = reduce_by_clifford(remaining)
+            corrections += k
+        if abs(remaining) <= eps:
+            break
         inner = synthesize(remaining, inner_config, rng)
         offline += inner.offline_cost
         corrections += inner.clifford_corrections
@@ -257,10 +283,7 @@ def min_online_synthesize(
             break
         # the ancilla carried (remaining - inner.residual); failure applied
         # its negative
-        remaining = wrap_angle(2 * remaining - inner.residual)
-        if config.free_clifford_reduction:
-            remaining, k = reduce_by_clifford(remaining)
-            corrections += k
+        remaining = 2 * remaining - inner.residual
     return SynthesisResult(
         target=target,
         applied=(),

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rotsynth import qcore
@@ -11,6 +12,7 @@ from rotsynth.ladder import (
     base_average_cost,
     base_state_angle,
     climb_cost,
+    climb_walk,
     expected_climb_cost,
     ladder_angle,
     merge_step,
@@ -18,6 +20,7 @@ from rotsynth.ladder import (
     resource_state,
     rotation_angle,
     simulate_climb,
+    success_probs,
 )
 from rotsynth.seeding import derive_rng
 
@@ -261,6 +264,75 @@ def test_monte_carlo_matches_oracle(family, level):
     var = sum((c - mean) ** 2 for c in costs) / (n - 1)
     stderr = math.sqrt(var / n)
     assert abs(mean - expected_climb_cost(family, level)) < 3 * stderr
+
+
+def dense_expected_cost(family, level):
+    """First-step analysis of the walk, solved as a dense linear system.
+
+    E_l = 1 + p_l E_{l+1} + (1-p_l) E_{l-1} for interior levels, with
+    absorption at the target and the restart boundary at level 0 (the down
+    outcome re-bills the bottom resource).  Top resources and base states
+    are solved for separately, then billed.
+    """
+    if level == 0:
+        return base_average_cost(family)
+    n = level
+    p = [merge_success_prob(family, l) for l in range(n)]
+    a = np.zeros((n, n))
+    rhs_h = np.ones(n)  # one top resource per merge
+    rhs_base = np.zeros(n)
+    for l in range(n):
+        a[l, l] = 1.0
+        if l + 1 < n:
+            a[l, l + 1] = -p[l]
+        if l > 0:
+            a[l, l - 1] = -(1 - p[l])
+    # level-0 failure: stay at 0 and re-bill the bottom
+    a[0, 0] -= 1 - p[0]
+    if family is Family.H:
+        rhs_h[0] += 1 - p[0]
+    else:
+        rhs_base[0] += 1 - p[0]
+    e_h = np.linalg.solve(a, rhs_h)
+    e_base = np.linalg.solve(a, rhs_base)
+    if family is Family.H:
+        return 1.0 + float(e_h[0])
+    return float(e_h[0]) + (1.0 + float(e_base[0])) * base_average_cost(family)
+
+
+def test_expected_climb_cost_matches_dense_solve():
+    """The first-passage recurrence against the dense solve on all 604 cells."""
+    worst = max(
+        abs(expected_climb_cost(f, l) - dense_expected_cost(f, l)) / dense_expected_cost(f, l)
+        for f in ALL_FAMILIES
+        for l in range(MAX_LEVEL + 1)
+    )
+    assert worst <= 1e-12
+
+
+def test_expected_climb_cost_validation():
+    with pytest.raises(ValueError):
+        expected_climb_cost(Family.H, -1)
+    with pytest.raises(ValueError):
+        expected_climb_cost(Family.PSI0, MAX_LEVEL + 1)
+
+
+def test_simulate_climb_counts_match_walk():
+    """simulate_climb bills the shared walk's raw counts per family."""
+    for family in ALL_FAMILIES:
+        for level in (0, 1, 7, 30):
+            for k in range(20):
+                res = simulate_climb(family, level, derive_rng(9, "walk", family.value, level, k))
+                steps, restarts = climb_walk(
+                    success_probs(family), level, derive_rng(9, "walk", family.value, level, k).random
+                )
+                assert res.steps == steps
+                if family is Family.H:
+                    assert (res.h_consumed, res.base_states_consumed) == (steps + restarts + 1, 0)
+                else:
+                    assert (res.h_consumed, res.base_states_consumed) == (steps, restarts + 1)
+                # one up move per level gained; down moves and restarts cost extra merges
+                assert steps >= level + restarts and (steps - level - restarts) % 2 == 0
 
 
 def test_expected_cost_increases_with_level():

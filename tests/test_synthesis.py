@@ -1,14 +1,25 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotsynth.ladder import ALL_FAMILIES, Family, rotation_angle
+from rotsynth.ladder import (
+    ALL_FAMILIES,
+    MAX_LEVEL,
+    Family,
+    climb_cost,
+    expected_climb_cost,
+    rotation_angle,
+    simulate_climb,
+)
 from rotsynth.seeding import derive_rng
 from rotsynth.synthesis import (
     QUARTER_PI,
     SynthesisConfig,
+    SynthesisResult,
     apply_random_rotation,
     auto_max_level,
     angle_to_operator_distance,
@@ -160,7 +171,108 @@ def test_pick_state_brute_force_agreement():
         )
 
 
+FAMILY_SUBSETS = [s for r in range(1, 5) for s in itertools.combinations(ALL_FAMILIES, r)]
+
+
+def test_pick_state_matches_brute_force_for_every_subset_and_level():
+    """The table lookup against the brute-force minimum of (distance,
+    expected cost, family rank, level) over the enabled states, for every
+    family subset and level cap.  Residuals include random ones, exact state
+    angles, midpoints of neighbouring angles (some of them exact ties), and
+    residuals below the finest and above the coarsest enabled angle."""
+    rng = random.Random(20)
+    exact_ties = 0
+    for families in FAMILY_SUBSETS:
+        states = [
+            (rotation_angle(f, l), expected_climb_cost(f, l), ALL_FAMILIES.index(f), l, f)
+            for f in families
+            for l in range(MAX_LEVEL + 1)
+        ]
+        for max_level in range(MAX_LEVEL + 1):
+            enabled = sorted(s for s in states if s[3] <= max_level)
+            angles = [s[0] for s in enabled]
+            config = SynthesisConfig(epsilon=1e-3, families=families, max_level=max_level)
+            j = rng.randrange(len(angles) - 1) if len(angles) > 1 else 0
+            midpoint = (angles[j] + angles[j + 1]) / 2 if len(angles) > 1 else angles[0]
+            if len(angles) > 1 and midpoint - angles[j] == angles[j + 1] - midpoint:
+                exact_ties += 1
+            residuals = [
+                angles[0] * math.exp(rng.uniform(0, math.log(2 / angles[0]))),
+                angles[0] * math.exp(rng.uniform(0, math.log(2 / angles[0]))),
+                rng.choice(angles),
+                midpoint,
+                angles[0] / 3,
+                rng.uniform(angles[-1], math.pi),
+            ]
+            for residual in residuals:
+                best = min((abs(residual - s[0]), s[1], s[2], s[3], s[4]) for s in enabled)
+                assert pick_state(residual, config) == (best[4], best[3])
+                assert pick_state(-residual, config) == (best[4], best[3])
+    assert exact_ties > 100
+
+
+def test_pick_state_ignores_epsilon_depth():
+    # picking never rejects a shallow ladder; only synthesize does
+    assert pick_state(0.1, SynthesisConfig(epsilon=1e-12, max_level=0)) == (Family.H, 0)
+
+
+def _auto_level_scan(epsilon):
+    for level in range(MAX_LEVEL + 1):
+        if rotation_angle(Family.H, level) <= epsilon / 2:
+            return level
+    return MAX_LEVEL
+
+
+def test_auto_max_level_matches_linear_scan():
+    rng = random.Random(21)
+    epsilons = [math.exp(rng.uniform(math.log(1e-70), math.log(10))) for _ in range(2000)]
+    for level in range(MAX_LEVEL + 1):
+        boundary = 2 * rotation_angle(Family.H, level)
+        epsilons += [boundary, math.nextafter(boundary, 0), math.nextafter(boundary, math.inf)]
+    for epsilon in epsilons:
+        assert auto_max_level(epsilon) == _auto_level_scan(epsilon)
+
+
 # --- synthesize -------------------------------------------------------------
+
+
+def _replay_synthesize(target, config, rng):
+    """The planner composed step by step from its public pieces: the oracle
+    for the inlined loop, which must draw the same uniforms in the same
+    order and bill the same costs."""
+    residual = wrap_angle(target)
+    corrections = 0
+    if config.free_clifford_reduction:
+        residual, corrections = reduce_by_clifford(residual)
+    applied = []
+    offline = 0.0
+    while abs(residual) > config.epsilon:
+        fam, lvl = pick_state(residual, config)
+        offline += climb_cost(simulate_climb(fam, lvl, rng), fam)
+        residual, sign = apply_random_rotation(residual, rotation_angle(fam, lvl), rng)
+        applied.append((fam, lvl, sign))
+        if config.free_clifford_reduction:
+            residual, k = reduce_by_clifford(residual)
+            corrections += k
+    return SynthesisResult(target, tuple(applied), residual, len(applied), offline, corrections)
+
+
+def test_synthesize_matches_step_by_step_replay():
+    rng = random.Random(22)
+    for i in range(300):
+        families = rng.choice(FAMILY_SUBSETS)
+        epsilon = 10 ** -rng.uniform(1, 14)
+        max_level = None if i % 3 else min(MAX_LEVEL, auto_max_level(epsilon) + rng.randrange(4))
+        config = SynthesisConfig(
+            epsilon=epsilon,
+            families=families,
+            max_level=max_level,
+            free_clifford_reduction=i % 4 != 0,
+        )
+        target = rng.uniform(-10, 10)
+        assert synthesize(target, config, random.Random(i)) == _replay_synthesize(
+            target, config, random.Random(i)
+        )
 
 
 def test_synthesize_quarter_turn_target():
@@ -315,6 +427,63 @@ def test_config_validation():
         SynthesisConfig(epsilon=1e-6, families=())
     with pytest.raises(ValueError):
         SynthesisConfig(epsilon=1e-6, max_level=1000)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(NON_FINITE)
+def test_config_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError):
+        SynthesisConfig(epsilon=epsilon)
+
+
+@given(NON_FINITE)
+def test_min_online_rejects_non_finite_eps(eps):
+    with pytest.raises(ValueError):
+        min_online_synthesize(1.0, eps, H_ONLY, derive_rng(16, "e"))
+
+
+@given(NON_FINITE, st.sampled_from(FAMILY_SUBSETS))
+def test_non_finite_targets_rejected(target, families):
+    config = SynthesisConfig(epsilon=1e-6, families=families)
+    with pytest.raises(ValueError):
+        synthesize(target, config, derive_rng(17, "t"))
+    with pytest.raises(ValueError):
+        min_online_synthesize(target, 1e-6, config, derive_rng(17, "t"))
+
+
+@given(
+    st.floats(1e-14, 1e-2),
+    st.sampled_from(FAMILY_SUBSETS),
+    st.integers(0, MAX_LEVEL),
+    st.floats(-4, 4),
+)
+@settings(max_examples=200)
+def test_shallow_ladder_rejected_iff_finest_rotation_too_coarse(epsilon, families, max_level, target):
+    config = SynthesisConfig(epsilon=epsilon, families=families, max_level=max_level)
+    finest = min(rotation_angle(f, max_level) for f in families)
+    if finest > epsilon / 2:
+        with pytest.raises(ValueError):
+            synthesize(target, config, derive_rng(18, "s"))
+    else:
+        assert abs(synthesize(target, config, derive_rng(18, "s")).residual) <= epsilon
+
+
+def test_shallow_ladder_example():
+    # a level-2 cap at 1e-6 once ran millions of online uses before stopping
+    with pytest.raises(ValueError):
+        synthesize(1.0, SynthesisConfig(epsilon=1e-6, max_level=2), derive_rng(19, "x"))
+
+
+# psi0 has the finest level-150 rotation of all families
+@given(st.floats(1e-300, 1.9 * rotation_angle(Family.PSI0, MAX_LEVEL)), st.sampled_from(FAMILY_SUBSETS))
+def test_epsilon_beyond_deepest_ladder_rejected(epsilon, families):
+    config = SynthesisConfig(epsilon=epsilon, families=families)
+    with pytest.raises(ValueError):
+        synthesize(1.0, config, derive_rng(20, "d"))
+    with pytest.raises(ValueError):
+        min_online_synthesize(1.0, epsilon, config, derive_rng(20, "d"))
 
 
 def test_synthesize_without_free_reduction_still_converges():
