@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from . import factories, ladder, noise, study, synthesis
 from .ladder import ALL_FAMILIES, Family
@@ -31,6 +32,16 @@ def _parse_families(text: str) -> tuple[Family, ...]:
         ) from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rotsynth",
@@ -45,26 +56,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("climb", help="simulate ladder climbs and compare to the exact expectation")
     p.add_argument("--family", default="h")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("factory", help="factory closed forms, sampled success rate, code check")
     p.add_argument("--kind", required=True, choices=sorted(_FACTORY_NAMES))
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("synth", help="synthesize one Z-rotation")
     p.add_argument("--target", type=float, required=True, help="rotation angle in radians")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--families", type=_parse_families, default=(Family.H,))
-    p.add_argument("--trials", type=int, default=1, help="average costs over repeated runs")
+    p.add_argument("--trials", type=_positive_int, default=1, help="average costs over repeated runs")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("min-online", help="synthesize via offline-prepared ancillas")
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--families", type=_parse_families, default=ALL_FAMILIES)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("scaling", help="random-target cost-scaling study with log-log fits")
@@ -81,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=("a", "b", "c"))
     p.add_argument("--strength", type=float, required=True)
     p.add_argument("--levels", type=int, default=16)
-    p.add_argument("--instances", type=int, default=200)
+    p.add_argument("--instances", type=_positive_int, default=200)
     p.add_argument("--fit-from", type=int, default=None, help="first level of the fit window")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="write per-level means and the fit as json")
@@ -128,9 +139,7 @@ def _cmd_factory(args: argparse.Namespace) -> int:
     spec = factories.factory_spec(kind)
     prob, _ = factories.simulate_factory_circuit(kind)
     successes = sum(
-        1
-        for i in range(args.trials)
-        if factories.run_factory(kind, derive_rng(args.seed, "factory", i))[0]
+        1 for i in range(args.trials) if derive_rng(args.seed, "factory", i).random() < prob
     )
     report = factories.verify_factory_against_code(kind)
     print(f"factory {kind.value}")
@@ -231,12 +240,7 @@ def _cmd_noise(args: argparse.Namespace) -> int:
                 "instances": args.instances,
                 "seed": args.seed,
                 "means": [{"level": lvl, "distance": d} for lvl, d in points],
-                "fit": {
-                    "prefactor": fit.prefactor,
-                    "base": fit.base,
-                    "fit_range": list(fit.fit_range),
-                    "residual_rms": fit.residual_rms,
-                },
+                "fit": asdict(fit),
             },
             args.out,
         )

@@ -10,7 +10,6 @@ the output state.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -121,12 +120,6 @@ def factory_spec(kind: Family) -> FactorySpec:
     return _SPECS[kind]
 
 
-def factory_output_angle(kind: Family) -> float:
-    """State angle of the produced base state (half the closed-form rotation
-    angle)."""
-    return factory_spec(kind).output_state_angle
-
-
 def _input_register(spec: FactorySpec) -> PureRegister:
     factors = [
         qcore.plus_state() if kind == _PLUS_INPUT else qcore.xz_state(math.pi / 8)
@@ -150,20 +143,6 @@ def simulate_factory_circuit(kind: Family) -> tuple[float, PureRegister]:
         prob *= res.prob0
         reg = res.post0
     return prob, reg
-
-
-def run_factory(
-    kind: Family, rng: random.Random
-) -> tuple[bool, PureRegister | None, int]:
-    """One factory trial: (success, output state or None, resources spent).
-
-    Non-zero measurement outcomes are always discarded.
-    """
-    prob, output = simulate_factory_circuit(kind)
-    spec = factory_spec(kind)
-    if rng.random() < prob:
-        return True, output, spec.h_per_trial
-    return False, None, spec.h_per_trial
 
 
 @dataclass(frozen=True)

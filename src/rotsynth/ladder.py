@@ -81,41 +81,12 @@ def rotation_angle(family: Family, level: int) -> float:
     return 2 * ladder_angle(family, level)
 
 
-@dataclass(frozen=True)
-class ResourceState:
-    """A ladder state: family, level, and the derived state angle."""
-
-    family: Family
-    level: int
-    state_angle: float
-
-
-def resource_state(family: Family, level: int) -> ResourceState:
-    return ResourceState(family, level, ladder_angle(family, level))
-
-
-def merge_success_prob(state_or_family: ResourceState | Family, level: int | None = None) -> float:
+def merge_success_prob(family: Family, level: int) -> float:
     """Probability of the up outcome when merging a fresh top resource onto
-    the given bottom state: cos^2(a) cos^2(pi/8) + sin^2(a) sin^2(pi/8)."""
-    if isinstance(state_or_family, ResourceState):
-        a = state_or_family.state_angle
-    else:
-        a = ladder_angle(state_or_family, level)
+    the family's state at that level: cos^2(a) cos^2(pi/8) + sin^2(a) sin^2(pi/8)."""
+    a = ladder_angle(family, level)
     c0, s0 = math.cos(THETA0), math.sin(THETA0)
     return math.cos(a) ** 2 * c0 * c0 + math.sin(a) ** 2 * s0 * s0
-
-
-def merge_step(
-    bottom: ResourceState, rng: random.Random
-) -> tuple[str, ResourceState | None]:
-    """One merge attempt.  Returns ("up", next state) with the success
-    probability, otherwise ("down", lower state) or ("down", None) when a
-    level-0 failure leaves a stabilizer state to discard."""
-    if rng.random() < merge_success_prob(bottom):
-        return "up", resource_state(bottom.family, bottom.level + 1)
-    if bottom.level == 0:
-        return "down", None
-    return "down", resource_state(bottom.family, bottom.level - 1)
 
 
 @dataclass(frozen=True)

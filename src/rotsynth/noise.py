@@ -10,8 +10,8 @@ distance.
 
 The two-qubit merge evolution collapses to a closed form on 2x2 blocks
 (top sigma, bottom rho; outcome probabilities p0 = s00 r00 + s11 r11 and
-p1 = s11 r00 + s00 r11), which the tests check against the generic
-density-matrix simulation.
+p1 = s11 r00 + s00 r11); the noisy walker steps by it, and the tests check
+each step against the generic density-matrix simulation.
 """
 from __future__ import annotations
 
@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ladder import Family, ladder_angle
-from .qcore import DensityMatrix, DmMeasureResult, dm_from_bloch
+from .qcore import DensityMatrix, dm_from_bloch
 from .seeding import derive_rng
+from .study import fit_loglog
 
 _C0 = math.cos(math.pi / 8)
 _S0 = math.sin(math.pi / 8)
@@ -40,8 +41,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("a", "b", "c"):
             raise ValueError("kind must be 'a', 'b' or 'c'")
-        if self.strength < 0:
-            raise ValueError("strength must be >= 0")
+        if not 0 <= self.strength < math.inf:
+            raise ValueError("strength must be finite and >= 0")
         if self.kind == "a" and self.strength > 1:
             raise ValueError("mixture weight cannot exceed 1")
 
@@ -76,40 +77,6 @@ def ideal_resource(level: int) -> DensityMatrix:
     return dm_from_bloch(math.sin(2 * a), 0.0, math.cos(2 * a))
 
 
-def merge_outcomes(top: DensityMatrix, bottom: DensityMatrix) -> DmMeasureResult:
-    """Closed-form merge of a top resource onto a bottom state.
-
-    Returns the outcome probabilities and post-selected bottom states of the
-    parity-merge circuit acting on top (x) bottom.
-    """
-    s = top.mat
-    r = bottom.mat
-    p0 = float((s[0, 0] * r[0, 0] + s[1, 1] * r[1, 1]).real)
-    p1 = float((s[1, 1] * r[0, 0] + s[0, 0] * r[1, 1]).real)
-    post0 = post1 = None
-    if p0 > 1e-300:
-        post0 = DensityMatrix(
-            np.array(
-                [
-                    [s[0, 0] * r[0, 0], s[0, 1] * r[0, 1]],
-                    [s[1, 0] * r[1, 0], s[1, 1] * r[1, 1]],
-                ]
-            )
-            / p0
-        )
-    if p1 > 1e-300:
-        post1 = DensityMatrix(
-            np.array(
-                [
-                    [s[1, 1] * r[0, 0], s[1, 0] * r[0, 1]],
-                    [s[0, 1] * r[1, 0], s[0, 0] * r[1, 1]],
-                ]
-            )
-            / p1
-        )
-    return DmMeasureResult(p0, post0, p1, post1)
-
-
 def _distance_to_ideal(r00: float, r01: complex, level: int) -> float:
     """Trace distance of (r00, r01; conj r01, 1-r00) to the ideal level state.
 
@@ -128,8 +95,8 @@ class _NoisyWalker:
 
     __slots__ = ("s00", "s01", "s11", "r00", "r01", "r11", "level")
 
-    def __init__(self, model: NoiseModel):
-        sigma = make_noisy_resource(model).mat
+    def __init__(self, resource: DensityMatrix):
+        sigma = resource.mat
         self.s00 = float(sigma[0, 0].real)
         self.s01 = complex(sigma[0, 1])
         self.s11 = float(sigma[1, 1].real)
@@ -178,7 +145,7 @@ def propagate_to_level(
     """
     if target_level < 1:
         raise ValueError("target level must be >= 1")
-    walker = _NoisyWalker(model)
+    walker = _NoisyWalker(make_noisy_resource(model))
     while walker.level < target_level:
         walker.step(rng)
     rho = walker.density_matrix()
@@ -200,10 +167,11 @@ def decay_study(
     """
     if max_level < 1:
         raise ValueError("max level must be >= 1")
+    resource = make_noisy_resource(model)
     sums = [0.0] * (max_level + 1)
     for instance in range(n_instances):
         rng = derive_rng(seed, "noise", model.kind, repr(model.strength), instance)
-        walker = _NoisyWalker(model)
+        walker = _NoisyWalker(resource)
         seen = 0
         while seen < max_level:
             walker.step(rng)
@@ -230,22 +198,11 @@ def fit_exponential_decay(points: list[tuple[int, float]]) -> DecayFit:
     for _, d in points:
         if d <= 0:
             raise ValueError("distances must be positive")
-    xs = [float(lvl) for lvl, _ in points]
-    ys = [math.log(d) for _, d in points]
-    n = len(xs)
-    xbar = math.fsum(xs) / n
-    ybar = math.fsum(ys) / n
-    sxx = math.fsum((x - xbar) ** 2 for x in xs)
-    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = ybar - slope * xbar
-    rms = math.sqrt(
-        math.fsum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys)) / n
-    )
+    fit = fit_loglog([(float(lvl), math.log(d)) for lvl, d in points])
     levels = [lvl for lvl, _ in points]
     return DecayFit(
-        prefactor=math.exp(intercept),
-        base=math.exp(-slope),
+        prefactor=math.exp(fit.intercept),
+        base=math.exp(-fit.slope),
         fit_range=(min(levels), max(levels)),
-        residual_rms=rms,
+        residual_rms=fit.rms_residual,
     )

@@ -56,6 +56,8 @@ class PureRegister:
         n = amps.size.bit_length() - 1
         if amps.size != 2**n or not 1 <= n <= 4:
             raise ValueError(f"amplitude vector of length {amps.size} is not a 1-4 qubit state")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state norm {norm} is not 1")
@@ -65,12 +67,6 @@ class PureRegister:
     @property
     def n_qubits(self) -> int:
         return self.amps.size.bit_length() - 1
-
-
-def basis_state(n_qubits: int, index: int = 0) -> PureRegister:
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[index] = 1.0
-    return PureRegister(amps)
 
 
 def xz_state(angle: float) -> PureRegister:
@@ -145,12 +141,6 @@ def measure_qubit(reg: PureRegister, q: int) -> MeasureResult:
     return MeasureResult(p0, post0, p1, post1)
 
 
-def states_equal_up_to_phase(a: PureRegister, b: PureRegister, tol: float = 1e-10) -> bool:
-    if a.n_qubits != b.n_qubits:
-        return False
-    return abs(abs(np.vdot(a.amps, b.amps)) - 1.0) < tol
-
-
 # --- density matrices ---------------------------------------------------
 
 
@@ -166,6 +156,8 @@ class DensityMatrix:
         n = dim.bit_length() - 1
         if mat.shape != (dim, dim) or dim != 2**n or not 1 <= n <= 2:
             raise ValueError(f"matrix of shape {mat.shape} is not a 1-2 qubit density matrix")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries must be finite")
         if np.abs(mat - mat.conj().T).max() > 1e-10:
             raise ValueError("matrix is not Hermitian")
         tr = np.trace(mat).real
@@ -190,47 +182,6 @@ def dm_from_bloch(x: float, y: float, z: float) -> DensityMatrix:
         np.eye(2) + x * GATES_1Q["X"] + y * GATES_1Q["Y"] + z * GATES_1Q["Z"]
     )
     return DensityMatrix(mat)
-
-
-def dm_apply_gate(rho: DensityMatrix, gate: str, *qubits: int) -> DensityMatrix:
-    u = _gate_unitary(rho.n_qubits, gate, qubits)
-    return DensityMatrix(u @ rho.mat @ u.conj().T)
-
-
-def _gate_unitary(n: int, gate: str, qubits: tuple[int, ...]) -> np.ndarray:
-    dim = 2**n
-    u = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        u[:, k] = apply_gate(basis_state(n, k), gate, *qubits).amps
-    return u
-
-
-@dataclass(frozen=True)
-class DmMeasureResult:
-    prob0: float
-    post0: DensityMatrix | None
-    prob1: float
-    post1: DensityMatrix | None
-
-
-def dm_measure_qubit(rho: DensityMatrix, q: int) -> DmMeasureResult:
-    """Measure qubit q of a density matrix; the measured qubit is removed."""
-    n = rho.n_qubits
-    if not 0 <= q < n:
-        raise IndexError(f"qubit {q} out of range for {n}-qubit density matrix")
-    tensor = rho.mat.reshape([2] * (2 * n))
-    branches = []
-    for m in (0, 1):
-        sub = np.take(np.take(tensor, m, axis=q), m, axis=n - 1 + q)
-        dim = 2 ** (n - 1)
-        sub = sub.reshape(dim, dim) if n > 1 else np.array([[sub]], dtype=complex)
-        p = float(np.trace(sub).real)
-        if n == 1:
-            branches.append((p, None))
-        else:
-            branches.append((p, DensityMatrix(sub / p) if p > 1e-15 else None))
-    (p0, post0), (p1, post1) = branches
-    return DmMeasureResult(p0, post0, p1, post1)
 
 
 def trace_distance(r: DensityMatrix, s: DensityMatrix) -> float:

@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+import random
+from dataclasses import asdict, dataclass
 
 from .ladder import ALL_FAMILIES, Family
 from .seeding import derive_rng
-from .synthesis import SynthesisConfig, min_online_synthesize, synthesize
+from .synthesis import SynthesisConfig, SynthesisResult, min_online_synthesize, synthesize
 
 TAU = 2 * math.pi
 
@@ -50,7 +51,8 @@ class ScalingFit:
 
 
 def fit_loglog(points: list[tuple[float, float]]) -> ScalingFit:
-    """Least squares of y on x for (x = lnln(1/eps), y = ln C) points."""
+    """Ordinary least squares of y on x: the scaling fits pass
+    (lnln(1/eps), ln C) points, the noise decay fit (level, ln distance)."""
     n = len(points)
     if n < 2:
         raise ValueError("need at least two points")
@@ -70,12 +72,21 @@ def fit_loglog(points: list[tuple[float, float]]) -> ScalingFit:
     return ScalingFit(intercept, slope, n, rms)
 
 
-def _families_for(scheme: str) -> tuple[Family, ...]:
+def _synthesize_scheme(
+    scheme: str, target: float, epsilon: float, rng: random.Random
+) -> SynthesisResult:
+    """Run one synthesis under a scheme: greedy from the H ladder, greedy
+    from all four ladders, or ancilla-mediated from all four."""
     if scheme == H_ONLY:
-        return (Family.H,)
-    if scheme in (MULTI, MIN_ONLINE):
-        return ALL_FAMILIES
-    raise ValueError(f"unknown scheme {scheme!r}")
+        families: tuple[Family, ...] = (Family.H,)
+    elif scheme in (MULTI, MIN_ONLINE):
+        families = ALL_FAMILIES
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    config = SynthesisConfig(epsilon=epsilon, families=families)
+    if scheme == MIN_ONLINE:
+        return min_online_synthesize(target, epsilon, config, rng)
+    return synthesize(target, config, rng)
 
 
 def _one_sample(args: tuple[str, float, float, int, int]) -> ScalingSample:
@@ -86,12 +97,7 @@ def _one_sample(args: tuple[str, float, float, int, int]) -> ScalingSample:
     params = derive_rng(seed, "sample-params", index)
     epsilon = math.exp(ln_lo + (ln_hi - ln_lo) * params.random())
     target = params.random() * TAU
-    rng = derive_rng(seed, "scaling", scheme, index)
-    config = SynthesisConfig(epsilon=epsilon, families=_families_for(scheme))
-    if scheme == MIN_ONLINE:
-        result = min_online_synthesize(target, epsilon, config, rng)
-    else:
-        result = synthesize(target, config, rng)
+    result = _synthesize_scheme(scheme, target, epsilon, derive_rng(seed, "scaling", scheme, index))
     return ScalingSample(scheme, epsilon, target, result.online_cost, result.offline_cost)
 
 
@@ -181,19 +187,15 @@ def shift_for_unitary(line: FitLine) -> FitLine:
     return FitLine(line.intercept + LN3, line.slope)
 
 
-def sk_crossover(
-    fit_a: FitLine | tuple[float, float], fit_b: FitLine | tuple[float, float]
-) -> float:
+def sk_crossover(line_a: FitLine | ScalingFit, line_b: FitLine | ScalingFit) -> float:
     """Accuracy where two cost lines intersect.
 
     Solves a0 + a1 x = b0 + b1 x for x = lnln(1/eps) and maps back to
     eps = exp(-exp(x)).
     """
-    a0, a1 = (fit_a.intercept, fit_a.slope) if isinstance(fit_a, FitLine) else fit_a
-    b0, b1 = (fit_b.intercept, fit_b.slope) if isinstance(fit_b, FitLine) else fit_b
-    if a1 == b1:
+    if line_a.slope == line_b.slope:
         raise ValueError("parallel lines have no crossover")
-    x = (b0 - a0) / (a1 - b1)
+    x = (line_b.intercept - line_a.intercept) / (line_a.slope - line_b.slope)
     return math.exp(-math.exp(x))
 
 
@@ -202,13 +204,13 @@ def comparison_table() -> dict:
     c = SK_CONSTANTS
     return {
         "constants": {
-            "sk_z": vars(c.sk_z),
-            "sk_unitary": vars(c.sk_unitary),
-            "h_only_online": vars(c.h_only_online),
-            "h_only_offline": vars(c.h_only_offline),
-            "multi_online": vars(c.multi_online),
-            "multi_offline": vars(c.multi_offline),
-            "min_online_offline": vars(c.min_online_offline),
+            "sk_z": asdict(c.sk_z),
+            "sk_unitary": asdict(c.sk_unitary),
+            "h_only_online": asdict(c.h_only_online),
+            "h_only_offline": asdict(c.h_only_offline),
+            "multi_online": asdict(c.multi_online),
+            "multi_offline": asdict(c.multi_offline),
+            "min_online_offline": asdict(c.min_online_offline),
             "unitary_shift": LN3,
         },
         "crossovers": {
@@ -254,15 +256,11 @@ def fixed_angle_study(
         raise ValueError("theta must lie in (0, 2*pi)")
     rows = []
     for eps_index, epsilon in enumerate(eps_list):
-        config = SynthesisConfig(epsilon=epsilon, families=_families_for(scheme))
         total_on = []
         total_off = []
         for i in range(n_samples):
             rng = derive_rng(seed, "fixed", scheme, eps_index, i)
-            if scheme == MIN_ONLINE:
-                result = min_online_synthesize(theta, epsilon, config, rng)
-            else:
-                result = synthesize(theta, config, rng)
+            result = _synthesize_scheme(scheme, theta, epsilon, rng)
             total_on.append(result.online_cost)
             total_off.append(result.offline_cost)
         rows.append(
@@ -314,18 +312,8 @@ def fits_summary(
         "scheme": scheme,
         "seed": seed,
         "eps_range": list(eps_range),
-        "online": {
-            "intercept": fit_online.intercept,
-            "slope": fit_online.slope,
-            "n_samples": fit_online.n_samples,
-            "rms_residual": fit_online.rms_residual,
-        },
-        "offline": {
-            "intercept": fit_offline.intercept,
-            "slope": fit_offline.slope,
-            "n_samples": fit_offline.n_samples,
-            "rms_residual": fit_offline.rms_residual,
-        },
+        "online": asdict(fit_online),
+        "offline": asdict(fit_offline),
     }
 
 

@@ -29,7 +29,6 @@ from .ladder import (
     rotation_angle,
     success_probs,
 )
-from .seeding import DEFAULT_SEED, derive_rng
 
 TAU = 2 * math.pi
 HALF_PI = math.pi / 2
@@ -58,27 +57,6 @@ def reduce_by_clifford(residual: float) -> tuple[float, int]:
     return reduced, abs(k)
 
 
-def apply_random_rotation(
-    residual: float, rot_angle: float, rng: random.Random
-) -> tuple[float, int]:
-    """Consume one resource state: the applied rotation is +rot_angle or
-    -rot_angle with probability 1/2 each.  Returns the new residual, wrapped
-    to (-pi, pi], and the applied sign."""
-    if rot_angle <= 0:
-        raise ValueError("rotation angle must be positive")
-    sign = 1 if rng.random() < 0.5 else -1
-    return wrap_angle(residual - sign * rot_angle), sign
-
-
-def angle_to_operator_distance(delta_phi: float) -> float:
-    """Convert an angle mismatch to the operator distance
-    sqrt(1 - |cos(delta_phi)|), evaluated in a cancellation-free form."""
-    c = math.cos(delta_phi)
-    if c >= 0:
-        return math.sqrt(2) * abs(math.sin(delta_phi / 2))
-    return math.sqrt(2) * abs(math.cos(delta_phi / 2))
-
-
 @dataclass(frozen=True)
 class SynthesisConfig:
     """Planner settings.
@@ -91,8 +69,6 @@ class SynthesisConfig:
     epsilon: float
     families: tuple[Family, ...] = (Family.H,)
     max_level: int | None = None
-    free_clifford_reduction: bool = True
-    master_seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < math.inf:
@@ -187,9 +163,7 @@ def _table_and_start(config: SynthesisConfig) -> tuple[_AngleTable, int]:
     return table, start
 
 
-def synthesize(
-    target: float, config: SynthesisConfig, rng: random.Random | None = None
-) -> SynthesisResult:
+def synthesize(target: float, config: SynthesisConfig, rng: random.Random) -> SynthesisResult:
     """Compile a Z-rotation by `target` to accuracy config.epsilon.
 
     Offline cost totals the raw resources of one simulated ladder instance
@@ -197,10 +171,8 @@ def synthesize(
     """
     if not math.isfinite(target):
         raise ValueError("target must be finite")
-    if rng is None:
-        rng = derive_rng(config.master_seed, "synthesize")
     table, start = _table_and_start(config)
-    eps, reduce_free, rnd = config.epsilon, config.free_clifford_reduction, rng.random
+    eps, rnd = config.epsilon, rng.random
     lookup, angles, levels, probs = table.lookup, table.angles, table.levels, table.probs
     base_costs, plus, minus = table.base_costs, table.plus, table.minus
     applied: list[tuple[Family, int, int]] = []
@@ -211,13 +183,12 @@ def synthesize(
         residual = math.remainder(residual, TAU)
         if residual <= -math.pi:
             residual += TAU
-        if reduce_free:
-            k = round(residual / HALF_PI)
-            residual -= k * HALF_PI
-            if residual <= -QUARTER_PI:
-                residual += HALF_PI
-                k -= 1
-            corrections += abs(k)
+        k = round(residual / HALF_PI)
+        residual -= k * HALF_PI
+        if residual <= -QUARTER_PI:
+            residual += HALF_PI
+            k -= 1
+        corrections += abs(k)
         if abs(residual) <= eps:
             break
         i = lookup(abs(residual), start)
@@ -244,7 +215,7 @@ def min_online_synthesize(
     target: float,
     eps: float,
     config: SynthesisConfig,
-    rng: random.Random | None = None,
+    rng: random.Random,
 ) -> SynthesisResult:
     """Ancilla-mediated variant that minimizes the online rotation count.
 
@@ -256,22 +227,21 @@ def min_online_synthesize(
     final residual is just that of the last ancilla, so the per-ancilla
     budget needs no subdivision.  online_cost counts only the ancilla uses;
     applied is empty because no ladder state touches the data qubit directly.
+    eps must equal config.epsilon; a mismatch raises ValueError.
     """
     if not math.isfinite(target):
         raise ValueError("target must be finite")
     # validates eps as the inner accuracy, and the ladder depth it needs
     inner_config = replace(config, epsilon=eps, max_level=None)
     _table_and_start(inner_config)
-    if rng is None:
-        rng = derive_rng(config.master_seed, "min-online")
+    if eps != config.epsilon:
+        raise ValueError(f"eps {eps!r} differs from config.epsilon {config.epsilon!r}")
     corrections = online = 0
     offline = 0.0
     remaining = target
     while True:
-        remaining = wrap_angle(remaining)
-        if config.free_clifford_reduction:
-            remaining, k = reduce_by_clifford(remaining)
-            corrections += k
+        remaining, k = reduce_by_clifford(wrap_angle(remaining))
+        corrections += k
         if abs(remaining) <= eps:
             break
         inner = synthesize(remaining, inner_config, rng)

@@ -150,9 +150,7 @@ def test_criterion_5_h_only_scaling(h_only_study):
 def test_criterion_6_multi_scaling(h_only_study, multi_study):
     _, _, fit_off_h = h_only_study
     _, fit_on, fit_off = multi_study
-    crossover = study.sk_crossover(
-        (fit_off_h.intercept, fit_off_h.slope), (fit_off.intercept, fit_off.slope)
-    )
+    crossover = study.sk_crossover(fit_off_h, fit_off)
     ok = (
         1.02 <= fit_on.slope <= 1.22
         and 1.55 <= fit_off.slope <= 1.95

@@ -199,3 +199,42 @@ def test_compare_sk(tmp_path, capsys):
 
 def test_parser_prog_name():
     assert build_parser().prog == "rotsynth"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "--target", "1.0", "--eps", "1e-4"),
+        ("min-online", "--target", "1.0", "--eps", "1e-4"),
+        ("climb", "--level", "3"),
+        ("factory", "--kind", "psi0"),
+    ],
+)
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_non_positive_trials_is_usage_error(argv, count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--trials", count])
+    assert exc.value.code == 2
+    assert "--trials: must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_non_positive_instances_is_usage_error(count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["noise", "--model", "a", "--strength", "1e-4", "--instances", count])
+    assert exc.value.code == 2
+    assert "--instances: must be a positive integer" in capsys.readouterr().err
+
+
+def test_non_integer_trials_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["climb", "--level", "3", "--trials", "ten"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'ten'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strength", ["nan", "inf"])
+def test_noise_non_finite_strength_is_error(strength, capsys):
+    code, _, err = run_cli(capsys, "noise", "--model", "a", "--strength", strength)
+    assert code == 1
+    assert "strength must be finite" in err

@@ -1,8 +1,9 @@
 """Golden digests: fixed (seed, arguments) must keep producing the same bytes.
 
-The digests were recorded from the planner before its inner loop was
-rebuilt around the shared angle table and walk; any change to the random
-stream, the tie-breaks or the cost accounting shows up here.  A change that
+The digests were recorded before the code they cover was last rebuilt (the
+planner's inner loop; the decay fit, factory sampling and crossover solve
+when src/ was cut down); any change to the random stream, the tie-breaks,
+the cost accounting or the fits shows up here.  A change that
 alters the stream on purpose updates these digests and says so in
 CHANGES.md.
 """
@@ -34,6 +35,32 @@ CLI_DIGESTS = {
         "00b54c0304a39031f46ddf2bfb82ae8801cc17f0fa339d0575bd5265fcad7b6b",
     ("climb", "--family", "psi1", "--level", "12", "--trials", "2000"):
         "e74d4f1a0bb334b23f5353b7ea27ed4bddad236c650b0289e6e0b77306363c4a",
+    ("factory", "--kind", "psi0", "--trials", "2000"):
+        "135d404026074e443eac44d584eb833f3a6c6099f9cb058f9b3a7906d680804e",
+    ("factory", "--kind", "psi1", "--trials", "2000"):
+        "e247a08589baf41b31c25abf506f96c3e5451b04af269ff0a6269c0a5cf2bcc8",
+    ("factory", "--kind", "psi2", "--trials", "2000"):
+        "1faec1abae9e1c6085f5fecc3d2619a35d6a6fbb0dcfabc7adfdcadf402e97e4",
+}
+# (stdout, out.json) digests of commands that also write a file; they run in
+# an empty directory, so the "wrote out.json" line is the same everywhere
+CLI_FILE_DIGESTS = {
+    ("noise", "--model", "a", "--strength", "1e-4", "--out", "out.json"): (
+        "7d338e9d9901c27aa3551feefd04b19ad18b43d79075096d9f304d9178f85cfb",
+        "51deacdb9ccfd606ed2e042e675feff659988c26a26a66a5814c3d39549cc767",
+    ),
+    ("noise", "--model", "c", "--strength", "1e-3", "--out", "out.json"): (
+        "55cb6e7aa8a2364f0d6126a31cd27c4bda2ae7a7f5a6af161ff90fd9cb28525b",
+        "a0efeb1d2205bcf73992b5e86d6f8b33408db39ae740de1d09e93fd1c3662e5e",
+    ),
+    ("scaling", "--scheme", "multi", "--trials", "300", "--format", "json", "--out", "out.json"): (
+        "ae9d19689dab50c94eb9627e380e7cc8b70c79d60d0e49c4023c734dcb48a561",
+        "cf14487dd8617f16eb72b4d2a34208c96b0c40f0ebc7e42b6525551f5d99f981",
+    ),
+    ("compare-sk", "--out", "out.json"): (
+        "79f217c710a4e123e0640a11b045b42d36331906ac693195d0008a10f03643cc",
+        "2f00e7bc3f177aeb2dcb925b54b8befc93011ad67c855d40faeee2a385513130",
+    ),
 }
 
 
@@ -58,3 +85,11 @@ def test_fixed_angle_row():
 def test_cli_stdout(argv, capsys):
     assert main(list(argv)) == 0
     assert _sha256(capsys.readouterr().out.encode()) == CLI_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_FILE_DIGESTS))
+def test_cli_stdout_and_file(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 0
+    digests = (_sha256(capsys.readouterr().out.encode()), _sha256((tmp_path / "out.json").read_bytes()))
+    assert digests == CLI_FILE_DIGESTS[argv]

@@ -3,18 +3,16 @@ import math
 import pytest
 
 from rotsynth import qcore
+from rotsynth.cli import main
 from rotsynth.factories import (
     CODE_GENERATORS,
     LOGICAL_Z,
-    factory_output_angle,
     factory_spec,
-    run_factory,
     simulate_factory_circuit,
     verify_factory_against_code,
 )
 from rotsynth.ladder import Family, ladder_angle, merge_success_prob
 from rotsynth.qcore import pauli_projector_overlap, paulis_commute
-from rotsynth.seeding import derive_rng
 
 SQRT2 = math.sqrt(2)
 FACTORIES = (Family.PSI0, Family.PSI1, Family.PSI2)
@@ -54,32 +52,26 @@ def test_per_trial_inputs():
 
 @pytest.mark.parametrize("kind", FACTORIES)
 def test_output_angle_closed_form(kind):
-    assert factory_output_angle(kind) == pytest.approx(OUTPUT_ANGLES[kind], abs=5e-5)
+    assert factory_spec(kind).output_state_angle == pytest.approx(OUTPUT_ANGLES[kind], abs=5e-5)
 
 
 @pytest.mark.parametrize("kind", FACTORIES)
 def test_output_state_canonical_angle(kind):
     _, output = simulate_factory_circuit(kind)
     assert qcore.canonical_xz_angle(output) == pytest.approx(
-        factory_output_angle(kind), abs=1e-10
+        factory_spec(kind).output_state_angle, abs=1e-10
     )
 
 
 @pytest.mark.parametrize("kind", FACTORIES)
-def test_monte_carlo_success_frequency(kind):
+def test_monte_carlo_success_frequency(kind, capsys):
+    """The factory command's sampled success rate (one uniform per trial
+    against the circuit probability) matches the closed form."""
     n = 100_000
     p = CLOSED_FORM_PROBS[kind]
-    wins = 0
-    spent = 0
-    for i in range(n):
-        success, output, h = run_factory(kind, derive_rng(11, "fact", kind.value, i))
-        wins += success
-        spent += h
-        if success:
-            assert output.n_qubits == 1
-        else:
-            assert output is None
-    assert spent == n * factory_spec(kind).h_per_trial
+    assert main(["factory", "--kind", kind.value, "--trials", str(n), "--seed", "11"]) == 0
+    (line,) = [l for l in capsys.readouterr().out.splitlines() if "sampled" in l]
+    wins = float(line.split()[1]) * n
     sigma = math.sqrt(n * p * (1 - p))
     assert abs(wins - n * p) < 4 * sigma
 
@@ -123,7 +115,7 @@ def test_factory_output_feeds_ladder(kind):
     """Merging the factory output with a fresh resource reproduces the
     level-1 rotation of its ladder (reference values at table precision)."""
     level1 = {Family.PSI0: 1.871e-1, Family.PSI1: 2.415e-1, Family.PSI2: 2.954e-1}[kind]
-    angle0 = factory_output_angle(kind)
+    angle0 = factory_spec(kind).output_state_angle
     reg = qcore.apply_gate(
         qcore.product_state(qcore.xz_state(math.pi / 8), qcore.xz_state(angle0)),
         "CNOT",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import states_equal_up_to_phase
 from rotsynth import qcore
 from rotsynth.ladder import (
     ALL_FAMILIES,
@@ -15,9 +16,7 @@ from rotsynth.ladder import (
     climb_walk,
     expected_climb_cost,
     ladder_angle,
-    merge_step,
     merge_success_prob,
-    resource_state,
     rotation_angle,
     simulate_climb,
     success_probs,
@@ -162,60 +161,12 @@ def test_merge_circuit_agreement(family, level):
         assert abs(res.post1.amps[1].real - math.sin(down)) < 1e-12
     elif family is Family.H:
         # level-0 failure leaves the free stabilizer state
-        assert qcore.states_equal_up_to_phase(res.post1, qcore.plus_state())
+        assert states_equal_up_to_phase(res.post1, qcore.plus_state())
     else:
         # discarded, but the circuit output still obeys the angle algebra
         down = math.atan(math.tan(bottom) / math.tan(math.pi / 8))
         assert abs(res.post1.amps[0].real - math.cos(down)) < 1e-12
         assert abs(res.post1.amps[1].real - math.sin(down)) < 1e-12
-
-
-def test_merge_step_angle_algebra():
-    cot0 = 1 / math.tan(math.pi / 8)
-    rng = derive_rng(1, "algebra")
-    for level in (0, 1, 3, 10):
-        bottom = resource_state(Family.H, level)
-        seen = set()
-        while len(seen) < (1 if level == 0 else 2):
-            outcome, state = merge_step(bottom, rng)
-            if outcome == "up":
-                assert 1 / math.tan(state.state_angle) == pytest.approx(
-                    cot0 / math.tan(bottom.state_angle), rel=1e-12
-                )
-                seen.add("up")
-            elif state is None:
-                assert level == 0
-                seen.add("discard")
-            else:
-                assert 1 / math.tan(state.state_angle) == pytest.approx(
-                    math.tan(math.pi / 8) / math.tan(bottom.state_angle), rel=1e-12
-                )
-                seen.add("down")
-
-
-def test_merge_step_level0_down_is_discard():
-    rng = derive_rng(2, "discard")
-    bottom = resource_state(Family.H, 0)
-    outcomes = set()
-    for _ in range(200):
-        outcome, state = merge_step(bottom, rng)
-        if outcome == "down":
-            assert state is None
-            outcomes.add("down")
-        else:
-            assert state.level == 1
-            outcomes.add("up")
-    assert outcomes == {"up", "down"}
-
-
-def test_merge_step_frequencies_match_probability():
-    n = 100_000
-    rng = derive_rng(3, "freq")
-    bottom = resource_state(Family.H, 2)
-    p = merge_success_prob(bottom)
-    ups = sum(1 for _ in range(n) if merge_step(bottom, rng)[0] == "up")
-    sigma = math.sqrt(n * p * (1 - p))
-    assert abs(ups - n * p) < 4 * sigma
 
 
 def test_simulate_climb_level0():

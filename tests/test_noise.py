@@ -1,24 +1,25 @@
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import dm_apply_gate, dm_measure_qubit
 from rotsynth import qcore
-from rotsynth.ladder import Family, ladder_angle
 from rotsynth.noise import (
     DecayFit,
     NoiseModel,
+    _NoisyWalker,
     decay_study,
     fit_exponential_decay,
     ideal_resource,
     make_noisy_resource,
-    merge_outcomes,
     propagate_to_level,
 )
-from rotsynth.qcore import DensityMatrix, dm_from_pure, trace_distance
+from rotsynth.qcore import DensityMatrix, trace_distance
 from rotsynth.seeding import derive_rng
-
-THETA0 = math.pi / 8
 
 
 def test_model_validation():
@@ -29,6 +30,35 @@ def test_model_validation():
     with pytest.raises(ValueError):
         NoiseModel("a", 1.5)
     NoiseModel("b", 2.0)  # tilt angles above 1 are fine
+
+
+@given(st.sampled_from("abc"), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_model_rejects_non_finite_strength(kind, strength):
+    with pytest.raises(ValueError):
+        NoiseModel(kind, strength)
+
+
+@pytest.mark.parametrize("kind", ["a", "b", "c"])
+def test_decay_study_rejects_unvalidated_nan_model(kind):
+    """A NaN strength that slips past NoiseModel (here set after
+    construction) makes every merge probability NaN; the walker would
+    restart at level 0 forever.  The noisy resource itself is rejected."""
+    model = NoiseModel(kind, 0.0)
+    object.__setattr__(model, "strength", math.nan)
+    raised = []
+
+    def run():
+        try:
+            decay_study(model, 4, 3, seed=26)
+        except ValueError as exc:
+            raised.append(exc)
+
+    # a daemon thread, so a regression fails here instead of hanging the run
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "decay_study did not return"
+    assert raised
 
 
 @pytest.mark.parametrize("kind", ["a", "b", "c"])
@@ -90,32 +120,58 @@ def _random_density(seed):
     return DensityMatrix(m / np.trace(m))
 
 
+class _Draw:
+    """rng stub whose every draw is the given uniform."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _walker(top, bottom, level):
+    """A walker on the given top resource whose bottom state is arbitrary."""
+    walker = _NoisyWalker(top)
+    walker.r00, walker.r01, walker.r11 = bottom.mat[0, 0].real, complex(bottom.mat[0, 1]), bottom.mat[1, 1].real
+    walker.level = level
+    return walker
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_merge_outcomes_match_generic_dm_evolution(seed):
-    """The 2x2 closed form equals kron + CNOT + measurement on the 4x4
-    density matrix."""
+    """A walker step is the 2x2 closed form of kron + CNOT + measurement on
+    the 4x4 density matrix: the up outcome is drawn with the generic
+    probability and lands on the generic post state; the down outcome lands
+    on the other post state, or restarts from a fresh top at level 0."""
     top = _random_density(2 * seed)
     bottom = _random_density(2 * seed + 1)
-    fast = merge_outcomes(top, bottom)
+    joint = dm_apply_gate(DensityMatrix(np.kron(top.mat, bottom.mat)), "CNOT", 1, 0)
+    generic = dm_measure_qubit(joint, 0)
+    assert generic.prob0 + generic.prob1 == pytest.approx(1.0, abs=1e-12)
+    for level in (0, 1, 5):
+        up = _walker(top, bottom, level)
+        up.step(_Draw(generic.prob0 - 1e-9))
+        assert up.level == level + 1
+        assert trace_distance(up.density_matrix(), generic.post0) == pytest.approx(0.0, abs=1e-10)
 
-    joint = DensityMatrix(np.kron(top.mat, bottom.mat))
-    joint = qcore.dm_apply_gate(joint, "CNOT", 1, 0)
-    generic = qcore.dm_measure_qubit(joint, 0)
-    assert fast.prob0 == pytest.approx(generic.prob0, abs=1e-12)
-    assert fast.prob1 == pytest.approx(generic.prob1, abs=1e-12)
-    assert trace_distance(fast.post0, generic.post0) == pytest.approx(0.0, abs=1e-10)
-    assert trace_distance(fast.post1, generic.post1) == pytest.approx(0.0, abs=1e-10)
+        down = _walker(top, bottom, level)
+        down.step(_Draw(generic.prob0 + 1e-9))
+        if level:
+            assert down.level == level - 1
+            assert trace_distance(down.density_matrix(), generic.post1) == pytest.approx(0.0, abs=1e-10)
+        else:
+            assert down.level == 0
+            assert trace_distance(down.density_matrix(), top) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_merge_outcomes_pure_ladder_consistency():
-    """Noiseless density-matrix merge reproduces the pure-state ladder."""
-    bottom = dm_from_pure(qcore.xz_state(THETA0))
-    top = dm_from_pure(qcore.xz_state(THETA0))
+    """Noiseless up steps of the walker reproduce the pure-state ladder."""
+    walker = _NoisyWalker(make_noisy_resource(NoiseModel("a", 0.0)))
     for level in range(12):
-        res = merge_outcomes(top, bottom)
-        ideal_up = dm_from_pure(qcore.xz_state(ladder_angle(Family.H, level + 1)))
-        assert trace_distance(res.post0, ideal_up) == pytest.approx(0.0, abs=1e-12)
-        bottom = res.post0
+        walker.step(_Draw(0.0))
+        assert walker.level == level + 1
+        assert trace_distance(walker.density_matrix(), ideal_resource(level + 1)) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["a", "b", "c"])

@@ -3,27 +3,27 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oracles import basis_state, dm_apply_gate, dm_measure_qubit, states_equal_up_to_phase
 from rotsynth import qcore
 from rotsynth.qcore import (
     DensityMatrix,
     PauliString,
     PureRegister,
     apply_gate,
-    basis_state,
     bloch_vector,
     canonical_xz_angle,
     clifford_equivalent,
-    dm_apply_gate,
     dm_from_bloch,
     dm_from_pure,
-    dm_measure_qubit,
     measure_qubit,
     pauli_matrix,
     pauli_projector_overlap,
     paulis_commute,
     plus_state,
     product_state,
-    states_equal_up_to_phase,
     trace_distance,
     xz_state,
 )
@@ -305,3 +305,35 @@ def test_pure_register_validation():
     assert reg.n_qubits == 3
     with pytest.raises(ValueError):
         reg.amps[0] = 1.0  # frozen
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, complex(math.nan, 0), complex(0, math.inf)])
+
+
+@given(st.integers(1, 4), st.data(), NON_FINITE)
+def test_pure_register_rejects_non_finite_amplitudes(n_qubits, data, bad):
+    amps = np.zeros(2**n_qubits, dtype=complex)
+    amps[0] = 1.0
+    amps[data.draw(st.integers(0, 2**n_qubits - 1))] = bad
+    with pytest.raises(ValueError):
+        PureRegister(amps)
+
+
+def test_pure_register_rejects_all_nan():
+    with pytest.raises(ValueError):
+        PureRegister(np.full(2, np.nan))
+
+
+@given(st.integers(1, 2), st.data(), NON_FINITE)
+def test_density_matrix_rejects_non_finite_entries(n_qubits, data, bad):
+    mat = np.eye(2**n_qubits, dtype=complex) / 2**n_qubits
+    row = data.draw(st.integers(0, 2**n_qubits - 1))
+    col = data.draw(st.integers(0, 2**n_qubits - 1))
+    mat[row, col] = bad
+    with pytest.raises(ValueError):
+        DensityMatrix(mat)
+
+
+def test_density_matrix_rejects_all_nan():
+    with pytest.raises(ValueError):
+        DensityMatrix(np.full((2, 2), np.nan))

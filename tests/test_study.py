@@ -57,9 +57,9 @@ def test_fit_loglog_validation():
 
 def test_sk_crossover_algebra():
     # identical intercepts, different slopes: x = 0, eps = 1/e
-    assert sk_crossover((1.0, 2.0), (1.0, 3.0)) == pytest.approx(math.exp(-1), rel=1e-12)
+    assert sk_crossover(FitLine(1.0, 2.0), FitLine(1.0, 3.0)) == pytest.approx(math.exp(-1), rel=1e-12)
     with pytest.raises(ValueError):
-        sk_crossover((0.0, 2.0), (1.0, 2.0))
+        sk_crossover(FitLine(0.0, 2.0), FitLine(1.0, 2.0))
 
 
 def test_reference_crossovers_match_quoted_values():

@@ -3,9 +3,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import apply_random_rotation
 from rotsynth.ladder import (
     ALL_FAMILIES,
     MAX_LEVEL,
@@ -20,9 +21,7 @@ from rotsynth.synthesis import (
     QUARTER_PI,
     SynthesisConfig,
     SynthesisResult,
-    apply_random_rotation,
     auto_max_level,
-    angle_to_operator_distance,
     min_online_synthesize,
     pick_state,
     reduce_by_clifford,
@@ -90,32 +89,21 @@ def test_apply_random_rotation_rejects_nonpositive():
 
 
 def test_failed_t_gate_fixed_by_free_phase_gate():
-    residual, _ = apply_random_rotation(math.pi / 4, math.pi / 4, _forced_sign(-1))
-    assert residual == pytest.approx(math.pi / 2, abs=1e-15)
-    reduced, count = reduce_by_clifford(residual)
-    assert reduced == pytest.approx(0.0, abs=1e-15)
-    assert count == 1
+    # the pi/4 state applies -pi/4 instead: the residual pi/2 is one free S
+    result = synthesize(math.pi / 4, H_ONLY, _forced_sign(-1))
+    assert result.applied == ((Family.H, 0, -1),)
+    assert result.residual == pytest.approx(0.0, abs=1e-15)
+    assert result.clifford_corrections == 1
 
 
 class _forced_sign:
-    """Minimal rng stub driving apply_random_rotation to a chosen sign."""
+    """Minimal rng stub: every draw picks the chosen rotation sign."""
 
     def __init__(self, sign):
         self._value = 0.0 if sign > 0 else 1.0 - 1e-12
 
     def random(self):
         return self._value
-
-
-def test_angle_to_operator_distance():
-    assert angle_to_operator_distance(0.0) == 0.0
-    assert angle_to_operator_distance(1e-6) == pytest.approx(1e-6 / math.sqrt(2), rel=1e-12)
-    assert angle_to_operator_distance(math.pi / 2) == pytest.approx(1.0, abs=1e-12)
-    # matches the naive formula where that formula is stable
-    for x in (0.3, 1.0, 2.0, 3.0):
-        assert angle_to_operator_distance(x) == pytest.approx(
-            math.sqrt(1 - abs(math.cos(x))), abs=1e-12
-        )
 
 
 # --- state picking ----------------------------------------------------------
@@ -240,10 +228,7 @@ def _replay_synthesize(target, config, rng):
     """The planner composed step by step from its public pieces: the oracle
     for the inlined loop, which must draw the same uniforms in the same
     order and bill the same costs."""
-    residual = wrap_angle(target)
-    corrections = 0
-    if config.free_clifford_reduction:
-        residual, corrections = reduce_by_clifford(residual)
+    residual, corrections = reduce_by_clifford(wrap_angle(target))
     applied = []
     offline = 0.0
     while abs(residual) > config.epsilon:
@@ -251,9 +236,8 @@ def _replay_synthesize(target, config, rng):
         offline += climb_cost(simulate_climb(fam, lvl, rng), fam)
         residual, sign = apply_random_rotation(residual, rotation_angle(fam, lvl), rng)
         applied.append((fam, lvl, sign))
-        if config.free_clifford_reduction:
-            residual, k = reduce_by_clifford(residual)
-            corrections += k
+        residual, k = reduce_by_clifford(residual)
+        corrections += k
     return SynthesisResult(target, tuple(applied), residual, len(applied), offline, corrections)
 
 
@@ -263,12 +247,7 @@ def test_synthesize_matches_step_by_step_replay():
         families = rng.choice(FAMILY_SUBSETS)
         epsilon = 10 ** -rng.uniform(1, 14)
         max_level = None if i % 3 else min(MAX_LEVEL, auto_max_level(epsilon) + rng.randrange(4))
-        config = SynthesisConfig(
-            epsilon=epsilon,
-            families=families,
-            max_level=max_level,
-            free_clifford_reduction=i % 4 != 0,
-        )
+        config = SynthesisConfig(epsilon=epsilon, families=families, max_level=max_level)
         target = rng.uniform(-10, 10)
         assert synthesize(target, config, random.Random(i)) == _replay_synthesize(
             target, config, random.Random(i)
@@ -444,6 +423,17 @@ def test_min_online_rejects_non_finite_eps(eps):
         min_online_synthesize(1.0, eps, H_ONLY, derive_rng(16, "e"))
 
 
+@given(st.floats(1e-14, 1e-2), st.floats(1e-14, 1e-2), NON_FINITE, st.sampled_from(FAMILY_SUBSETS))
+def test_min_online_rejects_eps_differing_from_config(config_eps, eps, bad_eps, families):
+    """eps must equal config.epsilon; a bad eps fails its own validation first."""
+    assume(eps != config_eps)
+    config = SynthesisConfig(epsilon=config_eps, families=families)
+    with pytest.raises(ValueError, match="differs from config.epsilon"):
+        min_online_synthesize(1.0, eps, config, derive_rng(21, "m"))
+    with pytest.raises(ValueError, match="positive and finite"):
+        min_online_synthesize(1.0, bad_eps, config, derive_rng(21, "m"))
+
+
 @given(NON_FINITE, st.sampled_from(FAMILY_SUBSETS))
 def test_non_finite_targets_rejected(target, families):
     config = SynthesisConfig(epsilon=1e-6, families=families)
@@ -484,13 +474,3 @@ def test_epsilon_beyond_deepest_ladder_rejected(epsilon, families):
         synthesize(1.0, config, derive_rng(20, "d"))
     with pytest.raises(ValueError):
         min_online_synthesize(1.0, epsilon, config, derive_rng(20, "d"))
-
-
-def test_synthesize_without_free_reduction_still_converges():
-    config = SynthesisConfig(epsilon=1e-5, free_clifford_reduction=False)
-    rng = derive_rng(15, "nored")
-    for _ in range(60):
-        target = rng.random() * 2 * math.pi
-        result = synthesize(target, config, rng)
-        assert abs(result.residual) <= 1e-5
-        assert result.clifford_corrections == 0
