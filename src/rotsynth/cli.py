@@ -32,14 +32,22 @@ def _parse_families(text: str) -> tuple[Family, ...]:
         ) from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(minimum: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+# the decay fit needs three levels
+_fit_levels = _int_at_least(3, "at least 3")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noise", help="noisy-resource propagation and decay fit")
     p.add_argument("--model", required=True, choices=("a", "b", "c"))
     p.add_argument("--strength", type=float, required=True)
-    p.add_argument("--levels", type=int, default=16)
+    p.add_argument("--levels", type=_fit_levels, default=16)
     p.add_argument("--instances", type=_positive_int, default=200)
     p.add_argument("--fit-from", type=int, default=None, help="first level of the fit window")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -221,7 +229,9 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 def _cmd_noise(args: argparse.Namespace) -> int:
     model = noise.NoiseModel(args.model, args.strength)
     points = noise.decay_study(model, args.levels, args.instances, args.seed)
-    fit_from = args.fit_from if args.fit_from is not None else max(1, args.levels - args.levels // 3)
+    # the top third of the levels, but at least the top three
+    default_from = min(args.levels - args.levels // 3, args.levels - 2)
+    fit_from = args.fit_from if args.fit_from is not None else default_from
     window = [(lvl, d) for lvl, d in points if lvl >= fit_from]
     fit = noise.fit_exponential_decay(window)
     print(f"model {args.model} strength {args.strength!r} instances {args.instances}")

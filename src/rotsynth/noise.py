@@ -10,14 +10,16 @@ distance.
 
 The two-qubit merge evolution collapses to a closed form on 2x2 blocks
 (top sigma, bottom rho; outcome probabilities p0 = s00 r00 + s11 r11 and
-p1 = s11 r00 + s00 r11); the noisy walker steps by it, and the tests check
-each step against the generic density-matrix simulation.
+p1 = s11 r00 + s00 r11); one first-arrival climb loop steps by it, and the
+tests check it against a step-by-step walker and the generic
+density-matrix simulation.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,62 +79,67 @@ def ideal_resource(level: int) -> DensityMatrix:
     return dm_from_bloch(math.sin(2 * a), 0.0, math.cos(2 * a))
 
 
-def _distance_to_ideal(r00: float, r01: complex, level: int) -> float:
-    """Trace distance of (r00, r01; conj r01, 1-r00) to the ideal level state.
+@lru_cache(maxsize=16)
+def _ideal_entries(top: int) -> tuple[tuple[float, float], ...]:
+    """(c*c, c*s) of the ideal H-ladder state cos(a)|0> + sin(a)|1> at every
+    level 0..top: its density matrix is (c*c, c*s; c*s, s*s)."""
+    entries = []
+    for level in range(top + 1):
+        a = ladder_angle(Family.H, level)
+        c, s = math.cos(a), math.sin(a)
+        entries.append((c * c, c * s))
+    return tuple(entries)
 
-    The difference is traceless Hermitian 2x2, so the distance is the root of
-    the determinant magnitude - exact and cancellation-safe at 1e-15 scales.
+
+def _noisy_climb(
+    sigma: tuple[float, complex, float],
+    top: int,
+    rnd,
+    sums: list[float],
+) -> tuple[float, complex, float]:
+    """One noisy climb from a fresh resource to its first arrival at top.
+
+    sigma = (s00, s01, s11) are the entries of the noisy resource; every
+    merge puts a fresh copy on top of the bottom state (r00, r01, r11),
+    draws the outcome from the noisy probabilities with one rnd() and
+    renormalizes the post-selected state.  At the first arrival at each
+    level, the trace distance to the ideal ladder state is added to
+    sums[level]: the difference is traceless Hermitian 2x2, so the distance
+    is the root of the determinant magnitude - exact and cancellation-safe
+    at 1e-15 scales.  Returns the bottom state at top.
     """
-    a = ladder_angle(Family.H, level)
-    c, s = math.cos(a), math.sin(a)
-    d00 = r00 - c * c
-    d01 = r01 - c * s
-    return math.sqrt(d00 * d00 + d01.real * d01.real + d01.imag * d01.imag)
-
-
-class _NoisyWalker:
-    """Bottom density matrix of a noisy climb, tracked as (r00, r01, r11)."""
-
-    __slots__ = ("s00", "s01", "s11", "r00", "r01", "r11", "level")
-
-    def __init__(self, resource: DensityMatrix):
-        sigma = resource.mat
-        self.s00 = float(sigma[0, 0].real)
-        self.s01 = complex(sigma[0, 1])
-        self.s11 = float(sigma[1, 1].real)
-        self.reset()
-
-    def reset(self) -> None:
-        self.r00, self.r01, self.r11 = self.s00, self.s01, self.s11
-        self.level = 0
-
-    def step(self, rng: random.Random) -> None:
-        """One merge with a fresh noisy top; outcome sampled from the noisy
-        probabilities, post-selected state renormalized."""
-        s00, s01, s11 = self.s00, self.s01, self.s11
-        r00, r01, r11 = self.r00, self.r01, self.r11
+    s00, s01, s11 = sigma
+    s01c = s01.conjugate()
+    ideal = _ideal_entries(top)
+    r00, r01, r11 = sigma
+    level = seen = 0
+    while seen < top:
         p0 = s00 * r00 + s11 * r11
         p1 = s11 * r00 + s00 * r11
-        if rng.random() * (p0 + p1) < p0:
-            self.r00 = s00 * r00 / p0
-            self.r01 = s01 * r01 / p0
-            self.r11 = s11 * r11 / p0
-            self.level += 1
-        elif self.level == 0:
-            self.reset()
+        if rnd() * (p0 + p1) < p0:
+            r00 = s00 * r00 / p0
+            r01 = s01 * r01 / p0
+            r11 = s11 * r11 / p0
+            level += 1
+            if level > seen:
+                seen = level
+                cc, cs = ideal[level]
+                d00 = r00 - cc
+                d01 = r01 - cs
+                sums[level] += math.sqrt(d00 * d00 + d01.real * d01.real + d01.imag * d01.imag)
+        elif level:
+            r00 = s11 * r00 / p1
+            r01 = s01c * r01 / p1
+            r11 = s00 * r11 / p1
+            level -= 1
         else:
-            self.r00 = s11 * r00 / p1
-            self.r01 = s01.conjugate() * r01 / p1
-            self.r11 = s00 * r11 / p1
-            self.level -= 1
+            r00, r01, r11 = sigma
+    return r00, r01, r11
 
-    def density_matrix(self) -> DensityMatrix:
-        return DensityMatrix(
-            np.array(
-                [[self.r00, self.r01], [self.r01.conjugate(), self.r11]],
-                dtype=complex,
-            )
-        )
+
+def _resource_entries(resource: DensityMatrix) -> tuple[float, complex, float]:
+    sigma = resource.mat
+    return float(sigma[0, 0].real), complex(sigma[0, 1]), float(sigma[1, 1].real)
 
 
 def propagate_to_level(
@@ -145,11 +152,12 @@ def propagate_to_level(
     """
     if target_level < 1:
         raise ValueError("target level must be >= 1")
-    walker = _NoisyWalker(make_noisy_resource(model))
-    while walker.level < target_level:
-        walker.step(rng)
-    rho = walker.density_matrix()
-    return rho, _distance_to_ideal(walker.r00, walker.r01, target_level)
+    sums = [0.0] * (target_level + 1)
+    r00, r01, r11 = _noisy_climb(
+        _resource_entries(make_noisy_resource(model)), target_level, rng.random, sums
+    )
+    rho = DensityMatrix(np.array([[r00, r01], [r01.conjugate(), r11]], dtype=complex))
+    return rho, sums[target_level]
 
 
 def decay_study(
@@ -167,17 +175,12 @@ def decay_study(
     """
     if max_level < 1:
         raise ValueError("max level must be >= 1")
-    resource = make_noisy_resource(model)
+    sigma = _resource_entries(make_noisy_resource(model))
+    strength = repr(model.strength)
     sums = [0.0] * (max_level + 1)
     for instance in range(n_instances):
-        rng = derive_rng(seed, "noise", model.kind, repr(model.strength), instance)
-        walker = _NoisyWalker(resource)
-        seen = 0
-        while seen < max_level:
-            walker.step(rng)
-            if walker.level == seen + 1:
-                seen += 1
-                sums[seen] += _distance_to_ideal(walker.r00, walker.r01, seen)
+        rng = derive_rng(seed, "noise", model.kind, strength, instance)
+        _noisy_climb(sigma, max_level, rng.random, sums)
     return [(lvl, sums[lvl] / n_instances) for lvl in range(1, max_level + 1)]
 
 

@@ -232,7 +232,8 @@ def min_online_synthesize(
     if not math.isfinite(target):
         raise ValueError("target must be finite")
     # validates eps as the inner accuracy, and the ladder depth it needs
-    inner_config = replace(config, epsilon=eps, max_level=None)
+    # under the config's level cap
+    inner_config = replace(config, epsilon=eps)
     _table_and_start(inner_config)
     if eps != config.epsilon:
         raise ValueError(f"eps {eps!r} differs from config.epsilon {config.epsilon!r}")

@@ -1,17 +1,22 @@
 """Independent cross-check simulators used only by the tests.
 
 Generic density-matrix evolution (a gate's full unitary, measurement with
-removal of the measured qubit) judges the noisy walker's 2x2 closed form,
-and the one-state rotation step replays the planner from its public pieces.
+removal of the measured qubit) judges the noisy walker's 2x2 closed form;
+the step-by-step noisy walker replays the noise module's climb loop; and the
+one-state rotation step replays the planner from its public pieces.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
+from rotsynth.ladder import Family, ladder_angle
+from rotsynth.noise import NoiseModel, make_noisy_resource
 from rotsynth.qcore import DensityMatrix, PureRegister, apply_gate
+from rotsynth.seeding import derive_rng
 from rotsynth.synthesis import wrap_angle
 
 
@@ -79,3 +84,87 @@ def apply_random_rotation(
         raise ValueError("rotation angle must be positive")
     sign = 1 if rng.random() < 0.5 else -1
     return wrap_angle(residual - sign * rot_angle), sign
+
+
+class NoisyWalker:
+    """Bottom density matrix of a noisy climb, tracked as (r00, r01, r11),
+    one merge per step() call."""
+
+    __slots__ = ("s00", "s01", "s11", "r00", "r01", "r11", "level")
+
+    def __init__(self, resource: DensityMatrix):
+        sigma = resource.mat
+        self.s00 = float(sigma[0, 0].real)
+        self.s01 = complex(sigma[0, 1])
+        self.s11 = float(sigma[1, 1].real)
+        self.reset()
+
+    def reset(self) -> None:
+        self.r00, self.r01, self.r11 = self.s00, self.s01, self.s11
+        self.level = 0
+
+    def step(self, rng: random.Random) -> None:
+        """One merge with a fresh noisy top; outcome sampled from the noisy
+        probabilities, post-selected state renormalized."""
+        s00, s01, s11 = self.s00, self.s01, self.s11
+        r00, r01, r11 = self.r00, self.r01, self.r11
+        p0 = s00 * r00 + s11 * r11
+        p1 = s11 * r00 + s00 * r11
+        if rng.random() * (p0 + p1) < p0:
+            self.r00 = s00 * r00 / p0
+            self.r01 = s01 * r01 / p0
+            self.r11 = s11 * r11 / p0
+            self.level += 1
+        elif self.level == 0:
+            self.reset()
+        else:
+            self.r00 = s11 * r00 / p1
+            self.r01 = s01.conjugate() * r01 / p1
+            self.r11 = s00 * r11 / p1
+            self.level -= 1
+
+    def density_matrix(self) -> DensityMatrix:
+        return DensityMatrix(
+            np.array(
+                [[self.r00, self.r01], [self.r01.conjugate(), self.r11]],
+                dtype=complex,
+            )
+        )
+
+    def distance_to_ideal(self) -> float:
+        """Trace distance to the ideal H-ladder state at the current level,
+        by the determinant formula with the angle recomputed here."""
+        a = ladder_angle(Family.H, self.level)
+        c, s = math.cos(a), math.sin(a)
+        d00 = self.r00 - c * c
+        d01 = self.r01 - c * s
+        return math.sqrt(d00 * d00 + d01.real * d01.real + d01.imag * d01.imag)
+
+
+def walker_propagate(
+    model: NoiseModel, target_level: int, rng: random.Random
+) -> tuple[DensityMatrix, float]:
+    """propagate_to_level, one walker step at a time."""
+    walker = NoisyWalker(make_noisy_resource(model))
+    while walker.level < target_level:
+        walker.step(rng)
+    return walker.density_matrix(), walker.distance_to_ideal()
+
+
+def walker_decay_study(
+    model: NoiseModel, max_level: int, n_instances: int, seed: int
+) -> list[tuple[int, float]]:
+    """decay_study, one walker step at a time: the same substreams, the
+    distance added at the first arrival at every level."""
+    resource = make_noisy_resource(model)
+    sums = [0.0] * (max_level + 1)
+    for instance in range(n_instances):
+        rng = derive_rng(seed, "noise", model.kind, repr(model.strength), instance)
+        walker = NoisyWalker(resource)
+        seen = 0
+        while seen < max_level:
+            walker.step(rng)
+            if walker.level == seen + 1:
+                seen += 1
+                sums[seen] += walker.distance_to_ideal()
+    return [(lvl, sums[lvl] / n_instances) for lvl in range(1, max_level + 1)]

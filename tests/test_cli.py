@@ -186,6 +186,23 @@ def test_noise_command(tmp_path, capsys):
     assert data["fit"]["base"] > 1.0
 
 
+@pytest.mark.parametrize("levels", [3, 4, 5])
+def test_noise_short_ladder_fits_top_three_levels(levels, capsys):
+    code, out, _ = run_cli(
+        capsys, "noise", "--model", "a", "--strength", "1e-4", "--levels", str(levels), "--instances", "20"
+    )
+    assert code == 0
+    assert f"fit over levels {levels - 2}..{levels}:" in out
+
+
+@pytest.mark.parametrize("levels", ["2", "0", "-1"])
+def test_noise_too_few_levels_is_usage_error(levels, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["noise", "--model", "a", "--strength", "1e-4", "--levels", levels])
+    assert exc.value.code == 2
+    assert "--levels: must be at least 3" in capsys.readouterr().err
+
+
 def test_compare_sk(tmp_path, capsys):
     out_path = tmp_path / "cmp.json"
     code, out, _ = run_cli(capsys, "compare-sk", "--out", str(out_path))

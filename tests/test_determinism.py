@@ -2,10 +2,10 @@
 
 The digests were recorded before the code they cover was last rebuilt (the
 planner's inner loop; the decay fit, factory sampling and crossover solve
-when src/ was cut down); any change to the random stream, the tie-breaks,
-the cost accounting or the fits shows up here.  A change that
-alters the stream on purpose updates these digests and says so in
-CHANGES.md.
+when src/ was cut down; the noisy climb loop, with model b added); any
+change to the random stream, the tie-breaks, the cost accounting or the fits
+shows up here.  A change that alters the stream on purpose updates these
+digests and says so in CHANGES.md.
 """
 import hashlib
 import math
@@ -48,6 +48,10 @@ CLI_FILE_DIGESTS = {
     ("noise", "--model", "a", "--strength", "1e-4", "--out", "out.json"): (
         "7d338e9d9901c27aa3551feefd04b19ad18b43d79075096d9f304d9178f85cfb",
         "51deacdb9ccfd606ed2e042e675feff659988c26a26a66a5814c3d39549cc767",
+    ),
+    ("noise", "--model", "b", "--strength", "1e-6", "--out", "out.json"): (
+        "a43ddfa28da62f092409098b79b50f7c2e59dbe4d30ea24c171e0a8f78422f4e",
+        "bd15a94aa1af1cfb1fcd547670de0a963d534e4f16837be39c90ea93764055ca",
     ),
     ("noise", "--model", "c", "--strength", "1e-3", "--out", "out.json"): (
         "55cb6e7aa8a2364f0d6126a31cd27c4bda2ae7a7f5a6af161ff90fd9cb28525b",

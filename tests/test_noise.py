@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import dm_apply_gate, dm_measure_qubit
+from oracles import NoisyWalker, dm_apply_gate, dm_measure_qubit, walker_decay_study, walker_propagate
 from rotsynth import qcore
 from rotsynth.noise import (
     DecayFit,
     NoiseModel,
-    _NoisyWalker,
     decay_study,
     fit_exponential_decay,
     ideal_resource,
@@ -132,7 +131,7 @@ class _Draw:
 
 def _walker(top, bottom, level):
     """A walker on the given top resource whose bottom state is arbitrary."""
-    walker = _NoisyWalker(top)
+    walker = NoisyWalker(top)
     walker.r00, walker.r01, walker.r11 = bottom.mat[0, 0].real, complex(bottom.mat[0, 1]), bottom.mat[1, 1].real
     walker.level = level
     return walker
@@ -140,10 +139,10 @@ def _walker(top, bottom, level):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_merge_outcomes_match_generic_dm_evolution(seed):
-    """A walker step is the 2x2 closed form of kron + CNOT + measurement on
-    the 4x4 density matrix: the up outcome is drawn with the generic
-    probability and lands on the generic post state; the down outcome lands
-    on the other post state, or restarts from a fresh top at level 0."""
+    """An oracle walker step is the 2x2 closed form of kron + CNOT +
+    measurement on the 4x4 density matrix: the up outcome is drawn with the
+    generic probability and lands on the generic post state; the down outcome
+    lands on the other post state, or restarts from a fresh top at level 0."""
     top = _random_density(2 * seed)
     bottom = _random_density(2 * seed + 1)
     joint = dm_apply_gate(DensityMatrix(np.kron(top.mat, bottom.mat)), "CNOT", 1, 0)
@@ -166,12 +165,49 @@ def test_merge_outcomes_match_generic_dm_evolution(seed):
 
 
 def test_merge_outcomes_pure_ladder_consistency():
-    """Noiseless up steps of the walker reproduce the pure-state ladder."""
-    walker = _NoisyWalker(make_noisy_resource(NoiseModel("a", 0.0)))
+    """Noiseless up steps of the oracle walker reproduce the pure-state
+    ladder."""
+    walker = NoisyWalker(make_noisy_resource(NoiseModel("a", 0.0)))
     for level in range(12):
         walker.step(_Draw(0.0))
         assert walker.level == level + 1
         assert trace_distance(walker.density_matrix(), ideal_resource(level + 1)) == pytest.approx(0.0, abs=1e-12)
+
+
+# --- the climb loop against the step-by-step oracle walker ------------------
+
+_REPLAY_MODELS = [
+    NoiseModel("a", 0.0),
+    NoiseModel("b", 0.0),
+    NoiseModel("c", 0.0),
+    NoiseModel("a", 1e-3),
+    NoiseModel("b", 1e-4),
+    NoiseModel("c", 1e-2),
+    NoiseModel("a", 0.2),
+    NoiseModel("b", 0.3),
+    NoiseModel("c", 0.3),
+]
+
+
+@pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_decay_study_equals_walker_replay(model, seed):
+    """Float for float: the same draws, the same products and divisions and
+    the same first-arrival distances as one walker step at a time."""
+    assert decay_study(model, 14, 40, seed) == walker_decay_study(model, 14, 40, seed)
+
+
+@pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
+@pytest.mark.parametrize("level", [1, 6, 13])
+def test_propagate_equals_walker_replay(model, level):
+    for i in range(5):
+        fast_rng = derive_rng(27, "replay", level, i)
+        walk_rng = derive_rng(27, "replay", level, i)
+        rho, dist = propagate_to_level(model, level, fast_rng)
+        rho_walk, dist_walk = walker_propagate(model, level, walk_rng)
+        assert dist == dist_walk
+        assert np.array_equal(rho.mat, rho_walk.mat)
+        assert fast_rng.random() == walk_rng.random()  # the same number of draws
 
 
 @pytest.mark.parametrize("kind", ["a", "b", "c"])

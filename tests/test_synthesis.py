@@ -460,10 +460,31 @@ def test_shallow_ladder_rejected_iff_finest_rotation_too_coarse(epsilon, familie
         assert abs(synthesize(target, config, derive_rng(18, "s")).residual) <= epsilon
 
 
+@given(
+    st.floats(1e-14, 1e-2),
+    st.sampled_from(FAMILY_SUBSETS),
+    st.integers(0, MAX_LEVEL),
+    st.floats(-4, 4),
+)
+@settings(max_examples=200)
+def test_min_online_keeps_the_level_cap(epsilon, families, max_level, target):
+    """min_online_synthesize accepts and rejects a level cap by the rule
+    synthesize follows above."""
+    config = SynthesisConfig(epsilon=epsilon, families=families, max_level=max_level)
+    finest = min(rotation_angle(f, max_level) for f in families)
+    if finest > epsilon / 2:
+        with pytest.raises(ValueError):
+            min_online_synthesize(target, epsilon, config, derive_rng(18, "m"))
+    else:
+        assert abs(min_online_synthesize(target, epsilon, config, derive_rng(18, "m")).residual) <= epsilon
+
+
 def test_shallow_ladder_example():
     # a level-2 cap at 1e-6 once ran millions of online uses before stopping
     with pytest.raises(ValueError):
         synthesize(1.0, SynthesisConfig(epsilon=1e-6, max_level=2), derive_rng(19, "x"))
+    with pytest.raises(ValueError):
+        min_online_synthesize(1.0, 1e-6, SynthesisConfig(epsilon=1e-6, max_level=2), derive_rng(19, "x"))
 
 
 # psi0 has the finest level-150 rotation of all families
