@@ -18,18 +18,20 @@ _FAMILY_NAMES = {f.value: f for f in ALL_FAMILIES}
 _FACTORY_NAMES = {f.value: f for f in (Family.PSI0, Family.PSI1, Family.PSI2)}
 
 
+def _parse_family(text: str) -> Family:
+    name = text.strip().lower()
+    if name not in _FAMILY_NAMES:
+        raise argparse.ArgumentTypeError(f"unknown family {name!r}; choose from h,psi0,psi1,psi2")
+    return _FAMILY_NAMES[name]
+
+
 def _parse_families(text: str) -> tuple[Family, ...]:
     names = [t.strip().lower() for t in text.split(",") if t.strip()]
     if not names:
         raise argparse.ArgumentTypeError("at least one family is required")
     if names == ["all"]:
         return ALL_FAMILIES
-    try:
-        return tuple(_FAMILY_NAMES[n] for n in names)
-    except KeyError as exc:
-        raise argparse.ArgumentTypeError(
-            f"unknown family {exc.args[0]!r}; choose from h,psi0,psi1,psi2 or all"
-        ) from None
+    return tuple(_parse_family(n) for n in names)
 
 
 def _int_at_least(minimum: int, what: str):
@@ -46,7 +48,8 @@ def _int_at_least(minimum: int, what: str):
 
 
 _positive_int = _int_at_least(1, "a positive integer")
-# the decay fit needs three levels
+# the log-log fits need two samples, the decay fit three levels
+_fit_samples = _int_at_least(2, "at least 2")
 _fit_levels = _int_at_least(3, "at least 3")
 
 
@@ -58,11 +61,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("angles", help="print ladder rotation angles")
-    p.add_argument("--family", default="all", help="h, psi0, psi1, psi2 or all")
+    p.add_argument(
+        "--family",
+        type=_parse_families,
+        default="all",
+        dest="families",
+        help="comma-separated h, psi0, psi1, psi2, or all",
+    )
     p.add_argument("--max", type=int, default=8, dest="max_level", help="highest level")
 
     p = sub.add_parser("climb", help="simulate ladder climbs and compare to the exact expectation")
-    p.add_argument("--family", default="h")
+    p.add_argument("--family", type=_parse_family, default="h", help="h, psi0, psi1 or psi2")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--trials", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -88,11 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scaling", help="random-target cost-scaling study with log-log fits")
     p.add_argument("--scheme", required=True, choices=study.SCHEMES)
-    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--trials", type=_fit_samples, default=2000)
     p.add_argument("--eps-min", type=float, default=study.DEFAULT_EPS_RANGE[0])
     p.add_argument("--eps-max", type=float, default=study.DEFAULT_EPS_RANGE[1])
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", help="write samples (csv) or fit summary (json)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -112,19 +121,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_angles(args: argparse.Namespace) -> int:
-    families = ALL_FAMILIES if args.family == "all" else (_FAMILY_NAMES[args.family.lower()],)
     if args.max_level < 0 or args.max_level > ladder.MAX_LEVEL:
         raise ValueError(f"--max must be in [0, {ladder.MAX_LEVEL}]")
-    header = "level " + " ".join(f"{f.value:>22s}" for f in families)
+    header = "level " + " ".join(f"{f.value:>22s}" for f in args.families)
     print(header)
     for lvl in range(args.max_level + 1):
-        cells = " ".join(f"{ladder.rotation_angle(f, lvl):22.15e}" for f in families)
+        cells = " ".join(f"{ladder.rotation_angle(f, lvl):22.15e}" for f in args.families)
         print(f"{lvl:5d} {cells}")
     return 0
 
 
 def _cmd_climb(args: argparse.Namespace) -> int:
-    family = _FAMILY_NAMES[args.family.lower()]
+    family = args.family
     expected = ladder.expected_climb_cost(family, args.level)
     total = 0.0
     total_sq = 0.0

@@ -13,8 +13,12 @@ import random
 DEFAULT_SEED = 137137
 
 
+def derive_seed(master_seed: int, *path: int | str) -> int:
+    """The integer seed of the substream (master_seed, *path)."""
+    material = ",".join(str(p) for p in (master_seed, *path)).encode("ascii")
+    return int.from_bytes(hashlib.sha256(material).digest(), "big")
+
+
 def derive_rng(master_seed: int, *path: int | str) -> random.Random:
     """Return an independent generator for the substream (master_seed, *path)."""
-    material = ",".join(str(p) for p in (master_seed, *path)).encode("ascii")
-    digest = hashlib.sha256(material).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    return random.Random(derive_seed(master_seed, *path))

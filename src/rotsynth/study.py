@@ -116,7 +116,10 @@ def run_scaling_study(
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    ln_lo, ln_hi = math.log(eps_range[0]), math.log(eps_range[1])
+    lo, hi = eps_range
+    if not 0 < lo <= hi < 1:
+        raise ValueError(f"eps_range must satisfy 0 < lo <= hi < 1, got ({lo!r}, {hi!r})")
+    ln_lo, ln_hi = math.log(lo), math.log(hi)
     tasks = [(scheme, ln_lo, ln_hi, seed, i) for i in range(n_samples)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -255,3 +255,47 @@ def test_noise_non_finite_strength_is_error(strength, capsys):
     code, _, err = run_cli(capsys, "noise", "--model", "a", "--strength", strength)
     assert code == 1
     assert "strength must be finite" in err
+
+
+@pytest.mark.parametrize("command", ["angles", "climb"])
+def test_unknown_family_is_usage_error(command, capsys):
+    argv = [command, "--family", "bogus"] + (["--level", "3"] if command == "climb" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unknown family 'bogus'; choose from h,psi0,psi1,psi2" in capsys.readouterr().err
+
+
+def test_climb_rejects_all_families(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["climb", "--family", "all", "--level", "3"])
+    assert exc.value.code == 2
+
+
+_SCALING = ("scaling", "--scheme", "h-only")
+
+
+@pytest.mark.parametrize("count", ["1", "0", "-2"])
+def test_scaling_too_few_trials_is_usage_error(count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*_SCALING, "--trials", count])
+    assert exc.value.code == 2
+    assert "--trials: must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_scaling_non_positive_jobs_is_usage_error(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*_SCALING, "--trials", "10", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs: must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bounds", [("--eps-min", "0"), ("--eps-max", "2"), ("--eps-min", "1e-3", "--eps-max", "1e-5")]
+)
+def test_scaling_eps_range_outside_unit_interval_is_error(bounds, capsys):
+    code, out, err = run_cli(capsys, *_SCALING, "--trials", "10", *bounds)
+    assert code == 1
+    assert out == ""
+    assert "eps_range must satisfy 0 < lo <= hi < 1" in err

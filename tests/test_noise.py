@@ -1,4 +1,5 @@
 import math
+import random
 import threading
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import NoisyWalker, dm_apply_gate, dm_measure_qubit, walker_decay_study, walker_propagate
-from rotsynth import qcore
+from rotsynth import noise, qcore
 from rotsynth.noise import (
     DecayFit,
     NoiseModel,
@@ -18,7 +19,7 @@ from rotsynth.noise import (
     propagate_to_level,
 )
 from rotsynth.qcore import DensityMatrix, trace_distance
-from rotsynth.seeding import derive_rng
+from rotsynth.seeding import derive_rng, derive_seed
 
 
 def test_model_validation():
@@ -86,6 +87,13 @@ def test_model_c_level0_distance(delta):
     rho = make_noisy_resource(NoiseModel("c", delta))
     expected = math.sin(math.pi / 4) * abs(math.sin(delta / 2))
     assert trace_distance(rho, ideal_resource(0)) == pytest.approx(expected, rel=1e-9)
+
+
+def test_noisy_resource_is_cached_per_model_and_read_only():
+    rho = make_noisy_resource(NoiseModel("b", 0.1))
+    assert make_noisy_resource(NoiseModel("b", 0.1)) is rho
+    with pytest.raises(ValueError, match="read-only"):
+        rho.mat[0, 0] = 1.0
 
 
 def test_noisy_resources_are_valid_states():
@@ -197,6 +205,70 @@ def test_decay_study_equals_walker_replay(model, seed):
     assert decay_study(model, 14, 40, seed) == walker_decay_study(model, 14, 40, seed)
 
 
+_THRESHOLD = noise._LOCKSTEP_MIN_INSTANCES
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to noise.<name>."""
+    calls = []
+    original = getattr(noise, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(noise, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 2, 37, 64])
+@pytest.mark.parametrize("seed", [0, 1, 26, 137137, 2**255 + 12345])
+def test_bulk_draws_equal_random_draws(seed, k):
+    """The bulk draws are Random(seed).random(), draw for draw."""
+    rng = random.Random(seed)
+    words = noise._draw_words(random.Random(), [seed], k)
+    assert words.shape == (k, 1, 2)
+    assert noise._uniforms(words[:, 0]).tolist() == [rng.random() for _ in range(k)]
+
+
+def test_bulk_draws_one_column_per_seed():
+    seeds = [derive_seed(5, "block", i) for i in range(7)]
+    words = noise._draw_words(random.Random(), seeds, 11)
+    for col, seed in enumerate(seeds):
+        rng = random.Random(seed)
+        assert noise._uniforms(words[:, col]).tolist() == [rng.random() for _ in range(11)]
+
+
+@pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
+@pytest.mark.parametrize("n", [_THRESHOLD - 1, _THRESHOLD, _THRESHOLD + 1])
+def test_decay_study_paths_equal_walker_replay(model, n, monkeypatch):
+    """Just below the threshold the loop runs, from it on the numpy
+    lockstep; both give the walker's bytes."""
+    runs = _spy(monkeypatch, "_lockstep_climbs")
+    assert decay_study(model, 14, n, 7) == walker_decay_study(model, 14, n, 7)
+    assert len(runs) == (n >= _THRESHOLD)
+
+
+@pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_lockstep_equals_walker_replay_at_small_counts(model, n, monkeypatch):
+    monkeypatch.setattr(noise, "_LOCKSTEP_MIN_INSTANCES", 1)
+    for seed in (1, 2):
+        assert decay_study(model, 14, n, seed) == walker_decay_study(model, 14, n, seed)
+
+
+def test_lockstep_redraws_instances_that_outrun_their_block(monkeypatch):
+    """Under a 0.2 mixture some climbs need more than the first block's
+    2 * top + 8 draws: the instances still climbing are reseeded and draw a
+    longer block, and the bytes still match the walker."""
+    blocks = _spy(monkeypatch, "_draw_words")
+    model = NoiseModel("a", 0.2)
+    assert decay_study(model, 14, _THRESHOLD, 1) == walker_decay_study(model, 14, _THRESHOLD, 1)
+    sizes = [(len(seeds), k) for _, seeds, k in blocks]
+    assert sizes[0] == (_THRESHOLD, 36)
+    assert len(sizes) > 1 and all(n < _THRESHOLD and k > 36 for n, k in sizes[1:])
+
+
 @pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
 @pytest.mark.parametrize("level", [1, 6, 13])
 def test_propagate_equals_walker_replay(model, level):
@@ -227,6 +299,12 @@ def test_propagation_states_stay_physical():
         assert eigs.min() >= -1e-10
         assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-10)
         assert dist >= 0
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_decay_study_requires_an_instance(n):
+    with pytest.raises(ValueError, match="at least one instance"):
+        decay_study(NoiseModel("a", 1e-4), 4, n, seed=1)
 
 
 def test_propagate_requires_positive_level():

@@ -115,6 +115,15 @@ def test_run_scaling_study_eps_range_respected():
     assert all(s.scheme == H_ONLY for s in samples)
 
 
+@pytest.mark.parametrize(
+    "eps_range",
+    [(0.0, 1e-4), (-1e-6, 1e-4), (1e-6, 1.0), (1e-6, 2.0), (1e-4, 1e-6), (math.nan, 1e-4), (1e-6, math.inf)],
+)
+def test_run_scaling_study_rejects_eps_range_outside_unit_interval(eps_range):
+    with pytest.raises(ValueError, match="0 < lo <= hi < 1"):
+        run_scaling_study(H_ONLY, 10, eps_range=eps_range, seed=3)
+
+
 def test_min_online_scheme_samples():
     samples, fit_on, _ = run_scaling_study(MIN_ONLINE, 300, seed=11)
     mean_online = sum(s.online for s in samples) / len(samples)
