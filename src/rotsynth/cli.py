@@ -34,7 +34,7 @@ def _parse_families(text: str) -> tuple[Family, ...]:
     return tuple(_parse_family(n) for n in names)
 
 
-def _int_at_least(minimum: int, what: str):
+def _int_at_least(minimum: int, what: str, maximum: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -42,6 +42,8 @@ def _int_at_least(minimum: int, what: str):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
@@ -50,7 +52,7 @@ def _int_at_least(minimum: int, what: str):
 _positive_int = _int_at_least(1, "a positive integer")
 # the log-log fits need two samples, the decay fit three levels
 _fit_samples = _int_at_least(2, "at least 2")
-_fit_levels = _int_at_least(3, "at least 3")
+_fit_levels = _int_at_least(3, "at least 3", ladder.MAX_LEVEL)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,8 +12,8 @@ The two-qubit merge evolution collapses to a closed form on 2x2 blocks
 (top sigma, bottom rho; outcome probabilities p0 = s00 r00 + s11 r11 and
 p1 = s11 r00 + s00 r11); one first-arrival climb loop steps by it, a numpy
 lockstep runs the same climb for many instances at once with the same bytes
-out, and the tests check both against a step-by-step walker and the generic
-density-matrix simulation.
+out, both reading the same counter-stream rows, and the tests check both
+against a step-by-step walker and the generic density-matrix simulation.
 """
 from __future__ import annotations
 
@@ -21,20 +21,22 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
-from .ladder import Family, ladder_angle
+from .ladder import MAX_LEVEL, Family, ladder_angle
 from .qcore import DensityMatrix, dm_from_bloch
-from .seeding import derive_rng, derive_seed
+from .seeding import counter_uniforms, derive_seed
 from .study import fit_loglog
 
 # From this many instances on, decay_study climbs them all in numpy
 # lockstep; below it, one Python loop per instance is faster.  Measured over
 # the criterion-8 grid (CPU time per instance, alternating runs, 2-core
-# x86-64, Python 3.11, numpy 2.4), lockstep / loop: 1.86 at 50 instances,
-# 1.20 at 100, 1.00 at 150, 0.92 at 200, 0.77 at 300, 0.53 at 1000.
-_LOCKSTEP_MIN_INSTANCES = 150
+# x86-64, Python 3.11, numpy 2.4; two runs where a range is given), lockstep
+# / loop: 6.21 at 10 instances, 1.74 at 50, 1.00-1.09 at 100, 0.96-0.98 at
+# 105, 0.94-0.95 at 110, 0.76 at 150, 0.62 at 200, 0.48 at 300, 0.22 at 1000.
+_LOCKSTEP_MIN_INSTANCES = 110
 
 _C0 = math.cos(math.pi / 8)
 _S0 = math.sin(math.pi / 8)
@@ -155,13 +157,13 @@ def _resource_entries(resource: DensityMatrix) -> tuple[float, complex, float]:
 def propagate_to_level(
     model: NoiseModel, target_level: int, rng: random.Random
 ) -> tuple[DensityMatrix, float]:
-    """One noisy climb instance to target_level >= 1.
+    """One noisy climb instance to target_level in [1, MAX_LEVEL].
 
     Returns the arrived bottom state and its trace distance to the ideal
     ladder state of that level.
     """
-    if target_level < 1:
-        raise ValueError("target level must be >= 1")
+    if not 1 <= target_level <= MAX_LEVEL:
+        raise ValueError(f"target level must be in [1, {MAX_LEVEL}]")
     sums = [0.0] * (target_level + 1)
     r00, r01, r11 = _noisy_climb(
         _resource_entries(make_noisy_resource(model)), target_level, rng.random, sums
@@ -170,31 +172,13 @@ def propagate_to_level(
     return rho, sums[target_level]
 
 
-def _draw_words(rnd: random.Random, seeds: list[int], k: int) -> np.ndarray:
-    """The Mersenne Twister words behind the first k random() draws of every
-    seed's stream, shape (k, len(seeds), 2): [j, i] is the word pair of draw
-    j of seed i.
-
-    rnd is reseeded for each seed; getrandbits(64 * k) consumes the same
-    words as k random() calls, lowest word first.
-    """
-    buf = bytearray(8 * k * len(seeds))
-    for i, seed in enumerate(seeds):
-        rnd.seed(seed)
-        buf[8 * k * i : 8 * k * (i + 1)] = rnd.getrandbits(64 * k).to_bytes(8 * k, "little")
-    return np.frombuffer(buf, dtype="<u4").reshape(len(seeds), k, 2).transpose(1, 0, 2)
-
-
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """CPython's random() of each word pair (w0, w1) on the last axis:
-    ((w0 >> 5) * 2**26 + (w1 >> 6)) * 2**-53, every step exact in float64."""
-    return ((words[..., 0] >> 5) * 67108864.0 + (words[..., 1] >> 6)) * (1.0 / 9007199254740992.0)
-
-
-def _lockstep_climbs(sigma: tuple[float, complex, float], top: int, seeds: list[int]) -> np.ndarray:
+def _lockstep_climbs(
+    sigma: tuple[float, complex, float], top: int, key: int, block: np.ndarray
+) -> np.ndarray:
     """_noisy_climb for every instance at once, one merge per tick.
 
-    Instance i draws from Random(seeds[i]).  Returns the (instances, top + 1)
+    Instance i reads row i of the counter stream under key, starting with
+    row i of block (its first draws).  Returns the (instances, top + 1)
     matrix of first-arrival distances (column 0 unused).  Every float
     operation is the loop's, in the loop's order: the complex product
     s01 * r01 spelled out as CPython computes it, the conjugate for the down
@@ -204,23 +188,20 @@ def _lockstep_climbs(sigma: tuple[float, complex, float], top: int, seeds: list[
     sr, si = s01.real, s01.imag
     ideal = np.array(_ideal_entries(top))
     cc, cs = ideal[:, 0], ideal[:, 1]
-    n = len(seeds)
+    n = len(block)
     dist = np.zeros((n, top + 1))
     inst = np.arange(n)  # instance of each active row
     r00, rr, ri, r11 = (np.full(n, x) for x in (s00, sr, si, s11))
     level = np.zeros(n, dtype=np.intp)
     seen = np.zeros(n, dtype=np.intp)
-    rnd = random.Random()
-    # a climb needs at least top draws; about 0.5% of criterion-8 instances
-    # need more than this, and those still climbing redraw a longer block
-    words = _draw_words(rnd, seeds, 2 * top + 8)
-    cols = inst  # column of each active instance in words
+    rows = inst  # row of each active instance in block
+    first = 0  # draw index of block's column 0
     tick = 0
     while inst.size:
-        if tick == len(words):
-            words = _draw_words(rnd, [seeds[i] for i in inst], 2 * tick)
-            cols = np.arange(inst.size)
-        u = _uniforms(words[tick][cols])
+        if tick == first + block.shape[1]:
+            block = counter_uniforms(key, inst, tick, tick)
+            rows, first = np.arange(inst.size), tick
+        u = block[rows, tick - first]
         a, b = s00 * r00, s11 * r11
         c, d = s11 * r00, s00 * r11
         p0, p1 = a + b, c + d
@@ -245,11 +226,19 @@ def _lockstep_climbs(sigma: tuple[float, complex, float], top: int, seeds: list[
             dist[inst[hit], lv] = np.sqrt(d00 * d00 + dr * dr + di * di)
             if (lv == top).any():
                 keep = seen < top
-                inst, cols = inst[keep], cols[keep]
+                inst, rows = inst[keep], rows[keep]
                 r00, rr, ri, r11 = r00[keep], rr[keep], ri[keep], r11[keep]
                 level, seen = level[keep], seen[keep]
         tick += 1
     return dist
+
+
+def _row_draws(key: int, instance: int, start: int):
+    """Draws start, start + 1, ... of one instance's counter stream, a
+    block at a time (each block as long as all before it)."""
+    while True:
+        yield from counter_uniforms(key, [instance], start, start)[0].tolist()
+        start *= 2
 
 
 def decay_study(
@@ -263,26 +252,30 @@ def decay_study(
 
     Each instance climbs once to max_level, recording the state at its first
     arrival at every level; first-arrival snapshots have the same law as
-    stopping there, so the per-level means match per-level runs.  From
+    stopping there, so the per-level means match per-level runs.  Instance i
+    reads row i of the counter stream keyed by (seed, kind, strength).  From
     _LOCKSTEP_MIN_INSTANCES on, all instances climb together in numpy, with
     the same bytes out.
     """
-    if max_level < 1:
-        raise ValueError("max level must be >= 1")
+    if not 1 <= max_level <= MAX_LEVEL:
+        raise ValueError(f"target level must be in [1, {MAX_LEVEL}]")
     if n_instances < 1:
         raise ValueError("need at least one instance")
     sigma = _resource_entries(make_noisy_resource(model))
-    strength = repr(model.strength)
+    key = derive_seed(seed, "noise", model.kind, repr(model.strength))
+    # a climb needs at least max_level draws; about 0.5% of criterion-8
+    # instances need more than this, and continue their rows past the block
+    width = 2 * max_level + 8
+    block = counter_uniforms(key, np.arange(n_instances), 0, width)
     if n_instances >= _LOCKSTEP_MIN_INSTANCES:
-        seeds = [derive_seed(seed, "noise", model.kind, strength, i) for i in range(n_instances)]
         # per level, in instance order: a sequential sum like the loop's
         # (np.sum would sum pairwise)
-        sums = np.cumsum(_lockstep_climbs(sigma, max_level, seeds), axis=0)[-1].tolist()
+        sums = np.cumsum(_lockstep_climbs(sigma, max_level, key, block), axis=0)[-1].tolist()
     else:
         sums = [0.0] * (max_level + 1)
-        for instance in range(n_instances):
-            rng = derive_rng(seed, "noise", model.kind, strength, instance)
-            _noisy_climb(sigma, max_level, rng.random, sums)
+        for instance, row in enumerate(block.tolist()):
+            draws = chain(row, _row_draws(key, instance, width))
+            _noisy_climb(sigma, max_level, draws.__next__, sums)
     return [(lvl, sums[lvl] / n_instances) for lvl in range(1, max_level + 1)]
 
 

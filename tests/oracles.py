@@ -2,8 +2,9 @@
 
 Generic density-matrix evolution (a gate's full unitary, measurement with
 removal of the measured qubit) judges the noisy walker's 2x2 closed form;
-the step-by-step noisy walker replays the noise module's climb loop; and the
-one-state rotation step replays the planner from its public pieces.
+the step-by-step noisy walker replays the noise module's climb loop on a
+pure-integer copy of the counter stream; and the one-state rotation step
+replays the planner from its public pieces.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 from rotsynth.ladder import Family, ladder_angle
 from rotsynth.noise import NoiseModel, make_noisy_resource
 from rotsynth.qcore import DensityMatrix, PureRegister, apply_gate
-from rotsynth.seeding import derive_rng
+from rotsynth.seeding import derive_seed
 from rotsynth.synthesis import wrap_angle
 
 
@@ -141,6 +142,42 @@ class NoisyWalker:
         return math.sqrt(d00 * d00 + d01.real * d01.real + d01.imag * d01.imag)
 
 
+_MASK64 = 2**64 - 1
+
+
+def counter_word(key: int, instance: int, draw: int) -> int:
+    """The 64-bit SplitMix64 output behind draw `draw` of `instance` in the
+    counter stream under key in [0, 2**64), in Python integers masked to
+    64 bits."""
+    z = (key + ((instance << 32) | draw) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def counter_uniform(key: int, instance: int, draw: int) -> float:
+    """seeding.counter_uniforms, one draw at a time."""
+    return (counter_word(key, instance, draw) >> 11) * 2.0**-53
+
+
+class CounterRow:
+    """One instance's counter stream as an rng: random() returns draws
+    0, 1, 2, ... in turn."""
+
+    def __init__(self, key: int, instance: int):
+        self.key = key & _MASK64
+        self.instance = instance
+        self.draws = 0
+
+    def random(self) -> float:
+        u = counter_uniform(self.key, self.instance, self.draws)
+        # a draw of 1 or more would never pass the up test: the walker
+        # would restart at level 0 forever instead of failing
+        assert 0.0 <= u < 1.0, u
+        self.draws += 1
+        return u
+
+
 def walker_propagate(
     model: NoiseModel, target_level: int, rng: random.Random
 ) -> tuple[DensityMatrix, float]:
@@ -154,12 +191,13 @@ def walker_propagate(
 def walker_decay_study(
     model: NoiseModel, max_level: int, n_instances: int, seed: int
 ) -> list[tuple[int, float]]:
-    """decay_study, one walker step at a time: the same substreams, the
+    """decay_study, one walker step at a time: the same counter rows, the
     distance added at the first arrival at every level."""
     resource = make_noisy_resource(model)
+    key = derive_seed(seed, "noise", model.kind, repr(model.strength))
     sums = [0.0] * (max_level + 1)
     for instance in range(n_instances):
-        rng = derive_rng(seed, "noise", model.kind, repr(model.strength), instance)
+        rng = CounterRow(key, instance)
         walker = NoisyWalker(resource)
         seen = 0
         while seen < max_level:

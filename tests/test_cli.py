@@ -203,6 +203,16 @@ def test_noise_too_few_levels_is_usage_error(levels, capsys):
     assert "--levels: must be at least 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("levels", ["151", "1000"])
+def test_noise_levels_above_the_ladder_cap_is_usage_error(levels, capsys):
+    """--levels 1000 used to run the whole study, then fail in the fit
+    because the ideal angles underflow past level ~840."""
+    with pytest.raises(SystemExit) as exc:
+        main(["noise", "--model", "a", "--strength", "1e-4", "--levels", levels])
+    assert exc.value.code == 2
+    assert f"--levels: must be at most 150, got {levels}" in capsys.readouterr().err
+
+
 def test_compare_sk(tmp_path, capsys):
     out_path = tmp_path / "cmp.json"
     code, out, _ = run_cli(capsys, "compare-sk", "--out", str(out_path))

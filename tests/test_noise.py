@@ -1,5 +1,4 @@
 import math
-import random
 import threading
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import NoisyWalker, dm_apply_gate, dm_measure_qubit, walker_decay_study, walker_propagate
 from rotsynth import noise, qcore
+from rotsynth.ladder import MAX_LEVEL
 from rotsynth.noise import (
     DecayFit,
     NoiseModel,
@@ -19,7 +19,7 @@ from rotsynth.noise import (
     propagate_to_level,
 )
 from rotsynth.qcore import DensityMatrix, trace_distance
-from rotsynth.seeding import derive_rng, derive_seed
+from rotsynth.seeding import derive_rng
 
 
 def test_model_validation():
@@ -221,30 +221,23 @@ def _spy(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("k", [1, 2, 37, 64])
-@pytest.mark.parametrize("seed", [0, 1, 26, 137137, 2**255 + 12345])
-def test_bulk_draws_equal_random_draws(seed, k):
-    """The bulk draws are Random(seed).random(), draw for draw."""
-    rng = random.Random(seed)
-    words = noise._draw_words(random.Random(), [seed], k)
-    assert words.shape == (k, 1, 2)
-    assert noise._uniforms(words[:, 0]).tolist() == [rng.random() for _ in range(k)]
-
-
-def test_bulk_draws_one_column_per_seed():
-    seeds = [derive_seed(5, "block", i) for i in range(7)]
-    words = noise._draw_words(random.Random(), seeds, 11)
-    for col, seed in enumerate(seeds):
-        rng = random.Random(seed)
-        assert noise._uniforms(words[:, col]).tolist() == [rng.random() for _ in range(11)]
-
-
 @pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
-@pytest.mark.parametrize("n", [_THRESHOLD - 1, _THRESHOLD, _THRESHOLD + 1])
+@pytest.mark.parametrize("n", [1, 10, 99, 100, 101, 149, 150, 151])
 def test_decay_study_paths_equal_walker_replay(model, n, monkeypatch):
-    """Just below the threshold the loop runs, from it on the numpy
-    lockstep; both give the walker's bytes."""
+    """The loop and the numpy lockstep, each forced at every count, give the
+    walker's bytes."""
+    expected = walker_decay_study(model, 14, n, 7)
+    for threshold in (n + 1, n):
+        monkeypatch.setattr(noise, "_LOCKSTEP_MIN_INSTANCES", threshold)
+        runs = _spy(monkeypatch, "_lockstep_climbs")
+        assert decay_study(model, 14, n, 7) == expected
+        assert len(runs) == (threshold == n)
+
+
+@pytest.mark.parametrize("n", [_THRESHOLD - 1, _THRESHOLD, _THRESHOLD + 1])
+def test_decay_study_switches_path_at_threshold(n, monkeypatch):
     runs = _spy(monkeypatch, "_lockstep_climbs")
+    model = NoiseModel("b", 1e-4)
     assert decay_study(model, 14, n, 7) == walker_decay_study(model, 14, n, 7)
     assert len(runs) == (n >= _THRESHOLD)
 
@@ -257,16 +250,20 @@ def test_lockstep_equals_walker_replay_at_small_counts(model, n, monkeypatch):
         assert decay_study(model, 14, n, seed) == walker_decay_study(model, 14, n, seed)
 
 
-def test_lockstep_redraws_instances_that_outrun_their_block(monkeypatch):
+@pytest.mark.parametrize("n", [_THRESHOLD - 1, _THRESHOLD])
+def test_instances_that_outrun_their_block_continue_their_rows(n, monkeypatch):
     """Under a 0.2 mixture some climbs need more than the first block's
-    2 * top + 8 draws: the instances still climbing are reseeded and draw a
-    longer block, and the bytes still match the walker."""
-    blocks = _spy(monkeypatch, "_draw_words")
+    2 * top + 8 draws: on both paths they continue their own counter rows
+    from the draw they reached, and the bytes still match the walker."""
+    blocks = _spy(monkeypatch, "counter_uniforms")
     model = NoiseModel("a", 0.2)
-    assert decay_study(model, 14, _THRESHOLD, 1) == walker_decay_study(model, 14, _THRESHOLD, 1)
-    sizes = [(len(seeds), k) for _, seeds, k in blocks]
-    assert sizes[0] == (_THRESHOLD, 36)
-    assert len(sizes) > 1 and all(n < _THRESHOLD and k > 36 for n, k in sizes[1:])
+    assert decay_study(model, 14, n, 1) == walker_decay_study(model, 14, n, 1)
+    spans = [(len(rows), start, count) for _, rows, start, count in blocks]
+    assert spans[0] == (n, 0, 36)
+    more = spans[1:]
+    assert more and all(rows < n and start >= 36 and count == start for rows, start, count in more)
+    if n < _THRESHOLD:
+        assert all(rows == 1 for rows, _, _ in more)
 
 
 @pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
@@ -310,6 +307,30 @@ def test_decay_study_requires_an_instance(n):
 def test_propagate_requires_positive_level():
     with pytest.raises(ValueError):
         propagate_to_level(NoiseModel("a", 1e-4), 0, derive_rng(22, "bad"))
+
+
+# a regression here climbs a few instances to the drawn level, so keep the
+# levels small enough for that to end quickly
+@given(st.integers(min_value=MAX_LEVEL + 1, max_value=5000))
+def test_levels_above_the_ladder_cap_are_rejected(level):
+    """Past level ~840 the ideal angles underflow; the lockstep block also
+    grows with the top level.  Both entry points stop at the ladder cap
+    before any work."""
+    with pytest.raises(ValueError, match=r"target level must be in \[1, 150\]"):
+        decay_study(NoiseModel("a", 1e-4), level, 3, seed=1)
+    with pytest.raises(ValueError, match=r"target level must be in \[1, 150\]"):
+        propagate_to_level(NoiseModel("a", 1e-4), level, derive_rng(22, "bad"))
+
+
+@given(st.integers(max_value=0))
+def test_decay_study_requires_a_positive_level(level):
+    with pytest.raises(ValueError, match=r"target level must be in \[1, 150\]"):
+        decay_study(NoiseModel("a", 1e-4), level, 3, seed=1)
+
+
+def test_decay_study_runs_at_the_ladder_cap():
+    points = decay_study(NoiseModel("b", 1e-6), MAX_LEVEL, 2, seed=1)
+    assert len(points) == MAX_LEVEL and all(d > 0 for _, d in points)
 
 
 def test_decay_study_marginals_match_single_level_runs():
