@@ -172,13 +172,12 @@ def _cmd_factory(args: argparse.Namespace) -> int:
 
 
 def _run_repeated(fn, args: argparse.Namespace, label: str) -> int:
-    ons, offs, corrections = [], [], []
+    ons, offs = [], []
     last = None
     for i in range(args.trials):
         last = fn(derive_rng(args.seed, label, i))
         ons.append(last.online_cost)
         offs.append(last.offline_cost)
-        corrections.append(last.clifford_corrections)
     n = args.trials
     print(f"target {args.target!r} eps {args.eps!r} trials {n}")
     if n == 1:

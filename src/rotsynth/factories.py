@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import qcore
-from .ladder import Family, base_average_cost, base_state_angle
+from .ladder import FACTORY_TRIALS, THETA0, Family, base_average_cost, base_state_angle
 from .qcore import PauliString, PureRegister
 
-_H_INPUT = "h"
-_PLUS_INPUT = "plus"
+# the code check's agreement tolerance, for probabilities and canonical angles
+_CODE_TOL = 1e-10
 
 # (gate, qubits) sequences transcribed from the factory circuits; the
 # stabilizer-code projector and the closed-form probabilities pin them down.
@@ -45,51 +45,33 @@ _PSI2_GATES = (
 
 @dataclass(frozen=True)
 class FactorySpec:
-    kind: Family
     gates: tuple[tuple[str, tuple[int, ...]], ...]
-    inputs: tuple[str, str, str, str]
+    # state angle a of each input cos(a)|0> + sin(a)|1>, qubit 0 first
+    inputs: tuple[float, float, float, float]
     measured_qubits: tuple[int, int, int]
-    output_qubit: int
     h_per_trial: int
     success_prob_closed_form: float
     avg_cost_closed_form: float
     output_state_angle: float
 
 
+def _spec(kind: Family, gates, inputs, measured_qubits) -> FactorySpec:
+    h_per_trial, success_prob = FACTORY_TRIALS[kind]
+    return FactorySpec(
+        gates=gates,
+        inputs=inputs,
+        measured_qubits=measured_qubits,
+        h_per_trial=h_per_trial,
+        success_prob_closed_form=success_prob,
+        avg_cost_closed_form=base_average_cost(kind),
+        output_state_angle=base_state_angle(kind),
+    )
+
+
 _SPECS = {
-    Family.PSI0: FactorySpec(
-        kind=Family.PSI0,
-        gates=_PSI0_GATES,
-        inputs=(_H_INPUT,) * 4,
-        measured_qubits=(0, 1, 3),
-        output_qubit=2,
-        h_per_trial=4,
-        success_prob_closed_form=3 * (2 + math.sqrt(2)) / 32,
-        avg_cost_closed_form=base_average_cost(Family.PSI0),
-        output_state_angle=base_state_angle(Family.PSI0),
-    ),
-    Family.PSI1: FactorySpec(
-        kind=Family.PSI1,
-        gates=_PSI0_GATES,
-        inputs=(_H_INPUT, _PLUS_INPUT, _H_INPUT, _H_INPUT),
-        measured_qubits=(0, 1, 3),
-        output_qubit=2,
-        h_per_trial=3,
-        success_prob_closed_form=(6 + math.sqrt(2)) / 32,
-        avg_cost_closed_form=base_average_cost(Family.PSI1),
-        output_state_angle=base_state_angle(Family.PSI1),
-    ),
-    Family.PSI2: FactorySpec(
-        kind=Family.PSI2,
-        gates=_PSI2_GATES,
-        inputs=(_H_INPUT,) * 4,
-        measured_qubits=(0, 2, 3),
-        output_qubit=1,
-        h_per_trial=4,
-        success_prob_closed_form=11 / 32,
-        avg_cost_closed_form=base_average_cost(Family.PSI2),
-        output_state_angle=base_state_angle(Family.PSI2),
-    ),
+    Family.PSI0: _spec(Family.PSI0, _PSI0_GATES, (THETA0,) * 4, (0, 1, 3)),
+    Family.PSI1: _spec(Family.PSI1, _PSI0_GATES, (THETA0, math.pi / 4, THETA0, THETA0), (0, 1, 3)),
+    Family.PSI2: _spec(Family.PSI2, _PSI2_GATES, (THETA0,) * 4, (0, 2, 3)),
 }
 
 # Stabilizer codes decoded by the circuits (psi1 runs the psi0 circuit, so
@@ -121,11 +103,7 @@ def factory_spec(kind: Family) -> FactorySpec:
 
 
 def _input_register(spec: FactorySpec) -> PureRegister:
-    factors = [
-        qcore.plus_state() if kind == _PLUS_INPUT else qcore.xz_state(math.pi / 8)
-        for kind in spec.inputs
-    ]
-    return qcore.product_state(*factors)
+    return qcore.product_state(*map(qcore.xz_state, spec.inputs))
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +128,6 @@ class CodeCheckReport:
     kind: Family
     circuit_prob: float
     projector_prob: float
-    closed_form_prob: float
     circuit_angle: float
     decoded_angle: float
     probs_match: bool
@@ -174,10 +151,14 @@ class CodeCheckReport:
         return None
 
 
-def verify_factory_against_code(kind: Family, tol: float = 1e-10) -> CodeCheckReport:
+def verify_factory_against_code(kind: Family) -> CodeCheckReport:
     """Check the circuit against its stabilizer code: the projector overlap
     must equal the post-selected probability, and the decoded logical state
-    must match the circuit output up to a single-qubit Clifford and phase."""
+    must match the circuit output up to a single-qubit Clifford and phase.
+
+    Both states lie on a reflection circle of the Clifford group (else
+    canonical_xz_angle raises), where equal canonical angles mean the same
+    Clifford orbit."""
     spec = factory_spec(kind)
     circuit_prob, circuit_out = simulate_factory_circuit(kind)
     projected = qcore.pauli_projector_overlap(
@@ -189,9 +170,8 @@ def verify_factory_against_code(kind: Family, tol: float = 1e-10) -> CodeCheckRe
         kind=kind,
         circuit_prob=circuit_prob,
         projector_prob=projected.prob,
-        closed_form_prob=spec.success_prob_closed_form,
         circuit_angle=circuit_angle,
         decoded_angle=decoded_angle,
-        probs_match=abs(circuit_prob - projected.prob) < tol,
-        states_match=qcore.clifford_equivalent(circuit_out, projected.decoded),
+        probs_match=abs(circuit_prob - projected.prob) < _CODE_TOL,
+        states_match=abs(circuit_angle - decoded_angle) < _CODE_TOL,
     )

@@ -46,14 +46,19 @@ _BASE_ANGLE = {
     Family.PSI2: math.atan(7 / (6 * math.sqrt(2))) / 2,
 }
 
+# (raw inputs per trial, post-selection success probability) of each
+# factory's closed forms; one psi1 input is the free |+>, so a trial bills 3.
+# factories.py re-derives the probabilities from the circuits and the tests
+# pin the agreement.
+FACTORY_TRIALS = {
+    Family.PSI0: (4, 3 * (2 + math.sqrt(2)) / 32),
+    Family.PSI1: (3, (6 + math.sqrt(2)) / 32),
+    Family.PSI2: (4, 11 / 32),
+}
+
 # Average raw-resource cost of one base state (per-trial inputs divided by
 # the post-selection success probability; family H is a raw resource).
-_BASE_COST = {
-    Family.H: 1.0,
-    Family.PSI0: 4 / (3 * (2 + math.sqrt(2)) / 32),
-    Family.PSI1: 3 / ((6 + math.sqrt(2)) / 32),
-    Family.PSI2: 4 / (11 / 32),
-}
+_BASE_COST = {Family.H: 1.0, **{f: h / p for f, (h, p) in FACTORY_TRIALS.items()}}
 
 
 def base_state_angle(family: Family) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 from .ladder import MAX_LEVEL, Family, ladder_angle
 from .qcore import DensityMatrix, dm_from_bloch
 from .seeding import counter_uniforms, derive_seed
-from .study import fit_loglog
+from .study import _integer, fit_loglog
 
 # From this many instances on, decay_study climbs them all in numpy
 # lockstep; below it, one Python loop per instance is faster.  Measured over
@@ -162,6 +162,7 @@ def propagate_to_level(
     Returns the arrived bottom state and its trace distance to the ideal
     ladder state of that level.
     """
+    target_level = _integer(target_level, "target_level")
     if not 1 <= target_level <= MAX_LEVEL:
         raise ValueError(f"target level must be in [1, {MAX_LEVEL}]")
     sums = [0.0] * (target_level + 1)
@@ -257,6 +258,7 @@ def decay_study(
     _LOCKSTEP_MIN_INSTANCES on, all instances climb together in numpy, with
     the same bytes out.
     """
+    max_level, n_instances = _integer(max_level, "max_level"), _integer(n_instances, "n_instances")
     if not 1 <= max_level <= MAX_LEVEL:
         raise ValueError(f"target level must be in [1, {MAX_LEVEL}]")
     if n_instances < 1:

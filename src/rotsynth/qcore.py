@@ -306,6 +306,9 @@ def pauli_projector_overlap(
 
 # --- single-qubit Clifford canonicalization -------------------------------
 
+# how far off the XZ plane and its quadrant edges a rotated Bloch vector may sit
+_CANONICAL_TOL = 1e-9
+
 
 @lru_cache(maxsize=1)
 def _octahedral_rotations() -> tuple[np.ndarray, ...]:
@@ -335,7 +338,7 @@ def bloch_vector(state: PureRegister | DensityMatrix) -> np.ndarray:
     )
 
 
-def canonical_xz_angle(state: PureRegister, tol: float = 1e-9) -> float:
+def canonical_xz_angle(state: PureRegister) -> float:
     """State angle of the Clifford-orbit representative cos(a)|0> + sin(a)|1>
     with a in [0, pi/8].
 
@@ -346,16 +349,11 @@ def canonical_xz_angle(state: PureRegister, tol: float = 1e-9) -> float:
     best = None
     for rot in _octahedral_rotations():
         x, y, z = rot @ v
-        if abs(y) < tol and x >= -tol and z >= -tol:
+        if abs(y) < _CANONICAL_TOL and x >= -_CANONICAL_TOL and z >= -_CANONICAL_TOL:
             beta = float(np.arctan2(max(x, 0.0), max(z, 0.0)))
-            if beta <= pi / 4 + tol:
+            if beta <= pi / 4 + _CANONICAL_TOL:
                 best = beta if best is None else min(best, beta)
     if best is None:
         raise ValueError("state is not Clifford-equivalent to an XZ-plane state")
     return best / 2
 
-
-def clifford_equivalent(a: PureRegister, b: PureRegister, tol: float = 1e-9) -> bool:
-    """True when single-qubit states match up to a Clifford and global phase."""
-    va, vb = bloch_vector(a), bloch_vector(b)
-    return any(np.linalg.norm(rot @ va - vb) < tol for rot in _octahedral_rotations())

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import random
 from dataclasses import asdict, dataclass
 
@@ -30,6 +31,15 @@ SCHEMES = (H_ONLY, MULTI, MIN_ONLINE)
 DEFAULT_EPS_RANGE = (1e-12, 1e-4)
 
 
+def _integer(value, name: str) -> int:
+    """value as an int: Python and numpy integers pass, anything else (a
+    float such as 1.5, even 2.0) raises ValueError naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ScalingSample:
     scheme: str
@@ -45,9 +55,6 @@ class ScalingFit:
     slope: float
     n_samples: int
     rms_residual: float
-
-    def cost_at(self, epsilon: float) -> float:
-        return math.exp(self.intercept + self.slope * math.log(math.log(1 / epsilon)))
 
 
 def fit_loglog(points: list[tuple[float, float]]) -> ScalingFit:
@@ -257,6 +264,9 @@ def fixed_angle_study(
     """Mean costs of synthesizing one fixed angle at each accuracy."""
     if not 0 < theta < TAU:
         raise ValueError("theta must lie in (0, 2*pi)")
+    n_samples = _integer(n_samples, "n_samples")
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
     rows = []
     for eps_index, epsilon in enumerate(eps_list):
         total_on = []

@@ -231,10 +231,10 @@ def min_online_synthesize(
     """
     if not math.isfinite(target):
         raise ValueError("target must be finite")
-    # validates eps as the inner accuracy, and the ladder depth it needs
-    # under the config's level cap
-    inner_config = replace(config, epsilon=eps)
-    _table_and_start(inner_config)
+    # validates eps as the inner accuracy (so a NaN eps is reported as such,
+    # not as a mismatch), and the ladder depth it needs under the config's
+    # level cap
+    _table_and_start(replace(config, epsilon=eps))
     if eps != config.epsilon:
         raise ValueError(f"eps {eps!r} differs from config.epsilon {config.epsilon!r}")
     corrections = online = 0
@@ -245,7 +245,7 @@ def min_online_synthesize(
         corrections += k
         if abs(remaining) <= eps:
             break
-        inner = synthesize(remaining, inner_config, rng)
+        inner = synthesize(remaining, config, rng)
         offline += inner.offline_cost
         corrections += inner.clifford_corrections
         online += 1

@@ -3,8 +3,9 @@
 Generic density-matrix evolution (a gate's full unitary, measurement with
 removal of the measured qubit) judges the noisy walker's 2x2 closed form;
 the step-by-step noisy walker replays the noise module's climb loop on a
-pure-integer copy of the counter stream; and the one-state rotation step
-replays the planner from its public pieces.
+pure-integer copy of the counter stream; the pure-resource closed form
+gives the exact decay-study means of the tilted models; and the one-state
+rotation step replays the planner from its public pieces.
 """
 from __future__ import annotations
 
@@ -206,3 +207,27 @@ def walker_decay_study(
                 seen += 1
                 sums[seen] += walker.distance_to_ideal()
     return [(lvl, sums[lvl] / n_instances) for lvl in range(1, max_level + 1)]
+
+
+def pure_resource_decay(model: NoiseModel, max_level: int) -> list[tuple[int, float]]:
+    """Exact per-level means of decay_study for a pure noisy resource
+    (models b and c), whatever the seed and instance count.
+
+    For a pure sigma, |s01|^2 = s00 s11.  So an up-merge followed by a
+    down-merge, in either order, scales all three entries by s00 s11 and
+    leaves the state unchanged, and a restart resets it to sigma: every
+    first arrival at level l lands on (s00^n, s01^n, s11^n) / (s00^n + s11^n)
+    with n = l + 1, and every instance adds that state's distance.
+    """
+    sigma = make_noisy_resource(model).mat
+    s00, s01, s11 = float(sigma[0, 0].real), complex(sigma[0, 1]), float(sigma[1, 1].real)
+    assert abs(abs(s01) ** 2 - s00 * s11) < 1e-15, "the resource is not pure"
+    points = []
+    for level in range(1, max_level + 1):
+        n = level + 1
+        norm = 1 + (s11 / s00) ** n
+        r00, r01 = 1 / norm, (s01 / s00) ** n / norm
+        a = ladder_angle(Family.H, level)
+        c, s = math.cos(a), math.sin(a)
+        points.append((level, math.sqrt((r00 - c * c) ** 2 + abs(r01 - c * s) ** 2)))
+    return points

@@ -102,6 +102,27 @@ def test_verify_factory_against_code(kind):
     assert report.failure_reason() is None
 
 
+@pytest.mark.parametrize("kind", FACTORIES)
+def test_code_check_rejects_a_decoded_state_off_by_a_small_rotation(kind, monkeypatch):
+    """A decoded state 1e-6 rad away from the circuit output lies in another
+    Clifford orbit: the check fails on the states and names both angles."""
+    overlap = qcore.pauli_projector_overlap
+
+    def tilted(*args):
+        result = overlap(*args)
+        a0, a1 = result.decoded.amps
+        c, s = math.cos(1e-6), math.sin(1e-6)
+        decoded = qcore.PureRegister([c * a0 - s * a1, s * a0 + c * a1])
+        return qcore.ProjectorResult(result.prob, decoded)
+
+    monkeypatch.setattr(qcore, "pauli_projector_overlap", tilted)
+    report = verify_factory_against_code(kind)
+    assert report.probs_match and not report.states_match and not report.ok
+    assert abs(report.decoded_angle - report.circuit_angle) == pytest.approx(1e-6, rel=1e-6)
+    reason = report.failure_reason()
+    assert repr(report.decoded_angle) in reason and repr(report.circuit_angle) in reason
+
+
 def test_failure_reason_reports_which_check():
     report = verify_factory_against_code(Family.PSI0)
     broken = type(report)(

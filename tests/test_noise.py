@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import NoisyWalker, dm_apply_gate, dm_measure_qubit, walker_decay_study, walker_propagate
+from oracles import (
+    NoisyWalker,
+    dm_apply_gate,
+    dm_measure_qubit,
+    pure_resource_decay,
+    walker_decay_study,
+    walker_propagate,
+)
 from rotsynth import noise, qcore
 from rotsynth.ladder import MAX_LEVEL
 from rotsynth.noise import (
@@ -266,6 +273,43 @@ def test_instances_that_outrun_their_block_continue_their_rows(n, monkeypatch):
         assert all(rows == 1 for rows, _, _ in more)
 
 
+# the criterion-8 grid (strength: top level) and three more strengths
+_PURE_GRID = {1e-4: 28, 1e-6: 22, 1e-8: 16, 0.0: 28, 1e-3: 28, 0.3: 28}
+
+
+@pytest.mark.parametrize("lockstep", [False, True], ids=["loop", "lockstep"])
+@pytest.mark.parametrize("kind", ["b", "c"])
+def test_pure_resource_means_equal_the_exact_first_arrival_states(kind, lockstep, monkeypatch):
+    """Models b and c: both paths give the closed-form distances of
+    oracles.pure_resource_decay, up to rounding."""
+    n = 1000
+    monkeypatch.setattr(noise, "_LOCKSTEP_MIN_INSTANCES", n if lockstep else n + 1)
+    runs = _spy(monkeypatch, "_lockstep_climbs")
+    worst = 0.0
+    for strength, top in _PURE_GRID.items():
+        model = NoiseModel(kind, strength)
+        exact = pure_resource_decay(model, top)
+        for seed in (1, 5):
+            for (_, mean), (_, want) in zip(decay_study(model, top, n, seed), exact, strict=True):
+                worst = max(worst, abs(mean - want) / (1e-9 * want + 1e-15))
+    print(f"model {kind}: worst |mean - exact| is {worst:.3f} of its bound")
+    assert worst <= 1
+    assert len(runs) == (2 * len(_PURE_GRID) if lockstep else 0)
+
+
+@pytest.mark.parametrize("lockstep", [False, True], ids=["loop", "lockstep"])
+def test_mixture_means_depend_on_the_seed(lockstep, monkeypatch):
+    """Model a's arrivals above level 1 depend on the draws, so a different
+    seed moves the mean at every such level: the stream is read.  (Every
+    first arrival at level 1 merges two fresh resources.)"""
+    n = 1000
+    monkeypatch.setattr(noise, "_LOCKSTEP_MIN_INSTANCES", n if lockstep else n + 1)
+    model = NoiseModel("a", 1e-4)
+    one, two = decay_study(model, 28, n, 1), decay_study(model, 28, n, 2)
+    assert one[0] == two[0]
+    assert all(a != b for (_, a), (_, b) in zip(one[1:], two[1:]))
+
+
 @pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
 @pytest.mark.parametrize("level", [1, 6, 13])
 def test_propagate_equals_walker_replay(model, level):
@@ -302,6 +346,26 @@ def test_propagation_states_stay_physical():
 def test_decay_study_requires_an_instance(n):
     with pytest.raises(ValueError, match="at least one instance"):
         decay_study(NoiseModel("a", 1e-4), 4, n, seed=1)
+
+
+@given(st.floats() | st.fractions() | st.text())
+def test_non_integral_levels_and_counts_are_rejected(value):
+    model = NoiseModel("a", 1e-4)
+    with pytest.raises(ValueError, match="max_level must be an integer"):
+        decay_study(model, value, 3, seed=1)
+    with pytest.raises(ValueError, match="n_instances must be an integer"):
+        decay_study(model, 4, value, seed=1)
+    with pytest.raises(ValueError, match="target_level must be an integer"):
+        propagate_to_level(model, value, derive_rng(22, "bad"))
+
+
+@given(st.sampled_from([np.int8, np.int32, np.int64, np.uint16]), st.integers(1, 12))
+def test_numpy_integer_levels_and_counts_are_accepted(dtype, level):
+    model = NoiseModel("a", 1e-2)
+    assert decay_study(model, dtype(level), dtype(3), 1) == decay_study(model, level, 3, 1)
+    rho, dist = propagate_to_level(model, dtype(level), derive_rng(23, "int", level))
+    rho_int, dist_int = propagate_to_level(model, level, derive_rng(23, "int", level))
+    assert dist == dist_int and np.array_equal(rho.mat, rho_int.mat)
 
 
 def test_propagate_requires_positive_level():

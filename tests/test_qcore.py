@@ -15,7 +15,6 @@ from rotsynth.qcore import (
     apply_gate,
     bloch_vector,
     canonical_xz_angle,
-    clifford_equivalent,
     dm_from_bloch,
     dm_from_pure,
     measure_qubit,
@@ -274,12 +273,6 @@ def test_canonical_angle_invariant_under_cliffords(angle):
         assert canonical_xz_angle(mapped) == pytest.approx(
             canonical_xz_angle(state), abs=1e-9
         )
-
-
-def test_clifford_equivalent():
-    a = xz_state(0.3)
-    assert clifford_equivalent(a, apply_gate(apply_gate(a, "H", 0), "S", 0))
-    assert not clifford_equivalent(a, xz_state(0.31))
 
 
 def test_states_equal_up_to_phase():

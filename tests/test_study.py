@@ -1,7 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rotsynth.study import (
     CSV_HEADER,
@@ -187,6 +190,25 @@ def test_fixed_angle_study_quarter_turn():
 def test_fixed_angle_study_validation():
     with pytest.raises(ValueError):
         fixed_angle_study(0.0, [1e-4], H_ONLY, 10)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_fixed_angle_study_requires_a_sample(n):
+    with pytest.raises(ValueError, match="need at least one sample"):
+        fixed_angle_study(0.3, [1e-3], H_ONLY, n)
+
+
+@given(st.floats() | st.fractions() | st.text())
+def test_fixed_angle_study_rejects_a_non_integral_count(n):
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        fixed_angle_study(0.3, [1e-3], H_ONLY, n)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64, np.uint32])
+def test_fixed_angle_study_accepts_numpy_integer_counts(dtype):
+    assert fixed_angle_study(0.3, [1e-3], H_ONLY, dtype(5), seed=2) == fixed_angle_study(
+        0.3, [1e-3], H_ONLY, 5, seed=2
+    )
 
 
 def test_scaling_sample_is_plain_record():
