@@ -8,11 +8,23 @@ replaced by its noisy density matrix, outcomes sampled from the noisy
 probabilities, and the result compared to the ideal ladder state by trace
 distance.
 
-The two-qubit merge evolution collapses to a closed form on 2x2 blocks
-(top sigma, bottom rho; outcome probabilities p0 = s00 r00 + s11 r11 and
-p1 = s11 r00 + s00 r11); one first-arrival climb loop steps by it, a numpy
-lockstep runs the same climb for many instances at once with the same bytes
-out, both reading the same counter-stream rows, and the tests check both
+The two-qubit merge evolution collapses to a closed form on 2x2 blocks: with
+the noisy resource sigma on top, an up-merge scales the bottom's entries
+(r00, r01, r11) by (s00, s01, s11), a down-merge by (s11, conj s01, s00),
+each with probability the trace of the scaled state.  The products commute,
+so after k ups and m downs since the last restart, at level l = k - m and
+with n = l + 1, the bottom state is
+
+    r00 = s00^n / N,  r11 = s11^n / N,  r01 = s01^n lam^m / N,
+    N = s00^n + s11^n,  lam = |s01|^2 / (s00 s11).
+
+The up probability therefore depends on the level alone, and the distance
+at a first arrival on (level, m) alone.  The up probability and the
+per-level parts of the state are tabulated once per model, and a climb is
+an integer walk on (level, m): one loop per instance, or a numpy lockstep
+of many instances, both reading the same counter-stream rows and the same
+tables; one distance expression turns the downs of either into the same
+bytes.  The tests check the tables against an exact oracle and the walk
 against a step-by-step walker and the generic density-matrix simulation.
 """
 from __future__ import annotations
@@ -25,7 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from .ladder import MAX_LEVEL, Family, ladder_angle
+from .ladder import MAX_LEVEL, TAN_THETA0, Family, ladder_angle
 from .qcore import DensityMatrix, dm_from_bloch
 from .seeding import counter_uniforms, derive_seed
 from .study import _integer, fit_loglog
@@ -33,10 +45,11 @@ from .study import _integer, fit_loglog
 # From this many instances on, decay_study climbs them all in numpy
 # lockstep; below it, one Python loop per instance is faster.  Measured over
 # the criterion-8 grid (CPU time per instance, alternating runs, 2-core
-# x86-64, Python 3.11, numpy 2.4; two runs where a range is given), lockstep
-# / loop: 6.21 at 10 instances, 1.74 at 50, 1.00-1.09 at 100, 0.96-0.98 at
-# 105, 0.94-0.95 at 110, 0.76 at 150, 0.62 at 200, 0.48 at 300, 0.22 at 1000.
-_LOCKSTEP_MIN_INSTANCES = 110
+# x86-64, Python 3.11, numpy 2.4; ranges over two or three runs), lockstep
+# / loop: 6.24 at 10 instances, 2.30 at 50, 1.47-1.51 at 100, 1.15-1.16 at
+# 150, 1.04 at 175, 0.95-0.98 at 200, 0.81-0.89 at 250, 0.71-0.80 at 300,
+# 0.39-0.43 at 1000.
+_LOCKSTEP_MIN_INSTANCES = 200
 
 _C0 = math.cos(math.pi / 8)
 _S0 = math.sin(math.pi / 8)
@@ -91,67 +104,105 @@ def ideal_resource(level: int) -> DensityMatrix:
     return dm_from_bloch(math.sin(2 * a), 0.0, math.cos(2 * a))
 
 
-@lru_cache(maxsize=16)
-def _ideal_entries(top: int) -> tuple[tuple[float, float], ...]:
-    """(c*c, c*s) of the ideal H-ladder state cos(a)|0> + sin(a)|1> at every
-    level 0..top: its density matrix is (c*c, c*s; c*s, s*s)."""
-    entries = []
-    for level in range(top + 1):
-        a = ladder_angle(Family.H, level)
-        c, s = math.cos(a), math.sin(a)
-        entries.append((c * c, c * s))
-    return tuple(entries)
+class _ClimbTables:
+    """The closed-form noisy climb of one model, levels 0..MAX_LEVEL.
+
+    up[l] is the probability that a merge at level l goes up.  state(l, m)
+    is the bottom state at level l after m downs since the last restart,
+    and distances(downs) the trace distances of the first-arrival states to
+    the ideal ladder states.  Only per-level values are kept, so the size of
+    the tables does not depend on the climbs.  The entries of sigma are scaled by the
+    larger diagonal one, so no power overflows and no model divides by zero.
+    The ideal state at level l is (1, t, t^2) / (1 + t^2) with
+    t = tan(pi/8)^(l + 1), and the diagonal difference is taken between the
+    small entries, ss - r11, which keeps its relative precision where r00
+    and the ideal cos^2 both round to 1.  The difference of two states is
+    traceless Hermitian 2x2, so its trace distance is the root of its
+    determinant magnitude, sqrt(d00^2 + |d01|^2).
+    """
+
+    def __init__(self, model: NoiseModel):
+        sigma = make_noisy_resource(model).mat
+        s00, s01, s11 = float(sigma[0, 0].real), complex(sigma[0, 1]), float(sigma[1, 1].real)
+        big = max(s00, s11)
+        x, y, z = s00 / big, s11 / big, s01 / big
+        # |s01|^2 <= s00 s11 in a state, so lam <= 1 up to rounding; a down
+        # needs both diagonal entries nonzero, else m stays 0
+        self.lam = min(1.0, (z.real * z.real + z.imag * z.imag) / (x * y)) if x * y > 0 else 0.0
+        up, diag, r01, cs, d00 = [], [], [], [], []
+        for n in range(1, MAX_LEVEL + 2):
+            xn, yn = x**n, y**n
+            norm = xn + yn
+            p0, p1 = s00 * xn + s11 * yn, s11 * xn + s00 * yn
+            up.append(p0 / (p0 + p1))
+            diag.append((xn / norm, yn / norm))
+            r01.append(z**n / norm)
+            t = TAN_THETA0**n
+            cs.append(t / (1 + t * t))
+            d00.append(t * t / (1 + t * t) - yn / norm)
+        self.up = up
+        self.up_array = np.array(up)
+        self._diag = diag
+        self._rr = np.array([r.real for r in r01])
+        self._ri = np.array([r.imag for r in r01])
+        self._cs = np.array(cs)
+        self._d00sq = np.square(d00)
+
+    def state(self, level: int, downs: int) -> tuple[float, complex, float]:
+        """(r00, r01, r11) at level after downs since the last restart."""
+        scale = self.lam**downs
+        r00, r11 = self._diag[level]
+        return r00, complex(float(self._rr[level]) * scale, float(self._ri[level]) * scale), r11
+
+    def distances(self, downs: np.ndarray) -> np.ndarray:
+        """Trace distances to the ideal ladder states of the first-arrival
+        states, where downs[..., j] counts the downs since the last restart
+        at the first arrival at level j + 1."""
+        levels = slice(1, downs.shape[-1] + 1)
+        # lam^m by Python's float pow, as in state(): numpy's pow may take a
+        # SIMD path whose last bit depends on the CPU
+        scale = np.array([self.lam**m for m in range(int(downs.max()) + 1)]).take(downs)
+        # sqrt(d00^2 + dr^2 + di^2) in place: a fresh array per step costs
+        # about as much as the arithmetic at a study's size
+        dr = scale * self._rr[levels]
+        dr -= self._cs[levels]
+        dr *= dr
+        di = scale  # scale is spent: di takes over its array
+        di *= self._ri[levels]
+        di *= di
+        dr += self._d00sq[levels]
+        dr += di
+        return np.sqrt(dr, out=dr)
 
 
-def _noisy_climb(
-    sigma: tuple[float, complex, float],
-    top: int,
-    rnd,
-    sums: list[float],
-) -> tuple[float, complex, float]:
+@lru_cache(maxsize=64)
+def _climb_tables(model: NoiseModel) -> _ClimbTables:
+    return _ClimbTables(model)
+
+
+def _noisy_climb(up: list[float], top: int, draws) -> list[int]:
     """One noisy climb from a fresh resource to its first arrival at top.
 
-    sigma = (s00, s01, s11) are the entries of the noisy resource; every
-    merge puts a fresh copy on top of the bottom state (r00, r01, r11),
-    draws the outcome from the noisy probabilities with one rnd() and
-    renormalizes the post-selected state.  At the first arrival at each
-    level, the trace distance to the ideal ladder state is added to
-    sums[level]: the difference is traceless Hermitian 2x2, so the distance
-    is the root of the determinant magnitude - exact and cancellation-safe
-    at 1e-15 scales.  Returns the bottom state at top.
+    A walk on (level, downs) fed by the endless iterator draws: a draw below
+    up[level] merges up, any other merges down, or at level 0 restarts from
+    a fresh resource with no downs.  Returns the downs since the last
+    restart at the first arrival at each level 1..top.
     """
-    s00, s01, s11 = sigma
-    s01c = s01.conjugate()
-    ideal = _ideal_entries(top)
-    r00, r01, r11 = sigma
-    level = seen = 0
-    while seen < top:
-        p0 = s00 * r00 + s11 * r11
-        p1 = s11 * r00 + s00 * r11
-        if rnd() * (p0 + p1) < p0:
-            r00 = s00 * r00 / p0
-            r01 = s01 * r01 / p0
-            r11 = s11 * r11 / p0
+    arrivals = []
+    level = downs = seen = 0
+    for u in draws:
+        if u < up[level]:
             level += 1
             if level > seen:
                 seen = level
-                cc, cs = ideal[level]
-                d00 = r00 - cc
-                d01 = r01 - cs
-                sums[level] += math.sqrt(d00 * d00 + d01.real * d01.real + d01.imag * d01.imag)
+                arrivals.append(downs)
+                if seen == top:
+                    return arrivals
         elif level:
-            r00 = s11 * r00 / p1
-            r01 = s01c * r01 / p1
-            r11 = s00 * r11 / p1
             level -= 1
+            downs += 1
         else:
-            r00, r01, r11 = sigma
-    return r00, r01, r11
-
-
-def _resource_entries(resource: DensityMatrix) -> tuple[float, complex, float]:
-    sigma = resource.mat
-    return float(sigma[0, 0].real), complex(sigma[0, 1]), float(sigma[1, 1].real)
+            downs = 0
 
 
 def propagate_to_level(
@@ -165,73 +216,54 @@ def propagate_to_level(
     target_level = _integer(target_level, "target_level")
     if not 1 <= target_level <= MAX_LEVEL:
         raise ValueError(f"target level must be in [1, {MAX_LEVEL}]")
-    sums = [0.0] * (target_level + 1)
-    r00, r01, r11 = _noisy_climb(
-        _resource_entries(make_noisy_resource(model)), target_level, rng.random, sums
-    )
+    tables = _climb_tables(model)
+    arrivals = _noisy_climb(tables.up, target_level, iter(rng.random, None))
+    r00, r01, r11 = tables.state(target_level, arrivals[-1])
     rho = DensityMatrix(np.array([[r00, r01], [r01.conjugate(), r11]], dtype=complex))
-    return rho, sums[target_level]
+    return rho, float(tables.distances(np.array(arrivals))[-1])
 
 
-def _lockstep_climbs(
-    sigma: tuple[float, complex, float], top: int, key: int, block: np.ndarray
-) -> np.ndarray:
-    """_noisy_climb for every instance at once, one merge per tick.
+def _lockstep_climbs(up: np.ndarray, top: int, key: int, block: np.ndarray) -> np.ndarray:
+    """_noisy_climb for every instance at once, one draw per tick.
 
     Instance i reads row i of the counter stream under key, starting with
-    row i of block (its first draws).  Returns the (instances, top + 1)
-    matrix of first-arrival distances (column 0 unused).  Every float
-    operation is the loop's, in the loop's order: the complex product
-    s01 * r01 spelled out as CPython computes it, the conjugate for the down
-    branch, the same draw test and distance formula.
+    row i of block (its first draws).  Returns the (instances, top) matrix
+    of downs at the first arrival at levels 1..top.  Downs are not counted
+    per tick: an instance that arrives at level l at tick T, its last
+    restart at tick R (R = -1 before any), has spent the T - R draws since
+    on ups and downs, so on (T - R - l) / 2 downs.
     """
-    s00, s01, s11 = sigma
-    sr, si = s01.real, s01.imag
-    ideal = np.array(_ideal_entries(top))
-    cc, cs = ideal[:, 0], ideal[:, 1]
     n = len(block)
-    dist = np.zeros((n, top + 1))
+    arrivals = np.empty((n, top), dtype=np.intp)
     inst = np.arange(n)  # instance of each active row
-    r00, rr, ri, r11 = (np.full(n, x) for x in (s00, sr, si, s11))
     level = np.zeros(n, dtype=np.intp)
     seen = np.zeros(n, dtype=np.intp)
+    restart = np.full(n, -1, dtype=np.intp)
     rows = inst  # row of each active instance in block
     first = 0  # draw index of block's column 0
+    columns = block.T.copy()  # one contiguous row per draw index
     tick = 0
     while inst.size:
-        if tick == first + block.shape[1]:
-            block = counter_uniforms(key, inst, tick, tick)
+        if tick == first + len(columns):
+            columns = counter_uniforms(key, inst, tick, tick).T.copy()
             rows, first = np.arange(inst.size), tick
-        u = block[rows, tick - first]
-        a, b = s00 * r00, s11 * r11
-        c, d = s11 * r00, s00 * r11
-        p0, p1 = a + b, c + d
-        up = u * (p0 + p1) < p0
-        den = np.where(up, p0, p1)
-        r00 = np.where(up, a, c) / den
-        r11 = np.where(up, b, d) / den
-        sie = np.where(up, si, -si)
-        rr, ri = (sr * rr - sie * ri) / den, (sr * ri + sie * rr) / den
-        level += np.where(up, 1, -1)
-        restart = level < 0
-        if restart.any():
-            level[restart] = 0
-            r00[restart], rr[restart], ri[restart], r11[restart] = s00, sr, si, s11
-        hit = np.flatnonzero(level > seen)
+        level += np.where(columns[tick - first][rows] < up[level], 1, -1)
+        fell = level < 0
+        if fell.any():
+            level[fell] = 0
+            restart[fell] = tick
+        hit = (level > seen).nonzero()[0]
         if hit.size:
             lv = level[hit]
             seen[hit] = lv
-            d00 = r00[hit] - cc[lv]
-            dr = rr[hit] - cs[lv]
-            di = ri[hit]
-            dist[inst[hit], lv] = np.sqrt(d00 * d00 + dr * dr + di * di)
-            if (lv == top).any():
+            arrivals[inst[hit], lv - 1] = tick - restart[hit]
+            # no instance reaches top before its top-th draw
+            if tick + 1 >= top and (lv == top).any():
                 keep = seen < top
                 inst, rows = inst[keep], rows[keep]
-                r00, rr, ri, r11 = r00[keep], rr[keep], ri[keep], r11[keep]
-                level, seen = level[keep], seen[keep]
+                level, seen, restart = level[keep], seen[keep], restart[keep]
         tick += 1
-    return dist
+    return (arrivals - np.arange(1, top + 1)) >> 1
 
 
 def _row_draws(key: int, instance: int, start: int):
@@ -255,30 +287,33 @@ def decay_study(
     arrival at every level; first-arrival snapshots have the same law as
     stopping there, so the per-level means match per-level runs.  Instance i
     reads row i of the counter stream keyed by (seed, kind, strength).  From
-    _LOCKSTEP_MIN_INSTANCES on, all instances climb together in numpy, with
-    the same bytes out.
+    _LOCKSTEP_MIN_INSTANCES on, all instances climb together in numpy; both
+    paths give the same downs at every arrival, so the same bytes out.
     """
     max_level, n_instances = _integer(max_level, "max_level"), _integer(n_instances, "n_instances")
     if not 1 <= max_level <= MAX_LEVEL:
         raise ValueError(f"target level must be in [1, {MAX_LEVEL}]")
     if n_instances < 1:
         raise ValueError("need at least one instance")
-    sigma = _resource_entries(make_noisy_resource(model))
+    tables = _climb_tables(model)
     key = derive_seed(seed, "noise", model.kind, repr(model.strength))
     # a climb needs at least max_level draws; about 0.5% of criterion-8
     # instances need more than this, and continue their rows past the block
     width = 2 * max_level + 8
     block = counter_uniforms(key, np.arange(n_instances), 0, width)
     if n_instances >= _LOCKSTEP_MIN_INSTANCES:
-        # per level, in instance order: a sequential sum like the loop's
-        # (np.sum would sum pairwise)
-        sums = np.cumsum(_lockstep_climbs(sigma, max_level, key, block), axis=0)[-1].tolist()
+        downs = _lockstep_climbs(tables.up_array, max_level, key, block)
     else:
-        sums = [0.0] * (max_level + 1)
-        for instance, row in enumerate(block.tolist()):
-            draws = chain(row, _row_draws(key, instance, width))
-            _noisy_climb(sigma, max_level, draws.__next__, sums)
-    return [(lvl, sums[lvl] / n_instances) for lvl in range(1, max_level + 1)]
+        downs = np.array(
+            [
+                _noisy_climb(tables.up, max_level, chain(row, _row_draws(key, instance, width)))
+                for instance, row in enumerate(block.tolist())
+            ],
+            dtype=np.intp,
+        )
+    # per level, in instance order: a sequential sum whatever numpy's reduction order
+    sums = np.cumsum(tables.distances(downs), axis=0)[-1].tolist()
+    return [(lvl, s / n_instances) for lvl, s in enumerate(sums, 1)]
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,7 @@ def run_scaling_study(
     Results are a pure function of (scheme, n_samples, eps_range, seed),
     independent of jobs.
     """
+    n_samples, jobs = _integer(n_samples, "n_samples"), _integer(jobs, "jobs")
     if n_samples < 2:
         raise ValueError("need at least two samples")
     lo, hi = eps_range

@@ -2,16 +2,19 @@
 
 Generic density-matrix evolution (a gate's full unitary, measurement with
 removal of the measured qubit) judges the noisy walker's 2x2 closed form;
-the step-by-step noisy walker replays the noise module's climb loop on a
-pure-integer copy of the counter stream; the pure-resource closed form
-gives the exact decay-study means of the tilted models; and the one-state
-rotation step replays the planner from its public pieces.
+the step-by-step noisy walker replays the noise module's climb on a
+pure-integer copy of the counter stream, one merge at a time; the exact
+climb (fractions and 50-digit decimals) judges the noise module's climb
+tables, and with them the exact decay-study means of the tilted models;
+and the one-state rotation step replays the planner from its public pieces.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -90,9 +93,10 @@ def apply_random_rotation(
 
 class NoisyWalker:
     """Bottom density matrix of a noisy climb, tracked as (r00, r01, r11),
-    one merge per step() call."""
+    one merge per step() call, with its level and its downs since the last
+    restart."""
 
-    __slots__ = ("s00", "s01", "s11", "r00", "r01", "r11", "level")
+    __slots__ = ("s00", "s01", "s11", "r00", "r01", "r11", "level", "downs")
 
     def __init__(self, resource: DensityMatrix):
         sigma = resource.mat
@@ -103,7 +107,7 @@ class NoisyWalker:
 
     def reset(self) -> None:
         self.r00, self.r01, self.r11 = self.s00, self.s01, self.s11
-        self.level = 0
+        self.level = self.downs = 0
 
     def step(self, rng: random.Random) -> None:
         """One merge with a fresh noisy top; outcome sampled from the noisy
@@ -124,6 +128,7 @@ class NoisyWalker:
             self.r01 = s01.conjugate() * r01 / p1
             self.r11 = s00 * r11 / p1
             self.level -= 1
+            self.downs += 1
 
     def density_matrix(self) -> DensityMatrix:
         return DensityMatrix(
@@ -179,55 +184,85 @@ class CounterRow:
         return u
 
 
-def walker_propagate(
-    model: NoiseModel, target_level: int, rng: random.Random
-) -> tuple[DensityMatrix, float]:
-    """propagate_to_level, one walker step at a time."""
+def walker_propagate(model: NoiseModel, target_level: int, rng: random.Random) -> NoisyWalker:
+    """propagate_to_level, one walker step at a time: the walker at its
+    first arrival at target_level."""
     walker = NoisyWalker(make_noisy_resource(model))
     while walker.level < target_level:
         walker.step(rng)
-    return walker.density_matrix(), walker.distance_to_ideal()
+    return walker
 
 
-def walker_decay_study(
-    model: NoiseModel, max_level: int, n_instances: int, seed: int
-) -> list[tuple[int, float]]:
+@dataclass(frozen=True)
+class WalkerReplay:
+    """decay_study replayed one walker step at a time: the per-level means,
+    and per instance the downs since the last restart at each first arrival
+    (levels 1..max_level) and the number of draws the climb took."""
+
+    points: list[tuple[int, float]]
+    downs: list[list[int]]
+    draws: list[int]
+
+
+def walker_decay_study(model: NoiseModel, max_level: int, n_instances: int, seed: int) -> WalkerReplay:
     """decay_study, one walker step at a time: the same counter rows, the
     distance added at the first arrival at every level."""
     resource = make_noisy_resource(model)
     key = derive_seed(seed, "noise", model.kind, repr(model.strength))
     sums = [0.0] * (max_level + 1)
+    downs, draws = [], []
     for instance in range(n_instances):
         rng = CounterRow(key, instance)
         walker = NoisyWalker(resource)
-        seen = 0
-        while seen < max_level:
+        arrivals = []
+        while len(arrivals) < max_level:
             walker.step(rng)
-            if walker.level == seen + 1:
-                seen += 1
-                sums[seen] += walker.distance_to_ideal()
-    return [(lvl, sums[lvl] / n_instances) for lvl in range(1, max_level + 1)]
+            if walker.level > len(arrivals):
+                arrivals.append(walker.downs)
+                sums[walker.level] += walker.distance_to_ideal()
+        downs.append(arrivals)
+        draws.append(rng.draws)
+    points = [(lvl, sums[lvl] / n_instances) for lvl in range(1, max_level + 1)]
+    return WalkerReplay(points, downs, draws)
 
 
-def pure_resource_decay(model: NoiseModel, max_level: int) -> list[tuple[int, float]]:
-    """Exact per-level means of decay_study for a pure noisy resource
-    (models b and c), whatever the seed and instance count.
+def exact_climb(model: NoiseModel, top: int, downs: list[int]) -> tuple[list[Fraction], list[list[Decimal]]]:
+    """The noisy climb's closed form, exact on the float entries of the noisy
+    resource: the up probability at every level 0..top, and the distance of
+    the bottom state to the ideal ladder state at every level 0..top after
+    each count of downs since the last restart ([j][l] for downs[j]).
 
-    For a pure sigma, |s01|^2 = s00 s11.  So an up-merge followed by a
-    down-merge, in either order, scales all three entries by s00 s11 and
-    leaves the state unchanged, and a restart resets it to sigma: every
-    first arrival at level l lands on (s00^n, s01^n, s11^n) / (s00^n + s11^n)
-    with n = l + 1, and every instance adds that state's distance.
+    With n = l + 1, the up probability
+    (s00^(n+1) + s11^(n+1)) / ((s00 + s11) (s00^n + s11^n)) is rational in
+    the entries, and floats are dyadic, so it is computed on integers and
+    returned as a Fraction.  The bottom state is
+    (s00^n, s01^n lam^m, s11^n) / (s00^n + s11^n), lam = |s01|^2 / (s00 s11)
+    (0 if a diagonal entry is 0: no down is then possible), and the ideal
+    one (1, t, t^2) / (1 + t^2) with t = (sqrt(2) - 1)^n; the distance is
+    sqrt(d00^2 + |d01|^2) of their difference, computed in 50-digit Decimal.
     """
     sigma = make_noisy_resource(model).mat
     s00, s01, s11 = float(sigma[0, 0].real), complex(sigma[0, 1]), float(sigma[1, 1].real)
-    assert abs(abs(s01) ** 2 - s00 * s11) < 1e-15, "the resource is not pure"
-    points = []
-    for level in range(1, max_level + 1):
-        n = level + 1
-        norm = 1 + (s11 / s00) ** n
-        r00, r01 = 1 / norm, (s01 / s00) ** n / norm
-        a = ladder_angle(Family.H, level)
-        c, s = math.cos(a), math.sin(a)
-        points.append((level, math.sqrt((r00 - c * c) ** 2 + abs(r01 - c * s) ** 2)))
-    return points
+    f00, f11 = Fraction(s00), Fraction(s11)
+    scale = max(f00.denominator, f11.denominator)
+    a, b = int(f00 * scale), int(f11 * scale)
+    up = [Fraction(a ** (n + 1) + b ** (n + 1), (a + b) * (a**n + b**n)) for n in range(1, top + 2)]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e00, e11, zr, zi = Decimal(s00), Decimal(s11), Decimal(s01.real), Decimal(s01.imag)
+        lam = (zr * zr + zi * zi) / (e00 * e11) if s00 and s11 else Decimal(0)
+        t = Decimal(2).sqrt() - 1
+        xn, yn, rr, ri, tn = Decimal(1), Decimal(1), Decimal(1), Decimal(0), Decimal(1)
+        levels = []
+        for _ in range(top + 1):
+            xn, yn, tn = xn * e00, yn * e11, tn * t
+            rr, ri = rr * zr - ri * zi, rr * zi + ri * zr
+            norm, ideal_norm = xn + yn, 1 + tn * tn
+            levels.append((tn * tn / ideal_norm - yn / norm, rr / norm, ri / norm, tn / ideal_norm))
+        dist = []
+        for m in downs:
+            p = lam**m if m else Decimal(1)  # decimal has no 0**0
+            dist.append(
+                [(d00 * d00 + (re * p - cs) ** 2 + (im * p) ** 2).sqrt() for d00, re, im, cs in levels]
+            )
+    return up, dist

@@ -1,5 +1,7 @@
 import math
 import threading
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 from oracles import (
     NoisyWalker,
     dm_apply_gate,
+    exact_climb,
     dm_measure_qubit,
-    pure_resource_decay,
     walker_decay_study,
     walker_propagate,
 )
@@ -189,7 +191,7 @@ def test_merge_outcomes_pure_ladder_consistency():
         assert trace_distance(walker.density_matrix(), ideal_resource(level + 1)) == pytest.approx(0.0, abs=1e-12)
 
 
-# --- the climb loop against the step-by-step oracle walker ------------------
+# --- the climb tables against the exact closed form --------------------------
 
 _REPLAY_MODELS = [
     NoiseModel("a", 0.0),
@@ -203,74 +205,259 @@ _REPLAY_MODELS = [
     NoiseModel("c", 0.3),
 ]
 
+_GRID_MODELS = [NoiseModel(kind, strength) for kind in "abc" for strength in (1e-4, 1e-6, 1e-8)]
+# downs at which the exact distances are checked
+_ORACLE_DOWNS = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200]
+_EPS = 2.0**-53
 
-@pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
-@pytest.mark.parametrize("seed", [1, 2, 7])
-def test_decay_study_equals_walker_replay(model, seed):
-    """Float for float: the same draws, the same products and divisions and
-    the same first-arrival distances as one walker step at a time."""
-    assert decay_study(model, 14, 40, seed) == walker_decay_study(model, 14, 40, seed)
 
+def test_climb_tables_equal_the_exact_closed_form():
+    """At the replay models and the criterion-8 grid, levels 0..150: every
+    up probability within 4 units of rounding of the exact fraction, and
+    every first-arrival distance after m downs within 8 (n + m) units of
+    rounding of the small entries (the distance plus the ideal cs and ss):
+    each of the n + m factors of the closed form, and the float tan(pi/8)
+    in the ideal state, may cost a few units each."""
+    worst_up = worst_dist = 0.0
+    for model in dict.fromkeys(_REPLAY_MODELS + _GRID_MODELS):
+        tables = noise._climb_tables(model)
+        up, dist = exact_climb(model, MAX_LEVEL, _ORACLE_DOWNS)
+        for got, want in zip(tables.up, up, strict=True):
+            worst_up = max(worst_up, float(abs(Fraction(got) - want) / want) / (4 * _EPS))
+        table = tables.distances(np.array(_ORACLE_DOWNS)[:, None].repeat(MAX_LEVEL, axis=1))
+        for got, m, row in zip(table, _ORACLE_DOWNS, dist, strict=True):
+            for level in range(1, MAX_LEVEL + 1):
+                n = level + 1
+                t = (math.sqrt(2) - 1) ** n
+                want = float(row[level])
+                scale = want + (t + t * t) / (1 + t * t)
+                worst_dist = max(worst_dist, abs(got[level - 1] - want) / (8 * (n + m) * _EPS * scale))
+    print(f"worst up probability {worst_up:.3f}, worst distance {worst_dist:.3f} of their bounds")
+    assert worst_up <= 1 and worst_dist <= 1
+
+
+# models whose resource has a zero diagonal entry (b at tilts pi and 2 pi),
+# no coherence (a at 1/2), or is pure (a at 0 and 1)
+_EDGE_MODELS = [
+    NoiseModel("a", 0.0),
+    NoiseModel("a", 0.5),
+    NoiseModel("a", 1.0),
+    NoiseModel("b", 3 * math.pi / 4),
+    NoiseModel("b", 7 * math.pi / 4),
+]
+_MODELS = st.one_of(
+    st.sampled_from(_EDGE_MODELS + _REPLAY_MODELS),
+    st.builds(NoiseModel, st.just("a"), st.floats(0, 1)),
+    st.builds(NoiseModel, st.sampled_from("bc"), st.floats(0, 10)),
+)
+
+
+def test_edge_models_have_their_zero_entries():
+    assert make_noisy_resource(_EDGE_MODELS[1]).mat[0, 1] == 0
+    assert make_noisy_resource(_EDGE_MODELS[3]).mat[0, 0] == 0
+    assert make_noisy_resource(_EDGE_MODELS[4]).mat[1, 1] == 0
+
+
+@given(_MODELS)
+def test_climb_tables_are_finite_for_every_model(model):
+    tables = noise._ClimbTables(model)
+    assert all(0 <= u <= 1 for u in tables.up)
+    assert np.isfinite(tables.distances(np.arange(70)[:, None].repeat(MAX_LEVEL, axis=1))).all()
+    for level in (0, 1, 28, MAX_LEVEL):
+        for downs in (0, 1, 69):
+            assert all(math.isfinite(abs(x)) for x in tables.state(level, downs))
+
+
+def test_climb_tables_do_not_grow_with_the_downs():
+    """A mixture near 1/2 climbs to the top level through thousands of
+    downs (lam is 0 there, so the state after one down is the same after
+    any more).  The tables keep only their per-level values, and the climbs
+    need memory of the order of their draws and downs, not of a grid of
+    levels by downs (over 20 MB here)."""
+    model = NoiseModel("a", 0.5)
+    tables = noise._climb_tables(model)
+    sizes = {name: len(value) for name, value in vars(tables).items() if not isinstance(value, float)}
+    downs = noise._noisy_climb(tables.up, MAX_LEVEL, iter(derive_rng(3, "deep").random, None))
+    assert max(downs) > 2000
+    tracemalloc.start()
+    try:
+        rho, dist = propagate_to_level(model, MAX_LEVEL, derive_rng(3, "deep"))
+        points = decay_study(model, MAX_LEVEL, 2, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert sizes == {name: len(value) for name, value in vars(tables).items() if not isinstance(value, float)}
+    assert set(sizes.values()) == {MAX_LEVEL + 1}
+    assert dist == tables.distances(np.array(downs))[-1]
+    assert all(math.isfinite(d) for _, d in points)
+
+
+@given(_MODELS, st.lists(st.floats(0, 1, exclude_max=True), max_size=120))
+def test_walker_state_is_the_table_state_at_its_level_and_downs(model, draws):
+    """The reduction itself: whatever the draws, the walker's bottom state
+    after each merge is the closed form at its (level, downs since the last
+    restart), up to the rounding of its merges."""
+    tables = noise._ClimbTables(model)
+    walker = NoisyWalker(make_noisy_resource(model))
+    for u in draws:
+        walker.step(_Draw(u))
+        for got, want in zip((walker.r00, walker.r01, walker.r11), tables.state(walker.level, walker.downs)):
+            assert abs(got - want) <= 1e-12 * abs(want) + 1e-300
+
+
+@pytest.mark.parametrize("model", _EDGE_MODELS, ids=repr)
+def test_decay_study_runs_on_edge_models(model, monkeypatch):
+    for threshold in (4, 3):
+        monkeypatch.setattr(noise, "_LOCKSTEP_MIN_INSTANCES", threshold)
+        points = decay_study(model, 14, 3, seed=1)
+        assert all(math.isfinite(d) and d >= 0 for _, d in points)
+
+
+# --- the climb loop against the step-by-step oracle walker ------------------
 
 _THRESHOLD = noise._LOCKSTEP_MIN_INSTANCES
 
+# The walker rounds every merge, and its diagonal difference r00 - cc rounds
+# at 1 rather than at the small entries: its means differ from the tables'
+# by up to 4.3e-7 relative on the criterion-8 grid, and by about an ulp of 1
+# at strength 0, where both are rounding noise.  The tables are exact to a
+# few ulps of the small entries (test_climb_tables_equal_the_exact_closed_form).
+_WALKER_REL = 1e-6
+_WALKER_ABS = 2.0**-51
+
+
+def _walker_bound(model, want):
+    return _WALKER_ABS if model.strength == 0 else _WALKER_REL * want
+
+
+def _walker_ratio(model, points, walker_points):
+    """Worst |mean - walker mean| over the levels, as a fraction of its
+    bound."""
+    assert [lvl for lvl, _ in points] == [lvl for lvl, _ in walker_points]
+    return max(
+        abs(mean - want) / _walker_bound(model, want)
+        for (_, mean), (_, want) in zip(points, walker_points)
+    )
+
 
 def _spy(monkeypatch, name):
-    """Record the arguments of every call to noise.<name>."""
+    """Record (arguments, result) of every call to noise.<name>."""
     calls = []
     original = getattr(noise, name)
 
     def spy(*args):
-        calls.append(args)
-        return original(*args)
+        result = original(*args)
+        calls.append((args, result))
+        return result
 
     monkeypatch.setattr(noise, name, spy)
     return calls
 
 
+def _expected_blocks(draws, top, lockstep):
+    """The (instances, start, count) of every counter_uniforms call of a
+    decay_study whose climbs take the given numbers of draws: one block of
+    2 * top + 8 draws for all instances, then blocks starting at that width,
+    twice it, four times it, ..., each as long as all before it, while a
+    climb still needs draws: per instance on the loop, for every instance
+    still climbing on the lockstep."""
+    width = 2 * top + 8
+    starts = []
+    start = width
+    while start < max(draws):
+        starts.append(start)
+        start *= 2
+    if lockstep:
+        more = [([i for i, d in enumerate(draws) if d > start], start, start) for start in starts]
+    else:
+        more = [([i], start, start) for i, d in enumerate(draws) for start in starts if start < d]
+    return [(list(range(len(draws))), 0, width), *more]
+
+
+def _replay(model, top, n, seed, monkeypatch, paths=(False, True)):
+    """decay_study on the loop and on the lockstep (each forced through the
+    threshold) against the step-by-step walker: exactly the walker's downs
+    at every first arrival and its draw counts, read through the exact
+    counter blocks each path asks for; the same bytes on every path; and
+    per-level means within the walker's rounding.  Returns the worst
+    agreement ratio."""
+    replay = walker_decay_study(model, top, n, seed)
+    results = []
+    for lockstep in paths:
+        monkeypatch.setattr(noise, "_LOCKSTEP_MIN_INSTANCES", n if lockstep else n + 1)
+        blocks = _spy(monkeypatch, "counter_uniforms")
+        walks = _spy(monkeypatch, "_lockstep_climbs" if lockstep else "_noisy_climb")
+        results.append(decay_study(model, top, n, seed))
+        downs = walks[0][1].tolist() if lockstep else [arrivals for _, arrivals in walks]
+        assert downs == replay.downs
+        spans = [(np.asarray(rows).tolist(), start, count) for (_, rows, start, count), _ in blocks]
+        assert spans == _expected_blocks(replay.draws, top, lockstep)
+    assert all(points == results[0] for points in results)
+    ratio = _walker_ratio(model, results[0], replay.points)
+    assert ratio <= 1
+    return ratio
+
+
+@pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_decay_study_equals_walker_replay(model, seed, monkeypatch):
+    """The same draws, ups and downs as one walker step at a time, the same
+    bytes on both paths, and means that agree to the walker's rounding."""
+    print(f"worst walker agreement {_replay(model, 14, 40, seed, monkeypatch):.3g} of its bound")
+
+
 @pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
 @pytest.mark.parametrize("n", [1, 10, 99, 100, 101, 149, 150, 151])
 def test_decay_study_paths_equal_walker_replay(model, n, monkeypatch):
-    """The loop and the numpy lockstep, each forced at every count, give the
-    walker's bytes."""
-    expected = walker_decay_study(model, 14, n, 7)
-    for threshold in (n + 1, n):
-        monkeypatch.setattr(noise, "_LOCKSTEP_MIN_INSTANCES", threshold)
-        runs = _spy(monkeypatch, "_lockstep_climbs")
-        assert decay_study(model, 14, n, 7) == expected
-        assert len(runs) == (threshold == n)
+    """The loop and the numpy lockstep, each forced at every count, walk the
+    walker's walk and give the same bytes."""
+    _replay(model, 14, n, 7, monkeypatch)
 
 
 @pytest.mark.parametrize("n", [_THRESHOLD - 1, _THRESHOLD, _THRESHOLD + 1])
 def test_decay_study_switches_path_at_threshold(n, monkeypatch):
-    runs = _spy(monkeypatch, "_lockstep_climbs")
+    """The lockstep runs from _LOCKSTEP_MIN_INSTANCES on (200, the measured
+    crossover: lockstep / loop per instance 1.15 at 150 instances, 1.04 at
+    175, 0.95-0.98 at 200, 0.81-0.89 at 250), and either path walks the
+    walker's walk."""
     model = NoiseModel("b", 1e-4)
-    assert decay_study(model, 14, n, 7) == walker_decay_study(model, 14, n, 7)
+    replay = walker_decay_study(model, 14, n, 7)
+    runs = _spy(monkeypatch, "_lockstep_climbs")
+    loops = _spy(monkeypatch, "_noisy_climb")
+    assert _walker_ratio(model, decay_study(model, 14, n, 7), replay.points) <= 1
     assert len(runs) == (n >= _THRESHOLD)
+    downs = runs[0][1].tolist() if runs else [arrivals for _, arrivals in loops]
+    assert downs == replay.downs
 
 
 @pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
 @pytest.mark.parametrize("n", [1, 2, 40])
 def test_lockstep_equals_walker_replay_at_small_counts(model, n, monkeypatch):
-    monkeypatch.setattr(noise, "_LOCKSTEP_MIN_INSTANCES", 1)
     for seed in (1, 2):
-        assert decay_study(model, 14, n, seed) == walker_decay_study(model, 14, n, seed)
+        _replay(model, 14, n, seed, monkeypatch)
 
 
 @pytest.mark.parametrize("n", [_THRESHOLD - 1, _THRESHOLD])
 def test_instances_that_outrun_their_block_continue_their_rows(n, monkeypatch):
     """Under a 0.2 mixture some climbs need more than the first block's
     2 * top + 8 draws: on both paths they continue their own counter rows
-    from the draw they reached, and the bytes still match the walker."""
-    blocks = _spy(monkeypatch, "counter_uniforms")
+    from the draw they reached, and still walk the walker's walk."""
     model = NoiseModel("a", 0.2)
-    assert decay_study(model, 14, n, 1) == walker_decay_study(model, 14, n, 1)
-    spans = [(len(rows), start, count) for _, rows, start, count in blocks]
-    assert spans[0] == (n, 0, 36)
-    more = spans[1:]
-    assert more and all(rows < n and start >= 36 and count == start for rows, start, count in more)
-    if n < _THRESHOLD:
-        assert all(rows == 1 for rows, _, _ in more)
+    assert max(walker_decay_study(model, 14, n, 1).draws) > 36
+    _replay(model, 14, n, 1, monkeypatch)
+
+
+def test_criterion_8_means_agree_with_the_walker_to_its_rounding(monkeypatch):
+    """On the criterion-8 grid the walker's rounding shows most: its means
+    differ from the tables' by up to about 4e-7 relative (c at 1e-8), which
+    sets the bound of the replay tests."""
+    worst = 0.0
+    for kind in "abc":
+        for strength, top in ((1e-4, 28), (1e-6, 22), (1e-8, 16)):
+            model = NoiseModel(kind, strength)
+            worst = max(worst, _replay(model, top, 100, 3, monkeypatch, paths=(True,)))
+    print(f"criterion-8 grid: worst walker agreement {worst:.3g} of its bound")
 
 
 # the criterion-8 grid (strength: top level) and three more strengths
@@ -280,17 +467,19 @@ _PURE_GRID = {1e-4: 28, 1e-6: 22, 1e-8: 16, 0.0: 28, 1e-3: 28, 0.3: 28}
 @pytest.mark.parametrize("lockstep", [False, True], ids=["loop", "lockstep"])
 @pytest.mark.parametrize("kind", ["b", "c"])
 def test_pure_resource_means_equal_the_exact_first_arrival_states(kind, lockstep, monkeypatch):
-    """Models b and c: both paths give the closed-form distances of
-    oracles.pure_resource_decay, up to rounding."""
+    """Models b and c: both paths give the exact first-arrival distances
+    of oracles.exact_climb at no downs, up to rounding.  For a pure sigma,
+    |s01|^2 = s00 s11, so lam = 1 and the state at level l does not depend
+    on the downs: every instance adds the same distance."""
     n = 1000
     monkeypatch.setattr(noise, "_LOCKSTEP_MIN_INSTANCES", n if lockstep else n + 1)
     runs = _spy(monkeypatch, "_lockstep_climbs")
     worst = 0.0
     for strength, top in _PURE_GRID.items():
         model = NoiseModel(kind, strength)
-        exact = pure_resource_decay(model, top)
+        exact = [float(d) for d in exact_climb(model, top, [0])[1][0][1:]]
         for seed in (1, 5):
-            for (_, mean), (_, want) in zip(decay_study(model, top, n, seed), exact, strict=True):
+            for (_, mean), want in zip(decay_study(model, top, n, seed), exact, strict=True):
                 worst = max(worst, abs(mean - want) / (1e-9 * want + 1e-15))
     print(f"model {kind}: worst |mean - exact| is {worst:.3f} of its bound")
     assert worst <= 1
@@ -313,14 +502,25 @@ def test_mixture_means_depend_on_the_seed(lockstep, monkeypatch):
 @pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
 @pytest.mark.parametrize("level", [1, 6, 13])
 def test_propagate_equals_walker_replay(model, level):
+    """The same draws, ups and downs as the walker: propagate_to_level lands
+    on the table state at the walker's (level, downs), within rounding of
+    the walker's state, and its distance agrees to the walker's rounding."""
+    tables = noise._climb_tables(model)
+    worst = 0.0
     for i in range(5):
         fast_rng = derive_rng(27, "replay", level, i)
         walk_rng = derive_rng(27, "replay", level, i)
         rho, dist = propagate_to_level(model, level, fast_rng)
-        rho_walk, dist_walk = walker_propagate(model, level, walk_rng)
-        assert dist == dist_walk
-        assert np.array_equal(rho.mat, rho_walk.mat)
+        walker = walker_propagate(model, level, walk_rng)
         assert fast_rng.random() == walk_rng.random()  # the same number of draws
+        r00, r01, r11 = tables.state(level, walker.downs)
+        assert np.array_equal(rho.mat, DensityMatrix(np.array([[r00, r01], [r01.conjugate(), r11]])).mat)
+        assert dist == tables.distances(np.full(level, walker.downs))[-1]
+        assert trace_distance(rho, walker.density_matrix()) <= 1e-12
+        want = walker.distance_to_ideal()
+        worst = max(worst, abs(dist - want) / _walker_bound(model, want))
+    print(f"worst walker agreement {worst:.3g} of its bound")
+    assert worst <= 1
 
 
 @pytest.mark.parametrize("kind", ["a", "b", "c"])

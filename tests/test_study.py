@@ -127,6 +127,23 @@ def test_run_scaling_study_rejects_eps_range_outside_unit_interval(eps_range):
         run_scaling_study(H_ONLY, 10, eps_range=eps_range, seed=3)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, "10", None])
+def test_run_scaling_study_rejects_a_non_integral_sample_count(n):
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        run_scaling_study(H_ONLY, n, seed=3)
+
+
+@pytest.mark.parametrize("jobs", [1.5, 2.0, "2"])
+def test_run_scaling_study_rejects_a_non_integral_job_count(jobs):
+    with pytest.raises(ValueError, match="jobs must be an integer"):
+        run_scaling_study(H_ONLY, 10, seed=3, jobs=jobs)
+
+
+def test_run_scaling_study_accepts_numpy_integer_counts():
+    numpy_counts = run_scaling_study(H_ONLY, np.int32(10), seed=3, jobs=np.int64(1))
+    assert numpy_counts == run_scaling_study(H_ONLY, 10, seed=3)
+
+
 def test_min_online_scheme_samples():
     samples, fit_on, _ = run_scaling_study(MIN_ONLINE, 300, seed=11)
     mean_online = sum(s.online for s in samples) / len(samples)
