@@ -123,8 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_angles(args: argparse.Namespace) -> int:
-    if args.max_level < 0 or args.max_level > ladder.MAX_LEVEL:
-        raise ValueError(f"--max must be in [0, {ladder.MAX_LEVEL}]")
+    ladder.checked_level(args.max_level, "--max")
     header = "level " + " ".join(f"{f.value:>22s}" for f in args.families)
     print(header)
     for lvl in range(args.max_level + 1):

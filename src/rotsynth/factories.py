@@ -76,17 +76,14 @@ _SPECS = {
 
 # Stabilizer codes decoded by the circuits (psi1 runs the psi0 circuit, so
 # it shares the psi0 code with the |+> substitution on qubit 1).
+_PSI0_CODE = (
+    PauliString(1, "XZXI"),
+    PauliString(1, "IXZX"),
+    PauliString(1, "XIXZ"),
+)
 CODE_GENERATORS = {
-    Family.PSI0: (
-        PauliString(1, "XZXI"),
-        PauliString(1, "IXZX"),
-        PauliString(1, "XIXZ"),
-    ),
-    Family.PSI1: (
-        PauliString(1, "XZXI"),
-        PauliString(1, "IXZX"),
-        PauliString(1, "XIXZ"),
-    ),
+    Family.PSI0: _PSI0_CODE,
+    Family.PSI1: _PSI0_CODE,
     Family.PSI2: (
         PauliString(1, "XXXX"),
         PauliString(1, "ZIZI"),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,6 +23,21 @@ from functools import lru_cache
 THETA0 = math.pi / 8
 TAN_THETA0 = math.sqrt(2) - 1  # tan(pi/8)
 MAX_LEVEL = 150
+
+
+def checked_integer(value, name: str) -> int:
+    """value as an int; anything but a Python or numpy integer (even 2.0) raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def checked_level(value, name: str, lowest: int = 0) -> int:
+    """checked_integer(value, name), which must also lie in [lowest, MAX_LEVEL]."""
+    if lowest <= (level := checked_integer(value, name)) <= MAX_LEVEL:
+        return level
+    raise ValueError(f"{name} must be in [{lowest}, {MAX_LEVEL}], got {level}")
 
 
 class Family(enum.Enum):
@@ -75,7 +91,7 @@ def ladder_angle(family: Family, level: int) -> float:
 
     Twice the state angle is the implementable rotation.
     """
-    if level < 0:
+    if (level := checked_integer(level, "level")) < 0:
         raise ValueError("ladder levels start at 0")
     if family is Family.H:
         return math.atan(TAN_THETA0 ** (level + 1))
@@ -134,8 +150,7 @@ def simulate_climb(family: Family, target_level: int, rng: random.Random) -> Cli
     billed at the factory average), merge tops are raw resources, and a
     level-0 failure re-bills a fresh base state.
     """
-    if not 0 <= target_level <= MAX_LEVEL:
-        raise ValueError(f"target level must be in [0, {MAX_LEVEL}]")
+    target_level = checked_level(target_level, "target_level")
     steps, restarts = climb_walk(success_probs(family), target_level, rng.random)
     if family is Family.H:
         return ClimbResult(steps + restarts + 1, 0, steps)
@@ -147,7 +162,7 @@ def climb_cost(result: ClimbResult, family: Family) -> float:
     return result.h_consumed + result.base_states_consumed * _BASE_COST[family]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 7.0 never reads the entry of 7
 def expected_climb_cost(family: Family, target_level: int) -> float:
     """Exact expected climb cost in raw-resource units.
 
@@ -156,8 +171,7 @@ def expected_climb_cost(family: Family, target_level: int) -> float:
     return to l first: T_l = (1 + (1-p_l) T_{l-1}) / p_l.  A level-0 failure
     re-bills the bottom, i.e. T_{-1} = c, the base cost; E = c + sum T_l.
     """
-    if not 0 <= target_level <= MAX_LEVEL:
-        raise ValueError(f"target level must be in [0, {MAX_LEVEL}]")
+    target_level = checked_level(target_level, "target_level")
     total = passage = _BASE_COST[family]
     for p in success_probs(family)[:target_level]:
         passage = (1 + (1 - p) * passage) / p

@@ -37,10 +37,10 @@ from itertools import chain
 
 import numpy as np
 
-from .ladder import MAX_LEVEL, TAN_THETA0, Family, ladder_angle
+from .ladder import MAX_LEVEL, TAN_THETA0, Family, checked_integer, checked_level, ladder_angle
 from .qcore import DensityMatrix, dm_from_bloch
 from .seeding import counter_uniforms, derive_seed
-from .study import _integer, fit_loglog
+from .study import fit_loglog
 
 # From this many instances on, decay_study climbs them all in numpy
 # lockstep; below it, one Python loop per instance is faster.  Measured over
@@ -213,9 +213,7 @@ def propagate_to_level(
     Returns the arrived bottom state and its trace distance to the ideal
     ladder state of that level.
     """
-    target_level = _integer(target_level, "target_level")
-    if not 1 <= target_level <= MAX_LEVEL:
-        raise ValueError(f"target level must be in [1, {MAX_LEVEL}]")
+    target_level = checked_level(target_level, "target_level", 1)
     tables = _climb_tables(model)
     arrivals = _noisy_climb(tables.up, target_level, iter(rng.random, None))
     r00, r01, r11 = tables.state(target_level, arrivals[-1])
@@ -290,10 +288,8 @@ def decay_study(
     _LOCKSTEP_MIN_INSTANCES on, all instances climb together in numpy; both
     paths give the same downs at every arrival, so the same bytes out.
     """
-    max_level, n_instances = _integer(max_level, "max_level"), _integer(n_instances, "n_instances")
-    if not 1 <= max_level <= MAX_LEVEL:
-        raise ValueError(f"target level must be in [1, {MAX_LEVEL}]")
-    if n_instances < 1:
+    max_level = checked_level(max_level, "max_level", 1)
+    if (n_instances := checked_integer(n_instances, "n_instances")) < 1:
         raise ValueError("need at least one instance")
     tables = _climb_tables(model)
     key = derive_seed(seed, "noise", model.kind, repr(model.strength))

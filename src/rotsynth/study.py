@@ -13,11 +13,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 import random
 from dataclasses import asdict, dataclass
 
-from .ladder import ALL_FAMILIES, Family
+from .ladder import ALL_FAMILIES, Family, checked_integer
 from .seeding import derive_rng
 from .synthesis import SynthesisConfig, SynthesisResult, min_online_synthesize, synthesize
 
@@ -29,15 +28,6 @@ MIN_ONLINE = "min-online"
 SCHEMES = (H_ONLY, MULTI, MIN_ONLINE)
 
 DEFAULT_EPS_RANGE = (1e-12, 1e-4)
-
-
-def _integer(value, name: str) -> int:
-    """value as an int: Python and numpy integers pass, anything else (a
-    float such as 1.5, even 2.0) raises ValueError naming the argument."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -65,6 +55,8 @@ def fit_loglog(points: list[tuple[float, float]]) -> ScalingFit:
         raise ValueError("need at least two points")
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("points must be finite")
     xbar = math.fsum(xs) / n
     ybar = math.fsum(ys) / n
     sxx = math.fsum((x - xbar) ** 2 for x in xs)
@@ -121,7 +113,7 @@ def run_scaling_study(
     Results are a pure function of (scheme, n_samples, eps_range, seed),
     independent of jobs.
     """
-    n_samples, jobs = _integer(n_samples, "n_samples"), _integer(jobs, "jobs")
+    n_samples, jobs = checked_integer(n_samples, "n_samples"), checked_integer(jobs, "jobs")
     if n_samples < 2:
         raise ValueError("need at least two samples")
     lo, hi = eps_range
@@ -265,8 +257,7 @@ def fixed_angle_study(
     """Mean costs of synthesizing one fixed angle at each accuracy."""
     if not 0 < theta < TAU:
         raise ValueError("theta must lie in (0, 2*pi)")
-    n_samples = _integer(n_samples, "n_samples")
-    if n_samples < 1:
+    if (n_samples := checked_integer(n_samples, "n_samples")) < 1:
         raise ValueError("need at least one sample")
     rows = []
     for eps_index, epsilon in enumerate(eps_list):

@@ -24,6 +24,7 @@ from .ladder import (
     MAX_LEVEL,
     Family,
     base_average_cost,
+    checked_level,
     climb_walk,
     expected_climb_cost,
     rotation_angle,
@@ -75,8 +76,11 @@ class SynthesisConfig:
             raise ValueError("epsilon must be positive and finite")
         if not self.families:
             raise ValueError("at least one family must be enabled")
-        if self.max_level is not None and not 0 <= self.max_level <= MAX_LEVEL:
-            raise ValueError(f"max_level must be in [0, {MAX_LEVEL}]")
+        for family in self.families:
+            if not isinstance(family, Family):
+                raise ValueError(f"families must hold Family members, got {family!r}")
+        if self.max_level is not None:
+            checked_level(self.max_level, "max_level")
 
     def resolved_max_level(self) -> int:
         return self.max_level if self.max_level is not None else auto_max_level(self.epsilon)

@@ -66,6 +66,13 @@ def test_angles_bad_level(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("level", ["-1", "151"])
+def test_angles_level_error_names_the_option(capsys, level):
+    code, out, err = run_cli(capsys, "angles", "--max", level)
+    assert code == 1 and out == ""
+    assert f"error: --max must be in [0, 150], got {level}" in err
+
+
 def test_climb_reports_oracle_and_mean(capsys):
     code, out, _ = run_cli(capsys, "climb", "--family", "h", "--level", "1", "--trials", "4000", "--seed", "5")
     assert code == 0

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from rotsynth.ladder import (
     simulate_climb,
     success_probs,
 )
+from rotsynth.noise import NoiseModel, decay_study, propagate_to_level
 from rotsynth.seeding import derive_rng
+from rotsynth.synthesis import SynthesisConfig
 
 SQRT2 = math.sqrt(2)
 
@@ -266,6 +270,57 @@ def test_expected_climb_cost_validation():
         expected_climb_cost(Family.H, -1)
     with pytest.raises(ValueError):
         expected_climb_cost(Family.PSI0, MAX_LEVEL + 1)
+
+
+def _propagate(level):
+    rho, distance = propagate_to_level(NoiseModel("a", 1e-4), level, derive_rng(31, "level"))
+    return rho.mat.tolist(), distance
+
+
+# every entry point that takes a ladder level: (call, argument name, lowest
+# level, or None where the range is not checked: ladder_angle keeps its own
+# lower-bound message and has no cap)
+LEVEL_ENTRY_POINTS = {
+    "simulate_climb": (
+        lambda level: simulate_climb(Family.PSI1, level, derive_rng(31, "level")),
+        "target_level",
+        0,
+    ),
+    "expected_climb_cost": (lambda level: expected_climb_cost(Family.PSI2, level), "target_level", 0),
+    "ladder_angle": (lambda level: ladder_angle(Family.H, level), "level", None),
+    "SynthesisConfig": (lambda level: SynthesisConfig(epsilon=1e-6, max_level=level), "max_level", 0),
+    "decay_study": (lambda level: decay_study(NoiseModel("a", 1e-4), level, 3, seed=1), "max_level", 1),
+    "propagate_to_level": (_propagate, "target_level", 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LEVEL_ENTRY_POINTS))
+def test_level_arguments_are_checked_by_name(entry):
+    """Every level argument goes through ladder.checked_level (ladder_angle
+    through checked_integer): a non-integral value or one outside the
+    ladder is a ValueError naming the argument, and numpy integers answer
+    as the equal Python int does."""
+    call, name, lowest = LEVEL_ENTRY_POINTS[entry]
+    for value in (5.5, 7.0, Fraction(7), Fraction(11, 2), "7"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            call(value)
+    for dtype in (np.int8, np.int64, np.uint16):
+        assert call(dtype(7)) == call(7)
+    if lowest is not None:
+        for level in (lowest - 1, MAX_LEVEL + 1):
+            with pytest.raises(ValueError, match=rf"^{name} must be in \[{lowest}, 150\], got {level}$"):
+                call(level)
+
+
+def test_expected_climb_cost_rejects_a_float_level_cold_and_warm():
+    """The level check runs ahead of the cache: 7.0 never answers with the
+    cached value of 7."""
+    expected_climb_cost.cache_clear()
+    for _ in ("cold", "warm"):
+        for value in (7.0, Fraction(7), np.float64(7)):
+            with pytest.raises(ValueError, match="target_level must be an integer"):
+                expected_climb_cost(Family.H, value)
+        expected_climb_cost(Family.H, 7)
 
 
 def test_simulate_climb_counts_match_walk():

@@ -580,15 +580,15 @@ def test_levels_above_the_ladder_cap_are_rejected(level):
     """Past level ~840 the ideal angles underflow; the lockstep block also
     grows with the top level.  Both entry points stop at the ladder cap
     before any work."""
-    with pytest.raises(ValueError, match=r"target level must be in \[1, 150\]"):
+    with pytest.raises(ValueError, match=r"max_level must be in \[1, 150\]"):
         decay_study(NoiseModel("a", 1e-4), level, 3, seed=1)
-    with pytest.raises(ValueError, match=r"target level must be in \[1, 150\]"):
+    with pytest.raises(ValueError, match=r"target_level must be in \[1, 150\]"):
         propagate_to_level(NoiseModel("a", 1e-4), level, derive_rng(22, "bad"))
 
 
 @given(st.integers(max_value=0))
 def test_decay_study_requires_a_positive_level(level):
-    with pytest.raises(ValueError, match=r"target level must be in \[1, 150\]"):
+    with pytest.raises(ValueError, match=r"max_level must be in \[1, 150\]"):
         decay_study(NoiseModel("a", 1e-4), level, 3, seed=1)
 
 
@@ -628,6 +628,12 @@ def test_fit_exponential_decay_validation():
         fit_exponential_decay([(1, 0.5), (2, 0.25)])
     with pytest.raises(ValueError):
         fit_exponential_decay([(1, 0.5), (2, 0.0), (3, 0.1)])
+
+
+@pytest.mark.parametrize("point", [(1, math.inf), (1, math.nan), (math.inf, 0.5), (math.nan, 0.5)])
+def test_fit_exponential_decay_rejects_non_finite_points(point):
+    with pytest.raises(ValueError, match="points must be finite"):
+        fit_exponential_decay([point, (2, 0.1), (3, 0.01)])
 
 
 @pytest.mark.parametrize("kind", ["a", "b", "c"])

@@ -58,6 +58,14 @@ def test_fit_loglog_validation():
         fit_loglog([(1.0, 1.0), (1.0, 2.0)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 1])
+def test_fit_loglog_rejects_non_finite_points(bad, position):
+    point = (bad, 1.0) if position == 0 else (1.0, bad)
+    with pytest.raises(ValueError, match="points must be finite"):
+        fit_loglog([point, (2.0, 2.0), (3.0, 3.0)])
+
+
 def test_sk_crossover_algebra():
     # identical intercepts, different slopes: x = 0, eps = 1/e
     assert sk_crossover(FitLine(1.0, 2.0), FitLine(1.0, 3.0)) == pytest.approx(math.exp(-1), rel=1e-12)

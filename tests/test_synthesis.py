@@ -408,6 +408,13 @@ def test_config_validation():
         SynthesisConfig(epsilon=1e-6, max_level=1000)
 
 
+@pytest.mark.parametrize("families", [("h",), (Family.H, "psi0"), (Family.PSI2, None)])
+def test_config_rejects_families_that_are_not_family_members(families):
+    bad = next(f for f in families if not isinstance(f, Family))
+    with pytest.raises(ValueError, match=f"got {bad!r}$"):
+        SynthesisConfig(epsilon=1e-6, families=families)
+
+
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
