@@ -153,19 +153,19 @@ def _cmd_climb(args: argparse.Namespace) -> int:
 
 def _cmd_factory(args: argparse.Namespace) -> int:
     kind = _FACTORY_NAMES[args.kind]
-    spec = factories.factory_spec(kind)
+    h_per_trial, success_prob = ladder.FACTORY_TRIALS[kind]
     prob, _ = factories.simulate_factory_circuit(kind)
     successes = sum(
         1 for i in range(args.trials) if derive_rng(args.seed, "factory", i).random() < prob
     )
     report = factories.verify_factory_against_code(kind)
     print(f"factory {kind.value}")
-    print(f"success probability   closed form {spec.success_prob_closed_form:.12f}")
+    print(f"success probability   closed form {success_prob:.12f}")
     print(f"                      circuit     {prob:.12f}")
     print(f"                      sampled     {successes / args.trials:.6f} ({args.trials} trials)")
-    print(f"inputs per trial      {spec.h_per_trial}")
-    print(f"average cost          {spec.avg_cost_closed_form:.6f}")
-    print(f"output state angle    {spec.output_state_angle:.12f}")
+    print(f"inputs per trial      {h_per_trial}")
+    print(f"average cost          {ladder.base_average_cost(kind):.6f}")
+    print(f"output state angle    {ladder.base_state_angle(kind):.12f}")
     print(f"code check            {'ok' if report.ok else report.failure_reason()}")
     return 0 if report.ok else 1
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import qcore
-from .ladder import FACTORY_TRIALS, THETA0, Family, base_average_cost, base_state_angle
+from .ladder import THETA0, Family
 from .qcore import PauliString, PureRegister
 
 # the code check's agreement tolerance, for probabilities and canonical angles
@@ -45,33 +45,18 @@ _PSI2_GATES = (
 
 @dataclass(frozen=True)
 class FactorySpec:
+    """A factory circuit; ladder holds its closed forms (FACTORY_TRIALS, base accessors)."""
+
     gates: tuple[tuple[str, tuple[int, ...]], ...]
     # state angle a of each input cos(a)|0> + sin(a)|1>, qubit 0 first
     inputs: tuple[float, float, float, float]
     measured_qubits: tuple[int, int, int]
-    h_per_trial: int
-    success_prob_closed_form: float
-    avg_cost_closed_form: float
-    output_state_angle: float
-
-
-def _spec(kind: Family, gates, inputs, measured_qubits) -> FactorySpec:
-    h_per_trial, success_prob = FACTORY_TRIALS[kind]
-    return FactorySpec(
-        gates=gates,
-        inputs=inputs,
-        measured_qubits=measured_qubits,
-        h_per_trial=h_per_trial,
-        success_prob_closed_form=success_prob,
-        avg_cost_closed_form=base_average_cost(kind),
-        output_state_angle=base_state_angle(kind),
-    )
 
 
 _SPECS = {
-    Family.PSI0: _spec(Family.PSI0, _PSI0_GATES, (THETA0,) * 4, (0, 1, 3)),
-    Family.PSI1: _spec(Family.PSI1, _PSI0_GATES, (THETA0, math.pi / 4, THETA0, THETA0), (0, 1, 3)),
-    Family.PSI2: _spec(Family.PSI2, _PSI2_GATES, (THETA0,) * 4, (0, 2, 3)),
+    Family.PSI0: FactorySpec(_PSI0_GATES, (THETA0,) * 4, (0, 1, 3)),
+    Family.PSI1: FactorySpec(_PSI0_GATES, (THETA0, math.pi / 4, THETA0, THETA0), (0, 1, 3)),
+    Family.PSI2: FactorySpec(_PSI2_GATES, (THETA0,) * 4, (0, 2, 3)),
 }
 
 # Stabilizer codes decoded by the circuits (psi1 runs the psi0 circuit, so

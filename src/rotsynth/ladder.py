@@ -40,6 +40,13 @@ def checked_level(value, name: str, lowest: int = 0) -> int:
     raise ValueError(f"{name} must be in [{lowest}, {MAX_LEVEL}], got {level}")
 
 
+def checked_family(value, name: str) -> Family:
+    """value unchanged if it is a Family member; anything else (even "h") raises ValueError."""
+    if isinstance(value, Family):
+        return value
+    raise ValueError(f"{name} must be a Family member, got {value!r}")
+
+
 class Family(enum.Enum):
     """Ladder base-state families: raw resources or one of the three
     post-selected factory outputs."""
@@ -77,13 +84,14 @@ FACTORY_TRIALS = {
 _BASE_COST = {Family.H: 1.0, **{f: h / p for f, (h, p) in FACTORY_TRIALS.items()}}
 
 
+# the two accessors below are the only readers of the tables and the one family check
 def base_state_angle(family: Family) -> float:
-    return _BASE_ANGLE[family]
+    return _BASE_ANGLE[checked_family(family, "family")]
 
 
 def base_average_cost(family: Family) -> float:
     """Expected raw-resource count to produce one base state of the family."""
-    return _BASE_COST[family]
+    return _BASE_COST[checked_family(family, "family")]
 
 
 def ladder_angle(family: Family, level: int) -> float:
@@ -95,7 +103,7 @@ def ladder_angle(family: Family, level: int) -> float:
         raise ValueError("ladder levels start at 0")
     if family is Family.H:
         return math.atan(TAN_THETA0 ** (level + 1))
-    return math.atan(math.tan(_BASE_ANGLE[family]) * TAN_THETA0**level)
+    return math.atan(math.tan(base_state_angle(family)) * TAN_THETA0**level)
 
 
 def rotation_angle(family: Family, level: int) -> float:
@@ -159,7 +167,7 @@ def simulate_climb(family: Family, target_level: int, rng: random.Random) -> Cli
 
 def climb_cost(result: ClimbResult, family: Family) -> float:
     """Total cost in raw-resource units, base states billed at the factory average."""
-    return result.h_consumed + result.base_states_consumed * _BASE_COST[family]
+    return result.h_consumed + result.base_states_consumed * base_average_cost(family)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 7.0 never reads the entry of 7
@@ -172,7 +180,7 @@ def expected_climb_cost(family: Family, target_level: int) -> float:
     re-bills the bottom, i.e. T_{-1} = c, the base cost; E = c + sum T_l.
     """
     target_level = checked_level(target_level, "target_level")
-    total = passage = _BASE_COST[family]
+    total = passage = base_average_cost(family)
     for p in success_probs(family)[:target_level]:
         passage = (1 + (1 - p) * passage) / p
         total += passage

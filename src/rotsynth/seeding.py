@@ -16,6 +16,8 @@ import random
 
 import numpy as np
 
+from .ladder import checked_integer
+
 DEFAULT_SEED = 137137
 
 # counter layout: instance in the high 32 bits, draw in the low 32
@@ -28,7 +30,8 @@ _ULP = np.float64(2.0**-53)
 
 
 def derive_seed(master_seed: int, *path: int | str) -> int:
-    """The integer seed of the substream (master_seed, *path)."""
+    """The integer seed of the substream (master_seed, *path), master_seed an integer."""
+    master_seed = checked_integer(master_seed, "seed")
     material = ",".join(str(p) for p in (master_seed, *path)).encode("ascii")
     return int.from_bytes(hashlib.sha256(material).digest(), "big")
 

@@ -116,6 +116,8 @@ def run_scaling_study(
     n_samples, jobs = checked_integer(n_samples, "n_samples"), checked_integer(jobs, "jobs")
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     lo, hi = eps_range
     if not 0 < lo <= hi < 1:
         raise ValueError(f"eps_range must satisfy 0 < lo <= hi < 1, got ({lo!r}, {hi!r})")

@@ -24,6 +24,7 @@ from .ladder import (
     MAX_LEVEL,
     Family,
     base_average_cost,
+    checked_family,
     checked_level,
     climb_walk,
     expected_climb_cost,
@@ -77,8 +78,7 @@ class SynthesisConfig:
         if not self.families:
             raise ValueError("at least one family must be enabled")
         for family in self.families:
-            if not isinstance(family, Family):
-                raise ValueError(f"families must hold Family members, got {family!r}")
+            checked_family(family, "families")
         if self.max_level is not None:
             checked_level(self.max_level, "max_level")
 

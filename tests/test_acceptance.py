@@ -94,7 +94,7 @@ def test_criterion_3_factory_closed_forms():
         )
         assert abs(circuit_prob - prob_cf) < 1e-10, kind
         assert abs(projected.prob - prob_cf) < 1e-10, kind
-        avg = factories.factory_spec(kind).avg_cost_closed_form
+        avg = ladder.base_average_cost(kind)
         assert abs(avg - avg_quoted) / avg_quoted < 0.005, kind
         details.append(f"{kind.value}: p={circuit_prob:.6f} cost={avg:.2f}")
     _report("3", True, "; ".join(details))

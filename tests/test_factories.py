@@ -7,11 +7,17 @@ from rotsynth.cli import main
 from rotsynth.factories import (
     CODE_GENERATORS,
     LOGICAL_Z,
-    factory_spec,
     simulate_factory_circuit,
     verify_factory_against_code,
 )
-from rotsynth.ladder import Family, ladder_angle, merge_success_prob
+from rotsynth.ladder import (
+    FACTORY_TRIALS,
+    Family,
+    base_average_cost,
+    base_state_angle,
+    ladder_angle,
+    merge_success_prob,
+)
 from rotsynth.qcore import pauli_projector_overlap, paulis_commute
 
 SQRT2 = math.sqrt(2)
@@ -30,37 +36,32 @@ OUTPUT_ANGLES = {Family.PSI0: 0.2228, Family.PSI1: 0.2849, Family.PSI2: 0.3449}
 def test_circuit_probability_matches_closed_form(kind):
     prob, _ = simulate_factory_circuit(kind)
     assert prob == pytest.approx(CLOSED_FORM_PROBS[kind], abs=1e-10)
-    assert factory_spec(kind).success_prob_closed_form == pytest.approx(
-        CLOSED_FORM_PROBS[kind], abs=1e-14
-    )
+    assert FACTORY_TRIALS[kind][1] == pytest.approx(CLOSED_FORM_PROBS[kind], abs=1e-14)
 
 
 @pytest.mark.parametrize("kind", FACTORIES)
 def test_average_cost(kind):
-    spec = factory_spec(kind)
-    expected = spec.h_per_trial / CLOSED_FORM_PROBS[kind]
-    assert spec.avg_cost_closed_form == pytest.approx(expected, rel=1e-12)
-    assert spec.avg_cost_closed_form == pytest.approx(AVG_COSTS[kind], rel=5e-3)
+    expected = FACTORY_TRIALS[kind][0] / CLOSED_FORM_PROBS[kind]
+    assert base_average_cost(kind) == pytest.approx(expected, rel=1e-12)
+    assert base_average_cost(kind) == pytest.approx(AVG_COSTS[kind], rel=5e-3)
 
 
 def test_per_trial_inputs():
     # one input of the psi1 circuit is the free |+>, so a trial bills 3
-    assert factory_spec(Family.PSI0).h_per_trial == 4
-    assert factory_spec(Family.PSI1).h_per_trial == 3
-    assert factory_spec(Family.PSI2).h_per_trial == 4
+    assert FACTORY_TRIALS[Family.PSI0][0] == 4
+    assert FACTORY_TRIALS[Family.PSI1][0] == 3
+    assert FACTORY_TRIALS[Family.PSI2][0] == 4
 
 
 @pytest.mark.parametrize("kind", FACTORIES)
 def test_output_angle_closed_form(kind):
-    assert factory_spec(kind).output_state_angle == pytest.approx(OUTPUT_ANGLES[kind], abs=5e-5)
+    assert base_state_angle(kind) == pytest.approx(OUTPUT_ANGLES[kind], abs=5e-5)
 
 
 @pytest.mark.parametrize("kind", FACTORIES)
 def test_output_state_canonical_angle(kind):
     _, output = simulate_factory_circuit(kind)
-    assert qcore.canonical_xz_angle(output) == pytest.approx(
-        factory_spec(kind).output_state_angle, abs=1e-10
-    )
+    assert qcore.canonical_xz_angle(output) == pytest.approx(base_state_angle(kind), abs=1e-10)
 
 
 @pytest.mark.parametrize("kind", FACTORIES)
@@ -136,7 +137,7 @@ def test_factory_output_feeds_ladder(kind):
     """Merging the factory output with a fresh resource reproduces the
     level-1 rotation of its ladder (reference values at table precision)."""
     level1 = {Family.PSI0: 1.871e-1, Family.PSI1: 2.415e-1, Family.PSI2: 2.954e-1}[kind]
-    angle0 = factory_spec(kind).output_state_angle
+    angle0 = base_state_angle(kind)
     reg = qcore.apply_gate(
         qcore.product_state(qcore.xz_state(math.pi / 8), qcore.xz_state(angle0)),
         "CNOT",

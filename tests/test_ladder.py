@@ -312,6 +312,32 @@ def test_level_arguments_are_checked_by_name(entry):
                 call(level)
 
 
+# every entry point that takes a ladder family, called on the family alone
+FAMILY_ENTRY_POINTS = {
+    "ladder_angle": lambda family: ladder_angle(family, 2),
+    "rotation_angle": lambda family: rotation_angle(family, 2),
+    "merge_success_prob": lambda family: merge_success_prob(family, 2),
+    "success_probs": success_probs,
+    "simulate_climb": lambda family: simulate_climb(family, 3, derive_rng(31, "family")),
+    "expected_climb_cost": lambda family: expected_climb_cost(family, 3),
+    "climb_cost": lambda family: climb_cost(ClimbResult(5, 2, 5), family),
+    "base_state_angle": base_state_angle,
+    "base_average_cost": base_average_cost,
+}
+
+
+@pytest.mark.parametrize("value", ["h", "psi0", None, 0])
+@pytest.mark.parametrize("entry", sorted(FAMILY_ENTRY_POINTS))
+def test_family_arguments_are_checked_by_name(entry, value):
+    """Every family argument goes through ladder.checked_family: anything but
+    a Family member, even a member's value, is a ValueError naming the
+    argument and the value."""
+    call = FAMILY_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^family must be a Family member, got {re.escape(repr(value))}$"):
+        call(value)
+    call(Family.PSI0)
+
+
 def test_expected_climb_cost_rejects_a_float_level_cold_and_warm():
     """The level check runs ahead of the cache: 7.0 never answers with the
     cached value of 7."""

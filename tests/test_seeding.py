@@ -1,5 +1,8 @@
-"""The counter stream against its pure-integer reference, and its statistics."""
+"""The counter stream against its pure-integer reference, and its statistics;
+the master-seed check that every stream goes through."""
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import counter_uniform, counter_word
-from rotsynth.seeding import COUNTER_LIMIT, counter_uniforms, derive_seed
+from rotsynth.noise import NoiseModel, decay_study
+from rotsynth.seeding import COUNTER_LIMIT, counter_uniforms, derive_rng, derive_seed
+from rotsynth.study import fixed_angle_study, run_scaling_study
 
 _ROWS = [0, 1, 2, 149, COUNTER_LIMIT - 1]
 
@@ -112,3 +117,26 @@ def test_adjacent_draws_uncorrelated(axis):
     z = r * math.sqrt(a.size)
     print(f"STREAM adjacent-{axis} correlation over {a.size} pairs: r = {r:.2e}, z = {z:.2f}")
     assert abs(z) < 5
+
+
+# every entry point that takes a master seed, called on the seed alone
+SEED_ENTRY_POINTS = {
+    "derive_seed": lambda seed: derive_seed(seed, "noise", 3),
+    "derive_rng": lambda seed: derive_rng(seed, "scaling", 3).random(),
+    "decay_study": lambda seed: decay_study(NoiseModel("a", 1e-4), 3, 2, seed=seed),
+    "run_scaling_study": lambda seed: run_scaling_study("h-only", 5, seed=seed)[0],
+    "fixed_angle_study": lambda seed: fixed_angle_study(0.3, [1e-3], "h-only", 2, seed=seed),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
+def test_master_seeds_are_checked_by_name(entry):
+    """Every stream goes through derive_seed, which takes an integer master
+    seed only: "1" does not read seed 1's stream, and a numpy integer reads
+    the equal int's."""
+    call = SEED_ENTRY_POINTS[entry]
+    for value in (None, 1.5, 1.0, "1", Fraction(1)):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(value))}$"):
+            call(value)
+    for dtype in (np.int8, np.int64, np.uint16):
+        assert call(dtype(1)) == call(1)

@@ -147,6 +147,12 @@ def test_run_scaling_study_rejects_a_non_integral_job_count(jobs):
         run_scaling_study(H_ONLY, 10, seed=3, jobs=jobs)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_scaling_study_rejects_fewer_than_one_job(jobs):
+    with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+        run_scaling_study(H_ONLY, 5, seed=3, jobs=jobs)
+
+
 def test_run_scaling_study_accepts_numpy_integer_counts():
     numpy_counts = run_scaling_study(H_ONLY, np.int32(10), seed=3, jobs=np.int64(1))
     assert numpy_counts == run_scaling_study(H_ONLY, 10, seed=3)
