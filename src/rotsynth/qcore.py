@@ -11,7 +11,6 @@ Qubit 0 is the first tensor factor (leftmost ket label).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import cos, sin, sqrt, pi
 
@@ -306,23 +305,9 @@ def pauli_projector_overlap(
 
 # --- single-qubit Clifford canonicalization -------------------------------
 
-# how far off the XZ plane and its quadrant edges a rotated Bloch vector may sit
+# how far off a reflection circle (smallest |Bloch component|) a state may
+# sit, and below which the middle |component| reads as zero
 _CANONICAL_TOL = 1e-9
-
-
-@lru_cache(maxsize=1)
-def _octahedral_rotations() -> tuple[np.ndarray, ...]:
-    """The 24 rotations of the single-qubit Clifford group acting on Bloch
-    vectors: signed permutation matrices with determinant +1."""
-    mats = []
-    for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        for signs in product((1, -1), repeat=3):
-            m = np.zeros((3, 3))
-            for row, (col, sgn) in enumerate(zip(perm, signs)):
-                m[row, col] = sgn
-            if round(np.linalg.det(m)) == 1:
-                mats.append(m)
-    return tuple(mats)
 
 
 def bloch_vector(state: PureRegister | DensityMatrix) -> np.ndarray:
@@ -343,17 +328,14 @@ def canonical_xz_angle(state: PureRegister) -> float:
     with a in [0, pi/8].
 
     Defined for states lying on a reflection circle of the octahedral group
-    (all states produced in this package do).
+    (all states produced in this package do).  The Clifford orbit of a Bloch
+    vector is the signed permutations of its coordinates, so with the
+    |components| sorted small <= mid <= big, small must be zero and the
+    representative's Bloch angle is atan2(mid, big).
     """
-    v = bloch_vector(state)
-    best = None
-    for rot in _octahedral_rotations():
-        x, y, z = rot @ v
-        if abs(y) < _CANONICAL_TOL and x >= -_CANONICAL_TOL and z >= -_CANONICAL_TOL:
-            beta = float(np.arctan2(max(x, 0.0), max(z, 0.0)))
-            if beta <= pi / 4 + _CANONICAL_TOL:
-                best = beta if best is None else min(best, beta)
-    if best is None:
+    small, mid, big = np.sort(np.abs(bloch_vector(state)))
+    if small >= _CANONICAL_TOL:
         raise ValueError("state is not Clifford-equivalent to an XZ-plane state")
-    return best / 2
-
+    if mid <= _CANONICAL_TOL:
+        return 0.0
+    return float(np.arctan2(mid, big)) / 2

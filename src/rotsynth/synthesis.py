@@ -1,11 +1,11 @@
 """Greedy compilation of Z-rotations from ladder states.
 
 A rotation consumed from a level-i ladder state applies +-2*theta_i with
-probability 1/2 each; quarter-turn corrections (S, Z) are free Cliffords.
-The planner repeatedly picks the enabled state whose rotation is nearest to
-the remaining residual, simulates a ladder instance for it (offline cost),
-applies the coin-flip rotation (online cost), and folds free quarter turns
-out of the residual, until |residual| <= epsilon.
+probability 1/2 each.  Quarter turns (S, Z) are free Cliffords, and
+reduce_by_clifford is the one place they are folded out of a residual.  The
+planner repeatedly folds the residual, picks the enabled state whose rotation
+is nearest to it, simulates a ladder instance for it (offline cost) and
+applies the coin-flip rotation (online cost), until |residual| <= epsilon.
 
 The min-online variant moves all coin flips onto offline-prepared ancillas:
 the residual rotation is synthesized onto a free |+> ancilla which is then
@@ -37,26 +37,21 @@ HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
 
 
-def wrap_angle(x: float) -> float:
-    """Wrap to (-pi, pi]."""
-    x = math.remainder(x, TAU)
-    if x <= -math.pi:
-        x += TAU
-    return x
-
-
 def reduce_by_clifford(residual: float) -> tuple[float, int]:
-    """Fold free quarter turns out of a residual rotation.
+    """Wrap a residual rotation to (-pi, pi] and fold free quarter turns out.
 
     Returns the equivalent residual in (-pi/4, pi/4] together with the number
     of quarter-turn gates absorbed (zero cost).
     """
+    residual = math.remainder(residual, TAU)
+    if residual <= -math.pi:
+        residual += TAU
     k = round(residual / HALF_PI)
-    reduced = residual - k * HALF_PI
-    if reduced <= -QUARTER_PI:
-        reduced += HALF_PI
+    residual -= k * HALF_PI
+    if residual <= -QUARTER_PI:
+        residual += HALF_PI
         k -= 1
-    return reduced, abs(k)
+    return residual, abs(k)
 
 
 @dataclass(frozen=True)
@@ -183,16 +178,8 @@ def synthesize(target: float, config: SynthesisConfig, rng: random.Random) -> Sy
     offline, corrections = 0.0, 0
     residual = target
     while True:
-        # wrap_angle, then reduce_by_clifford
-        residual = math.remainder(residual, TAU)
-        if residual <= -math.pi:
-            residual += TAU
-        k = round(residual / HALF_PI)
-        residual -= k * HALF_PI
-        if residual <= -QUARTER_PI:
-            residual += HALF_PI
-            k -= 1
-        corrections += abs(k)
+        residual, k = reduce_by_clifford(residual)
+        corrections += k
         if abs(residual) <= eps:
             break
         i = lookup(abs(residual), start)
@@ -245,7 +232,7 @@ def min_online_synthesize(
     offline = 0.0
     remaining = target
     while True:
-        remaining, k = reduce_by_clifford(wrap_angle(remaining))
+        remaining, k = reduce_by_clifford(remaining)
         corrections += k
         if abs(remaining) <= eps:
             break

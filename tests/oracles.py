@@ -22,7 +22,6 @@ from rotsynth.ladder import Family, ladder_angle
 from rotsynth.noise import NoiseModel, make_noisy_resource
 from rotsynth.qcore import DensityMatrix, PureRegister, apply_gate
 from rotsynth.seeding import derive_seed
-from rotsynth.synthesis import wrap_angle
 
 
 def basis_state(n_qubits: int, index: int = 0) -> PureRegister:
@@ -83,12 +82,13 @@ def apply_random_rotation(
     residual: float, rot_angle: float, rng: random.Random
 ) -> tuple[float, int]:
     """Consume one resource state: the applied rotation is +rot_angle or
-    -rot_angle with probability 1/2 each.  Returns the new residual, wrapped
-    to (-pi, pi], and the applied sign."""
+    -rot_angle with probability 1/2 each.  Returns the new residual, not
+    yet wrapped or folded (reduce_by_clifford does both), and the applied
+    sign."""
     if rot_angle <= 0:
         raise ValueError("rotation angle must be positive")
     sign = 1 if rng.random() < 0.5 else -1
-    return wrap_angle(residual - sign * rot_angle), sign
+    return residual - sign * rot_angle, sign
 
 
 class NoisyWalker:

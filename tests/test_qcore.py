@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -253,10 +254,6 @@ def test_projector_plus_state_single_generator():
 # --- Bloch / Clifford canonicalization -------------------------------------
 
 
-def test_octahedral_rotation_count():
-    assert len(qcore._octahedral_rotations()) == 24
-
-
 def test_bloch_vector_basics():
     assert np.abs(bloch_vector(basis_state(1, 0)) - [0, 0, 1]).max() < 1e-12
     assert np.abs(bloch_vector(plus_state()) - [1, 0, 0]).max() < 1e-12
@@ -264,15 +261,47 @@ def test_bloch_vector_basics():
     assert np.abs(v - [math.sin(math.pi / 4), 0, math.cos(math.pi / 4)]).max() < 1e-12
 
 
+def _clifford_words(seed, count=20, max_len=8):
+    """Seeded random words of H, S, X and Z, each with a global phase."""
+    rng = random.Random(seed)
+    return [
+        ([rng.choice("HSXZ") for _ in range(rng.randint(1, max_len))], rng.uniform(0, 2 * math.pi))
+        for _ in range(count)
+    ]
+
+
+CLIFFORD_WORDS = [([gate], 0.0) for gate in "HSXZ"] + _clifford_words(11)
+
+
 @pytest.mark.parametrize("angle", [0.05, 0.2, THETA0, 0.3449])
 def test_canonical_angle_invariant_under_cliffords(angle):
     state = xz_state(angle)
     assert canonical_xz_angle(state) == pytest.approx(min(angle, math.pi / 4 - angle), abs=1e-12)
-    for gate in ("H", "S", "X", "Z"):
-        mapped = apply_gate(state, gate, 0)
+    for word, phase in CLIFFORD_WORDS:
+        mapped = state
+        for gate in word:
+            mapped = apply_gate(mapped, gate, 0)
+        mapped = PureRegister(mapped.amps * np.exp(1j * phase))
         assert canonical_xz_angle(mapped) == pytest.approx(
             canonical_xz_angle(state), abs=1e-9
-        )
+        ), (word, phase)
+
+
+def test_canonical_angle_rejects_state_off_every_reflection_circle():
+    # Bloch vector (0.43, 0.36, 0.83): no component is zero
+    state = PureRegister(np.array([math.cos(0.3), np.exp(0.7j) * math.sin(0.3)]))
+    with pytest.raises(ValueError, match="not Clifford-equivalent"):
+        canonical_xz_angle(state)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [basis_state(1, 0), basis_state(1, 1), plus_state(), apply_gate(plus_state(), "S", 0)],
+    ids=["0", "1", "+", "+i"],
+)
+def test_canonical_angle_of_stabilizer_states_is_exactly_zero(state):
+    angle = canonical_xz_angle(state)
+    assert (angle, math.copysign(1.0, angle)) == (0.0, 1.0)
 
 
 def test_states_equal_up_to_phase():
