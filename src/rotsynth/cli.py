@@ -138,8 +138,7 @@ def _cmd_climb(args: argparse.Namespace) -> int:
     total = 0.0
     total_sq = 0.0
     for i in range(args.trials):
-        result = ladder.simulate_climb(family, args.level, derive_rng(args.seed, "climb", i))
-        cost = ladder.climb_cost(result, family)
+        cost = ladder.simulate_climb(family, args.level, derive_rng(args.seed, "climb", i))
         total += cost
         total_sq += cost * cost
     mean = total / args.trials

@@ -17,7 +17,6 @@ import enum
 import math
 import operator
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 THETA0 = math.pi / 8
@@ -118,15 +117,6 @@ def merge_success_prob(family: Family, level: int) -> float:
     return math.cos(a) ** 2 * c0 * c0 + math.sin(a) ** 2 * s0 * s0
 
 
-@dataclass(frozen=True)
-class ClimbResult:
-    """Resource consumption of one simulated climb."""
-
-    h_consumed: int
-    base_states_consumed: int
-    steps: int
-
-
 @lru_cache(maxsize=None)
 def success_probs(family: Family) -> tuple[float, ...]:
     """Up-outcome probabilities of the merges from levels 0..MAX_LEVEL-1."""
@@ -149,25 +139,18 @@ def climb_walk(probs: tuple[float, ...], target_level: int, rnd) -> tuple[int, i
     return target_level + 2 * downs + restarts, restarts
 
 
-def simulate_climb(family: Family, target_level: int, rng: random.Random) -> ClimbResult:
-    """Walk the ladder until the bottom state reaches target_level.
+def simulate_climb(family: Family, target_level: int, rng: random.Random) -> float:
+    """Walk the ladder until the bottom state reaches target_level; returns
+    the cost in raw-resource units.
 
-    Family H: the initial bottom and every merge top are raw resources; a
-    level-0 failure discards the bottom, so the next merge again costs two.
-    Factory families: the bottom is a base state (counted separately and
-    billed at the factory average), merge tops are raw resources, and a
-    level-0 failure re-bills a fresh base state.
+    Every merge consumes one raw top resource, and the bottom is billed
+    base_average_cost(family) once at the start and again after every
+    level-0 restart: for family H that is one raw resource, for a factory
+    family the factory average.
     """
     target_level = checked_level(target_level, "target_level")
     steps, restarts = climb_walk(success_probs(family), target_level, rng.random)
-    if family is Family.H:
-        return ClimbResult(steps + restarts + 1, 0, steps)
-    return ClimbResult(steps, restarts + 1, steps)
-
-
-def climb_cost(result: ClimbResult, family: Family) -> float:
-    """Total cost in raw-resource units, base states billed at the factory average."""
-    return result.h_consumed + result.base_states_consumed * base_average_cost(family)
+    return steps + (restarts + 1) * base_average_cost(family)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 7.0 never reads the entry of 7

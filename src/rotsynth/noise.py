@@ -21,15 +21,17 @@ with n = l + 1, the bottom state is
 The up probability therefore depends on the level alone, and the distance
 at a first arrival on (level, m) alone.  The up probability and the
 per-level parts of the state are tabulated once per model, and a climb is
-an integer walk on (level, m): one loop per instance, or a numpy lockstep
-of many instances, both reading the same counter-stream rows and the same
-tables; one distance expression turns the downs of either into the same
-bytes.  The tests check the tables against an exact oracle and the walk
-against a step-by-step walker and the generic density-matrix simulation.
+an integer walk on (level, m): a numpy lockstep walks the first block of
+many instances' counter-stream rows, and a loop per instance the rest, both
+on the same tables; one distance expression turns the downs into the same
+bytes whichever walked them.  The tests check the tables against an exact
+oracle and the walk against a step-by-step walker and the generic
+density-matrix simulation.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,6 +68,10 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("a", "b", "c"):
             raise ValueError("kind must be 'a', 'b' or 'c'")
+        if not isinstance(self.strength, numbers.Real):
+            raise ValueError(f"strength must be a real number, got {self.strength!r}")
+        # repr(strength) keys the stream: np.float64(x) must read the stream of x
+        object.__setattr__(self, "strength", float(self.strength))
         if not 0 <= self.strength < math.inf:
             raise ValueError("strength must be finite and >= 0")
         if self.kind == "a" and self.strength > 1:
@@ -221,15 +227,15 @@ def propagate_to_level(
     return rho, float(tables.distances(np.array(arrivals))[-1])
 
 
-def _lockstep_climbs(up: np.ndarray, top: int, key: int, block: np.ndarray) -> np.ndarray:
-    """_noisy_climb for every instance at once, one draw per tick.
+def _lockstep_climbs(up: np.ndarray, top: int, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_noisy_climb for every instance at once on its row of block, one draw per tick.
 
-    Instance i reads row i of the counter stream under key, starting with
-    row i of block (its first draws).  Returns the (instances, top) matrix
-    of downs at the first arrival at levels 1..top.  Downs are not counted
-    per tick: an instance that arrives at level l at tick T, its last
-    restart at tick R (R = -1 before any), has spent the T - R draws since
-    on ups and downs, so on (T - R - l) / 2 downs.
+    Returns the (instances, top) matrix of downs at the first arrival at
+    levels 1..top, and the instances still below top at the block's end,
+    whose rows are left unfilled.  Downs are not counted per tick: an
+    instance that arrives at level l at tick T, its last restart at tick R
+    (R = -1 before any), has spent the T - R draws since on ups and downs,
+    so on (T - R - l) / 2 downs.
     """
     n = len(block)
     arrivals = np.empty((n, top), dtype=np.intp)
@@ -237,15 +243,8 @@ def _lockstep_climbs(up: np.ndarray, top: int, key: int, block: np.ndarray) -> n
     level = np.zeros(n, dtype=np.intp)
     seen = np.zeros(n, dtype=np.intp)
     restart = np.full(n, -1, dtype=np.intp)
-    rows = inst  # row of each active instance in block
-    first = 0  # draw index of block's column 0
-    columns = block.T.copy()  # one contiguous row per draw index
-    tick = 0
-    while inst.size:
-        if tick == first + len(columns):
-            columns = counter_uniforms(key, inst, tick, tick).T.copy()
-            rows, first = np.arange(inst.size), tick
-        level += np.where(columns[tick - first][rows] < up[level], 1, -1)
+    for tick, column in enumerate(block.T.copy()):  # one contiguous row per draw index
+        level += np.where(column[inst] < up[level], 1, -1)
         fell = level < 0
         if fell.any():
             level[fell] = 0
@@ -258,10 +257,10 @@ def _lockstep_climbs(up: np.ndarray, top: int, key: int, block: np.ndarray) -> n
             # no instance reaches top before its top-th draw
             if tick + 1 >= top and (lv == top).any():
                 keep = seen < top
-                inst, rows = inst[keep], rows[keep]
-                level, seen, restart = level[keep], seen[keep], restart[keep]
-        tick += 1
-    return (arrivals - np.arange(1, top + 1)) >> 1
+                inst, level, seen, restart = inst[keep], level[keep], seen[keep], restart[keep]
+                if not inst.size:
+                    break
+    return (arrivals - np.arange(1, top + 1)) >> 1, inst
 
 
 def _row_draws(key: int, instance: int, start: int):
@@ -285,28 +284,26 @@ def decay_study(
     arrival at every level; first-arrival snapshots have the same law as
     stopping there, so the per-level means match per-level runs.  Instance i
     reads row i of the counter stream keyed by (seed, kind, strength).  From
-    _LOCKSTEP_MIN_INSTANCES on, all instances climb together in numpy; both
-    paths give the same downs at every arrival, so the same bytes out.
+    _LOCKSTEP_MIN_INSTANCES on, all instances walk the first block together
+    in numpy and the loop walks on only those still climbing at its end;
+    below it, the loop walks every instance.  Same downs, same bytes.
     """
     max_level = checked_level(max_level, "max_level", 1)
     if (n_instances := checked_integer(n_instances, "n_instances")) < 1:
         raise ValueError("need at least one instance")
     tables = _climb_tables(model)
     key = derive_seed(seed, "noise", model.kind, repr(model.strength))
-    # a climb needs at least max_level draws; about 0.5% of criterion-8
-    # instances need more than this, and continue their rows past the block
+    # a climb needs at least max_level draws; 0.15-0.36% of the instances of
+    # a criterion-8 cell need more than this, and the loop walks them on
     width = 2 * max_level + 8
     block = counter_uniforms(key, np.arange(n_instances), 0, width)
     if n_instances >= _LOCKSTEP_MIN_INSTANCES:
-        downs = _lockstep_climbs(tables.up_array, max_level, key, block)
+        downs, rest = _lockstep_climbs(tables.up_array, max_level, block)
     else:
-        downs = np.array(
-            [
-                _noisy_climb(tables.up, max_level, chain(row, _row_draws(key, instance, width)))
-                for instance, row in enumerate(block.tolist())
-            ],
-            dtype=np.intp,
-        )
+        downs, rest = np.empty((n_instances, max_level), np.intp), range(n_instances)
+    for i in rest:
+        draws = chain(block[i].tolist(), _row_draws(key, i, width))
+        downs[i] = _noisy_climb(tables.up, max_level, draws)
     # per level, in instance order: a sequential sum whatever numpy's reduction order
     sums = np.cumsum(tables.distances(downs), axis=0)[-1].tolist()
     return [(lvl, s / n_instances) for lvl, s in enumerate(sums, 1)]

@@ -73,10 +73,6 @@ def xz_state(angle: float) -> PureRegister:
     return PureRegister(np.array([cos(angle), sin(angle)], dtype=complex))
 
 
-def plus_state() -> PureRegister:
-    return xz_state(pi / 4)
-
-
 def product_state(*factors: PureRegister) -> PureRegister:
     amps = np.array([1.0], dtype=complex)
     for f in factors:

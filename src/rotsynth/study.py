@@ -291,18 +291,6 @@ def export_samples_csv(samples: list[ScalingSample], path: str) -> None:
             writer.writerow([s.scheme, repr(s.epsilon), repr(s.target), s.online, repr(s.offline)])
 
 
-def load_samples_csv(path: str) -> list[ScalingSample]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        return [
-            ScalingSample(row[0], float(row[1]), float(row[2]), int(row[3]), float(row[4]))
-            for row in reader
-        ]
-
-
 def fits_summary(
     scheme: str,
     fit_online: ScalingFit,

@@ -7,9 +7,12 @@ pure-integer copy of the counter stream, one merge at a time; the exact
 climb (fractions and 50-digit decimals) judges the noise module's climb
 tables, and with them the exact decay-study means of the tilted models;
 and the one-state rotation step replays the planner from its public pieces.
+The small helpers that only the tests read live here too: basis states,
+|+>, and reading a samples CSV back.
 """
 from __future__ import annotations
 
+import csv
 import math
 import random
 from dataclasses import dataclass
@@ -20,14 +23,32 @@ import numpy as np
 
 from rotsynth.ladder import Family, ladder_angle
 from rotsynth.noise import NoiseModel, make_noisy_resource
-from rotsynth.qcore import DensityMatrix, PureRegister, apply_gate
+from rotsynth.qcore import DensityMatrix, PureRegister, apply_gate, xz_state
 from rotsynth.seeding import derive_seed
+from rotsynth.study import CSV_HEADER, ScalingSample
 
 
 def basis_state(n_qubits: int, index: int = 0) -> PureRegister:
     amps = np.zeros(2**n_qubits, dtype=complex)
     amps[index] = 1.0
     return PureRegister(amps)
+
+
+def plus_state() -> PureRegister:
+    return xz_state(math.pi / 4)
+
+
+def load_samples_csv(path: str) -> list[ScalingSample]:
+    """The samples of a study.export_samples_csv file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != CSV_HEADER:
+            raise ValueError(f"unexpected CSV header {header!r}")
+        return [
+            ScalingSample(row[0], float(row[1]), float(row[2]), int(row[3]), float(row[4]))
+            for row in reader
+        ]
 
 
 def states_equal_up_to_phase(a: PureRegister, b: PureRegister, tol: float = 1e-10) -> bool:

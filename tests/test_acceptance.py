@@ -112,7 +112,7 @@ def test_criterion_4_climb_oracle():
         total = 0.0
         total_sq = 0.0
         for _ in range(n):
-            cost = ladder.simulate_climb(Family.H, level, rng).h_consumed
+            cost = ladder.simulate_climb(Family.H, level, rng)
             total += cost
             total_sq += cost * cost
         mean = total / n

@@ -39,6 +39,8 @@ CLI_DIGESTS = {
         "0745913deecb9701f852d7655c69b1531ecf2235bb3fbf36453740a52257effe",
     ("min-online", "--target", "1.3", "--eps", "1e-8", "--trials", "50"):
         "00b54c0304a39031f46ddf2bfb82ae8801cc17f0fa339d0575bd5265fcad7b6b",
+    ("climb", "--family", "h", "--level", "12", "--trials", "2000"):
+        "e152c16308ba994c0441090031ec7c80f98d6dcb8e13f07a45a179fcd4c3e6c2",
     ("climb", "--family", "psi1", "--level", "12", "--trials", "2000"):
         "e74d4f1a0bb334b23f5353b7ea27ed4bddad236c650b0289e6e0b77306363c4a",
     ("factory", "--kind", "psi0", "--trials", "2000"):

@@ -5,16 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import states_equal_up_to_phase
+from oracles import plus_state, states_equal_up_to_phase
 from rotsynth import qcore
 from rotsynth.ladder import (
     ALL_FAMILIES,
     MAX_LEVEL,
-    ClimbResult,
     Family,
     base_average_cost,
     base_state_angle,
-    climb_cost,
     climb_walk,
     expected_climb_cost,
     ladder_angle,
@@ -165,7 +163,7 @@ def test_merge_circuit_agreement(family, level):
         assert abs(res.post1.amps[1].real - math.sin(down)) < 1e-12
     elif family is Family.H:
         # level-0 failure leaves the free stabilizer state
-        assert states_equal_up_to_phase(res.post1, qcore.plus_state())
+        assert states_equal_up_to_phase(res.post1, plus_state())
     else:
         # discarded, but the circuit output still obeys the angle algebra
         down = math.atan(math.tan(bottom) / math.tan(math.pi / 8))
@@ -174,26 +172,25 @@ def test_merge_circuit_agreement(family, level):
 
 
 def test_simulate_climb_level0():
-    res = simulate_climb(Family.H, 0, derive_rng(4, "c0"))
-    assert res == ClimbResult(h_consumed=1, base_states_consumed=0, steps=0)
-    res = simulate_climb(Family.PSI0, 0, derive_rng(4, "c0b"))
-    assert res == ClimbResult(h_consumed=0, base_states_consumed=1, steps=0)
-    assert climb_cost(res, Family.PSI0) == pytest.approx(base_average_cost(Family.PSI0))
+    """A level-0 climb merges nothing: it costs one base state."""
+    assert simulate_climb(Family.H, 0, derive_rng(4, "c0")) == 1.0
+    assert simulate_climb(Family.PSI0, 0, derive_rng(4, "c0b")) == base_average_cost(Family.PSI0)
 
 
 def test_simulate_climb_minimum_consumption():
     for i in (1, 3, 6):
         for k in range(200):
-            res = simulate_climb(Family.H, i, derive_rng(5, "min", i, k))
-            assert res.h_consumed >= i + 1
-            assert res.h_consumed >= res.steps
+            cost = simulate_climb(Family.H, i, derive_rng(5, "min", i, k))
+            # the bottom and one top per level gained, then two per down
+            # and two per restart (the merge and the fresh bottom)
+            assert cost >= i + 1 and (cost - i - 1) % 2 == 0
 
 
 def test_simulate_climb_h1_mean():
     # geometric restart: 2 resources per attempt, mean attempts 4/3
     n = 100_000
     total = sum(
-        simulate_climb(Family.H, 1, derive_rng(6, "h1", k)).h_consumed for k in range(n)
+        simulate_climb(Family.H, 1, derive_rng(6, "h1", k)) for k in range(n)
     )
     assert total / n == pytest.approx(8 / 3, abs=0.02)
 
@@ -212,8 +209,7 @@ def test_expected_climb_cost_psi_level0():
 def test_monte_carlo_matches_oracle(family, level):
     n = 20_000
     costs = [
-        climb_cost(simulate_climb(family, level, derive_rng(7, "mc", family.value, level, k)), family)
-        for k in range(n)
+        simulate_climb(family, level, derive_rng(7, "mc", family.value, level, k)) for k in range(n)
     ]
     mean = sum(costs) / n
     var = sum((c - mean) ** 2 for c in costs) / (n - 1)
@@ -320,7 +316,6 @@ FAMILY_ENTRY_POINTS = {
     "success_probs": success_probs,
     "simulate_climb": lambda family: simulate_climb(family, 3, derive_rng(31, "family")),
     "expected_climb_cost": lambda family: expected_climb_cost(family, 3),
-    "climb_cost": lambda family: climb_cost(ClimbResult(5, 2, 5), family),
     "base_state_angle": base_state_angle,
     "base_average_cost": base_average_cost,
 }
@@ -350,19 +345,16 @@ def test_expected_climb_cost_rejects_a_float_level_cold_and_warm():
 
 
 def test_simulate_climb_counts_match_walk():
-    """simulate_climb bills the shared walk's raw counts per family."""
+    """simulate_climb bills the shared walk's counts: one raw resource per
+    merge, and the family's base cost for the bottom and each restart."""
     for family in ALL_FAMILIES:
         for level in (0, 1, 7, 30):
             for k in range(20):
-                res = simulate_climb(family, level, derive_rng(9, "walk", family.value, level, k))
+                cost = simulate_climb(family, level, derive_rng(9, "walk", family.value, level, k))
                 steps, restarts = climb_walk(
                     success_probs(family), level, derive_rng(9, "walk", family.value, level, k).random
                 )
-                assert res.steps == steps
-                if family is Family.H:
-                    assert (res.h_consumed, res.base_states_consumed) == (steps + restarts + 1, 0)
-                else:
-                    assert (res.h_consumed, res.base_states_consumed) == (steps, restarts + 1)
+                assert cost == steps + (restarts + 1) * base_average_cost(family)
                 # one up move per level gained; down moves and restarts cost extra merges
                 assert steps >= level + restarts and (steps - level - restarts) % 2 == 0
 

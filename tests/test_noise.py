@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -29,6 +30,22 @@ from rotsynth.noise import (
 )
 from rotsynth.qcore import DensityMatrix, trace_distance
 from rotsynth.seeding import derive_rng
+
+
+def test_strength_is_kept_as_a_float():
+    """Equal models read the same stream: the strength is stored as a float,
+    and its repr keys the stream (numpy 2 prints np.float64(0.0001))."""
+    for kind, strength in (("a", 1e-4), ("b", 0.3), ("c", 1e-8)):
+        model = NoiseModel(kind, np.float64(strength))
+        assert type(model.strength) is float and model == NoiseModel(kind, strength)
+        assert repr(decay_study(model, 5, 20, 3)) == repr(decay_study(NoiseModel(kind, strength), 5, 20, 3))
+    assert type(NoiseModel("b", 0).strength) is float
+
+
+@pytest.mark.parametrize("strength", ["0.1", None, 0.1j, [0.1]], ids=repr)
+def test_model_rejects_a_non_real_strength(strength):
+    with pytest.raises(ValueError, match=f"^strength must be a real number, got {re.escape(repr(strength))}$"):
+        NoiseModel("a", strength)
 
 
 def test_model_validation():
@@ -355,24 +372,35 @@ def _spy(monkeypatch, name):
     return calls
 
 
-def _expected_blocks(draws, top, lockstep):
+def _expected_blocks(draws, top):
     """The (instances, start, count) of every counter_uniforms call of a
     decay_study whose climbs take the given numbers of draws: one block of
-    2 * top + 8 draws for all instances, then blocks starting at that width,
-    twice it, four times it, ..., each as long as all before it, while a
-    climb still needs draws: per instance on the loop, for every instance
-    still climbing on the lockstep."""
+    2 * top + 8 draws for all instances, then, per instance in turn while
+    its climb still needs draws, blocks starting at that width, twice it,
+    four times it, ..., each as long as all before it."""
     width = 2 * top + 8
-    starts = []
-    start = width
-    while start < max(draws):
-        starts.append(start)
-        start *= 2
-    if lockstep:
-        more = [([i for i, d in enumerate(draws) if d > start], start, start) for start in starts]
-    else:
-        more = [([i], start, start) for i, d in enumerate(draws) for start in starts if start < d]
+    more = []
+    for i, d in enumerate(draws):
+        start = width
+        while start < d:
+            more.append(([i], start, start))
+            start *= 2
     return [(list(range(len(draws))), 0, width), *more]
+
+
+def _walked_downs(runs, loops):
+    """The downs a decay_study walked, read from the spies on
+    _lockstep_climbs (runs) and _noisy_climb (loops): the lockstep's rows,
+    each row it handed on replaced by the loop's walk; without a lockstep
+    run, the loop's walks in instance order."""
+    if runs:
+        (_, (downs, rest)), = runs
+        downs, rest = downs.tolist(), rest.tolist()
+    else:
+        downs, rest = [None] * len(loops), range(len(loops))
+    for i, (_, arrivals) in zip(rest, loops, strict=True):
+        downs[i] = arrivals
+    return downs
 
 
 def _replay(model, top, n, seed, monkeypatch, paths=(False, True)):
@@ -387,12 +415,13 @@ def _replay(model, top, n, seed, monkeypatch, paths=(False, True)):
     for lockstep in paths:
         monkeypatch.setattr(noise, "_LOCKSTEP_MIN_INSTANCES", n if lockstep else n + 1)
         blocks = _spy(monkeypatch, "counter_uniforms")
-        walks = _spy(monkeypatch, "_lockstep_climbs" if lockstep else "_noisy_climb")
+        runs = _spy(monkeypatch, "_lockstep_climbs")
+        loops = _spy(monkeypatch, "_noisy_climb")
         results.append(decay_study(model, top, n, seed))
-        downs = walks[0][1].tolist() if lockstep else [arrivals for _, arrivals in walks]
-        assert downs == replay.downs
+        assert len(runs) == lockstep
+        assert _walked_downs(runs, loops) == replay.downs
         spans = [(np.asarray(rows).tolist(), start, count) for (_, rows, start, count), _ in blocks]
-        assert spans == _expected_blocks(replay.draws, top, lockstep)
+        assert spans == _expected_blocks(replay.draws, top)
     assert all(points == results[0] for points in results)
     ratio = _walker_ratio(model, results[0], replay.points)
     assert ratio <= 1
@@ -427,8 +456,7 @@ def test_decay_study_switches_path_at_threshold(n, monkeypatch):
     loops = _spy(monkeypatch, "_noisy_climb")
     assert _walker_ratio(model, decay_study(model, 14, n, 7), replay.points) <= 1
     assert len(runs) == (n >= _THRESHOLD)
-    downs = runs[0][1].tolist() if runs else [arrivals for _, arrivals in loops]
-    assert downs == replay.downs
+    assert _walked_downs(runs, loops) == replay.downs
 
 
 @pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
@@ -442,10 +470,14 @@ def test_lockstep_equals_walker_replay_at_small_counts(model, n, monkeypatch):
 def test_instances_that_outrun_their_block_continue_their_rows(n, monkeypatch):
     """Under a 0.2 mixture some climbs need more than the first block's
     2 * top + 8 draws: on both paths they continue their own counter rows
-    from the draw they reached, and still walk the walker's walk."""
+    from the draw they reached, and still walk the walker's walk; the
+    lockstep hands them on to the loop."""
     model = NoiseModel("a", 0.2)
     assert max(walker_decay_study(model, 14, n, 1).draws) > 36
+    runs = _spy(monkeypatch, "_lockstep_climbs")
     _replay(model, 14, n, 1, monkeypatch)
+    (_, (_, rest)), = runs
+    assert rest.size > 0
 
 
 def test_criterion_8_means_agree_with_the_walker_to_its_rounding(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import basis_state, dm_apply_gate, dm_measure_qubit, states_equal_up_to_phase
+from oracles import basis_state, dm_apply_gate, dm_measure_qubit, plus_state, states_equal_up_to_phase
 from rotsynth import qcore
 from rotsynth.qcore import (
     DensityMatrix,
@@ -22,7 +22,6 @@ from rotsynth.qcore import (
     pauli_matrix,
     pauli_projector_overlap,
     paulis_commute,
-    plus_state,
     product_state,
     trace_distance,
     xz_state,

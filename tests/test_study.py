@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import load_samples_csv
 from rotsynth.study import (
     CSV_HEADER,
     DEFAULT_EPS_RANGE,
@@ -22,7 +23,6 @@ from rotsynth.study import (
     fit_loglog,
     fits_summary,
     fixed_angle_study,
-    load_samples_csv,
     run_scaling_study,
     shift_for_unitary,
     sk_crossover,

@@ -11,7 +11,6 @@ from rotsynth.ladder import (
     ALL_FAMILIES,
     MAX_LEVEL,
     Family,
-    climb_cost,
     expected_climb_cost,
     rotation_angle,
     simulate_climb,
@@ -225,7 +224,7 @@ def _replay_synthesize(target, config, rng):
     offline = 0.0
     while abs(residual) > config.epsilon:
         fam, lvl = pick_state(residual, config)
-        offline += climb_cost(simulate_climb(fam, lvl, rng), fam)
+        offline += simulate_climb(fam, lvl, rng)
         residual, sign = apply_random_rotation(residual, rotation_angle(fam, lvl), rng)
         applied.append((fam, lvl, sign))
         residual, k = reduce_by_clifford(residual)
