@@ -15,7 +15,7 @@ from .ladder import ALL_FAMILIES, Family
 from .seeding import DEFAULT_SEED, derive_rng
 
 _FAMILY_NAMES = {f.value: f for f in ALL_FAMILIES}
-_FACTORY_NAMES = {f.value: f for f in (Family.PSI0, Family.PSI1, Family.PSI2)}
+_FACTORY_NAMES = {f.value: f for f in ladder.FACTORY_TRIALS}
 
 
 def _parse_family(text: str) -> Family:

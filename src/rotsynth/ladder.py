@@ -123,10 +123,11 @@ def success_probs(family: Family) -> tuple[float, ...]:
     return tuple(merge_success_prob(family, l) for l in range(MAX_LEVEL))
 
 
-def climb_walk(probs: tuple[float, ...], target_level: int, rnd) -> tuple[int, int]:
-    """Walk from level 0 to target_level, one rnd() draw per merge.  Returns
-    (merges, level-0 restarts): every merge consumes one top resource, every
-    restart discards the bottom, which must be re-billed."""
+def climb_walk(probs: tuple[float, ...], target_level: int, base_cost: float, rnd) -> float:
+    """Walk from level 0 to target_level, one rnd() draw per merge, and
+    return the climb's cost in raw-resource units: one top resource per
+    merge, and base_cost for the bottom at the start and again after every
+    level-0 restart."""
     level = downs = restarts = 0
     while level < target_level:
         if rnd() < probs[level]:
@@ -136,21 +137,14 @@ def climb_walk(probs: tuple[float, ...], target_level: int, rnd) -> tuple[int, i
             downs += 1
         else:
             restarts += 1
-    return target_level + 2 * downs + restarts, restarts
+    return target_level + 2 * downs + restarts + (restarts + 1) * base_cost
 
 
 def simulate_climb(family: Family, target_level: int, rng: random.Random) -> float:
-    """Walk the ladder until the bottom state reaches target_level; returns
-    the cost in raw-resource units.
-
-    Every merge consumes one raw top resource, and the bottom is billed
-    base_average_cost(family) once at the start and again after every
-    level-0 restart: for family H that is one raw resource, for a factory
-    family the factory average.
-    """
+    """Cost in raw-resource units of one climb of the family's ladder to
+    target_level (climb_walk, billing the bottom at base_average_cost)."""
     target_level = checked_level(target_level, "target_level")
-    steps, restarts = climb_walk(success_probs(family), target_level, rng.random)
-    return steps + (restarts + 1) * base_average_cost(family)
+    return climb_walk(success_probs(family), target_level, base_average_cost(family), rng.random)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 7.0 never reads the entry of 7

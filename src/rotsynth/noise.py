@@ -78,10 +78,8 @@ class NoiseModel:
             raise ValueError("mixture weight cannot exceed 1")
 
 
-@lru_cache(maxsize=64)
 def make_noisy_resource(model: NoiseModel) -> DensityMatrix:
-    """Density matrix of one noisy raw resource (cached per model; the
-    matrix is read-only)."""
+    """Density matrix of one noisy raw resource (the matrix is read-only)."""
     if model.kind == "a":
         p = model.strength
         # (1-p) |H><H| + p |-H><-H| with |-H> = sin(pi/8)|0> - cos(pi/8)|1>

@@ -38,11 +38,6 @@ GATES_2Q: dict[str, np.ndarray] = {
     "CZ": np.diag([1, 1, 1, -1]).astype(complex),
 }
 
-# unitarity is checked once per gate kind at import
-for _name, _mat in list(GATES_1Q.items()) + list(GATES_2Q.items()):
-    assert np.abs(_mat.conj().T @ _mat - np.eye(_mat.shape[0])).max() < 1e-12, _name
-del _name, _mat
-
 
 @dataclass(frozen=True)
 class PureRegister:

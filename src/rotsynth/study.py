@@ -18,9 +18,7 @@ from dataclasses import asdict, dataclass
 
 from .ladder import ALL_FAMILIES, Family, checked_integer
 from .seeding import derive_rng
-from .synthesis import SynthesisConfig, SynthesisResult, min_online_synthesize, synthesize
-
-TAU = 2 * math.pi
+from .synthesis import TAU, SynthesisConfig, SynthesisResult, min_online_synthesize, synthesize
 
 H_ONLY = "h-only"
 MULTI = "multi"

@@ -56,7 +56,7 @@ def reduce_by_clifford(residual: float) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """Planner settings.
+    """Planner settings; families (any iterable of Family members) is kept as a tuple.
 
     max_level None sizes the ladder automatically: the smallest level whose
     rotation is <= epsilon/2, capped at 150.  synthesize rejects a config
@@ -70,10 +70,15 @@ class SynthesisConfig:
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
-        if not self.families:
+        try:
+            families = tuple(checked_family(f, "families") for f in self.families)
+        except TypeError:
+            raise ValueError(
+                f"families must be an iterable of Family members, got {self.families!r}"
+            ) from None
+        if not families:
             raise ValueError("at least one family must be enabled")
-        for family in self.families:
-            checked_family(family, "families")
+        object.__setattr__(self, "families", families)
         if self.max_level is not None:
             checked_level(self.max_level, "max_level")
 
@@ -147,18 +152,19 @@ def pick_state(residual: float, config: SynthesisConfig) -> tuple[Family, int]:
     Ties go to the lower expected climb cost, then the family order
     H < PSI0 < PSI1 < PSI2, then the lower level.
     """
-    table = _angle_table(tuple(config.families))
+    table = _angle_table(config.families)
     return table.plus[table.lookup(abs(residual), table.start(config.resolved_max_level()))][:2]
 
 
 def _table_and_start(config: SynthesisConfig) -> tuple[_AngleTable, int]:
     """The config's angle table and level-cap start; rejects too shallow a ladder."""
-    table = _angle_table(tuple(config.families))
-    start = table.start(config.resolved_max_level())
+    table = _angle_table(config.families)
+    start = table.start(max_level := config.resolved_max_level())
     if table.angles[start] > config.epsilon / 2:
-        raise ValueError(
-            f"finest enabled rotation {table.angles[start]:.3e} exceeds epsilon/2; raise max_level"
-        )
+        finest = f"finest enabled rotation {table.angles[start]:.3e} exceeds epsilon/2"
+        if max_level < MAX_LEVEL:
+            raise ValueError(f"{finest}; raise max_level")
+        raise ValueError(f"epsilon {config.epsilon:.3e} is below what {MAX_LEVEL} levels reach: {finest}")
     return table, start
 
 
@@ -183,8 +189,7 @@ def synthesize(target: float, config: SynthesisConfig, rng: random.Random) -> Sy
         if abs(residual) <= eps:
             break
         i = lookup(abs(residual), start)
-        steps, restarts = climb_walk(probs[i], levels[i], rnd)
-        offline += steps + (restarts + 1) * base_costs[i]
+        offline += climb_walk(probs[i], levels[i], base_costs[i], rnd)
         # consume the state: rotate by +angle or -angle with probability 1/2
         if rnd() < 0.5:
             residual -= angles[i]

@@ -105,6 +105,16 @@ def test_synth_trials_mean(capsys):
     assert "mean online" in out
 
 
+def test_synth_epsilon_below_the_deepest_ladder(capsys):
+    # the CLI has no level-cap option, so the error must not advise raising one
+    code, out, err = run_cli(capsys, "synth", "--target", "1", "--eps", "1e-60")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: epsilon 1.000e-60 is below what 150 levels reach: "
+        "finest enabled rotation 3.176e-58 exceeds epsilon/2\n"
+    )
+
+
 def test_min_online_command(capsys):
     code, out, _ = run_cli(
         capsys, "min-online", "--target", "1.1", "--eps", "1e-5", "--trials", "40", "--seed", "4"

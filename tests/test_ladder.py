@@ -345,18 +345,31 @@ def test_expected_climb_cost_rejects_a_float_level_cold_and_warm():
 
 
 def test_simulate_climb_counts_match_walk():
-    """simulate_climb bills the shared walk's counts: one raw resource per
-    merge, and the family's base cost for the bottom and each restart."""
+    """climb_walk bills the walk it takes: one raw resource per draw (one
+    merge each), and the base cost for the bottom and each restart;
+    simulate_climb is that walk on the family's tables."""
     for family in ALL_FAMILIES:
+        probs, base = success_probs(family), base_average_cost(family)
         for level in (0, 1, 7, 30):
             for k in range(20):
-                cost = simulate_climb(family, level, derive_rng(9, "walk", family.value, level, k))
-                steps, restarts = climb_walk(
-                    success_probs(family), level, derive_rng(9, "walk", family.value, level, k).random
-                )
-                assert cost == steps + (restarts + 1) * base_average_cost(family)
+                rng, draws = derive_rng(9, "walk", family.value, level, k), []
+                cost = climb_walk(probs, level, base, lambda: draws.append(rng.random()) or draws[-1])
+                # replay the up/down/restart rule on the recorded draws
+                at = restarts = 0
+                for u in draws:
+                    assert at < level  # no draw after the arrival
+                    if u < probs[at]:
+                        at += 1
+                    elif at:
+                        at -= 1
+                    else:
+                        restarts += 1
+                assert at == level
+                assert cost == len(draws) + (restarts + 1) * base
+                assert simulate_climb(family, level, derive_rng(9, "walk", family.value, level, k)) == cost
                 # one up move per level gained; down moves and restarts cost extra merges
-                assert steps >= level + restarts and (steps - level - restarts) % 2 == 0
+                extra = len(draws) - level - restarts
+                assert extra >= 0 and extra % 2 == 0
 
 
 def test_expected_cost_increases_with_level():

@@ -115,9 +115,8 @@ def test_model_c_level0_distance(delta):
     assert trace_distance(rho, ideal_resource(0)) == pytest.approx(expected, rel=1e-9)
 
 
-def test_noisy_resource_is_cached_per_model_and_read_only():
+def test_noisy_resource_is_read_only():
     rho = make_noisy_resource(NoiseModel("b", 0.1))
-    assert make_noisy_resource(NoiseModel("b", 0.1)) is rho
     with pytest.raises(ValueError, match="read-only"):
         rho.mat[0, 0] = 1.0
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -399,11 +400,28 @@ def test_config_validation():
         SynthesisConfig(epsilon=1e-6, max_level=1000)
 
 
-@pytest.mark.parametrize("families", [("h",), (Family.H, "psi0"), (Family.PSI2, None)])
-def test_config_rejects_families_that_are_not_family_members(families):
-    bad = next(f for f in families if not isinstance(f, Family))
-    with pytest.raises(ValueError, match=f"got {bad!r}$"):
+@pytest.mark.parametrize(
+    "families, bad",
+    [
+        (("h",), "h"),
+        ((Family.H, "psi0"), "psi0"),
+        ((Family.PSI2, None), None),
+        # not an iterable of families at all: the error names the argument
+        (Family.H, Family.H),
+        (3, 3),
+        (None, None),
+    ],
+)
+def test_config_rejects_families_that_are_not_family_members(families, bad):
+    with pytest.raises(ValueError, match=f"^families must .* got {re.escape(repr(bad))}$"):
         SynthesisConfig(epsilon=1e-6, families=families)
+
+
+def test_config_stores_families_as_a_tuple():
+    config = SynthesisConfig(epsilon=1e-6, families=list(ALL_FAMILIES))
+    assert config.families == ALL_FAMILIES
+    assert config == SynthesisConfig(epsilon=1e-6, families=ALL_FAMILIES)
+    assert hash(config) == hash(SynthesisConfig(epsilon=1e-6, families=ALL_FAMILIES))
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -479,9 +497,10 @@ def test_min_online_keeps_the_level_cap(epsilon, families, max_level, target):
 
 def test_shallow_ladder_example():
     # a level-2 cap at 1e-6 once ran millions of online uses before stopping
-    with pytest.raises(ValueError):
+    raise_cap = r"^finest enabled rotation 1\.419e-01 exceeds epsilon/2; raise max_level$"
+    with pytest.raises(ValueError, match=raise_cap):
         synthesize(1.0, SynthesisConfig(epsilon=1e-6, max_level=2), derive_rng(19, "x"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=raise_cap):
         min_online_synthesize(1.0, 1e-6, SynthesisConfig(epsilon=1e-6, max_level=2), derive_rng(19, "x"))
 
 
@@ -489,7 +508,10 @@ def test_shallow_ladder_example():
 @given(st.floats(1e-300, 1.9 * rotation_angle(Family.PSI0, MAX_LEVEL)), st.sampled_from(FAMILY_SUBSETS))
 def test_epsilon_beyond_deepest_ladder_rejected(epsilon, families):
     config = SynthesisConfig(epsilon=epsilon, families=families)
-    with pytest.raises(ValueError):
+    # the ladder is already at its deepest, so the error advises no deeper cap
+    below_reach = "^" + re.escape(f"epsilon {epsilon:.3e} is below what {MAX_LEVEL} levels reach: ")
+    with pytest.raises(ValueError, match=below_reach) as raised:
         synthesize(1.0, config, derive_rng(20, "d"))
-    with pytest.raises(ValueError):
+    assert "max_level" not in str(raised.value)
+    with pytest.raises(ValueError, match=below_reach):
         min_online_synthesize(1.0, epsilon, config, derive_rng(20, "d"))
