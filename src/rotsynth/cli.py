@@ -133,6 +133,7 @@ def _cmd_angles(args: argparse.Namespace) -> int:
 
 
 def _cmd_climb(args: argparse.Namespace) -> int:
+    ladder.checked_level(args.level, "--level")
     family = args.family
     expected = ladder.expected_climb_cost(family, args.level)
     total = 0.0

@@ -128,20 +128,10 @@ def run_scaling_study(
             samples = list(pool.map(_one_sample, tasks, chunksize=256))
     else:
         samples = [_one_sample(t) for t in tasks]
-    fit_online = fit_loglog(
-        [
-            (math.log(math.log(1 / s.epsilon)), math.log(s.online))
-            for s in samples
-            if s.online > 0
-        ]
-    )
-    fit_offline = fit_loglog(
-        [
-            (math.log(math.log(1 / s.epsilon)), math.log(s.offline))
-            for s in samples
-            if s.offline > 0
-        ]
-    )
+    # a sample spent offline resources exactly when it consumed a state
+    points = [(math.log(math.log(1 / s.epsilon)), s) for s in samples if s.online > 0]
+    fit_online = fit_loglog([(x, math.log(s.online)) for x, s in points])
+    fit_offline = fit_loglog([(x, math.log(s.offline)) for x, s in points])
     return samples, fit_online, fit_offline
 
 

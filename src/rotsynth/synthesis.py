@@ -38,14 +38,12 @@ QUARTER_PI = math.pi / 4
 
 
 def reduce_by_clifford(residual: float) -> tuple[float, int]:
-    """Wrap a residual rotation to (-pi, pi] and fold free quarter turns out.
+    """Take a residual rotation mod 2*pi and fold free quarter turns out.
 
     Returns the equivalent residual in (-pi/4, pi/4] together with the number
     of quarter-turn gates absorbed (zero cost).
     """
     residual = math.remainder(residual, TAU)
-    if residual <= -math.pi:
-        residual += TAU
     k = round(residual / HALF_PI)
     residual -= k * HALF_PI
     if residual <= -QUARTER_PI:
@@ -58,14 +56,14 @@ def reduce_by_clifford(residual: float) -> tuple[float, int]:
 class SynthesisConfig:
     """Planner settings; families (any iterable of Family members) is kept as a tuple.
 
-    max_level None sizes the ladder automatically: the smallest level whose
-    rotation is <= epsilon/2, capped at 150.  synthesize rejects a config
-    whose finest enabled rotation at that level is larger than epsilon/2.
+    max_level caps the levels the planner may consume; by default it is the
+    whole ladder.  synthesize rejects a config whose finest enabled rotation
+    at that level is larger than epsilon/2.
     """
 
     epsilon: float
     families: tuple[Family, ...] = (Family.H,)
-    max_level: int | None = None
+    max_level: int = MAX_LEVEL
 
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < math.inf:
@@ -79,11 +77,7 @@ class SynthesisConfig:
         if not families:
             raise ValueError("at least one family must be enabled")
         object.__setattr__(self, "families", families)
-        if self.max_level is not None:
-            checked_level(self.max_level, "max_level")
-
-    def resolved_max_level(self) -> int:
-        return self.max_level if self.max_level is not None else auto_max_level(self.epsilon)
+        checked_level(self.max_level, "max_level")
 
 
 @dataclass(frozen=True)
@@ -97,7 +91,9 @@ class SynthesisResult:
 
 
 def auto_max_level(epsilon: float) -> int:
-    """Smallest level whose rotation is <= epsilon/2, capped at 150."""
+    """Smallest level whose H rotation is <= epsilon/2, capped at 150.  The planner
+    needs no such cap (a state finer than epsilon/2 is never the nearest to a
+    residual above epsilon); perfbench's set-up warms its tables up to it."""
     # the H table lists the H rotations finest first: level = MAX_LEVEL - index
     finer = bisect_right(_angle_table((Family.H,)).angles, epsilon / 2)
     return min(MAX_LEVEL, MAX_LEVEL + 1 - finer)
@@ -153,16 +149,16 @@ def pick_state(residual: float, config: SynthesisConfig) -> tuple[Family, int]:
     H < PSI0 < PSI1 < PSI2, then the lower level.
     """
     table = _angle_table(config.families)
-    return table.plus[table.lookup(abs(residual), table.start(config.resolved_max_level()))][:2]
+    return table.plus[table.lookup(abs(residual), table.start(config.max_level))][:2]
 
 
 def _table_and_start(config: SynthesisConfig) -> tuple[_AngleTable, int]:
     """The config's angle table and level-cap start; rejects too shallow a ladder."""
     table = _angle_table(config.families)
-    start = table.start(max_level := config.resolved_max_level())
+    start = table.start(config.max_level)
     if table.angles[start] > config.epsilon / 2:
         finest = f"finest enabled rotation {table.angles[start]:.3e} exceeds epsilon/2"
-        if max_level < MAX_LEVEL:
+        if config.max_level < MAX_LEVEL:
             raise ValueError(f"{finest}; raise max_level")
         raise ValueError(f"epsilon {config.epsilon:.3e} is below what {MAX_LEVEL} levels reach: {finest}")
     return table, start

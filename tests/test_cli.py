@@ -67,10 +67,11 @@ def test_angles_bad_level(capsys):
 
 
 @pytest.mark.parametrize("level", ["-1", "151"])
-def test_angles_level_error_names_the_option(capsys, level):
-    code, out, err = run_cli(capsys, "angles", "--max", level)
+@pytest.mark.parametrize("command, option", [("angles", "--max"), ("climb", "--level")])
+def test_level_error_names_the_option(capsys, command, option, level):
+    code, out, err = run_cli(capsys, command, option, level)
     assert code == 1 and out == ""
-    assert f"error: --max must be in [0, 150], got {level}" in err
+    assert f"error: {option} must be in [0, 150], got {level}" in err
 
 
 def test_climb_reports_oracle_and_mean(capsys):

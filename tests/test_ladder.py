@@ -297,7 +297,7 @@ def test_level_arguments_are_checked_by_name(entry):
     ladder is a ValueError naming the argument, and numpy integers answer
     as the equal Python int does."""
     call, name, lowest = LEVEL_ENTRY_POINTS[entry]
-    for value in (5.5, 7.0, Fraction(7), Fraction(11, 2), "7"):
+    for value in (5.5, 7.0, Fraction(7), Fraction(11, 2), "7", None):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
             call(value)
     for dtype in (np.int8, np.int64, np.uint16):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,7 +40,8 @@ H_ONLY = SynthesisConfig(epsilon=1e-6)
 def test_reduce_by_clifford_properties(x):
     reduced, count = reduce_by_clifford(x)
     assert -QUARTER_PI - 1e-12 < reduced <= QUARTER_PI + 1e-12
-    # the wrap to (-pi, pi] leaves at most a half turn to fold
+    # the residual mod 2*pi lies in [-pi, pi], which leaves at most a half
+    # turn to fold
     assert 0 <= count <= 2
     # equivalent modulo quarter turns
     k = (x - reduced) / (math.pi / 2)
@@ -60,6 +62,18 @@ def test_reduce_by_clifford_examples():
     reduced, count = reduce_by_clifford(QUARTER_PI)
     assert reduced == pytest.approx(QUARTER_PI, abs=1e-15)
     assert count == 0
+    # a half turn folds to +0.0 with two quarter turns, also from -pi, which
+    # the remainder mod 2*pi leaves at -pi: -pi + pi is +0.0
+    for turns in (1, -1, 3, -3):
+        reduced, count = reduce_by_clifford(turns * math.pi)
+        assert (reduced, math.copysign(1.0, reduced), count) == (0.0, 1.0, 2)
+    # 1001*pi rounds off an odd multiple of pi; it and the float neighbours
+    # of every odd multiple above fold to within rounding of zero
+    for turns in (1, -1, 3, -3, 1001, -1001):
+        x = turns * math.pi
+        for near in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)):
+            reduced, count = reduce_by_clifford(near)
+            assert abs(reduced) < 1e-12 and count == 2
 
 
 def test_apply_random_rotation_both_branches():
@@ -123,6 +137,9 @@ def test_pick_state_multi_family_example():
 def test_pick_state_small_residual():
     config = SynthesisConfig(epsilon=1e-6)
     assert pick_state(7.2e-4, config) == (Family.H, 8)
+    # below epsilon the pick is still the nearest state of the whole ladder
+    assert pick_state(1e-9, config) == (Family.H, 23)
+    assert pick_state(1e-9, SynthesisConfig(epsilon=1e-6, families=ALL_FAMILIES)) == (Family.PSI1, 23)
 
 
 def test_pick_state_uses_absolute_residual():
@@ -132,7 +149,7 @@ def test_pick_state_uses_absolute_residual():
 
 def test_pick_state_brute_force_agreement():
     config = SynthesisConfig(epsilon=1e-10, families=ALL_FAMILIES)
-    max_level = config.resolved_max_level()
+    max_level = config.max_level
     rng = derive_rng(2, "brute")
     for _ in range(300):
         residual = (rng.random() - 0.5) * math.pi / 2
@@ -233,17 +250,40 @@ def _replay_synthesize(target, config, rng):
     return SynthesisResult(target, tuple(applied), residual, len(applied), offline, corrections)
 
 
+def _outcome(run, *args):
+    """run(*args), or the message of the ValueError it raises."""
+    try:
+        return run(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
 def test_synthesize_matches_step_by_step_replay():
+    """synthesize equals the replay.  Under the default cap, the whole
+    ladder, both planners also equal their runs capped at
+    auto_max_level(epsilon): a state finer than epsilon/2 is never the
+    nearest to a residual above epsilon.  The last epsilons reach the
+    level-150 cap, and those below twice the finest enabled level-150
+    rotation raise the same message either way."""
     rng = random.Random(22)
-    for i in range(300):
+    for i in range(330):
         families = rng.choice(FAMILY_SUBSETS)
-        epsilon = 10 ** -rng.uniform(1, 14)
-        max_level = None if i % 3 else min(MAX_LEVEL, auto_max_level(epsilon) + rng.randrange(4))
+        epsilon = 10 ** -rng.uniform(1, 14) if i < 300 else 10 ** -rng.uniform(50, 60)
+        max_level = MAX_LEVEL if i % 3 else min(MAX_LEVEL, auto_max_level(epsilon) + rng.randrange(4))
         config = SynthesisConfig(epsilon=epsilon, families=families, max_level=max_level)
         target = rng.uniform(-10, 10)
-        assert synthesize(target, config, random.Random(i)) == _replay_synthesize(
-            target, config, random.Random(i)
-        )
+        if max_level == MAX_LEVEL:
+            capped = replace(config, max_level=auto_max_level(epsilon))
+            for run in (synthesize, lambda t, c, r: min_online_synthesize(t, epsilon, c, r)):
+                assert _outcome(run, target, config, random.Random(i)) == _outcome(
+                    run, target, capped, random.Random(i)
+                )
+        result = _outcome(synthesize, target, config, random.Random(i))
+        if isinstance(result, SynthesisResult):
+            assert result == _replay_synthesize(target, config, random.Random(i))
+        else:
+            # the replay has no depth check, and would not stop
+            assert epsilon < 2 * min(rotation_angle(f, MAX_LEVEL) for f in families)
 
 
 def test_synthesize_quarter_turn_target():
@@ -398,6 +438,7 @@ def test_config_validation():
         SynthesisConfig(epsilon=1e-6, families=())
     with pytest.raises(ValueError):
         SynthesisConfig(epsilon=1e-6, max_level=1000)
+    assert SynthesisConfig(epsilon=1e-6).max_level == MAX_LEVEL
 
 
 @pytest.mark.parametrize(
