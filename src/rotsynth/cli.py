@@ -14,15 +14,13 @@ from . import factories, ladder, noise, study, synthesis
 from .ladder import ALL_FAMILIES, Family
 from .seeding import DEFAULT_SEED, derive_rng
 
-_FAMILY_NAMES = {f.value: f for f in ALL_FAMILIES}
-_FACTORY_NAMES = {f.value: f for f in ladder.FACTORY_TRIALS}
-
 
 def _parse_family(text: str) -> Family:
     name = text.strip().lower()
-    if name not in _FAMILY_NAMES:
-        raise argparse.ArgumentTypeError(f"unknown family {name!r}; choose from h,psi0,psi1,psi2")
-    return _FAMILY_NAMES[name]
+    try:
+        return Family(name)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"unknown family {name!r}; choose from h,psi0,psi1,psi2") from None
 
 
 def _parse_families(text: str) -> tuple[Family, ...]:
@@ -79,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("factory", help="factory closed forms, sampled success rate, code check")
-    p.add_argument("--kind", required=True, choices=sorted(_FACTORY_NAMES))
+    p.add_argument("--kind", required=True, choices=sorted(f.value for f in ladder.FACTORY_TRIALS))
     p.add_argument("--trials", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
@@ -152,13 +150,13 @@ def _cmd_climb(args: argparse.Namespace) -> int:
 
 
 def _cmd_factory(args: argparse.Namespace) -> int:
-    kind = _FACTORY_NAMES[args.kind]
+    kind = Family(args.kind)
     h_per_trial, success_prob = ladder.FACTORY_TRIALS[kind]
-    prob, _ = factories.simulate_factory_circuit(kind)
+    report = factories.verify_factory_against_code(kind)
+    prob = report.circuit_prob
     successes = sum(
         1 for i in range(args.trials) if derive_rng(args.seed, "factory", i).random() < prob
     )
-    report = factories.verify_factory_against_code(kind)
     print(f"factory {kind.value}")
     print(f"success probability   closed form {success_prob:.12f}")
     print(f"                      circuit     {prob:.12f}")
@@ -237,7 +235,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 def _cmd_noise(args: argparse.Namespace) -> int:
     model = noise.NoiseModel(args.model, args.strength)
     points = noise.decay_study(model, args.levels, args.instances, args.seed)
-    # the top third of the levels, but at least the top three
+    # levels L - L//3 .. L (11..16 of 16, 6..9 of 9), but at least the top three
     default_from = min(args.levels - args.levels // 3, args.levels - 2)
     fit_from = args.fit_from if args.fit_from is not None else default_from
     window = [(lvl, d) for lvl, d in points if lvl >= fit_from]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import qcore
 from .ladder import THETA0, Family
@@ -88,7 +87,6 @@ def _input_register(spec: FactorySpec) -> PureRegister:
     return qcore.product_state(*map(qcore.xz_state, spec.inputs))
 
 
-@lru_cache(maxsize=None)
 def simulate_factory_circuit(kind: Family) -> tuple[float, PureRegister]:
     """Exact circuit run: success probability of the all-zero outcome and the
     post-selected single-qubit output state."""

@@ -56,7 +56,7 @@ class Family(enum.Enum):
     PSI2 = "psi2"
 
 
-ALL_FAMILIES = (Family.H, Family.PSI0, Family.PSI1, Family.PSI2)
+ALL_FAMILIES = tuple(Family)
 
 # Base state angles.  For the factory families these are half the rotation
 # angles produced by the closed forms; factories.py re-derives them from the
@@ -147,7 +147,6 @@ def simulate_climb(family: Family, target_level: int, rng: random.Random) -> flo
     return climb_walk(success_probs(family), target_level, base_average_cost(family), rng.random)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 7.0 never reads the entry of 7
 def expected_climb_cost(family: Family, target_level: int) -> float:
     """Exact expected climb cost in raw-resource units.
 

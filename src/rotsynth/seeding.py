@@ -29,10 +29,19 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _ULP = np.float64(2.0**-53)
 
 
+def _path_text(p: int | str) -> str:
+    if not isinstance(p, str):
+        return str(checked_integer(p, "path element"))
+    if "," in p or p.lstrip("-").isdigit():
+        raise ValueError(f"a text path element must hold no comma and spell no integer, got {p!r}")
+    return p
+
+
 def derive_seed(master_seed: int, *path: int | str) -> int:
-    """The integer seed of the substream (master_seed, *path), master_seed an integer."""
+    """The integer seed of the substream (master_seed, *path): an integer, then integers
+    or texts that hold no comma and spell no integer, so no two paths join to one text."""
     master_seed = checked_integer(master_seed, "seed")
-    material = ",".join(str(p) for p in (master_seed, *path)).encode("ascii")
+    material = ",".join([str(master_seed), *map(_path_text, path)]).encode("ascii")
     return int.from_bytes(hashlib.sha256(material).digest(), "big")
 
 

@@ -82,7 +82,6 @@ class SynthesisConfig:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    target: float
     applied: tuple[tuple[Family, int, int], ...]
     residual: float
     online_cost: int
@@ -194,7 +193,6 @@ def synthesize(target: float, config: SynthesisConfig, rng: random.Random) -> Sy
             residual += angles[i]
             applied.append(minus[i])
     return SynthesisResult(
-        target=target,
         applied=tuple(applied),
         residual=residual,
         online_cost=len(applied),
@@ -248,7 +246,6 @@ def min_online_synthesize(
         # its negative
         remaining = 2 * remaining - inner.residual
     return SynthesisResult(
-        target=target,
         applied=(),
         residual=remaining,
         online_cost=online,

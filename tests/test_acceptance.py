@@ -187,7 +187,7 @@ def test_criterion_7_min_online():
     _report(
         "7",
         ok,
-        f"min-online mean {mean_online:.3f} (want 1.9..2.1, ref 1.99), "
+        f"min-online mean {mean_online:.3f} (want 1.9..2.1, ref {study.MIN_ONLINE_MEAN}), "
         f"geometric chi2 p={pvalue:.3f} (want >0.01), offline slope {fit_off.slope:.3f} (want 1.55..1.95)",
     )
 

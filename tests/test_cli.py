@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rotsynth import factories
 from rotsynth.cli import build_parser, main
 
 
@@ -87,6 +88,18 @@ def test_factory_output(capsys):
     assert code == 0
     assert "0.343750000000" in out
     assert "code check            ok" in out
+
+
+@pytest.mark.parametrize("kind", ["psi0", "psi1", "psi2"])
+def test_factory_command_runs_its_circuit_once(kind, capsys, monkeypatch):
+    """The printed circuit probability is the code check's: nothing caches
+    the circuit, so the command runs it once."""
+    calls = []
+    run = factories.simulate_factory_circuit
+    monkeypatch.setattr(factories, "simulate_factory_circuit", lambda k: calls.append(k) or run(k))
+    code, out, _ = run_cli(capsys, "factory", "--kind", kind, "--trials", "10")
+    assert code == 0
+    assert [k.value for k in calls] == [kind]
 
 
 def test_synth_quarter_turn(capsys):
@@ -204,13 +217,27 @@ def test_noise_command(tmp_path, capsys):
     assert data["fit"]["base"] > 1.0
 
 
-@pytest.mark.parametrize("levels", [3, 4, 5])
-def test_noise_short_ladder_fits_top_three_levels(levels, capsys):
+@pytest.mark.parametrize(
+    "levels, window", [(3, "1..3"), (4, "2..4"), (5, "3..5"), (9, "6..9"), (16, "11..16"), (28, "19..28")]
+)
+def test_noise_default_fit_window(levels, window, capsys):
+    """Without --fit-from the fit runs over levels L - L//3 .. L, and at least the top three."""
     code, out, _ = run_cli(
         capsys, "noise", "--model", "a", "--strength", "1e-4", "--levels", str(levels), "--instances", "20"
     )
     assert code == 0
-    assert f"fit over levels {levels - 2}..{levels}:" in out
+    assert f"fit over levels {window}:" in out
+
+
+def test_noise_fit_from_sets_the_window(capsys):
+    argv = ["noise", "--model", "a", "--strength", "1e-4", "--levels", "28", "--instances", "20"]
+    code, out, _ = run_cli(capsys, *argv, "--fit-from", "18")
+    assert code == 0
+    assert "fit over levels 18..28:" in out
+    code, out, err = run_cli(capsys, *argv, "--fit-from", "27")
+    assert code == 1
+    assert out == ""
+    assert "need at least 3 points" in err
 
 
 @pytest.mark.parametrize("levels", ["2", "0", "-1"])

@@ -334,9 +334,9 @@ def test_family_arguments_are_checked_by_name(entry, value):
 
 
 def test_expected_climb_cost_rejects_a_float_level_cold_and_warm():
-    """The level check runs ahead of the cache: 7.0 never answers with the
-    cached value of 7."""
-    expected_climb_cost.cache_clear()
+    """Nothing caches the cost, so every call checks its level: 7.0 is
+    refused before and after 7 has been solved (the float cases are also in
+    test_level_arguments_are_checked_by_name)."""
     for _ in ("cold", "warm"):
         for value in (7.0, Fraction(7), np.float64(7)):
             with pytest.raises(ValueError, match="target_level must be an integer"):

@@ -1,5 +1,6 @@
 """The counter stream against its pure-integer reference, and its statistics;
 the master-seed check that every stream goes through."""
+import hashlib
 import math
 import re
 from fractions import Fraction
@@ -140,3 +141,21 @@ def test_master_seeds_are_checked_by_name(entry):
             call(value)
     for dtype in (np.int8, np.int64, np.uint16):
         assert call(dtype(1)) == call(1)
+
+
+def test_path_elements_join_without_ambiguity():
+    """A path element is an integer (written as str(int)) or a text that holds
+    no comma and spells no integer, so "a,b" cannot read the stream of
+    ("a", "b"), nor "1" that of 1; the accepted paths hash the text they
+    always hashed, so no stream moves."""
+    for value in ("a,b", "1", "-3", ",", "007"):
+        with pytest.raises(ValueError, match=f"^a text path element must .* got {re.escape(repr(value))}$"):
+            derive_seed(1, value)
+    for value in (1.5, None, [1], 1.0):
+        with pytest.raises(ValueError, match=f"^path element must be an integer, got {re.escape(repr(value))}$"):
+            derive_seed(1, "ok", value)
+    assert derive_seed(1, np.int64(3)) == derive_seed(1, 3)
+    assert derive_rng(1, "x", np.uint16(3)).random() == derive_rng(1, "x", 3).random()
+    for path in [("a", "b"), ("noise", "a", "0.0001"), ("scaling", "h-only", 7), (-2, "-", "")]:
+        material = ",".join(["5", *map(str, path)]).encode("ascii")
+        assert derive_seed(5, *path) == int.from_bytes(hashlib.sha256(material).digest(), "big")

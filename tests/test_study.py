@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -13,6 +14,7 @@ from rotsynth.study import (
     H_ONLY,
     LN3,
     MIN_ONLINE,
+    MIN_ONLINE_MEAN,
     MULTI,
     SK_CONSTANTS,
     FitLine,
@@ -100,7 +102,9 @@ def test_unitary_shift_is_exactly_ln3():
 def test_sk_constants_are_fixed_data():
     assert SK_CONSTANTS.sk_z == FitLine(-4.88, 4.41)
     assert SK_CONSTANTS.sk_unitary == FitLine(-2.67, 3.40)
-    assert SK_CONSTANTS.min_online_mean == 1.99
+    assert MIN_ONLINE_MEAN == 1.99
+    # only lines: comparison_table exports every field as one
+    assert all(isinstance(getattr(SK_CONSTANTS, f.name), FitLine) for f in dataclasses.fields(SK_CONSTANTS))
 
 
 def test_run_scaling_study_deterministic():

@@ -247,7 +247,7 @@ def _replay_synthesize(target, config, rng):
         applied.append((fam, lvl, sign))
         residual, k = reduce_by_clifford(residual)
         corrections += k
-    return SynthesisResult(target, tuple(applied), residual, len(applied), offline, corrections)
+    return SynthesisResult(tuple(applied), residual, len(applied), offline, corrections)
 
 
 def _outcome(run, *args):
