@@ -1,16 +1,18 @@
 """Post-selected 4-qubit Clifford factories for the psi base states.
 
 Each factory consumes copies of the raw resource cos(pi/8)|0> + sin(pi/8)|1>
-(one input is the free |+> for psi1), measures three qubits, and keeps the
-remaining qubit only on the all-zero outcome.  The kept state is a new
-non-stabilizer base state.  Each circuit decodes a 4-qubit stabilizer code,
-which provides an independent check of both the success probability and
-the output state.
+(one input is the free |+> for psi1) and keeps the remaining qubit only on
+the all-zero outcome of the other three, read off the final amplitudes.
+The kept state is a new non-stabilizer base state.  Each circuit decodes a
+4-qubit stabilizer code, which provides an independent check of both the
+success probability and the output state.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import qcore
 from .ladder import THETA0, Family
@@ -94,13 +96,10 @@ def simulate_factory_circuit(kind: Family) -> tuple[float, PureRegister]:
     reg = _input_register(spec)
     for gate, qubits in spec.gates:
         reg = qcore.apply_gate(reg, gate, *qubits)
-    prob = 1.0
-    # measure from the highest index down so positions stay valid
-    for q in sorted(spec.measured_qubits, reverse=True):
-        res = qcore.measure_qubit(reg, q)
-        prob *= res.prob0
-        reg = res.post0
-    return prob, reg
+    outcome = tuple(0 if q in spec.measured_qubits else slice(None) for q in range(4))
+    kept = reg.amps.reshape(2, 2, 2, 2)[outcome]
+    prob = float(np.vdot(kept, kept).real)
+    return prob, PureRegister(kept / math.sqrt(prob))
 
 
 @dataclass(frozen=True)

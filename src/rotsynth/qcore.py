@@ -1,9 +1,10 @@
 """Exact linear algebra for small quantum registers.
 
 Dense complex state vectors (1-4 qubits) and density matrices (1-2 qubits),
-the Clifford+T gate table, computational-basis measurement with removal of
-the measured qubit, Pauli-string algebra with stabilizer projectors, and the
-trace distance.  Everything is immutable and pure; sizes never grow beyond
+the Clifford gates the factory circuits and Pauli strings use, Pauli-string
+algebra with stabilizer projectors, and the trace distance.  Measurement is
+left to the callers: a factory keeps its one outcome by indexing the
+amplitudes.  Everything is immutable and pure; sizes never grow beyond
 dimension 16, so no sparsity or tableau tricks are used.
 
 Qubit 0 is the first tensor factor (leftmost ket label).
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import cos, sin, sqrt, pi
+from math import cos, sin, sqrt
 
 import numpy as np
 
@@ -25,9 +26,6 @@ GATES_1Q: dict[str, np.ndarray] = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2,
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "T": np.array([[1, 0], [0, np.exp(1j * pi / 4)]], dtype=complex),
-    "TDG": np.array([[1, 0], [0, np.exp(-1j * pi / 4)]], dtype=complex),
 }
 
 GATES_2Q: dict[str, np.ndarray] = {
@@ -99,38 +97,6 @@ def apply_gate(reg: PureRegister, gate: str, *qubits: int) -> PureRegister:
     return PureRegister(tensor.reshape(-1))
 
 
-@dataclass(frozen=True)
-class MeasureResult:
-    prob0: float
-    post0: PureRegister | None
-    prob1: float
-    post1: PureRegister | None
-
-
-def measure_qubit(reg: PureRegister, q: int) -> MeasureResult:
-    """Computational-basis measurement of qubit q.
-
-    The measured qubit is removed from the register, so each post state has
-    one qubit fewer.  A branch of (numerically) zero probability carries
-    ``None`` in place of its post state.
-    """
-    n = reg.n_qubits
-    if not 0 <= q < n:
-        raise IndexError(f"qubit {q} out of range for {n}-qubit register")
-    if n == 1:
-        p0 = abs(reg.amps[0]) ** 2
-        return MeasureResult(p0, None, 1.0 - p0, None)
-    tensor = reg.amps.reshape([2] * n)
-    branches = []
-    for m in (0, 1):
-        sub = np.take(tensor, m, axis=q).reshape(-1)
-        p = float(np.vdot(sub, sub).real)
-        post = PureRegister(sub / sqrt(p)) if p > 1e-15 else None
-        branches.append((p, post))
-    (p0, post0), (p1, post1) = branches
-    return MeasureResult(p0, post0, p1, post1)
-
-
 # --- density matrices ---------------------------------------------------
 
 
@@ -161,10 +127,6 @@ class DensityMatrix:
     @property
     def n_qubits(self) -> int:
         return self.mat.shape[0].bit_length() - 1
-
-
-def dm_from_pure(reg: PureRegister) -> DensityMatrix:
-    return DensityMatrix(np.outer(reg.amps, reg.amps.conj()))
 
 
 def dm_from_bloch(x: float, y: float, z: float) -> DensityMatrix:
@@ -226,9 +188,7 @@ def paulis_commute(a: PauliString, b: PauliString) -> bool:
 
 
 def _stabilizer_projector(generators: list[PauliString]) -> np.ndarray:
-    n = generators[0].n_qubits
-    proj = np.eye(2**n, dtype=complex)
-    eye = np.eye(2**n, dtype=complex)
+    proj = eye = np.eye(2 ** generators[0].n_qubits, dtype=complex)
     for g in generators:
         proj = proj @ (eye + pauli_matrix(g)) / 2
     return proj
@@ -301,10 +261,10 @@ def pauli_projector_overlap(
 _CANONICAL_TOL = 1e-9
 
 
-def bloch_vector(state: PureRegister | DensityMatrix) -> np.ndarray:
-    rho = dm_from_pure(state).mat if isinstance(state, PureRegister) else state.mat
-    if rho.shape != (2, 2):
-        raise ValueError("Bloch vector requires a single qubit")
+def bloch_vector(state: PureRegister) -> np.ndarray:
+    if not isinstance(state, PureRegister) or state.n_qubits != 1:
+        raise ValueError("Bloch vector requires a single-qubit PureRegister")
+    rho = np.outer(state.amps, state.amps.conj())
     return np.array(
         [
             2 * rho[0, 1].real,

@@ -41,7 +41,8 @@ def derive_seed(master_seed: int, *path: int | str) -> int:
     """The integer seed of the substream (master_seed, *path): an integer, then integers
     or texts that hold no comma and spell no integer, so no two paths join to one text."""
     master_seed = checked_integer(master_seed, "seed")
-    material = ",".join([str(master_seed), *map(_path_text, path)]).encode("ascii")
+    # UTF-8 takes any text and encodes an ASCII path as ASCII, so no such stream moves
+    material = ",".join([str(master_seed), *map(_path_text, path)]).encode("utf-8")
     return int.from_bytes(hashlib.sha256(material).digest(), "big")
 
 

@@ -1,14 +1,18 @@
 """Independent cross-check simulators used only by the tests.
 
-Generic density-matrix evolution (a gate's full unitary, measurement with
-removal of the measured qubit) judges the noisy walker's 2x2 closed form;
+Generic measurement of pure and mixed states (with removal of the measured
+qubit) judges the factories' sliced outcome and, with a gate's full unitary
+on density matrices, the noisy walker's 2x2 closed form;
 the step-by-step noisy walker replays the noise module's climb on a
 pure-integer copy of the counter stream, one merge at a time; the exact
 climb (fractions and 50-digit decimals) judges the noise module's climb
 tables, and with them the exact decay-study means of the tilted models;
-and the one-state rotation step replays the planner from its public pieces.
+the failure law of a climb (its generating function, term by term) judges
+the climb sampler; and the one-state rotation step replays the planner from
+its public pieces.
 The small helpers that only the tests read live here too: basis states,
-|+>, and reading a samples CSV back.
+|+>, pure states as density matrices, Bloch vectors of density matrices, and
+reading a samples CSV back.
 """
 from __future__ import annotations
 
@@ -21,9 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from rotsynth.ladder import Family, ladder_angle
+from rotsynth.ladder import Family, ladder_angle, success_probs
 from rotsynth.noise import NoiseModel, make_noisy_resource
-from rotsynth.qcore import DensityMatrix, PureRegister, apply_gate, xz_state
+from rotsynth.qcore import GATES_1Q, DensityMatrix, PureRegister, apply_gate, xz_state
 from rotsynth.seeding import derive_seed
 from rotsynth.study import CSV_HEADER, ScalingSample
 
@@ -36,6 +40,15 @@ def basis_state(n_qubits: int, index: int = 0) -> PureRegister:
 
 def plus_state() -> PureRegister:
     return xz_state(math.pi / 4)
+
+
+def dm_from_pure(reg: PureRegister) -> DensityMatrix:
+    return DensityMatrix(np.outer(reg.amps, reg.amps.conj()))
+
+
+def dm_bloch_vector(rho: DensityMatrix) -> np.ndarray:
+    """(tr(rho X), tr(rho Y), tr(rho Z)) of a single-qubit density matrix."""
+    return np.array([np.trace(rho.mat @ GATES_1Q[p]).real for p in "XYZ"])
 
 
 def load_samples_csv(path: str) -> list[ScalingSample]:
@@ -72,6 +85,38 @@ def dm_apply_gate(rho: DensityMatrix, gate: str, *qubits: int) -> DensityMatrix:
 
 
 @dataclass(frozen=True)
+class MeasureResult:
+    prob0: float
+    post0: PureRegister | None
+    prob1: float
+    post1: PureRegister | None
+
+
+def measure_qubit(reg: PureRegister, q: int) -> MeasureResult:
+    """Computational-basis measurement of qubit q.
+
+    The measured qubit is removed from the register, so each post state has
+    one qubit fewer.  A branch of (numerically) zero probability carries
+    ``None`` in place of its post state.
+    """
+    n = reg.n_qubits
+    if not 0 <= q < n:
+        raise IndexError(f"qubit {q} out of range for {n}-qubit register")
+    if n == 1:
+        p0 = abs(reg.amps[0]) ** 2
+        return MeasureResult(p0, None, 1.0 - p0, None)
+    tensor = reg.amps.reshape([2] * n)
+    branches = []
+    for m in (0, 1):
+        sub = np.take(tensor, m, axis=q).reshape(-1)
+        p = float(np.vdot(sub, sub).real)
+        post = PureRegister(sub / math.sqrt(p)) if p > 1e-15 else None
+        branches.append((p, post))
+    (p0, post0), (p1, post1) = branches
+    return MeasureResult(p0, post0, p1, post1)
+
+
+@dataclass(frozen=True)
 class DmMeasureResult:
     prob0: float
     post0: DensityMatrix | None
@@ -97,6 +142,40 @@ def dm_measure_qubit(rho: DensityMatrix, q: int) -> DmMeasureResult:
             branches.append((p, DensityMatrix(sub / p) if p > 1e-15 else None))
     (p0, post0), (p1, post1) = branches
     return DmMeasureResult(p0, post0, p1, post1)
+
+
+def failure_law(family: Family, level: int) -> tuple[np.ndarray, float]:
+    """The law of a climb's failed merges (downs plus level-0 restarts) on
+    its way from level 0 to level: law[n] = P(n failures), cut where the
+    mass beyond it is below 1e-12, and that missing mass (to rounding).
+
+    The failures of the first passage l -> l+1 have the generating function
+    T_l(z) = p_l / (1 - (1 - p_l) z T_{l-1}(z)), T_{-1} = 1: a merge goes up
+    with p_l, or fails and must then pass l-1 -> l again (a restart at level
+    0 needs nothing more).  The climb's law is the product of T_l over
+    l < level.  Every coefficient is a sum of positive terms, so the first
+    `degree` terms of each series are exact; the degree doubles from 64
+    until they hold all but 1e-12 of the mass.
+    """
+    probs = success_probs(family)[:level]
+    degree = 64
+    while True:
+        law = np.zeros(degree)
+        law[0] = 1.0
+        passage = law.copy()  # T_{-1} = 1
+        for p in probs:
+            # T = p + (1 - p) z T_{l-1} T, solved term by term
+            shifted = np.concatenate(([0.0], (1 - p) * passage[:-1]))
+            nxt = np.empty(degree)
+            nxt[0] = p
+            for n in range(1, degree):
+                nxt[n] = shifted[1 : n + 1] @ nxt[n - 1 :: -1]
+            passage = nxt
+            law = np.convolve(law, passage)[:degree]
+        missing = 1.0 - law.sum()
+        if missing < 1e-12:
+            return law, missing
+        degree *= 2
 
 
 def apply_random_rotation(

