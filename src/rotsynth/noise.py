@@ -21,21 +21,28 @@ with n = l + 1, the bottom state is
 The up probability therefore depends on the level alone, and the distance
 at a first arrival on (level, m) alone.  The up probability and the
 per-level parts of the state are tabulated once per model, and a climb is
-an integer walk on (level, m): a numpy lockstep walks the first block of
-many instances' counter-stream rows, and a loop per instance the rest, both
-on the same tables; one distance expression turns the downs into the same
-bytes whichever walked them.  The tests check the tables against an exact
-oracle and the walk against a step-by-step walker and the generic
-density-matrix simulation.
+an integer walk on (level, m).  Its passage from the first arrival at one
+level to the first arrival at the next then has a fixed law of (restart or
+not, downs), tabulated per model as it is asked for: decay_study samples
+each passage of every instance with one counter-stream draw, all at once in
+numpy, and walks merge by merge only the near-symmetric resources, whose
+passages have heavy tails; propagate_to_level always walks.  One distance
+expression turns the downs into bytes.  The tests check the tables against
+exact oracles, the walk against a step-by-step walker and the generic
+density-matrix simulation, and the sampled climbs against the walk and the
+exact arrival law.
 """
 from __future__ import annotations
 
 import math
 import numbers
 import random
+import threading
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from operator import mul
 
 import numpy as np
 
@@ -44,14 +51,23 @@ from .qcore import DensityMatrix, dm_from_bloch
 from .seeding import counter_uniforms, derive_seed
 from .study import fit_loglog
 
-# From this many instances on, decay_study climbs them all in numpy
-# lockstep; below it, one Python loop per instance is faster.  Measured over
-# the criterion-8 grid (CPU time per instance, alternating runs, 2-core
-# x86-64, Python 3.11, numpy 2.4; ranges over two or three runs), lockstep
-# / loop: 6.24 at 10 instances, 2.30 at 50, 1.47-1.51 at 100, 1.15-1.16 at
-# 150, 1.04 at 175, 0.95-0.98 at 200, 0.81-0.89 at 250, 0.71-0.80 at 300,
-# 0.39-0.43 at 1000.
-_LOCKSTEP_MIN_INSTANCES = 200
+# decay_study samples a model's climbs from their passage law when every up
+# probability is at least this, and walks them merge by merge below it.  As
+# the up probability nears 1/2, a passage's downs get a heavy tail and the
+# table grows without bound.  Terms a level keeps to a tail below 2^-60
+# (at level 28), and CPU seconds to tabulate to level 28 / 150 (2-core
+# x86-64, Python 3.11), by the least up probability of the model; the walk
+# takes about 30-50 ms per 1000 instances to level 28 on these models:
+#   0.75 (the criterion-8 grid)  52 terms,  0.03 / 0.16 s
+#   0.59 (mixture p = 0.2)      174 terms,  0.14 / 0.98 s
+#   0.56 (mixture p = 0.25)     254 terms,  0.25 / 2.0 s
+#   0.54 (mixture p = 0.3)      393 terms,  0.77 / 4.8 s
+#   0.52 (mixture p = 0.35)     657 terms,  2.0 / 11 s
+_LAW_MIN_UP = 0.58
+# a passage keeps the terms of its law until the mass beyond them is below this
+_LAW_TAIL = 2.0**-60
+# the passage tables' guide has a slot per 2^-_GUIDE_BITS of a passage's draws
+_GUIDE_BITS = 8
 
 _C0 = math.cos(math.pi / 8)
 _S0 = math.sin(math.pi / 8)
@@ -145,7 +161,6 @@ class _ClimbTables:
             cs.append(t / (1 + t * t))
             d00.append(t * t / (1 + t * t) - yn / norm)
         self.up = up
-        self.up_array = np.array(up)
         self._diag = diag
         self._rr = np.array([r.real for r in r01])
         self._ri = np.array([r.imag for r in r01])
@@ -182,6 +197,158 @@ class _ClimbTables:
 @lru_cache(maxsize=64)
 def _climb_tables(model: NoiseModel) -> _ClimbTables:
     return _ClimbTables(model)
+
+
+class _PassageLaw:
+    """The law of a noisy climb's passages, tabulated level by level as it
+    is asked for.
+
+    Passage l runs from the first arrival at level l to the first arrival at
+    l + 1.  Its outcome is R, whether a level-0 restart happened in it, and
+    D, the downs since the last restart if one did, else since it began; so
+    the downs at the first arrivals follow m_1 = 0 and
+    m_{l+1} = D if R else m_l + D.  The up probability depends on the level
+    alone, so the passages are independent, each with a law of its own.
+    With p = up[l] and q = 1 - p, the passage fails k times, each a down
+    and a passage l - 1, before it goes up, and a failure that restarts
+    forgets the downs before it; in powers of z^D,
+
+        A_l(z) = p / (1 - q z A_{l-1}(z))        (no restart)
+        B_l(z) = (q / p) B_{l-1}(z) A_l(z)       (a restart)
+        H_l(z) = (q / p) (H_{l-1}(z) + A_{l-1}(z)) A_l(z),
+
+    from A_0 = p_0, B_0 = q_0 and H_0 = 0, where H_l holds the tail
+    P(D > k) of the passage.  Every coefficient is a sum of positive terms,
+    taken in Python floats with math.fsum, so the table's bytes do not
+    depend on numpy's SIMD paths, and the tail is known without the
+    cancellation of 1 - sum.  A level keeps its first K terms of A and B,
+    the least K whose tail P(D >= K) is below _LAW_TAIL, and samples them
+    by inverse CDF: its outcomes in the order A's then B's, each with the
+    fsum of the masses up to it, the last clamped to 1.
+    """
+
+    def __init__(self, up: list[float]):
+        self._up = up
+        self._a, self._b, self._h = [array("d", [up[0]])], [array("d", [1.0 - up[0]])], [array("d", [0.0])]
+        self._kept = [1]  # the terms each level samples
+        # the passages tabulated, then the draw keys, guide, restarts and
+        # downs of their outcomes (passage 0 has none: its guide slots are
+        # never read)
+        self._table = (
+            1,
+            np.empty(0, np.int64),
+            np.full(2**_GUIDE_BITS, -1, np.int32),
+            np.empty(0, bool),
+            np.empty(0, np.intp),
+        )
+        self._lock = threading.Lock()
+
+    def _extend(self, level: int, terms: int) -> None:
+        """The first `terms` coefficients of every series at level and below
+        (a level never holds more terms than the one beneath it)."""
+        low = level
+        while low and len(self._a[low - 1]) < terms:
+            low -= 1
+        for lv in range(low, level + 1):
+            a, b, h = self._a[lv], self._b[lv], self._h[lv]
+            if not lv:  # the passage 0 -> 1 ends with no downs
+                for series in (a, b, h):
+                    series.extend([0.0] * (terms - len(series)))
+                continue
+            pa, pb = self._a[lv - 1], self._b[lv - 1]
+            ph = [x + y for x, y in zip(self._h[lv - 1][:terms], pa)]
+            p = self._up[lv]
+            q = 1.0 - p
+            ratio = q / p
+            for k in range(len(a), terms):
+                a.append(q * math.fsum(map(mul, pa[:k], reversed(a))) if k else p)
+                b.append(ratio * math.fsum(map(mul, pb[: k + 1], reversed(a))))
+                h.append(ratio * math.fsum(map(mul, ph[: k + 1], reversed(a))))
+
+    def outcomes(self, top: int) -> tuple[np.ndarray, np.ndarray]:
+        """(restarts, downs) of every outcome of passages 1 .. top - 1 (and
+        maybe of more), in the order of pick's indices."""
+        return self._tables(top)[2:]
+
+    def pick(self, block: np.ndarray) -> np.ndarray:
+        """The index of the outcome each draw of block picks, column l - 1
+        for passage l.  A draw u of passage l, keyed l * 2^53 + u * 2^53 on
+        its exact 53-bit integer, picks the first outcome whose key exceeds
+        its own: the outcome j with cdf[j - 1] <= u < cdf[j].  The guide
+        holds that outcome for each slot of 2^-_GUIDE_BITS of a passage's
+        draws that holds no key (all but about 2% of the draws on the
+        criterion-8 grid), and a binary search finds it for the others."""
+        keys, guide = self._tables(block.shape[1] + 1)[:2]
+        draws = (block * 2.0**53).astype(np.int64)
+        draws += np.arange(1, block.shape[1] + 1, dtype=np.int64) << 53
+        picks = guide[draws >> (53 - _GUIDE_BITS)]
+        split = np.flatnonzero(picks < 0)
+        picks.flat[split] = np.searchsorted(keys, draws.flat[split], side="right")
+        return picks
+
+    def _tables(self, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        table = self._table
+        if table[0] < top:
+            with self._lock:
+                self._tabulate(top)
+            table = self._table
+        return table[1:]
+
+    def _tabulate(self, top: int) -> None:
+        parts = [self._table[1:]]
+        outcomes = len(parts[0][3])
+        while len(self._a) < top:
+            level = len(self._a)
+            for series in (self._a, self._b, self._h):
+                series.append(array("d"))
+            # as many terms as the level beneath keeps to start with, then
+            # one more at a time until the tail falls below _LAW_TAIL
+            span = self._kept[-1]
+            while True:
+                self._extend(level, span)
+                terms = next((k + 1 for k, tail in enumerate(self._h[level]) if tail < _LAW_TAIL), 0)
+                if terms:
+                    break
+                span += 1
+            self._kept.append(terms)
+            masses = self._a[level][:terms] + self._b[level][:terms]
+            # the fsum of the masses up to each outcome: an exact running sum
+            # in units of 2^-1074, rounded once (int / int rounds correctly)
+            total, cdf = 0, []
+            for mass in masses[:-1]:
+                num, den = mass.as_integer_ratio()
+                total += num * (2**1074 // den)
+                cdf.append(total / 2**1074)
+            cdf.append(1.0)
+            keys = np.array([(level << 53) + math.ceil(c * 2.0**53) for c in cdf], np.int64)
+            slot = np.arange(2**_GUIDE_BITS + 1, dtype=np.int64) + (level << _GUIDE_BITS)
+            slots = slot << (53 - _GUIDE_BITS)
+            first = np.searchsorted(keys, slots[:-1], side="right")
+            clear = first == np.searchsorted(keys, slots[1:], side="left")
+            guide = np.where(clear, first + outcomes, -1).astype(np.int32)
+            parts.append((keys, guide, np.repeat([False, True], terms), np.tile(np.arange(terms), 2)))
+            outcomes += 2 * terms
+        if len(parts) > 1:
+            self._table = (len(self._a), *map(np.concatenate, zip(*parts)))
+
+
+@lru_cache(maxsize=64)
+def _passage_law(model: NoiseModel) -> _PassageLaw:
+    return _PassageLaw(_climb_tables(model).up)
+
+
+def _law_climbs(law: _PassageLaw, block: np.ndarray) -> np.ndarray:
+    """The (instances, top) matrix of downs at the first arrival at levels
+    1..top, with column l - 1 of block driving passage l (top - 1 columns)."""
+    picks = law.pick(block)
+    restarts, downs = law.outcomes(block.shape[1] + 1)
+    d = downs[picks]
+    total = np.cumsum(d, axis=1)
+    # the downs before the last restart: a running maximum, as total grows
+    before = np.maximum.accumulate(np.where(restarts[picks], total - d, 0), axis=1)
+    arrivals = np.zeros((len(block), block.shape[1] + 1), np.intp)
+    np.subtract(total, before, out=arrivals[:, 1:])
+    return arrivals
 
 
 def _noisy_climb(up: list[float], top: int, draws) -> list[int]:
@@ -225,42 +392,6 @@ def propagate_to_level(
     return rho, float(tables.distances(np.array(arrivals))[-1])
 
 
-def _lockstep_climbs(up: np.ndarray, top: int, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_noisy_climb for every instance at once on its row of block, one draw per tick.
-
-    Returns the (instances, top) matrix of downs at the first arrival at
-    levels 1..top, and the instances still below top at the block's end,
-    whose rows are left unfilled.  Downs are not counted per tick: an
-    instance that arrives at level l at tick T, its last restart at tick R
-    (R = -1 before any), has spent the T - R draws since on ups and downs,
-    so on (T - R - l) / 2 downs.
-    """
-    n = len(block)
-    arrivals = np.empty((n, top), dtype=np.intp)
-    inst = np.arange(n)  # instance of each active row
-    level = np.zeros(n, dtype=np.intp)
-    seen = np.zeros(n, dtype=np.intp)
-    restart = np.full(n, -1, dtype=np.intp)
-    for tick, column in enumerate(block.T.copy()):  # one contiguous row per draw index
-        level += np.where(column[inst] < up[level], 1, -1)
-        fell = level < 0
-        if fell.any():
-            level[fell] = 0
-            restart[fell] = tick
-        hit = (level > seen).nonzero()[0]
-        if hit.size:
-            lv = level[hit]
-            seen[hit] = lv
-            arrivals[inst[hit], lv - 1] = tick - restart[hit]
-            # no instance reaches top before its top-th draw
-            if tick + 1 >= top and (lv == top).any():
-                keep = seen < top
-                inst, level, seen, restart = inst[keep], level[keep], seen[keep], restart[keep]
-                if not inst.size:
-                    break
-    return (arrivals - np.arange(1, top + 1)) >> 1, inst
-
-
 def _row_draws(key: int, instance: int, start: int):
     """Draws start, start + 1, ... of one instance's counter stream, a
     block at a time (each block as long as all before it)."""
@@ -281,27 +412,29 @@ def decay_study(
     Each instance climbs once to max_level, recording the state at its first
     arrival at every level; first-arrival snapshots have the same law as
     stopping there, so the per-level means match per-level runs.  Instance i
-    reads row i of the counter stream keyed by (seed, kind, strength).  From
-    _LOCKSTEP_MIN_INSTANCES on, all instances walk the first block together
-    in numpy and the loop walks on only those still climbing at its end;
-    below it, the loop walks every instance.  Same downs, same bytes.
+    reads row i of the counter stream keyed by (seed, kind, strength).  If
+    every up probability of the model is at least _LAW_MIN_UP, draw l - 1 of
+    row i samples its passage l -> l + 1 from the passage law (level 1 is
+    always reached with no downs); otherwise the loop walks row i one merge
+    per draw.  The model alone picks the path, so row i's downs depend
+    neither on n_instances nor on max_level beyond its own levels.
     """
     max_level = checked_level(max_level, "max_level", 1)
     if (n_instances := checked_integer(n_instances, "n_instances")) < 1:
         raise ValueError("need at least one instance")
     tables = _climb_tables(model)
     key = derive_seed(seed, "noise", model.kind, repr(model.strength))
-    # a climb needs at least max_level draws; 0.15-0.36% of the instances of
-    # a criterion-8 cell need more than this, and the loop walks them on
-    width = 2 * max_level + 8
-    block = counter_uniforms(key, np.arange(n_instances), 0, width)
-    if n_instances >= _LOCKSTEP_MIN_INSTANCES:
-        downs, rest = _lockstep_climbs(tables.up_array, max_level, block)
+    rows = np.arange(n_instances)
+    if min(tables.up) >= _LAW_MIN_UP:
+        downs = _law_climbs(_passage_law(model), counter_uniforms(key, rows, 0, max_level - 1))
     else:
-        downs, rest = np.empty((n_instances, max_level), np.intp), range(n_instances)
-    for i in rest:
-        draws = chain(block[i].tolist(), _row_draws(key, i, width))
-        downs[i] = _noisy_climb(tables.up, max_level, draws)
+        # a climb needs at least max_level draws; the loop reads on past
+        # this block in its own row
+        width = 2 * max_level + 8
+        block = counter_uniforms(key, rows, 0, width)
+        downs = np.empty((n_instances, max_level), np.intp)
+        for i in rows.tolist():
+            downs[i] = _noisy_climb(tables.up, max_level, chain(block[i].tolist(), _row_draws(key, i, width)))
     # per level, in instance order: a sequential sum whatever numpy's reduction order
     sums = np.cumsum(tables.distances(downs), axis=0)[-1].tolist()
     return [(lvl, s / n_instances) for lvl, s in enumerate(sums, 1)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 
 import numpy as np
 
@@ -29,17 +30,22 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _ULP = np.float64(2.0**-53)
 
 
+# the texts str() writes for an integer, and no others
+_INTEGER_TEXT = re.compile(r"0|-?[1-9][0-9]*")
+
+
 def _path_text(p: int | str) -> str:
     if not isinstance(p, str):
         return str(checked_integer(p, "path element"))
-    if "," in p or p.lstrip("-").isdigit():
-        raise ValueError(f"a text path element must hold no comma and spell no integer, got {p!r}")
+    if "," in p or _INTEGER_TEXT.fullmatch(p):
+        raise ValueError(f"a text path element must hold no comma and not be str() of an integer, got {p!r}")
     return p
 
 
 def derive_seed(master_seed: int, *path: int | str) -> int:
     """The integer seed of the substream (master_seed, *path): an integer, then integers
-    or texts that hold no comma and spell no integer, so no two paths join to one text."""
+    or texts that hold no comma and are not str() of an integer, so no two paths join
+    to one text."""
     master_seed = checked_integer(master_seed, "seed")
     # UTF-8 takes any text and encodes an ASCII path as ASCII, so no such stream moves
     material = ",".join([str(master_seed), *map(_path_text, path)]).encode("utf-8")

@@ -69,18 +69,21 @@ def fit_loglog(points: list[tuple[float, float]]) -> ScalingFit:
     return ScalingFit(intercept, slope, n, rms)
 
 
+def _scheme_families(scheme: str) -> tuple[Family, ...]:
+    """The ladders a scheme draws from; the one check of a scheme's name."""
+    if scheme == H_ONLY:
+        return (Family.H,)
+    if scheme in (MULTI, MIN_ONLINE):
+        return ALL_FAMILIES
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def _synthesize_scheme(
     scheme: str, target: float, epsilon: float, rng: random.Random
 ) -> SynthesisResult:
     """Run one synthesis under a scheme: greedy from the H ladder, greedy
     from all four ladders, or ancilla-mediated from all four."""
-    if scheme == H_ONLY:
-        families: tuple[Family, ...] = (Family.H,)
-    elif scheme in (MULTI, MIN_ONLINE):
-        families = ALL_FAMILIES
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    config = SynthesisConfig(epsilon=epsilon, families=families)
+    config = SynthesisConfig(epsilon=epsilon, families=_scheme_families(scheme))
     if scheme == MIN_ONLINE:
         return min_online_synthesize(target, epsilon, config, rng)
     return synthesize(target, config, rng)
@@ -243,6 +246,7 @@ def fixed_angle_study(
         raise ValueError("theta must lie in (0, 2*pi)")
     if (n_samples := checked_integer(n_samples, "n_samples")) < 1:
         raise ValueError("need at least one sample")
+    _scheme_families(scheme)  # also with no accuracies to run
     rows = []
     for eps_index, epsilon in enumerate(eps_list):
         total_on = []

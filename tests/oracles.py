@@ -8,8 +8,10 @@ pure-integer copy of the counter stream, one merge at a time; the exact
 climb (fractions and 50-digit decimals) judges the noise module's climb
 tables, and with them the exact decay-study means of the tilted models;
 the failure law of a climb (its generating function, term by term) judges
-the climb sampler; and the one-state rotation step replays the planner from
-its public pieces.
+the climb sampler; the arrival law of a noisy climb's downs (the visits of
+its walk on level and downs) judges the noise module's passage-law sampler
+and gives the exact decay-study means of every model; and the one-state
+rotation step replays the planner from its public pieces.
 The small helpers that only the tests read live here too: basis states,
 |+>, pure states as density matrices, Bloch vectors of density matrices, and
 reading a samples CSV back.
@@ -17,14 +19,17 @@ reading a samples CSV back.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
+from rotsynth import noise
 from rotsynth.ladder import Family, ladder_angle, success_probs
 from rotsynth.noise import NoiseModel, make_noisy_resource
 from rotsynth.qcore import GATES_1Q, DensityMatrix, PureRegister, apply_gate, xz_state
@@ -366,3 +371,74 @@ def exact_climb(model: NoiseModel, top: int, downs: list[int]) -> tuple[list[Fra
                 [(d00 * d00 + (re * p - cs) ** 2 + (im * p) ** 2).sqrt() for d00, re, im, cs in levels]
             )
     return up, dist
+
+
+def arrival_law(up: list[float], top: int) -> tuple[list[list[float]], float]:
+    """The law of m, the downs since the last restart, at the first arrival
+    at each level 1..top of a noisy climb whose merge at level j goes up
+    with up[j]: law[L - 1][m], and the largest mass a level's law misses.
+
+    The climb walks on (level, m): an up goes to (j + 1, m), a down to
+    (j - 1, m + 1), a failure at level 0 to (0, 0).  For each top L, visits
+    of the walk stopped at L are filled one m at a time, since within one m
+    the walk only moves up: visits(j, m) = inflow(j, m) +
+    visits(j - 1, m) up[j - 1], the inflow being the downs from
+    (j + 1, m - 1), and the start at (0, 0).  The restarts feed (0, 0) too,
+    in proportion to the start: with a unit start they carry a, so the
+    start holds 1 / (1 - a) in all.  Rows stop once their visits fall below
+    2^-70; the arrival mass of level L at m is visits(L - 1, m) up[L - 1].
+    """
+    laws, worst = [], 0.0
+    for top_level in range(1, top + 1):
+        arrivals, restarts = [], []
+        row = [0.0] * top_level
+        for m in itertools.count():
+            below, row = row, [0.0] * top_level
+            for j in range(top_level):
+                inflow = below[j + 1] * (1 - up[j + 1]) if j + 1 < top_level else 0.0
+                if m == 0 and j == 0:
+                    inflow = 1.0
+                row[j] = inflow + (row[j - 1] * up[j - 1] if j else 0.0)
+            arrivals.append(row[-1] * up[top_level - 1])
+            restarts.append(row[0] * (1 - up[0]))
+            if math.fsum(row) < 2.0**-70:
+                break
+        start = 1 / (1 - math.fsum(restarts))
+        law = [x * start for x in arrivals]
+        worst = max(worst, abs(1 - math.fsum(law)))
+        laws.append(law)
+    return laws, worst
+
+
+@lru_cache(maxsize=32)
+def exact_decay(model: NoiseModel, top: int) -> tuple[list[float], list[float]]:
+    """The exact mean and standard deviation of the trace distance at the
+    first arrival at each level 1..top: arrival_law on the model's up
+    probabilities, through the climb tables' distances (which
+    exact_climb judges).  Asserts that no level's law misses more than
+    1e-13 of its mass."""
+    tables = noise._climb_tables(model)
+    laws, missing = arrival_law(tables.up, top)
+    assert missing < 1e-13, missing
+    depth = max(map(len, laws))
+    dist = tables.distances(np.arange(depth)[:, None].repeat(top, axis=1))
+    means, sds = [], []
+    for level, law in enumerate(laws):
+        d = dist[: len(law), level].tolist()
+        mean = math.fsum(p * x for p, x in zip(law, d))
+        means.append(mean)
+        sds.append(math.sqrt(math.fsum(p * (x - mean) ** 2 for p, x in zip(law, d))))
+    return means, sds
+
+
+def decay_z_scores(model: NoiseModel, points: list[tuple[int, float]], n_instances: int) -> list[float]:
+    """z-score of each level's decay_study mean against exact_decay: its
+    difference over the standard error sd / sqrt(n), or over the rounding
+    bound n 2^-53 of the mean's sequential sum where that is larger (the
+    pure models b and c land on one distance per level whatever the downs,
+    so their sd is 0 or nearly)."""
+    means, sds = exact_decay(model, len(points))
+    return [
+        (got - want) / max(sd / math.sqrt(n_instances), n_instances * 2.0**-53 * want)
+        for (_, got), want, sd in zip(points, means, sds, strict=True)
+    ]

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from oracles import measure_qubit
+from oracles import decay_z_scores, exact_decay, measure_qubit
 from rotsynth import factories, ladder, noise, qcore, study
 from rotsynth.ladder import ALL_FAMILIES, Family
 from rotsynth.seeding import DEFAULT_SEED, derive_rng
@@ -210,12 +210,16 @@ def test_criterion_8_noise_suppression():
     for kind in ("a", "b", "c"):
         for strength, (max_level, a_window_start) in grid.items():
             fit_from = a_window_start if kind == "a" else max_level - max_level // 3 + 1
-            points = noise.decay_study(
-                noise.NoiseModel(kind, strength), max_level, 1000, seed=DEFAULT_SEED
-            )
+            model = noise.NoiseModel(kind, strength)
+            points = noise.decay_study(model, max_level, 1000, seed=DEFAULT_SEED)
             fit = noise.fit_exponential_decay([(l, d) for l, d in points if l >= fit_from])
             assert 2.0 <= fit.base <= 2.5, (kind, strength, fit.base)
-            details.append(f"{kind}/{strength:g}: {fit.base:.2f}")
+            # the exact law's base over the same window, and how far the
+            # study's means sit from the exact ones (reported, not gated)
+            exact = exact_decay(model, max_level)[0]
+            exact_fit = noise.fit_exponential_decay([(l, d) for l, d in enumerate(exact, 1) if l >= fit_from])
+            z = max(map(abs, decay_z_scores(model, points, 1000)))
+            details.append(f"{kind}/{strength:g}: {fit.base:.2f} (exact {exact_fit.base:.4f}, max |z| {z:.2f})")
     _report(
         "8",
         True,

@@ -9,7 +9,10 @@ digests and says so in CHANGES.md: the noise digests were re-recorded when
 noise moved to the counter stream, and again when the noisy climb became a
 walk over closed-form tables (the same draws and walks, but distances free
 of the step-by-step rounding: the means moved by up to 4.3e-7 relative, so
-the printed 7 digits stayed and out.json changed).
+the printed 7 digits stayed and out.json changed), and again when
+decay_study began to sample each passage between first arrivals from its
+exact law with one draw (model a's means moved within their sampling error;
+the pure models' bytes stayed).
 Pure-state noise (models b and c) lands on one state per level whatever the
 draws, so only the last digits of its means can move with the stream.
 """
@@ -54,8 +57,8 @@ CLI_DIGESTS = {
 # an empty directory, so the "wrote out.json" line is the same everywhere
 CLI_FILE_DIGESTS = {
     ("noise", "--model", "a", "--strength", "1e-4", "--out", "out.json"): (
-        "6655de7e06c65153072d6d7462fc7ef4f642820f9e1b3551ff6bd2db738f9134",
-        "8ebecab6bee330df767ccbb6d1b09766ac24e4824dbbae10107a148e5bf574f3",
+        "535d6c2732f3bee6d85fccc4d8ca323cce1b8087bd30817393a1a43dcbb1b978",
+        "5594ce907139e575c54505a05ac60f47b645a0a6521f0b0cc77f3d03e4797711",
     ),
     ("noise", "--model", "b", "--strength", "1e-6", "--out", "out.json"): (
         "a43ddfa28da62f092409098b79b50f7c2e59dbe4d30ea24c171e0a8f78422f4e",

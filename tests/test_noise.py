@@ -1,16 +1,22 @@
 import math
 import re
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from itertools import chain, zip_longest
+from operator import mul
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     NoisyWalker,
+    arrival_law,
+    decay_z_scores,
     dm_apply_gate,
     dm_bloch_vector,
     exact_climb,
@@ -30,7 +36,7 @@ from rotsynth.noise import (
     propagate_to_level,
 )
 from rotsynth.qcore import DensityMatrix, trace_distance
-from rotsynth.seeding import derive_rng
+from rotsynth.seeding import DEFAULT_SEED, counter_uniforms, derive_rng, derive_seed
 
 
 def test_strength_is_kept_as_a_float():
@@ -323,17 +329,22 @@ def test_walker_state_is_the_table_state_at_its_level_and_downs(model, draws):
             assert abs(got - want) <= 1e-12 * abs(want) + 1e-300
 
 
+def _force_walk(monkeypatch):
+    """Send every model down the merge-by-merge walk."""
+    monkeypatch.setattr(noise, "_LAW_MIN_UP", math.inf)
+
+
 @pytest.mark.parametrize("model", _EDGE_MODELS, ids=repr)
 def test_decay_study_runs_on_edge_models(model, monkeypatch):
-    for threshold in (4, 3):
-        monkeypatch.setattr(noise, "_LOCKSTEP_MIN_INSTANCES", threshold)
+    """On the model's own path, then walked."""
+    for walk in (False, True):
+        if walk:
+            _force_walk(monkeypatch)
         points = decay_study(model, 14, 3, seed=1)
         assert all(math.isfinite(d) and d >= 0 for _, d in points)
 
 
-# --- the climb loop against the step-by-step oracle walker ------------------
-
-_THRESHOLD = noise._LOCKSTEP_MIN_INSTANCES
+# --- the walk against the step-by-step oracle walker -------------------------
 
 # The walker rounds every merge, and its diagonal difference r00 - cc rounds
 # at 1 rather than at the small entries: its means differ from the tables'
@@ -374,10 +385,10 @@ def _spy(monkeypatch, name):
 
 def _expected_blocks(draws, top):
     """The (instances, start, count) of every counter_uniforms call of a
-    decay_study whose climbs take the given numbers of draws: one block of
-    2 * top + 8 draws for all instances, then, per instance in turn while
-    its climb still needs draws, blocks starting at that width, twice it,
-    four times it, ..., each as long as all before it."""
+    walked decay_study whose climbs take the given numbers of draws: one
+    block of 2 * top + 8 draws for all instances, then, per instance in turn
+    while its climb still needs draws, blocks starting at that width, twice
+    it, four times it, ..., each as long as all before it."""
     width = 2 * top + 8
     more = []
     for i, d in enumerate(draws):
@@ -388,96 +399,74 @@ def _expected_blocks(draws, top):
     return [(list(range(len(draws))), 0, width), *more]
 
 
-def _walked_downs(runs, loops):
-    """The downs a decay_study walked, read from the spies on
-    _lockstep_climbs (runs) and _noisy_climb (loops): the lockstep's rows,
-    each row it handed on replaced by the loop's walk; without a lockstep
-    run, the loop's walks in instance order."""
-    if runs:
-        (_, (downs, rest)), = runs
-        downs, rest = downs.tolist(), rest.tolist()
-    else:
-        downs, rest = [None] * len(loops), range(len(loops))
-    for i, (_, arrivals) in zip(rest, loops, strict=True):
-        downs[i] = arrivals
-    return downs
-
-
-def _replay(model, top, n, seed, monkeypatch, paths=(False, True)):
-    """decay_study on the loop and on the lockstep (each forced through the
-    threshold) against the step-by-step walker: exactly the walker's downs
-    at every first arrival and its draw counts, read through the exact
-    counter blocks each path asks for; the same bytes on every path; and
-    per-level means within the walker's rounding.  Returns the worst
-    agreement ratio."""
+def _replay(model, top, n, seed, monkeypatch):
+    """decay_study walked merge by merge (forced, for a model whose own path
+    is the passage law) against the step-by-step walker: exactly the
+    walker's downs at every first arrival and its draw counts, read through
+    the exact counter blocks the walk asks for, and per-level means within
+    the walker's rounding.  Returns the worst agreement ratio."""
     replay = walker_decay_study(model, top, n, seed)
-    results = []
-    for lockstep in paths:
-        monkeypatch.setattr(noise, "_LOCKSTEP_MIN_INSTANCES", n if lockstep else n + 1)
-        blocks = _spy(monkeypatch, "counter_uniforms")
-        runs = _spy(monkeypatch, "_lockstep_climbs")
-        loops = _spy(monkeypatch, "_noisy_climb")
-        results.append(decay_study(model, top, n, seed))
-        assert len(runs) == lockstep
-        assert _walked_downs(runs, loops) == replay.downs
-        spans = [(np.asarray(rows).tolist(), start, count) for (_, rows, start, count), _ in blocks]
-        assert spans == _expected_blocks(replay.draws, top)
-    assert all(points == results[0] for points in results)
-    ratio = _walker_ratio(model, results[0], replay.points)
+    _force_walk(monkeypatch)
+    blocks = _spy(monkeypatch, "counter_uniforms")
+    loops = _spy(monkeypatch, "_noisy_climb")
+    points = decay_study(model, top, n, seed)
+    assert [arrivals for _, arrivals in loops] == replay.downs
+    spans = [(np.asarray(rows).tolist(), start, count) for (_, rows, start, count), _ in blocks]
+    assert spans == _expected_blocks(replay.draws, top)
+    ratio = _walker_ratio(model, points, replay.points)
     assert ratio <= 1
     return ratio
 
 
 @pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
 @pytest.mark.parametrize("seed", [1, 2, 7])
-def test_decay_study_equals_walker_replay(model, seed, monkeypatch):
-    """The same draws, ups and downs as one walker step at a time, the same
-    bytes on both paths, and means that agree to the walker's rounding."""
+def test_decay_study_walk_equals_walker_replay(model, seed, monkeypatch):
+    """The same draws, ups and downs as one walker step at a time, and
+    means that agree to the walker's rounding."""
     print(f"worst walker agreement {_replay(model, 14, 40, seed, monkeypatch):.3g} of its bound")
 
 
 @pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
-@pytest.mark.parametrize("n", [1, 10, 99, 100, 101, 149, 150, 151])
-def test_decay_study_paths_equal_walker_replay(model, n, monkeypatch):
-    """The loop and the numpy lockstep, each forced at every count, walk the
-    walker's walk and give the same bytes."""
+@pytest.mark.parametrize("n", [1, 2, 10, 40, 151])
+def test_walk_equals_walker_replay_at_any_count(model, n, monkeypatch):
     _replay(model, 14, n, 7, monkeypatch)
 
 
-@pytest.mark.parametrize("n", [_THRESHOLD - 1, _THRESHOLD, _THRESHOLD + 1])
-def test_decay_study_switches_path_at_threshold(n, monkeypatch):
-    """The lockstep runs from _LOCKSTEP_MIN_INSTANCES on (200, the measured
-    crossover: lockstep / loop per instance 1.15 at 150 instances, 1.04 at
-    175, 0.95-0.98 at 200, 0.81-0.89 at 250), and either path walks the
-    walker's walk."""
-    model = NoiseModel("b", 1e-4)
-    replay = walker_decay_study(model, 14, n, 7)
-    runs = _spy(monkeypatch, "_lockstep_climbs")
+# near-symmetric resources: some merge goes up with probability below
+# _LAW_MIN_UP (about 0.54 for the 0.3 mixture, 1/2 for the others)
+_HEAVY_MODELS = [NoiseModel("a", 0.3), NoiseModel("a", 0.5), NoiseModel("b", math.pi / 4)]
+
+
+@pytest.mark.parametrize("model", list(dict.fromkeys(_GRID_MODELS + _REPLAY_MODELS + _HEAVY_MODELS)), ids=repr)
+def test_the_model_alone_picks_the_path(model):
+    """The criterion-8 grid and the replay models take the passage law (the
+    least up probability among them is 0.59, of the 0.2 mixture), the
+    near-symmetric models walk, whatever the count and the top."""
+    law = model not in _HEAVY_MODELS
+    for top, n in ((2, 1), (14, 40), (3, 250)):
+        with pytest.MonkeyPatch.context() as mp:
+            laws, loops = _spy(mp, "_law_climbs"), _spy(mp, "_noisy_climb")
+            decay_study(model, top, n, 1)
+        assert (len(laws), len(loops)) == ((1, 0) if law else (0, n))
+
+
+@pytest.mark.parametrize("model", _HEAVY_MODELS, ids=repr)
+def test_near_symmetric_models_replay_the_walker(model, monkeypatch):
+    """Unforced, a near-symmetric model walks the walker's walk."""
+    replay = walker_decay_study(model, 14, 40, 3)
     loops = _spy(monkeypatch, "_noisy_climb")
-    assert _walker_ratio(model, decay_study(model, 14, n, 7), replay.points) <= 1
-    assert len(runs) == (n >= _THRESHOLD)
-    assert _walked_downs(runs, loops) == replay.downs
+    points = decay_study(model, 14, 40, 3)
+    assert [arrivals for _, arrivals in loops] == replay.downs
+    assert _walker_ratio(model, points, replay.points) <= 1
 
 
-@pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
-@pytest.mark.parametrize("n", [1, 2, 40])
-def test_lockstep_equals_walker_replay_at_small_counts(model, n, monkeypatch):
-    for seed in (1, 2):
-        _replay(model, 14, n, seed, monkeypatch)
-
-
-@pytest.mark.parametrize("n", [_THRESHOLD - 1, _THRESHOLD])
-def test_instances_that_outrun_their_block_continue_their_rows(n, monkeypatch):
-    """Under a 0.2 mixture some climbs need more than the first block's
-    2 * top + 8 draws: on both paths they continue their own counter rows
-    from the draw they reached, and still walk the walker's walk; the
-    lockstep hands them on to the loop."""
-    model = NoiseModel("a", 0.2)
-    assert max(walker_decay_study(model, 14, n, 1).draws) > 36
-    runs = _spy(monkeypatch, "_lockstep_climbs")
-    _replay(model, 14, n, 1, monkeypatch)
-    (_, (_, rest)), = runs
-    assert rest.size > 0
+def test_instances_that_outrun_their_block_continue_their_rows(monkeypatch):
+    """Under a 0.3 mixture (walked) some climbs need more than the first
+    block's 2 * top + 8 draws: they continue their own counter rows from the
+    draw they reached, and still walk the walker's walk."""
+    model = NoiseModel("a", 0.3)
+    assert max(walker_decay_study(model, 14, 40, 1).draws) > 36
+    _replay(model, 14, 40, 1, monkeypatch)
 
 
 def test_criterion_8_means_agree_with_the_walker_to_its_rounding(monkeypatch):
@@ -488,7 +477,7 @@ def test_criterion_8_means_agree_with_the_walker_to_its_rounding(monkeypatch):
     for kind in "abc":
         for strength, top in ((1e-4, 28), (1e-6, 22), (1e-8, 16)):
             model = NoiseModel(kind, strength)
-            worst = max(worst, _replay(model, top, 100, 3, monkeypatch, paths=(True,)))
+            worst = max(worst, _replay(model, top, 100, 3, monkeypatch))
     print(f"criterion-8 grid: worst walker agreement {worst:.3g} of its bound")
 
 
@@ -496,16 +485,17 @@ def test_criterion_8_means_agree_with_the_walker_to_its_rounding(monkeypatch):
 _PURE_GRID = {1e-4: 28, 1e-6: 22, 1e-8: 16, 0.0: 28, 1e-3: 28, 0.3: 28}
 
 
-@pytest.mark.parametrize("lockstep", [False, True], ids=["loop", "lockstep"])
+@pytest.mark.parametrize("walk", [False, True], ids=["law", "walk"])
 @pytest.mark.parametrize("kind", ["b", "c"])
-def test_pure_resource_means_equal_the_exact_first_arrival_states(kind, lockstep, monkeypatch):
+def test_pure_resource_means_equal_the_exact_first_arrival_states(kind, walk, monkeypatch):
     """Models b and c: both paths give the exact first-arrival distances
     of oracles.exact_climb at no downs, up to rounding.  For a pure sigma,
     |s01|^2 = s00 s11, so lam = 1 and the state at level l does not depend
     on the downs: every instance adds the same distance."""
     n = 1000
-    monkeypatch.setattr(noise, "_LOCKSTEP_MIN_INSTANCES", n if lockstep else n + 1)
-    runs = _spy(monkeypatch, "_lockstep_climbs")
+    if walk:
+        _force_walk(monkeypatch)
+    laws = _spy(monkeypatch, "_law_climbs")
     worst = 0.0
     for strength, top in _PURE_GRID.items():
         model = NoiseModel(kind, strength)
@@ -515,20 +505,252 @@ def test_pure_resource_means_equal_the_exact_first_arrival_states(kind, lockstep
                 worst = max(worst, abs(mean - want) / (1e-9 * want + 1e-15))
     print(f"model {kind}: worst |mean - exact| is {worst:.3f} of its bound")
     assert worst <= 1
-    assert len(runs) == (2 * len(_PURE_GRID) if lockstep else 0)
+    assert len(laws) == (0 if walk else 2 * len(_PURE_GRID))
 
 
-@pytest.mark.parametrize("lockstep", [False, True], ids=["loop", "lockstep"])
-def test_mixture_means_depend_on_the_seed(lockstep, monkeypatch):
+@pytest.mark.parametrize("walk", [False, True], ids=["law", "walk"])
+def test_mixture_means_depend_on_the_seed(walk, monkeypatch):
     """Model a's arrivals above level 1 depend on the draws, so a different
     seed moves the mean at every such level: the stream is read.  (Every
     first arrival at level 1 merges two fresh resources.)"""
-    n = 1000
-    monkeypatch.setattr(noise, "_LOCKSTEP_MIN_INSTANCES", n if lockstep else n + 1)
+    if walk:
+        _force_walk(monkeypatch)
     model = NoiseModel("a", 1e-4)
-    one, two = decay_study(model, 28, n, 1), decay_study(model, 28, n, 2)
+    one, two = decay_study(model, 28, 1000, 1), decay_study(model, 28, 1000, 2)
     assert one[0] == two[0]
     assert all(a != b for (_, a), (_, b) in zip(one[1:], two[1:]))
+
+
+# --- the passage law against exact arithmetic, the walk and the arrival law --
+
+_LAW_JUDGE_MODELS = [NoiseModel("a", 1e-4), NoiseModel("a", 0.15), NoiseModel("b", 1e-6)]
+# exact arithmetic rounded to 2^-200 per coefficient: unrounded, the
+# fractions of the recursion grow to about 10^5 bits by level 6
+_JUDGE_SCALE = 2**200
+
+
+def _levels_of(keys):
+    """The passage of each outcome key (the last key of passage l is
+    (l + 1) * 2^53)."""
+    return (keys - 1) >> 53
+
+
+@pytest.mark.parametrize("model", _LAW_JUDGE_MODELS, ids=repr)
+def test_passage_series_equal_exact_arithmetic(model):
+    """Every coefficient of A and B that levels 1-6 hold is within 1e-15 of
+    the same recursion in Fractions from the float up probabilities, and the
+    masses a level keeps miss at most 2^-52 of 1 before the clamp."""
+    law = noise._passage_law(model)
+    keys = law._tables(7)[0]
+    up = [Fraction(u) for u in noise._climb_tables(model).up]
+    terms = len(law._a[1])  # no level holds more terms than the one beneath it
+
+    def rounded(x):
+        return Fraction(round(x * _JUDGE_SCALE), _JUDGE_SCALE)
+
+    a = [up[0]] + [Fraction(0)] * (terms - 1)
+    b = [1 - up[0]] + [Fraction(0)] * (terms - 1)
+    worst = worst_lost = 0.0
+    for level in range(1, 7):
+        p = up[level]
+        q = 1 - p
+        below_a, below_b, a = a, b, [p]
+        for k in range(1, terms):
+            a.append(rounded(q * sum(map(mul, below_a[:k], reversed(a)))))
+        b = [rounded(q / p * sum(map(mul, below_b[: k + 1], a[k::-1]))) for k in range(terms)]
+        for series, exact in ((law._a[level], a), (law._b[level], b)):
+            for got, want in zip(series, exact):
+                worst = max(worst, abs(float(Fraction(got) - want)))
+        kept = law._kept[level]
+        assert np.count_nonzero(_levels_of(keys) == level) == 2 * kept
+        lost = 1 - math.fsum(chain(law._a[level][:kept], law._b[level][:kept]))
+        worst_lost = max(worst_lost, abs(lost))
+    print(f"worst coefficient error {worst:.2e}; worst mass lost {worst_lost / 2**-52:.2f} x 2^-52")
+    assert worst <= 1e-15 and worst_lost <= 2**-52
+
+
+@pytest.mark.parametrize("model", [*_LAW_JUDGE_MODELS, NoiseModel("a", 0.2), NoiseModel("c", 1e-8)], ids=repr)
+def test_draws_beside_a_threshold_pick_adjacent_outcomes(model):
+    """The draws one unit of 2^-53 below and at each outcome's key pick
+    that outcome and the next one (past any outcome of no width), and the
+    guide picks exactly what a binary search over all keys picks."""
+    top = 12
+    law = noise._passage_law(model)
+    keys = law._tables(top)[0]
+    levels = _levels_of(keys)
+    local = keys - (levels << 53)
+    inside = np.flatnonzero((levels < top) & (local >= 1) & (local < 2**53))
+    rows = np.arange(inside.size)
+    block = np.zeros((2 * inside.size, top - 1))
+    local = local[inside].astype(float)
+    block[2 * rows, levels[inside] - 1] = (local - 1) * 2.0**-53
+    block[2 * rows + 1, levels[inside] - 1] = local * 2.0**-53
+    picks = law.pick(block)[np.arange(block.shape[0]), np.repeat(levels[inside] - 1, 2)]
+    assert np.array_equal(picks[0::2], np.searchsorted(keys, keys[inside], side="left"))
+    assert np.array_equal(picks[1::2], np.searchsorted(keys, keys[inside], side="right"))
+    draws = counter_uniforms(5, np.arange(2000), 0, top - 1)
+    keyed = (draws * 2.0**53).astype(np.int64) + (np.arange(1, top) << 53)
+    search = np.searchsorted(keys, keyed, side="right")
+    assert np.array_equal(law.pick(draws), search)
+
+
+@pytest.mark.parametrize("model", [NoiseModel("a", 1e-4), NoiseModel("a", 0.2)], ids=repr)
+def test_law_climbs_run_the_downs_recursion(model):
+    """The downs at the first arrivals are the loop m_1 = 0,
+    m_{l+1} = D if R else m_l + D over each row's picked passages."""
+    top = 15
+    law = noise._passage_law(model)
+    block = counter_uniforms(9, np.arange(500), 0, top - 1)
+    restarts, downs = law.outcomes(top)
+    want = []
+    for row in law.pick(block).tolist():
+        m = [0]
+        for j in row:
+            m.append(int(downs[j]) + (0 if restarts[j] else m[-1]))
+        want.append(m)
+    assert noise._law_climbs(law, block).tolist() == want
+
+
+def test_concurrent_tabulation_builds_the_serial_table():
+    """Threads that ask one passage law for different tops at once (more
+    threads than cores, with a short switch interval) leave the tables that
+    one thread building them in turn leaves."""
+    up = noise._climb_tables(NoiseModel("a", 0.05)).up
+    want = noise._PassageLaw(up)._tables(20)
+    shared = noise._PassageLaw(up)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        tops = (5, 20, 12, 3, 17, 20, 9)
+        threads = [threading.Thread(target=shared._tables, args=(top,), daemon=True) for top in tops]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(got, table) for got, table in zip(shared._tables(20), want, strict=True))
+
+
+_LIGHT_MODELS = list(dict.fromkeys(_GRID_MODELS + _LAW_JUDGE_MODELS + [NoiseModel("a", 0.05), NoiseModel("a", 0.2)]))
+
+
+@pytest.mark.parametrize("model", _LIGHT_MODELS, ids=repr)
+def test_passage_law_composes_to_the_arrival_law(model):
+    """Two exact routes to the law of the downs at each first arrival agree
+    to 1e-12 at every level up to 16: the sampled law of each passage (each
+    outcome's width between keys, over 2^53), composed level by level
+    (m' = D after a restart, m + D otherwise), and oracles.arrival_law's
+    visits of the walk on (level, m)."""
+    top = 16
+    law = noise._passage_law(model)
+    keys = law._tables(top)[0]
+    restarts, downs = law.outcomes(top)
+    # passage l's keys run up to (l + 1) * 2^53, where passage l + 1's begin
+    widths = np.diff(keys, prepend=2**53)
+    exact, missing = arrival_law(noise._climb_tables(model).up, top)
+    assert missing < 1e-13
+    m_law, worst = [1.0], 0.0
+    for level in range(1, top):
+        mine = _levels_of(keys) == level
+        after = [0.0] * (len(m_law) + int(downs[mine].max()) + 1)
+        for r, d, w in zip(restarts[mine].tolist(), downs[mine].tolist(), widths[mine].tolist()):
+            mass = w * 2.0**-53
+            if r:
+                after[d] += mass
+            else:
+                for m, p in enumerate(m_law):
+                    after[m + d] += p * mass
+        m_law = after
+        want = exact[level]
+        worst = max(worst, max(abs(x - y) for x, y in zip_longest(m_law, want, fillvalue=0.0)))
+    print(f"worst |P(m) - exact| {worst:.2e}")
+    assert worst <= 1e-12
+
+
+def test_law_downs_follow_the_walk():
+    """Two-sample chi-squared of the downs at the first arrival at levels
+    3-6, sampled from the passage law (counter stream) and walked merge by
+    merge (random.Random), 10^5 climbs each, for three light models.
+    Bonferroni over the 12 tests at a family-wise 1e-3."""
+    n, top, tests = 100_000, 6, []
+    for model in (NoiseModel("a", 1e-4), NoiseModel("a", 0.2), NoiseModel("b", 1e-6)):
+        key = derive_seed(DEFAULT_SEED, "law-vs-walk", model.kind, repr(model.strength))
+        law = noise._law_climbs(noise._passage_law(model), counter_uniforms(key, np.arange(n), 0, top - 1))
+        up = noise._climb_tables(model).up
+        rng = derive_rng(DEFAULT_SEED, "walk", model.kind, repr(model.strength))
+        walk = np.array([noise._noisy_climb(up, top, iter(rng.random, None)) for _ in range(n)])
+        for level in range(3, top + 1):
+            tests.append((model, level, *_chi2_two_samples(law[:, level - 1], walk[:, level - 1])))
+    bound = 1e-3 / len(tests)
+    for model, level, stat, dof, p in tests:
+        print(f"LAW VS WALK {model.kind}/{model.strength:g} level {level}: chi2 = {stat:.1f} on {dof} dof, p = {p:.3g}")
+    print(f"Bonferroni bound on p: {bound:.2g}")
+    assert min(p for *_, p in tests) > bound
+
+
+def _chi2_two_samples(one, two):
+    """(statistic, degrees of freedom, p) of the homogeneity of two equal
+    samples of counts.  A cell expects half its bin's total, so the bins
+    from the first whose total is below 10 are pooled, with one more if the
+    pool's total is below 10 too."""
+    from scipy.stats import chi2_contingency
+
+    size = max(one.max(), two.max()) + 1
+    table = np.array([np.bincount(one, minlength=size), np.bincount(two, minlength=size)])
+    small = table.sum(axis=0) < 10
+    cut = int(np.argmax(small)) if small.any() else size
+    if table[:, cut:].sum() < 10:
+        cut -= 1
+    table = np.column_stack([table[:, :cut], table[:, cut:].sum(axis=1)])
+    stat, p, dof, _ = chi2_contingency(table, correction=False)
+    return stat, dof, p
+
+
+@pytest.mark.parametrize("model", _GRID_MODELS, ids=repr)
+def test_decay_study_means_match_the_exact_law_on_the_criterion_8_grid(model):
+    """z-test of every level's mean of a 20000-instance decay_study against
+    oracles.exact_decay on each criterion-8 cell, Bonferroni over all the
+    grid's levels (66) at a family-wise 1e-3."""
+    n, top = 20_000, {1e-4: 28, 1e-6: 22, 1e-8: 16}[model.strength]
+    z = max(map(abs, decay_z_scores(model, decay_study(model, top, n, seed=11), n)))
+    bound = NormalDist().inv_cdf(1 - 1e-3 / (2 * (28 + 22 + 16)))
+    print(f"{model.kind}/{model.strength:g}: max |z| {z:.2f} over {top} levels (Bonferroni bound {bound:.2f})")
+    assert z <= bound
+
+
+def _study_downs(model, top, n, seed):
+    """The points of decay_study and the downs it turned into distances."""
+    seen = []
+    original = noise._ClimbTables.distances
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(noise._ClimbTables, "distances", lambda tables, downs: seen.append(downs.copy()) or original(tables, downs))
+        points = decay_study(model, top, n, seed)
+    (downs,) = seen
+    return points, downs
+
+
+def _check_prefixes(model, low, high, n, seed):
+    points, downs = _study_downs(model, high, n, seed)
+    short, short_downs = _study_downs(model, low, n, seed)
+    assert short == points[:low] and np.array_equal(short_downs, downs[:, :low])
+    few = n // 2 + 1
+    assert np.array_equal(_study_downs(model, high, few, seed)[1], downs[:few])
+
+
+@pytest.mark.parametrize("model", _GRID_MODELS[:3] + _HEAVY_MODELS[:1], ids=repr)
+def test_a_lower_top_or_fewer_instances_read_a_prefix(model):
+    """decay_study(model, 10, n, s) is the first 10 levels of
+    decay_study(model, 20, n, s), and row i's downs do not depend on n."""
+    _check_prefixes(model, 10, 20, 300, 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_MODELS, st.integers(1, 30), st.integers(0, 2**40))
+def test_a_lower_top_or_fewer_instances_read_a_prefix_for_any_model(model, n, seed):
+    """The same for any model, on either path, at small tops."""
+    _check_prefixes(model, 4, 8, n, seed)
 
 
 @pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
@@ -609,9 +831,9 @@ def test_propagate_requires_positive_level():
 # levels small enough for that to end quickly
 @given(st.integers(min_value=MAX_LEVEL + 1, max_value=5000))
 def test_levels_above_the_ladder_cap_are_rejected(level):
-    """Past level ~840 the ideal angles underflow; the lockstep block also
-    grows with the top level.  Both entry points stop at the ladder cap
-    before any work."""
+    """Past level ~840 the ideal angles underflow; the passage tables and
+    each instance's draws also grow with the top level.  Both entry points
+    stop at the ladder cap before any work."""
     with pytest.raises(ValueError, match=r"max_level must be in \[1, 150\]"):
         decay_study(NoiseModel("a", 1e-4), level, 3, seed=1)
     with pytest.raises(ValueError, match=r"target_level must be in \[1, 150\]"):

@@ -145,10 +145,10 @@ def test_master_seeds_are_checked_by_name(entry):
 
 def test_path_elements_join_without_ambiguity():
     """A path element is an integer (written as str(int)) or a text that holds
-    no comma and spells no integer, so "a,b" cannot read the stream of
-    ("a", "b"), nor "1" that of 1; the accepted paths hash the text they
+    no comma and is not str() of an integer, so "a,b" cannot read the stream
+    of ("a", "b"), nor "1" that of 1; the accepted paths hash the text they
     always hashed, so no stream moves."""
-    for value in ("a,b", "1", "-3", ",", "007"):
+    for value in ("a,b", "1", "-3", ",", "0", "12345678901234567890"):
         with pytest.raises(ValueError, match=f"^a text path element must .* got {re.escape(repr(value))}$"):
             derive_seed(1, value)
     for value in (1.5, None, [1], 1.0):
@@ -162,9 +162,9 @@ def test_path_elements_join_without_ambiguity():
 
 
 def test_non_ascii_text_path_elements_are_accepted():
-    """A text that holds no comma and spells no integer may be any text: it
-    hashes its UTF-8 bytes, reads the same stream on every call, and not the
-    stream of a neighbouring text or path."""
+    """A text that holds no comma and is not str() of an integer may be any
+    text: it hashes its UTF-8 bytes, reads the same stream on every call,
+    and not the stream of a neighbouring text or path."""
     for text, neighbours in [
         ("é", ["e", "è", "e\u0301", "ée"]),
         ("ψ0", ["psi0", "ψ", "ψ1"]),
@@ -175,3 +175,38 @@ def test_non_ascii_text_path_elements_are_accepted():
         assert derive_rng(1, text).random() == derive_rng(1, text).random()
         others = [derive_seed(1, n) for n in neighbours] + [derive_seed(2, text), derive_seed(1, text, 0)]
         assert derive_seed(1, text) not in others
+
+
+@pytest.mark.parametrize("text", ["\u00b2", "--3", "007", "-0", "+1", " 1", "1 ", "\u0661"], ids=ascii)
+def test_texts_that_no_integer_writes_are_accepted(text):
+    """Only str() of an integer is refused: a superscript or Arabic-Indic
+    digit, a stacked or plus sign, a leading zero, a negative zero or a
+    space is another text, and reads its own stream, not that of the
+    integer int() would read it as."""
+    material = f"1,{text}".encode("utf-8")
+    assert derive_seed(1, text) == int.from_bytes(hashlib.sha256(material).digest(), "big")
+    try:
+        number = int(text)
+    except ValueError:
+        return
+    assert derive_seed(1, text) != derive_seed(1, number)
+
+
+def _refused_before(text):
+    """The text rule before it was narrowed to str() of an integer."""
+    return "," in text or text.lstrip("-").isdigit()
+
+
+@given(st.text(max_size=12) | st.from_regex(r"-*[0-9\u00b2\u0661]{1,4}", fullmatch=True))
+def test_narrowing_the_text_rule_moved_no_stream(text):
+    """Every text accepted before is still accepted and hashes the same
+    bytes, so its stream did not move; a refused text is exactly one that
+    holds a comma or that str() writes for an integer."""
+    material = f"3,{text}".encode("utf-8")
+    try:
+        seed = derive_seed(3, text)
+    except ValueError:
+        assert _refused_before(text)
+        assert "," in text or str(int(text)) == text
+    else:
+        assert seed == int.from_bytes(hashlib.sha256(material).digest(), "big")

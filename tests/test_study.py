@@ -227,6 +227,16 @@ def test_fixed_angle_study_validation():
         fixed_angle_study(0.0, [1e-4], H_ONLY, 10)
 
 
+@pytest.mark.parametrize("eps_list", [[], [1e-3]])
+def test_fixed_angle_study_rejects_an_unknown_scheme(eps_list):
+    """Before any accuracy is run, so an empty list cannot hide the name;
+    the scaling study checks through the same dispatch."""
+    with pytest.raises(ValueError, match="^unknown scheme 'bogus'$"):
+        fixed_angle_study(0.5, eps_list, "bogus", 10)
+    with pytest.raises(ValueError, match="^unknown scheme 'bogus'$"):
+        run_scaling_study("bogus", 2)
+
+
 @pytest.mark.parametrize("n", [0, -2])
 def test_fixed_angle_study_requires_a_sample(n):
     with pytest.raises(ValueError, match="need at least one sample"):
