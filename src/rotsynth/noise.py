@@ -19,18 +19,21 @@ with n = l + 1, the bottom state is
     N = s00^n + s11^n,  lam = |s01|^2 / (s00 s11).
 
 The up probability therefore depends on the level alone, and the distance
-at a first arrival on (level, m) alone.  The up probability and the
-per-level parts of the state are tabulated once per model, and a climb is
-an integer walk on (level, m).  Its passage from the first arrival at one
-level to the first arrival at the next then has a fixed law of (restart or
-not, downs), tabulated per model as it is asked for: decay_study samples
-each passage of every instance with one counter-stream draw, all at once in
-numpy, and walks merge by merge only the near-symmetric resources, whose
-passages have heavy tails; propagate_to_level always walks.  One distance
-expression turns the downs into bytes.  The tests check the tables against
-exact oracles, the walk against a step-by-step walker and the generic
-density-matrix simulation, and the sampled climbs against the walk and the
-exact arrival law.
+at a first arrival on (level, m) alone.  A pure resource (models b and c,
+and the mixture at weight 0 or 1) has |s01|^2 = s00 s11, so lam = 1 and
+every first arrival at a level lands on one state: decay_study returns
+those exact distances and reads no draws.  For the other mixtures, the up
+probability and the per-level parts of the state are tabulated once per
+model, and a climb is an integer walk on (level, m).  Its passage from the
+first arrival at one level to the first arrival at the next then has a
+fixed law of (restart or not, downs), tabulated per model as it is asked
+for: decay_study samples each passage of every instance with one
+counter-stream draw, all at once in numpy, and walks merge by merge only
+the near-symmetric resources, whose passages have heavy tails;
+propagate_to_level always walks.  One distance expression turns the downs
+into bytes.  The tests check the tables against exact oracles, the walk
+against a step-by-step walker and the generic density-matrix simulation,
+and the sampled climbs against the walk and the exact arrival law.
 """
 from __future__ import annotations
 
@@ -119,6 +122,11 @@ def make_noisy_resource(model: NoiseModel) -> DensityMatrix:
     )
 
 
+def _is_pure(model: NoiseModel) -> bool:
+    """Models b and c tilt a pure state; a mixture is pure at weight 0 or 1."""
+    return model.kind != "a" or model.strength in (0.0, 1.0)
+
+
 def ideal_resource(level: int) -> DensityMatrix:
     a = ladder_angle(Family.H, level)
     return dm_from_bloch(math.sin(2 * a), 0.0, math.cos(2 * a))
@@ -130,9 +138,10 @@ class _ClimbTables:
     up[l] is the probability that a merge at level l goes up.  state(l, m)
     is the bottom state at level l after m downs since the last restart,
     and distances(downs) the trace distances of the first-arrival states to
-    the ideal ladder states.  Only per-level values are kept, so the size of
-    the tables does not depend on the climbs.  The entries of sigma are scaled by the
-    larger diagonal one, so no power overflows and no model divides by zero.
+    the ideal ladder states.  lam is 1 by construction for a pure resource.
+    Only per-level values are kept, so the size of the tables does not
+    depend on the climbs.  The entries of sigma are scaled by the larger
+    diagonal one, so no power overflows and no model divides by zero.
     The ideal state at level l is (1, t, t^2) / (1 + t^2) with
     t = tan(pi/8)^(l + 1), and the diagonal difference is taken between the
     small entries, ss - r11, which keeps its relative precision where r00
@@ -146,9 +155,13 @@ class _ClimbTables:
         s00, s01, s11 = float(sigma[0, 0].real), complex(sigma[0, 1]), float(sigma[1, 1].real)
         big = max(s00, s11)
         x, y, z = s00 / big, s11 / big, s01 / big
-        # |s01|^2 <= s00 s11 in a state, so lam <= 1 up to rounding; a down
-        # needs both diagonal entries nonzero, else m stays 0
-        self.lam = min(1.0, (z.real * z.real + z.imag * z.imag) / (x * y)) if x * y > 0 else 0.0
+        if _is_pure(model):
+            # |s01|^2 = s00 s11, which the computed ratio can miss by an ulp
+            self.lam = 1.0
+        else:
+            # |s01|^2 <= s00 s11 in a state, so lam <= 1 up to rounding; a
+            # down needs both diagonal entries nonzero, else m stays 0
+            self.lam = min(1.0, (z.real * z.real + z.imag * z.imag) / (x * y)) if x * y > 0 else 0.0
         up, diag, r01, cs, d00 = [], [], [], [], []
         for n in range(1, MAX_LEVEL + 2):
             xn, yn = x**n, y**n
@@ -411,10 +424,13 @@ def decay_study(
 
     Each instance climbs once to max_level, recording the state at its first
     arrival at every level; first-arrival snapshots have the same law as
-    stopping there, so the per-level means match per-level runs.  Instance i
-    reads row i of the counter stream keyed by (seed, kind, strength).  If
-    every up probability of the model is at least _LAW_MIN_UP, draw l - 1 of
-    row i samples its passage l -> l + 1 from the passage law (level 1 is
+    stopping there, so the per-level means match per-level runs.  A pure
+    resource lands on one state per level whatever the climb, so its means
+    are the exact distances of those states: no draw is read, and they
+    depend neither on seed nor on n_instances.  Otherwise instance i reads
+    row i of the counter stream keyed by (seed, kind, strength).  If every
+    up probability of the model is at least _LAW_MIN_UP, draw l - 1 of row
+    i samples its passage l -> l + 1 from the passage law (level 1 is
     always reached with no downs); otherwise the loop walks row i one merge
     per draw.  The model alone picks the path, so row i's downs depend
     neither on n_instances nor on max_level beyond its own levels.
@@ -422,7 +438,11 @@ def decay_study(
     max_level = checked_level(max_level, "max_level", 1)
     if (n_instances := checked_integer(n_instances, "n_instances")) < 1:
         raise ValueError("need at least one instance")
+    checked_integer(seed, "seed")
     tables = _climb_tables(model)
+    if _is_pure(model):
+        # lam = 1: every first arrival at a level lands on one state
+        return list(enumerate(tables.distances(np.zeros(max_level, np.intp)).tolist(), 1))
     key = derive_seed(seed, "noise", model.kind, repr(model.strength))
     rows = np.arange(n_instances)
     if min(tables.up) >= _LAW_MIN_UP:

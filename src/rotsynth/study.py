@@ -39,15 +39,20 @@ class ScalingSample:
 
 @dataclass(frozen=True)
 class ScalingFit:
+    """slope_se is the slope's standard error, sqrt(sum res^2 / (n - 2) / Sxx)
+    (NaN for two points, which leave no residual degree of freedom)."""
+
     intercept: float
     slope: float
     n_samples: int
     rms_residual: float
+    slope_se: float
 
 
 def fit_loglog(points: list[tuple[float, float]]) -> ScalingFit:
-    """Ordinary least squares of y on x: the scaling fits pass
-    (lnln(1/eps), ln C) points, the noise decay fit (level, ln distance)."""
+    """Ordinary least squares of y on x, with the closed-form standard error
+    of the slope: the scaling fits pass (lnln(1/eps), ln C) points, the
+    noise decay fit (level, ln distance)."""
     n = len(points)
     if n < 2:
         raise ValueError("need at least two points")
@@ -63,10 +68,9 @@ def fit_loglog(points: list[tuple[float, float]]) -> ScalingFit:
     sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = ybar - slope * xbar
-    rms = math.sqrt(
-        math.fsum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys)) / n
-    )
-    return ScalingFit(intercept, slope, n, rms)
+    squares = math.fsum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
+    slope_se = math.sqrt(squares / (n - 2) / sxx) if n > 2 else math.nan
+    return ScalingFit(intercept, slope, n, math.sqrt(squares / n), slope_se)
 
 
 def _scheme_families(scheme: str) -> tuple[Family, ...]:

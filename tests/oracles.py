@@ -373,7 +373,7 @@ def exact_climb(model: NoiseModel, top: int, downs: list[int]) -> tuple[list[Fra
     return up, dist
 
 
-def arrival_law(up: list[float], top: int) -> tuple[list[list[float]], float]:
+def arrival_law(up: list, top: int) -> tuple[list[list], float]:
     """The law of m, the downs since the last restart, at the first arrival
     at each level 1..top of a noisy climb whose merge at level j goes up
     with up[j]: law[L - 1][m], and the largest mass a level's law misses.
@@ -387,25 +387,29 @@ def arrival_law(up: list[float], top: int) -> tuple[list[list[float]], float]:
     in proportion to the start: with a unit start they carry a, so the
     start holds 1 / (1 - a) in all.  Rows stop once their visits fall below
     2^-70; the arrival mass of level L at m is visits(L - 1, m) up[L - 1].
+    Given Fractions for up, the same DP runs in exact arithmetic.
     """
+    zero = up[0] * 0
+    one = zero + 1
+    total = math.fsum if isinstance(zero, float) else sum
     laws, worst = [], 0.0
     for top_level in range(1, top + 1):
         arrivals, restarts = [], []
-        row = [0.0] * top_level
+        row = [zero] * top_level
         for m in itertools.count():
-            below, row = row, [0.0] * top_level
+            below, row = row, [zero] * top_level
             for j in range(top_level):
-                inflow = below[j + 1] * (1 - up[j + 1]) if j + 1 < top_level else 0.0
+                inflow = below[j + 1] * (1 - up[j + 1]) if j + 1 < top_level else zero
                 if m == 0 and j == 0:
-                    inflow = 1.0
-                row[j] = inflow + (row[j - 1] * up[j - 1] if j else 0.0)
+                    inflow = one
+                row[j] = inflow + (row[j - 1] * up[j - 1] if j else zero)
             arrivals.append(row[-1] * up[top_level - 1])
             restarts.append(row[0] * (1 - up[0]))
             if math.fsum(row) < 2.0**-70:
                 break
-        start = 1 / (1 - math.fsum(restarts))
+        start = 1 / (1 - total(restarts))
         law = [x * start for x in arrivals]
-        worst = max(worst, abs(1 - math.fsum(law)))
+        worst = max(worst, abs(1 - total(law)))
         laws.append(law)
     return laws, worst
 

@@ -137,14 +137,22 @@ def multi_study():
     return study.run_scaling_study(study.MULTI, 18_000, seed=DEFAULT_SEED)
 
 
+def _slope(fit, low: float, high: float) -> str:
+    """The slope with its standard error, and its distance in standard
+    errors to the nearer bound of its band (negative outside it)."""
+    bound = min((low, high), key=lambda b: abs(fit.slope - b))
+    margin = min(fit.slope - low, high - fit.slope) / fit.slope_se
+    return f"{fit.slope:.3f} +/- {fit.slope_se:.3f} ({margin:.1f} SE from {bound})"
+
+
 def test_criterion_5_h_only_scaling(h_only_study):
     _, fit_on, fit_off = h_only_study
     ok = 1.19 <= fit_on.slope <= 1.39 and 2.07 <= fit_off.slope <= 2.47
     _report(
         "5",
         ok,
-        f"h-only slopes: online {fit_on.slope:.3f} (want 1.19..1.39, ref 1.29), "
-        f"offline {fit_off.slope:.3f} (want 2.07..2.47, ref 2.27)",
+        f"h-only slopes: online {_slope(fit_on, 1.19, 1.39)} (want 1.19..1.39, ref 1.29), "
+        f"offline {_slope(fit_off, 2.07, 2.47)} (want 2.07..2.47, ref 2.27)",
     )
 
 
@@ -160,8 +168,8 @@ def test_criterion_6_multi_scaling(h_only_study, multi_study):
     _report(
         "6",
         ok,
-        f"multi slopes: online {fit_on.slope:.3f} (want 1.02..1.22, ref 1.12), "
-        f"offline {fit_off.slope:.3f} (want 1.55..1.95, ref 1.75); "
+        f"multi slopes: online {_slope(fit_on, 1.02, 1.22)} (want 1.02..1.22, ref 1.12), "
+        f"offline {_slope(fit_off, 1.55, 1.95)} (want 1.55..1.95, ref 1.75); "
         f"offline crossover vs h-only {crossover:.2e} (want within 2x of 1.28e-5)",
     )
 
@@ -189,7 +197,7 @@ def test_criterion_7_min_online():
         "7",
         ok,
         f"min-online mean {mean_online:.3f} (want 1.9..2.1, ref {study.MIN_ONLINE_MEAN}), "
-        f"geometric chi2 p={pvalue:.3f} (want >0.01), offline slope {fit_off.slope:.3f} (want 1.55..1.95)",
+        f"geometric chi2 p={pvalue:.3f} (want >0.01), offline slope {_slope(fit_off, 1.55, 1.95)} (want 1.55..1.95)",
     )
 
 

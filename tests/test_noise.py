@@ -228,6 +228,18 @@ _REPLAY_MODELS = [
     NoiseModel("c", 0.3),
 ]
 
+# A pure model's decay_study reads no draws, so the study replays add a
+# mixture for each pure replay model, across the same range of up
+# probabilities (0.59 .. 0.75): light mixtures for the pure models at
+# strengths 0, 1e-4 and 1e-2 and for c at 0.3, and a/0.15 beside b at 0.3
+# (least up probability 0.62 against 0.61)
+_STUDY_REPLAY_MODELS = list(
+    dict.fromkeys(
+        _REPLAY_MODELS
+        + [NoiseModel("a", p) for p in (1e-8, 1e-6, 1e-5, 1e-4, 1e-2, 0.15, 0.05)]
+    )
+)
+
 _GRID_MODELS = [NoiseModel(kind, strength) for kind in "abc" for strength in (1e-4, 1e-6, 1e-8)]
 # downs at which the exact distances are checked
 _ORACLE_DOWNS = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200]
@@ -336,7 +348,8 @@ def _force_walk(monkeypatch):
 
 @pytest.mark.parametrize("model", _EDGE_MODELS, ids=repr)
 def test_decay_study_runs_on_edge_models(model, monkeypatch):
-    """On the model's own path, then walked."""
+    """On the model's own path, then walked (a pure resource reads no draws
+    on either)."""
     for walk in (False, True):
         if walk:
             _force_walk(monkeypatch)
@@ -399,65 +412,84 @@ def _expected_blocks(draws, top):
     return [(list(range(len(draws))), 0, width), *more]
 
 
-def _replay(model, top, n, seed, monkeypatch):
-    """decay_study walked merge by merge (forced, for a model whose own path
-    is the passage law) against the step-by-step walker: exactly the
-    walker's downs at every first arrival and its draw counts, read through
-    the exact counter blocks the walk asks for, and per-level means within
-    the walker's rounding.  Returns the worst agreement ratio."""
+def _pure(model):
+    """Models b and c tilt a pure state; a mixture is pure at weight 0 or 1."""
+    return model.kind != "a" or model.strength in (0.0, 1.0)
+
+
+def _replay(model, top, n, seed, monkeypatch, force=True):
+    """decay_study walked merge by merge (forced, unless force is false, for
+    a model whose own path is the passage law) against the step-by-step
+    walker: exactly the walker's downs at every first arrival and its draw
+    counts, read through the exact counter blocks the walk asks for, and
+    per-level means within the walker's rounding.  A pure model reads no
+    draws, and its exact means are held to the walker's alone.  Returns the
+    worst agreement ratio."""
     replay = walker_decay_study(model, top, n, seed)
-    _force_walk(monkeypatch)
+    if force:
+        _force_walk(monkeypatch)
     blocks = _spy(monkeypatch, "counter_uniforms")
     loops = _spy(monkeypatch, "_noisy_climb")
     points = decay_study(model, top, n, seed)
-    assert [arrivals for _, arrivals in loops] == replay.downs
-    spans = [(np.asarray(rows).tolist(), start, count) for (_, rows, start, count), _ in blocks]
-    assert spans == _expected_blocks(replay.draws, top)
+    if _pure(model):
+        assert not blocks and not loops
+    else:
+        assert [arrivals for _, arrivals in loops] == replay.downs
+        spans = [(np.asarray(rows).tolist(), start, count) for (_, rows, start, count), _ in blocks]
+        assert spans == _expected_blocks(replay.draws, top)
     ratio = _walker_ratio(model, points, replay.points)
     assert ratio <= 1
     return ratio
 
 
-@pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
+@pytest.mark.parametrize("model", _STUDY_REPLAY_MODELS, ids=repr)
 @pytest.mark.parametrize("seed", [1, 2, 7])
 def test_decay_study_walk_equals_walker_replay(model, seed, monkeypatch):
-    """The same draws, ups and downs as one walker step at a time, and
-    means that agree to the walker's rounding."""
+    """The same draws, ups and downs as one walker step at a time (none for
+    a pure model), and means that agree to the walker's rounding."""
     print(f"worst walker agreement {_replay(model, 14, 40, seed, monkeypatch):.3g} of its bound")
 
 
-@pytest.mark.parametrize("model", _REPLAY_MODELS, ids=repr)
+@pytest.mark.parametrize("model", _STUDY_REPLAY_MODELS, ids=repr)
 @pytest.mark.parametrize("n", [1, 2, 10, 40, 151])
 def test_walk_equals_walker_replay_at_any_count(model, n, monkeypatch):
     _replay(model, 14, n, 7, monkeypatch)
 
 
-# near-symmetric resources: some merge goes up with probability below
-# _LAW_MIN_UP (about 0.54 for the 0.3 mixture, 1/2 for the others)
-_HEAVY_MODELS = [NoiseModel("a", 0.3), NoiseModel("a", 0.5), NoiseModel("b", math.pi / 4)]
+# near-symmetric mixtures: some merge goes up with probability below
+# _LAW_MIN_UP (0.54 for the 0.3 mixture, 0.51 for 0.4, 1/2 for 0.5)
+_HEAVY_MODELS = [NoiseModel("a", 0.3), NoiseModel("a", 0.5), NoiseModel("a", 0.4)]
+# the |+> resource: every up probability is 1/2, but it is pure
+_PLUS = NoiseModel("b", math.pi / 4)
+# the mixture at weight 1 is pure too; at 1e-300 its resource and lam round
+# to the pure ones, but it is a mixture, and samples
+_PATH_MODELS = _GRID_MODELS + _STUDY_REPLAY_MODELS + _HEAVY_MODELS
+_PATH_MODELS += [_PLUS, NoiseModel("a", 1.0), NoiseModel("a", 1e-300)]
 
 
-@pytest.mark.parametrize("model", list(dict.fromkeys(_GRID_MODELS + _REPLAY_MODELS + _HEAVY_MODELS)), ids=repr)
+@pytest.mark.parametrize("model", list(dict.fromkeys(_PATH_MODELS)), ids=repr)
 def test_the_model_alone_picks_the_path(model):
-    """The criterion-8 grid and the replay models take the passage law (the
-    least up probability among them is 0.59, of the 0.2 mixture), the
-    near-symmetric models walk, whatever the count and the top."""
-    law = model not in _HEAVY_MODELS
+    """Three paths, whatever the count and the top.  The pure resources
+    (models b and c, and the mixture at weight 0 or 1) read no draws: no
+    counter block, no passage law, no walk.  The other mixtures of the
+    criterion-8 grid and the replays take the passage law (the least up
+    probability among them is 0.59, of the 0.2 mixture), and the
+    near-symmetric ones walk."""
+    pure = _pure(model)
+    law = not pure and model not in _HEAVY_MODELS
     for top, n in ((2, 1), (14, 40), (3, 250)):
         with pytest.MonkeyPatch.context() as mp:
-            laws, loops = _spy(mp, "_law_climbs"), _spy(mp, "_noisy_climb")
+            spies = [_spy(mp, name) for name in ("counter_uniforms", "_law_climbs", "_noisy_climb")]
             decay_study(model, top, n, 1)
-        assert (len(laws), len(loops)) == ((1, 0) if law else (0, n))
+        blocks, laws, loops = map(len, spies)
+        assert (blocks > 0, laws, loops) == ((False, 0, 0) if pure else (True, 1, 0) if law else (True, 0, n))
 
 
-@pytest.mark.parametrize("model", _HEAVY_MODELS, ids=repr)
+@pytest.mark.parametrize("model", _HEAVY_MODELS + [_PLUS], ids=repr)
 def test_near_symmetric_models_replay_the_walker(model, monkeypatch):
-    """Unforced, a near-symmetric model walks the walker's walk."""
-    replay = walker_decay_study(model, 14, 40, 3)
-    loops = _spy(monkeypatch, "_noisy_climb")
-    points = decay_study(model, 14, 40, 3)
-    assert [arrivals for _, arrivals in loops] == replay.downs
-    assert _walker_ratio(model, points, replay.points) <= 1
+    """Unforced, a near-symmetric mixture walks the walker's walk; the pure
+    |+> resource reads no draws, and its exact means hold to the walker's."""
+    _replay(model, 14, 40, 3, monkeypatch, force=False)
 
 
 def test_instances_that_outrun_their_block_continue_their_rows(monkeypatch):
@@ -472,7 +504,9 @@ def test_instances_that_outrun_their_block_continue_their_rows(monkeypatch):
 def test_criterion_8_means_agree_with_the_walker_to_its_rounding(monkeypatch):
     """On the criterion-8 grid the walker's rounding shows most: its means
     differ from the tables' by up to about 4e-7 relative (c at 1e-8), which
-    sets the bound of the replay tests."""
+    sets the bound of the replay tests.  Model a is walked draw for draw;
+    models b and c read no draws, and their exact means are held to the
+    walker's."""
     worst = 0.0
     for kind in "abc":
         for strength, top in ((1e-4, 28), (1e-6, 22), (1e-8, 16)):
@@ -485,27 +519,66 @@ def test_criterion_8_means_agree_with_the_walker_to_its_rounding(monkeypatch):
 _PURE_GRID = {1e-4: 28, 1e-6: 22, 1e-8: 16, 0.0: 28, 1e-3: 28, 0.3: 28}
 
 
-@pytest.mark.parametrize("walk", [False, True], ids=["law", "walk"])
 @pytest.mark.parametrize("kind", ["b", "c"])
-def test_pure_resource_means_equal_the_exact_first_arrival_states(kind, walk, monkeypatch):
-    """Models b and c: both paths give the exact first-arrival distances
-    of oracles.exact_climb at no downs, up to rounding.  For a pure sigma,
-    |s01|^2 = s00 s11, so lam = 1 and the state at level l does not depend
-    on the downs: every instance adds the same distance."""
-    n = 1000
-    if walk:
-        _force_walk(monkeypatch)
-    laws = _spy(monkeypatch, "_law_climbs")
+def test_pure_resource_means_equal_the_exact_first_arrival_states(kind, monkeypatch):
+    """Models b and c give the exact first-arrival distances of
+    oracles.exact_climb at no downs, up to rounding, and read no draws.
+    For a pure sigma, |s01|^2 = s00 s11, so lam = 1 and the state at level
+    l does not depend on the downs: every instance lands on the same
+    distance, so the means are the same bytes whatever the seed and the
+    count."""
+    spies = [_spy(monkeypatch, name) for name in ("counter_uniforms", "_law_climbs", "_noisy_climb")]
     worst = 0.0
     for strength, top in _PURE_GRID.items():
         model = NoiseModel(kind, strength)
         exact = [float(d) for d in exact_climb(model, top, [0])[1][0][1:]]
-        for seed in (1, 5):
-            for (_, mean), want in zip(decay_study(model, top, n, seed), exact, strict=True):
-                worst = max(worst, abs(mean - want) / (1e-9 * want + 1e-15))
+        points = decay_study(model, top, 1000, 1)
+        for (_, mean), want in zip(points, exact, strict=True):
+            worst = max(worst, abs(mean - want) / (1e-9 * want + 1e-15))
+        assert all(repr(decay_study(model, top, n, seed)) == repr(points) for seed in (1, 5) for n in (1, 10, 1000))
     print(f"model {kind}: worst |mean - exact| is {worst:.3f} of its bound")
     assert worst <= 1
-    assert len(laws) == (0 if walk else 2 * len(_PURE_GRID))
+    assert not any(spies)
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["law", "walk"])
+def test_a_mixture_that_rounds_to_the_pure_resource_samples_the_pure_means(walk, monkeypatch):
+    """The 1e-300 mixture's resource, and so its up probabilities and lam,
+    round to the pure resource's (the mixture at 0), so each of its
+    instances lands on the pure distance at every level.  It is still
+    sampled, on the passage law or walked, and its means are the pure
+    resource's exact ones up to the rounding of their sum."""
+    model, pure, n = NoiseModel("a", 1e-300), NoiseModel("a", 0.0), 1000
+    assert np.array_equal(make_noisy_resource(model).mat, make_noisy_resource(pure).mat)
+    assert noise._climb_tables(model).lam == 1.0
+    if walk:
+        _force_walk(monkeypatch)
+    wants = {top: decay_study(pure, top, n, 1) for top in (28, 16)}
+    laws, loops = _spy(monkeypatch, "_law_climbs"), _spy(monkeypatch, "_noisy_climb")
+    for top, want in wants.items():
+        for seed in (1, 5):
+            for (_, mean), (_, exact) in zip(decay_study(model, top, n, seed), want, strict=True):
+                assert abs(mean - exact) <= n * 2.0**-53 * exact
+    assert (len(laws), len(loops)) == ((0, 4 * n) if walk else (4, 0))
+
+
+@given(st.sampled_from("bc"), st.sampled_from(sorted(_PURE_GRID)) | st.floats(0, 10))
+def test_pure_models_have_lam_exactly_one(kind, strength):
+    """By construction: the computed ratio misses 1 by an ulp at b/1e-4,
+    b/1e-8, c/1e-6 and about a quarter of random strengths."""
+    assert noise._ClimbTables(NoiseModel(kind, strength)).lam == 1.0
+
+
+@pytest.mark.parametrize("kind", ["b", "c"])
+def test_a_pure_model_still_checks_every_argument(kind):
+    model = NoiseModel(kind, 1e-6)
+    for seed in (1.5, "x"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            decay_study(model, 4, 3, seed)
+    with pytest.raises(ValueError, match="at least one instance"):
+        decay_study(model, 4, 0, 1)
+    with pytest.raises(ValueError, match=r"max_level must be in \[1, 150\]"):
+        decay_study(model, 0, 3, 1)
 
 
 @pytest.mark.parametrize("walk", [False, True], ids=["law", "walk"])
@@ -669,6 +742,22 @@ def test_passage_law_composes_to_the_arrival_law(model):
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("model", [NoiseModel("a", 1e-4), NoiseModel("a", 0.15)], ids=repr)
+def test_arrival_law_equals_exact_arithmetic(model):
+    """oracles.arrival_law's visits DP run in Fractions from the same float
+    up probabilities: the float law of every level 1-6 is within 1e-15 of
+    the exact one, term by term."""
+    up = noise._climb_tables(model).up[:7]
+    floats, exact = arrival_law(up, 6)[0], arrival_law([Fraction(u) for u in up], 6)[0]
+    worst = max(
+        abs(float(Fraction(x) - y))
+        for got, want in zip(floats, exact, strict=True)
+        for x, y in zip_longest(got, want, fillvalue=0.0)
+    )
+    print(f"worst |float law - exact law| {worst:.2e}")
+    assert worst <= 1e-15
+
+
 def test_law_downs_follow_the_walk():
     """Two-sample chi-squared of the downs at the first arrival at levels
     3-6, sampled from the passage law (counter stream) and walked merge by
@@ -721,13 +810,15 @@ def test_decay_study_means_match_the_exact_law_on_the_criterion_8_grid(model):
 
 
 def _study_downs(model, top, n, seed):
-    """The points of decay_study and the downs it turned into distances."""
-    seen = []
-    original = noise._ClimbTables.distances
+    """The points of decay_study and the downs at its instances' first
+    arrivals (no rows for a pure model, which reads no draws)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(noise._ClimbTables, "distances", lambda tables, downs: seen.append(downs.copy()) or original(tables, downs))
+        laws, loops = _spy(mp, "_law_climbs"), _spy(mp, "_noisy_climb")
         points = decay_study(model, top, n, seed)
-    (downs,) = seen
+    if laws:
+        ((_, downs),) = laws
+    else:
+        downs = np.array([arrivals for _, arrivals in loops], np.intp).reshape(len(loops), top)
     return points, downs
 
 

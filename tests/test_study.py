@@ -36,6 +36,21 @@ def test_fit_loglog_two_points_exact():
     assert fit.slope == pytest.approx(3.0, abs=1e-12)
     assert fit.intercept == pytest.approx(-1.0, abs=1e-12)
     assert fit.rms_residual == pytest.approx(0.0, abs=1e-12)
+    assert math.isnan(fit.slope_se)  # two points leave no residual degree of freedom
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fit_loglog_slope_se_equals_scipy(seed):
+    """The closed-form standard error of the slope, against scipy's
+    linregress on noisy lines of 3 to 300 points."""
+    from scipy.stats import linregress
+
+    rng = np.random.default_rng(seed)
+    n = (3, 10, 50, 300)[seed]
+    xs = rng.uniform(1.5, 3.5, n)
+    ys = 1.3 * xs + rng.normal(0, 0.2, n)
+    fit = fit_loglog(list(zip(xs.tolist(), ys.tolist())))
+    assert fit.slope_se == pytest.approx(linregress(xs, ys).stderr, rel=1e-9)
 
 
 def test_fit_loglog_recovers_synthetic_cost_law():
