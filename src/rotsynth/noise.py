@@ -26,8 +26,9 @@ those exact distances and reads no draws.  For the other mixtures, the up
 probability and the per-level parts of the state are tabulated once per
 model, and a climb is an integer walk on (level, m).  Its passage from the
 first arrival at one level to the first arrival at the next then has a
-fixed law of (restart or not, downs), tabulated per model as it is asked
-for: decay_study samples each passage of every instance with one
+fixed law of (restart or not, downs), whose series every level fills in
+one lockstep, and one read-only inverse-CDF table per (model, top)
+samples: decay_study draws each passage of every instance with one
 counter-stream draw, all at once in numpy, and walks merge by merge only
 the near-symmetric resources, whose passages have heavy tails;
 propagate_to_level always walks.  One distance expression turns the downs
@@ -40,8 +41,6 @@ from __future__ import annotations
 import math
 import numbers
 import random
-import threading
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -51,21 +50,21 @@ import numpy as np
 
 from .ladder import MAX_LEVEL, TAN_THETA0, Family, checked_integer, checked_level, ladder_angle
 from .qcore import DensityMatrix, dm_from_bloch
-from .seeding import counter_uniforms, derive_seed
+from .seeding import COUNTER_LIMIT, counter_uniforms, derive_seed
 from .study import fit_loglog
 
 # decay_study samples a model's climbs from their passage law when every up
 # probability is at least this, and walks them merge by merge below it.  As
 # the up probability nears 1/2, a passage's downs get a heavy tail and the
 # table grows without bound.  Terms a level keeps to a tail below 2^-60
-# (at level 28), and CPU seconds to tabulate to level 28 / 150 (2-core
+# (at level 28), and CPU seconds to tabulate to top 28 / 150 (2-core
 # x86-64, Python 3.11), by the least up probability of the model; the walk
 # takes about 30-50 ms per 1000 instances to level 28 on these models:
 #   0.75 (the criterion-8 grid)  52 terms,  0.03 / 0.16 s
-#   0.59 (mixture p = 0.2)      174 terms,  0.14 / 0.98 s
-#   0.56 (mixture p = 0.25)     254 terms,  0.25 / 2.0 s
-#   0.54 (mixture p = 0.3)      393 terms,  0.77 / 4.8 s
-#   0.52 (mixture p = 0.35)     657 terms,  2.0 / 11 s
+#   0.59 (mixture p = 0.2)      174 terms,  0.13 / 0.95 s
+#   0.56 (mixture p = 0.25)     254 terms,  0.24 / 2.2 s
+#   0.54 (mixture p = 0.3)      393 terms,  0.39 / 3.6 s
+#   0.52 (mixture p = 0.35)     657 terms,  1.0 / 16 s
 _LAW_MIN_UP = 0.58
 # a passage keeps the terms of its law until the mass beyond them is below this
 _LAW_TAIL = 2.0**-60
@@ -212,9 +211,8 @@ def _climb_tables(model: NoiseModel) -> _ClimbTables:
     return _ClimbTables(model)
 
 
-class _PassageLaw:
-    """The law of a noisy climb's passages, tabulated level by level as it
-    is asked for.
+def _passage_series(up: list[float], top: int) -> tuple[list[list[float]], ...]:
+    """The series A, B, H of levels 0..top - 1, and the terms each keeps.
 
     Passage l runs from the first arrival at level l to the first arrival at
     l + 1.  Its outcome is R, whether a level-0 restart happened in it, and
@@ -231,132 +229,82 @@ class _PassageLaw:
         H_l(z) = (q / p) (H_{l-1}(z) + A_{l-1}(z)) A_l(z),
 
     from A_0 = p_0, B_0 = q_0 and H_0 = 0, where H_l holds the tail
-    P(D > k) of the passage.  Every coefficient is a sum of positive terms,
-    taken in Python floats with math.fsum, so the table's bytes do not
-    depend on numpy's SIMD paths, and the tail is known without the
-    cancellation of 1 - sum.  A level keeps its first K terms of A and B,
-    the least K whose tail P(D >= K) is below _LAW_TAIL, and samples them
-    by inverse CDF: its outcomes in the order A's then B's, each with the
-    fsum of the masses up to it, the last clamped to 1.
+    P(D > k) of the passage.  Term k of a level needs terms up to k of the
+    level beneath, so every level takes term k in one lockstep, until each
+    level l >= 1 keeps its first K terms, the least K whose tail P(D >= K)
+    is below _LAW_TAIL.  Every coefficient is a sum of positive terms,
+    taken in Python floats with math.fsum, so the bytes do not depend on
+    numpy's SIMD paths, and the tail is known without the cancellation of
+    1 - sum.
     """
-
-    def __init__(self, up: list[float]):
-        self._up = up
-        self._a, self._b, self._h = [array("d", [up[0]])], [array("d", [1.0 - up[0]])], [array("d", [0.0])]
-        self._kept = [1]  # the terms each level samples
-        # the passages tabulated, then the draw keys, guide, restarts and
-        # downs of their outcomes (passage 0 has none: its guide slots are
-        # never read)
-        self._table = (
-            1,
-            np.empty(0, np.int64),
-            np.full(2**_GUIDE_BITS, -1, np.int32),
-            np.empty(0, bool),
-            np.empty(0, np.intp),
-        )
-        self._lock = threading.Lock()
-
-    def _extend(self, level: int, terms: int) -> None:
-        """The first `terms` coefficients of every series at level and below
-        (a level never holds more terms than the one beneath it)."""
-        low = level
-        while low and len(self._a[low - 1]) < terms:
-            low -= 1
-        for lv in range(low, level + 1):
-            a, b, h = self._a[lv], self._b[lv], self._h[lv]
-            if not lv:  # the passage 0 -> 1 ends with no downs
-                for series in (a, b, h):
-                    series.extend([0.0] * (terms - len(series)))
-                continue
-            pa, pb = self._a[lv - 1], self._b[lv - 1]
-            ph = [x + y for x, y in zip(self._h[lv - 1][:terms], pa)]
-            p = self._up[lv]
-            q = 1.0 - p
-            ratio = q / p
-            for k in range(len(a), terms):
-                a.append(q * math.fsum(map(mul, pa[:k], reversed(a))) if k else p)
-                b.append(ratio * math.fsum(map(mul, pb[: k + 1], reversed(a))))
-                h.append(ratio * math.fsum(map(mul, ph[: k + 1], reversed(a))))
-
-    def outcomes(self, top: int) -> tuple[np.ndarray, np.ndarray]:
-        """(restarts, downs) of every outcome of passages 1 .. top - 1 (and
-        maybe of more), in the order of pick's indices."""
-        return self._tables(top)[2:]
-
-    def pick(self, block: np.ndarray) -> np.ndarray:
-        """The index of the outcome each draw of block picks, column l - 1
-        for passage l.  A draw u of passage l, keyed l * 2^53 + u * 2^53 on
-        its exact 53-bit integer, picks the first outcome whose key exceeds
-        its own: the outcome j with cdf[j - 1] <= u < cdf[j].  The guide
-        holds that outcome for each slot of 2^-_GUIDE_BITS of a passage's
-        draws that holds no key (all but about 2% of the draws on the
-        criterion-8 grid), and a binary search finds it for the others."""
-        keys, guide = self._tables(block.shape[1] + 1)[:2]
-        draws = (block * 2.0**53).astype(np.int64)
-        draws += np.arange(1, block.shape[1] + 1, dtype=np.int64) << 53
-        picks = guide[draws >> (53 - _GUIDE_BITS)]
-        split = np.flatnonzero(picks < 0)
-        picks.flat[split] = np.searchsorted(keys, draws.flat[split], side="right")
-        return picks
-
-    def _tables(self, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        table = self._table
-        if table[0] < top:
-            with self._lock:
-                self._tabulate(top)
-            table = self._table
-        return table[1:]
-
-    def _tabulate(self, top: int) -> None:
-        parts = [self._table[1:]]
-        outcomes = len(parts[0][3])
-        while len(self._a) < top:
-            level = len(self._a)
-            for series in (self._a, self._b, self._h):
-                series.append(array("d"))
-            # as many terms as the level beneath keeps to start with, then
-            # one more at a time until the tail falls below _LAW_TAIL
-            span = self._kept[-1]
-            while True:
-                self._extend(level, span)
-                terms = next((k + 1 for k, tail in enumerate(self._h[level]) if tail < _LAW_TAIL), 0)
-                if terms:
-                    break
-                span += 1
-            self._kept.append(terms)
-            masses = self._a[level][:terms] + self._b[level][:terms]
-            # the fsum of the masses up to each outcome: an exact running sum
-            # in units of 2^-1074, rounded once (int / int rounds correctly)
-            total, cdf = 0, []
-            for mass in masses[:-1]:
-                num, den = mass.as_integer_ratio()
-                total += num * (2**1074 // den)
-                cdf.append(total / 2**1074)
-            cdf.append(1.0)
-            keys = np.array([(level << 53) + math.ceil(c * 2.0**53) for c in cdf], np.int64)
-            slot = np.arange(2**_GUIDE_BITS + 1, dtype=np.int64) + (level << _GUIDE_BITS)
-            slots = slot << (53 - _GUIDE_BITS)
-            first = np.searchsorted(keys, slots[:-1], side="right")
-            clear = first == np.searchsorted(keys, slots[1:], side="left")
-            guide = np.where(clear, first + outcomes, -1).astype(np.int32)
-            parts.append((keys, guide, np.repeat([False, True], terms), np.tile(np.arange(terms), 2)))
-            outcomes += 2 * terms
-        if len(parts) > 1:
-            self._table = (len(self._a), *map(np.concatenate, zip(*parts)))
+    # below holds H + A per level; level 0's series stop after their first
+    # term, as the rest are zeros and the level above reads only what is there
+    a, b, h, below = ([[x]] + [[] for _ in range(1, top)] for x in (up[0], 1.0 - up[0], 0.0, up[0]))
+    kept = [1] + [0] * (top - 1)
+    while not all(kept):
+        for lv in range(1, top):
+            p, q, al = up[lv], 1.0 - up[lv], a[lv]
+            al.append(q * math.fsum(map(mul, a[lv - 1], reversed(al))) if al else p)
+            b[lv].append(q / p * math.fsum(map(mul, b[lv - 1], reversed(al))))
+            h[lv].append(tail := q / p * math.fsum(map(mul, below[lv - 1], reversed(al))))
+            below[lv].append(tail + al[-1])
+            if not kept[lv] and tail < _LAW_TAIL:
+                kept[lv] = len(al)
+    return a, b, h, kept
 
 
 @lru_cache(maxsize=64)
-def _passage_law(model: NoiseModel) -> _PassageLaw:
-    return _PassageLaw(_climb_tables(model).up)
+def _passage_table(model: NoiseModel, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only (keys, guide, restarts, downs) of the outcomes of
+    passages 1..top - 1, which a level samples by inverse CDF: its kept
+    terms of A, then those of B, each with the fsum of the masses up to it,
+    the last clamped to 1.  An outcome's key is l * 2^53 + ceil(cdf * 2^53)
+    for passage l, and the guide holds, for each slot of 2^-_GUIDE_BITS of
+    a passage's draws, the one outcome its draws pick, or -1 where a key
+    splits the slot (passage 0 has no outcomes: its slots are never read).
+    """
+    a, b, _, kept = _passage_series(_climb_tables(model).up, top)
+    parts = [(np.empty(0, np.int64), np.full(2**_GUIDE_BITS, -1, np.int32), np.empty(0, bool), np.empty(0, np.intp))]
+    outcomes = 0
+    for level in range(1, top):
+        terms = kept[level]
+        # the fsum of the masses up to each outcome: an exact running sum in
+        # units of 2^-1074, rounded once (int / int rounds correctly)
+        total, cdf = 0, []
+        for mass in a[level][:terms] + b[level][: terms - 1]:
+            num, den = mass.as_integer_ratio()
+            total += num * (2**1074 // den)
+            cdf.append(total / 2**1074)
+        cdf.append(1.0)
+        keys = np.array([(level << 53) + math.ceil(c * 2.0**53) for c in cdf], np.int64)
+        slots = (np.arange(2**_GUIDE_BITS + 1, dtype=np.int64) + (level << _GUIDE_BITS)) << (53 - _GUIDE_BITS)
+        first = np.searchsorted(keys, slots[:-1], side="right")
+        clear = first == np.searchsorted(keys, slots[1:], side="left")
+        guide = np.where(clear, first + outcomes, -1).astype(np.int32)
+        parts.append((keys, guide, np.repeat([False, True], terms), np.tile(np.arange(terms), 2)))
+        outcomes += 2 * terms
+    table = tuple(map(np.concatenate, zip(*parts)))
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
-def _law_climbs(law: _PassageLaw, block: np.ndarray) -> np.ndarray:
+def _law_climbs(model: NoiseModel, block: np.ndarray) -> np.ndarray:
     """The (instances, top) matrix of downs at the first arrival at levels
-    1..top, with column l - 1 of block driving passage l (top - 1 columns)."""
-    picks = law.pick(block)
-    restarts, downs = law.outcomes(block.shape[1] + 1)
+    1..top, with column l - 1 of block driving passage l (top - 1 columns).
+    A draw u of passage l, keyed l * 2^53 + u * 2^53 on its exact 53-bit
+    integer, picks the first outcome whose key exceeds its own, the one
+    with cdf[j - 1] <= u < cdf[j]: the guide gives it for all but about 2%
+    of the draws on the criterion-8 grid, a binary search for the others."""
+    keys, guide, restarts, downs = _passage_table(model, block.shape[1] + 1)
+    draws = (block * 2.0**53).astype(np.int64)
+    draws += np.arange(1, block.shape[1] + 1, dtype=np.int64) << 53
+    picks = guide[draws >> (53 - _GUIDE_BITS)]
+    split = np.flatnonzero(picks < 0)
+    picks.flat[split] = np.searchsorted(keys, draws.flat[split], side="right")
     d = downs[picks]
-    total = np.cumsum(d, axis=1)
+    # the sums reuse the spent draws' block: a fresh one costs 10% of the call
+    total = np.cumsum(d, axis=1, out=draws)
     # the downs before the last restart: a running maximum, as total grows
     before = np.maximum.accumulate(np.where(restarts[picks], total - d, 0), axis=1)
     arrivals = np.zeros((len(block), block.shape[1] + 1), np.intp)
@@ -438,6 +386,8 @@ def decay_study(
     max_level = checked_level(max_level, "max_level", 1)
     if (n_instances := checked_integer(n_instances, "n_instances")) < 1:
         raise ValueError("need at least one instance")
+    if n_instances > COUNTER_LIMIT:  # refused before any array is sized by it
+        raise ValueError(f"n_instances must be at most {COUNTER_LIMIT}, got {n_instances}")
     checked_integer(seed, "seed")
     tables = _climb_tables(model)
     if _is_pure(model):
@@ -446,7 +396,7 @@ def decay_study(
     key = derive_seed(seed, "noise", model.kind, repr(model.strength))
     rows = np.arange(n_instances)
     if min(tables.up) >= _LAW_MIN_UP:
-        downs = _law_climbs(_passage_law(model), counter_uniforms(key, rows, 0, max_level - 1))
+        downs = _law_climbs(model, counter_uniforms(key, rows, 0, max_level - 1))
     else:
         # a climb needs at least max_level draws; the loop reads on past
         # this block in its own row

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import random
 from dataclasses import asdict, dataclass
 
@@ -26,6 +27,8 @@ MIN_ONLINE = "min-online"
 SCHEMES = (H_ONLY, MULTI, MIN_ONLINE)
 
 DEFAULT_EPS_RANGE = (1e-12, 1e-4)
+# samples a pool worker takes at a time
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,11 @@ def run_scaling_study(
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            samples = list(pool.map(_one_sample, tasks, chunksize=256))
+        # under fork the pool starts all its workers at once: no more of
+        # them than the cores and the chunks of samples
+        workers = min(jobs, os.cpu_count() or 1, -(-n_samples // _CHUNK))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            samples = list(pool.map(_one_sample, tasks, chunksize=_CHUNK))
     else:
         samples = [_one_sample(t) for t in tasks]
     # a sample spent offline resources exactly when it consumed a state

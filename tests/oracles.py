@@ -10,8 +10,10 @@ tables, and with them the exact decay-study means of the tilted models;
 the failure law of a climb (its generating function, term by term) judges
 the climb sampler; the arrival law of a noisy climb's downs (the visits of
 its walk on level and downs) judges the noise module's passage-law sampler
-and gives the exact decay-study means of every model; and the one-state
-rotation step replays the planner from its public pieces.
+and gives the exact decay-study means of every model; the one-state
+rotation step replays the planner from its public pieces, and the planner
+replica runs the greedy planner over many samples at once in numpy, given
+each sample's coins.
 The small helpers that only the tests read live here too: basis states,
 |+>, pure states as density matrices, Bloch vectors of density matrices, and
 reading a samples CSV back.
@@ -30,11 +32,12 @@ from functools import lru_cache
 import numpy as np
 
 from rotsynth import noise
-from rotsynth.ladder import Family, ladder_angle, success_probs
+from rotsynth.ladder import Family, expected_climb_cost, ladder_angle, success_probs
 from rotsynth.noise import NoiseModel, make_noisy_resource
 from rotsynth.qcore import GATES_1Q, DensityMatrix, PureRegister, apply_gate, xz_state
 from rotsynth.seeding import derive_seed
 from rotsynth.study import CSV_HEADER, ScalingSample
+from rotsynth.synthesis import HALF_PI, QUARTER_PI, TAU, _angle_table
 
 
 def basis_state(n_qubits: int, index: int = 0) -> PureRegister:
@@ -194,6 +197,79 @@ def apply_random_rotation(
         raise ValueError("rotation angle must be positive")
     sign = 1 if rng.random() < 0.5 else -1
     return residual - sign * rot_angle, sign
+
+
+@dataclass(frozen=True)
+class PlannerReplica:
+    """Per sample: the (family, level) of each consumed state, the Clifford
+    corrections, the final residual, and the climbs billed at their
+    expected cost."""
+
+    picks: list[list[tuple[Family, int]]]
+    corrections: np.ndarray
+    residuals: np.ndarray
+    expected_offline: np.ndarray
+
+
+def replica_synthesize(
+    targets: np.ndarray, epsilons: np.ndarray, families: tuple[Family, ...], signs: list[list[int]]
+) -> PlannerReplica:
+    """synthesis.synthesize's greedy planner over the whole ladder (the
+    default max_level), one numpy lockstep over the samples, with
+    signs[i][t] the coin of sample i's t-th consumed state
+    (+1: its rotation is subtracted from the residual, as the loop's
+    SynthesisResult.applied records it).
+
+    Each tick folds every live residual, as reduce_by_clifford does:
+    np.fmod by TAU then one TAU back into [-pi, pi], which is
+    math.remainder's value (the TAU step is exact by Sterbenz; at +-pi the
+    two may differ in sign, which the quarter-turn fold then erases), then
+    the round-half-even quarter-turn fold and the step up from <= -pi/4.
+    A sample within its epsilon is done; the others look their magnitude
+    up in _AngleTable.angles (np.searchsorted, the nearer neighbour, ties
+    by lower_wins) and apply their coin.  Raises if a live sample has no
+    coin left."""
+    table = _angle_table(tuple(families))
+    angles = np.array(table.angles)
+    # the sentinel's neighbour is never tied: it gets a slot all the same
+    lower_wins = np.array([*table.lower_wins, False])
+    costs = np.array([expected_climb_cost(f, lvl) for f, lvl, _ in table.plus])
+    residuals = np.array(targets, dtype=float)
+    coins = np.zeros((len(signs), max(map(len, signs), default=0) + 1))
+    for row, sample in zip(coins, signs):
+        row[: len(sample)] = sample
+    corrections = np.zeros(residuals.shape, np.int64)
+    offline = np.zeros(residuals.shape)
+    picks: list[list[int]] = [[] for _ in range(len(residuals))]
+    live = np.arange(len(residuals))
+    for tick in itertools.count():
+        r = np.fmod(residuals[live], TAU)
+        r[r > math.pi] -= TAU
+        r[r < -math.pi] += TAU
+        k = np.rint(r / HALF_PI)
+        r -= k * HALF_PI
+        up = r <= -QUARTER_PI
+        r[up] += HALF_PI
+        k[up] -= 1
+        corrections[live] += np.abs(k).astype(np.int64)
+        residuals[live] = r
+        going = np.abs(r) > epsilons[live]
+        live, r = live[going], r[going]
+        if not live.size:
+            break
+        magnitude = np.abs(r)
+        i = np.searchsorted(angles, magnitude, side="left")
+        below, above = magnitude - angles[i - 1], angles[i] - magnitude
+        i -= (i > 0) & ((below < above) | ((below == above) & lower_wins[i]))
+        coin = coins[live, tick]
+        if not coin.all():
+            raise ValueError(f"samples {live[coin == 0].tolist()} need more coins than given")
+        residuals[live] = r - coin * angles[i]
+        offline[live] += costs[i]
+        for sample, state in zip(live.tolist(), i.tolist()):
+            picks[sample].append(state)
+    states = [entry[:2] for entry in table.plus]
+    return PlannerReplica([[states[i] for i in row] for row in picks], corrections, residuals, offline)
 
 
 class NoisyWalker:

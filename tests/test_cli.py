@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rotsynth import factories
@@ -354,3 +355,17 @@ def test_scaling_eps_range_outside_unit_interval_is_error(bounds, capsys):
     assert code == 1
     assert out == ""
     assert "eps_range must satisfy 0 < lo <= hi < 1" in err
+
+
+def test_more_instances_than_the_counter_holds_exit_1(capsys, monkeypatch):
+    """Refused before an array is sized by the count (np.arange would
+    raise here)."""
+
+    def spy(*args, **kwargs):
+        raise AssertionError(f"np.arange{args}")
+
+    monkeypatch.setattr(np, "arange", spy)
+    assert main(["noise", "--model", "a", "--strength", "1e-4", "--instances", "5000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: n_instances must be at most 4294967296, got 5000000000\n"
+    assert captured.out == ""

@@ -477,7 +477,8 @@ def test_the_model_alone_picks_the_path(model):
     near-symmetric ones walk."""
     pure = _pure(model)
     law = not pure and model not in _HEAVY_MODELS
-    for top, n in ((2, 1), (14, 40), (3, 250)):
+    # top 1 has no passage: the law path samples an empty block
+    for top, n in ((1, 3), (2, 1), (14, 40), (3, 250)):
         with pytest.MonkeyPatch.context() as mp:
             spies = [_spy(mp, name) for name in ("counter_uniforms", "_law_climbs", "_noisy_climb")]
             decay_study(model, top, n, 1)
@@ -610,92 +611,108 @@ def _levels_of(keys):
 
 @pytest.mark.parametrize("model", _LAW_JUDGE_MODELS, ids=repr)
 def test_passage_series_equal_exact_arithmetic(model):
-    """Every coefficient of A and B that levels 1-6 hold is within 1e-15 of
-    the same recursion in Fractions from the float up probabilities, and the
-    masses a level keeps miss at most 2^-52 of 1 before the clamp."""
-    law = noise._passage_law(model)
-    keys = law._tables(7)[0]
-    up = [Fraction(u) for u in noise._climb_tables(model).up]
-    terms = len(law._a[1])  # no level holds more terms than the one beneath it
+    """Every coefficient of A, B and H that levels 1-6 hold is within 1e-15
+    of the same recursion in Fractions from the float up probabilities, the
+    table holds two outcomes per kept term, and the masses a level keeps
+    miss at most 2^-52 of 1 before the clamp."""
+    up = noise._climb_tables(model).up
+    series_a, series_b, series_h, kept = noise._passage_series(up, 7)
+    keys = noise._passage_table(model, 7)[0]
+    up = [Fraction(u) for u in up]
+    terms = len(series_a[1])  # every level above 0 holds as many terms
 
     def rounded(x):
         return Fraction(round(x * _JUDGE_SCALE), _JUDGE_SCALE)
 
     a = [up[0]] + [Fraction(0)] * (terms - 1)
     b = [1 - up[0]] + [Fraction(0)] * (terms - 1)
+    h = [Fraction(0)] * terms
     worst = worst_lost = 0.0
     for level in range(1, 7):
         p = up[level]
         q = 1 - p
-        below_a, below_b, a = a, b, [p]
+        below_a, below_b, below_h, a = a, b, [x + y for x, y in zip(h, a)], [p]
         for k in range(1, terms):
             a.append(rounded(q * sum(map(mul, below_a[:k], reversed(a)))))
         b = [rounded(q / p * sum(map(mul, below_b[: k + 1], a[k::-1]))) for k in range(terms)]
-        for series, exact in ((law._a[level], a), (law._b[level], b)):
+        h = [rounded(q / p * sum(map(mul, below_h[: k + 1], a[k::-1]))) for k in range(terms)]
+        for series, exact in ((series_a[level], a), (series_b[level], b), (series_h[level], h)):
+            assert len(series) == terms
             for got, want in zip(series, exact):
                 worst = max(worst, abs(float(Fraction(got) - want)))
-        kept = law._kept[level]
-        assert np.count_nonzero(_levels_of(keys) == level) == 2 * kept
-        lost = 1 - math.fsum(chain(law._a[level][:kept], law._b[level][:kept]))
+        assert np.count_nonzero(_levels_of(keys) == level) == 2 * kept[level]
+        assert series_h[level][kept[level] - 1] < 2.0**-60 <= min(series_h[level][: kept[level] - 1], default=1.0)
+        lost = 1 - math.fsum(chain(series_a[level][: kept[level]], series_b[level][: kept[level]]))
         worst_lost = max(worst_lost, abs(lost))
     print(f"worst coefficient error {worst:.2e}; worst mass lost {worst_lost / 2**-52:.2f} x 2^-52")
     assert worst <= 1e-15 and worst_lost <= 2**-52
 
 
+def _searched_climbs(model, block):
+    """_law_climbs by a binary search over all of the table's keys and the
+    loop m_1 = 0, m_{l+1} = D if R else m_l + D over each row's passages."""
+    keys, _, restarts, downs = noise._passage_table(model, block.shape[1] + 1)
+    keyed = (block * 2.0**53).astype(np.int64) + (np.arange(1, block.shape[1] + 1) << 53)
+    climbs = []
+    for row in np.searchsorted(keys, keyed, side="right").tolist():
+        m = [0]
+        for j in row:
+            m.append(int(downs[j]) + (0 if restarts[j] else m[-1]))
+        climbs.append(m)
+    return climbs
+
+
 @pytest.mark.parametrize("model", [*_LAW_JUDGE_MODELS, NoiseModel("a", 0.2), NoiseModel("c", 1e-8)], ids=repr)
 def test_draws_beside_a_threshold_pick_adjacent_outcomes(model):
     """The draws one unit of 2^-53 below and at each outcome's key pick
-    that outcome and the next one (past any outcome of no width), and the
-    guide picks exactly what a binary search over all keys picks."""
+    that outcome and the next one (past any outcome of no width), and
+    _law_climbs, through its guide, climbs exactly as a binary search over
+    all keys does: on rows that put those draws in their passage's column
+    among random draws, and on random rows."""
     top = 12
-    law = noise._passage_law(model)
-    keys = law._tables(top)[0]
+    keys = noise._passage_table(model, top)[0]
     levels = _levels_of(keys)
     local = keys - (levels << 53)
     inside = np.flatnonzero((levels < top) & (local >= 1) & (local < 2**53))
     rows = np.arange(inside.size)
-    block = np.zeros((2 * inside.size, top - 1))
+    block = counter_uniforms(3, np.arange(2 * inside.size), 0, top - 1)
     local = local[inside].astype(float)
     block[2 * rows, levels[inside] - 1] = (local - 1) * 2.0**-53
     block[2 * rows + 1, levels[inside] - 1] = local * 2.0**-53
-    picks = law.pick(block)[np.arange(block.shape[0]), np.repeat(levels[inside] - 1, 2)]
+    keyed = (block[np.arange(block.shape[0]), np.repeat(levels[inside] - 1, 2)] * 2.0**53).astype(np.int64)
+    picks = np.searchsorted(keys, keyed + (np.repeat(levels[inside], 2) << 53), side="right")
     assert np.array_equal(picks[0::2], np.searchsorted(keys, keys[inside], side="left"))
     assert np.array_equal(picks[1::2], np.searchsorted(keys, keys[inside], side="right"))
+    assert noise._law_climbs(model, block).tolist() == _searched_climbs(model, block)
     draws = counter_uniforms(5, np.arange(2000), 0, top - 1)
-    keyed = (draws * 2.0**53).astype(np.int64) + (np.arange(1, top) << 53)
-    search = np.searchsorted(keys, keyed, side="right")
-    assert np.array_equal(law.pick(draws), search)
+    assert noise._law_climbs(model, draws).tolist() == _searched_climbs(model, draws)
 
 
 @pytest.mark.parametrize("model", [NoiseModel("a", 1e-4), NoiseModel("a", 0.2)], ids=repr)
 def test_law_climbs_run_the_downs_recursion(model):
     """The downs at the first arrivals are the loop m_1 = 0,
     m_{l+1} = D if R else m_l + D over each row's picked passages."""
-    top = 15
-    law = noise._passage_law(model)
-    block = counter_uniforms(9, np.arange(500), 0, top - 1)
-    restarts, downs = law.outcomes(top)
-    want = []
-    for row in law.pick(block).tolist():
-        m = [0]
-        for j in row:
-            m.append(int(downs[j]) + (0 if restarts[j] else m[-1]))
-        want.append(m)
-    assert noise._law_climbs(law, block).tolist() == want
+    block = counter_uniforms(9, np.arange(500), 0, 14)
+    assert noise._law_climbs(model, block).tolist() == _searched_climbs(model, block)
 
 
 def test_concurrent_tabulation_builds_the_serial_table():
-    """Threads that ask one passage law for different tops at once (more
-    threads than cores, with a short switch interval) leave the tables that
-    one thread building them in turn leaves."""
-    up = noise._climb_tables(NoiseModel("a", 0.05)).up
-    want = noise._PassageLaw(up)._tables(20)
-    shared = noise._PassageLaw(up)
+    """Threads that run decay_study for different tops at once on a cleared
+    table cache (more threads than cores, with a short switch interval)
+    give the points of the same calls made in turn, and leave the tables
+    built in turn."""
+    model, tops = NoiseModel("a", 0.05), (5, 20, 12, 3, 17, 20, 9)
+    want = {top: decay_study(model, top, 50, 3) for top in tops}
+    tables = noise._passage_table(model, 20)
+    noise._passage_table.cache_clear()
+    got = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        tops = (5, 20, 12, 3, 17, 20, 9)
-        threads = [threading.Thread(target=shared._tables, args=(top,), daemon=True) for top in tops]
+        threads = [
+            threading.Thread(target=lambda top=top: got.append((top, decay_study(model, top, 50, 3))), daemon=True)
+            for top in tops
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -703,7 +720,8 @@ def test_concurrent_tabulation_builds_the_serial_table():
         assert not any(thread.is_alive() for thread in threads)
     finally:
         sys.setswitchinterval(interval)
-    assert all(np.array_equal(got, table) for got, table in zip(shared._tables(20), want, strict=True))
+    assert sorted(got) == sorted((top, want[top]) for top in tops)
+    assert all(np.array_equal(x, y) for x, y in zip(noise._passage_table(model, 20), tables, strict=True))
 
 
 _LIGHT_MODELS = list(dict.fromkeys(_GRID_MODELS + _LAW_JUDGE_MODELS + [NoiseModel("a", 0.05), NoiseModel("a", 0.2)]))
@@ -717,9 +735,7 @@ def test_passage_law_composes_to_the_arrival_law(model):
     (m' = D after a restart, m + D otherwise), and oracles.arrival_law's
     visits of the walk on (level, m)."""
     top = 16
-    law = noise._passage_law(model)
-    keys = law._tables(top)[0]
-    restarts, downs = law.outcomes(top)
+    keys, _, restarts, downs = noise._passage_table(model, top)
     # passage l's keys run up to (l + 1) * 2^53, where passage l + 1's begin
     widths = np.diff(keys, prepend=2**53)
     exact, missing = arrival_law(noise._climb_tables(model).up, top)
@@ -766,7 +782,7 @@ def test_law_downs_follow_the_walk():
     n, top, tests = 100_000, 6, []
     for model in (NoiseModel("a", 1e-4), NoiseModel("a", 0.2), NoiseModel("b", 1e-6)):
         key = derive_seed(DEFAULT_SEED, "law-vs-walk", model.kind, repr(model.strength))
-        law = noise._law_climbs(noise._passage_law(model), counter_uniforms(key, np.arange(n), 0, top - 1))
+        law = noise._law_climbs(model, counter_uniforms(key, np.arange(n), 0, top - 1))
         up = noise._climb_tables(model).up
         rng = derive_rng(DEFAULT_SEED, "walk", model.kind, repr(model.strength))
         walk = np.array([noise._noisy_climb(up, top, iter(rng.random, None)) for _ in range(n)])
@@ -891,6 +907,41 @@ def test_propagation_states_stay_physical():
 def test_decay_study_requires_an_instance(n):
     with pytest.raises(ValueError, match="at least one instance"):
         decay_study(NoiseModel("a", 1e-4), 4, n, seed=1)
+
+
+class _Sized(Exception):
+    """What the np.arange spy raises in place of sizing an array."""
+
+
+def _refuse_arange(monkeypatch):
+    """Replace np.arange with a spy that records its arguments and raises
+    _Sized, so no test here allocates an instance-sized array."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise _Sized(args)
+
+    monkeypatch.setattr(np, "arange", spy)
+    return calls
+
+
+@pytest.mark.parametrize("model", [NoiseModel("a", 1e-4), NoiseModel("a", 0.4), NoiseModel("b", 1e-6)], ids=repr)
+@pytest.mark.parametrize("n", [2**32 + 1, 5_000_000_000])
+def test_decay_study_refuses_more_instances_than_the_counter_holds(model, n, monkeypatch):
+    """Counter rows lie in [0, 2^32): a larger count is refused, on every
+    path, before any array is sized by it."""
+    calls = _refuse_arange(monkeypatch)
+    with pytest.raises(ValueError, match=r"n_instances must be at most 4294967296"):
+        decay_study(model, 5, n, 1)
+    assert not calls
+
+
+def test_decay_study_takes_as_many_instances_as_the_counter_holds(monkeypatch):
+    calls = _refuse_arange(monkeypatch)
+    with pytest.raises(_Sized):
+        decay_study(NoiseModel("a", 1e-4), 5, 2**32, 1)
+    assert calls == [(2**32,)]
 
 
 @given(st.floats() | st.fractions() | st.text())

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -132,10 +133,44 @@ def test_run_scaling_study_deterministic():
 
 
 def test_run_scaling_study_jobs_do_not_change_results():
-    serial = run_scaling_study(MULTI, 120, seed=7, jobs=1)
-    parallel = run_scaling_study(MULTI, 120, seed=7, jobs=2)
+    # two chunks of samples, so a two-core machine starts two workers
+    serial = run_scaling_study(MULTI, 300, seed=7, jobs=1)
+    parallel = run_scaling_study(MULTI, 300, seed=7, jobs=2)
     assert serial[0] == parallel[0]
     assert serial[1] == parallel[1]
+
+
+@pytest.mark.parametrize(
+    "jobs, cores, n_samples, workers",
+    [(5000, 2, 2, 1), (5000, 64, 769, 4), (3, 64, 600, 3), (8, 2, 600, 2), (4, None, 600, 1), (2, 8, 257, 2)],
+)
+def test_the_pool_is_capped_at_the_cores_and_the_chunks(jobs, cores, n_samples, workers, monkeypatch):
+    """jobs > 1 takes the pool, sized at min(jobs, cores, 256-sample
+    chunks), and gives the serial samples and fits.  The pool here is a
+    stand-in that records its size and maps in this process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    want = run_scaling_study(H_ONLY, n_samples, seed=7, jobs=1)
+    assert sizes == []
+    assert run_scaling_study(H_ONLY, n_samples, seed=7, jobs=jobs) == want
+    assert sizes == [workers]
 
 
 def test_run_scaling_study_eps_range_respected():

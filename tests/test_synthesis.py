@@ -4,11 +4,12 @@ import random
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_random_rotation
+from oracles import apply_random_rotation, replica_synthesize
 from rotsynth.ladder import (
     ALL_FAMILIES,
     MAX_LEVEL,
@@ -556,3 +557,35 @@ def test_epsilon_beyond_deepest_ladder_rejected(epsilon, families):
     assert "max_level" not in str(raised.value)
     with pytest.raises(ValueError, match=below_reach):
         min_online_synthesize(1.0, epsilon, config, derive_rng(20, "d"))
+
+
+@pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
+def test_the_numpy_replica_replays_the_planner(families):
+    """Given the coins of synthesize's applied states, the lockstep replica
+    makes the loop's (family, level) picks, Clifford corrections and final
+    residual bytes, and bills the expected costs of those picks, on 4000
+    samples per family set: targets uniform in +-20, epsilon log-uniform
+    from 1e-15 to 1e-1.  Random targets never tie, so the exact midpoints
+    of neighbouring angles from 1e-40 to pi/4 follow, at a quarter of their
+    size."""
+    params = derive_rng(5, "replica-params", len(families))
+    samples = [(params.uniform(-20, 20), 10 ** params.uniform(-15, -1)) for _ in range(4000)]
+    angles = sorted(rotation_angle(f, lvl) for f in families for lvl in range(MAX_LEVEL + 1))
+    pairs = zip(angles, angles[1:])
+    ties = [mid for lo, hi in pairs if lo > 1e-40 and (mid := (lo + hi) / 2) - lo == hi - mid < QUARTER_PI]
+    assert len(ties) > 10
+    print(f"{len(ties)} exact ties")
+    samples += [(mid, mid / 4) for mid in ties]
+    results = [
+        synthesize(target, SynthesisConfig(eps, families), derive_rng(5, "replica", len(families), j))
+        for j, (target, eps) in enumerate(samples)
+    ]
+    targets, epsilons = map(np.array, zip(*samples))
+    replica = replica_synthesize(targets, epsilons, families, [[s for *_, s in r.applied] for r in results])
+    assert replica.picks == [[a[:2] for a in r.applied] for r in results]
+    assert replica.corrections.tolist() == [r.clifford_corrections for r in results]
+    assert replica.residuals.tobytes() == np.array([r.residual for r in results]).tobytes()
+    assert replica.expected_offline.tolist() == [
+        sum(expected_climb_cost(f, lvl) for f, lvl, _ in r.applied) for r in results
+    ]
+    print(f"{len(families)} families: {sum(map(len, replica.picks))} picks replayed")
