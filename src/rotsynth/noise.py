@@ -32,7 +32,9 @@ samples: decay_study draws each passage of every instance with one
 counter-stream draw, all at once in numpy, and walks merge by merge only
 the near-symmetric resources, whose passages have heavy tails;
 propagate_to_level always walks.  One distance expression turns the downs
-into bytes.  The tests check the tables against exact oracles, the walk
+into bytes: decay_study takes it once per cell of a grid of levels by
+downs counts, gathers each instance's cells, and sums every level in
+instance order.  The tests check the tables against exact oracles, the walk
 against a step-by-step walker and the generic density-matrix simulation,
 and the sampled climbs against the walk and the exact arrival law.
 """
@@ -50,7 +52,7 @@ import numpy as np
 
 from .ladder import MAX_LEVEL, TAN_THETA0, Family, checked_integer, checked_level, ladder_angle
 from .qcore import DensityMatrix, dm_from_bloch
-from .seeding import COUNTER_LIMIT, counter_uniforms, derive_seed
+from .seeding import COUNTER_LIMIT, counter_bits, counter_uniforms, derive_seed
 from .study import fit_loglog
 
 # decay_study samples a model's climbs from their passage law when every up
@@ -136,8 +138,9 @@ class _ClimbTables:
 
     up[l] is the probability that a merge at level l goes up.  state(l, m)
     is the bottom state at level l after m downs since the last restart,
-    and distances(downs) the trace distances of the first-arrival states to
-    the ideal ladder states.  lam is 1 by construction for a pure resource.
+    and distances(downs, top) the trace distances of the first-arrival
+    states to the ideal ladder states.  lam is 1 by construction for a
+    pure resource.
     Only per-level values are kept, so the size of the tables does not
     depend on the climbs.  The entries of sigma are scaled by the larger
     diagonal one, so no power overflows and no model divides by zero.
@@ -185,21 +188,27 @@ class _ClimbTables:
         r00, r11 = self._diag[level]
         return r00, complex(float(self._rr[level]) * scale, float(self._ri[level]) * scale), r11
 
-    def distances(self, downs: np.ndarray) -> np.ndarray:
+    def distances(self, downs, top: int) -> np.ndarray:
         """Trace distances to the ideal ladder states of the first-arrival
-        states, where downs[..., j] counts the downs since the last restart
-        at the first arrival at level j + 1."""
-        levels = slice(1, downs.shape[-1] + 1)
+        states: [r, l - 1] at level l after downs[r] downs since the last
+        restart, for levels 1..top and the ascending Python integers downs.
+        The rows stop where lam^m stops changing, as every later row would
+        equal the last: after the first if lam is 1, else after the first
+        whose lam^m underflows to 0."""
+        levels = slice(1, top + 1)
         # lam^m by Python's float pow, as in state(): numpy's pow may take a
         # SIMD path whose last bit depends on the CPU
-        scale = np.array([self.lam**m for m in range(int(downs.max()) + 1)]).take(downs)
-        # sqrt(d00^2 + dr^2 + di^2) in place: a fresh array per step costs
-        # about as much as the arithmetic at a study's size
+        scale = []
+        for m in downs:
+            scale.append(self.lam**m)
+            if scale[-1] == 0.0 or self.lam == 1.0:
+                break
+        scale = np.array(scale)[:, None]
+        # sqrt(d00^2 + dr^2 + di^2), in place after each first product
         dr = scale * self._rr[levels]
         dr -= self._cs[levels]
         dr *= dr
-        di = scale  # scale is spent: di takes over its array
-        di *= self._ri[levels]
+        di = scale * self._ri[levels]
         di *= di
         dr += self._d00sq[levels]
         dr += di
@@ -254,17 +263,22 @@ def _passage_series(up: list[float], top: int) -> tuple[list[list[float]], ...]:
 
 
 @lru_cache(maxsize=64)
-def _passage_table(model: NoiseModel, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only (keys, guide, restarts, downs) of the outcomes of
-    passages 1..top - 1, which a level samples by inverse CDF: its kept
-    terms of A, then those of B, each with the fsum of the masses up to it,
-    the last clamped to 1.  An outcome's key is l * 2^53 + ceil(cdf * 2^53)
-    for passage l, and the guide holds, for each slot of 2^-_GUIDE_BITS of
-    a passage's draws, the one outcome its draws pick, or -1 where a key
-    splits the slot (passage 0 has no outcomes: its slots are never read).
+def _passage_table(model: NoiseModel, top: int) -> tuple[np.ndarray, ...]:
+    """The read-only (keys, guide, restarts, downs, offsets) of the
+    outcomes of passages 1..top - 1, which a level samples by inverse CDF:
+    its kept terms of A, then those of B, each with the fsum of the masses
+    up to it, the last clamped to 1.  An outcome's key is
+    l * 2^53 + ceil(cdf * 2^53) for passage l, and the guide holds, for each
+    slot of 2^-_GUIDE_BITS of a passage's draws, the one outcome its draws
+    pick, or -1 where a key splits the slot or its outcome restarts
+    (passage 0 has no outcomes: its slots are never read).  restarts is -1
+    (every bit set) for an outcome that restarts and 0 for one that does
+    not, downs its downs, and offsets[l - 1] = l * 2^53 keys the draws of
+    passage l.
     """
     a, b, _, kept = _passage_series(_climb_tables(model).up, top)
-    parts = [(np.empty(0, np.int64), np.full(2**_GUIDE_BITS, -1, np.int32), np.empty(0, bool), np.empty(0, np.intp))]
+    none = np.empty(0, np.int64)
+    parts = [(none, np.full(2**_GUIDE_BITS, -1, np.intp), none, none)]
     outcomes = 0
     for level in range(1, top):
         terms = kept[level]
@@ -280,35 +294,46 @@ def _passage_table(model: NoiseModel, top: int) -> tuple[np.ndarray, np.ndarray,
         slots = (np.arange(2**_GUIDE_BITS + 1, dtype=np.int64) + (level << _GUIDE_BITS)) << (53 - _GUIDE_BITS)
         first = np.searchsorted(keys, slots[:-1], side="right")
         clear = first == np.searchsorted(keys, slots[1:], side="left")
-        guide = np.where(clear, first + outcomes, -1).astype(np.int32)
-        parts.append((keys, guide, np.repeat([False, True], terms), np.tile(np.arange(terms), 2)))
+        guide = np.where(clear & (first < terms), first + outcomes, -1).astype(np.intp)
+        restarts = np.repeat(np.array([0, -1], np.int64), terms)
+        parts.append((keys, guide, restarts, np.tile(np.arange(terms, dtype=np.int64), 2)))
         outcomes += 2 * terms
-    table = tuple(map(np.concatenate, zip(*parts)))
+    table = (*map(np.concatenate, zip(*parts)), np.arange(1, top, dtype=np.int64) << 53)
     for array in table:
         array.flags.writeable = False
     return table
 
 
-def _law_climbs(model: NoiseModel, block: np.ndarray) -> np.ndarray:
+def _law_climbs(model: NoiseModel, bits: np.ndarray) -> np.ndarray:
     """The (instances, top) matrix of downs at the first arrival at levels
-    1..top, with column l - 1 of block driving passage l (top - 1 columns).
-    A draw u of passage l, keyed l * 2^53 + u * 2^53 on its exact 53-bit
-    integer, picks the first outcome whose key exceeds its own, the one
-    with cdf[j - 1] <= u < cdf[j]: the guide gives it for all but about 2%
-    of the draws on the criterion-8 grid, a binary search for the others."""
-    keys, guide, restarts, downs = _passage_table(model, block.shape[1] + 1)
-    draws = (block * 2.0**53).astype(np.int64)
-    draws += np.arange(1, block.shape[1] + 1, dtype=np.int64) << 53
-    picks = guide[draws >> (53 - _GUIDE_BITS)]
+    1..top, with column l - 1 of bits (counter_bits' 53-bit integers)
+    driving passage l (top - 1 columns).  A draw u of passage l, keyed
+    l * 2^53 + u, picks the first outcome whose key exceeds its own, the
+    one with cdf[j - 1] <= u * 2^-53 < cdf[j]: the guide gives it for all
+    but about 2% of the draws on the criterion-8 grid, a binary search for
+    the others, among them every draw that picks a restart.  bits is spent:
+    its block takes the keys."""
+    n, passages = bits.shape
+    keys, guide, restarts, downs, offsets = _passage_table(model, passages + 1)
+    keyed = bits.view(np.int64)  # every draw is below 2^53
+    keyed += offsets
+    picks = guide.take(keyed >> (53 - _GUIDE_BITS))
     split = np.flatnonzero(picks < 0)
-    picks.flat[split] = np.searchsorted(keys, draws.flat[split], side="right")
-    d = downs[picks]
-    # the sums reuse the spent draws' block: a fresh one costs 10% of the call
-    total = np.cumsum(d, axis=1, out=draws)
-    # the downs before the last restart: a running maximum, as total grows
-    before = np.maximum.accumulate(np.where(restarts[picks], total - d, 0), axis=1)
-    arrivals = np.zeros((len(block), block.shape[1] + 1), np.intp)
-    np.subtract(total, before, out=arrivals[:, 1:])
+    found = np.searchsorted(keys, keyed.reshape(-1)[split], side="right")
+    picks.reshape(-1)[split] = found
+    d = downs.take(picks)
+    arrivals = np.zeros((n, passages + 1), np.intp)
+    sums = np.cumsum(d, axis=1, out=arrivals[:, 1:])
+    # the rows that restart drop the downs before their last restart: the
+    # sum before each restart, kept by its mask, and their running maximum,
+    # as the sums grow (a row that restarts twice is worked, and written,
+    # twice, alike)
+    rows = split[restarts.take(found) < 0] // passages
+    tail = sums[rows]
+    before = tail - d[rows]
+    before &= restarts.take(picks[rows])
+    tail -= np.maximum.accumulate(before, axis=1, out=before)
+    sums[rows] = tail
     return arrivals
 
 
@@ -350,7 +375,7 @@ def propagate_to_level(
     arrivals = _noisy_climb(tables.up, target_level, iter(rng.random, None))
     r00, r01, r11 = tables.state(target_level, arrivals[-1])
     rho = DensityMatrix(np.array([[r00, r01], [r01.conjugate(), r11]], dtype=complex))
-    return rho, float(tables.distances(np.array(arrivals))[-1])
+    return rho, float(tables.distances(arrivals[-1:], target_level)[0, -1])
 
 
 def _row_draws(key: int, instance: int, start: int):
@@ -392,11 +417,11 @@ def decay_study(
     tables = _climb_tables(model)
     if _is_pure(model):
         # lam = 1: every first arrival at a level lands on one state
-        return list(enumerate(tables.distances(np.zeros(max_level, np.intp)).tolist(), 1))
+        return list(enumerate(tables.distances([0], max_level)[0].tolist(), 1))
     key = derive_seed(seed, "noise", model.kind, repr(model.strength))
     rows = np.arange(n_instances)
     if min(tables.up) >= _LAW_MIN_UP:
-        downs = _law_climbs(model, counter_uniforms(key, rows, 0, max_level - 1))
+        downs = _law_climbs(model, counter_bits(key, rows, 0, max_level - 1))
     else:
         # a climb needs at least max_level draws; the loop reads on past
         # this block in its own row
@@ -405,9 +430,19 @@ def decay_study(
         downs = np.empty((n_instances, max_level), np.intp)
         for i in rows.tolist():
             downs[i] = _noisy_climb(tables.up, max_level, chain(block[i].tolist(), _row_draws(key, i, width)))
-    # per level, in instance order: a sequential sum whatever numpy's reduction order
-    sums = np.cumsum(tables.distances(downs), axis=0)[-1].tolist()
-    return [(lvl, s / n_instances) for lvl, s in enumerate(sums, 1)]
+    # a distance depends on (level, downs) alone: each cell of one grid of
+    # levels by downs is taken once, then gathered per instance, and downs
+    # past the grid's last row land on it
+    grid = tables.distances(range(int(downs.max()) + 1), max_level)
+    cells = np.minimum(downs, len(grid) - 1)
+    cells *= max_level
+    cells += np.arange(max_level)
+    values = grid.take(cells)
+    # np.add.reduce adds down axis 0 row by row, so each level's sum runs in
+    # instance order; one column would collapse to a 1-D reduction, which
+    # numpy sums pairwise
+    sums = np.add.reduce(values, axis=0) if max_level > 1 else np.cumsum(values)[-1:]
+    return [(lvl, s / n_instances) for lvl, s in enumerate(sums.tolist(), 1)]
 
 
 @dataclass(frozen=True)

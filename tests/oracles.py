@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from rotsynth import noise
-from rotsynth.ladder import Family, expected_climb_cost, ladder_angle, success_probs
+from rotsynth.ladder import Family, base_average_cost, expected_climb_cost, ladder_angle, success_probs
 from rotsynth.noise import NoiseModel, make_noisy_resource
 from rotsynth.qcore import GATES_1Q, DensityMatrix, PureRegister, apply_gate, xz_state
 from rotsynth.seeding import derive_seed
@@ -153,37 +153,56 @@ def dm_measure_qubit(rho: DensityMatrix, q: int) -> DmMeasureResult:
 
 
 def failure_law(family: Family, level: int) -> tuple[np.ndarray, float]:
-    """The law of a climb's failed merges (downs plus level-0 restarts) on
-    its way from level 0 to level: law[n] = P(n failures), cut where the
-    mass beyond it is below 1e-12, and that missing mass (to rounding).
+    """The joint law of a climb's downs and level-0 restarts on its way from
+    level 0 to level: law[d, r] = P(d downs, r restarts), cut where the mass
+    beyond it is below 1e-12, and that missing mass (to rounding).  Such a
+    climb bills level + 2 d + r raw resources for its merges (level + d ups,
+    d downs, r failed merges at level 0) and the base state 1 + r times.
 
-    The failures of the first passage l -> l+1 have the generating function
-    T_l(z) = p_l / (1 - (1 - p_l) z T_{l-1}(z)), T_{-1} = 1: a merge goes up
-    with p_l, or fails and must then pass l-1 -> l again (a restart at level
-    0 needs nothing more).  The climb's law is the product of T_l over
-    l < level.  Every coefficient is a sum of positive terms, so the first
-    `degree` terms of each series are exact; the degree doubles from 64
-    until they hold all but 1e-12 of the mass.
+    The walk visits each (level, d, r) at most once, as an up raises the
+    level and keeps d and r, a down raises d and a restart r.  So the chance
+    of a visit is a sum over the visits that lead there: for each d in turn,
+    the visits that came down from d - 1 or started, then at level 0 the
+    restarts, r by r, then the ups, level by level.  Every term is positive,
+    so the law is exact to rounding inside its cut; the cuts (64 downs and
+    16 restarts) double until the mass beyond them is below 1e-12, or at
+    most to 1024 and 256, where the mass still beyond them is returned.
     """
     probs = success_probs(family)[:level]
-    degree = 64
+    if not probs:
+        return np.ones((1, 1)), 0.0
+    fails = 1 - np.array(probs)
+    downs, restarts = 64, 16
     while True:
-        law = np.zeros(degree)
-        law[0] = 1.0
-        passage = law.copy()  # T_{-1} = 1
-        for p in probs:
-            # T = p + (1 - p) z T_{l-1} T, solved term by term
-            shifted = np.concatenate(([0.0], (1 - p) * passage[:-1]))
-            nxt = np.empty(degree)
-            nxt[0] = p
-            for n in range(1, degree):
-                nxt[n] = shifted[1 : n + 1] @ nxt[n - 1 :: -1]
-            passage = nxt
-            law = np.convolve(law, passage)[:degree]
+        law = np.zeros((downs, restarts))
+        came_down = np.zeros((level, restarts))
+        came_down[0, 0] = 1.0  # the start
+        for d in range(downs):
+            visits = came_down
+            for r in range(1, restarts):
+                visits[0, r] += fails[0] * visits[0, r - 1]
+            for lv in range(1, level):
+                visits[lv] += probs[lv - 1] * visits[lv - 1]
+            law[d] = probs[-1] * visits[-1]
+            came_down = np.zeros((level, restarts))
+            came_down[:-1] = fails[1:, None] * visits[1:]
         missing = 1.0 - law.sum()
-        if missing < 1e-12:
+        if missing < 1e-12 or downs == 1024:
             return law, missing
-        degree *= 2
+        downs, restarts = 2 * downs, 2 * restarts
+
+
+def climb_cost_law(family: Family, level: int) -> dict[float, float]:
+    """failure_law as a law of climb costs, {cost: probability}: each cell's
+    cost is the float that ladder.climb_walk bills for it, and cells that
+    bill the same float (for H, every cell of one d + r) share it."""
+    law, _ = failure_law(family, level)
+    base = base_average_cost(family)
+    costs: dict[float, float] = {}
+    for (d, r), p in np.ndenumerate(law):
+        cost = level + 2 * d + r + (r + 1) * base
+        costs[cost] = costs.get(cost, 0.0) + float(p)
+    return costs
 
 
 def apply_random_rotation(
@@ -490,18 +509,42 @@ def arrival_law(up: list, top: int) -> tuple[list[list], float]:
     return laws, worst
 
 
+def element_distances(tables, downs: np.ndarray) -> np.ndarray:
+    """The first-arrival distances one element at a time, the judge of
+    _ClimbTables.distances' grid: downs[..., j] counts the downs since the
+    last restart at the first arrival at level j + 1.  The same expression
+    in the same order, on lam^m by Python's float pow, so each element is
+    the bytes of its grid cell."""
+    levels = slice(1, downs.shape[-1] + 1)
+    scale = np.array([tables.lam**m for m in range(int(downs.max()) + 1)]).take(downs)
+    dr = scale * tables._rr[levels]
+    dr -= tables._cs[levels]
+    dr *= dr
+    di = scale * tables._ri[levels]
+    di *= di
+    dr += tables._d00sq[levels]
+    dr += di
+    return np.sqrt(dr, out=dr)
+
+
+def running_means(tables, downs: np.ndarray) -> list[float]:
+    """decay_study's means from its instances' downs (instances, levels),
+    the judge of its gathered sum: each element's distance, summed per
+    level by a running sum down the instances, over their count."""
+    return [s / len(downs) for s in np.cumsum(element_distances(tables, downs), axis=0)[-1].tolist()]
+
+
 @lru_cache(maxsize=32)
 def exact_decay(model: NoiseModel, top: int) -> tuple[list[float], list[float]]:
     """The exact mean and standard deviation of the trace distance at the
     first arrival at each level 1..top: arrival_law on the model's up
-    probabilities, through the climb tables' distances (which
-    exact_climb judges).  Asserts that no level's law misses more than
-    1e-13 of its mass."""
+    probabilities, through element_distances (which exact_climb judges).
+    Asserts that no level's law misses more than 1e-13 of its mass."""
     tables = noise._climb_tables(model)
     laws, missing = arrival_law(tables.up, top)
     assert missing < 1e-13, missing
     depth = max(map(len, laws))
-    dist = tables.distances(np.arange(depth)[:, None].repeat(top, axis=1))
+    dist = element_distances(tables, np.arange(depth)[:, None].repeat(top, axis=1))
     means, sds = [], []
     for level, law in enumerate(laws):
         d = dist[: len(law), level].tolist()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import failure_law, measure_qubit, plus_state, states_equal_up_to_phase
+from oracles import climb_cost_law, failure_law, measure_qubit, plus_state, states_equal_up_to_phase
 from rotsynth import qcore
 from rotsynth.ladder import (
     ALL_FAMILIES,
@@ -373,43 +373,55 @@ def test_simulate_climb_counts_match_walk():
                 assert extra >= 0 and extra % 2 == 0
 
 
-@pytest.mark.parametrize("level", [0, 1, 3, 6, 12, 30])
-def test_failure_law_mean_is_the_expected_climb_cost(level):
-    """An H climb to level L with N failed merges costs L + 1 + 2N: the
-    bottom, a top per level gained, and per failure its merge and the merge
-    (or fresh bottom) that makes up for it.  So the law's mean is the
-    walk solve's expected cost."""
-    law, missing = failure_law(Family.H, level)
+def _law_cases(levels):
+    """(family, level) for every family, each H case with its level alone
+    as its id."""
+    return [
+        pytest.param(family, level, id=str(level) if family is Family.H else f"{family.value}-{level}")
+        for family in ALL_FAMILIES
+        for level in levels
+    ]
+
+
+@pytest.mark.parametrize(("family", "level"), _law_cases([0, 1, 3, 6, 12, 30]))
+def test_failure_law_mean_is_the_expected_climb_cost(family, level):
+    """A climb to level L with d downs and r level-0 restarts costs
+    L + 2 d + r + (r + 1) c for the family's base cost c: a top resource
+    per merge, and the base state at the start and after every restart (for
+    H, L + 1 + 2 (d + r)).  So the joint law's mean is the walk solve's
+    expected cost."""
+    law, missing = failure_law(family, level)
     assert abs(missing) < 1e-12
-    mean = level + 1 + 2 * float(np.arange(law.size) @ law)
-    assert mean == pytest.approx(expected_climb_cost(Family.H, level), rel=1e-12, abs=0)
+    mean = sum(p * cost for cost, p in climb_cost_law(family, level).items())
+    assert mean == pytest.approx(expected_climb_cost(family, level), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("level", [5, 12, 30])
-def test_simulate_climb_follows_the_failure_law(level):
-    """Chi-squared of the failure counts of 2e4 sampled climbs against the
-    exact law, one bin per count and the upper tail pooled, every bin
-    expecting at least 5 climbs."""
+@pytest.mark.parametrize(("family", "level"), _law_cases([5, 12, 30]))
+def test_simulate_climb_follows_the_failure_law(family, level):
+    """Chi-squared of the costs of 2e4 sampled climbs against the exact
+    law, one bin per cost (each a cell of downs and restarts, or for H all
+    cells of one d + r) in increasing order, and the costs from the first
+    one expected fewer than 5 times pooled, every bin expecting at least 5
+    climbs."""
     from scipy.stats import chisquare
 
     n = 20_000
     rng = derive_rng(DEFAULT_SEED, "failure-law", level)
-    counts = Counter()
-    for _ in range(n):
-        failures, odd = divmod(simulate_climb(Family.H, level, rng) - level - 1, 2)
-        assert odd == 0
-        counts[int(failures)] += 1
-    expected = n * failure_law(Family.H, level)[0]
-    # counts from the first one expected fewer than 5 times share a bin,
-    # which starts one count lower if it would still hold fewer than 5
+    counts = Counter(simulate_climb(family, level, rng) for _ in range(n))
+    law = climb_cost_law(family, level)
+    assert set(counts) <= set(law)  # every cost is a cell's bill
+    costs = sorted(law)
+    expected = n * np.array([law[c] for c in costs])
+    # costs from the first one expected fewer than 5 times share a bin,
+    # which starts one cost lower if it would still hold fewer than 5
     pooled = int(np.argmax(expected < 5))
     if n - expected[:pooled].sum() < 5:
         pooled -= 1
     expected = np.append(expected[:pooled], n - expected[:pooled].sum())
     assert expected.min() >= 5
-    observed = [counts[k] for k in range(pooled)] + [sum(c for k, c in counts.items() if k >= pooled)]
+    observed = [counts[c] for c in costs[:pooled]] + [sum(counts[c] for c in costs[pooled:])]
     stat, p = chisquare(observed, expected)
-    print(f"CLIMB LAW level {level}: chi2 = {stat:.1f} on {pooled} degrees of freedom, p = {p:.3g}")
+    print(f"CLIMB LAW {family.value} level {level}: chi2 = {stat:.1f} on {pooled} degrees of freedom, p = {p:.3g}")
     assert p > 1e-3
 
 

@@ -21,6 +21,8 @@ from oracles import (
     dm_bloch_vector,
     exact_climb,
     dm_measure_qubit,
+    element_distances,
+    running_means,
     walker_decay_study,
     walker_propagate,
 )
@@ -36,7 +38,7 @@ from rotsynth.noise import (
     propagate_to_level,
 )
 from rotsynth.qcore import DensityMatrix, trace_distance
-from rotsynth.seeding import DEFAULT_SEED, counter_uniforms, derive_rng, derive_seed
+from rotsynth.seeding import DEFAULT_SEED, counter_bits, counter_uniforms, derive_rng, derive_seed
 
 
 def test_strength_is_kept_as_a_float():
@@ -246,6 +248,13 @@ _ORACLE_DOWNS = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200]
 _EPS = 2.0**-53
 
 
+def _grid_rows(tables, downs, top):
+    """The rows of the climb tables' distance grid at the given downs
+    counts, past its last row on that row, as decay_study gathers them."""
+    grid = tables.distances(range(max(downs) + 1), top)
+    return grid[np.minimum(downs, len(grid) - 1)]
+
+
 def test_climb_tables_equal_the_exact_closed_form():
     """At the replay models and the criterion-8 grid, levels 0..150: every
     up probability within 4 units of rounding of the exact fraction, and
@@ -259,7 +268,7 @@ def test_climb_tables_equal_the_exact_closed_form():
         up, dist = exact_climb(model, MAX_LEVEL, _ORACLE_DOWNS)
         for got, want in zip(tables.up, up, strict=True):
             worst_up = max(worst_up, float(abs(Fraction(got) - want) / want) / (4 * _EPS))
-        table = tables.distances(np.array(_ORACLE_DOWNS)[:, None].repeat(MAX_LEVEL, axis=1))
+        table = _grid_rows(tables, _ORACLE_DOWNS, MAX_LEVEL)
         for got, m, row in zip(table, _ORACLE_DOWNS, dist, strict=True):
             for level in range(1, MAX_LEVEL + 1):
                 n = level + 1
@@ -297,7 +306,7 @@ def test_edge_models_have_their_zero_entries():
 def test_climb_tables_are_finite_for_every_model(model):
     tables = noise._ClimbTables(model)
     assert all(0 <= u <= 1 for u in tables.up)
-    assert np.isfinite(tables.distances(np.arange(70)[:, None].repeat(MAX_LEVEL, axis=1))).all()
+    assert np.isfinite(tables.distances(range(70), MAX_LEVEL)).all()
     for level in (0, 1, 28, MAX_LEVEL):
         for downs in (0, 1, 69):
             assert all(math.isfinite(abs(x)) for x in tables.state(level, downs))
@@ -324,8 +333,10 @@ def test_climb_tables_do_not_grow_with_the_downs():
     assert peak < 4 * 2**20
     assert sizes == {name: len(value) for name, value in vars(tables).items() if not isinstance(value, float)}
     assert set(sizes.values()) == {MAX_LEVEL + 1}
-    assert dist == tables.distances(np.array(downs))[-1]
+    assert dist == element_distances(tables, np.array(downs))[-1]
     assert all(math.isfinite(d) for _, d in points)
+    # the distance grid stops after one down: every later count is the same state
+    assert len(tables.distances(range(max(downs) + 1), MAX_LEVEL)) == 2
 
 
 @given(_MODELS, st.lists(st.floats(0, 1, exclude_max=True), max_size=120))
@@ -429,8 +440,10 @@ def _replay(model, top, n, seed, monkeypatch, force=True):
     if force:
         _force_walk(monkeypatch)
     blocks = _spy(monkeypatch, "counter_uniforms")
+    bits = _spy(monkeypatch, "counter_bits")
     loops = _spy(monkeypatch, "_noisy_climb")
     points = decay_study(model, top, n, seed)
+    assert not bits
     if _pure(model):
         assert not blocks and not loops
     else:
@@ -473,17 +486,19 @@ def test_the_model_alone_picks_the_path(model):
     (models b and c, and the mixture at weight 0 or 1) read no draws: no
     counter block, no passage law, no walk.  The other mixtures of the
     criterion-8 grid and the replays take the passage law (the least up
-    probability among them is 0.59, of the 0.2 mixture), and the
-    near-symmetric ones walk."""
+    probability among them is 0.59, of the 0.2 mixture) in one block of
+    counter_bits, and the near-symmetric ones walk blocks of
+    counter_uniforms."""
     pure = _pure(model)
     law = not pure and model not in _HEAVY_MODELS
     # top 1 has no passage: the law path samples an empty block
     for top, n in ((1, 3), (2, 1), (14, 40), (3, 250)):
         with pytest.MonkeyPatch.context() as mp:
-            spies = [_spy(mp, name) for name in ("counter_uniforms", "_law_climbs", "_noisy_climb")]
+            spies = [_spy(mp, name) for name in ("counter_uniforms", "counter_bits", "_law_climbs", "_noisy_climb")]
             decay_study(model, top, n, 1)
-        blocks, laws, loops = map(len, spies)
-        assert (blocks > 0, laws, loops) == ((False, 0, 0) if pure else (True, 1, 0) if law else (True, 0, n))
+        blocks, bits, laws, loops = map(len, spies)
+        want = (False, 0, 0, 0) if pure else (False, 1, 1, 0) if law else (True, 0, 0, n)
+        assert (blocks > 0, bits, laws, loops) == want
 
 
 @pytest.mark.parametrize("model", _HEAVY_MODELS + [_PLUS], ids=repr)
@@ -528,7 +543,7 @@ def test_pure_resource_means_equal_the_exact_first_arrival_states(kind, monkeypa
     l does not depend on the downs: every instance lands on the same
     distance, so the means are the same bytes whatever the seed and the
     count."""
-    spies = [_spy(monkeypatch, name) for name in ("counter_uniforms", "_law_climbs", "_noisy_climb")]
+    spies = [_spy(monkeypatch, name) for name in ("counter_uniforms", "counter_bits", "_law_climbs", "_noisy_climb")]
     worst = 0.0
     for strength, top in _PURE_GRID.items():
         model = NoiseModel(kind, strength)
@@ -648,11 +663,11 @@ def test_passage_series_equal_exact_arithmetic(model):
     assert worst <= 1e-15 and worst_lost <= 2**-52
 
 
-def _searched_climbs(model, block):
+def _searched_climbs(model, bits):
     """_law_climbs by a binary search over all of the table's keys and the
     loop m_1 = 0, m_{l+1} = D if R else m_l + D over each row's passages."""
-    keys, _, restarts, downs = noise._passage_table(model, block.shape[1] + 1)
-    keyed = (block * 2.0**53).astype(np.int64) + (np.arange(1, block.shape[1] + 1) << 53)
+    keys, _, restarts, downs, _ = noise._passage_table(model, bits.shape[1] + 1)
+    keyed = bits.astype(np.int64) + (np.arange(1, bits.shape[1] + 1) << 53)
     climbs = []
     for row in np.searchsorted(keys, keyed, side="right").tolist():
         m = [0]
@@ -668,32 +683,34 @@ def test_draws_beside_a_threshold_pick_adjacent_outcomes(model):
     that outcome and the next one (past any outcome of no width), and
     _law_climbs, through its guide, climbs exactly as a binary search over
     all keys does: on rows that put those draws in their passage's column
-    among random draws, and on random rows."""
+    among random draws, and on random rows.  The guide names no outcome
+    that restarts: _law_climbs finds every restart among the searched
+    draws."""
     top = 12
-    keys = noise._passage_table(model, top)[0]
+    keys, guide, restarts = noise._passage_table(model, top)[:3]
+    assert not restarts[guide[guide >= 0]].any()
     levels = _levels_of(keys)
     local = keys - (levels << 53)
     inside = np.flatnonzero((levels < top) & (local >= 1) & (local < 2**53))
     rows = np.arange(inside.size)
-    block = counter_uniforms(3, np.arange(2 * inside.size), 0, top - 1)
-    local = local[inside].astype(float)
-    block[2 * rows, levels[inside] - 1] = (local - 1) * 2.0**-53
-    block[2 * rows + 1, levels[inside] - 1] = local * 2.0**-53
-    keyed = (block[np.arange(block.shape[0]), np.repeat(levels[inside] - 1, 2)] * 2.0**53).astype(np.int64)
+    bits = counter_bits(3, np.arange(2 * inside.size), 0, top - 1)
+    bits[2 * rows, levels[inside] - 1] = local[inside] - 1
+    bits[2 * rows + 1, levels[inside] - 1] = local[inside]
+    keyed = bits[np.arange(bits.shape[0]), np.repeat(levels[inside] - 1, 2)].astype(np.int64)
     picks = np.searchsorted(keys, keyed + (np.repeat(levels[inside], 2) << 53), side="right")
     assert np.array_equal(picks[0::2], np.searchsorted(keys, keys[inside], side="left"))
     assert np.array_equal(picks[1::2], np.searchsorted(keys, keys[inside], side="right"))
-    assert noise._law_climbs(model, block).tolist() == _searched_climbs(model, block)
-    draws = counter_uniforms(5, np.arange(2000), 0, top - 1)
-    assert noise._law_climbs(model, draws).tolist() == _searched_climbs(model, draws)
+    assert noise._law_climbs(model, bits.copy()).tolist() == _searched_climbs(model, bits)
+    draws = counter_bits(5, np.arange(2000), 0, top - 1)
+    assert noise._law_climbs(model, draws.copy()).tolist() == _searched_climbs(model, draws)
 
 
 @pytest.mark.parametrize("model", [NoiseModel("a", 1e-4), NoiseModel("a", 0.2)], ids=repr)
 def test_law_climbs_run_the_downs_recursion(model):
     """The downs at the first arrivals are the loop m_1 = 0,
     m_{l+1} = D if R else m_l + D over each row's picked passages."""
-    block = counter_uniforms(9, np.arange(500), 0, 14)
-    assert noise._law_climbs(model, block).tolist() == _searched_climbs(model, block)
+    bits = counter_bits(9, np.arange(500), 0, 14)
+    assert noise._law_climbs(model, bits.copy()).tolist() == _searched_climbs(model, bits)
 
 
 def test_concurrent_tabulation_builds_the_serial_table():
@@ -735,7 +752,7 @@ def test_passage_law_composes_to_the_arrival_law(model):
     (m' = D after a restart, m + D otherwise), and oracles.arrival_law's
     visits of the walk on (level, m)."""
     top = 16
-    keys, _, restarts, downs = noise._passage_table(model, top)
+    keys, _, restarts, downs, _ = noise._passage_table(model, top)
     # passage l's keys run up to (l + 1) * 2^53, where passage l + 1's begin
     widths = np.diff(keys, prepend=2**53)
     exact, missing = arrival_law(noise._climb_tables(model).up, top)
@@ -782,7 +799,7 @@ def test_law_downs_follow_the_walk():
     n, top, tests = 100_000, 6, []
     for model in (NoiseModel("a", 1e-4), NoiseModel("a", 0.2), NoiseModel("b", 1e-6)):
         key = derive_seed(DEFAULT_SEED, "law-vs-walk", model.kind, repr(model.strength))
-        law = noise._law_climbs(model, counter_uniforms(key, np.arange(n), 0, top - 1))
+        law = noise._law_climbs(model, counter_bits(key, np.arange(n), 0, top - 1))
         up = noise._climb_tables(model).up
         rng = derive_rng(DEFAULT_SEED, "walk", model.kind, repr(model.strength))
         walk = np.array([noise._noisy_climb(up, top, iter(rng.random, None)) for _ in range(n)])
@@ -838,6 +855,33 @@ def _study_downs(model, top, n, seed):
     return points, downs
 
 
+# the criterion-8 model-a cells on both paths, and two near-symmetric
+# mixtures on their own, the walk: lam is 0 at 1/2, so every downs count
+# past 1 lands on the distance grid's last row
+_JUDGED_SUMS = [
+    pytest.param(model, walk, id=f"{model.strength:g}-{'walk' if walk else 'own'}")
+    for model, walk in [(m, w) for m in _GRID_MODELS[:3] for w in (False, True)]
+    + [(NoiseModel("a", 0.45), False), (NoiseModel("a", 0.5), False)]
+]
+
+
+@pytest.mark.parametrize(("model", "walk"), _JUDGED_SUMS)
+def test_gathered_means_are_the_running_sums_of_the_element_distances(model, walk, monkeypatch):
+    """decay_study takes each (level, downs) cell's distance once, gathers
+    it per instance and sums each level with np.add.reduce: the same bytes,
+    by repr, as oracles.running_means, every element's distance summed by a
+    running sum down the instances, on the spied downs.  At the tops 1 (one
+    column, which numpy's reduction would sum pairwise), 2 and the cell's,
+    and at 1, 2, 10 and 1000 instances."""
+    if walk:
+        _force_walk(monkeypatch)
+    tables = noise._climb_tables(model)
+    for top in (1, 2, {1e-4: 28, 1e-6: 22, 1e-8: 16}.get(model.strength, 14)):
+        for n in (1, 2, 10, 1000):
+            points, downs = _study_downs(model, top, n, 5)
+            assert repr(points) == repr(list(enumerate(running_means(tables, downs), 1)))
+
+
 def _check_prefixes(model, low, high, n, seed):
     points, downs = _study_downs(model, high, n, seed)
     short, short_downs = _study_downs(model, low, n, seed)
@@ -876,7 +920,7 @@ def test_propagate_equals_walker_replay(model, level):
         assert fast_rng.random() == walk_rng.random()  # the same number of draws
         r00, r01, r11 = tables.state(level, walker.downs)
         assert np.array_equal(rho.mat, DensityMatrix(np.array([[r00, r01], [r01.conjugate(), r11]])).mat)
-        assert dist == tables.distances(np.full(level, walker.downs))[-1]
+        assert dist == element_distances(tables, np.full(level, walker.downs))[-1]
         assert trace_distance(rho, walker.density_matrix()) <= 1e-12
         want = walker.distance_to_ideal()
         worst = max(worst, abs(dist - want) / _walker_bound(model, want))

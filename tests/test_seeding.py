@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import counter_uniform, counter_word
 from rotsynth.noise import NoiseModel, decay_study
-from rotsynth.seeding import COUNTER_LIMIT, counter_uniforms, derive_rng, derive_seed
+from rotsynth.seeding import COUNTER_LIMIT, counter_bits, counter_uniforms, derive_rng, derive_seed
 from rotsynth.study import fixed_angle_study, run_scaling_study
 
 _ROWS = [0, 1, 2, 149, COUNTER_LIMIT - 1]
@@ -76,15 +76,54 @@ def test_draws_fill_the_unit_interval_on_the_2_53_grid():
     assert np.array_equal(u * 2.0**53, np.floor(u * 2.0**53))
 
 
+_EDGE_ROWS = np.array([0, 1, COUNTER_LIMIT - 2, COUNTER_LIMIT - 1])
+
+
+@pytest.mark.parametrize("start", [0, 7, COUNTER_LIMIT - 5])
+def test_uniforms_are_the_bits_scaled(start):
+    """counter_uniforms is counter_bits times 2^-53, bit for bit, and
+    counter_bits is the reference's 64-bit output shifted right by 11, on
+    the first and last rows and draws of the counter space."""
+    key = derive_seed(13, "bits")
+    bits = counter_bits(key, _EDGE_ROWS, start, 5)
+    assert bits.dtype == np.uint64 and int(bits.max()) < 2**53
+    assert bits.tolist() == [[counter_word(key % 2**64, i, start + c) >> 11 for c in range(5)] for i in _EDGE_ROWS.tolist()]
+    uniforms = counter_uniforms(key, _EDGE_ROWS, start, 5)
+    assert np.array_equal(uniforms.view(np.uint64), (bits * 2.0**-53).view(np.uint64))
+
+
 def test_counter_bounds():
-    assert counter_uniforms(1, [0], COUNTER_LIMIT - 2, 2).shape == (1, 2)
-    assert counter_uniforms(1, np.arange(4), 5, 0).shape == (4, 0)
-    with pytest.raises(ValueError, match="draws"):
-        counter_uniforms(1, [0], COUNTER_LIMIT - 2, 3)
-    with pytest.raises(ValueError, match="draws"):
-        counter_uniforms(1, [0], -1, 3)
-    with pytest.raises(ValueError, match="instances"):
-        counter_uniforms(1, np.array([0, COUNTER_LIMIT]), 0, 3)
+    for counter in (counter_uniforms, counter_bits):
+        assert counter(1, [0], COUNTER_LIMIT - 2, 2).shape == (1, 2)
+        assert counter(1, np.arange(4), 5, 0).shape == (4, 0)
+        with pytest.raises(ValueError, match="draws"):
+            counter(1, [0], COUNTER_LIMIT - 2, 3)
+        with pytest.raises(ValueError, match="draws"):
+            counter(1, [0], -1, 3)
+        with pytest.raises(ValueError, match="instances"):
+            counter(1, np.array([0, COUNTER_LIMIT]), 0, 3)
+
+
+_BAD_ARGUMENTS = [
+    # a non-integral key would read another key's stream, and a
+    # non-integral start or instance the row or draw it rounds to
+    ((1.5, [0], 0, 3), "^key must be an integer, got 1.5$"),
+    ((np.float64(1.0), [0], 0, 3), "^key must be an integer"),
+    ((1, [0], 0.5, 3), "^start must be an integer, got 0.5$"),
+    ((1, [0], 0, 3.0), "^count must be an integer, got 3.0$"),
+    ((1, [0.7], 0, 3), "^instances must be integers, got an array of float64$"),
+    ((1, np.array([True]), 0, 3), "^instances must be integers, got an array of bool$"),
+    # a negative instance raised OverflowError, or wrapped round to 2^64 - 1
+    ((1, [-1], 0, 3), "^instances must lie in"),
+    ((1, np.array([3, -1], np.int8), 0, 3), "^instances must lie in"),
+]
+
+
+@pytest.mark.parametrize("counter", [counter_uniforms, counter_bits], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(("args", "message"), _BAD_ARGUMENTS, ids=[repr(args) for args, _ in _BAD_ARGUMENTS])
+def test_counter_refuses_a_bad_argument_by_name(counter, args, message):
+    with pytest.raises(ValueError, match=message):
+        counter(*args)
 
 
 # 1e5 draws of a correct stream fail either check with probability < 1e-6
