@@ -52,7 +52,15 @@ import numpy as np
 
 from .ladder import MAX_LEVEL, TAN_THETA0, Family, checked_integer, checked_level, ladder_angle
 from .qcore import DensityMatrix, dm_from_bloch
-from .seeding import COUNTER_LIMIT, counter_bits, counter_uniforms, derive_seed
+from .seeding import (
+    COUNTER_LIMIT,
+    GUIDE_BITS,
+    counter_bits,
+    counter_uniforms,
+    derive_seed,
+    inverse_cdf_picks,
+    inverse_cdf_segment,
+)
 from .study import fit_loglog
 
 # decay_study samples a model's climbs from their passage law when every up
@@ -70,8 +78,6 @@ from .study import fit_loglog
 _LAW_MIN_UP = 0.58
 # a passage keeps the terms of its law until the mass beyond them is below this
 _LAW_TAIL = 2.0**-60
-# the passage tables' guide has a slot per 2^-_GUIDE_BITS of a passage's draws
-_GUIDE_BITS = 8
 
 _C0 = math.cos(math.pi / 8)
 _S0 = math.sin(math.pi / 8)
@@ -266,35 +272,21 @@ def _passage_series(up: list[float], top: int) -> tuple[list[list[float]], ...]:
 def _passage_table(model: NoiseModel, top: int) -> tuple[np.ndarray, ...]:
     """The read-only (keys, guide, restarts, downs, offsets) of the
     outcomes of passages 1..top - 1, which a level samples by inverse CDF:
-    its kept terms of A, then those of B, each with the fsum of the masses
-    up to it, the last clamped to 1.  An outcome's key is
-    l * 2^53 + ceil(cdf * 2^53) for passage l, and the guide holds, for each
-    slot of 2^-_GUIDE_BITS of a passage's draws, the one outcome its draws
-    pick, or -1 where a key splits the slot or its outcome restarts
-    (passage 0 has no outcomes: its slots are never read).  restarts is -1
-    (every bit set) for an outcome that restarts and 0 for one that does
-    not, downs its downs, and offsets[l - 1] = l * 2^53 keys the draws of
-    passage l.
+    one seeding.inverse_cdf_segment per passage l, holding its kept terms
+    of A, then those of B, and guiding only the outcomes that do not
+    restart (passage 0 has no outcomes: its slots are never read), the
+    outcomes numbered across the passages in order.  restarts is -1 (every bit set)
+    for an outcome that restarts and 0 for one that does not, downs its
+    downs, and offsets[l - 1] = l * 2^53 keys the draws of passage l.
     """
     a, b, _, kept = _passage_series(_climb_tables(model).up, top)
     none = np.empty(0, np.int64)
-    parts = [(none, np.full(2**_GUIDE_BITS, -1, np.intp), none, none)]
+    parts = [(none, np.full(2**GUIDE_BITS, -1, np.intp), none, none)]
     outcomes = 0
     for level in range(1, top):
         terms = kept[level]
-        # the fsum of the masses up to each outcome: an exact running sum in
-        # units of 2^-1074, rounded once (int / int rounds correctly)
-        total, cdf = 0, []
-        for mass in a[level][:terms] + b[level][: terms - 1]:
-            num, den = mass.as_integer_ratio()
-            total += num * (2**1074 // den)
-            cdf.append(total / 2**1074)
-        cdf.append(1.0)
-        keys = np.array([(level << 53) + math.ceil(c * 2.0**53) for c in cdf], np.int64)
-        slots = (np.arange(2**_GUIDE_BITS + 1, dtype=np.int64) + (level << _GUIDE_BITS)) << (53 - _GUIDE_BITS)
-        first = np.searchsorted(keys, slots[:-1], side="right")
-        clear = first == np.searchsorted(keys, slots[1:], side="left")
-        guide = np.where(clear & (first < terms), first + outcomes, -1).astype(np.intp)
+        keys, slots = inverse_cdf_segment(a[level][:terms] + b[level][:terms], level, terms)
+        guide = np.where(slots < 0, -1, slots + outcomes)
         restarts = np.repeat(np.array([0, -1], np.int64), terms)
         parts.append((keys, guide, restarts, np.tile(np.arange(terms, dtype=np.int64), 2)))
         outcomes += 2 * terms
@@ -308,19 +300,16 @@ def _law_climbs(model: NoiseModel, bits: np.ndarray) -> np.ndarray:
     """The (instances, top) matrix of downs at the first arrival at levels
     1..top, with column l - 1 of bits (counter_bits' 53-bit integers)
     driving passage l (top - 1 columns).  A draw u of passage l, keyed
-    l * 2^53 + u, picks the first outcome whose key exceeds its own, the
-    one with cdf[j - 1] <= u * 2^-53 < cdf[j]: the guide gives it for all
-    but about 2% of the draws on the criterion-8 grid, a binary search for
-    the others, among them every draw that picks a restart.  bits is spent:
-    its block takes the keys."""
+    l * 2^53 + u, picks the first outcome whose key exceeds its own: the
+    guide gives it for all but about 2% of the draws on the criterion-8
+    grid, a binary search for the others, among them every draw that picks
+    a restart.  bits is spent: its block takes the keys."""
     n, passages = bits.shape
     keys, guide, restarts, downs, offsets = _passage_table(model, passages + 1)
     keyed = bits.view(np.int64)  # every draw is below 2^53
     keyed += offsets
-    picks = guide.take(keyed >> (53 - _GUIDE_BITS))
-    split = np.flatnonzero(picks < 0)
-    found = np.searchsorted(keys, keyed.reshape(-1)[split], side="right")
-    picks.reshape(-1)[split] = found
+    picks, split = inverse_cdf_picks(keys, guide, keyed)
+    found = picks.reshape(-1).take(split)
     d = downs.take(picks)
     arrivals = np.zeros((n, passages + 1), np.intp)
     sums = np.cumsum(d, axis=1, out=arrivals[:, 1:])

@@ -10,11 +10,15 @@ a keyed hash of (i, j), so any block of draws is computed at once, in any
 order, and instance i reads the same draws whatever the batch.
 counter_bits gives each draw as its 53 random bits, an integer;
 counter_uniforms gives the same draws as those bits times 2**-53, exact
-uniforms on [0, 1).
+uniforms on [0, 1).  A fixed law is drawn from those bits by inverse CDF on
+one read-only keyed table, a segment per law (inverse_cdf_segment keys one
+law, inverse_cdf_picks draws from the table): the noisy climbs' passages
+and the ladder climbs' costs.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import re
 
@@ -31,6 +35,10 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _ULP = np.float64(2.0**-53)
+# an inverse-CDF table's guide has a slot per 2^-GUIDE_BITS of a segment's draws
+GUIDE_BITS = 8
+# its running sums count units of 2^-1074, the least float
+_UNITS = 2**1074
 
 
 # the texts str() writes for an integer, and no others
@@ -73,8 +81,21 @@ def counter_bits(key: int, instances: np.ndarray, start: int, count: int) -> np.
     """
     key = checked_integer(key, "key")
     start, count = checked_integer(start, "start"), checked_integer(count, "count")
+    _check_draws(start, count)
+    return counter_draws(counter_rows(key, instances), start, count)
+
+
+def _check_draws(start: int, count: int) -> None:
     if not 0 <= start <= start + count <= COUNTER_LIMIT:
         raise ValueError(f"draws must lie in [0, {COUNTER_LIMIT})")
+
+
+def counter_rows(key: int, instances: np.ndarray) -> np.ndarray:
+    """The part of counter_bits' mix that depends on the instance alone,
+    key + (i << 32) * 0x9E3779B97F4A7C15 (mod 2**64) per instance i, for
+    counter_draws: a study that reads its rows tick by tick takes it once.
+    The key must be an integer, the instances integers in [0, 2**32)."""
+    key = checked_integer(key, "key")
     rows = np.asarray(instances)
     if rows.dtype.kind not in "iu":
         raise ValueError(f"instances must be integers, got an array of {rows.dtype}")
@@ -88,9 +109,15 @@ def counter_bits(key: int, instances: np.ndarray, start: int, count: int) -> np.
     row = np.left_shift(rows, np.uint64(32))
     row *= _GAMMA
     row += np.uint64(key % 2**64)
+    return row
+
+
+def counter_draws(rows: np.ndarray, start: int, count: int) -> np.ndarray:
+    """counter_bits for the instances whose counter_rows terms are rows."""
+    _check_draws(start, count)
     draw = np.arange(start, start + count, dtype=np.uint64)
     draw *= _GAMMA
-    z = np.add(row[:, None], draw)
+    z = np.add(rows[:, None], draw)
     tmp = np.empty_like(z)
     z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= _MIX1
@@ -107,3 +134,44 @@ def counter_uniforms(key: int, instances: np.ndarray, start: int, count: int) ->
     bits = counter_bits(key, instances, start, count)
     # in place, so the peak stays two blocks
     return np.multiply(bits, _ULP, out=bits.view(np.float64))
+
+
+def inverse_cdf_segment(masses, segment: int, guided: int) -> tuple[np.ndarray, np.ndarray]:
+    """The keys and guide slots of one segment of an inverse-CDF table: the
+    outcomes' masses in table order (a sequence of floats, at least one),
+    of which the first `guided` may be read off the guide.
+
+    Outcome j has the fsum of the masses up to it as its cdf, the last
+    clamped to 1 (so the last mass is never read), and the key
+    segment * 2^53 + ceil(cdf * 2^53).  A draw u (53 bits) of the segment,
+    keyed segment * 2^53 + u, picks the first outcome whose key exceeds its
+    own: the one with cdf[j - 1] <= u * 2^-53 < cdf[j].  Slot k of the
+    guide holds the outcome that every draw of that slot
+    (u >> (53 - GUIDE_BITS) == k) picks, or -1 where a key splits the slot
+    or its outcome is not guided.  Every cdf is an exact running sum in
+    units of 2^-1074, rounded once, so the bytes depend on nothing but the
+    masses.
+    """
+    total, cdf = 0, []
+    for mass in np.asarray(masses, float)[:-1].tolist():
+        num, den = mass.as_integer_ratio()  # den is 2^(den.bit_length() - 1)
+        total += num << (1075 - den.bit_length())
+        cdf.append(total / _UNITS)
+    cdf.append(1.0)
+    keys = np.array([(segment << 53) + math.ceil(c * 2.0**53) for c in cdf], np.int64)
+    slots = (np.arange(2**GUIDE_BITS + 1, dtype=np.int64) + (segment << GUIDE_BITS)) << (53 - GUIDE_BITS)
+    first = np.searchsorted(keys, slots[:-1], side="right")
+    clear = first == np.searchsorted(keys, slots[1:], side="left")
+    return keys, np.where(clear & (first < guided), first, -1).astype(np.intp)
+
+
+def inverse_cdf_picks(keys: np.ndarray, guide: np.ndarray, keyed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The outcomes that keyed draws (int64 s * 2^53 + u, any shape) pick in
+    a table of inverse_cdf_segment keys (segment s's at s * 2^53), whose
+    guide holds slot k of segment s at (s << GUIDE_BITS) + k, numbered
+    across the table's outcomes; and the flat indices of the draws that the
+    guide left to a binary search over the keys."""
+    picks = guide.take(keyed >> (53 - GUIDE_BITS))
+    split = np.flatnonzero(picks < 0)
+    picks.reshape(-1)[split] = np.searchsorted(keys, keyed.reshape(-1)[split], side="right")
+    return picks, split

@@ -3,10 +3,12 @@
 Costs follow C ~ ln^c(1/eps), so clouds of (lnln(1/eps), ln C) points are
 fitted by ordinary least squares.  Published decomposition-cost fit lines are
 kept as frozen reference constants for the comparisons and crossover solves;
-they are data, never recomputed.  Samples derive their generators from
-(seed, index), so a study is reproducible bit-for-bit and parallelizes
-without affecting results; accumulations use exact summation so aggregation
-order cannot matter.
+they are data, never recomputed.  A scaling study runs all its samples in
+one numpy lockstep (synthesis.lockstep_synthesize) on counter streams, where
+sample i reads the draws of row i alone, so a study is reproducible
+bit-for-bit and parallelizes without affecting results; the fixed-angle
+study runs the scalar planners on generators derived from (seed, index);
+accumulations use exact summation so aggregation order cannot matter.
 """
 from __future__ import annotations
 
@@ -17,9 +19,18 @@ import os
 import random
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .ladder import ALL_FAMILIES, Family, checked_integer
-from .seeding import derive_rng
-from .synthesis import TAU, SynthesisConfig, SynthesisResult, min_online_synthesize, synthesize
+from .seeding import COUNTER_LIMIT, counter_draws, counter_rows, counter_uniforms, derive_rng, derive_seed
+from .synthesis import (
+    TAU,
+    SynthesisConfig,
+    SynthesisResult,
+    lockstep_synthesize,
+    min_online_synthesize,
+    synthesize,
+)
 
 H_ONLY = "h-only"
 MULTI = "multi"
@@ -96,16 +107,29 @@ def _synthesize_scheme(
     return synthesize(target, config, rng)
 
 
-def _one_sample(args: tuple[str, float, float, int, int]) -> ScalingSample:
-    scheme, ln_lo, ln_hi, seed, index = args
+def _sample_block(args: tuple[str, float, float, int, int, int]) -> list[ScalingSample]:
+    """Samples first .. stop - 1 of a scaling study, in one lockstep."""
+    scheme, ln_lo, ln_hi, seed, first, stop = args
+    rows = np.arange(first, stop)
     # (epsilon, target) draws are scheme-independent: studies of different
     # schemes under one seed share their sample points, so scheme
-    # comparisons (e.g. crossovers) see paired designs
-    params = derive_rng(seed, "sample-params", index)
-    epsilon = math.exp(ln_lo + (ln_hi - ln_lo) * params.random())
-    target = params.random() * TAU
-    result = _synthesize_scheme(scheme, target, epsilon, derive_rng(seed, "scaling", scheme, index))
-    return ScalingSample(scheme, epsilon, target, result.online_cost, result.offline_cost)
+    # comparisons (e.g. crossovers) see paired designs.  math.exp, not
+    # numpy's, whose last bit may depend on the SIMD path
+    params = counter_uniforms(derive_seed(seed, "sample-params"), rows, 0, 2).tolist()
+    epsilons = [math.exp(ln_lo + (ln_hi - ln_lo) * u) for u, _ in params]
+    targets = [u * TAU for _, u in params]
+    streams = counter_rows(derive_seed(seed, "scaling", scheme), rows)
+    result = lockstep_synthesize(
+        targets,
+        epsilons,
+        _scheme_families(scheme),
+        lambda samples, tick: counter_draws(streams.take(samples), 2 * tick, 2),
+        ancilla=scheme == MIN_ONLINE,
+    )
+    return [
+        ScalingSample(scheme, *sample)
+        for sample in zip(epsilons, targets, result.online.tolist(), result.offline.tolist())
+    ]
 
 
 def run_scaling_study(
@@ -117,32 +141,47 @@ def run_scaling_study(
 ) -> tuple[list[ScalingSample], ScalingFit, ScalingFit]:
     """Sample random (target, epsilon) synthesis runs and fit both costs.
 
-    epsilon is log-uniform over eps_range, targets uniform in (0, 2*pi).
-    Results are a pure function of (scheme, n_samples, eps_range, seed),
-    independent of jobs.
+    epsilon is log-uniform over eps_range, targets uniform in [0, 2*pi).
+    Sample i reads draws 0 and 1 of row i of the counter stream keyed by
+    (seed, "sample-params") for its epsilon and target, and at tick t of
+    the lockstep draws 2t (the climb) and 2t + 1 (the coin) of row i of
+    the one keyed by (seed, "scaling", scheme).  Results are a pure
+    function of (scheme, n_samples, eps_range, seed), and sample i depends
+    on neither n_samples nor jobs: jobs > 1 maps blocks of _CHUNK samples
+    over a process pool.
     """
     n_samples, jobs = checked_integer(n_samples, "n_samples"), checked_integer(jobs, "jobs")
+    _scheme_families(scheme)
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    if n_samples > COUNTER_LIMIT:  # refused before any array is sized by it
+        raise ValueError(f"n_samples must be at most {COUNTER_LIMIT}, got {n_samples}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     lo, hi = eps_range
     if not 0 < lo <= hi < 1:
         raise ValueError(f"eps_range must satisfy 0 < lo <= hi < 1, got ({lo!r}, {hi!r})")
+    if lo == hi:
+        raise ValueError(f"eps_range holds one accuracy, {lo!r}: the fits need lo < hi")
     ln_lo, ln_hi = math.log(lo), math.log(hi)
-    tasks = [(scheme, ln_lo, ln_hi, seed, i) for i in range(n_samples)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        blocks = [(scheme, ln_lo, ln_hi, seed, i, min(i + _CHUNK, n_samples)) for i in range(0, n_samples, _CHUNK)]
         # under fork the pool starts all its workers at once: no more of
-        # them than the cores and the chunks of samples
-        workers = min(jobs, os.cpu_count() or 1, -(-n_samples // _CHUNK))
+        # them than the cores and the blocks of samples
+        workers = min(jobs, os.cpu_count() or 1, len(blocks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(_one_sample, tasks, chunksize=_CHUNK))
+            samples = [s for block in pool.map(_sample_block, blocks, chunksize=1) for s in block]
     else:
-        samples = [_one_sample(t) for t in tasks]
+        samples = _sample_block((scheme, ln_lo, ln_hi, seed, 0, n_samples))
     # a sample spent offline resources exactly when it consumed a state
     points = [(math.log(math.log(1 / s.epsilon)), s) for s in samples if s.online > 0]
+    if len(points) < 2:
+        raise ValueError(
+            f"{len(points)} of {n_samples} samples consumed a state, and the fits need two: a target"
+            " within its epsilon once the free quarter turns are folded out consumes none"
+        )
     fit_online = fit_loglog([(x, math.log(s.online)) for x, s in points])
     fit_offline = fit_loglog([(x, math.log(s.offline)) for x, s in points])
     return samples, fit_online, fit_offline

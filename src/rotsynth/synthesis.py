@@ -10,14 +10,24 @@ applies the coin-flip rotation (online cost), until |residual| <= epsilon.
 The min-online variant moves all coin flips onto offline-prepared ancillas:
 the residual rotation is synthesized onto a free |+> ancilla which is then
 consumed by a single online use, doubling the remaining angle on failure.
+
+synthesize and min_online_synthesize compile one rotation at a time, each
+climb walked merge by merge on a random.Random.  lockstep_synthesize runs
+the same planner over many samples at once in numpy, drawing each climb's
+cost from its exact law by inverse CDF, with one 53-bit draw per climb and
+one per coin from a caller's counter stream.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .ladder import (
     ALL_FAMILIES,
@@ -26,11 +36,13 @@ from .ladder import (
     base_average_cost,
     checked_family,
     checked_level,
+    climb_cost_laws,
     climb_walk,
     expected_climb_cost,
     rotation_angle,
     success_probs,
 )
+from .seeding import GUIDE_BITS, inverse_cdf_picks, inverse_cdf_segment
 
 TAU = 2 * math.pi
 HALF_PI = math.pi / 2
@@ -92,7 +104,8 @@ class SynthesisResult:
 def auto_max_level(epsilon: float) -> int:
     """Smallest level whose H rotation is <= epsilon/2, capped at 150.  The planner
     needs no such cap (a state finer than epsilon/2 is never the nearest to a
-    residual above epsilon); perfbench's set-up warms its tables up to it."""
+    residual above epsilon); lockstep_synthesize tabulates the climbs of the
+    levels up to it, and perfbench's set-up warms its angle tables up to it."""
     # the H table lists the H rotations finest first: level = MAX_LEVEL - index
     finer = bisect_right(_angle_table((Family.H,)).angles, epsilon / 2)
     return min(MAX_LEVEL, MAX_LEVEL + 1 - finer)
@@ -252,3 +265,219 @@ def min_online_synthesize(
         offline_cost=offline,
         clifford_corrections=corrections,
     )
+
+
+# a coin's 53-bit draw below this is heads, as random() < 0.5 is
+_HALF = 2**52
+
+
+class _LockstepTables(NamedTuple):
+    """The read-only arrays of lockstep_synthesize for the states of levels
+    0..top of a family set: the suffix of its _AngleTable that
+    table.start(top) cuts.  angles holds the suffix's angles with the
+    infinite sentinel, lower_wins its tie rule with a slot for the
+    sentinel.  keys and guide are one inverse-CDF table of the climb cost
+    laws (ladder.climb_cost_laws), a segment per state, and segments[i]
+    (already times 2^53) keys the draws of state start + i.  Outcome j
+    costs wholes[j] + bills[restarts[j]]: its whole part, then the
+    (r + 1) c of its family's base states."""
+
+    start: int
+    angles: np.ndarray
+    lower_wins: np.ndarray
+    segments: np.ndarray
+    keys: np.ndarray
+    guide: np.ndarray
+    wholes: np.ndarray
+    bills: np.ndarray
+    restarts: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _lockstep_tables(families: tuple[Family, ...], top: int) -> _LockstepTables:
+    """The lockstep tables of the family set up to level top.  The segments
+    run family by family, each over its levels, so the laws are written in
+    place one family at a time, into arrays sized by a first pass that
+    counts their outcomes: the four families' table holds about 133k
+    outcomes at top 32 (1.8 MB), and building it all at once would hold
+    twice that in transients."""
+    table = _angle_table(families)
+    start = table.start(top)
+    rank = {f: r for r, f in enumerate(families)}
+    total, deepest = 0, 0
+    for family in families:
+        for _, restarts, _ in climb_cost_laws(family, top):
+            total += len(restarts)
+            deepest = max(deepest, int(restarts.max()) + 1)
+    keys, wholes, codes = np.empty(total, np.int64), np.empty(total, np.int16), np.empty(total, np.int16)
+    guide = np.empty(len(families) * (top + 1) << GUIDE_BITS, np.intp)
+    bills = np.array([(r + 1) * base_average_cost(f) for f in families for r in range(deepest)])
+    outcomes = 0
+    for family in families:
+        for level, (whole, restarts, masses) in enumerate(climb_cost_laws(family, top)):
+            segment = rank[family] * (top + 1) + level
+            part = slice(outcomes, outcomes + len(masses))
+            keys[part], slots = inverse_cdf_segment(masses, segment, len(masses))
+            guide[segment << GUIDE_BITS : (segment + 1) << GUIDE_BITS] = np.where(slots < 0, -1, slots + outcomes)
+            wholes[part], codes[part] = whole, rank[family] * deepest + restarts
+            outcomes += len(masses)
+    tables = _LockstepTables(
+        start,
+        np.array(table.angles[start:]),
+        np.array([*table.lower_wins[start:], False]),
+        np.array([(rank[f] * (top + 1) + level) << 53 for f, level, _ in table.plus[start:]]),
+        keys,
+        guide,
+        wholes,
+        bills,
+        codes,
+    )
+    for array in tables[1:]:
+        array.flags.writeable = False
+    return tables
+
+
+def _climb_costs(tables: _LockstepTables, states: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The costs of climbs to the states (indices into the tables' suffix),
+    each drawn from its law by inverse CDF with one 53-bit draw of bits."""
+    picks, _ = inverse_cdf_picks(tables.keys, tables.guide, tables.segments.take(states) + bits.view(np.int64))
+    # climb_walk's bill, in its order: the integers, then the base states
+    return tables.wholes.take(picks) + tables.bills.take(tables.restarts.take(picks))
+
+
+class LockstepResult(NamedTuple):
+    """Per sample, as the scalar planners report them."""
+
+    online: np.ndarray
+    offline: np.ndarray
+    residuals: np.ndarray
+    corrections: np.ndarray
+
+
+def lockstep_synthesize(
+    targets: np.ndarray,
+    epsilons: np.ndarray,
+    families: tuple[Family, ...],
+    draws: Callable[[np.ndarray, int], np.ndarray],
+    ancilla: bool = False,
+    trace: list | None = None,
+) -> LockstepResult:
+    """synthesize over the whole ladder, or with ancilla
+    min_online_synthesize, for every (targets[i], epsilons[i]) at once:
+    one numpy lockstep over the samples, one tick per planner step or
+    ancilla round of every sample still running.
+
+    draws(samples, tick) gives the 53-bit draws (a uint64 array of shape
+    (len(samples), 2)) that those samples read at a tick: column 0 is the
+    climb of the state a planner step consumes, drawn from the state's
+    climb cost law by inverse CDF, column 1 the coin, heads below 2^52 (as
+    random() < 0.5): a planner step then subtracts the state's rotation,
+    and an ancilla round succeeds.  Every tick before a sample's last reads
+    its coin, in the order the scalar planners flip theirs.
+
+    Each tick folds every running residual, as reduce_by_clifford does:
+    np.fmod by TAU then one TAU back into [-pi, pi], which is
+    math.remainder's value (the TAU step is exact by Sterbenz; at +-pi the
+    two may differ in sign, which the quarter-turn fold then erases), then
+    the round-half-even quarter-turn fold and the step up from <= -pi/4;
+    the first part leaves any residual in [-pi, pi] as it is, so only the
+    targets take it.
+    A sample within its epsilon is done (or ends its ancilla round); the
+    others look their magnitude up in _AngleTable.angles (np.searchsorted,
+    the nearer neighbour, ties by lower_wins) and apply their coin.  Only
+    states of levels up to auto_max_level(min(epsilons)) are looked up: a
+    state of angle a <= epsilon/2 is never the nearest to a residual m >
+    epsilon, as the H ladder has one in [m/2, 3m/2], whose ratio 3 exceeds
+    any of its level steps.  Every operation is elementwise on a sample's
+    own values and draws, so a sample's result does not depend on the
+    others in the batch.  trace, if given, gets one (samples, states) pair
+    of arrays per tick: the _AngleTable index of the state each planner
+    step consumed.
+    """
+    targets = np.array(targets, dtype=float)
+    eps = np.array(epsilons, dtype=float)
+    if not targets.size:
+        raise ValueError("need at least one sample")
+    if not np.isfinite(targets).all():
+        raise ValueError("target must be finite")
+    finest = float(eps.min())
+    # validates the accuracies, the families and the ladder's depth
+    config = SynthesisConfig(epsilon=finest, families=families)
+    top = auto_max_level(finest)
+    _table_and_start(replace(config, max_level=top))
+    tables = _lockstep_tables(config.families, top)
+    angles, lower_wins = tables.angles, tables.lower_wins
+    n = len(targets)
+    # per sample, with a last slot that the padding writes to
+    online, corrections, offline, residuals = np.zeros((4, n + 1))
+    # the entries: every sample still running and some that are not, a
+    # power of two of them (numpy keeps freed buffers below 1 KiB for
+    # reuse, up to seven of each byte size, so lengths that walked down one
+    # by one would leave megabytes behind); each holds its sample (n for
+    # padding), its draw row, residual, accuracy, corrections and costs so
+    # far, and for the ancilla rounds whether one is under way, the
+    # rotation it started from and its cost so far.  An entry that is not
+    # running is folded and within its accuracy, so every tick leaves it
+    # as it is.
+    width = 1 << (n - 1).bit_length()
+    pad = (0, width - n)
+    dest, rows = np.pad(np.arange(n), pad, constant_values=n), np.pad(np.arange(n), pad)
+    # every residual taken into [-pi, pi] once: a step then moves a folded
+    # one by at most pi/4 (and an ancilla round's tails doubles one within
+    # pi/4), so np.fmod and the TAU steps leave it as it is from then on
+    r = np.fmod(targets, TAU)
+    r = np.where(r > math.pi, r - TAU, r)
+    r = np.pad(np.where(r < -math.pi, r + TAU, r), pad)
+    eps = np.pad(eps, pad, constant_values=1.0)
+    # counts in floats, exact to 2^53
+    corr, on = np.zeros(width), np.zeros(width)
+    off, remaining, spent = np.zeros(width), np.zeros(width), np.zeros(width)
+    rounds = np.zeros(width, bool)
+    for tick in itertools.count():
+        k = np.rint(r / HALF_PI)
+        r -= k * HALF_PI
+        up = r <= -QUARTER_PI
+        r = np.where(up, r + HALF_PI, r)
+        corr += np.abs(k - up)
+        within = np.abs(r) <= eps
+        running = ~within | rounds if ancilla else ~within
+        live = int(np.count_nonzero(running))
+        if 2 * live <= len(dest):
+            residuals[dest], corrections[dest], online[dest], offline[dest] = r, corr, on, off
+            if not live:
+                break
+            # the running entries first, in order, then as many others
+            keep = np.argsort(~running, kind="stable")[: 1 << (live - 1).bit_length()]
+            entries = (dest, rows, r, eps, corr, on, off, rounds, remaining, spent, within)
+            dest, rows, r, eps, corr, on, off, rounds, remaining, spent, within = (x.take(keep) for x in entries)
+        bits = draws(rows, tick)
+        heads = bits[:, 1] < _HALF
+        steps = ~within
+        if ancilla:
+            # a round ends: its ancilla carried remaining - r, so heads
+            # leaves r, which the next tick finishes, and tails 2 remaining - r
+            ends = within & rounds
+            on += ends
+            off += np.where(ends, spent, 0.0)
+            spent = np.where(ends, 0.0, spent)
+            rounds &= ~ends
+            r = np.where(ends & ~heads, 2 * remaining - r, r)
+            remaining = np.where(steps & ~rounds, r, remaining)
+            rounds |= steps
+        else:
+            on += steps
+        m = np.abs(r)
+        i = np.searchsorted(angles, m)
+        below, above = m - angles[i - 1], angles[i] - m
+        i -= (i > 0) & ((below < above) | ((below == above) & lower_wins[i]))
+        a = angles.take(i)
+        # heads subtracts the state's rotation, tails adds it
+        r = r - np.where(steps, np.where(heads, a, -a), 0.0)
+        cost = np.where(steps, _climb_costs(tables, i, bits[:, 0]), 0.0)
+        if ancilla:
+            spent += cost
+        else:
+            off += cost
+        if trace is not None:
+            trace.append((dest[steps], i[steps] + tables.start))
+    return LockstepResult(online[:n].astype(np.int64), offline[:n], residuals[:n], corrections[:n].astype(np.int64))

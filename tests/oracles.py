@@ -8,12 +8,12 @@ pure-integer copy of the counter stream, one merge at a time; the exact
 climb (fractions and 50-digit decimals) judges the noise module's climb
 tables, and with them the exact decay-study means of the tilted models;
 the failure law of a climb (its generating function, term by term) judges
-the climb sampler; the arrival law of a noisy climb's downs (the visits of
-its walk on level and downs) judges the noise module's passage-law sampler
-and gives the exact decay-study means of every model; the one-state
-rotation step replays the planner from its public pieces, and the planner
-replica runs the greedy planner over many samples at once in numpy, given
-each sample's coins.
+the climb sampler and the tabulated climb laws; the arrival law of a noisy
+climb's downs (the visits of its walk on level and downs) judges the noise
+module's passage-law sampler and gives the exact decay-study means of every
+model; the one-state rotation step replays the planner from its public
+pieces, and the coin replay feeds the scalar planners' coins to the
+numpy lockstep.
 The small helpers that only the tests read live here too: basis states,
 |+>, pure states as density matrices, Bloch vectors of density matrices, and
 reading a samples CSV back.
@@ -32,12 +32,11 @@ from functools import lru_cache
 import numpy as np
 
 from rotsynth import noise
-from rotsynth.ladder import Family, base_average_cost, expected_climb_cost, ladder_angle, success_probs
+from rotsynth.ladder import Family, base_average_cost, ladder_angle, success_probs
 from rotsynth.noise import NoiseModel, make_noisy_resource
 from rotsynth.qcore import GATES_1Q, DensityMatrix, PureRegister, apply_gate, xz_state
 from rotsynth.seeding import derive_seed
 from rotsynth.study import CSV_HEADER, ScalingSample
-from rotsynth.synthesis import HALF_PI, QUARTER_PI, TAU, _angle_table
 
 
 def basis_state(n_qubits: int, index: int = 0) -> PureRegister:
@@ -218,77 +217,37 @@ def apply_random_rotation(
     return residual - sign * rot_angle, sign
 
 
-@dataclass(frozen=True)
-class PlannerReplica:
-    """Per sample: the (family, level) of each consumed state, the Clifford
-    corrections, the final residual, and the climbs billed at their
-    expected cost."""
+def coin_draws(coins: list[list[int]]):
+    """A draws function for synthesis.lockstep_synthesize that replays
+    each sample's coins: coins[i][t] (+1 heads, -1 tails) is the coin of
+    sample i at tick t, and every climb reads the draw 0, its law's first
+    outcome.  A tick past a sample's coins raises IndexError."""
+    width = max(map(len, coins), default=0)
+    bits = np.full((len(coins), width), 2**52, np.uint64)
+    for row, sample in zip(bits, coins):
+        row[: len(sample)] = [0 if c > 0 else 2**52 for c in sample]
 
-    picks: list[list[tuple[Family, int]]]
-    corrections: np.ndarray
-    residuals: np.ndarray
-    expected_offline: np.ndarray
+    def draws(samples: np.ndarray, tick: int) -> np.ndarray:
+        out = np.zeros((len(samples), 2), np.uint64)
+        out[:, 1] = bits[samples, tick]
+        return out
+
+    return draws
 
 
-def replica_synthesize(
-    targets: np.ndarray, epsilons: np.ndarray, families: tuple[Family, ...], signs: list[list[int]]
-) -> PlannerReplica:
-    """synthesis.synthesize's greedy planner over the whole ladder (the
-    default max_level), one numpy lockstep over the samples, with
-    signs[i][t] the coin of sample i's t-th consumed state
-    (+1: its rotation is subtracted from the residual, as the loop's
-    SynthesisResult.applied records it).
+class CoinRecorder:
+    """An rng for the scalar planners that records each random() it gives
+    as a coin (+1 below 0.5, else -1); with synthesis.climb_walk fed from
+    another generator, these are exactly the planner's coins."""
 
-    Each tick folds every live residual, as reduce_by_clifford does:
-    np.fmod by TAU then one TAU back into [-pi, pi], which is
-    math.remainder's value (the TAU step is exact by Sterbenz; at +-pi the
-    two may differ in sign, which the quarter-turn fold then erases), then
-    the round-half-even quarter-turn fold and the step up from <= -pi/4.
-    A sample within its epsilon is done; the others look their magnitude
-    up in _AngleTable.angles (np.searchsorted, the nearer neighbour, ties
-    by lower_wins) and apply their coin.  Raises if a live sample has no
-    coin left."""
-    table = _angle_table(tuple(families))
-    angles = np.array(table.angles)
-    # the sentinel's neighbour is never tied: it gets a slot all the same
-    lower_wins = np.array([*table.lower_wins, False])
-    costs = np.array([expected_climb_cost(f, lvl) for f, lvl, _ in table.plus])
-    residuals = np.array(targets, dtype=float)
-    coins = np.zeros((len(signs), max(map(len, signs), default=0) + 1))
-    for row, sample in zip(coins, signs):
-        row[: len(sample)] = sample
-    corrections = np.zeros(residuals.shape, np.int64)
-    offline = np.zeros(residuals.shape)
-    picks: list[list[int]] = [[] for _ in range(len(residuals))]
-    live = np.arange(len(residuals))
-    for tick in itertools.count():
-        r = np.fmod(residuals[live], TAU)
-        r[r > math.pi] -= TAU
-        r[r < -math.pi] += TAU
-        k = np.rint(r / HALF_PI)
-        r -= k * HALF_PI
-        up = r <= -QUARTER_PI
-        r[up] += HALF_PI
-        k[up] -= 1
-        corrections[live] += np.abs(k).astype(np.int64)
-        residuals[live] = r
-        going = np.abs(r) > epsilons[live]
-        live, r = live[going], r[going]
-        if not live.size:
-            break
-        magnitude = np.abs(r)
-        i = np.searchsorted(angles, magnitude, side="left")
-        below, above = magnitude - angles[i - 1], angles[i] - magnitude
-        i -= (i > 0) & ((below < above) | ((below == above) & lower_wins[i]))
-        coin = coins[live, tick]
-        if not coin.all():
-            raise ValueError(f"samples {live[coin == 0].tolist()} need more coins than given")
-        residuals[live] = r - coin * angles[i]
-        offline[live] += costs[i]
-        for sample, state in zip(live.tolist(), i.tolist()):
-            picks[sample].append(state)
-    states = [entry[:2] for entry in table.plus]
-    return PlannerReplica([[states[i] for i in row] for row in picks], corrections, residuals, offline)
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.coins: list[int] = []
+
+    def random(self) -> float:
+        u = self.rng.random()
+        self.coins.append(1 if u < 0.5 else -1)
+        return u
 
 
 class NoisyWalker:

@@ -6,6 +6,7 @@ counts; the whole module targets a few minutes on a laptop.
 """
 import math
 
+import numpy as np
 import pytest
 
 from oracles import decay_z_scores, exact_decay, measure_qubit
@@ -137,12 +138,42 @@ def multi_study():
     return study.run_scaling_study(study.MULTI, 18_000, seed=DEFAULT_SEED)
 
 
-def _slope(fit, low: float, high: float) -> str:
-    """The slope with its standard error, and its distance in standard
+def _margin(value: float, se: float, low: float, high: float, fmt: str) -> str:
+    """The value with its standard error, and its distance in standard
     errors to the nearer bound of its band (negative outside it)."""
-    bound = min((low, high), key=lambda b: abs(fit.slope - b))
-    margin = min(fit.slope - low, high - fit.slope) / fit.slope_se
-    return f"{fit.slope:.3f} +/- {fit.slope_se:.3f} ({margin:.1f} SE from {bound})"
+    bound = min((low, high), key=lambda b: abs(value - b))
+    margin = min(value - low, high - value) / se
+    return f"{value:{fmt}} +/- {se:{fmt}} ({margin:.1f} SE from {bound:{fmt}})"
+
+
+def _slope(fit, low: float, high: float) -> str:
+    return _margin(fit.slope, fit.slope_se, low, high, ".3f")
+
+
+def _crossover_se(h_samples, multi_samples, reps: int = 400) -> float:
+    """Paired-bootstrap standard error of the offline crossover of two
+    studies that share their (epsilon, target) per index: each replicate
+    draws the indices once, with replacement, for both studies, and
+    refits both offline lines on the drawn samples that consumed a state
+    (weighted least squares, a sample's weight its number of draws)."""
+    assert [s.epsilon for s in h_samples] == [s.epsilon for s in multi_samples]
+    x = np.array([math.log(math.log(1 / s.epsilon)) for s in h_samples])
+    lines = [
+        (np.array([s.online > 0 for s in samples]), np.log([max(s.offline, 1.0) for s in samples]))
+        for samples in (h_samples, multi_samples)
+    ]
+    rng = np.random.default_rng(DEFAULT_SEED)
+    crossovers = []
+    for _ in range(reps):
+        counts = np.bincount(rng.integers(0, len(x), len(x)), minlength=len(x))
+        fits = []
+        for consumed, y in lines:
+            w = counts * consumed
+            xbar, ybar = np.average(x, weights=w), np.average(y, weights=w)
+            slope = np.sum(w * (x - xbar) * (y - ybar)) / np.sum(w * (x - xbar) ** 2)
+            fits.append(study.FitLine(ybar - slope * xbar, slope))
+        crossovers.append(study.sk_crossover(*fits))
+    return float(np.std(crossovers, ddof=1))
 
 
 def test_criterion_5_h_only_scaling(h_only_study):
@@ -157,20 +188,22 @@ def test_criterion_5_h_only_scaling(h_only_study):
 
 
 def test_criterion_6_multi_scaling(h_only_study, multi_study):
-    _, _, fit_off_h = h_only_study
-    _, fit_on, fit_off = multi_study
+    h_samples, _, fit_off_h = h_only_study
+    samples, fit_on, fit_off = multi_study
     crossover = study.sk_crossover(fit_off_h, fit_off)
     ok = (
         1.02 <= fit_on.slope <= 1.22
         and 1.55 <= fit_off.slope <= 1.95
         and 1.28e-5 / 2 <= crossover <= 1.28e-5 * 2
     )
+    se = _crossover_se(h_samples, samples)
     _report(
         "6",
         ok,
         f"multi slopes: online {_slope(fit_on, 1.02, 1.22)} (want 1.02..1.22, ref 1.12), "
         f"offline {_slope(fit_off, 1.55, 1.95)} (want 1.55..1.95, ref 1.75); "
-        f"offline crossover vs h-only {crossover:.2e} (want within 2x of 1.28e-5)",
+        f"offline crossover vs h-only {_margin(crossover, se, 1.28e-5 / 2, 1.28e-5 * 2, '.2e')} "
+        f"(want within 2x of 1.28e-5, paired-bootstrap SE)",
     )
 
 

@@ -357,6 +357,23 @@ def test_scaling_eps_range_outside_unit_interval_is_error(bounds, capsys):
     assert "eps_range must satisfy 0 < lo <= hi < 1" in err
 
 
+def test_scaling_single_accuracy_is_error(capsys):
+    """A range of one accuracy gives the fit one lnln(1/eps): refused with
+    its own message, not the fit's "x values are degenerate"."""
+    code, out, err = run_cli(capsys, *_SCALING, "--trials", "20", "--eps-min", "1e-6", "--eps-max", "1e-6")
+    assert code == 1
+    assert out == ""
+    assert err == "error: eps_range holds one accuracy, 1e-06: the fits need lo < hi\n"
+
+
+def test_scaling_with_no_sample_consuming_a_state_is_error(capsys):
+    """Accuracies above pi/4 leave every folded target within its epsilon."""
+    code, out, err = run_cli(capsys, *_SCALING, "--trials", "3", "--eps-min", "0.8", "--eps-max", "0.9")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: 0 of 3 samples consumed a state, and the fits need two")
+
+
 def test_more_instances_than_the_counter_holds_exit_1(capsys, monkeypatch):
     """Refused before an array is sized by the count (np.arange would
     raise here)."""

@@ -5,20 +5,28 @@ planner's inner loop; the decay fit, factory sampling and crossover solve
 when src/ was cut down; the noisy climb loop, with model b added); any
 change to the random stream, the tie-breaks, the cost accounting or the fits
 shows up here.  A change that alters the stream on purpose updates these
-digests and says so in CHANGES.md: the noise digests were re-recorded when
-noise moved to the counter stream, and again when the noisy climb became a
-walk over closed-form tables (the same draws and walks, but distances free
-of the step-by-step rounding: the means moved by up to 4.3e-7 relative, so
-the printed 7 digits stayed and out.json changed), and again when
-decay_study began to sample each passage between first arrivals from its
-exact law with one draw (model a's means moved within their sampling error;
-the pure models' bytes stayed).
-Pure-state noise (models b and c) lands on one state per level whatever the
-draws, so decay_study returns those states' exact distances and reads no
-draws: its means depend on no stream.  Their out.json digests were
-re-recorded when they stopped averaging equal numbers (the means moved in
-their last digits; the printed 7 digits stayed).  The scaling JSON digest
-was re-recorded when the fits gained the slope's standard error.
+digests and says so in CHANGES.md.  The re-recordings so far:
+
+* noise, when it moved to the counter stream;
+* noise, when the noisy climb became a walk over closed-form tables (the
+  same draws and walks, but distances free of the step-by-step rounding:
+  the means moved by up to 4.3e-7 relative, so the printed 7 digits stayed
+  and out.json changed);
+* noise model a, when decay_study began to sample each passage between
+  first arrivals from its exact law with one draw (the means moved within
+  their sampling error; the pure models' bytes stayed);
+* noise models b and c (out.json only), when decay_study stopped averaging
+  equal numbers for a pure resource and returned the exact distances of
+  the one state per level it lands on, reading no draws (the means moved
+  in their last digits; the printed 7 digits stayed);
+* the scaling JSON, when the fits gained the slope's standard error;
+* STUDY_DIGESTS and the scaling command's digests, when run_scaling_study
+  moved from one scalar planner run per sample on its own random.Random to
+  one numpy lockstep over all samples on counter streams, with each climb
+  drawn from its exact cost law by inverse CDF.  That engine change is the
+  scaling studies' one deliberate stream change; the fixed-angle row, the
+  synth, min-online, climb, factory and noise bytes stayed, as those still
+  run the scalar planners and walks.
 """
 import hashlib
 import math
@@ -30,9 +38,9 @@ from rotsynth.seeding import DEFAULT_SEED
 from rotsynth.study import export_samples_csv, fixed_angle_study, run_scaling_study
 
 STUDY_DIGESTS = {
-    "h-only": "712cea4a2a9a8fa0a2e0c574280a4f0f9664af5ba08f45825c28a7f23dd8844e",
-    "multi": "0f794e866ff9593d9bce563781c36f4884afb14dafcc7e93f541553e7dcdda3e",
-    "min-online": "8b26e4b27994924883c17896d5d50769d7c0e95a6285262bc27865918b4a2086",
+    "h-only": "1d80e8e062df79c72659c26275a06e46ef77531c9d6d301e69d204450557f262",
+    "multi": "50c836d5638795841eda2bdb4373a9c5b1d4b79b5cf8345882e9ce69a15af2f1",
+    "min-online": "c623ad24557b8a2d7a5bb82068858707a58c34d6305c6cfa6150022089289c69",
 }
 # FixedAngleRow(epsilon=1e-08, mean_online=30.52, mean_offline=463.415, n_samples=200)
 FIXED_ANGLE_DIGEST = "010178cbb68ca05ae81b265820b10b540dbcb591f6e02b676ee127ded2c5f04a"
@@ -73,8 +81,8 @@ CLI_FILE_DIGESTS = {
         "dbd9fbae7cd45d4ddcfc149d38400363d3a61c65c894cb63fbc4793c38c20825",
     ),
     ("scaling", "--scheme", "multi", "--trials", "300", "--format", "json", "--out", "out.json"): (
-        "ae9d19689dab50c94eb9627e380e7cc8b70c79d60d0e49c4023c734dcb48a561",
-        "d9be421de11fee5b8355ca25447e1dc6c0f056262c83145664f9c877d45d8fc7",
+        "c395a4729acd11d56ce6c663356122307e55ba9b0ba8ba0e9088e8d1b2a4390c",
+        "47a648d41bfccbbc206306dc5b973230ddaf847adc7f0a327bc78c5ef5240ae2",
     ),
     ("compare-sk", "--out", "out.json"): (
         "79f217c710a4e123e0640a11b045b42d36331906ac693195d0008a10f03643cc",

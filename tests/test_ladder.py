@@ -10,10 +10,12 @@ from oracles import climb_cost_law, failure_law, measure_qubit, plus_state, stat
 from rotsynth import qcore
 from rotsynth.ladder import (
     ALL_FAMILIES,
+    CLIMB_LAW_CUT,
     MAX_LEVEL,
     Family,
     base_average_cost,
     base_state_angle,
+    climb_cost_laws,
     climb_walk,
     expected_climb_cost,
     ladder_angle,
@@ -23,8 +25,8 @@ from rotsynth.ladder import (
     success_probs,
 )
 from rotsynth.noise import NoiseModel, decay_study, propagate_to_level
-from rotsynth.seeding import DEFAULT_SEED, derive_rng
-from rotsynth.synthesis import SynthesisConfig
+from rotsynth.seeding import DEFAULT_SEED, counter_bits, derive_rng, derive_seed
+from rotsynth.synthesis import SynthesisConfig, _angle_table, _climb_costs, _lockstep_tables
 
 SQRT2 = math.sqrt(2)
 
@@ -396,22 +398,21 @@ def test_failure_law_mean_is_the_expected_climb_cost(family, level):
     assert mean == pytest.approx(expected_climb_cost(family, level), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize(("family", "level"), _law_cases([5, 12, 30]))
-def test_simulate_climb_follows_the_failure_law(family, level):
-    """Chi-squared of the costs of 2e4 sampled climbs against the exact
-    law, one bin per cost (each a cell of downs and restarts, or for H all
+def _chi2_against_the_law(costs: list[float], family: Family, level: int, sampler: str) -> tuple[float, float]:
+    """Chi-squared p-value of sampled climb costs against the exact law,
+    one bin per cost (each a cell of downs and restarts, or for H all
     cells of one d + r) in increasing order, and the costs from the first
     one expected fewer than 5 times pooled, every bin expecting at least 5
-    climbs."""
+    climbs; prints the statistic and returns it with the z of the sample
+    mean against expected_climb_cost."""
     from scipy.stats import chisquare
 
-    n = 20_000
-    rng = derive_rng(DEFAULT_SEED, "failure-law", level)
-    counts = Counter(simulate_climb(family, level, rng) for _ in range(n))
+    n = len(costs)
+    counts = Counter(costs)
     law = climb_cost_law(family, level)
     assert set(counts) <= set(law)  # every cost is a cell's bill
-    costs = sorted(law)
-    expected = n * np.array([law[c] for c in costs])
+    ordered = sorted(law)
+    expected = n * np.array([law[c] for c in ordered])
     # costs from the first one expected fewer than 5 times share a bin,
     # which starts one cost lower if it would still hold fewer than 5
     pooled = int(np.argmax(expected < 5))
@@ -419,10 +420,61 @@ def test_simulate_climb_follows_the_failure_law(family, level):
         pooled -= 1
     expected = np.append(expected[:pooled], n - expected[:pooled].sum())
     assert expected.min() >= 5
-    observed = [counts[c] for c in costs[:pooled]] + [sum(counts[c] for c in costs[pooled:])]
+    observed = [counts[c] for c in ordered[:pooled]] + [sum(counts[c] for c in ordered[pooled:])]
     stat, p = chisquare(observed, expected)
-    print(f"CLIMB LAW {family.value} level {level}: chi2 = {stat:.1f} on {pooled} degrees of freedom, p = {p:.3g}")
+    z = (np.mean(costs) - expected_climb_cost(family, level)) / (np.std(costs) / math.sqrt(n))
+    print(
+        f"CLIMB LAW {sampler} {family.value} level {level}: chi2 = {stat:.1f} on {pooled} degrees of freedom, "
+        f"p = {p:.3g}; mean {np.mean(costs):.4f} against {expected_climb_cost(family, level):.4f}, z = {z:.2f}"
+    )
+    return p, z
+
+
+@pytest.mark.parametrize(("family", "level"), _law_cases([5, 12, 30]))
+def test_simulate_climb_follows_the_failure_law(family, level):
+    """Chi-squared of the costs of 2e4 sampled climbs against the exact law."""
+    rng = derive_rng(DEFAULT_SEED, "failure-law", level)
+    p, _ = _chi2_against_the_law([simulate_climb(family, level, rng) for _ in range(20_000)], family, level, "walk")
     assert p > 1e-3
+
+
+def _table_climbs(family: Family, level: int, n: int) -> list[float]:
+    """n climb costs to the level drawn as lockstep_synthesize draws them:
+    one counter-stream draw each, through the one-family lockstep tables."""
+    tables = _lockstep_tables((family,), level)
+    state = [entry[:2] for entry in _angle_table((family,)).plus].index((family, level)) - tables.start
+    bits = counter_bits(derive_seed(DEFAULT_SEED, "table-climbs", family.value, level), np.arange(n), 0, 1)[:, 0]
+    return _climb_costs(tables, np.full(n, state), bits).tolist()
+
+
+@pytest.mark.parametrize(("family", "level"), _law_cases([1, 5, 12, 30]))
+def test_the_tabulated_climbs_follow_the_failure_law(family, level):
+    """The costs the lockstep tables draw, at shallow and deep levels:
+    chi-squared of 2e5 draws against the exact law, and the z of their
+    mean against expected_climb_cost."""
+    p, z = _chi2_against_the_law(_table_climbs(family, level, 200_000), family, level, "table")
+    assert p > 1e-3
+    assert abs(z) < 4
+
+
+@pytest.mark.parametrize(("family", "level"), _law_cases([0, 1, 3, 6, 12, 30]))
+def test_climb_cost_laws_are_the_failure_law(family, level):
+    """Each tabulated law, billed as climb_walk bills, holds every cost of
+    the failure law within 1e-15 of its mass, loses less than
+    CLIMB_LAW_CUT (to rounding), and its mean is the walk solve's expected
+    cost within 1e-12 relative, both as the top level of its solve and
+    below it."""
+    base = base_average_cost(family)
+    laws = [list(climb_cost_laws(family, top))[level] for top in (level, level + 3)]
+    for wholes, restarts, masses in laws:
+        costs = (wholes + (restarts + 1) * base).tolist()
+        assert len(set(costs)) == len(costs)
+        law = dict(zip(costs, masses.tolist()))
+        want = climb_cost_law(family, level)
+        assert max(abs(law.get(c, 0.0) - p) for c, p in want.items()) < 1e-15
+        assert 1 - math.fsum(law.values()) < CLIMB_LAW_CUT + 1e-15
+        mean = math.fsum(c * p for c, p in law.items())
+        assert mean == pytest.approx(expected_climb_cost(family, level), rel=1e-12, abs=0)
 
 
 def test_expected_cost_increases_with_level():

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import load_samples_csv
+from rotsynth import study
 from rotsynth.study import (
     CSV_HEADER,
     DEFAULT_EPS_RANGE,
@@ -205,6 +206,51 @@ def test_run_scaling_study_rejects_a_non_integral_job_count(jobs):
 def test_run_scaling_study_rejects_fewer_than_one_job(jobs):
     with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
         run_scaling_study(H_ONLY, 5, seed=3, jobs=jobs)
+
+
+def test_run_scaling_study_refuses_a_single_accuracy_before_sampling(monkeypatch):
+    def spy(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(study, "lockstep_synthesize", spy)
+    with pytest.raises(ValueError, match=r"^eps_range holds one accuracy, 1e-06: the fits need lo < hi$"):
+        run_scaling_study(H_ONLY, 20, eps_range=(1e-6, 1e-6), seed=3)
+
+
+@pytest.mark.parametrize("scheme", [H_ONLY, MIN_ONLINE])
+def test_run_scaling_study_names_too_few_consuming_samples(scheme):
+    """Accuracies above pi/4 leave every folded target within its epsilon,
+    so no sample consumes a state and there is nothing to fit."""
+    with pytest.raises(ValueError, match=r"^0 of 3 samples consumed a state, and the fits need two"):
+        run_scaling_study(scheme, 3, eps_range=(0.8, 0.9), seed=3)
+
+
+def test_run_scaling_study_refuses_more_samples_than_the_counter_holds(monkeypatch):
+    """Refused before an array is sized by the count."""
+
+    def spy(*args, **kwargs):
+        raise AssertionError(f"np.arange{args}")
+
+    monkeypatch.setattr(np, "arange", spy)
+    with pytest.raises(ValueError, match=r"^n_samples must be at most 4294967296, got 4294967297$"):
+        run_scaling_study(H_ONLY, 2**32 + 1)
+
+
+@pytest.mark.parametrize("scheme", [H_ONLY, MULTI, MIN_ONLINE])
+def test_samples_depend_on_neither_the_batch_nor_jobs(scheme):
+    """Sample i reads row i of the streams alone: a prefix of the study,
+    the study run on two workers, and its blocks of 256 samples run one by
+    one all give the same samples."""
+    n = 600
+    samples = run_scaling_study(scheme, n, seed=5)[0]
+    assert run_scaling_study(scheme, 300, seed=5)[0] == samples[:300]
+    assert run_scaling_study(scheme, n, seed=5, jobs=2)[0] == samples
+    ln_lo, ln_hi = map(math.log, DEFAULT_EPS_RANGE)
+    blocks = [
+        study._sample_block((scheme, ln_lo, ln_hi, 5, first, min(first + study._CHUNK, n)))
+        for first in range(0, n, study._CHUNK)
+    ]
+    assert [s for block in blocks for s in block] == samples
 
 
 def test_run_scaling_study_accepts_numpy_integer_counts():

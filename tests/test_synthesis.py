@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_random_rotation, replica_synthesize
+from oracles import CoinRecorder, apply_random_rotation, coin_draws
+from rotsynth import synthesis
 from rotsynth.ladder import (
     ALL_FAMILIES,
     MAX_LEVEL,
@@ -23,7 +24,9 @@ from rotsynth.synthesis import (
     QUARTER_PI,
     SynthesisConfig,
     SynthesisResult,
+    _angle_table,
     auto_max_level,
+    lockstep_synthesize,
     min_online_synthesize,
     pick_state,
     reduce_by_clifford,
@@ -559,15 +562,11 @@ def test_epsilon_beyond_deepest_ladder_rejected(epsilon, families):
         min_online_synthesize(1.0, epsilon, config, derive_rng(20, "d"))
 
 
-@pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
-def test_the_numpy_replica_replays_the_planner(families):
-    """Given the coins of synthesize's applied states, the lockstep replica
-    makes the loop's (family, level) picks, Clifford corrections and final
-    residual bytes, and bills the expected costs of those picks, on 4000
-    samples per family set: targets uniform in +-20, epsilon log-uniform
-    from 1e-15 to 1e-1.  Random targets never tie, so the exact midpoints
-    of neighbouring angles from 1e-40 to pi/4 follow, at a quarter of their
-    size."""
+def _replay_samples(families: tuple[Family, ...]) -> list[tuple[float, float]]:
+    """4000 samples per family set: targets uniform in +-20, epsilon
+    log-uniform from 1e-15 to 1e-1.  Random targets never tie, so the exact
+    midpoints of neighbouring angles from 1e-40 to pi/4 follow, at a
+    quarter of their size."""
     params = derive_rng(5, "replica-params", len(families))
     samples = [(params.uniform(-20, 20), 10 ** params.uniform(-15, -1)) for _ in range(4000)]
     angles = sorted(rotation_angle(f, lvl) for f in families for lvl in range(MAX_LEVEL + 1))
@@ -575,17 +574,53 @@ def test_the_numpy_replica_replays_the_planner(families):
     ties = [mid for lo, hi in pairs if lo > 1e-40 and (mid := (lo + hi) / 2) - lo == hi - mid < QUARTER_PI]
     assert len(ties) > 10
     print(f"{len(ties)} exact ties")
-    samples += [(mid, mid / 4) for mid in ties]
+    return samples + [(mid, mid / 4) for mid in ties]
+
+
+@pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
+def test_the_lockstep_replays_the_planner(families):
+    """Given the coins of synthesize's applied states, lockstep_synthesize
+    makes the loop's (family, level) picks, Clifford corrections, online
+    counts and final residual bytes, on the samples of _replay_samples."""
+    samples = _replay_samples(families)
     results = [
         synthesize(target, SynthesisConfig(eps, families), derive_rng(5, "replica", len(families), j))
         for j, (target, eps) in enumerate(samples)
     ]
     targets, epsilons = map(np.array, zip(*samples))
-    replica = replica_synthesize(targets, epsilons, families, [[s for *_, s in r.applied] for r in results])
-    assert replica.picks == [[a[:2] for a in r.applied] for r in results]
-    assert replica.corrections.tolist() == [r.clifford_corrections for r in results]
-    assert replica.residuals.tobytes() == np.array([r.residual for r in results]).tobytes()
-    assert replica.expected_offline.tolist() == [
-        sum(expected_climb_cost(f, lvl) for f, lvl, _ in r.applied) for r in results
-    ]
-    print(f"{len(families)} families: {sum(map(len, replica.picks))} picks replayed")
+    trace = []
+    coins = [[s for *_, s in r.applied] for r in results]
+    lockstep = lockstep_synthesize(targets, epsilons, families, coin_draws(coins), trace=trace)
+    states = [entry[:2] for entry in _angle_table(families).plus]
+    picks = [[] for _ in samples]
+    for rows, picked in trace:
+        for row, state in zip(rows.tolist(), picked.tolist()):
+            picks[row].append(states[state])
+    assert picks == [[a[:2] for a in r.applied] for r in results]
+    assert lockstep.corrections.tolist() == [r.clifford_corrections for r in results]
+    assert lockstep.online.tolist() == [r.online_cost for r in results]
+    assert lockstep.residuals.tobytes() == np.array([r.residual for r in results]).tobytes()
+    print(f"{len(families)} families: {sum(map(len, picks))} picks replayed")
+
+
+@pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
+def test_the_lockstep_replays_the_ancilla_rounds(families, monkeypatch):
+    """min_online_synthesize with its climbs walked on another generator
+    flips only coins on its own: fed those coins, lockstep_synthesize with
+    ancilla gives its online counts, Clifford corrections and final
+    residual bytes on the samples of _replay_samples."""
+    climb_walk = synthesis.climb_walk
+    walks = derive_rng(6, "replica-walks")
+    monkeypatch.setattr(synthesis, "climb_walk", lambda probs, level, base, rnd: climb_walk(probs, level, base, walks.random))
+    samples = _replay_samples(families)
+    results, coins = [], []
+    for j, (target, eps) in enumerate(samples):
+        rng = CoinRecorder(derive_rng(6, "replica", len(families), j))
+        results.append(min_online_synthesize(target, eps, SynthesisConfig(eps, families), rng))
+        coins.append(rng.coins)
+    targets, epsilons = map(np.array, zip(*samples))
+    lockstep = lockstep_synthesize(targets, epsilons, families, coin_draws(coins), ancilla=True)
+    assert lockstep.online.tolist() == [r.online_cost for r in results]
+    assert lockstep.corrections.tolist() == [r.clifford_corrections for r in results]
+    assert lockstep.residuals.tobytes() == np.array([r.residual for r in results]).tobytes()
+    print(f"{len(families)} families: {sum(map(len, coins))} coins replayed")
