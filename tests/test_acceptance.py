@@ -213,7 +213,8 @@ def test_criterion_6_multi_scaling(h_only_study, multi_study):
 def test_criterion_7_min_online():
     from scipy.stats import chisquare
 
-    samples, _, fit_off = study.run_scaling_study(study.MIN_ONLINE, 5_000, seed=DEFAULT_SEED)
+    # as many samples as criteria 5 and 6's studies
+    samples, _, fit_off = study.run_scaling_study(study.MIN_ONLINE, 18_000, seed=DEFAULT_SEED)
     n = len(samples)
     mean_online = sum(s.online for s in samples) / n
     counts: dict[int, int] = {}
