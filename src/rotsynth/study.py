@@ -123,7 +123,7 @@ def _sample_block(args: tuple[str, float, float, int, int, int]) -> list[Scaling
         targets,
         epsilons,
         _scheme_families(scheme),
-        lambda samples, tick: counter_draws(streams.take(samples), 2 * tick, 2),
+        lambda samples, start, count: counter_draws(streams.take(samples), start, count),
         ancilla=scheme == MIN_ONLINE,
     )
     return [

@@ -148,6 +148,25 @@ class _AngleTable:
                 return i - 1
         return i
 
+    def thresholds(self, start: int) -> np.ndarray:
+        """Per gap between neighbours lo < hi of the states from start on,
+        the least float magnitude in (lo, hi] that lookup(., start) sends to
+        hi.  Its test, below < above or (below == above and lower_wins),
+        holds at lo and fails at hi, and once false it stays false as the
+        magnitude grows: below = fl(m - lo) never decreases and
+        above = fl(hi - m) never increases.  So a bisection over the bit
+        patterns of the floats, which run in the order of their values,
+        finds where it turns."""
+        lo, hi = np.array(self.angles[start:-2]), np.array(self.angles[start + 1 : -1])
+        lower_wins = np.array(self.lower_wins[start + 1 :])
+        near, far = lo.view(np.int64), hi.view(np.int64)
+        while (far - near > 1).any():
+            mid = near + ((far - near) >> 1)
+            below, above = mid.view(np.float64) - lo, hi - mid.view(np.float64)
+            nearer = (below < above) | ((below == above) & lower_wins)
+            near, far = np.where(nearer, mid, near), np.where(nearer, far, mid)
+        return far.view(np.float64)
+
 
 @lru_cache(maxsize=None)
 def _angle_table(families: tuple[Family, ...]) -> _AngleTable:
@@ -269,68 +288,61 @@ def min_online_synthesize(
 
 # a coin's 53-bit draw below this is heads, as random() < 0.5 is
 _HALF = 2**52
+# lockstep_synthesize asks for the draws of this many ticks at a time
+_BLOCK_TICKS = 8
 
 
 class _LockstepTables(NamedTuple):
     """The read-only arrays of lockstep_synthesize for the states of levels
     0..top of a family set: the suffix of its _AngleTable that
-    table.start(top) cuts.  angles holds the suffix's angles with the
-    infinite sentinel, lower_wins its tie rule with a slot for the
-    sentinel.  keys and guide are one inverse-CDF table of the climb cost
-    laws (ladder.climb_cost_laws), a segment per state, and segments[i]
-    (already times 2^53) keys the draws of state start + i.  Outcome j
-    costs wholes[j] + bills[restarts[j]]: its whole part, then the
-    (r + 1) c of its family's base states."""
+    table.start(top) cuts.  angles holds the suffix's angles, and
+    thresholds[g] the least magnitude that _AngleTable.lookup sends to
+    angles[g + 1] rather than angles[g].  keys and guide are one
+    inverse-CDF table of the climb cost laws (ladder.climb_cost_laws), a
+    segment per state, and segments[i] (already times 2^53) keys the draws
+    of state start + i.  costs[j] is outcome j's cost, as climb_walk bills it."""
 
     start: int
+    thresholds: np.ndarray
     angles: np.ndarray
-    lower_wins: np.ndarray
     segments: np.ndarray
     keys: np.ndarray
     guide: np.ndarray
-    wholes: np.ndarray
-    bills: np.ndarray
-    restarts: np.ndarray
+    costs: np.ndarray
 
 
 @lru_cache(maxsize=8)
 def _lockstep_tables(families: tuple[Family, ...], top: int) -> _LockstepTables:
     """The lockstep tables of the family set up to level top.  The segments
-    run family by family, each over its levels, so the laws are written in
-    place one family at a time, into arrays sized by a first pass that
-    counts their outcomes: the four families' table holds about 133k
-    outcomes at top 32 (1.8 MB), and building it all at once would hold
-    twice that in transients."""
+    run family by family, each over its levels, and each law is written as
+    it is solved onto the ends of keys and costs, which grow in place: the
+    four families' table holds about 133k outcomes at top 32, 16 bytes
+    each."""
     table = _angle_table(families)
     start = table.start(top)
     rank = {f: r for r, f in enumerate(families)}
-    total, deepest = 0, 0
-    for family in families:
-        for _, restarts, _ in climb_cost_laws(family, top):
-            total += len(restarts)
-            deepest = max(deepest, int(restarts.max()) + 1)
-    keys, wholes, codes = np.empty(total, np.int64), np.empty(total, np.int16), np.empty(total, np.int16)
+    keys, costs = np.empty(0, np.int64), np.empty(0)
     guide = np.empty(len(families) * (top + 1) << GUIDE_BITS, np.intp)
-    bills = np.array([(r + 1) * base_average_cost(f) for f in families for r in range(deepest)])
-    outcomes = 0
     for family in families:
-        for level, (whole, restarts, masses) in enumerate(climb_cost_laws(family, top)):
+        base = base_average_cost(family)
+        for level, (wholes, restarts, masses) in enumerate(climb_cost_laws(family, top)):
             segment = rank[family] * (top + 1) + level
-            part = slice(outcomes, outcomes + len(masses))
-            keys[part], slots = inverse_cdf_segment(masses, segment, len(masses))
-            guide[segment << GUIDE_BITS : (segment + 1) << GUIDE_BITS] = np.where(slots < 0, -1, slots + outcomes)
-            wholes[part], codes[part] = whole, rank[family] * deepest + restarts
-            outcomes += len(masses)
+            first = len(keys)
+            # no view of either is alive, so they may move
+            keys.resize(first + len(masses), refcheck=False)
+            costs.resize(first + len(masses), refcheck=False)
+            keys[first:], slots = inverse_cdf_segment(masses, segment, len(masses))
+            guide[segment << GUIDE_BITS : (segment + 1) << GUIDE_BITS] = np.where(slots < 0, -1, slots + first)
+            # climb_walk's bill, in its order: the integers, then the base states
+            costs[first:] = wholes + (restarts + 1) * base
     tables = _LockstepTables(
         start,
-        np.array(table.angles[start:]),
-        np.array([*table.lower_wins[start:], False]),
+        table.thresholds(start),
+        np.array(table.angles[start:-1]),
         np.array([(rank[f] * (top + 1) + level) << 53 for f, level, _ in table.plus[start:]]),
         keys,
         guide,
-        wholes,
-        bills,
-        codes,
+        costs,
     )
     for array in tables[1:]:
         array.flags.writeable = False
@@ -341,8 +353,7 @@ def _climb_costs(tables: _LockstepTables, states: np.ndarray, bits: np.ndarray) 
     """The costs of climbs to the states (indices into the tables' suffix),
     each drawn from its law by inverse CDF with one 53-bit draw of bits."""
     picks, _ = inverse_cdf_picks(tables.keys, tables.guide, tables.segments.take(states) + bits.view(np.int64))
-    # climb_walk's bill, in its order: the integers, then the base states
-    return tables.wholes.take(picks) + tables.bills.take(tables.restarts.take(picks))
+    return tables.costs.take(picks)
 
 
 class LockstepResult(NamedTuple):
@@ -358,7 +369,7 @@ def lockstep_synthesize(
     targets: np.ndarray,
     epsilons: np.ndarray,
     families: tuple[Family, ...],
-    draws: Callable[[np.ndarray, int], np.ndarray],
+    draws: Callable[[np.ndarray, int, int], np.ndarray],
     ancilla: bool = False,
     trace: list | None = None,
 ) -> LockstepResult:
@@ -367,13 +378,16 @@ def lockstep_synthesize(
     one numpy lockstep over the samples, one tick per planner step or
     ancilla round of every sample still running.
 
-    draws(samples, tick) gives the 53-bit draws (a uint64 array of shape
-    (len(samples), 2)) that those samples read at a tick: column 0 is the
+    draws(samples, start, count) gives draws start .. start + count - 1 of
+    those samples' streams as 53-bit integers, a uint64 array of shape
+    (len(samples), count).  Tick t reads draws 2t and 2t + 1: 2t is the
     climb of the state a planner step consumes, drawn from the state's
-    climb cost law by inverse CDF, column 1 the coin, heads below 2^52 (as
+    climb cost law by inverse CDF, 2t + 1 the coin, heads below 2^52 (as
     random() < 0.5): a planner step then subtracts the state's rotation,
     and an ancilla round succeeds.  Every tick before a sample's last reads
-    its coin, in the order the scalar planners flip theirs.
+    its coin, in the order the scalar planners flip theirs.  The draws are
+    asked for _BLOCK_TICKS ticks at a time, so a sample may be read ahead
+    of its last tick, up to the end of its block.
 
     Each tick folds every running residual, as reduce_by_clifford does:
     np.fmod by TAU then one TAU back into [-pi, pi], which is
@@ -383,16 +397,18 @@ def lockstep_synthesize(
     the first part leaves any residual in [-pi, pi] as it is, so only the
     targets take it.
     A sample within its epsilon is done (or ends its ancilla round); the
-    others look their magnitude up in _AngleTable.angles (np.searchsorted,
-    the nearer neighbour, ties by lower_wins) and apply their coin.  Only
-    states of levels up to auto_max_level(min(epsilons)) are looked up: a
-    state of angle a <= epsilon/2 is never the nearest to a residual m >
-    epsilon, as the H ladder has one in [m/2, 3m/2], whose ratio 3 exceeds
-    any of its level steps.  Every operation is elementwise on a sample's
-    own values and draws, so a sample's result does not depend on the
-    others in the batch.  trace, if given, gets one (samples, states) pair
-    of arrays per tick: the _AngleTable index of the state each planner
-    step consumed.
+    others look their magnitude up and apply their coin.  The lookup is
+    _AngleTable.lookup's, as one np.searchsorted over the magnitudes where
+    its choice between two neighbouring angles turns from the lower to the
+    upper (_AngleTable.thresholds: the choice is monotone in the
+    magnitude, so each gap has one).  Only states of levels up to
+    auto_max_level(min(epsilons)) are looked up: a state of angle
+    a <= epsilon/2 is never the nearest to a residual m > epsilon, as the H
+    ladder has one in [m/2, 3m/2], whose ratio 3 exceeds any of its level
+    steps.  Every operation is elementwise on a sample's own values and
+    draws, so a sample's result does not depend on the others in the
+    batch.  trace, if given, gets one (samples, states) pair of arrays per
+    tick: the _AngleTable index of the state each planner step consumed.
     """
     targets = np.array(targets, dtype=float)
     eps = np.array(epsilons, dtype=float)
@@ -406,7 +422,7 @@ def lockstep_synthesize(
     top = auto_max_level(finest)
     _table_and_start(replace(config, max_level=top))
     tables = _lockstep_tables(config.families, top)
-    angles, lower_wins = tables.angles, tables.lower_wins
+    thresholds, angles = tables.thresholds, tables.angles
     n = len(targets)
     # per sample, with a last slot that the padding writes to
     online, corrections, offline, residuals = np.zeros((4, n + 1))
@@ -415,10 +431,10 @@ def lockstep_synthesize(
     # reuse, up to seven of each byte size, so lengths that walked down one
     # by one would leave megabytes behind); each holds its sample (n for
     # padding), its draw row, residual, accuracy, corrections and costs so
-    # far, and for the ancilla rounds whether one is under way, the
-    # rotation it started from and its cost so far.  An entry that is not
-    # running is folded and within its accuracy, so every tick leaves it
-    # as it is.
+    # far, the draws of its block, and for the ancilla rounds whether one
+    # is under way, the rotation it started from and its cost so far.  An
+    # entry that is not running is folded and within its accuracy, so
+    # every tick leaves it as it is.
     width = 1 << (n - 1).bit_length()
     pad = (0, width - n)
     dest, rows = np.pad(np.arange(n), pad, constant_values=n), np.pad(np.arange(n), pad)
@@ -434,13 +450,17 @@ def lockstep_synthesize(
     off, remaining, spent = np.zeros(width), np.zeros(width), np.zeros(width)
     rounds = np.zeros(width, bool)
     for tick in itertools.count():
+        column = 2 * (tick % _BLOCK_TICKS)
+        if not column:
+            block = draws(rows, 2 * tick, 2 * _BLOCK_TICKS)
         k = np.rint(r / HALF_PI)
         r -= k * HALF_PI
         up = r <= -QUARTER_PI
-        r = np.where(up, r + HALF_PI, r)
+        np.add(r, HALF_PI, out=r, where=up)
         corr += np.abs(k - up)
-        within = np.abs(r) <= eps
-        running = ~within | rounds if ancilla else ~within
+        m = np.abs(r)
+        steps = m > eps
+        running = steps | rounds if ancilla else steps
         live = int(np.count_nonzero(running))
         if 2 * live <= len(dest):
             residuals[dest], corrections[dest], online[dest], offline[dest] = r, corr, on, off
@@ -448,36 +468,31 @@ def lockstep_synthesize(
                 break
             # the running entries first, in order, then as many others
             keep = np.argsort(~running, kind="stable")[: 1 << (live - 1).bit_length()]
-            entries = (dest, rows, r, eps, corr, on, off, rounds, remaining, spent, within)
-            dest, rows, r, eps, corr, on, off, rounds, remaining, spent, within = (x.take(keep) for x in entries)
-        bits = draws(rows, tick)
-        heads = bits[:, 1] < _HALF
-        steps = ~within
+            entries = (dest, rows, r, m, eps, corr, on, off, rounds, remaining, spent, steps, block)
+            dest, rows, r, m, eps, corr, on, off, rounds, remaining, spent, steps, block = (
+                x.take(keep, axis=0) for x in entries
+            )
+        tails = block[:, column + 1] >= _HALF
         if ancilla:
             # a round ends: its ancilla carried remaining - r, so heads
             # leaves r, which the next tick finishes, and tails 2 remaining - r
-            ends = within & rounds
+            ends = rounds & ~steps
             on += ends
-            off += np.where(ends, spent, 0.0)
-            spent = np.where(ends, 0.0, spent)
-            rounds &= ~ends
-            r = np.where(ends & ~heads, 2 * remaining - r, r)
-            remaining = np.where(steps & ~rounds, r, remaining)
+            np.add(off, spent, out=off, where=ends)
+            np.copyto(spent, 0.0, where=ends)
+            rounds ^= ends
+            np.subtract(2 * remaining, r, out=r, where=ends & tails)
+            np.copyto(remaining, r, where=steps & ~rounds)
             rounds |= steps
         else:
             on += steps
-        m = np.abs(r)
-        i = np.searchsorted(angles, m)
-        below, above = m - angles[i - 1], angles[i] - m
-        i -= (i > 0) & ((below < above) | ((below == above) & lower_wins[i]))
-        a = angles.take(i)
+        i = np.searchsorted(thresholds, m, side="right")
         # heads subtracts the state's rotation, tails adds it
-        r = r - np.where(steps, np.where(heads, a, -a), 0.0)
-        cost = np.where(steps, _climb_costs(tables, i, bits[:, 0]), 0.0)
-        if ancilla:
-            spent += cost
-        else:
-            off += cost
+        a = angles.take(i)
+        np.negative(a, out=a, where=tails)
+        np.subtract(r, a, out=r, where=steps)
+        bill = spent if ancilla else off
+        np.add(bill, _climb_costs(tables, i, block[:, column]), out=bill, where=steps)
         if trace is not None:
             trace.append((dest[steps], i[steps] + tables.start))
     return LockstepResult(online[:n].astype(np.int64), offline[:n], residuals[:n], corrections[:n].astype(np.int64))

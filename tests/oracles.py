@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from rotsynth import noise
+from rotsynth import noise, synthesis
 from rotsynth.ladder import Family, base_average_cost, ladder_angle, success_probs
 from rotsynth.noise import NoiseModel, make_noisy_resource
 from rotsynth.qcore import GATES_1Q, DensityMatrix, PureRegister, apply_gate, xz_state
@@ -220,17 +220,22 @@ def apply_random_rotation(
 def coin_draws(coins: list[list[int]]):
     """A draws function for synthesis.lockstep_synthesize that replays
     each sample's coins: coins[i][t] (+1 heads, -1 tails) is the coin of
-    sample i at tick t, and every climb reads the draw 0, its law's first
-    outcome.  A tick past a sample's coins raises IndexError."""
-    width = max(map(len, coins), default=0)
-    bits = np.full((len(coins), width), 2**52, np.uint64)
+    sample i at tick t, draw 2t + 1 of its stream, and every climb reads
+    the draw 0, its law's first outcome.  The lockstep reads a block of
+    ticks ahead, so past its coins a sample reads tails: a planner step
+    moves the residual either way, and an ancilla round that ends on tails
+    goes on, so a tick too many shows in the residual bytes.  A draw past
+    the longest coins plus a block raises IndexError."""
+    width = max(map(len, coins), default=0) + synthesis._BLOCK_TICKS
+    bits = np.zeros((len(coins), 2 * width), np.uint64)
+    bits[:, 1::2] = 2**52
     for row, sample in zip(bits, coins):
-        row[: len(sample)] = [0 if c > 0 else 2**52 for c in sample]
+        row[1 : 2 * len(sample) : 2] = [0 if c > 0 else 2**52 for c in sample]
 
-    def draws(samples: np.ndarray, tick: int) -> np.ndarray:
-        out = np.zeros((len(samples), 2), np.uint64)
-        out[:, 1] = bits[samples, tick]
-        return out
+    def draws(samples: np.ndarray, start: int, count: int) -> np.ndarray:
+        if start + count > bits.shape[1]:
+            raise IndexError(f"draws {start} .. {start + count - 1} past the replayed coins")
+        return bits[samples, start : start + count]
 
     return draws
 

@@ -562,19 +562,61 @@ def test_epsilon_beyond_deepest_ladder_rejected(epsilon, families):
         min_online_synthesize(1.0, epsilon, config, derive_rng(20, "d"))
 
 
+def _exact_ties(families: tuple[Family, ...]) -> list[float]:
+    """The exact midpoints of neighbouring angles of the family set from
+    1e-40 to pi/4: the magnitudes that lookup's tie rule settles."""
+    angles = sorted(rotation_angle(f, lvl) for f in families for lvl in range(MAX_LEVEL + 1))
+    ties = [mid for lo, hi in zip(angles, angles[1:]) if lo > 1e-40 and (mid := (lo + hi) / 2) - lo == hi - mid < QUARTER_PI]
+    assert len(ties) > 10
+    return ties
+
+
 def _replay_samples(families: tuple[Family, ...]) -> list[tuple[float, float]]:
     """4000 samples per family set: targets uniform in +-20, epsilon
-    log-uniform from 1e-15 to 1e-1.  Random targets never tie, so the exact
-    midpoints of neighbouring angles from 1e-40 to pi/4 follow, at a
-    quarter of their size."""
+    log-uniform from 1e-15 to 1e-1.  Random targets never tie, so the
+    _exact_ties follow, at a quarter of their size."""
     params = derive_rng(5, "replica-params", len(families))
     samples = [(params.uniform(-20, 20), 10 ** params.uniform(-15, -1)) for _ in range(4000)]
-    angles = sorted(rotation_angle(f, lvl) for f in families for lvl in range(MAX_LEVEL + 1))
-    pairs = zip(angles, angles[1:])
-    ties = [mid for lo, hi in pairs if lo > 1e-40 and (mid := (lo + hi) / 2) - lo == hi - mid < QUARTER_PI]
-    assert len(ties) > 10
+    ties = _exact_ties(families)
     print(f"{len(ties)} exact ties")
     return samples + [(mid, mid / 4) for mid in ties]
+
+
+def _nearest(thresholds: np.ndarray, magnitudes) -> list[int]:
+    """The states that lockstep_synthesize looks the magnitudes up to."""
+    return np.searchsorted(thresholds, magnitudes, side="right").tolist()
+
+
+@pytest.mark.parametrize("top", [20, 32, 60, 150])
+@pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
+def test_the_thresholds_pick_the_nearest_state(families, top):
+    """Looked up among the _AngleTable.thresholds of the states up to top,
+    every threshold, every angle, the float neighbours of both and every
+    exact tie go to the state that _AngleTable.lookup picks.  The
+    thresholds strictly increase, one in each gap (lo, hi] between
+    neighbouring angles."""
+    table = _angle_table(families)
+    start = table.start(top)
+    thresholds, angles = table.thresholds(start).tolist(), table.angles[start:-1]
+    assert len(thresholds) == len(angles) - 1
+    assert all(lo < t <= hi for lo, t, hi in zip(angles, thresholds, angles[1:]))
+    assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
+    probes = [p for x in thresholds + angles for p in (math.nextafter(x, 0), x, math.nextafter(x, math.inf))]
+    probes += _exact_ties(families)
+    assert _nearest(np.array(thresholds), probes) == [table.lookup(m, start) - start for m in probes]
+    print(f"{len(families)} families to level {top}: {len(probes)} magnitudes looked up")
+
+
+@given(st.floats(0, QUARTER_PI), st.sampled_from(FAMILY_SUBSETS), st.integers(0, MAX_LEVEL))
+def test_the_thresholds_pick_the_nearest_state_of_any_magnitude(magnitude, families, top):
+    table = _angle_table(families)
+    start = table.start(top)
+    assert _nearest(table.thresholds(start), [magnitude]) == [table.lookup(magnitude, start) - start]
+
+
+def _steps(trace: list, n: int) -> list[int]:
+    """The planner steps of each of n samples in a lockstep trace."""
+    return np.bincount(np.concatenate([rows for rows, _ in trace]), minlength=n).tolist()
 
 
 @pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
@@ -591,6 +633,8 @@ def test_the_lockstep_replays_the_planner(families):
     trace = []
     coins = [[s for *_, s in r.applied] for r in results]
     lockstep = lockstep_synthesize(targets, epsilons, families, coin_draws(coins), trace=trace)
+    # every tick before a sample's last steps, and reads one coin
+    assert _steps(trace, len(samples)) == list(map(len, coins))
     states = [entry[:2] for entry in _angle_table(families).plus]
     picks = [[] for _ in samples]
     for rows, picked in trace:
@@ -619,7 +663,11 @@ def test_the_lockstep_replays_the_ancilla_rounds(families, monkeypatch):
         results.append(min_online_synthesize(target, eps, SynthesisConfig(eps, families), rng))
         coins.append(rng.coins)
     targets, epsilons = map(np.array, zip(*samples))
-    lockstep = lockstep_synthesize(targets, epsilons, families, coin_draws(coins), ancilla=True)
+    trace = []
+    lockstep = lockstep_synthesize(targets, epsilons, families, coin_draws(coins), ancilla=True, trace=trace)
+    # every tick before a sample's last steps or ends a round, and reads one coin
+    steps = _steps(trace, len(samples))
+    assert [s + r for s, r in zip(steps, lockstep.online.tolist())] == list(map(len, coins))
     assert lockstep.online.tolist() == [r.online_cost for r in results]
     assert lockstep.corrections.tolist() == [r.clifford_corrections for r in results]
     assert lockstep.residuals.tobytes() == np.array([r.residual for r in results]).tobytes()
