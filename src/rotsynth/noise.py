@@ -24,19 +24,20 @@ and the mixture at weight 0 or 1) has |s01|^2 = s00 s11, so lam = 1 and
 every first arrival at a level lands on one state: decay_study returns
 those exact distances and reads no draws.  For the other mixtures, the up
 probability and the per-level parts of the state are tabulated once per
-model, and a climb is an integer walk on (level, m).  Its passage from the
-first arrival at one level to the first arrival at the next then has a
-fixed law of (restart or not, downs), whose series every level fills in
-one lockstep, and one read-only inverse-CDF table per (model, top)
-samples: decay_study draws each passage of every instance with one
-counter-stream draw, all at once in numpy, and walks merge by merge only
-the near-symmetric resources, whose passages have heavy tails;
-propagate_to_level always walks.  One distance expression turns the downs
-into bytes: decay_study takes it once per cell of a grid of levels by
-downs counts, gathers each instance's cells, and sums every level in
-instance order.  The tests check the tables against exact oracles, the walk
-against a step-by-step walker and the generic density-matrix simulation,
-and the sampled climbs against the walk and the exact arrival law.
+model, and a climb is an integer walk on (level, m).  Past the model's
+saturation row M, lam^m moves no distance by a bit (M is 0, and no draw is
+read, where lam is 0 or rounds to 1).  The passage from the first arrival
+at one level to the first arrival at the next has a fixed law of (restart
+or not, downs), whose series every level fills in one lockstep, to at most
+M terms, and one read-only inverse-CDF table per (model, top) samples:
+decay_study draws each passage of every instance with one counter-stream
+draw, all at once in numpy; propagate_to_level walks.  One distance
+expression turns the downs into bytes: decay_study takes it once per cell
+of a grid of levels by downs counts, gathers each instance's cells, and
+sums every level in instance order.  The tests check the tables against
+exact oracles, the walk against a step-by-step walker and the generic
+density-matrix simulation, and the sampled climbs against the walk and the
+exact arrival law.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ import numbers
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -56,28 +56,18 @@ from .seeding import (
     COUNTER_LIMIT,
     GUIDE_BITS,
     counter_bits,
-    counter_uniforms,
     derive_seed,
     inverse_cdf_picks,
     inverse_cdf_segment,
 )
 from .study import fit_loglog
 
-# decay_study samples a model's climbs from their passage law when every up
-# probability is at least this, and walks them merge by merge below it.  As
-# the up probability nears 1/2, a passage's downs get a heavy tail and the
-# table grows without bound.  Terms a level keeps to a tail below 2^-60
-# (at level 28), and CPU seconds to tabulate to top 28 / 150 (2-core
-# x86-64, Python 3.11), by the least up probability of the model; the walk
-# takes about 30-50 ms per 1000 instances to level 28 on these models:
-#   0.75 (the criterion-8 grid)  52 terms,  0.03 / 0.16 s
-#   0.59 (mixture p = 0.2)      174 terms,  0.13 / 0.95 s
-#   0.56 (mixture p = 0.25)     254 terms,  0.24 / 2.2 s
-#   0.54 (mixture p = 0.3)      393 terms,  0.39 / 3.6 s
-#   0.52 (mixture p = 0.35)     657 terms,  1.0 / 16 s
-_LAW_MIN_UP = 0.58
 # a passage keeps the terms of its law until the mass beyond them is below this
 _LAW_TAIL = 2.0**-60
+# a mixture's saturation row is looked for below this row: one that
+# saturates later lies within 0.04 of weight 0 or 1, where a passage keeps
+# at most 64 terms (52 on the criterion-8 grid), so a cap there never binds
+_SATURATION_SEARCH = 128
 
 _C0 = math.cos(math.pi / 8)
 _S0 = math.sin(math.pi / 8)
@@ -145,8 +135,8 @@ class _ClimbTables:
     up[l] is the probability that a merge at level l goes up.  state(l, m)
     is the bottom state at level l after m downs since the last restart,
     and distances(downs, top) the trace distances of the first-arrival
-    states to the ideal ladder states.  lam is 1 by construction for a
-    pure resource.
+    states to the ideal ladder states, every row from the saturation row
+    M on equal to the last.  lam is 1 by construction for a pure resource.
     Only per-level values are kept, so the size of the tables does not
     depend on the climbs.  The entries of sigma are scaled by the larger
     diagonal one, so no power overflows and no model divides by zero.
@@ -187,6 +177,7 @@ class _ClimbTables:
         self._ri = np.array([r.imag for r in r01])
         self._cs = np.array(cs)
         self._d00sq = np.square(d00)
+        self.saturation = self._saturation_row()
 
     def state(self, level: int, downs: int) -> tuple[float, complex, float]:
         """(r00, r01, r11) at level after downs since the last restart."""
@@ -220,13 +211,29 @@ class _ClimbTables:
         dr += di
         return np.sqrt(dr, out=dr)
 
+    def _saturation_row(self) -> int:
+        """M: 0 if lam is 1 (every row is the first), else the least row from
+        which every row equals the limit row, lam^inf = 0, if that is below
+        _SATURATION_SEARCH, or else a row past the underflow of lam^m."""
+        if self.lam == 1.0:
+            return 0
+        limit = self.distances([math.inf], MAX_LEVEL)[0]
+        saturation = start = 0
+        while self.lam**start:  # a block of rows at a time, to the underflow
+            rows = self.distances(range(start, start + _SATURATION_SEARCH), MAX_LEVEL)
+            saturation = max([saturation, *(np.flatnonzero((rows != limit).any(axis=1)) + start + 1).tolist()])
+            if saturation >= _SATURATION_SEARCH:
+                return math.ceil(1100 / -math.log2(self.lam))  # lam^m < 2^-1100 underflows
+            start += _SATURATION_SEARCH
+        return saturation
+
 
 @lru_cache(maxsize=64)
 def _climb_tables(model: NoiseModel) -> _ClimbTables:
     return _ClimbTables(model)
 
 
-def _passage_series(up: list[float], top: int) -> tuple[list[list[float]], ...]:
+def _passage_series(up: list[float], top: int, cap: int) -> tuple[list[list[float]], ...]:
     """The series A, B, H of levels 0..top - 1, and the terms each keeps.
 
     Passage l runs from the first arrival at level l to the first arrival at
@@ -246,11 +253,12 @@ def _passage_series(up: list[float], top: int) -> tuple[list[list[float]], ...]:
     from A_0 = p_0, B_0 = q_0 and H_0 = 0, where H_l holds the tail
     P(D > k) of the passage.  Term k of a level needs terms up to k of the
     level beneath, so every level takes term k in one lockstep, until each
-    level l >= 1 keeps its first K terms, the least K whose tail P(D >= K)
-    is below _LAW_TAIL.  Every coefficient is a sum of positive terms,
-    taken in Python floats with math.fsum, so the bytes do not depend on
-    numpy's SIMD paths, and the tail is known without the cancellation of
-    1 - sum.
+    level l >= 1 keeps its first min(K, cap) terms, K the least count whose
+    tail P(D >= K) is below _LAW_TAIL and cap the saturation row M, past
+    which the downs need not be told apart.  Every coefficient is a sum of
+    positive terms, taken in Python floats with math.fsum, so the bytes do
+    not depend on numpy's SIMD paths, and the tail is known without the
+    cancellation of 1 - sum.
     """
     # below holds H + A per level; level 0's series stop after their first
     # term, as the rest are zeros and the level above reads only what is there
@@ -263,7 +271,7 @@ def _passage_series(up: list[float], top: int) -> tuple[list[list[float]], ...]:
             b[lv].append(q / p * math.fsum(map(mul, b[lv - 1], reversed(al))))
             h[lv].append(tail := q / p * math.fsum(map(mul, below[lv - 1], reversed(al))))
             below[lv].append(tail + al[-1])
-            if not kept[lv] and tail < _LAW_TAIL:
+            if not kept[lv] and (tail < _LAW_TAIL or len(al) == cap):
                 kept[lv] = len(al)
     return a, b, h, kept
 
@@ -275,21 +283,32 @@ def _passage_table(model: NoiseModel, top: int) -> tuple[np.ndarray, ...]:
     one seeding.inverse_cdf_segment per passage l, holding its kept terms
     of A, then those of B, and guiding only the outcomes that do not
     restart (passage 0 has no outcomes: its slots are never read), the
-    outcomes numbered across the passages in order.  restarts is -1 (every bit set)
-    for an outcome that restarts and 0 for one that does not, downs its
-    downs, and offsets[l - 1] = l * 2^53 keys the draws of passage l.
+    outcomes numbered across the passages in order.  Where the cap M cut
+    the terms short, A and B each get one more term, M: A's holds the rest
+    of A_l(1), the mass that does not restart (no more than the kept terms
+    leave of 1, so no key passes the segment's end), and B's the rest of
+    all by the segment's clamp to 1.  After either m' >= M, as after the
+    outcomes they stand for, and each key is the uncapped one to the
+    rounding of A_l(1).  restarts is -1 (every bit set) for a restart, else
+    0, downs its D, and offsets[l - 1] = l * 2^53 keys passage l's draws.
     """
-    a, b, _, kept = _passage_series(_climb_tables(model).up, top)
+    tables = _climb_tables(model)
+    a, b, h, kept = _passage_series(tables.up, top, tables.saturation)
     none = np.empty(0, np.int64)
     parts = [(none, np.full(2**GUIDE_BITS, -1, np.intp), none, none)]
-    outcomes = 0
+    outcomes, stays = 0, tables.up[0]
     for level in range(1, top):
-        terms = kept[level]
-        keys, slots = inverse_cdf_segment(a[level][:terms] + b[level][:terms], level, terms)
+        p, terms = tables.up[level], kept[level]
+        stays = p / (1.0 - (1.0 - p) * stays)  # A_l(1) = p / (1 - q A_{l-1}(1))
+        a_terms, b_terms = a[level][:terms], b[level][:terms]
+        if h[level][terms - 1] >= _LAW_TAIL:  # capped: B's last mass is the clamp's
+            rest = min(stays - math.fsum(a_terms), 1.0 - math.fsum(a_terms + b_terms))
+            a_terms, b_terms = a_terms + [max(0.0, rest)], b_terms + [0.0]
+        keys, slots = inverse_cdf_segment(a_terms + b_terms, level, len(a_terms))
         guide = np.where(slots < 0, -1, slots + outcomes)
-        restarts = np.repeat(np.array([0, -1], np.int64), terms)
-        parts.append((keys, guide, restarts, np.tile(np.arange(terms, dtype=np.int64), 2)))
-        outcomes += 2 * terms
+        restarts = np.repeat(np.array([0, -1], np.int64), len(a_terms))
+        parts.append((keys, guide, restarts, np.tile(np.arange(len(a_terms), dtype=np.int64), 2)))
+        outcomes += len(keys)
     table = (*map(np.concatenate, zip(*parts)), np.arange(1, top, dtype=np.int64) << 53)
     for array in table:
         array.flags.writeable = False
@@ -367,14 +386,6 @@ def propagate_to_level(
     return rho, float(tables.distances(arrivals[-1:], target_level)[0, -1])
 
 
-def _row_draws(key: int, instance: int, start: int):
-    """Draws start, start + 1, ... of one instance's counter stream, a
-    block at a time (each block as long as all before it)."""
-    while True:
-        yield from counter_uniforms(key, [instance], start, start)[0].tolist()
-        start *= 2
-
-
 def decay_study(
     model: NoiseModel,
     max_level: int,
@@ -386,16 +397,14 @@ def decay_study(
 
     Each instance climbs once to max_level, recording the state at its first
     arrival at every level; first-arrival snapshots have the same law as
-    stopping there, so the per-level means match per-level runs.  A pure
-    resource lands on one state per level whatever the climb, so its means
-    are the exact distances of those states: no draw is read, and they
-    depend neither on seed nor on n_instances.  Otherwise instance i reads
-    row i of the counter stream keyed by (seed, kind, strength).  If every
-    up probability of the model is at least _LAW_MIN_UP, draw l - 1 of row
-    i samples its passage l -> l + 1 from the passage law (level 1 is
-    always reached with no downs); otherwise the loop walks row i one merge
-    per draw.  The model alone picks the path, so row i's downs depend
-    neither on n_instances nor on max_level beyond its own levels.
+    stopping there, so the per-level means match per-level runs.  Where the
+    model's saturation row is 0 (a pure resource, or a mixture whose lam is
+    0 or rounds to 1), every climb lands on one state per level, so the
+    means are their exact distances, read from no draw and the same for
+    every seed and n_instances.  Otherwise instance i reads row i of the
+    counter stream keyed by (seed, kind, strength), its draw l - 1 sampling
+    its passage l -> l + 1 from the passage law (level 1 is reached with no
+    downs), so its downs depend on neither n_instances nor higher levels.
     """
     max_level = checked_level(max_level, "max_level", 1)
     if (n_instances := checked_integer(n_instances, "n_instances")) < 1:
@@ -404,26 +413,16 @@ def decay_study(
         raise ValueError(f"n_instances must be at most {COUNTER_LIMIT}, got {n_instances}")
     checked_integer(seed, "seed")
     tables = _climb_tables(model)
-    if _is_pure(model):
-        # lam = 1: every first arrival at a level lands on one state
+    if not tables.saturation:
+        # every first arrival at a level lands on one state
         return list(enumerate(tables.distances([0], max_level)[0].tolist(), 1))
     key = derive_seed(seed, "noise", model.kind, repr(model.strength))
-    rows = np.arange(n_instances)
-    if min(tables.up) >= _LAW_MIN_UP:
-        downs = _law_climbs(model, counter_bits(key, rows, 0, max_level - 1))
-    else:
-        # a climb needs at least max_level draws; the loop reads on past
-        # this block in its own row
-        width = 2 * max_level + 8
-        block = counter_uniforms(key, rows, 0, width)
-        downs = np.empty((n_instances, max_level), np.intp)
-        for i in rows.tolist():
-            downs[i] = _noisy_climb(tables.up, max_level, chain(block[i].tolist(), _row_draws(key, i, width)))
+    downs = _law_climbs(model, counter_bits(key, np.arange(n_instances), 0, max_level - 1))
     # a distance depends on (level, downs) alone: each cell of one grid of
     # levels by downs is taken once, then gathered per instance, and downs
-    # past the grid's last row land on it
-    grid = tables.distances(range(int(downs.max()) + 1), max_level)
-    cells = np.minimum(downs, len(grid) - 1)
+    # past the saturation row land on it, as every later row equals it
+    cells = np.minimum(downs, tables.saturation)
+    grid = tables.distances(range(int(cells.max()) + 1), max_level)
     cells *= max_level
     cells += np.arange(max_level)
     values = grid.take(cells)

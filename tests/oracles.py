@@ -3,8 +3,9 @@
 Generic measurement of pure and mixed states (with removal of the measured
 qubit) judges the factories' sliced outcome and, with a gate's full unitary
 on density matrices, the noisy walker's 2x2 closed form;
-the step-by-step noisy walker replays the noise module's climb on a
-pure-integer copy of the counter stream, one merge at a time; the exact
+the step-by-step noisy walker climbs one merge at a time, on a
+pure-integer copy of the counter stream, and judges the noise module's
+distances at its own downs; the exact
 climb (fractions and 50-digit decimals) judges the noise module's climb
 tables, and with them the exact decay-study means of the tilted models;
 the failure law of a climb (its generating function, term by term) judges
@@ -359,22 +360,21 @@ def walker_propagate(model: NoiseModel, target_level: int, rng: random.Random) -
 
 @dataclass(frozen=True)
 class WalkerReplay:
-    """decay_study replayed one walker step at a time: the per-level means,
-    and per instance the downs since the last restart at each first arrival
-    (levels 1..max_level) and the number of draws the climb took."""
+    """decay_study's climbs walked one walker step at a time: the per-level
+    means, and per instance the downs since the last restart at each first
+    arrival (levels 1..max_level)."""
 
     points: list[tuple[int, float]]
     downs: list[list[int]]
-    draws: list[int]
 
 
 def walker_decay_study(model: NoiseModel, max_level: int, n_instances: int, seed: int) -> WalkerReplay:
-    """decay_study, one walker step at a time: the same counter rows, the
-    distance added at the first arrival at every level."""
+    """decay_study's climbs, one walker step at a time on the counter rows
+    of its key, the distance added at the first arrival at every level."""
     resource = make_noisy_resource(model)
     key = derive_seed(seed, "noise", model.kind, repr(model.strength))
     sums = [0.0] * (max_level + 1)
-    downs, draws = [], []
+    downs = []
     for instance in range(n_instances):
         rng = CounterRow(key, instance)
         walker = NoisyWalker(resource)
@@ -385,9 +385,8 @@ def walker_decay_study(model: NoiseModel, max_level: int, n_instances: int, seed
                 arrivals.append(walker.downs)
                 sums[walker.level] += walker.distance_to_ideal()
         downs.append(arrivals)
-        draws.append(rng.draws)
     points = [(lvl, sums[lvl] / n_instances) for lvl in range(1, max_level + 1)]
-    return WalkerReplay(points, downs, draws)
+    return WalkerReplay(points, downs)
 
 
 def exact_climb(model: NoiseModel, top: int, downs: list[int]) -> tuple[list[Fraction], list[list[Decimal]]]:

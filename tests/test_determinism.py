@@ -26,7 +26,11 @@ digests and says so in CHANGES.md.  The re-recordings so far:
   drawn from its exact cost law by inverse CDF.  That engine change is the
   scaling studies' one deliberate stream change; the fixed-angle row, the
   synth, min-online, climb, factory and noise bytes stayed, as those still
-  run the scalar planners and walks.
+  run the scalar planners and walks;
+* noise model a at 0.3 (pinned then, as no digest covered a near-symmetric
+  mixture), when decay_study stopped walking near-symmetric mixtures merge
+  by merge and sampled them from the passage law capped at the saturation
+  row; every other pinned byte stayed.
 """
 import hashlib
 import math
@@ -71,6 +75,11 @@ CLI_FILE_DIGESTS = {
     ("noise", "--model", "a", "--strength", "1e-4", "--out", "out.json"): (
         "535d6c2732f3bee6d85fccc4d8ca323cce1b8087bd30817393a1a43dcbb1b978",
         "5594ce907139e575c54505a05ac60f47b645a0a6521f0b0cc77f3d03e4797711",
+    ),
+    # a near-symmetric mixture: its passage law is capped at its saturation row
+    ("noise", "--model", "a", "--strength", "0.3", "--out", "out.json"): (
+        "5db17ccf1d698d2bd4b9fcb893265b75cbacd27b5c28cfeb4c5a2e5393ce22be",
+        "420340881a065a99f56475124eb1f45d56e29d32558a1dbd90af142168e027ca",
     ),
     ("noise", "--model", "b", "--strength", "1e-6", "--out", "out.json"): (
         "a43ddfa28da62f092409098b79b50f7c2e59dbe4d30ea24c171e0a8f78422f4e",
