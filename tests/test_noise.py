@@ -690,6 +690,75 @@ def test_law_climbs_run_the_downs_recursion(model):
     assert noise._law_climbs(model, bits.copy()).tolist() == _searched_climbs(model, bits)
 
 
+# A pure model's decay_study reads no draws, so the study replays add a
+# mixture for each pure replay model, across the same range of up
+# probabilities (0.59 .. 0.75): light mixtures for the pure models at
+# strengths 0, 1e-4 and 1e-2 and for c at 0.3, and a/0.15 beside b at 0.3
+# (least up probability 0.62 against 0.61)
+_STUDY_REPLAY_MODELS = list(
+    dict.fromkeys(
+        _REPLAY_MODELS
+        + [NoiseModel("a", p) for p in (1e-8, 1e-6, 1e-5, 1e-4, 1e-2, 0.15, 0.05)]
+    )
+)
+
+
+def _study_replay(model, top, n, seed):
+    """decay_study replayed from its own counter stream: row i of the
+    stream keyed by (seed, kind, strength) searched over the whole passage
+    table, the downs composed by the loop and never capped, and the means
+    summed by oracles.running_means, by repr (a model whose saturation row
+    is 0 reads no draw).  The tables then hold the step-by-step walker's
+    means at its own downs.  Returns the searched downs (none for a model
+    that reads no draws) and the worst walker agreement."""
+    with pytest.MonkeyPatch.context() as mp:
+        spies = [_spy(mp, name) for name in ("counter_bits", "_law_climbs")]
+        points = decay_study(model, top, n, seed)
+    tables = noise._climb_tables(model)
+    climbs = np.empty((0, top), np.intp)
+    if tables.saturation:
+        key = derive_seed(seed, "noise", model.kind, repr(model.strength))
+        climbs = np.array(_searched_climbs(model, counter_bits(key, np.arange(n), 0, top - 1)), np.intp)
+        assert repr(points) == repr(list(enumerate(running_means(tables, climbs), 1)))
+    else:
+        assert not any(spies)
+    return climbs, _replay(model, top, n, seed)
+
+
+@pytest.mark.parametrize("model", _STUDY_REPLAY_MODELS, ids=repr)
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_decay_study_equals_its_searched_replay(model, seed):
+    """The means of the searched replay of the same counter rows (none for
+    a pure model), and tables that agree with the walker to its rounding."""
+    print(f"worst walker agreement {_study_replay(model, 14, 40, seed)[1]:.3g} of its bound")
+
+
+@pytest.mark.parametrize("model", _STUDY_REPLAY_MODELS, ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 10, 40, 151])
+def test_searched_replay_at_any_count(model, n):
+    _study_replay(model, 14, n, 7)
+
+
+def test_climbs_past_the_saturation_row_read_its_row():
+    """Under the 0.35 mixture (saturation row M = 11, whose row 10 differs
+    from the limit row at levels 1-3 by an ulp or so) the one climb of seed
+    4413 is M downs past its last restart at level 3, where row M - 1 would
+    give another distance, and 17 at level 6; of 1000 climbs at seed 1,
+    one passes M at level 3 and others higher up.  The replay reads their
+    distances at the full downs, and decay_study's means, which read row M
+    there, are the same bytes: with one instance, each mean is the
+    climb's own distance."""
+    model = NoiseModel("a", 0.35)
+    tables = noise._climb_tables(model)
+    cap = tables.saturation
+    rows = tables.distances(range(cap + 1), MAX_LEVEL)
+    differ = np.flatnonzero(rows[cap - 1] != rows[cap])
+    assert cap == 11 and differ.tolist() == [0, 1, 2]
+    for n, seed in ((1, 4413), (1000, 1)):
+        climbs, _ = _study_replay(model, 14, n, seed)
+        assert (climbs[:, differ] >= cap).any() and climbs.max() > cap
+
+
 def test_concurrent_tabulation_builds_the_serial_table():
     """Threads that run decay_study for different tops at once on a cleared
     table cache (more threads than cores, with a short switch interval)
