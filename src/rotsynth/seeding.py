@@ -142,7 +142,8 @@ def inverse_cdf_segment(masses, segment: int, guided: int) -> tuple[np.ndarray, 
     of which the first `guided` may be read off the guide.
 
     Outcome j has the fsum of the masses up to it as its cdf, the last
-    clamped to 1 (so the last mass is never read), and the key
+    clamped to 1 (so the last mass is never read; a cdf above 1 before it
+    raises ValueError), and the key
     segment * 2^53 + ceil(cdf * 2^53).  A draw u (53 bits) of the segment,
     keyed segment * 2^53 + u, picks the first outcome whose key exceeds its
     own: the one with cdf[j - 1] <= u * 2^-53 < cdf[j].  Slot k of the
@@ -157,6 +158,9 @@ def inverse_cdf_segment(masses, segment: int, guided: int) -> tuple[np.ndarray, 
         num, den = mass.as_integer_ratio()  # den is 2^(den.bit_length() - 1)
         total += num << (1075 - den.bit_length())
         cdf.append(total / _UNITS)
+    if cdf and max(cdf) > 1.0:
+        # its keys would pass the segment's end, into the next segment's draws
+        raise ValueError(f"segment {segment}: the cdf passes 1 before the last outcome, at {max(cdf)!r}")
     cdf.append(1.0)
     keys = np.array([(segment << 53) + math.ceil(c * 2.0**53) for c in cdf], np.int64)
     slots = (np.arange(2**GUIDE_BITS + 1, dtype=np.int64) + (segment << GUIDE_BITS)) << (53 - GUIDE_BITS)

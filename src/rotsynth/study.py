@@ -18,6 +18,8 @@ import math
 import os
 import random
 from dataclasses import asdict, dataclass
+from itertools import compress, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +44,7 @@ DEFAULT_EPS_RANGE = (1e-12, 1e-4)
 _CHUNK = 256
 
 
-@dataclass(frozen=True)
-class ScalingSample:
+class ScalingSample(NamedTuple):
     scheme: str
     epsilon: float
     target: float
@@ -126,10 +127,7 @@ def _sample_block(args: tuple[str, float, float, int, int, int]) -> list[Scaling
         lambda samples, start, count: counter_draws(streams.take(samples), start, count),
         ancilla=scheme == MIN_ONLINE,
     )
-    return [
-        ScalingSample(scheme, *sample)
-        for sample in zip(epsilons, targets, result.online.tolist(), result.offline.tolist())
-    ]
+    return list(map(ScalingSample, repeat(scheme), epsilons, targets, result.online.tolist(), result.offline.tolist()))
 
 
 def run_scaling_study(
@@ -175,15 +173,18 @@ def run_scaling_study(
             samples = [s for block in pool.map(_sample_block, blocks, chunksize=1) for s in block]
     else:
         samples = _sample_block((scheme, ln_lo, ln_hi, seed, 0, n_samples))
-    # a sample spent offline resources exactly when it consumed a state
-    points = [(math.log(math.log(1 / s.epsilon)), s) for s in samples if s.online > 0]
-    if len(points) < 2:
+    # the fits' points from the records' columns: a sample spent offline
+    # resources exactly when it consumed a state
+    _, epsilons, _, online, offline = zip(*samples)
+    consumed = [count > 0 for count in online]
+    xs = [math.log(math.log(1 / epsilon)) for epsilon in compress(epsilons, consumed)]
+    if len(xs) < 2:
         raise ValueError(
-            f"{len(points)} of {n_samples} samples consumed a state, and the fits need two: a target"
+            f"{len(xs)} of {n_samples} samples consumed a state, and the fits need two: a target"
             " within its epsilon once the free quarter turns are folded out consumes none"
         )
-    fit_online = fit_loglog([(x, math.log(s.online)) for x, s in points])
-    fit_offline = fit_loglog([(x, math.log(s.offline)) for x, s in points])
+    fit_online = fit_loglog(list(zip(xs, map(math.log, compress(online, consumed)))))
+    fit_offline = fit_loglog(list(zip(xs, map(math.log, compress(offline, consumed)))))
     return samples, fit_online, fit_offline
 
 

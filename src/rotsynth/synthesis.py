@@ -311,6 +311,21 @@ class _LockstepTables(NamedTuple):
     costs: np.ndarray
 
 
+def _law_end(masses: np.ndarray) -> int:
+    """How many of a climb cost law's outcomes its inverse-CDF segment
+    keeps: all of them, or, where rounding takes the running sum of the
+    masses past 1 (by under 2^-50; some laws of the PSI families from
+    level 16 up pass it by about 1.5e-16 in their last 30-70 outcomes),
+    those up to the first that passes it, which then takes the rest.  No
+    draw of the segment reaches the outcomes after it, whose keys would
+    lie past its end; a law that passes 1 by more is left for
+    inverse_cdf_segment to refuse."""
+    mass = masses.tolist()
+    if not 1.0 < math.fsum(mass[:-1]) <= 1.0 + 2**-50:
+        return len(mass)
+    return bisect_left(range(len(mass)), True, key=lambda j: math.fsum(mass[: j + 1]) > 1.0) + 1
+
+
 @lru_cache(maxsize=8)
 def _lockstep_tables(families: tuple[Family, ...], top: int) -> _LockstepTables:
     """The lockstep tables of the family set up to level top.  The segments
@@ -326,6 +341,8 @@ def _lockstep_tables(families: tuple[Family, ...], top: int) -> _LockstepTables:
     for family in families:
         base = base_average_cost(family)
         for level, (wholes, restarts, masses) in enumerate(climb_cost_laws(family, top)):
+            end = _law_end(masses)
+            wholes, restarts, masses = wholes[:end], restarts[:end], masses[:end]
             segment = rank[family] * (top + 1) + level
             first = len(keys)
             # no view of either is alive, so they may move
@@ -354,6 +371,26 @@ def _climb_costs(tables: _LockstepTables, states: np.ndarray, bits: np.ndarray) 
     each drawn from its law by inverse CDF with one 53-bit draw of bits."""
     picks, _ = inverse_cdf_picks(tables.keys, tables.guide, tables.segments.take(states) + bits.view(np.int64))
     return tables.costs.take(picks)
+
+
+def _bill_climbs(tables: _LockstepTables, bill: np.ndarray, log: list, stride: int) -> np.ndarray:
+    """Draw the costs of the climbs that the logged ticks' planner steps
+    consumed, in one _climb_costs call, and add them in tick order into
+    bill, flat over (round, sample) with stride samples a round; returns
+    bill, grown by zero rounds where the log reaches a new one, and
+    empties the log.  np.add.at is unbuffered and adds in index order, so
+    each cell is ((0 + c1) + c2) + ... of its climbs, tick by tick."""
+    if not log:
+        return bill
+    dest, states, steps, bits, *rounds = map(np.concatenate, zip(*log))
+    log.clear()
+    cells = dest[steps]
+    if rounds:
+        cells += rounds[0][steps].astype(np.intp) * stride
+        needed = (int(cells.max(initial=0)) // stride + 1) * stride
+        bill = np.pad(bill, (0, max(needed - len(bill), 0)))
+    np.add.at(bill, cells, _climb_costs(tables, states[steps], bits[steps]))
+    return bill
 
 
 class LockstepResult(NamedTuple):
@@ -409,6 +446,24 @@ def lockstep_synthesize(
     draws, so a sample's result does not depend on the others in the
     batch.  trace, if given, gets one (samples, states) pair of arrays per
     tick: the _AngleTable index of the state each planner step consumed.
+
+    The residual's path never reads a climb's cost, so a tick only logs
+    its steps (and with ancilla the round each belongs to), and the
+    climbs are billed a block at a time: when the block's draws are
+    replaced, and after the last tick, one _climb_costs call draws the
+    logged climbs' costs and np.add.at adds them in tick order into one
+    bill per (round, sample).  offline then sums each sample's rounds in
+    round order, so it is ((0 + c1) + c2) + ... tick by tick for the
+    greedy planner, and the sum of the in-round sums, round by round, as
+    min_online_synthesize bills, with ancilla.
+
+    The updates are unmasked: an entry that does not step (or fold up)
+    adds or subtracts a signed zero, and that leaves a residual's bytes
+    as they are unless it is -0.0.  None is: a difference x - y is -0.0
+    only for x = -0.0 and y = +0.0, and after r -= k * HALF_PI a zero r
+    gives k = rint(-0.0 / HALF_PI) = -0.0, so -0.0 - (-0.0) = +0.0; the
+    step up from <= -pi/4 leaves a positive residual, and an ancilla
+    round's 2 remaining - r starts from remaining, a folded residual.
     """
     targets = np.array(targets, dtype=float)
     eps = np.array(epsilons, dtype=float)
@@ -425,16 +480,16 @@ def lockstep_synthesize(
     thresholds, angles = tables.thresholds, tables.angles
     n = len(targets)
     # per sample, with a last slot that the padding writes to
-    online, corrections, offline, residuals = np.zeros((4, n + 1))
+    online, corrections, residuals = np.zeros((3, n + 1))
     # the entries: every sample still running and some that are not, a
     # power of two of them (numpy keeps freed buffers below 1 KiB for
     # reuse, up to seven of each byte size, so lengths that walked down one
     # by one would leave megabytes behind); each holds its sample (n for
-    # padding), its draw row, residual, accuracy, corrections and costs so
-    # far, the draws of its block, and for the ancilla rounds whether one
-    # is under way, the rotation it started from and its cost so far.  An
-    # entry that is not running is folded and within its accuracy, so
-    # every tick leaves it as it is.
+    # padding), its draw row, residual, accuracy, corrections and online
+    # count so far, the draws of its block, and for the ancilla rounds
+    # whether one is under way and the rotation it started from.  An entry
+    # that is not running is folded and within its accuracy, so every tick
+    # leaves it as it is.
     width = 1 << (n - 1).bit_length()
     pad = (0, width - n)
     dest, rows = np.pad(np.arange(n), pad, constant_values=n), np.pad(np.arange(n), pad)
@@ -445,54 +500,63 @@ def lockstep_synthesize(
     r = np.where(r > math.pi, r - TAU, r)
     r = np.pad(np.where(r < -math.pi, r + TAU, r), pad)
     eps = np.pad(eps, pad, constant_values=1.0)
+    # a step's rotation, heads at i and tails at i + len(angles)
+    signed = np.concatenate((angles, -angles))
     # counts in floats, exact to 2^53
-    corr, on = np.zeros(width), np.zeros(width)
-    off, remaining, spent = np.zeros(width), np.zeros(width), np.zeros(width)
+    corr, on, remaining = np.zeros((3, width))
     rounds = np.zeros(width, bool)
+    # the climbs of the block's ticks so far, billed when its draws are
+    # replaced, into offline costs per (round, sample)
+    log: list[tuple[np.ndarray, ...]] = []
+    bill = np.zeros(n + 1)
     for tick in itertools.count():
         column = 2 * (tick % _BLOCK_TICKS)
         if not column:
+            bill = _bill_climbs(tables, bill, log, n + 1)
             block = draws(rows, 2 * tick, 2 * _BLOCK_TICKS)
         k = np.rint(r / HALF_PI)
         r -= k * HALF_PI
         up = r <= -QUARTER_PI
-        np.add(r, HALF_PI, out=r, where=up)
+        r += up * HALF_PI
         corr += np.abs(k - up)
         m = np.abs(r)
         steps = m > eps
         running = steps | rounds if ancilla else steps
         live = int(np.count_nonzero(running))
         if 2 * live <= len(dest):
-            residuals[dest], corrections[dest], online[dest], offline[dest] = r, corr, on, off
+            residuals[dest], corrections[dest], online[dest] = r, corr, on
             if not live:
                 break
             # the running entries first, in order, then as many others
             keep = np.argsort(~running, kind="stable")[: 1 << (live - 1).bit_length()]
-            entries = (dest, rows, r, m, eps, corr, on, off, rounds, remaining, spent, steps, block)
-            dest, rows, r, m, eps, corr, on, off, rounds, remaining, spent, steps, block = (
+            entries = (dest, rows, r, m, eps, corr, on, rounds, remaining, steps, block)
+            dest, rows, r, m, eps, corr, on, rounds, remaining, steps, block = (
                 x.take(keep, axis=0) for x in entries
             )
+        i = np.searchsorted(thresholds, m, side="right")
         tails = block[:, column + 1] >= _HALF
         if ancilla:
             # a round ends: its ancilla carried remaining - r, so heads
             # leaves r, which the next tick finishes, and tails 2 remaining - r
             ends = rounds & ~steps
-            on += ends
-            np.add(off, spent, out=off, where=ends)
-            np.copyto(spent, 0.0, where=ends)
-            rounds ^= ends
+            # a fresh array, logged as the round of this tick's steps
+            on = on + ends
+            starts = steps & ~rounds
+            rounds = steps
             np.subtract(2 * remaining, r, out=r, where=ends & tails)
-            np.copyto(remaining, r, where=steps & ~rounds)
-            rounds |= steps
+            np.copyto(remaining, r, where=starts)
+            log.append((dest, i, steps, block[:, column], on))
         else:
             on += steps
-        i = np.searchsorted(thresholds, m, side="right")
-        # heads subtracts the state's rotation, tails adds it
-        a = angles.take(i)
-        np.negative(a, out=a, where=tails)
-        np.subtract(r, a, out=r, where=steps)
-        bill = spent if ancilla else off
-        np.add(bill, _climb_costs(tables, i, block[:, column]), out=bill, where=steps)
+            log.append((dest, i, steps, block[:, column]))
+        # heads subtracts the state's rotation, tails adds it; an entry
+        # that does not step subtracts a signed zero, which leaves its
+        # residual's bytes as they are (see the docstring)
+        r -= signed.take(i + len(angles) * tails) * steps
         if trace is not None:
             trace.append((dest[steps], i[steps] + tables.start))
+    offline = np.zeros(n + 1)
+    # the rounds' bills in round order, as min_online_synthesize adds them
+    for bills in _bill_climbs(tables, bill, log, n + 1).reshape(-1, n + 1):
+        offline += bills
     return LockstepResult(online[:n].astype(np.int64), offline[:n], residuals[:n], corrections[:n].astype(np.int64))

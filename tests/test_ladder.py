@@ -457,6 +457,21 @@ def test_the_tabulated_climbs_follow_the_failure_law(family, level):
     assert abs(z) < 4
 
 
+def test_the_lockstep_tables_keep_each_law_in_its_segment():
+    """Some laws of the PSI families sum past 1 by rounding (at top 40:
+    PSI0 from level 16, PSI1 36, PSI2 25 and 26); their segments end where
+    the running sum passes 1.  So the keys never decrease and no key
+    passes its segment's end: the first draw of every segment picks the
+    first outcome of its own law, not a tail outcome of the law before."""
+    top = 40
+    tables = _lockstep_tables(ALL_FAMILIES, top)
+    assert (np.diff(tables.keys) >= 0).all()
+    first = {f: [w[0] + (r[0] + 1) * base_average_cost(f) for w, r, _ in climb_cost_laws(f, top)] for f in ALL_FAMILIES}
+    states = _angle_table(ALL_FAMILIES).plus[tables.start :]
+    drawn = _climb_costs(tables, np.arange(len(states)), np.zeros(len(states), np.uint64))
+    assert drawn.tolist() == [first[f][level] for f, level, _ in states]
+
+
 @pytest.mark.parametrize(("family", "level"), _law_cases([0, 1, 3, 6, 12, 30]))
 def test_climb_cost_laws_are_the_failure_law(family, level):
     """Each tabulated law, billed as climb_walk bills, holds every cost of

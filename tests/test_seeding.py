@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from oracles import counter_uniform, counter_word
 from rotsynth.noise import NoiseModel, decay_study
-from rotsynth.seeding import COUNTER_LIMIT, counter_bits, counter_uniforms, derive_rng, derive_seed
+from rotsynth.seeding import (
+    COUNTER_LIMIT,
+    counter_bits,
+    counter_uniforms,
+    derive_rng,
+    derive_seed,
+    inverse_cdf_segment,
+)
 from rotsynth.study import fixed_angle_study, run_scaling_study
 
 _ROWS = [0, 1, 2, 149, COUNTER_LIMIT - 1]
@@ -249,3 +256,21 @@ def test_narrowing_the_text_rule_moved_no_stream(text):
         assert "," in text or str(int(text)) == text
     else:
         assert seed == int.from_bytes(hashlib.sha256(material).digest(), "big")
+
+
+@pytest.mark.parametrize(
+    "masses",
+    [[0.5, 0.5 + 2**-52, 0.25], [math.nextafter(1.0, 2.0), 0.0], [0.25, 0.75, 2**-52, 0.1]],
+    ids=["second", "first", "third"],
+)
+def test_a_cdf_past_one_before_the_last_outcome_is_refused(masses):
+    """Masses that pass 1 by an ulp before the last (clamped) outcome would
+    key draws of the next segment; the segment is named, not clamped."""
+    with pytest.raises(ValueError, match=r"^segment 5: the cdf passes 1 before the last outcome, at 1\.0000000000000002$"):
+        inverse_cdf_segment(masses, 5, len(masses))
+
+
+def test_a_cdf_of_one_before_the_last_outcome_keeps_its_keys_in_the_segment():
+    keys, slots = inverse_cdf_segment([0.25, 0.75, 0.5], 5, 3)
+    assert keys.tolist() == [(5 << 53) + 2**51, 6 << 53, 6 << 53]
+    assert (slots[: 2**6] == 0).all() and (slots[2**6 :] == 1).all()

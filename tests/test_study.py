@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -353,6 +354,12 @@ def test_fixed_angle_study_accepts_numpy_integer_counts(dtype):
 
 
 def test_scaling_sample_is_plain_record():
+    """A read-only record that pickles, as the --jobs pool sends it back
+    from its workers (which Python 3.14 starts by forkserver)."""
     s = ScalingSample(H_ONLY, 1e-6, 1.0, 3, 17.5)
     assert s.scheme == H_ONLY
     assert s.online == 3
+    with pytest.raises(AttributeError):
+        s.online = 4
+    back = pickle.loads(pickle.dumps(s))
+    assert type(back) is ScalingSample and back == s

@@ -19,12 +19,14 @@ from rotsynth.ladder import (
     rotation_angle,
     simulate_climb,
 )
-from rotsynth.seeding import derive_rng
+from rotsynth.seeding import counter_draws, counter_rows, derive_rng, derive_seed
 from rotsynth.synthesis import (
     QUARTER_PI,
     SynthesisConfig,
     SynthesisResult,
     _angle_table,
+    _climb_costs,
+    _lockstep_tables,
     auto_max_level,
     lockstep_synthesize,
     min_online_synthesize,
@@ -672,3 +674,51 @@ def test_the_lockstep_replays_the_ancilla_rounds(families, monkeypatch):
     assert lockstep.corrections.tolist() == [r.clifford_corrections for r in results]
     assert lockstep.residuals.tobytes() == np.array([r.residual for r in results]).tobytes()
     print(f"{len(families)} families: {sum(map(len, coins))} coins replayed")
+
+
+@pytest.mark.parametrize("ancilla", [False, True], ids=["greedy", "ancilla"])
+@pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
+def test_the_lockstep_bills_each_climb_in_tick_order(families, ancilla):
+    """On counter draws, each sample's offline cost is its traced steps'
+    climbs, each the _climb_costs of its state at draw 2t of its row at
+    tick t, added in tick order: with ancilla into the round's bill, which
+    a tick before the sample's last that the trace misses ends, adding it
+    to offline.  The samples are _replay_samples' and the targets on the
+    quarter turns' edges."""
+    edges = [0.0, -0.0, QUARTER_PI, -QUARTER_PI, 2 * QUARTER_PI, -2 * QUARTER_PI, math.pi, -math.pi]
+    samples = _replay_samples(families) + [(target, 1e-9) for target in edges]
+    targets, epsilons = map(np.array, zip(*samples))
+    streams = counter_rows(derive_seed(7, "bill", len(families)), np.arange(len(samples)))
+    trace = []
+    lockstep = lockstep_synthesize(
+        targets,
+        epsilons,
+        families,
+        lambda rows, start, count: counter_draws(streams.take(rows), start, count),
+        ancilla=ancilla,
+        trace=trace,
+    )
+    tables = _lockstep_tables(families, auto_max_level(min(epsilons)))
+    climbs = [{} for _ in samples]
+    for tick, (rows, states) in enumerate(trace):
+        bits = counter_draws(streams.take(rows), 2 * tick, 1)[:, 0]
+        for row, cost in zip(rows.tolist(), _climb_costs(tables, states - tables.start, bits).tolist()):
+            climbs[row][tick] = cost
+    offline = []
+    for row, costs in enumerate(climbs):
+        # every tick before a sample's last steps or ends a round
+        last = len(costs) + int(lockstep.online[row]) if ancilla else len(costs)
+        total = spent = 0.0
+        for tick in range(last):
+            if tick in costs:
+                spent += costs[tick]
+            elif ancilla:
+                total, spent = total + spent, 0.0
+        offline.append(total if ancilla else spent)
+    assert lockstep.offline.tobytes() == np.array(offline).tobytes()
+    # the order of the additions shows only from three terms on
+    steps = list(map(len, climbs))
+    assert max(steps) >= 3
+    if ancilla:
+        assert max(lockstep.online.tolist()) >= 3
+    print(f"{len(families)} families: {sum(steps)} climbs billed, up to {max(steps)} a sample")
