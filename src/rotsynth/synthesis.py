@@ -295,20 +295,46 @@ _BLOCK_TICKS = 8
 class _LockstepTables(NamedTuple):
     """The read-only arrays of lockstep_synthesize for the states of levels
     0..top of a family set: the suffix of its _AngleTable that
-    table.start(top) cuts.  angles holds the suffix's angles, and
-    thresholds[g] the least magnitude that _AngleTable.lookup sends to
-    angles[g + 1] rather than angles[g].  keys and guide are one
-    inverse-CDF table of the climb cost laws (ladder.climb_cost_laws), a
-    segment per state, and segments[i] (already times 2^53) keys the draws
-    of state start + i.  costs[j] is outcome j's cost, as climb_walk bills it."""
+    table.start(top) cuts.  angles holds the suffix's angles; shift, first
+    and thresholds are _state_bins of its _AngleTable.thresholds, which
+    _nearest_states reads.  keys and guide are one inverse-CDF table of
+    the climb cost laws (ladder.climb_cost_laws), a segment per state, and
+    segments[i] (already times 2^53) keys the draws of state start + i.
+    costs[j] is outcome j's cost, as climb_walk bills it."""
 
     start: int
+    shift: int
+    first: np.ndarray
     thresholds: np.ndarray
     angles: np.ndarray
     segments: np.ndarray
     keys: np.ndarray
     guide: np.ndarray
     costs: np.ndarray
+
+
+def _state_bins(thresholds: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Bins that look magnitudes up among increasing thresholds without a
+    binary search.  A non-negative float's bits, read as an int64, run in
+    the order of its value, so bits >> shift cuts each binade into
+    2^(52 - shift) bins; shift is the largest (the bins the widest) for
+    which no bin holds two thresholds.  first[q] counts the thresholds
+    below bin q's first float, over the bins of every magnitude below 4
+    (1025 binades' worth, at most 8200 bins for all four families);
+    the thresholds come back with a +inf sentinel appended."""
+    bits = thresholds.view(np.int64)
+    shift = next(s for s in range(52, -1, -1) if (np.diff(bits >> s) > 0).all())
+    starts = (np.arange(1025 << (52 - shift)) << shift).view(np.float64)
+    return shift, np.searchsorted(thresholds, starts), np.append(thresholds, math.inf)
+
+
+def _nearest_states(shift: int, first: np.ndarray, thresholds: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """np.searchsorted(thresholds[:-1], m, side="right") over _state_bins
+    for magnitudes m in [0, 4): the thresholds below m's bin, plus the one
+    threshold its bin may hold if that is <= m (the sentinel never is)."""
+    i = first.take(m.view(np.int64) >> shift)
+    i += thresholds.take(i) <= m
+    return i
 
 
 def _law_end(masses: np.ndarray) -> int:
@@ -354,14 +380,14 @@ def _lockstep_tables(families: tuple[Family, ...], top: int) -> _LockstepTables:
             costs[first:] = wholes + (restarts + 1) * base
     tables = _LockstepTables(
         start,
-        table.thresholds(start),
+        *_state_bins(table.thresholds(start)),
         np.array(table.angles[start:-1]),
         np.array([(rank[f] * (top + 1) + level) << 53 for f, level, _ in table.plus[start:]]),
         keys,
         guide,
         costs,
     )
-    for array in tables[1:]:
+    for array in tables[2:]:
         array.flags.writeable = False
     return tables
 
@@ -388,7 +414,8 @@ def _bill_climbs(tables: _LockstepTables, bill: np.ndarray, log: list, stride: i
     if rounds:
         cells += rounds[0][steps].astype(np.intp) * stride
         needed = (int(cells.max(initial=0)) // stride + 1) * stride
-        bill = np.pad(bill, (0, max(needed - len(bill), 0)))
+        if needed > len(bill):
+            bill = np.concatenate((bill, np.zeros(needed - len(bill))))
     np.add.at(bill, cells, _climb_costs(tables, states[steps], bits[steps]))
     return bill
 
@@ -424,7 +451,8 @@ def lockstep_synthesize(
     and an ancilla round succeeds.  Every tick before a sample's last reads
     its coin, in the order the scalar planners flip theirs.  The draws are
     asked for _BLOCK_TICKS ticks at a time, so a sample may be read ahead
-    of its last tick, up to the end of its block.
+    of its last tick, up to the end of its block, and its coins are
+    compared with 2^52 once a block.
 
     Each tick folds every running residual, as reduce_by_clifford does:
     np.fmod by TAU then one TAU back into [-pi, pi], which is
@@ -435,10 +463,12 @@ def lockstep_synthesize(
     targets take it.
     A sample within its epsilon is done (or ends its ancilla round); the
     others look their magnitude up and apply their coin.  The lookup is
-    _AngleTable.lookup's, as one np.searchsorted over the magnitudes where
-    its choice between two neighbouring angles turns from the lower to the
-    upper (_AngleTable.thresholds: the choice is monotone in the
-    magnitude, so each gap has one).  Only states of levels up to
+    _AngleTable.lookup's, as the count of the thresholds at or below the
+    magnitude, the magnitudes where its choice between two neighbouring
+    angles turns from the lower to the upper (_AngleTable.thresholds: the
+    choice is monotone in the magnitude, so each gap has one).  It is read
+    from bins of the magnitude's float bits that hold one threshold at
+    most (_nearest_states), not searched.  Only states of levels up to
     auto_max_level(min(epsilons)) are looked up: a state of angle
     a <= epsilon/2 is never the nearest to a residual m > epsilon, as the H
     ladder has one in [m/2, 3m/2], whose ratio 3 exceeds any of its level
@@ -467,17 +497,23 @@ def lockstep_synthesize(
     """
     targets = np.array(targets, dtype=float)
     eps = np.array(epsilons, dtype=float)
+    if targets.ndim != 1:
+        raise ValueError(f"targets must be one-dimensional, got shape {targets.shape}")
+    if eps.shape != targets.shape:
+        raise ValueError(f"epsilons must hold one accuracy per target: shape {eps.shape}, targets {targets.shape}")
     if not targets.size:
         raise ValueError("need at least one sample")
     if not np.isfinite(targets).all():
         raise ValueError("target must be finite")
+    if not ((eps > 0) & (eps < math.inf)).all():
+        raise ValueError("epsilons must be positive and finite")
     finest = float(eps.min())
-    # validates the accuracies, the families and the ladder's depth
+    # validates the families and the ladder's depth
     config = SynthesisConfig(epsilon=finest, families=families)
     top = auto_max_level(finest)
     _table_and_start(replace(config, max_level=top))
     tables = _lockstep_tables(config.families, top)
-    thresholds, angles = tables.thresholds, tables.angles
+    shift, first, thresholds, angles = tables.shift, tables.first, tables.thresholds, tables.angles
     n = len(targets)
     # per sample, with a last slot that the padding writes to
     online, corrections, residuals = np.zeros((3, n + 1))
@@ -509,15 +545,23 @@ def lockstep_synthesize(
     # replaced, into offline costs per (round, sample)
     log: list[tuple[np.ndarray, ...]] = []
     bill = np.zeros(n + 1)
+    # 0-d arrays, not Python floats: numpy converts a Python scalar operand
+    # to an array on every call, which costs a narrow tick's operation about
+    # as much again, and the IEEE results are the same
+    half_pi, low, half = np.array(HALF_PI), np.array(-QUARTER_PI), np.array(_HALF, np.uint64)
     for tick in itertools.count():
-        column = 2 * (tick % _BLOCK_TICKS)
+        column = tick % _BLOCK_TICKS
         if not column:
             bill = _bill_climbs(tables, bill, log, n + 1)
             block = draws(rows, 2 * tick, 2 * _BLOCK_TICKS)
-        k = np.rint(r / HALF_PI)
-        r -= k * HALF_PI
-        up = r <= -QUARTER_PI
-        r += up * HALF_PI
+            # the block's climbs and coins, and per coin the offset of its
+            # rotation in signed
+            climbs, flips = block[:, ::2], block[:, 1::2] >= half
+            turns = flips * len(angles)
+        k = np.rint(r / half_pi)
+        r -= k * half_pi
+        up = r <= low
+        r += up * half_pi
         corr += np.abs(k - up)
         m = np.abs(r)
         steps = m > eps
@@ -529,12 +573,11 @@ def lockstep_synthesize(
                 break
             # the running entries first, in order, then as many others
             keep = np.argsort(~running, kind="stable")[: 1 << (live - 1).bit_length()]
-            entries = (dest, rows, r, m, eps, corr, on, rounds, remaining, steps, block)
-            dest, rows, r, m, eps, corr, on, rounds, remaining, steps, block = (
+            entries = (dest, rows, r, m, eps, corr, on, rounds, remaining, steps, climbs, flips, turns)
+            dest, rows, r, m, eps, corr, on, rounds, remaining, steps, climbs, flips, turns = (
                 x.take(keep, axis=0) for x in entries
             )
-        i = np.searchsorted(thresholds, m, side="right")
-        tails = block[:, column + 1] >= _HALF
+        i = _nearest_states(shift, first, thresholds, m)
         if ancilla:
             # a round ends: its ancilla carried remaining - r, so heads
             # leaves r, which the next tick finishes, and tails 2 remaining - r
@@ -543,16 +586,16 @@ def lockstep_synthesize(
             on = on + ends
             starts = steps & ~rounds
             rounds = steps
-            np.subtract(2 * remaining, r, out=r, where=ends & tails)
+            np.subtract(2 * remaining, r, out=r, where=ends & flips[:, column])
             np.copyto(remaining, r, where=starts)
-            log.append((dest, i, steps, block[:, column], on))
+            log.append((dest, i, steps, climbs[:, column], on))
         else:
             on += steps
-            log.append((dest, i, steps, block[:, column]))
+            log.append((dest, i, steps, climbs[:, column]))
         # heads subtracts the state's rotation, tails adds it; an entry
         # that does not step subtracts a signed zero, which leaves its
         # residual's bytes as they are (see the docstring)
-        r -= signed.take(i + len(angles) * tails) * steps
+        r -= signed.take(i + turns[:, column]) * steps
         if trace is not None:
             trace.append((dest[steps], i[steps] + tables.start))
     offline = np.zeros(n + 1)

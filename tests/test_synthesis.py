@@ -27,6 +27,8 @@ from rotsynth.synthesis import (
     _angle_table,
     _climb_costs,
     _lockstep_tables,
+    _nearest_states,
+    _state_bins,
     auto_max_level,
     lockstep_synthesize,
     min_online_synthesize,
@@ -585,8 +587,9 @@ def _replay_samples(families: tuple[Family, ...]) -> list[tuple[float, float]]:
 
 
 def _nearest(thresholds: np.ndarray, magnitudes) -> list[int]:
-    """The states that lockstep_synthesize looks the magnitudes up to."""
-    return np.searchsorted(thresholds, magnitudes, side="right").tolist()
+    """The states that lockstep_synthesize looks the magnitudes up to, in
+    the bins it looks them up in."""
+    return _nearest_states(*_state_bins(np.asarray(thresholds)), np.array(magnitudes, dtype=float)).tolist()
 
 
 @pytest.mark.parametrize("top", [20, 32, 60, 150])
@@ -605,6 +608,9 @@ def test_the_thresholds_pick_the_nearest_state(families, top):
     assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
     probes = [p for x in thresholds + angles for p in (math.nextafter(x, 0), x, math.nextafter(x, math.inf))]
     probes += _exact_ties(families)
+    # the least magnitudes, and the greatest that a fold leaves (an ulp
+    # above pi/4) and beyond
+    probes += [0.0, 5e-324, QUARTER_PI, math.nextafter(QUARTER_PI, math.inf), math.pi]
     assert _nearest(np.array(thresholds), probes) == [table.lookup(m, start) - start for m in probes]
     print(f"{len(families)} families to level {top}: {len(probes)} magnitudes looked up")
 
@@ -614,6 +620,71 @@ def test_the_thresholds_pick_the_nearest_state_of_any_magnitude(magnitude, famil
     table = _angle_table(families)
     start = table.start(top)
     assert _nearest(table.thresholds(start), [magnitude]) == [table.lookup(magnitude, start) - start]
+
+
+def test_each_state_bin_holds_at_most_one_threshold():
+    """For every family subset and level cap, _state_bins cuts a binade
+    into at most 2^3 bins, the fewest that keep the thresholds in distinct
+    bins, and first counts the thresholds below each bin, over every
+    magnitude below 4.  Each gap's threshold depends on its own two
+    neighbours only, so the caps' thresholds are suffixes of the whole
+    ladder's."""
+    most = 0
+    for families in FAMILY_SUBSETS:
+        table = _angle_table(families)
+        every = table.thresholds(0)
+        for top in range(MAX_LEVEL + 1):
+            thresholds = every[table.start(top) :]
+            if top in (0, 20, MAX_LEVEL - 1):
+                assert np.array_equal(thresholds, table.thresholds(table.start(top)))
+            shift, first, sentinel = _state_bins(thresholds)
+            bits = thresholds.view(np.int64)
+            assert (np.diff(bits >> shift) > 0).all()
+            assert shift == 52 or not (np.diff(bits >> (shift + 1)) > 0).all()
+            assert len(first) == 1025 << (52 - shift)
+            # a threshold lies below a bin's first float iff in a lower bin
+            below = np.cumsum(np.bincount(bits >> shift, minlength=len(first)))
+            assert first[0] == 0 and np.array_equal(first[1:], below[:-1])
+            assert np.array_equal(sentinel, np.append(thresholds, math.inf))
+            most = max(most, 52 - shift)
+    assert most == 3
+    print(f"at most 2^{most} bins a binade")
+
+
+@pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
+def test_every_lockstep_table_is_read_only(families):
+    tables = _lockstep_tables(families, 20)
+    assert type(tables.start) is int and type(tables.shift) is int
+    arrays = tables[2:]
+    assert all(isinstance(array, np.ndarray) and not array.flags.writeable for array in arrays)
+
+
+def _no_draws(rows, start, count):
+    raise AssertionError("drew before checking the arguments")
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1e-6, -math.inf])
+def test_the_lockstep_refuses_any_bad_accuracy(bad):
+    """Each sample's accuracy is checked, not only the finest: an infinite
+    one would finish its sample at once, with its target as residual."""
+    with pytest.raises(ValueError, match="^epsilons must be positive and finite$"):
+        lockstep_synthesize([0.5, 0.5, 0.5], [1e-8, bad, 1e-6], (Family.H,), _no_draws)
+
+
+@pytest.mark.parametrize(
+    "targets, epsilons, name",
+    [
+        ([0.5, 0.5], [1e-6], "epsilons"),
+        ([0.5], [1e-6, 1e-6], "epsilons"),
+        ([0.5, 0.5], [[1e-6, 1e-6]], "epsilons"),
+        ([0.5, 0.5], 1e-6, "epsilons"),
+        ([[0.5, 0.5]], [[1e-6, 1e-6]], "targets"),
+        (0.5, 1e-6, "targets"),
+    ],
+)
+def test_the_lockstep_refuses_mismatched_shapes_by_name(targets, epsilons, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        lockstep_synthesize(targets, epsilons, (Family.H,), _no_draws)
 
 
 def _steps(trace: list, n: int) -> list[int]:
