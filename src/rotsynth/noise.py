@@ -52,14 +52,7 @@ import numpy as np
 
 from .ladder import MAX_LEVEL, TAN_THETA0, Family, checked_integer, checked_level, ladder_angle
 from .qcore import DensityMatrix, dm_from_bloch
-from .seeding import (
-    COUNTER_LIMIT,
-    GUIDE_BITS,
-    counter_bits,
-    derive_seed,
-    inverse_cdf_picks,
-    inverse_cdf_segment,
-)
+from .seeding import COUNTER_LIMIT, counter_bits, derive_seed, inverse_cdf_picks, inverse_cdf_table
 from .study import fit_loglog
 
 # a passage keeps the terms of its law until the mass beyond them is below this
@@ -278,56 +271,48 @@ def _passage_series(up: list[float], top: int, cap: int) -> tuple[list[list[floa
 
 @lru_cache(maxsize=64)
 def _passage_table(model: NoiseModel, top: int) -> tuple[np.ndarray, ...]:
-    """The read-only (keys, guide, restarts, downs, offsets) of the
-    outcomes of passages 1..top - 1, which a level samples by inverse CDF:
-    one seeding.inverse_cdf_segment per passage l, holding its kept terms
-    of A, then those of B, and guiding only the outcomes that do not
-    restart (passage 0 has no outcomes: its slots are never read), the
-    outcomes numbered across the passages in order.  Where the cap M cut
-    the terms short, A and B each get one more term, M: A's holds the rest
-    of A_l(1), the mass that does not restart (no more than the kept terms
-    leave of 1, so no key passes the segment's end), and B's the rest of
-    all by the segment's clamp to 1.  After either m' >= M, as after the
-    outcomes they stand for, and each key is the uncapped one to the
-    rounding of A_l(1).  restarts is -1 (every bit set) for a restart, else
-    0, downs its D, and offsets[l - 1] = l * 2^53 keys passage l's draws.
-    """
+    """The seeding.inverse_cdf_table (keys, guide, restarts, downs) of the
+    passages 1..top - 1, which a level samples by inverse CDF, passage l
+    in segment l - 1: its kept terms of A, then those of B, the outcomes
+    that do not restart guided.  Where the cap M cut the terms short, A
+    and B each get one more term, M: A's holds the rest of A_l(1), the
+    mass that does not restart (no more than the kept terms leave of 1, so
+    no key passes the segment's end), and B's the rest of all by the
+    segment's clamp to 1.  After either m' >= M, as after the outcomes
+    they stand for, and each key is the uncapped one to the rounding of
+    A_l(1).  restarts is -1 (every bit set) for a restart, else 0, and
+    downs its D."""
     tables = _climb_tables(model)
     a, b, h, kept = _passage_series(tables.up, top, tables.saturation)
-    none = np.empty(0, np.int64)
-    parts = [(none, np.full(2**GUIDE_BITS, -1, np.intp), none, none)]
-    outcomes, stays = 0, tables.up[0]
-    for level in range(1, top):
-        p, terms = tables.up[level], kept[level]
-        stays = p / (1.0 - (1.0 - p) * stays)  # A_l(1) = p / (1 - q A_{l-1}(1))
-        a_terms, b_terms = a[level][:terms], b[level][:terms]
-        if h[level][terms - 1] >= _LAW_TAIL:  # capped: B's last mass is the clamp's
-            rest = min(stays - math.fsum(a_terms), 1.0 - math.fsum(a_terms + b_terms))
-            a_terms, b_terms = a_terms + [max(0.0, rest)], b_terms + [0.0]
-        keys, slots = inverse_cdf_segment(a_terms + b_terms, level, len(a_terms))
-        guide = np.where(slots < 0, -1, slots + outcomes)
-        restarts = np.repeat(np.array([0, -1], np.int64), len(a_terms))
-        parts.append((keys, guide, restarts, np.tile(np.arange(len(a_terms), dtype=np.int64), 2)))
-        outcomes += len(keys)
-    table = (*map(np.concatenate, zip(*parts)), np.arange(1, top, dtype=np.int64) << 53)
-    for array in table:
-        array.flags.writeable = False
-    return table
+
+    def laws():
+        stays = tables.up[0]
+        for level in range(1, top):
+            p, terms = tables.up[level], kept[level]
+            stays = p / (1.0 - (1.0 - p) * stays)  # A_l(1) = p / (1 - q A_{l-1}(1))
+            a_terms, b_terms = a[level][:terms], b[level][:terms]
+            if h[level][terms - 1] >= _LAW_TAIL:  # capped: B's last mass is the clamp's
+                rest = min(stays - math.fsum(a_terms), 1.0 - math.fsum(a_terms + b_terms))
+                a_terms, b_terms = a_terms + [max(0.0, rest)], b_terms + [0.0]
+            restarts = np.repeat(np.array([0, -1], np.int64), len(a_terms))
+            downs = np.tile(np.arange(len(a_terms), dtype=np.int64), 2)
+            yield a_terms + b_terms, len(a_terms), restarts, downs
+
+    return inverse_cdf_table(laws())
 
 
 def _law_climbs(model: NoiseModel, bits: np.ndarray) -> np.ndarray:
     """The (instances, top) matrix of downs at the first arrival at levels
     1..top, with column l - 1 of bits (counter_bits' 53-bit integers)
-    driving passage l (top - 1 columns).  A draw u of passage l, keyed
-    l * 2^53 + u, picks the first outcome whose key exceeds its own: the
-    guide gives it for all but about 2% of the draws on the criterion-8
-    grid, a binary search for the others, among them every draw that picks
-    a restart.  bits is spent: its block takes the keys."""
+    driving passage l (top - 1 columns).  The guide picks the outcome of
+    all but about 2% of the draws on the criterion-8 grid, a binary search
+    the others, among them every draw that picks a restart.  bits is
+    spent."""
     n, passages = bits.shape
-    keys, guide, restarts, downs, offsets = _passage_table(model, passages + 1)
-    keyed = bits.view(np.int64)  # every draw is below 2^53
-    keyed += offsets
-    picks, split = inverse_cdf_picks(keys, guide, keyed)
+    if not passages:  # level 1 is reached with no downs
+        return np.zeros((n, 1), np.intp)
+    keys, guide, restarts, downs = _passage_table(model, passages + 1)
+    picks, split = inverse_cdf_picks(keys, guide, np.arange(passages), bits)
     found = picks.reshape(-1).take(split)
     d = downs.take(picks)
     arrivals = np.zeros((n, passages + 1), np.intp)

@@ -10,10 +10,11 @@ a keyed hash of (i, j), so any block of draws is computed at once, in any
 order, and instance i reads the same draws whatever the batch.
 counter_bits gives each draw as its 53 random bits, an integer;
 counter_uniforms gives the same draws as those bits times 2**-53, exact
-uniforms on [0, 1).  A fixed law is drawn from those bits by inverse CDF on
-one read-only keyed table, a segment per law (inverse_cdf_segment keys one
-law, inverse_cdf_picks draws from the table): the noisy climbs' passages
-and the ladder climbs' costs.
+uniforms on [0, 1).  Fixed laws are drawn from those bits by inverse CDF:
+inverse_cdf_table lays one read-only table out, a segment per law, and
+inverse_cdf_picks draws from it.  The noisy climbs' passages and the
+ladder climbs' costs are sampled so, and only this module knows the
+layout.
 """
 from __future__ import annotations
 
@@ -136,23 +137,51 @@ def counter_uniforms(key: int, instances: np.ndarray, start: int, count: int) ->
     return np.multiply(bits, _ULP, out=bits.view(np.float64))
 
 
-def inverse_cdf_segment(masses, segment: int, guided: int) -> tuple[np.ndarray, np.ndarray]:
-    """The keys and guide slots of one segment of an inverse-CDF table: the
+def inverse_cdf_table(laws) -> tuple[np.ndarray, ...]:
+    """The read-only inverse-CDF table (keys, guide, *columns) of the laws,
+    segments 0, 1, ... in turn: each law is (masses, guided, *values), its
     outcomes' masses in table order (a sequence of floats, at least one),
-    of which the first `guided` may be read off the guide.
+    of which the first `guided` may be read off the guide, and per column
+    an array of one value per outcome.  The outcomes are numbered across
+    the segments in order, and column c holds each one's values[c].
 
-    Outcome j has the fsum of the masses up to it as its cdf, the last
-    clamped to 1 (so the last mass is never read; a cdf above 1 before it
-    raises ValueError), and the key
-    segment * 2^53 + ceil(cdf * 2^53).  A draw u (53 bits) of the segment,
-    keyed segment * 2^53 + u, picks the first outcome whose key exceeds its
-    own: the one with cdf[j - 1] <= u * 2^-53 < cdf[j].  Slot k of the
-    guide holds the outcome that every draw of that slot
-    (u >> (53 - GUIDE_BITS) == k) picks, or -1 where a key splits the slot
-    or its outcome is not guided.  Every cdf is an exact running sum in
-    units of 2^-1074, rounded once, so the bytes depend on nothing but the
-    masses.
+    Outcome j of segment s has the fsum of the segment's masses up to it
+    as its cdf, the last clamped to 1 (so the last mass is never read; a
+    cdf above 1 before it raises ValueError naming the segment), and the
+    key s * 2^53 + ceil(cdf * 2^53).  A draw u (53 bits) of segment s,
+    keyed s * 2^53 + u, picks the first outcome whose key exceeds its own:
+    the one with cdf[j - 1] <= u * 2^-53 < cdf[j].  Slot
+    (s << GUIDE_BITS) + k of the guide holds the outcome that every draw
+    of slot k of segment s (u >> (53 - GUIDE_BITS) == k) picks, or -1
+    where a key splits the slot or its outcome is not guided.  Every cdf
+    is an exact running sum in units of 2^-1074, rounded once, so the
+    bytes depend on nothing but the masses.  Each law is written as it
+    comes onto the ends of the arrays, which grow in place, so the laws
+    may be solved one at a time without holding them all.
     """
+    keys, guide, columns = np.empty(0, np.int64), np.empty(0, np.intp), []
+    for segment, (masses, guided, *values) in enumerate(laws):
+        own = _segment_keys(masses, segment)
+        slots = (np.arange(2**GUIDE_BITS + 1, dtype=np.int64) + (segment << GUIDE_BITS)) << (53 - GUIDE_BITS)
+        picked = np.searchsorted(own, slots[:-1], side="right")
+        clear = picked == np.searchsorted(own, slots[1:], side="left")
+        first = len(keys)
+        columns = columns or [np.empty(0, np.asarray(value).dtype) for value in values]
+        # no view of any is alive, so they may move
+        for array in (keys, *columns):
+            array.resize(first + len(own), refcheck=False)
+        guide.resize(len(guide) + 2**GUIDE_BITS, refcheck=False)
+        keys[first:] = own
+        guide[-(2**GUIDE_BITS) :] = np.where(clear & (picked < guided), picked + first, -1)
+        for column, value in zip(columns, values, strict=True):
+            column[first:] = value
+    for array in (keys, guide, *columns):
+        array.flags.writeable = False
+    return (keys, guide, *columns)
+
+
+def _segment_keys(masses, segment: int) -> np.ndarray:
+    """inverse_cdf_table's keys of one segment (its own call: the sums go before the next law is solved)."""
     total, cdf = 0, []
     for mass in np.asarray(masses, float)[:-1].tolist():
         num, den = mass.as_integer_ratio()  # den is 2^(den.bit_length() - 1)
@@ -162,19 +191,19 @@ def inverse_cdf_segment(masses, segment: int, guided: int) -> tuple[np.ndarray, 
         # its keys would pass the segment's end, into the next segment's draws
         raise ValueError(f"segment {segment}: the cdf passes 1 before the last outcome, at {max(cdf)!r}")
     cdf.append(1.0)
-    keys = np.array([(segment << 53) + math.ceil(c * 2.0**53) for c in cdf], np.int64)
-    slots = (np.arange(2**GUIDE_BITS + 1, dtype=np.int64) + (segment << GUIDE_BITS)) << (53 - GUIDE_BITS)
-    first = np.searchsorted(keys, slots[:-1], side="right")
-    clear = first == np.searchsorted(keys, slots[1:], side="left")
-    return keys, np.where(clear & (first < guided), first, -1).astype(np.intp)
+    return np.array([(segment << 53) + math.ceil(c * 2.0**53) for c in cdf], np.int64)
 
 
-def inverse_cdf_picks(keys: np.ndarray, guide: np.ndarray, keyed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The outcomes that keyed draws (int64 s * 2^53 + u, any shape) pick in
-    a table of inverse_cdf_segment keys (segment s's at s * 2^53), whose
-    guide holds slot k of segment s at (s << GUIDE_BITS) + k, numbered
-    across the table's outcomes; and the flat indices of the draws that the
-    guide left to a binary search over the keys."""
+def inverse_cdf_picks(
+    keys: np.ndarray, guide: np.ndarray, segments: np.ndarray, bits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The outcomes of an inverse_cdf_table (keys, guide) that draws pick:
+    bits (counter_bits' 53-bit integers, any shape) of the segments (their
+    indices, broadcast against bits), each keyed s * 2^53 + u; and the flat
+    indices of the draws that the guide left to a binary search over the
+    keys.  bits is spent: its buffer takes the keyed draws."""
+    keyed = bits.view(np.int64)  # every draw is below 2^53
+    keyed += np.left_shift(segments, 53)
     picks = guide.take(keyed >> (53 - GUIDE_BITS))
     split = np.flatnonzero(picks < 0)
     picks.reshape(-1)[split] = np.searchsorted(keys, keyed.reshape(-1)[split], side="right")

@@ -42,7 +42,7 @@ from .ladder import (
     rotation_angle,
     success_probs,
 )
-from .seeding import GUIDE_BITS, inverse_cdf_picks, inverse_cdf_segment
+from .seeding import inverse_cdf_picks, inverse_cdf_table
 
 TAU = 2 * math.pi
 HALF_PI = math.pi / 2
@@ -115,7 +115,18 @@ class _AngleTable:
     """All (family, level) states of a family set by ascending rotation angle,
     then expected climb cost, family rank and level.  One level shrinks an
     angle by more than the families differ, so the states up to a level cap
-    form a suffix.  lower_wins[i] settles a tie between neighbours i-1, i."""
+    form a suffix, and so do their thresholds.
+
+    thresholds[i] is the least float magnitude in the gap (lo, hi] between
+    states i and i + 1 that is nearer to hi, or as near with hi the lower
+    in (cost, rank, level), the tie's order; the count of the thresholds
+    from start on at or below a magnitude is then its nearest state among
+    those from start on.  Whether a magnitude m is nearer to lo,
+    below < above or (below == above and lo wins the tie), holds at lo and
+    fails at hi, and once false it stays false as m grows:
+    below = fl(m - lo) never decreases and above = fl(hi - m) never
+    increases.  So a bisection over the bit patterns of the floats, which
+    run in the order of their values, finds where it turns."""
 
     def __init__(self, families: tuple[Family, ...]):
         entries = sorted(
@@ -125,9 +136,16 @@ class _AngleTable:
         )
         self.levels = [e[3] for e in entries]
         assert self.levels == sorted(self.levels, reverse=True), "level caps must cut suffixes"
-        # an infinite sentinel gives every lookup an upper neighbour
-        self.angles = [e[0] for e in entries] + [math.inf]
-        self.lower_wins = [False] + [lo[1:4] < hi[1:4] for lo, hi in zip(entries, entries[1:])]
+        self.angles = [e[0] for e in entries]
+        lo, hi = np.array(self.angles[:-1]), np.array(self.angles[1:])
+        lower_wins = np.array([a[1:4] < b[1:4] for a, b in zip(entries, entries[1:])])
+        near, far = lo.view(np.int64), hi.view(np.int64)
+        while (far - near > 1).any():
+            mid = near + ((far - near) >> 1)
+            below, above = mid.view(np.float64) - lo, hi - mid.view(np.float64)
+            nearer = (below < above) | ((below == above) & lower_wins)
+            near, far = np.where(nearer, mid, near), np.where(nearer, far, mid)
+        self.thresholds = far.view(np.float64).tolist()
         self.probs = [success_probs(e[4]) for e in entries]
         self.base_costs = [base_average_cost(e[4]) for e in entries]
         self.plus = [(e[4], e[3], 1) for e in entries]
@@ -137,35 +155,6 @@ class _AngleTable:
     def start(self, max_level: int) -> int:
         """Index of the first state with level <= max_level."""
         return len(self.levels) - (max_level + 1) * self.n_families
-
-    def lookup(self, magnitude: float, start: int) -> int:
-        """Index of the state nearest to magnitude among those from start on."""
-        angles = self.angles
-        i = bisect_left(angles, magnitude, start)
-        if i > start:
-            below, above = magnitude - angles[i - 1], angles[i] - magnitude
-            if below < above or (below == above and self.lower_wins[i]):
-                return i - 1
-        return i
-
-    def thresholds(self, start: int) -> np.ndarray:
-        """Per gap between neighbours lo < hi of the states from start on,
-        the least float magnitude in (lo, hi] that lookup(., start) sends to
-        hi.  Its test, below < above or (below == above and lower_wins),
-        holds at lo and fails at hi, and once false it stays false as the
-        magnitude grows: below = fl(m - lo) never decreases and
-        above = fl(hi - m) never increases.  So a bisection over the bit
-        patterns of the floats, which run in the order of their values,
-        finds where it turns."""
-        lo, hi = np.array(self.angles[start:-2]), np.array(self.angles[start + 1 : -1])
-        lower_wins = np.array(self.lower_wins[start + 1 :])
-        near, far = lo.view(np.int64), hi.view(np.int64)
-        while (far - near > 1).any():
-            mid = near + ((far - near) >> 1)
-            below, above = mid.view(np.float64) - lo, hi - mid.view(np.float64)
-            nearer = (below < above) | ((below == above) & lower_wins)
-            near, far = np.where(nearer, mid, near), np.where(nearer, far, mid)
-        return far.view(np.float64)
 
 
 @lru_cache(maxsize=None)
@@ -179,8 +168,10 @@ def pick_state(residual: float, config: SynthesisConfig) -> tuple[Family, int]:
     Ties go to the lower expected climb cost, then the family order
     H < PSI0 < PSI1 < PSI2, then the lower level.
     """
+    if not math.isfinite(residual):
+        raise ValueError("residual must be finite")
     table = _angle_table(config.families)
-    return table.plus[table.lookup(abs(residual), table.start(config.max_level))][:2]
+    return table.plus[bisect_right(table.thresholds, abs(residual), table.start(config.max_level))][:2]
 
 
 def _table_and_start(config: SynthesisConfig) -> tuple[_AngleTable, int]:
@@ -205,7 +196,7 @@ def synthesize(target: float, config: SynthesisConfig, rng: random.Random) -> Sy
         raise ValueError("target must be finite")
     table, start = _table_and_start(config)
     eps, rnd = config.epsilon, rng.random
-    lookup, angles, levels, probs = table.lookup, table.angles, table.levels, table.probs
+    thresholds, angles, levels, probs = table.thresholds, table.angles, table.levels, table.probs
     base_costs, plus, minus = table.base_costs, table.plus, table.minus
     applied: list[tuple[Family, int, int]] = []
     offline, corrections = 0.0, 0
@@ -215,7 +206,7 @@ def synthesize(target: float, config: SynthesisConfig, rng: random.Random) -> Sy
         corrections += k
         if abs(residual) <= eps:
             break
-        i = lookup(abs(residual), start)
+        i = bisect_right(thresholds, abs(residual), start)
         offline += climb_walk(probs[i], levels[i], base_costs[i], rnd)
         # consume the state: rotate by +angle or -angle with probability 1/2
         if rnd() < 0.5:
@@ -296,11 +287,10 @@ class _LockstepTables(NamedTuple):
     """The read-only arrays of lockstep_synthesize for the states of levels
     0..top of a family set: the suffix of its _AngleTable that
     table.start(top) cuts.  angles holds the suffix's angles; shift, first
-    and thresholds are _state_bins of its _AngleTable.thresholds, which
-    _nearest_states reads.  keys and guide are one inverse-CDF table of
-    the climb cost laws (ladder.climb_cost_laws), a segment per state, and
-    segments[i] (already times 2^53) keys the draws of state start + i.
-    costs[j] is outcome j's cost, as climb_walk bills it."""
+    and thresholds are _state_bins of its thresholds, which
+    _nearest_states reads.  keys, guide and costs are the
+    seeding.inverse_cdf_table of _climb_laws, and segments[i] is the
+    segment of state start + i."""
 
     start: int
     shift: int
@@ -345,47 +335,42 @@ def _law_end(masses: np.ndarray) -> int:
     those up to the first that passes it, which then takes the rest.  No
     draw of the segment reaches the outcomes after it, whose keys would
     lie past its end; a law that passes 1 by more is left for
-    inverse_cdf_segment to refuse."""
+    inverse_cdf_table to refuse."""
     mass = masses.tolist()
     if not 1.0 < math.fsum(mass[:-1]) <= 1.0 + 2**-50:
         return len(mass)
     return bisect_left(range(len(mass)), True, key=lambda j: math.fsum(mass[: j + 1]) > 1.0) + 1
 
 
+def _climb_laws(families: tuple[Family, ...], top: int):
+    """The climb cost laws (ladder.climb_cost_laws) of levels 0..top of
+    the family set, family by family, as inverse_cdf_table segments, each
+    cut by _law_end, with a column of each outcome's cost as climb_walk
+    bills it."""
+    for family in families:
+        base = base_average_cost(family)
+        for wholes, restarts, masses in climb_cost_laws(family, top):
+            end = _law_end(masses)
+            # climb_walk's bill, in its order: the integers, then the base states
+            yield masses[:end], end, wholes[:end] + (restarts[:end] + 1) * base
+
+
 @lru_cache(maxsize=8)
 def _lockstep_tables(families: tuple[Family, ...], top: int) -> _LockstepTables:
-    """The lockstep tables of the family set up to level top.  The segments
-    run family by family, each over its levels, and each law is written as
-    it is solved onto the ends of keys and costs, which grow in place: the
-    four families' table holds about 133k outcomes at top 32, 16 bytes
-    each."""
+    """The lockstep tables of the family set up to level top.  The cost
+    table takes each law as it is solved: the four families' table holds
+    about 133k outcomes at top 32, 16 bytes each."""
     table = _angle_table(families)
     start = table.start(top)
     rank = {f: r for r, f in enumerate(families)}
-    keys, costs = np.empty(0, np.int64), np.empty(0)
-    guide = np.empty(len(families) * (top + 1) << GUIDE_BITS, np.intp)
-    for family in families:
-        base = base_average_cost(family)
-        for level, (wholes, restarts, masses) in enumerate(climb_cost_laws(family, top)):
-            end = _law_end(masses)
-            wholes, restarts, masses = wholes[:end], restarts[:end], masses[:end]
-            segment = rank[family] * (top + 1) + level
-            first = len(keys)
-            # no view of either is alive, so they may move
-            keys.resize(first + len(masses), refcheck=False)
-            costs.resize(first + len(masses), refcheck=False)
-            keys[first:], slots = inverse_cdf_segment(masses, segment, len(masses))
-            guide[segment << GUIDE_BITS : (segment + 1) << GUIDE_BITS] = np.where(slots < 0, -1, slots + first)
-            # climb_walk's bill, in its order: the integers, then the base states
-            costs[first:] = wholes + (restarts + 1) * base
+    # built first, so the bins are not held while the laws are solved
+    cost_table = inverse_cdf_table(_climb_laws(families, top))
     tables = _LockstepTables(
         start,
-        *_state_bins(table.thresholds(start)),
-        np.array(table.angles[start:-1]),
-        np.array([(rank[f] * (top + 1) + level) << 53 for f, level, _ in table.plus[start:]]),
-        keys,
-        guide,
-        costs,
+        *_state_bins(np.array(table.thresholds[start:])),
+        np.array(table.angles[start:]),
+        np.array([rank[f] * (top + 1) + level for f, level, _ in table.plus[start:]]),
+        *cost_table,
     )
     for array in tables[2:]:
         array.flags.writeable = False
@@ -394,8 +379,9 @@ def _lockstep_tables(families: tuple[Family, ...], top: int) -> _LockstepTables:
 
 def _climb_costs(tables: _LockstepTables, states: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """The costs of climbs to the states (indices into the tables' suffix),
-    each drawn from its law by inverse CDF with one 53-bit draw of bits."""
-    picks, _ = inverse_cdf_picks(tables.keys, tables.guide, tables.segments.take(states) + bits.view(np.int64))
+    each drawn from its law by inverse CDF with one 53-bit draw of bits,
+    which is spent."""
+    picks, _ = inverse_cdf_picks(tables.keys, tables.guide, tables.segments.take(states), bits)
     return tables.costs.take(picks)
 
 
@@ -463,12 +449,11 @@ def lockstep_synthesize(
     targets take it.
     A sample within its epsilon is done (or ends its ancilla round); the
     others look their magnitude up and apply their coin.  The lookup is
-    _AngleTable.lookup's, as the count of the thresholds at or below the
-    magnitude, the magnitudes where its choice between two neighbouring
-    angles turns from the lower to the upper (_AngleTable.thresholds: the
-    choice is monotone in the magnitude, so each gap has one).  It is read
-    from bins of the magnitude's float bits that hold one threshold at
-    most (_nearest_states), not searched.  Only states of levels up to
+    synthesize's, the count of the _AngleTable.thresholds at or below the
+    magnitude, the magnitudes where the nearest of two neighbouring angles
+    turns from the lower to the upper.  It is read from bins of the
+    magnitude's float bits that hold one threshold at most
+    (_nearest_states), not searched.  Only states of levels up to
     auto_max_level(min(epsilons)) are looked up: a state of angle
     a <= epsilon/2 is never the nearest to a residual m > epsilon, as the H
     ladder has one in [m/2, 3m/2], whose ratio 3 exceeds any of its level

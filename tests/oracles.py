@@ -9,12 +9,13 @@ distances at its own downs; the exact
 climb (fractions and 50-digit decimals) judges the noise module's climb
 tables, and with them the exact decay-study means of the tilted models;
 the failure law of a climb (its generating function, term by term) judges
-the climb sampler and the tabulated climb laws; the arrival law of a noisy
-climb's downs (the visits of its walk on level and downs) judges the noise
-module's passage-law sampler and gives the exact decay-study means of every
-model; the one-state rotation step replays the planner from its public
-pieces, and the coin replay feeds the scalar planners' coins to the
-numpy lockstep.
+the climb sampler and the tabulated climb laws; the nearest state by brute
+force over every enabled state judges the planners' threshold lookups; the
+arrival law of a noisy climb's downs (the visits of its walk on level and
+downs) judges the noise module's passage-law sampler and gives the exact
+decay-study means of every model; the one-state rotation step replays
+the planner from its public pieces, and the coin replay feeds the scalar
+planners' coins to the numpy lockstep.
 The small helpers that only the tests read live here too: basis states,
 |+>, pure states as density matrices, Bloch vectors of density matrices, and
 reading a samples CSV back.
@@ -33,7 +34,15 @@ from functools import lru_cache
 import numpy as np
 
 from rotsynth import noise, synthesis
-from rotsynth.ladder import Family, base_average_cost, ladder_angle, success_probs
+from rotsynth.ladder import (
+    ALL_FAMILIES,
+    Family,
+    base_average_cost,
+    expected_climb_cost,
+    ladder_angle,
+    rotation_angle,
+    success_probs,
+)
 from rotsynth.noise import NoiseModel, make_noisy_resource
 from rotsynth.qcore import GATES_1Q, DensityMatrix, PureRegister, apply_gate, xz_state
 from rotsynth.seeding import derive_seed
@@ -203,6 +212,26 @@ def climb_cost_law(family: Family, level: int) -> dict[float, float]:
         cost = level + 2 * d + r + (r + 1) * base
         costs[cost] = costs.get(cost, 0.0) + float(p)
     return costs
+
+
+@lru_cache(maxsize=64)
+def _states_by_tie(families: tuple[Family, ...], max_level: int) -> tuple[list[tuple[Family, int]], np.ndarray]:
+    """The (family, level) states of the families up to max_level sorted by
+    (expected climb cost, family rank, level), and their rotation angles."""
+    ranked = sorted(
+        (expected_climb_cost(f, lvl), ALL_FAMILIES.index(f), lvl, f) for f in families for lvl in range(max_level + 1)
+    )
+    return [(f, lvl) for _, _, lvl, f in ranked], np.array([rotation_angle(f, lvl) for _, _, lvl, f in ranked])
+
+
+def nearest_state(families: tuple[Family, ...], max_level: int, magnitude: float) -> tuple[Family, int]:
+    """The (family, level) of the families up to max_level nearest to the
+    magnitude, by brute force over every such state: the least
+    (float distance |magnitude - angle|, expected climb cost, family rank,
+    level).  The states are sorted by the last three, so the first at the
+    least distance is the least of all four."""
+    states, angles = _states_by_tie(tuple(families), max_level)
+    return states[int(np.argmin(np.abs(magnitude - angles)))]
 
 
 def apply_random_rotation(

@@ -359,11 +359,11 @@ def test_distances_saturate_at_the_saturation_row(model):
         assert tables.distances([cap - 1], MAX_LEVEL)[0].tobytes() != rows[-1].tobytes()
         ((_, (series_a, _, series_h, kept)),) = series
         assert len(series_a[1]) <= cap
-        keys, _, restarts, downs, _ = noise._passage_table(model, 150)
+        keys, _, restarts, downs = noise._passage_table(model, 150)
         levels = _levels_of(keys)
         outcomes = [2 * (kept[lv] + (series_h[lv][kept[lv] - 1] >= 2.0**-60)) for lv in range(1, 150)]
         assert np.array_equal(levels, np.repeat(np.arange(1, 150), outcomes))
-        low, _, low_restarts, low_downs, _ = noise._passage_table(model, 8)
+        low, _, low_restarts, low_downs = noise._passage_table(model, 8)
         first = levels < 8
         assert all(map(np.array_equal, (keys[first], restarts[first], downs[first]), (low, low_restarts, low_downs)))
 
@@ -580,9 +580,9 @@ _JUDGE_SCALE = 2**200
 
 
 def _levels_of(keys):
-    """The passage of each outcome key (the last key of passage l is
-    (l + 1) * 2^53)."""
-    return (keys - 1) >> 53
+    """The passage of each outcome key (passage l is segment l - 1, whose
+    last key is l * 2^53)."""
+    return ((keys - 1) >> 53) + 1
 
 
 @pytest.mark.parametrize("model", [*_LAW_JUDGE_MODELS, NoiseModel("a", 0.3)], ids=repr)
@@ -599,7 +599,7 @@ def test_passage_series_equal_exact_arithmetic(model):
     tables = noise._climb_tables(model)
     series_a, series_b, series_h, kept = noise._passage_series(tables.up, 7, tables.saturation)
     keys = noise._passage_table(model, 7)[0]
-    widths = np.diff(keys, prepend=2**53).tolist()
+    widths = np.diff(keys, prepend=0).tolist()
     up = [Fraction(u) for u in tables.up]
     terms = len(series_a[1])  # every level above 0 holds as many terms
 
@@ -643,8 +643,8 @@ def test_passage_series_equal_exact_arithmetic(model):
 def _searched_climbs(model, bits):
     """_law_climbs by a binary search over all of the table's keys and the
     loop m_1 = 0, m_{l+1} = D if R else m_l + D over each row's passages."""
-    keys, _, restarts, downs, _ = noise._passage_table(model, bits.shape[1] + 1)
-    keyed = bits.astype(np.int64) + (np.arange(1, bits.shape[1] + 1) << 53)
+    keys, _, restarts, downs = noise._passage_table(model, bits.shape[1] + 1)
+    keyed = bits.astype(np.int64) + (np.arange(bits.shape[1]) << 53)
     climbs = []
     for row in np.searchsorted(keys, keyed, side="right").tolist():
         m = [0]
@@ -667,14 +667,14 @@ def test_draws_beside_a_threshold_pick_adjacent_outcomes(model):
     keys, guide, restarts = noise._passage_table(model, top)[:3]
     assert not restarts[guide[guide >= 0]].any()
     levels = _levels_of(keys)
-    local = keys - (levels << 53)
+    local = keys - ((levels - 1) << 53)
     inside = np.flatnonzero((levels < top) & (local >= 1) & (local < 2**53))
     rows = np.arange(inside.size)
     bits = counter_bits(3, np.arange(2 * inside.size), 0, top - 1)
     bits[2 * rows, levels[inside] - 1] = local[inside] - 1
     bits[2 * rows + 1, levels[inside] - 1] = local[inside]
     keyed = bits[np.arange(bits.shape[0]), np.repeat(levels[inside] - 1, 2)].astype(np.int64)
-    picks = np.searchsorted(keys, keyed + (np.repeat(levels[inside], 2) << 53), side="right")
+    picks = np.searchsorted(keys, keyed + (np.repeat(levels[inside] - 1, 2) << 53), side="right")
     assert np.array_equal(picks[0::2], np.searchsorted(keys, keys[inside], side="left"))
     assert np.array_equal(picks[1::2], np.searchsorted(keys, keys[inside], side="right"))
     assert noise._law_climbs(model, bits.copy()).tolist() == _searched_climbs(model, bits)
@@ -806,11 +806,11 @@ def test_passage_law_composes_to_the_arrival_law(model):
     otherwise, folded at M), and oracles.arrival_law's visits of the walk
     on (level, m), folded at M."""
     top = 16
-    keys, _, restarts, downs, _ = noise._passage_table(model, top)
+    keys, _, restarts, downs = noise._passage_table(model, top)
     tables = noise._climb_tables(model)
     cap = tables.saturation
-    # passage l's keys run up to (l + 1) * 2^53, where passage l + 1's begin
-    widths = np.diff(keys, prepend=2**53)
+    # passage l's keys run up to l * 2^53, where passage l + 1's begin
+    widths = np.diff(keys, prepend=0)
     exact, missing = arrival_law(tables.up, top)
     assert missing < 1e-13
     m_law, worst = [1.0], 0.0

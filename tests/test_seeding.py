@@ -1,5 +1,6 @@
 """The counter stream against its pure-integer reference, and its statistics;
 the master-seed check that every stream goes through."""
+import bisect
 import hashlib
 import math
 import re
@@ -18,7 +19,8 @@ from rotsynth.seeding import (
     counter_uniforms,
     derive_rng,
     derive_seed,
-    inverse_cdf_segment,
+    inverse_cdf_picks,
+    inverse_cdf_table,
 )
 from rotsynth.study import fixed_angle_study, run_scaling_study
 
@@ -258,6 +260,10 @@ def test_narrowing_the_text_rule_moved_no_stream(text):
         assert seed == int.from_bytes(hashlib.sha256(material).digest(), "big")
 
 
+# five one-outcome segments, so the law under test is segment 5
+_FIVE = [([1.0], 1)] * 5
+
+
 @pytest.mark.parametrize(
     "masses",
     [[0.5, 0.5 + 2**-52, 0.25], [math.nextafter(1.0, 2.0), 0.0], [0.25, 0.75, 2**-52, 0.1]],
@@ -267,10 +273,85 @@ def test_a_cdf_past_one_before_the_last_outcome_is_refused(masses):
     """Masses that pass 1 by an ulp before the last (clamped) outcome would
     key draws of the next segment; the segment is named, not clamped."""
     with pytest.raises(ValueError, match=r"^segment 5: the cdf passes 1 before the last outcome, at 1\.0000000000000002$"):
-        inverse_cdf_segment(masses, 5, len(masses))
+        inverse_cdf_table([*_FIVE, (masses, len(masses))])
 
 
 def test_a_cdf_of_one_before_the_last_outcome_keeps_its_keys_in_the_segment():
-    keys, slots = inverse_cdf_segment([0.25, 0.75, 0.5], 5, 3)
-    assert keys.tolist() == [(5 << 53) + 2**51, 6 << 53, 6 << 53]
-    assert (slots[: 2**6] == 0).all() and (slots[2**6 :] == 1).all()
+    keys, guide = inverse_cdf_table([*_FIVE, ([0.25, 0.75, 0.5], 3)])
+    assert keys[5:].tolist() == [(5 << 53) + 2**51, 6 << 53, 6 << 53]
+    slots = guide[5 << 8 :]
+    assert len(slots) == 2**8 and (slots[: 2**6] == 5).all() and (slots[2**6 :] == 6).all()
+
+
+# (masses, guided, costs, labels) per segment: dyadic masses, masses whose
+# sums round, a guide that stops before the last outcome, a one-outcome law
+# and an outcome of no mass
+_LAWS = [
+    ([0.5, 0.25, 0.25], 3, [1.5, 2.5, 3.5], [7, 8, 9]),
+    ([0.1, 0.2, 0.3, 0.4], 2, [4.0, 5.0, 6.0, 7.0], [10, 11, 12, 13]),
+    ([1.0], 1, [8.0], [14]),
+    ([2**-9, 0.0, 0.3, 0.7 - 2**-9], 4, [9.0, 9.5, 10.0, 10.5], [15, 16, 17, 18]),
+]
+
+
+def _law_table():
+    return inverse_cdf_table((masses, guided, np.array(costs), np.array(labels)) for masses, guided, costs, labels in _LAWS)
+
+
+def _exact_keys(masses, segment):
+    """Each outcome's key from its cdf, the exact running sum rounded once
+    to a float (the last 1), in Fractions."""
+    sums = [Fraction(0)]
+    for mass in masses[:-1]:
+        sums.append(sums[-1] + Fraction(mass))
+    cdf = [Fraction(float(x)) for x in sums[1:]] + [Fraction(1)]
+    return [(segment << 53) + math.ceil(c * 2**53) for c in cdf]
+
+
+def test_the_table_keys_segment_s_at_s_times_2_53_and_lines_its_columns_up():
+    """Segment s's keys lie in (s * 2^53, (s + 1) * 2^53] and are its exact
+    ones; the outcomes run across the segments in order, and each column
+    holds each outcome's value, with the dtype it was given."""
+    keys, guide, costs, labels = _law_table()
+    assert keys.tolist() == [key for s, law in enumerate(_LAWS) for key in _exact_keys(law[0], s)]
+    assert keys.dtype == np.int64 and guide.dtype == np.intp
+    assert costs.tolist() == [c for law in _LAWS for c in law[2]] and costs.dtype == np.float64
+    assert labels.tolist() == [x for law in _LAWS for x in law[3]] and labels.dtype == np.int64
+    assert len(guide) == len(_LAWS) << 8
+
+
+def test_the_guide_numbers_its_slots_across_the_outcomes():
+    """Slot k of segment s, at (s << 8) + k, holds the outcome (numbered
+    across the table) that both the first and the last draw of the slot
+    pick by a search over the keys, if that is one of the segment's guided
+    outcomes, and -1 otherwise."""
+    keys, guide, *_ = _law_table()
+    keys, first = keys.tolist(), 0
+    for s, (masses, guided, *_) in enumerate(_LAWS):
+        for k in range(2**8):
+            low, high = (s << 53) + (k << 45), (s << 53) + ((k + 1) << 45) - 1
+            pick = bisect.bisect_right(keys, low)
+            split = pick != bisect.bisect_right(keys, high)
+            assert guide[(s << 8) + k] == (-1 if split or pick >= first + guided else pick)
+        first += len(masses)
+    assert (guide >= 0).sum() > 2**8
+
+
+def test_every_table_array_is_read_only():
+    assert not any(array.flags.writeable for array in _law_table())
+
+
+def test_picks_are_the_search_over_the_keys():
+    """Draws of every segment, at each key, an ulp either side and at
+    random, pick what a binary search over the keyed draws picks; the
+    guide leaves exactly the split and unguided slots to the search, and
+    the draws' buffer takes the keyed draws."""
+    keys, guide, *_ = _law_table()
+    local = np.unique(np.concatenate([keys % 2**53 + d for d in (-1, 0, 1)]).clip(0, 2**53 - 1))
+    draws = np.concatenate([local, counter_bits(3, np.arange(1), 0, 1000)[0]]).astype(np.uint64)
+    bits = np.repeat(draws[:, None], len(_LAWS), axis=1)
+    keyed = bits.astype(np.int64) + (np.arange(len(_LAWS)) << 53)
+    picks, split = inverse_cdf_picks(keys, guide, np.arange(len(_LAWS)), bits)
+    assert np.array_equal(picks, np.searchsorted(keys, keyed, side="right"))
+    assert np.array_equal(split, np.flatnonzero(guide.take(keyed >> 45) < 0))
+    assert np.array_equal(bits.view(np.int64), keyed)

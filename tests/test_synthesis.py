@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import CoinRecorder, apply_random_rotation, coin_draws
+from oracles import CoinRecorder, apply_random_rotation, coin_draws, nearest_state
 from rotsynth import synthesis
 from rotsynth.ladder import (
     ALL_FAMILIES,
@@ -219,6 +219,14 @@ def test_pick_state_matches_brute_force_for_every_subset_and_level():
 def test_pick_state_ignores_epsilon_depth():
     # picking never rejects a shallow ladder; only synthesize does
     assert pick_state(0.1, SynthesisConfig(epsilon=1e-12, max_level=0)) == (Family.H, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pick_state_refuses_a_residual_that_is_not_finite(bad):
+    """No state is nearest to these: a count of the thresholds would pick
+    the coarsest state for all three."""
+    with pytest.raises(ValueError, match="^residual must be finite$"):
+        pick_state(bad, SynthesisConfig(epsilon=1e-6, families=ALL_FAMILIES))
 
 
 def _auto_level_scan(epsilon):
@@ -568,7 +576,7 @@ def test_epsilon_beyond_deepest_ladder_rejected(epsilon, families):
 
 def _exact_ties(families: tuple[Family, ...]) -> list[float]:
     """The exact midpoints of neighbouring angles of the family set from
-    1e-40 to pi/4: the magnitudes that lookup's tie rule settles."""
+    1e-40 to pi/4: the magnitudes that the tie rule settles."""
     angles = sorted(rotation_angle(f, lvl) for f in families for lvl in range(MAX_LEVEL + 1))
     ties = [mid for lo, hi in zip(angles, angles[1:]) if lo > 1e-40 and (mid := (lo + hi) / 2) - lo == hi - mid < QUARTER_PI]
     assert len(ties) > 10
@@ -592,17 +600,28 @@ def _nearest(thresholds: np.ndarray, magnitudes) -> list[int]:
     return _nearest_states(*_state_bins(np.asarray(thresholds)), np.array(magnitudes, dtype=float)).tolist()
 
 
+def _judged(families: tuple[Family, ...], top: int, magnitudes: list[float]) -> None:
+    """The states that lockstep_synthesize and pick_state look the
+    magnitudes up to, among those up to top, are the brute-force nearest."""
+    table = _angle_table(families)
+    start = table.start(top)
+    config = SynthesisConfig(epsilon=1e-3, families=families, max_level=top)
+    want = [nearest_state(families, top, m) for m in magnitudes]
+    assert [table.plus[start + i][:2] for i in _nearest(table.thresholds[start:], magnitudes)] == want
+    assert [pick_state(m, config) for m in magnitudes] == want
+
+
 @pytest.mark.parametrize("top", [20, 32, 60, 150])
 @pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
 def test_the_thresholds_pick_the_nearest_state(families, top):
     """Looked up among the _AngleTable.thresholds of the states up to top,
     every threshold, every angle, the float neighbours of both and every
-    exact tie go to the state that _AngleTable.lookup picks.  The
-    thresholds strictly increase, one in each gap (lo, hi] between
-    neighbouring angles."""
+    exact tie go to the brute-force nearest state.  The thresholds
+    strictly increase, one in each gap (lo, hi] between neighbouring
+    angles."""
     table = _angle_table(families)
     start = table.start(top)
-    thresholds, angles = table.thresholds(start).tolist(), table.angles[start:-1]
+    thresholds, angles = table.thresholds[start:], table.angles[start:]
     assert len(thresholds) == len(angles) - 1
     assert all(lo < t <= hi for lo, t, hi in zip(angles, thresholds, angles[1:]))
     assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
@@ -611,15 +630,13 @@ def test_the_thresholds_pick_the_nearest_state(families, top):
     # the least magnitudes, and the greatest that a fold leaves (an ulp
     # above pi/4) and beyond
     probes += [0.0, 5e-324, QUARTER_PI, math.nextafter(QUARTER_PI, math.inf), math.pi]
-    assert _nearest(np.array(thresholds), probes) == [table.lookup(m, start) - start for m in probes]
+    _judged(families, top, probes)
     print(f"{len(families)} families to level {top}: {len(probes)} magnitudes looked up")
 
 
 @given(st.floats(0, QUARTER_PI), st.sampled_from(FAMILY_SUBSETS), st.integers(0, MAX_LEVEL))
 def test_the_thresholds_pick_the_nearest_state_of_any_magnitude(magnitude, families, top):
-    table = _angle_table(families)
-    start = table.start(top)
-    assert _nearest(table.thresholds(start), [magnitude]) == [table.lookup(magnitude, start) - start]
+    _judged(families, top, [magnitude])
 
 
 def test_each_state_bin_holds_at_most_one_threshold():
@@ -628,15 +645,20 @@ def test_each_state_bin_holds_at_most_one_threshold():
     bins, and first counts the thresholds below each bin, over every
     magnitude below 4.  Each gap's threshold depends on its own two
     neighbours only, so the caps' thresholds are suffixes of the whole
-    ladder's."""
+    ladder's: at three caps, the brute-force nearest state among the
+    cap's states turns from each gap's lower state to its upper one at
+    its threshold."""
     most = 0
     for families in FAMILY_SUBSETS:
         table = _angle_table(families)
-        every = table.thresholds(0)
+        every = np.array(table.thresholds)
         for top in range(MAX_LEVEL + 1):
             thresholds = every[table.start(top) :]
             if top in (0, 20, MAX_LEVEL - 1):
-                assert np.array_equal(thresholds, table.thresholds(table.start(top)))
+                states = [entry[:2] for entry in table.plus[table.start(top) :]]
+                lower = [nearest_state(families, top, math.nextafter(t, 0)) for t in thresholds.tolist()]
+                assert lower == states[:-1]
+                assert [nearest_state(families, top, t) for t in thresholds.tolist()] == states[1:]
             shift, first, sentinel = _state_bins(thresholds)
             bits = thresholds.view(np.int64)
             assert (np.diff(bits >> shift) > 0).all()
