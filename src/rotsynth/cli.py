@@ -101,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-min", type=float, default=study.DEFAULT_EPS_RANGE[0])
     p.add_argument("--eps-max", type=float, default=study.DEFAULT_EPS_RANGE[1])
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", help="write samples (csv) or fit summary (json)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -213,7 +212,6 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         args.trials,
         (args.eps_min, args.eps_max),
         seed=args.seed,
-        jobs=args.jobs,
     )
     print(f"scheme {args.scheme} samples {args.trials} seed {args.seed}")
     print(f"online  fit: ln C = {fit_on.intercept:+.4f} + {fit_on.slope:.4f} lnln(1/eps)")

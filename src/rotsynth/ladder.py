@@ -217,31 +217,32 @@ def _failure_layers(
             return layers, lost
 
 
-def climb_cost_laws(family: Family, top: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def climb_cost_laws(family: Family, top: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The law of the cost of a climb to each level 0..top in turn, as
-    (wholes, restarts, masses) per outcome: climb_walk bills it
-    wholes + (restarts + 1) * c for the family's base cost c, in that
-    order, and masses holds its probability.
+    (costs, masses) per outcome: costs holds climb_walk's bill of it in
+    raw-resource units, wholes + (restarts + 1) * c in that order for the
+    family's base cost c, and masses its probability.
 
     A climb to L with d downs and r level-0 restarts costs
     L + 2d + r + (r + 1) c, so one outcome per (d, r) with any mass, in the
     order of d, then r, with the whole part L + 2d + r.  For H (c = 1) the
     cost is L + 1 + 2(d + r): the law collapses to one outcome per d + r,
-    each restart counted as a down (whole part L + 2(d + r), restarts 0).
-    The climbs to _LAW_BLOCK levels at a time are solved together
-    (_failure_layers), which bounds what a solve holds.  Each law leaves
-    out less than CLIMB_LAW_CUT of its mass: the climbs still on their way,
-    those past the restart cut (raised from 32 in steps of 8 until so) and
-    the least likely outcomes dropped from the law each hold less than a
-    quarter of it.
+    each restart counted as a down.  The climbs to the levels of each block
+    1..8, 9..16, ... (_LAW_BLOCK levels, the last cut at MAX_LEVEL) are
+    solved together to the block's end (_failure_layers), which bounds what
+    a solve holds and makes each level's law independent of top.  Each law
+    leaves out less than CLIMB_LAW_CUT of its mass: the climbs still on
+    their way, those past the restart cut (raised from 32 in steps of 8
+    until so) and the least likely outcomes dropped from the law each hold
+    less than a quarter of it.
     """
     top = checked_level(top, "top")
     base = base_average_cost(family)
-    yield np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1)
-    probs = np.array(success_probs(family)[:top])
+    yield np.full(1, base), np.ones(1)
+    probs = np.array(success_probs(family))
     bound = CLIMB_LAW_CUT / 4
     for first in range(1, top + 1, _LAW_BLOCK):
-        tops = np.arange(first, min(first + _LAW_BLOCK, top + 1))
+        tops = np.arange(first, min(first + _LAW_BLOCK, MAX_LEVEL + 1))
         restarts = 0 if base == 1.0 else 32
         while True:
             layers, lost = _failure_layers(probs[: tops[-1]], tops, restarts, bound)
@@ -249,9 +250,10 @@ def climb_cost_laws(family: Family, top: int) -> Iterator[tuple[np.ndarray, np.n
                 break
             restarts += 8
         d, r = np.indices((len(layers), max(restarts, 1)))
-        for k, level in enumerate(tops.tolist()):
+        for k, level in enumerate(tops[tops <= top].tolist()):
             cells = np.array([layer[:, k] for layer in layers])  # [d, r]
             # the least likely outcomes, together below bound, are dropped
             ranked = np.sort(cells, axis=None)
             keep = cells >= ranked[np.searchsorted(np.cumsum(ranked), bound)]
-            yield (level + 2 * d + r)[keep], r[keep], cells[keep]
+            # climb_walk's bill, in its order: the integers, then the base states
+            yield (level + 2 * d + r)[keep] + (r[keep] + 1) * base, cells[keep]

@@ -4,19 +4,18 @@ Costs follow C ~ ln^c(1/eps), so clouds of (lnln(1/eps), ln C) points are
 fitted by ordinary least squares.  Published decomposition-cost fit lines are
 kept as frozen reference constants for the comparisons and crossover solves;
 they are data, never recomputed.  A scaling study runs all its samples in
-one numpy lockstep (synthesis.lockstep_synthesize) on counter streams, where
-sample i reads the draws of row i alone, so a study is reproducible
-bit-for-bit and parallelizes without affecting results; the fixed-angle
-study runs the scalar planners on generators derived from (seed, index);
-accumulations use exact summation so aggregation order cannot matter.
+one numpy lockstep (synthesis.lockstep_synthesize), in one process, on
+counter streams, where sample i reads the draws of row i alone, so a study
+is reproducible bit-for-bit and sample i does not depend on the sample
+count; the fixed-angle study runs the scalar planners on generators derived
+from (seed, index); accumulations use exact summation so aggregation order
+cannot matter.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-import os
-import random
 from dataclasses import asdict, dataclass
 from itertools import compress, repeat
 from typing import NamedTuple
@@ -28,7 +27,6 @@ from .seeding import COUNTER_LIMIT, counter_draws, counter_rows, counter_uniform
 from .synthesis import (
     TAU,
     SynthesisConfig,
-    SynthesisResult,
     lockstep_synthesize,
     min_online_synthesize,
     synthesize,
@@ -40,8 +38,6 @@ MIN_ONLINE = "min-online"
 SCHEMES = (H_ONLY, MULTI, MIN_ONLINE)
 
 DEFAULT_EPS_RANGE = (1e-12, 1e-4)
-# samples a pool worker takes at a time
-_CHUNK = 256
 
 
 class ScalingSample(NamedTuple):
@@ -88,46 +84,15 @@ def fit_loglog(points: list[tuple[float, float]]) -> ScalingFit:
     return ScalingFit(intercept, slope, n, math.sqrt(squares / n), slope_se)
 
 
-def _scheme_families(scheme: str) -> tuple[Family, ...]:
-    """The ladders a scheme draws from; the one check of a scheme's name."""
+def _scheme(scheme: str) -> tuple[tuple[Family, ...], bool]:
+    """The ladders a scheme draws from, and whether it synthesizes through
+    ancillas (min-online) rather than greedily; the one check of a
+    scheme's name."""
     if scheme == H_ONLY:
-        return (Family.H,)
+        return (Family.H,), False
     if scheme in (MULTI, MIN_ONLINE):
-        return ALL_FAMILIES
+        return ALL_FAMILIES, scheme == MIN_ONLINE
     raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def _synthesize_scheme(
-    scheme: str, target: float, epsilon: float, rng: random.Random
-) -> SynthesisResult:
-    """Run one synthesis under a scheme: greedy from the H ladder, greedy
-    from all four ladders, or ancilla-mediated from all four."""
-    config = SynthesisConfig(epsilon=epsilon, families=_scheme_families(scheme))
-    if scheme == MIN_ONLINE:
-        return min_online_synthesize(target, epsilon, config, rng)
-    return synthesize(target, config, rng)
-
-
-def _sample_block(args: tuple[str, float, float, int, int, int]) -> list[ScalingSample]:
-    """Samples first .. stop - 1 of a scaling study, in one lockstep."""
-    scheme, ln_lo, ln_hi, seed, first, stop = args
-    rows = np.arange(first, stop)
-    # (epsilon, target) draws are scheme-independent: studies of different
-    # schemes under one seed share their sample points, so scheme
-    # comparisons (e.g. crossovers) see paired designs.  math.exp, not
-    # numpy's, whose last bit may depend on the SIMD path
-    params = counter_uniforms(derive_seed(seed, "sample-params"), rows, 0, 2).tolist()
-    epsilons = [math.exp(ln_lo + (ln_hi - ln_lo) * u) for u, _ in params]
-    targets = [u * TAU for _, u in params]
-    streams = counter_rows(derive_seed(seed, "scaling", scheme), rows)
-    result = lockstep_synthesize(
-        targets,
-        epsilons,
-        _scheme_families(scheme),
-        lambda samples, start, count: counter_draws(streams.take(samples), start, count),
-        ancilla=scheme == MIN_ONLINE,
-    )
-    return list(map(ScalingSample, repeat(scheme), epsilons, targets, result.online.tolist(), result.offline.tolist()))
 
 
 def run_scaling_study(
@@ -144,12 +109,13 @@ def run_scaling_study(
     (seed, "sample-params") for its epsilon and target, and at tick t of
     the lockstep draws 2t (the climb) and 2t + 1 (the coin) of row i of
     the one keyed by (seed, "scaling", scheme).  Results are a pure
-    function of (scheme, n_samples, eps_range, seed), and sample i depends
-    on neither n_samples nor jobs: jobs > 1 maps blocks of _CHUNK samples
-    over a process pool.
+    function of (scheme, n_samples, eps_range, seed), and sample i does not
+    depend on n_samples.  The study runs as one lockstep in this process:
+    jobs is validated and has no effect.  It stays only because perfbench
+    passes it, and ROADMAP item 1's benchmark change deletes it.
     """
     n_samples, jobs = checked_integer(n_samples, "n_samples"), checked_integer(jobs, "jobs")
-    _scheme_families(scheme)
+    families, ancilla = _scheme(scheme)
     if n_samples < 2:
         raise ValueError("need at least two samples")
     if n_samples > COUNTER_LIMIT:  # refused before any array is sized by it
@@ -162,20 +128,26 @@ def run_scaling_study(
     if lo == hi:
         raise ValueError(f"eps_range holds one accuracy, {lo!r}: the fits need lo < hi")
     ln_lo, ln_hi = math.log(lo), math.log(hi)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        blocks = [(scheme, ln_lo, ln_hi, seed, i, min(i + _CHUNK, n_samples)) for i in range(0, n_samples, _CHUNK)]
-        # under fork the pool starts all its workers at once: no more of
-        # them than the cores and the blocks of samples
-        workers = min(jobs, os.cpu_count() or 1, len(blocks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            samples = [s for block in pool.map(_sample_block, blocks, chunksize=1) for s in block]
-    else:
-        samples = _sample_block((scheme, ln_lo, ln_hi, seed, 0, n_samples))
-    # the fits' points from the records' columns: a sample spent offline
-    # resources exactly when it consumed a state
-    _, epsilons, _, online, offline = zip(*samples)
+    rows = np.arange(n_samples)
+    # (epsilon, target) draws are scheme-independent: studies of different
+    # schemes under one seed share their sample points, so scheme
+    # comparisons (e.g. crossovers) see paired designs.  math.exp, not
+    # numpy's, whose last bit may depend on the SIMD path
+    params = counter_uniforms(derive_seed(seed, "sample-params"), rows, 0, 2).tolist()
+    epsilons = [math.exp(ln_lo + (ln_hi - ln_lo) * u) for u, _ in params]
+    targets = [u * TAU for _, u in params]
+    streams = counter_rows(derive_seed(seed, "scaling", scheme), rows)
+    result = lockstep_synthesize(
+        targets,
+        epsilons,
+        families,
+        lambda samples, start, count: counter_draws(streams.take(samples), start, count),
+        ancilla=ancilla,
+    )
+    online, offline = result.online.tolist(), result.offline.tolist()
+    samples = list(map(ScalingSample, repeat(scheme), epsilons, targets, online, offline))
+    # the fits' points from the columns: a sample spent offline resources
+    # exactly when it consumed a state
     consumed = [count > 0 for count in online]
     xs = [math.log(math.log(1 / epsilon)) for epsilon in compress(epsilons, consumed)]
     if len(xs) < 2:
@@ -296,14 +268,18 @@ def fixed_angle_study(
         raise ValueError("theta must lie in (0, 2*pi)")
     if (n_samples := checked_integer(n_samples, "n_samples")) < 1:
         raise ValueError("need at least one sample")
-    _scheme_families(scheme)  # also with no accuracies to run
+    families, ancilla = _scheme(scheme)  # also with no accuracies to run
     rows = []
     for eps_index, epsilon in enumerate(eps_list):
+        config = SynthesisConfig(epsilon=epsilon, families=families)
         total_on = []
         total_off = []
         for i in range(n_samples):
             rng = derive_rng(seed, "fixed", scheme, eps_index, i)
-            result = _synthesize_scheme(scheme, theta, epsilon, rng)
+            if ancilla:
+                result = min_online_synthesize(theta, epsilon, config, rng)
+            else:
+                result = synthesize(theta, config, rng)
             total_on.append(result.online_cost)
             total_off.append(result.offline_cost)
         rows.append(

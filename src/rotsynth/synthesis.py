@@ -345,14 +345,11 @@ def _law_end(masses: np.ndarray) -> int:
 def _climb_laws(families: tuple[Family, ...], top: int):
     """The climb cost laws (ladder.climb_cost_laws) of levels 0..top of
     the family set, family by family, as inverse_cdf_table segments, each
-    cut by _law_end, with a column of each outcome's cost as climb_walk
-    bills it."""
+    cut by _law_end, with its costs as the one column."""
     for family in families:
-        base = base_average_cost(family)
-        for wholes, restarts, masses in climb_cost_laws(family, top):
+        for costs, masses in climb_cost_laws(family, top):
             end = _law_end(masses)
-            # climb_walk's bill, in its order: the integers, then the base states
-            yield masses[:end], end, wholes[:end] + (restarts[:end] + 1) * base
+            yield masses[:end], end, costs[:end]
 
 
 @lru_cache(maxsize=8)

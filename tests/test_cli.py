@@ -339,14 +339,6 @@ def test_scaling_too_few_trials_is_usage_error(count, capsys):
     assert "--trials: must be at least 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_scaling_non_positive_jobs_is_usage_error(jobs, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([*_SCALING, "--trials", "10", "--jobs", jobs])
-    assert exc.value.code == 2
-    assert "--jobs: must be a positive integer" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "bounds", [("--eps-min", "0"), ("--eps-max", "2"), ("--eps-min", "1e-3", "--eps-max", "1e-5")]
 )

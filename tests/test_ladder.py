@@ -466,7 +466,7 @@ def test_the_lockstep_tables_keep_each_law_in_its_segment():
     top = 40
     tables = _lockstep_tables(ALL_FAMILIES, top)
     assert (np.diff(tables.keys) >= 0).all()
-    first = {f: [w[0] + (r[0] + 1) * base_average_cost(f) for w, r, _ in climb_cost_laws(f, top)] for f in ALL_FAMILIES}
+    first = {f: [costs[0] for costs, _ in climb_cost_laws(f, top)] for f in ALL_FAMILIES}
     states = _angle_table(ALL_FAMILIES).plus[tables.start :]
     drawn = _climb_costs(tables, np.arange(len(states)), np.zeros(len(states), np.uint64))
     assert drawn.tolist() == [first[f][level] for f, level, _ in states]
@@ -477,19 +477,30 @@ def test_climb_cost_laws_are_the_failure_law(family, level):
     """Each tabulated law, billed as climb_walk bills, holds every cost of
     the failure law within 1e-15 of its mass, loses less than
     CLIMB_LAW_CUT (to rounding), and its mean is the walk solve's expected
-    cost within 1e-12 relative, both as the top level of its solve and
-    below it."""
-    base = base_average_cost(family)
-    laws = [list(climb_cost_laws(family, top))[level] for top in (level, level + 3)]
-    for wholes, restarts, masses in laws:
-        costs = (wholes + (restarts + 1) * base).tolist()
-        assert len(set(costs)) == len(costs)
-        law = dict(zip(costs, masses.tolist()))
-        want = climb_cost_law(family, level)
-        assert max(abs(law.get(c, 0.0) - p) for c, p in want.items()) < 1e-15
-        assert 1 - math.fsum(law.values()) < CLIMB_LAW_CUT + 1e-15
-        mean = math.fsum(c * p for c, p in law.items())
-        assert mean == pytest.approx(expected_climb_cost(family, level), rel=1e-12, abs=0)
+    cost within 1e-12 relative."""
+    *_, (costs, masses) = climb_cost_laws(family, level)
+    costs = costs.tolist()
+    assert len(set(costs)) == len(costs)
+    law = dict(zip(costs, masses.tolist()))
+    want = climb_cost_law(family, level)
+    assert max(abs(law.get(c, 0.0) - p) for c, p in want.items()) < 1e-15
+    assert 1 - math.fsum(law.values()) < CLIMB_LAW_CUT + 1e-15
+    mean = math.fsum(c * p for c, p in law.items())
+    assert mean == pytest.approx(expected_climb_cost(family, level), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_each_climb_law_is_independent_of_the_top(family):
+    """The laws up to any top are the first top + 1 laws up to 40, outcome
+    for outcome: every level is solved with its whole block of levels,
+    whichever top cuts the block, so the lockstep's cost draws do not
+    depend on the finest accuracy of their batch."""
+    deep = list(climb_cost_laws(family, 40))
+    for top in range(1, 41):
+        laws = list(climb_cost_laws(family, top))
+        assert len(laws) == top + 1
+        for (costs, masses), (want_costs, want_masses) in zip(laws, deep):
+            assert np.array_equal(costs, want_costs) and np.array_equal(masses, want_masses)
 
 
 def test_expected_cost_increases_with_level():
