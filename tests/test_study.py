@@ -133,16 +133,31 @@ def test_run_scaling_study_deterministic():
     assert c[0] != a[0]
 
 
-def test_jobs_start_no_pool_and_change_nothing(monkeypatch):
-    """jobs is validated and has no effect: jobs=4 runs the study in this
-    process and gives the jobs=1 samples and fits."""
+def test_run_scaling_study_jobs_do_not_change_results():
+    serial = run_scaling_study(MULTI, 300, seed=7, jobs=1)
+    parallel = run_scaling_study(MULTI, 300, seed=7, jobs=2)
+    assert serial[0] == parallel[0]
+    assert serial[1] == parallel[1]
+
+
+@pytest.mark.parametrize(
+    "jobs, cores, n_samples",
+    [(5000, 2, 2), (5000, 64, 769), (3, 64, 600), (8, 2, 600), (4, None, 600), (2, 8, 257)],
+)
+def test_jobs_start_no_pool_and_change_nothing(jobs, cores, n_samples, monkeypatch):
+    """jobs is validated and has no effect: whatever jobs, the machine's
+    core count and the sample count, the study runs in this process and
+    gives the jobs=1 samples and fits."""
     import concurrent.futures
+    import os
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
+    want = run_scaling_study(H_ONLY, n_samples, seed=7, jobs=1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert run_scaling_study(MULTI, 600, seed=7, jobs=4) == run_scaling_study(MULTI, 600, seed=7, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert run_scaling_study(H_ONLY, n_samples, seed=7, jobs=jobs) == want
 
 
 def test_run_scaling_study_eps_range_respected():
