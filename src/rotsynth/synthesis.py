@@ -15,7 +15,9 @@ synthesize and min_online_synthesize compile one rotation at a time, each
 climb walked merge by merge on a random.Random.  lockstep_synthesize runs
 the same planner over many samples at once in numpy, drawing each climb's
 cost from its exact law by inverse CDF, with one 53-bit draw per climb and
-one per coin from a caller's counter stream.
+one per coin from a caller's counter stream.  Once only a few samples are
+left, it runs their ticks on in plain Python, with the same arithmetic on
+the same draws, so the bytes are the same.
 """
 from __future__ import annotations
 
@@ -281,6 +283,8 @@ def min_online_synthesize(
 _HALF = 2**52
 # lockstep_synthesize asks for the draws of this many ticks at a time
 _BLOCK_TICKS = 8
+# and hands its samples to _finish once this many or fewer still run
+_TAIL = 16
 
 
 class _LockstepTables(NamedTuple):
@@ -383,24 +387,93 @@ def _climb_costs(tables: _LockstepTables, states: np.ndarray, bits: np.ndarray) 
 
 
 def _bill_climbs(tables: _LockstepTables, bill: np.ndarray, log: list, stride: int) -> np.ndarray:
-    """Draw the costs of the climbs that the logged ticks' planner steps
-    consumed, in one _climb_costs call, and add them in tick order into
-    bill, flat over (round, sample) with stride samples a round; returns
-    bill, grown by zero rounds where the log reaches a new one, and
-    empties the log.  np.add.at is unbuffered and adds in index order, so
-    each cell is ((0 + c1) + c2) + ... of its climbs, tick by tick."""
+    """Draw the costs of the logged climbs, in one _climb_costs call, and
+    add them in log order into bill, flat over (round, sample) with stride
+    samples a round; returns bill, grown by zero rounds where the log
+    reaches a new one, and empties the log.  Each log entry holds the
+    samples, states and climb draws of one tick's planner steps (or of
+    _finish's), and with ancilla their rounds.  np.add.at is unbuffered and
+    adds in index order, so each cell is ((0 + c1) + c2) + ... of its
+    climbs, tick by tick."""
     if not log:
         return bill
-    dest, states, steps, bits, *rounds = map(np.concatenate, zip(*log))
+    cells, states, bits, *rounds = map(np.concatenate, zip(*log))
     log.clear()
-    cells = dest[steps]
     if rounds:
-        cells += rounds[0][steps].astype(np.intp) * stride
+        cells += rounds[0].astype(np.intp) * stride
         needed = (int(cells.max(initial=0)) // stride + 1) * stride
         if needed > len(bill):
             bill = np.concatenate((bill, np.zeros(needed - len(bill))))
-    np.add.at(bill, cells, _climb_costs(tables, states[steps], bits[steps]))
+    np.add.at(bill, cells, _climb_costs(tables, states, bits))
     return bill
+
+
+def _finish(
+    tables: _LockstepTables,
+    families: tuple[Family, ...],
+    tick: int,
+    stragglers: list[tuple],
+    draws: Callable[[np.ndarray, int, int], np.ndarray],
+    ancilla: bool,
+    trace: list | None,
+    outputs: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, ...]:
+    """lockstep_synthesize's ticks from the nearest-state lookup of tick
+    on, in plain Python, for its last few samples: each straggler is its
+    entry's (sample, row, folded residual, accuracy, corrections, online
+    count, round under way, rotation the round started from, the block's
+    climb draws, its coins' tails), in sample order.  Each sample's
+    residual, corrections and online count go into outputs as it finishes;
+    returns the log entry of the climbs, which the caller bills."""
+    table = _angle_table(families)
+    thresholds, angles, start = table.thresholds, table.angles, tables.start
+    residuals, corrections, online = outputs
+    dests, states, bits, rounds = [], [], [], []
+    while stragglers:
+        column = tick % _BLOCK_TICKS
+        running, since = [], len(dests)
+        for dest, row, r, eps, corr, on, rnd, remaining, climbs, tails in stragglers:
+            m = abs(r)
+            step = m > eps
+            j = bisect_right(thresholds, m, start)
+            tail = tails[column]
+            if not ancilla:
+                on += 1
+            elif rnd and not step:
+                # the round ends, and on tails goes on from 2 remaining - r
+                on += 1
+                if tail:
+                    r = 2 * remaining - r
+                rnd = False
+            elif step and not rnd:
+                remaining = r
+                rnd = True
+            if step:
+                dests.append(dest)
+                states.append(j - start)
+                bits.append(climbs[column])
+                rounds.append(on)
+            r -= (-angles[j] if tail else angles[j]) * step
+            # the next tick's fold: np.rint keeps the sign of a zero
+            x = r / HALF_PI
+            k = math.copysign(round(x), x)
+            r -= k * HALF_PI
+            up = r <= -QUARTER_PI
+            r += up * HALF_PI
+            corr += abs(k - up)
+            if abs(r) > eps or rnd:
+                running.append((dest, row, r, eps, corr, on, rnd, remaining, climbs, tails))
+            else:
+                residuals[dest], corrections[dest], online[dest] = r, corr, on
+        if trace is not None:
+            trace.append((np.array(dests[since:], np.intp), np.array(states[since:], np.intp) + start))
+        stragglers = running
+        tick += 1
+        if stragglers and not tick % _BLOCK_TICKS:
+            block = draws(np.array([s[1] for s in stragglers]), 2 * tick, 2 * _BLOCK_TICKS).tolist()
+            stragglers = [(*s[:8], b[::2], [c >= _HALF for c in b[1::2]]) for s, b in zip(stragglers, block)]
+    logged = (np.array(dests, np.intp), np.array(states, np.intp), np.array(bits, np.uint64))
+    return (*logged, np.array(rounds)) if ancilla else logged
 
 
 class LockstepResult(NamedTuple):
@@ -433,9 +506,12 @@ def lockstep_synthesize(
     random() < 0.5): a planner step then subtracts the state's rotation,
     and an ancilla round succeeds.  Every tick before a sample's last reads
     its coin, in the order the scalar planners flip theirs.  The draws are
-    asked for _BLOCK_TICKS ticks at a time, so a sample may be read ahead
-    of its last tick, up to the end of its block, and its coins are
-    compared with 2^52 once a block.
+    asked for _BLOCK_TICKS ticks at a time, each sample's row once a block
+    while it runs: the rows of the samples still running at the block's
+    first tick (the numpy loop also asks for those that the tick finds
+    done).  So a sample may be read ahead of its last tick, up to the end
+    of its block but never past it, and its coins are compared with 2^52
+    once a block.
 
     Each tick folds every running residual, as reduce_by_clifford does:
     np.fmod by TAU then one TAU back into [-pi, pi], which is
@@ -459,15 +535,29 @@ def lockstep_synthesize(
     batch.  trace, if given, gets one (samples, states) pair of arrays per
     tick: the _AngleTable index of the state each planner step consumed.
 
+    Once at most _TAIL samples still run at a tick, the numpy loop stops
+    after its fold and _finish runs the rest of that tick and the next ones
+    for those samples in plain Python, in sample order: a numpy tick costs
+    tens of microseconds at any width, a sample's tick in Python about one.
+    _finish takes each sample's entry as Python floats and does the same
+    IEEE operations on them in the same order, each correctly rounded as
+    numpy's: round() for np.rint (half to even, with np.rint's -0.0 kept by
+    copysign), bisect_right over the same thresholds for _nearest_states,
+    the coin's 53-bit draw against 2^52, the same ancilla rounds and the
+    same unmasked r -= signed angle * step.  It asks draws for its own rows
+    a block at a time, appends one trace pair per tick and logs its climbs
+    for the same billing, so no byte depends on _TAIL.
+
     The residual's path never reads a climb's cost, so a tick only logs
-    its steps (and with ancilla the round each belongs to), and the
-    climbs are billed a block at a time: when the block's draws are
-    replaced, and after the last tick, one _climb_costs call draws the
-    logged climbs' costs and np.add.at adds them in tick order into one
-    bill per (round, sample).  offline then sums each sample's rounds in
-    round order, so it is ((0 + c1) + c2) + ... tick by tick for the
-    greedy planner, and the sum of the in-round sums, round by round, as
-    min_online_synthesize bills, with ancilla.
+    its steps' samples, states and climb draws (and with ancilla the round
+    each belongs to), and the climbs are billed a block at a time: when
+    the block's draws are replaced, and after the last tick, one
+    _climb_costs call draws the logged climbs' costs and np.add.at adds
+    them in tick order into one bill per (round, sample).  offline then
+    sums each sample's rounds in round order, so it is
+    ((0 + c1) + c2) + ... tick by tick for the greedy planner, and the sum
+    of the in-round sums, round by round, as min_online_synthesize bills,
+    with ancilla.
 
     The updates are unmasked: an entry that does not step (or fold up)
     adds or subtracts a signed zero, and that leaves a residual's bytes
@@ -531,11 +621,18 @@ def lockstep_synthesize(
     # to an array on every call, which costs a narrow tick's operation about
     # as much again, and the IEEE results are the same
     half_pi, low, half = np.array(HALF_PI), np.array(-QUARTER_PI), np.array(_HALF, np.uint64)
+    # the entries whose samples ran at the last tick: the draws of a
+    # block are asked for theirs alone, and the others read zeros
+    running = dest < n
     for tick in itertools.count():
         column = tick % _BLOCK_TICKS
         if not column:
+            # the last block's arrays go before its climbs are billed and
+            # the next block is drawn
+            block = climbs = flips = turns = None
             bill = _bill_climbs(tables, bill, log, n + 1)
-            block = draws(rows, 2 * tick, 2 * _BLOCK_TICKS)
+            block = np.zeros((width, 2 * _BLOCK_TICKS), np.uint64)
+            block[running] = draws(rows[running], 2 * tick, 2 * _BLOCK_TICKS)
             # the block's climbs and coins, and per coin the offset of its
             # rotation in signed
             climbs, flips = block[:, ::2], block[:, 1::2] >= half
@@ -549,37 +646,47 @@ def lockstep_synthesize(
         steps = m > eps
         running = steps | rounds if ancilla else steps
         live = int(np.count_nonzero(running))
-        if 2 * live <= len(dest):
+        if live <= _TAIL or 2 * live <= width:
             residuals[dest], corrections[dest], online[dest] = r, corr, on
-            if not live:
+            if live <= _TAIL:
+                # the stragglers, each as _finish takes it
+                at = np.flatnonzero(running)
+                entries = (dest, rows, r, eps, corr, on, rounds, remaining, climbs, flips)
+                stragglers = list(zip(*(x.take(at, axis=0).tolist() for x in entries)))
+                outputs = residuals, corrections, online
+                log.append(_finish(tables, config.families, tick, stragglers, draws, ancilla, trace, outputs))
                 break
             # the running entries first, in order, then as many others
-            keep = np.argsort(~running, kind="stable")[: 1 << (live - 1).bit_length()]
-            entries = (dest, rows, r, m, eps, corr, on, rounds, remaining, steps, climbs, flips, turns)
-            dest, rows, r, m, eps, corr, on, rounds, remaining, steps, climbs, flips, turns = (
-                x.take(keep, axis=0) for x in entries
+            width = 1 << (live - 1).bit_length()
+            keep = np.argsort(~running, kind="stable")[:width]
+            # (no name holds the old arrays, which go with the tuple)
+            dest, rows, r, m, eps, corr, on, rounds, remaining, steps, running, climbs, flips, turns = (
+                x.take(keep, axis=0)
+                for x in (dest, rows, r, m, eps, corr, on, rounds, remaining, steps, running, climbs, flips, turns)
             )
         i = _nearest_states(shift, first, thresholds, m)
         if ancilla:
             # a round ends: its ancilla carried remaining - r, so heads
             # leaves r, which the next tick finishes, and tails 2 remaining - r
             ends = rounds & ~steps
-            # a fresh array, logged as the round of this tick's steps
-            on = on + ends
+            on += ends
             starts = steps & ~rounds
             rounds = steps
             np.subtract(2 * remaining, r, out=r, where=ends & flips[:, column])
             np.copyto(remaining, r, where=starts)
-            log.append((dest, i, steps, climbs[:, column], on))
         else:
             on += steps
-            log.append((dest, i, steps, climbs[:, column]))
+        # the steps alone, and with ancilla their round
+        stepped = np.flatnonzero(steps)
+        step_dest, step_states = dest.take(stepped), i.take(stepped)
+        logged = (step_dest, step_states, climbs[:, column].take(stepped))
+        log.append((*logged, on.take(stepped)) if ancilla else logged)
         # heads subtracts the state's rotation, tails adds it; an entry
         # that does not step subtracts a signed zero, which leaves its
         # residual's bytes as they are (see the docstring)
         r -= signed.take(i + turns[:, column]) * steps
         if trace is not None:
-            trace.append((dest[steps], i[steps] + tables.start))
+            trace.append((step_dest, step_states + tables.start))
     offline = np.zeros(n + 1)
     # the rounds' bills in round order, as min_online_synthesize adds them
     for bills in _bill_climbs(tables, bill, log, n + 1).reshape(-1, n + 1):

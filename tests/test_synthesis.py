@@ -769,6 +769,10 @@ def test_the_lockstep_replays_the_ancilla_rounds(families, monkeypatch):
     print(f"{len(families)} families: {sum(map(len, coins))} coins replayed")
 
 
+# targets on the quarter turns' edges, at a fine accuracy
+_EDGES = [(t, 1e-9) for t in (0.0, -0.0, QUARTER_PI, -QUARTER_PI, 2 * QUARTER_PI, -2 * QUARTER_PI, math.pi, -math.pi)]
+
+
 @pytest.mark.parametrize("ancilla", [False, True], ids=["greedy", "ancilla"])
 @pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
 def test_the_lockstep_bills_each_climb_in_tick_order(families, ancilla):
@@ -778,8 +782,7 @@ def test_the_lockstep_bills_each_climb_in_tick_order(families, ancilla):
     a tick before the sample's last that the trace misses ends, adding it
     to offline.  The samples are _replay_samples' and the targets on the
     quarter turns' edges."""
-    edges = [0.0, -0.0, QUARTER_PI, -QUARTER_PI, 2 * QUARTER_PI, -2 * QUARTER_PI, math.pi, -math.pi]
-    samples = _replay_samples(families) + [(target, 1e-9) for target in edges]
+    samples = _replay_samples(families) + _EDGES
     targets, epsilons = map(np.array, zip(*samples))
     streams = counter_rows(derive_seed(7, "bill", len(families)), np.arange(len(samples)))
     trace = []
@@ -815,3 +818,112 @@ def test_the_lockstep_bills_each_climb_in_tick_order(families, ancilla):
     if ancilla:
         assert max(lockstep.online.tolist()) >= 3
     print(f"{len(families)} families: {sum(steps)} climbs billed, up to {max(steps)} a sample")
+
+
+# a _TAIL at or above every sample count here: the lockstep hands every
+# sample to _finish once the first tick has folded it
+_EVERY = 10**9
+
+
+@pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
+def test_the_finisher_alone_replays_the_planner(families, monkeypatch):
+    monkeypatch.setattr(synthesis, "_TAIL", _EVERY)
+    test_the_lockstep_replays_the_planner(families)
+
+
+@pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
+def test_the_finisher_alone_replays_the_ancilla_rounds(families, monkeypatch):
+    monkeypatch.setattr(synthesis, "_TAIL", _EVERY)
+    test_the_lockstep_replays_the_ancilla_rounds(families, monkeypatch)
+
+
+@pytest.mark.parametrize("ancilla", [False, True], ids=["greedy", "ancilla"])
+@pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
+def test_the_finisher_alone_bills_each_climb_in_tick_order(families, ancilla, monkeypatch):
+    monkeypatch.setattr(synthesis, "_TAIL", _EVERY)
+    test_the_lockstep_bills_each_climb_in_tick_order(families, ancilla)
+
+
+def _on_counter_draws(families, samples, ancilla, calls=None):
+    """lockstep_synthesize of the samples on counter draws, and its trace;
+    calls, if given, gets each draws call's (rows, start, count)."""
+    targets, epsilons = map(np.array, zip(*samples))
+    streams = counter_rows(derive_seed(8, "tail", len(families)), np.arange(len(samples)))
+
+    def draws(rows, start, count):
+        if calls is not None:
+            calls.append((rows.tolist(), start, count))
+        return counter_draws(streams.take(rows), start, count)
+
+    trace = []
+    return lockstep_synthesize(targets, epsilons, families, draws, ancilla=ancilla, trace=trace), trace
+
+
+@pytest.mark.parametrize("ancilla", [False, True], ids=["greedy", "ancilla"])
+@pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
+def test_the_finisher_changes_no_byte(families, ancilla, monkeypatch):
+    """Handing the last samples to _finish at none of them, at _TAIL's
+    default, or at every one gives the same bytes of all four
+    LockstepResult arrays, and the same trace, tick by tick, on the
+    samples of _replay_samples and the targets on the quarter turns'
+    edges."""
+    samples = _replay_samples(families) + _EDGES
+    finish, handoffs, default = synthesis._finish, [], synthesis._TAIL
+
+    def spy(tables, families, tick, stragglers, *rest):
+        handoffs.append((tick, len(stragglers)))
+        return finish(tables, families, tick, stragglers, *rest)
+
+    monkeypatch.setattr(synthesis, "_finish", spy)
+    runs = {}
+    for tail in (0, default, len(samples)):
+        monkeypatch.setattr(synthesis, "_TAIL", tail)
+        runs[tail] = _on_counter_draws(families, samples, ancilla)
+    (_, (numpy, numpy_trace)), *others = runs.items()
+    for tail, (result, trace) in others:
+        for want, got in zip(numpy, result):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), tail
+        assert len(trace) == len(numpy_trace), tail
+        for tick, (want, got) in enumerate(zip(numpy_trace, trace)):
+            for a, b in zip(want, got):
+                assert b.dtype == a.dtype and b.tobytes() == a.tobytes(), (tail, tick)
+    # none is handed over at the end of the numpy loop, a few on the way,
+    # and all that the first tick leaves running at once
+    (last, none), (tick, few), (first, every) = handoffs
+    assert none == 0 and last == len(numpy_trace)
+    assert 0 < few <= default and 0 < tick < last
+    assert first == 0 and every > default
+    print(f"{len(families)} families: {few} samples handed over at tick {tick} of {last}")
+
+
+@pytest.mark.parametrize("ancilla", [False, True], ids=["greedy", "ancilla"])
+@pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
+def test_each_draw_block_is_asked_for_once_and_only_while_its_sample_runs(families, ancilla):
+    """Every draws call, in the numpy loop and in _finish alike, asks for
+    one whole aligned block of _BLOCK_TICKS ticks, the blocks in turn, each
+    sample's row once: the rows of the samples still running at the
+    block's first tick, and perhaps of those that end at it, whose draws
+    go unread.  No row is asked for after its sample's last tick, at which
+    the fold finds it done."""
+    samples = _replay_samples(families) + _EDGES
+    calls = []
+    lockstep, trace = _on_counter_draws(families, samples, ancilla, calls)
+    # every tick before a sample's last steps or ends a round
+    steps = _steps(trace, len(samples))
+    last = [s + o for s, o in zip(steps, lockstep.online.tolist())] if ancilla else steps
+    block = 2 * synthesis._BLOCK_TICKS
+    assert [start for _, start, _ in calls] == list(range(0, block * len(calls), block))
+    assert {count for *_, count in calls} == {block}
+    for rows, start, _ in calls:
+        tick = start // 2
+        assert len(set(rows)) == len(rows)
+        assert all(last[row] >= tick for row in rows)
+        assert {row for row, end in enumerate(last) if end > tick} <= set(rows)
+    # the blocks of every tick that reads draws, and perhaps the one that
+    # starts at the last sample's last tick
+    assert (max(last) - 1) // synthesis._BLOCK_TICKS <= len(calls) - 1 <= max(last) // synthesis._BLOCK_TICKS
+    # the numpy loop asks for more rows than _finish takes, and _finish
+    # asks for its own
+    widths = [len(rows) for rows, *_ in calls]
+    assert widths[0] == len(samples) and min(widths) <= synthesis._TAIL
+    print(f"{len(families)} families: rows asked for per block {widths}")
