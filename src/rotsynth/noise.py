@@ -53,7 +53,7 @@ import numpy as np
 from .ladder import MAX_LEVEL, TAN_THETA0, Family, checked_integer, checked_level, ladder_angle
 from .qcore import DensityMatrix, dm_from_bloch
 from .seeding import COUNTER_LIMIT, counter_bits, derive_seed, inverse_cdf_picks, inverse_cdf_table
-from .study import fit_loglog
+from .study import fit_columns
 
 # a passage keeps the terms of its law until the mass beyond them is below this
 _LAW_TAIL = 2.0**-60
@@ -435,8 +435,8 @@ def fit_exponential_decay(points: list[tuple[int, float]]) -> DecayFit:
     for _, d in points:
         if d <= 0:
             raise ValueError("distances must be positive")
-    fit = fit_loglog([(float(lvl), math.log(d)) for lvl, d in points])
     levels = [lvl for lvl, _ in points]
+    (fit,) = fit_columns(levels, [math.log(d) for _, d in points])
     return DecayFit(
         prefactor=math.exp(fit.intercept),
         base=math.exp(-fit.slope),

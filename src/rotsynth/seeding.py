@@ -36,8 +36,9 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _ULP = np.float64(2.0**-53)
-# an inverse-CDF table's guide has a slot per 2^-GUIDE_BITS of a segment's draws
-GUIDE_BITS = 8
+# an inverse-CDF table's guide has a slot per 2^-GUIDE_BITS of a segment's
+# draws, each an int32 outcome index
+GUIDE_BITS = 10
 # its running sums count units of 2^-1074, the least float
 _UNITS = 2**1074
 
@@ -153,13 +154,14 @@ def inverse_cdf_table(laws) -> tuple[np.ndarray, ...]:
     the one with cdf[j - 1] <= u * 2^-53 < cdf[j].  Slot
     (s << GUIDE_BITS) + k of the guide holds the outcome that every draw
     of slot k of segment s (u >> (53 - GUIDE_BITS) == k) picks, or -1
-    where a key splits the slot or its outcome is not guided.  Every cdf
+    where a key splits the slot or its outcome is not guided (int32, as
+    no table holds 2^31 outcomes).  Every cdf
     is an exact running sum in units of 2^-1074, rounded once, so the
     bytes depend on nothing but the masses.  Each law is written as it
     comes onto the ends of the arrays, which grow in place, so the laws
     may be solved one at a time without holding them all.
     """
-    keys, guide, columns = np.empty(0, np.int64), np.empty(0, np.intp), []
+    keys, guide, columns = np.empty(0, np.int64), np.empty(0, np.int32), []
     for segment, (masses, guided, *values) in enumerate(laws):
         own = _segment_keys(masses, segment)
         slots = (np.arange(2**GUIDE_BITS + 1, dtype=np.int64) + (segment << GUIDE_BITS)) << (53 - GUIDE_BITS)

@@ -17,7 +17,8 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import compress, repeat
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -60,28 +61,46 @@ class ScalingFit:
     slope_se: float
 
 
-def fit_loglog(points: list[tuple[float, float]]) -> ScalingFit:
-    """Ordinary least squares of y on x, with the closed-form standard error
-    of the slope: the scaling fits pass (lnln(1/eps), ln C) points, the
-    noise decay fit (level, ln distance)."""
-    n = len(points)
+def fit_columns(xs, *ys) -> tuple[ScalingFit, ...]:
+    """Ordinary least squares of each column of ys on xs, with the
+    closed-form standard error of the slope: the scaling fits pass
+    lnln(1/eps) and ln C, the noise decay fit level and ln distance.
+
+    The x side (mean, deviations, Sxx) is taken once for every column.
+    Differences and products run in numpy, whose + - * / are the IEEE
+    operations of Python floats; squares stay Python's pow (numpy squares
+    by multiplication, which differs from pow in the last bit of some
+    doubles) and sums math.fsum, so each fit is the bytes of the same
+    formulas taken point by point in Python floats."""
+    xs = np.asarray(xs, dtype=float)
+    columns = [np.asarray(y, dtype=float) for y in ys]
+    n = len(xs)
+    if any(y.shape != xs.shape for y in columns):
+        raise ValueError("need one y per x in every column")
     if n < 2:
         raise ValueError("need at least two points")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    if not all(map(math.isfinite, xs + ys)):
+    if not all(np.isfinite(c).all() for c in (xs, *columns)):
         raise ValueError("points must be finite")
-    xbar = math.fsum(xs) / n
-    ybar = math.fsum(ys) / n
-    sxx = math.fsum((x - xbar) ** 2 for x in xs)
+    xbar = math.fsum(xs.tolist()) / n
+    dx = xs - xbar
+    sxx = math.fsum(map(pow, dx.tolist(), repeat(2)))
     if sxx <= 0:
         raise ValueError("x values are degenerate")
-    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = ybar - slope * xbar
-    squares = math.fsum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
-    slope_se = math.sqrt(squares / (n - 2) / sxx) if n > 2 else math.nan
-    return ScalingFit(intercept, slope, n, math.sqrt(squares / n), slope_se)
+    fits = []
+    for y in columns:
+        ybar = math.fsum(y.tolist()) / n
+        slope = math.fsum((dx * (y - ybar)).tolist()) / sxx
+        intercept = ybar - slope * xbar
+        squares = math.fsum(map(pow, ((y - intercept) - slope * xs).tolist(), repeat(2)))
+        slope_se = math.sqrt(squares / (n - 2) / sxx) if n > 2 else math.nan
+        fits.append(ScalingFit(intercept, slope, n, math.sqrt(squares / n), slope_se))
+    return tuple(fits)
+
+
+def fit_loglog(points: list[tuple[float, float]]) -> ScalingFit:
+    """fit_columns of one column, from (x, y) points, for the benchmark
+    scripts that fit pooled points."""
+    return fit_columns(*zip(*points) if points else ((), ()))[0]
 
 
 def _scheme(scheme: str) -> tuple[tuple[Family, ...], bool]:
@@ -131,11 +150,12 @@ def run_scaling_study(
     rows = np.arange(n_samples)
     # (epsilon, target) draws are scheme-independent: studies of different
     # schemes under one seed share their sample points, so scheme
-    # comparisons (e.g. crossovers) see paired designs.  math.exp, not
-    # numpy's, whose last bit may depend on the SIMD path
-    params = counter_uniforms(derive_seed(seed, "sample-params"), rows, 0, 2).tolist()
-    epsilons = [math.exp(ln_lo + (ln_hi - ln_lo) * u) for u, _ in params]
-    targets = [u * TAU for _, u in params]
+    # comparisons (e.g. crossovers) see paired designs.  The columns run
+    # in numpy as far as + - * /, and each exp and log in math, not numpy,
+    # whose last bit may depend on the SIMD path
+    params = counter_uniforms(derive_seed(seed, "sample-params"), rows, 0, 2)
+    epsilons = np.array(list(map(math.exp, (ln_lo + (ln_hi - ln_lo) * params[:, 0]).tolist())))
+    targets = params[:, 1] * TAU
     streams = counter_rows(derive_seed(seed, "scaling", scheme), rows)
     result = lockstep_synthesize(
         targets,
@@ -144,19 +164,23 @@ def run_scaling_study(
         lambda samples, start, count: counter_draws(streams.take(samples), start, count),
         ancilla=ancilla,
     )
-    online, offline = result.online.tolist(), result.offline.tolist()
-    samples = list(map(ScalingSample, repeat(scheme), epsilons, targets, online, offline))
+    # the records built at C speed, as ScalingSample._make builds them
+    columns = epsilons.tolist(), targets.tolist(), result.online.tolist(), result.offline.tolist()
+    samples = list(map(partial(tuple.__new__, ScalingSample), zip(repeat(scheme), *columns)))
     # the fits' points from the columns: a sample spent offline resources
     # exactly when it consumed a state
-    consumed = [count > 0 for count in online]
-    xs = [math.log(math.log(1 / epsilon)) for epsilon in compress(epsilons, consumed)]
-    if len(xs) < 2:
+    consumed = np.flatnonzero(result.online)
+    if len(consumed) < 2:
         raise ValueError(
-            f"{len(xs)} of {n_samples} samples consumed a state, and the fits need two: a target"
+            f"{len(consumed)} of {n_samples} samples consumed a state, and the fits need two: a target"
             " within its epsilon once the free quarter turns are folded out consumes none"
         )
-    fit_online = fit_loglog(list(zip(xs, map(math.log, compress(online, consumed)))))
-    fit_offline = fit_loglog(list(zip(xs, map(math.log, compress(offline, consumed)))))
+    xs = list(map(math.log, map(math.log, (1 / epsilons.take(consumed)).tolist())))
+    online = result.online.take(consumed)
+    # ln of each online count, read from a table of the counts' logs
+    ln_counts = np.array([0.0, *map(math.log, range(1, int(online.max()) + 1))])
+    ln_offline = list(map(math.log, result.offline.take(consumed).tolist()))
+    fit_online, fit_offline = fit_columns(xs, ln_counts.take(online), ln_offline)
     return samples, fit_online, fit_offline
 
 

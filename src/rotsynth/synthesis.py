@@ -534,6 +534,8 @@ def lockstep_synthesize(
     draws, so a sample's result does not depend on the others in the
     batch.  trace, if given, gets one (samples, states) pair of arrays per
     tick: the _AngleTable index of the state each planner step consumed.
+    targets and epsilons are read, never written: float64 arrays are not
+    copied.
 
     Once at most _TAIL samples still run at a tick, the numpy loop stops
     after its fold and _finish runs the rest of that tick and the next ones
@@ -567,8 +569,8 @@ def lockstep_synthesize(
     step up from <= -pi/4 leaves a positive residual, and an ancilla
     round's 2 remaining - r starts from remaining, a folded residual.
     """
-    targets = np.array(targets, dtype=float)
-    eps = np.array(epsilons, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    eps = np.asarray(epsilons, dtype=float)
     if targets.ndim != 1:
         raise ValueError(f"targets must be one-dimensional, got shape {targets.shape}")
     if eps.shape != targets.shape:
@@ -599,17 +601,21 @@ def lockstep_synthesize(
     # that is not running is folded and within its accuracy, so every tick
     # leaves it as it is.
     width = 1 << (n - 1).bit_length()
-    pad = (0, width - n)
-    dest, rows = np.pad(np.arange(n), pad, constant_values=n), np.pad(np.arange(n), pad)
+    rows = np.arange(width)
+    dest = np.minimum(rows, n)
+    rows[n:] = 0
     # every residual taken into [-pi, pi] once: a step then moves a folded
     # one by at most pi/4 (and an ancilla round's tails doubles one within
     # pi/4), so np.fmod and the TAU steps leave it as it is from then on
-    r = np.fmod(targets, TAU)
-    r = np.where(r > math.pi, r - TAU, r)
-    r = np.pad(np.where(r < -math.pi, r + TAU, r), pad)
-    eps = np.pad(eps, pad, constant_values=1.0)
-    # a step's rotation, heads at i and tails at i + len(angles)
+    r = np.zeros(width)
+    folded = np.fmod(targets, TAU, out=r[:n])
+    np.subtract(folded, TAU, out=folded, where=folded > math.pi)
+    np.add(folded, TAU, out=folded, where=folded < -math.pi)
+    eps = np.concatenate((eps, np.ones(width - n)))
+    # a step's rotation, heads at i and tails at i + len(angles): turns
+    # holds the offsets in the narrowest integers that index signed
     signed = np.concatenate((angles, -angles))
+    tails_at = np.array(len(angles), np.min_scalar_type(len(signed)))
     # counts in floats, exact to 2^53
     corr, on, remaining = np.zeros((3, width))
     rounds = np.zeros(width, bool)
@@ -636,7 +642,7 @@ def lockstep_synthesize(
             # the block's climbs and coins, and per coin the offset of its
             # rotation in signed
             climbs, flips = block[:, ::2], block[:, 1::2] >= half
-            turns = flips * len(angles)
+            turns = flips * tails_at
         k = np.rint(r / half_pi)
         r -= k * half_pi
         up = r <= low

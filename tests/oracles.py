@@ -15,7 +15,8 @@ arrival law of a noisy climb's downs (the visits of its walk on level and
 downs) judges the noise module's passage-law sampler and gives the exact
 decay-study means of every model; the one-state rotation step replays
 the planner from its public pieces, and the coin replay feeds the scalar
-planners' coins to the numpy lockstep.
+planners' coins to the numpy lockstep; the least-squares fit taken point
+by point, in Python floats over generators, judges study.fit_columns.
 The small helpers that only the tests read live here too: basis states,
 |+>, pure states as density matrices, Bloch vectors of density matrices, and
 reading a samples CSV back.
@@ -46,7 +47,7 @@ from rotsynth.ladder import (
 from rotsynth.noise import NoiseModel, make_noisy_resource
 from rotsynth.qcore import GATES_1Q, DensityMatrix, PureRegister, apply_gate, xz_state
 from rotsynth.seeding import derive_seed
-from rotsynth.study import CSV_HEADER, ScalingSample
+from rotsynth.study import CSV_HEADER, ScalingFit, ScalingSample
 
 
 def basis_state(n_qubits: int, index: int = 0) -> PureRegister:
@@ -79,6 +80,30 @@ def load_samples_csv(path: str) -> list[ScalingSample]:
             ScalingSample(row[0], float(row[1]), float(row[2]), int(row[3]), float(row[4]))
             for row in reader
         ]
+
+
+def fit_points(points: list[tuple[float, float]], square=lambda d: d**2) -> ScalingFit:
+    """Ordinary least squares of y on x, with the closed-form standard error
+    of the slope, one point at a time in Python floats and each sum a
+    math.fsum; square is how each deviation and residual is squared."""
+    n = len(points)
+    if n < 2:
+        raise ValueError("need at least two points")
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("points must be finite")
+    xbar = math.fsum(xs) / n
+    ybar = math.fsum(ys) / n
+    sxx = math.fsum(square(x - xbar) for x in xs)
+    if sxx <= 0:
+        raise ValueError("x values are degenerate")
+    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    intercept = ybar - slope * xbar
+    squares = math.fsum(square(y - intercept - slope * x) for x, y in zip(xs, ys))
+    slope_se = math.sqrt(squares / (n - 2) / sxx) if n > 2 else math.nan
+    return ScalingFit(intercept, slope, n, math.sqrt(squares / n), slope_se)
 
 
 def states_equal_up_to_phase(a: PureRegister, b: PureRegister, tol: float = 1e-10) -> bool:

@@ -15,6 +15,7 @@ from oracles import counter_uniform, counter_word
 from rotsynth.noise import NoiseModel, decay_study
 from rotsynth.seeding import (
     COUNTER_LIMIT,
+    GUIDE_BITS,
     counter_bits,
     counter_uniforms,
     derive_rng,
@@ -260,6 +261,8 @@ def test_narrowing_the_text_rule_moved_no_stream(text):
         assert seed == int.from_bytes(hashlib.sha256(material).digest(), "big")
 
 
+# a guide slot spans 2^_SLOT draws of its segment
+_SLOT = 53 - GUIDE_BITS
 # five one-outcome segments, so the law under test is segment 5
 _FIVE = [([1.0], 1)] * 5
 
@@ -279,8 +282,9 @@ def test_a_cdf_past_one_before_the_last_outcome_is_refused(masses):
 def test_a_cdf_of_one_before_the_last_outcome_keeps_its_keys_in_the_segment():
     keys, guide = inverse_cdf_table([*_FIVE, ([0.25, 0.75, 0.5], 3)])
     assert keys[5:].tolist() == [(5 << 53) + 2**51, 6 << 53, 6 << 53]
-    slots = guide[5 << 8 :]
-    assert len(slots) == 2**8 and (slots[: 2**6] == 5).all() and (slots[2**6 :] == 6).all()
+    slots = guide[5 << GUIDE_BITS :]
+    quarter = 2 ** (GUIDE_BITS - 2)
+    assert len(slots) == 2**GUIDE_BITS and (slots[:quarter] == 5).all() and (slots[quarter:] == 6).all()
 
 
 # (masses, guided, costs, labels) per segment: dyadic masses, masses whose
@@ -314,27 +318,27 @@ def test_the_table_keys_segment_s_at_s_times_2_53_and_lines_its_columns_up():
     holds each outcome's value, with the dtype it was given."""
     keys, guide, costs, labels = _law_table()
     assert keys.tolist() == [key for s, law in enumerate(_LAWS) for key in _exact_keys(law[0], s)]
-    assert keys.dtype == np.int64 and guide.dtype == np.intp
+    assert keys.dtype == np.int64 and guide.dtype == np.int32
     assert costs.tolist() == [c for law in _LAWS for c in law[2]] and costs.dtype == np.float64
     assert labels.tolist() == [x for law in _LAWS for x in law[3]] and labels.dtype == np.int64
-    assert len(guide) == len(_LAWS) << 8
+    assert len(guide) == len(_LAWS) << GUIDE_BITS
 
 
 def test_the_guide_numbers_its_slots_across_the_outcomes():
-    """Slot k of segment s, at (s << 8) + k, holds the outcome (numbered
+    """Slot k of segment s, at (s << GUIDE_BITS) + k, holds the outcome (numbered
     across the table) that both the first and the last draw of the slot
     pick by a search over the keys, if that is one of the segment's guided
     outcomes, and -1 otherwise."""
     keys, guide, *_ = _law_table()
     keys, first = keys.tolist(), 0
     for s, (masses, guided, *_) in enumerate(_LAWS):
-        for k in range(2**8):
-            low, high = (s << 53) + (k << 45), (s << 53) + ((k + 1) << 45) - 1
+        for k in range(2**GUIDE_BITS):
+            low, high = (s << 53) + (k << _SLOT), (s << 53) + ((k + 1) << _SLOT) - 1
             pick = bisect.bisect_right(keys, low)
             split = pick != bisect.bisect_right(keys, high)
-            assert guide[(s << 8) + k] == (-1 if split or pick >= first + guided else pick)
+            assert guide[(s << GUIDE_BITS) + k] == (-1 if split or pick >= first + guided else pick)
         first += len(masses)
-    assert (guide >= 0).sum() > 2**8
+    assert (guide >= 0).sum() > 2**GUIDE_BITS
 
 
 def test_every_table_array_is_read_only():
@@ -353,5 +357,5 @@ def test_picks_are_the_search_over_the_keys():
     keyed = bits.astype(np.int64) + (np.arange(len(_LAWS)) << 53)
     picks, split = inverse_cdf_picks(keys, guide, np.arange(len(_LAWS)), bits)
     assert np.array_equal(picks, np.searchsorted(keys, keyed, side="right"))
-    assert np.array_equal(split, np.flatnonzero(guide.take(keyed >> 45) < 0))
+    assert np.array_equal(split, np.flatnonzero(guide.take(keyed >> _SLOT) < 0))
     assert np.array_equal(bits.view(np.int64), keyed)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import load_samples_csv
+from oracles import fit_points, load_samples_csv
 from rotsynth import study
 from rotsynth.study import (
     CSV_HEADER,
@@ -18,12 +18,14 @@ from rotsynth.study import (
     MIN_ONLINE,
     MIN_ONLINE_MEAN,
     MULTI,
+    SCHEMES,
     SK_CONSTANTS,
     FitLine,
     ScalingSample,
     comparison_table,
     export_json,
     export_samples_csv,
+    fit_columns,
     fit_loglog,
     fits_summary,
     fixed_angle_study,
@@ -83,6 +85,76 @@ def test_fit_loglog_rejects_non_finite_points(bad, position):
     point = (bad, 1.0) if position == 0 else (1.0, bad)
     with pytest.raises(ValueError, match="points must be finite"):
         fit_loglog([point, (2.0, 2.0), (3.0, 3.0)])
+
+
+def _cloud(seed: int, n: int, scale: float = 1.0) -> tuple[np.ndarray, ...]:
+    """x uniform on [1.5, 3.5), a noisy line on it and an unrelated column,
+    all but the last times scale."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(1.5, 3.5, n) * scale
+    return xs, 1.3 * xs + rng.normal(0, 0.2, n) * scale, rng.normal(2.0, 1.0, n)
+
+
+def _pointwise(xs, *ys) -> tuple:
+    return tuple(fit_points(list(zip(list(xs), list(y)))) for y in ys)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+@pytest.mark.parametrize("n", [2, 3, 10, 28, 1000, 18000])
+def test_fit_columns_is_the_pointwise_fit(n, scale):
+    """Every column's fit is the bytes of the point-by-point fit in Python
+    floats, from arrays or from lists, and fit_loglog's from points."""
+    xs, line, other = _cloud(n, n, scale)
+    want = _pointwise(xs.tolist(), line.tolist(), other.tolist())
+    assert repr(fit_columns(xs, line, other)) == repr(want)
+    assert repr(fit_columns(xs.tolist(), other.tolist())) == repr(want[1:])
+    assert repr(fit_loglog(list(zip(xs.tolist(), line.tolist())))) == repr(want[0])
+
+
+@pytest.mark.parametrize("n", [3, 28])
+def test_fit_columns_takes_integer_x(n):
+    """Levels, as the noise decay fit passes them: Python or numpy integers."""
+    levels = list(range(4, 4 + n))
+    ys = [math.log(0.3**lvl * (1 + 0.01 * (lvl % 3))) for lvl in levels]
+    want = _pointwise(levels, ys)
+    assert repr(fit_columns(levels, ys)) == repr(want)
+    assert repr(fit_columns(np.array(levels), np.array(ys))) == repr(want)
+
+
+def test_fit_columns_squares_as_pow_does():
+    """This cloud's fit moves if the squares are taken by multiplication,
+    which differs from pow in the last bit of some doubles."""
+    xs, line, _ = _cloud(157, 10)
+    points = list(zip(xs.tolist(), line.tolist()))
+    assert repr(fit_points(points, square=lambda d: d * d)) != repr(fit_points(points))
+    assert repr(fit_columns(xs, line)) == repr((fit_points(points),))
+
+
+@pytest.mark.parametrize(
+    "xs, ys, message",
+    [
+        ([1.0], [2.0], "need at least two points"),
+        ([], [], "need at least two points"),
+        ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0], "points must be finite"),
+        ([1.0, 2.0, 3.0], [1.0, -math.inf, 3.0], "points must be finite"),
+        ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], "x values are degenerate"),
+    ],
+)
+def test_fit_columns_refuses_what_the_pointwise_fit_refuses(xs, ys, message):
+    """With the same message, in the first column or a later one."""
+    for fit in (
+        lambda: fit_points(list(zip(xs, ys))),
+        lambda: fit_columns(xs, ys),
+        lambda: fit_columns(xs, [0.0] * len(xs), ys),
+        lambda: fit_loglog(list(zip(xs, ys))),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit()
+
+
+def test_fit_columns_refuses_a_column_of_another_length():
+    with pytest.raises(ValueError, match="^need one y per x in every column$"):
+        fit_columns([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0])
 
 
 def test_sk_crossover_algebra():
@@ -234,6 +306,19 @@ def test_samples_depend_on_neither_the_batch_nor_jobs(scheme):
 def test_run_scaling_study_accepts_numpy_integer_counts():
     numpy_counts = run_scaling_study(H_ONLY, np.int32(10), seed=3, jobs=np.int64(1))
     assert numpy_counts == run_scaling_study(H_ONLY, 10, seed=3)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_scaling_study_returns_records_and_the_pointwise_fits(scheme):
+    """ScalingSample instances of plain Python values, and the fits of
+    their consuming samples' (lnln(1/eps), ln C) points."""
+    samples, fit_on, fit_off = run_scaling_study(scheme, 200, seed=2)
+    assert all(type(s) is ScalingSample for s in samples)
+    assert {tuple(map(type, s)) for s in samples} == {(str, float, float, int, float)}
+    consumed = [s for s in samples if s.online > 0]
+    xs = [math.log(math.log(1 / s.epsilon)) for s in consumed]
+    want = _pointwise(xs, [math.log(s.online) for s in consumed], [math.log(s.offline) for s in consumed])
+    assert repr((fit_on, fit_off)) == repr(want)
 
 
 def test_min_online_scheme_samples():

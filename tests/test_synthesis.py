@@ -709,6 +709,26 @@ def test_the_lockstep_refuses_mismatched_shapes_by_name(targets, epsilons, name)
         lockstep_synthesize(targets, epsilons, (Family.H,), _no_draws)
 
 
+@pytest.mark.parametrize("ancilla", [False, True], ids=["greedy", "ancilla"])
+def test_the_lockstep_reads_its_input_arrays_without_writing_them(ancilla):
+    """Float arrays are read in place and lists are taken alike: the
+    results are the same bytes, and the arrays are left as they were."""
+    targets, epsilons = zip(*(_replay_samples(ALL_FAMILIES)[:40] + _EDGES))
+    streams = counter_rows(11, np.arange(len(targets)))
+
+    def draws(rows, start, count):
+        return counter_draws(streams.take(rows), start, count)
+
+    def run(*columns):
+        return lockstep_synthesize(*columns, ALL_FAMILIES, draws, ancilla=ancilla)
+
+    arrays = np.array(targets), np.array(epsilons)
+    from_arrays = run(*arrays)
+    assert arrays[0].tobytes() == np.array(targets).tobytes() and arrays[1].tobytes() == np.array(epsilons).tobytes()
+    for a, b in zip(from_arrays, run(list(targets), list(epsilons))):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _steps(trace: list, n: int) -> list[int]:
     """The planner steps of each of n samples in a lockstep trace."""
     return np.bincount(np.concatenate([rows for rows, _ in trace]), minlength=n).tolist()
