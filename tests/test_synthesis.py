@@ -920,30 +920,31 @@ def test_the_finisher_changes_no_byte(families, ancilla, monkeypatch):
 @pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
 def test_each_draw_block_is_asked_for_once_and_only_while_its_sample_runs(families, ancilla):
     """Every draws call, in the numpy loop and in _finish alike, asks for
-    one whole aligned block of _BLOCK_TICKS ticks, the blocks in turn, each
-    sample's row once: the rows of the samples still running at the
-    block's first tick, and perhaps of those that end at it, whose draws
-    go unread.  No row is asked for after its sample's last tick, at which
-    the fold finds it done."""
+    one whole aligned block of _BLOCK_TICKS ticks, the blocks in turn, for
+    exactly these rows in ascending order: in the numpy loop, the samples
+    whose last tick (the one at which the fold finds them done) is at or
+    after the block's first tick, so those that end at it are asked for
+    too and their draws go unread; in _finish, its own stragglers, the
+    samples whose last tick is after it.  The numpy loop hands over at the
+    first tick that leaves at most _TAIL samples running."""
     samples = _replay_samples(families) + _EDGES
     calls = []
     lockstep, trace = _on_counter_draws(families, samples, ancilla, calls)
     # every tick before a sample's last steps or ends a round
     steps = _steps(trace, len(samples))
     last = [s + o for s, o in zip(steps, lockstep.online.tolist())] if ancilla else steps
+    handoff = next(t for t in itertools.count() if sum(end > t for end in last) <= synthesis._TAIL)
     block = 2 * synthesis._BLOCK_TICKS
     assert [start for _, start, _ in calls] == list(range(0, block * len(calls), block))
     assert {count for *_, count in calls} == {block}
     for rows, start, _ in calls:
         tick = start // 2
-        assert len(set(rows)) == len(rows)
-        assert all(last[row] >= tick for row in rows)
-        assert {row for row, end in enumerate(last) if end > tick} <= set(rows)
+        running = [row for row, end in enumerate(last) if end > tick or (end == tick and tick <= handoff)]
+        assert rows == running, tick
     # the blocks of every tick that reads draws, and perhaps the one that
     # starts at the last sample's last tick
     assert (max(last) - 1) // synthesis._BLOCK_TICKS <= len(calls) - 1 <= max(last) // synthesis._BLOCK_TICKS
-    # the numpy loop asks for more rows than _finish takes, and _finish
-    # asks for its own
+    # both the numpy loop and _finish ask for draws here
     widths = [len(rows) for rows, *_ in calls]
-    assert widths[0] == len(samples) and min(widths) <= synthesis._TAIL
-    print(f"{len(families)} families: rows asked for per block {widths}")
+    assert widths[0] == len(samples) and handoff < calls[-1][1] // 2
+    print(f"{len(families)} families: rows asked for per block {widths}, handed over at tick {handoff}")
