@@ -420,9 +420,9 @@ def _finish(
 ) -> tuple[np.ndarray, ...]:
     """lockstep_synthesize's ticks from the nearest-state lookup of tick
     on, in plain Python, for its last few samples: each straggler is its
-    entry's (sample, row, folded residual, accuracy, corrections, online
-    count, round under way, rotation the round started from, the block's
-    climb draws, its coins' tails), in sample order.  Each sample's
+    entry's (sample, folded residual, accuracy, corrections, online count,
+    round under way, rotation the round started from, the block's climb
+    draws, its coins' tails), in sample order.  Each sample's
     residual, corrections and online count go into outputs as it finishes;
     returns the log entry of the climbs, which the caller bills."""
     table = _angle_table(families)
@@ -432,7 +432,7 @@ def _finish(
     while stragglers:
         column = tick % _BLOCK_TICKS
         running, since = [], len(dests)
-        for dest, row, r, eps, corr, on, rnd, remaining, climbs, tails in stragglers:
+        for dest, r, eps, corr, on, rnd, remaining, climbs, tails in stragglers:
             m = abs(r)
             step = m > eps
             j = bisect_right(thresholds, m, start)
@@ -462,7 +462,7 @@ def _finish(
             r += up * HALF_PI
             corr += abs(k - up)
             if abs(r) > eps or rnd:
-                running.append((dest, row, r, eps, corr, on, rnd, remaining, climbs, tails))
+                running.append((dest, r, eps, corr, on, rnd, remaining, climbs, tails))
             else:
                 residuals[dest], corrections[dest], online[dest] = r, corr, on
         if trace is not None:
@@ -470,8 +470,8 @@ def _finish(
         stragglers = running
         tick += 1
         if stragglers and not tick % _BLOCK_TICKS:
-            block = draws(np.array([s[1] for s in stragglers]), 2 * tick, 2 * _BLOCK_TICKS).tolist()
-            stragglers = [(*s[:8], b[::2], [c >= _HALF for c in b[1::2]]) for s, b in zip(stragglers, block)]
+            block = draws(np.array([s[0] for s in stragglers]), 2 * tick, 2 * _BLOCK_TICKS).tolist()
+            stragglers = [(*s[:7], b[::2], [c >= _HALF for c in b[1::2]]) for s, b in zip(stragglers, block)]
     logged = (np.array(dests, np.intp), np.array(states, np.intp), np.array(bits, np.uint64))
     return (*logged, np.array(rounds)) if ancilla else logged
 
@@ -507,11 +507,14 @@ def lockstep_synthesize(
     and an ancilla round succeeds.  Every tick before a sample's last reads
     its coin, in the order the scalar planners flip theirs.  The draws are
     asked for _BLOCK_TICKS ticks at a time, each sample's row once a block
-    while it runs: the rows of the samples still running at the block's
-    first tick (the numpy loop also asks for those that the tick finds
-    done).  So a sample may be read ahead of its last tick, up to the end
-    of its block but never past it, and its coins are compared with 2^52
-    once a block.
+    while it runs, the rows in ascending order.  At a block's first tick,
+    before the draws, the numpy loop's entries that the tick before found
+    done leave, and it asks for the rest, the samples whose last tick is
+    at or after the block's first; _finish asks for its own stragglers.
+    So a sample may be read ahead of its last tick, up to the end of its
+    block but never past it, and its coins are compared with 2^52 once a
+    block.  draws must not write the samples array it is given: it is the
+    lockstep's own array of entries.
 
     Each tick folds every running residual, as reduce_by_clifford does:
     np.fmod by TAU then one TAU back into [-pi, pi], which is
@@ -589,56 +592,51 @@ def lockstep_synthesize(
     tables = _lockstep_tables(config.families, top)
     shift, first, thresholds, angles = tables.shift, tables.first, tables.thresholds, tables.angles
     n = len(targets)
-    # per sample, with a last slot that the padding writes to
-    online, corrections, residuals = np.zeros((3, n + 1))
-    # the entries: every sample still running and some that are not, a
-    # power of two of them (numpy keeps freed buffers below 1 KiB for
-    # reuse, up to seven of each byte size, so lengths that walked down one
-    # by one would leave megabytes behind); each holds its sample (n for
-    # padding), its draw row, residual, accuracy, corrections and online
-    # count so far, the draws of its block, and for the ancilla rounds
-    # whether one is under way and the rotation it started from.  An entry
-    # that is not running is folded and within its accuracy, so every tick
-    # leaves it as it is.
-    width = 1 << (n - 1).bit_length()
-    rows = np.arange(width)
-    dest = np.minimum(rows, n)
-    rows[n:] = 0
+    online, corrections, residuals = np.zeros((3, n))
+    # the entries: the samples that ran at the last block's first tick, in
+    # order; each holds its sample (the output index and the draw row), its
+    # residual, accuracy, corrections and online count so far, the draws of
+    # its block, and for the ancilla rounds whether one is under way and the
+    # rotation it started from.  An entry that is not running is folded and
+    # within its accuracy, so every tick leaves it as it is until the next
+    # block's first tick takes it out.
+    dest = np.arange(n)
     # every residual taken into [-pi, pi] once: a step then moves a folded
     # one by at most pi/4 (and an ancilla round's tails doubles one within
     # pi/4), so np.fmod and the TAU steps leave it as it is from then on
-    r = np.zeros(width)
-    folded = np.fmod(targets, TAU, out=r[:n])
-    np.subtract(folded, TAU, out=folded, where=folded > math.pi)
-    np.add(folded, TAU, out=folded, where=folded < -math.pi)
-    eps = np.concatenate((eps, np.ones(width - n)))
+    r = np.fmod(targets, TAU)
+    np.subtract(r, TAU, out=r, where=r > math.pi)
+    np.add(r, TAU, out=r, where=r < -math.pi)
     # a step's rotation, heads at i and tails at i + len(angles): turns
     # holds the offsets in the narrowest integers that index signed
     signed = np.concatenate((angles, -angles))
     tails_at = np.array(len(angles), np.min_scalar_type(len(signed)))
     # counts in floats, exact to 2^53
-    corr, on, remaining = np.zeros((3, width))
-    rounds = np.zeros(width, bool)
+    corr, on, remaining = np.zeros((3, n))
+    rounds = np.zeros(n, bool)
     # the climbs of the block's ticks so far, billed when its draws are
     # replaced, into offline costs per (round, sample)
     log: list[tuple[np.ndarray, ...]] = []
-    bill = np.zeros(n + 1)
+    bill = np.zeros(n)
     # 0-d arrays, not Python floats: numpy converts a Python scalar operand
     # to an array on every call, which costs a narrow tick's operation about
     # as much again, and the IEEE results are the same
     half_pi, low, half = np.array(HALF_PI), np.array(-QUARTER_PI), np.array(_HALF, np.uint64)
-    # the entries whose samples ran at the last tick: the draws of a
-    # block are asked for theirs alone, and the others read zeros
-    running = dest < n
+    running = np.ones(n, bool)
     for tick in itertools.count():
         column = tick % _BLOCK_TICKS
         if not column:
             # the last block's arrays go before its climbs are billed and
             # the next block is drawn
             block = climbs = flips = turns = None
-            bill = _bill_climbs(tables, bill, log, n + 1)
-            block = np.zeros((width, 2 * _BLOCK_TICKS), np.uint64)
-            block[running] = draws(rows[running], 2 * tick, 2 * _BLOCK_TICKS)
+            bill = _bill_climbs(tables, bill, log, n)
+            # the entries that the last tick found done write their outputs
+            # (the others' are written again when they finish) and leave
+            residuals[dest], corrections[dest], online[dest] = r, corr, on
+            dest, r, eps, corr, on, rounds, remaining = (
+                x[running] for x in (dest, r, eps, corr, on, rounds, remaining)
+            )
+            block = draws(dest, 2 * tick, 2 * _BLOCK_TICKS)
             # the block's climbs and coins, and per coin the offset of its
             # rotation in signed
             climbs, flips = block[:, ::2], block[:, 1::2] >= half
@@ -651,25 +649,15 @@ def lockstep_synthesize(
         m = np.abs(r)
         steps = m > eps
         running = steps | rounds if ancilla else steps
-        live = int(np.count_nonzero(running))
-        if live <= _TAIL or 2 * live <= width:
+        if np.count_nonzero(running) <= _TAIL:
             residuals[dest], corrections[dest], online[dest] = r, corr, on
-            if live <= _TAIL:
-                # the stragglers, each as _finish takes it
-                at = np.flatnonzero(running)
-                entries = (dest, rows, r, eps, corr, on, rounds, remaining, climbs, flips)
-                stragglers = list(zip(*(x.take(at, axis=0).tolist() for x in entries)))
-                outputs = residuals, corrections, online
-                log.append(_finish(tables, config.families, tick, stragglers, draws, ancilla, trace, outputs))
-                break
-            # the running entries first, in order, then as many others
-            width = 1 << (live - 1).bit_length()
-            keep = np.argsort(~running, kind="stable")[:width]
-            # (no name holds the old arrays, which go with the tuple)
-            dest, rows, r, m, eps, corr, on, rounds, remaining, steps, running, climbs, flips, turns = (
-                x.take(keep, axis=0)
-                for x in (dest, rows, r, m, eps, corr, on, rounds, remaining, steps, running, climbs, flips, turns)
-            )
+            # the stragglers, each as _finish takes it
+            at = np.flatnonzero(running)
+            entries = (dest, r, eps, corr, on, rounds, remaining, climbs, flips)
+            stragglers = list(zip(*(x.take(at, axis=0).tolist() for x in entries)))
+            outputs = residuals, corrections, online
+            log.append(_finish(tables, config.families, tick, stragglers, draws, ancilla, trace, outputs))
+            break
         i = _nearest_states(shift, first, thresholds, m)
         if ancilla:
             # a round ends: its ancilla carried remaining - r, so heads
@@ -693,8 +681,8 @@ def lockstep_synthesize(
         r -= signed.take(i + turns[:, column]) * steps
         if trace is not None:
             trace.append((step_dest, step_states + tables.start))
-    offline = np.zeros(n + 1)
+    offline = np.zeros(n)
     # the rounds' bills in round order, as min_online_synthesize adds them
-    for bills in _bill_climbs(tables, bill, log, n + 1).reshape(-1, n + 1):
+    for bills in _bill_climbs(tables, bill, log, n).reshape(-1, n):
         offline += bills
-    return LockstepResult(online[:n].astype(np.int64), offline[:n], residuals[:n], corrections[:n].astype(np.int64))
+    return LockstepResult(online.astype(np.int64), offline, residuals, corrections.astype(np.int64))

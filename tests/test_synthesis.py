@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -22,6 +23,7 @@ from rotsynth.ladder import (
 from rotsynth.seeding import counter_draws, counter_rows, derive_rng, derive_seed
 from rotsynth.synthesis import (
     QUARTER_PI,
+    LockstepResult,
     SynthesisConfig,
     SynthesisResult,
     _angle_table,
@@ -914,6 +916,26 @@ def test_the_finisher_changes_no_byte(families, ancilla, monkeypatch):
     assert 0 < few <= default and 0 < tick < last
     assert first == 0 and every > default
     print(f"{len(families)} families: {few} samples handed over at tick {tick} of {last}")
+
+
+@functools.lru_cache(maxsize=None)
+def _full_run(families: tuple[Family, ...], ancilla: bool) -> LockstepResult:
+    return _on_counter_draws(families, _replay_samples(families), ancilla)[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 16, 17, 33, 1025])
+@pytest.mark.parametrize("ancilla", [False, True], ids=["greedy", "ancilla"])
+@pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
+def test_the_first_k_samples_alone_give_the_same_bytes(families, ancilla, k):
+    """lockstep_synthesize on the first k samples of _replay_samples gives
+    the bytes of rows 0..k-1 of the run over all of them, in all four
+    LockstepResult arrays: at one sample, at two, at _TAIL and one past
+    it, and one past a power of two.  The fewer samples' finest accuracy
+    may tabulate fewer levels, which changes no state that is looked up."""
+    full = _full_run(families, ancilla)
+    result, _ = _on_counter_draws(families, _replay_samples(families)[:k], ancilla)
+    for want, got in zip(full, result):
+        assert got.dtype == want.dtype and got.tobytes() == want[:k].tobytes()
 
 
 @pytest.mark.parametrize("ancilla", [False, True], ids=["greedy", "ancilla"])
