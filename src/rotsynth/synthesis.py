@@ -593,13 +593,13 @@ def lockstep_synthesize(
     shift, first, thresholds, angles = tables.shift, tables.first, tables.thresholds, tables.angles
     n = len(targets)
     online, corrections, residuals = np.zeros((3, n))
-    # the entries: the samples that ran at the last block's first tick, in
-    # order; each holds its sample (the output index and the draw row), its
-    # residual, accuracy, corrections and online count so far, the draws of
-    # its block, and for the ancilla rounds whether one is under way and the
-    # rotation it started from.  An entry that is not running is folded and
-    # within its accuracy, so every tick leaves it as it is until the next
-    # block's first tick takes it out.
+    # the entries: the samples that ran at the tick before the block's
+    # first, in sample order; each holds its sample (the output index and
+    # the draw row), its residual, accuracy, corrections and online count
+    # so far, the draws of its block, and for the ancilla rounds whether
+    # one is under way and the rotation it started from.  An entry that is
+    # not running is folded and within its accuracy, so every tick leaves
+    # it as it is until the next block's first tick takes it out.
     dest = np.arange(n)
     # every residual taken into [-pi, pi] once: a step then moves a folded
     # one by at most pi/4 (and an ancilla round's tails doubles one within
@@ -622,6 +622,7 @@ def lockstep_synthesize(
     # to an array on every call, which costs a narrow tick's operation about
     # as much again, and the IEEE results are the same
     half_pi, low, half = np.array(HALF_PI), np.array(-QUARTER_PI), np.array(_HALF, np.uint64)
+    # the entries that ran at the last tick: before tick 0, all
     running = np.ones(n, bool)
     for tick in itertools.count():
         column = tick % _BLOCK_TICKS
