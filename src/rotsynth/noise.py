@@ -31,19 +31,21 @@ at one level to the first arrival at the next has a fixed law of (restart
 or not, downs), whose series every level fills in one lockstep, to at most
 M terms, and one read-only inverse-CDF table per (model, top) samples:
 decay_study draws each passage of every instance with one counter-stream
-draw, all at once in numpy; propagate_to_level walks.  One distance
-expression turns the downs into bytes: decay_study takes it once per cell
-of a grid of levels by downs counts, gathers each instance's cells, and
-sums every level in instance order.  The tests check the tables against
-exact oracles, the walk against a step-by-step walker and the generic
-density-matrix simulation, and the sampled climbs against the walk and the
-exact arrival law.
+draw, in numpy, a chunk of instances at a time in one workspace per
+thread; propagate_to_level walks.  One distance expression turns the downs
+into bytes: decay_study takes it once per cell of a grid of levels by
+downs counts, gathers each instance's cells, and sums every level in
+instance order, carrying the sums from chunk to chunk.  The tests check
+the tables against exact oracles, the walk against a step-by-step walker
+and the generic density-matrix simulation, and the sampled climbs against
+the walk and the exact arrival law.
 """
 from __future__ import annotations
 
 import math
 import numbers
 import random
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -61,6 +63,10 @@ _LAW_TAIL = 2.0**-60
 # saturates later lies within 0.04 of weight 0 or 1, where a passage keeps
 # at most 64 terms (52 on the criterion-8 grid), so a cap there never binds
 _SATURATION_SEARCH = 128
+# decay_study's sampled path takes its instances in chunks of at most this
+# many (instance, level) cells: 2 MB per 8-byte buffer, and one chunk for
+# a criterion-8 cell of 1000 instances
+_CHUNK_CELLS = 2**18
 
 _C0 = math.cos(math.pi / 8)
 _S0 = math.sin(math.pi / 8)
@@ -298,33 +304,47 @@ def _passage_table(model: NoiseModel, top: int) -> tuple[np.ndarray, ...]:
             downs = np.tile(np.arange(len(a_terms), dtype=np.int64), 2)
             yield a_terms + b_terms, len(a_terms), restarts, downs
 
-    return inverse_cdf_table(laws())
+    keys, guide, restarts, downs = inverse_cdf_table(laws())
+    # an intp guide picks straight into the intp buffers of _law_climbs
+    guide = guide.astype(np.intp)
+    guide.flags.writeable = False
+    return keys, guide, restarts, downs
 
 
-def _law_climbs(model: NoiseModel, bits: np.ndarray) -> np.ndarray:
+def _law_climbs(
+    model: NoiseModel, bits: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """The (instances, top) matrix of downs at the first arrival at levels
     1..top, with column l - 1 of bits (counter_bits' 53-bit integers)
     driving passage l (top - 1 columns).  The guide picks the outcome of
     all but about 2% of the draws on the criterion-8 grid, a binary search
     the others, among them every draw that picks a restart.  bits is
-    spent."""
+    spent.  out (intp, instances by top) takes the result and scratch (like
+    bits) the guide slots, then the downs of each passage, both
+    C-contiguous; either is made for the call if not given."""
     n, passages = bits.shape
-    if not passages:  # level 1 is reached with no downs
-        return np.zeros((n, 1), np.intp)
+    arrivals = np.empty((n, passages + 1), np.intp) if out is None else out
+    if not passages:
+        arrivals.fill(0)  # level 1 is reached with no downs
+        return arrivals
+    scratch = np.empty_like(bits) if scratch is None else scratch
     keys, guide, restarts, downs = _passage_table(model, passages + 1)
-    picks, split = inverse_cdf_picks(keys, guide, np.arange(passages), bits)
-    found = picks.reshape(-1).take(split)
-    d = downs.take(picks)
-    arrivals = np.zeros((n, passages + 1), np.intp)
-    sums = np.cumsum(d, axis=1, out=arrivals[:, 1:])
+    # the picks take the front of the result's buffer, which the running
+    # sums overwrite once the picks are spent
+    front = arrivals.reshape(-1)[: n * passages].reshape(n, passages)
+    picks, split = inverse_cdf_picks(keys, guide, np.arange(passages), bits, front, scratch)
+    d = downs.take(picks, out=scratch.view(np.int64), mode="clip")
     # the rows that restart drop the downs before their last restart: the
     # sum before each restart, kept by its mask, and their running maximum,
     # as the sums grow (a row that restarts twice is worked, and written,
     # twice, alike)
-    rows = split[restarts.take(found) < 0] // passages
+    rows = split[restarts.take(picks.reshape(-1).take(split)) < 0] // passages
+    masks = restarts.take(picks[rows])
+    arrivals[:, 0] = 0
+    sums = np.cumsum(d, axis=1, out=arrivals[:, 1:])
     tail = sums[rows]
     before = tail - d[rows]
-    before &= restarts.take(picks[rows])
+    before &= masks
     tail -= np.maximum.accumulate(before, axis=1, out=before)
     sums[rows] = tail
     return arrivals
@@ -371,6 +391,35 @@ def propagate_to_level(
     return rho, float(tables.distances(arrivals[-1:], target_level)[0, -1])
 
 
+class _Workspace(threading.local):
+    """One thread's buffers for decay_study's sampled path.  They are flat,
+    so a chunk of any shape takes views of their fronts, and grow to the
+    largest chunk asked for, which later calls in the thread reuse."""
+
+    cells = 0
+
+    def chunk(self, rows: int, top: int) -> tuple[np.ndarray, ...]:
+        """Views for rows instances by levels 1..top: the draws and the
+        scratch of counter_bits and _law_climbs (uint64, top - 1 columns),
+        the downs at the first arrivals (intp) and the gathered distances
+        (float64, after a row for the sums carried in)."""
+        if self.cells < rows * top:
+            self.cells = max(rows * top, _CHUNK_CELLS)
+            self.buffers = [np.empty(self.cells, dtype) for dtype in (np.uint64, np.uint64, np.intp)]
+            self.buffers.append(np.empty(self.cells + MAX_LEVEL))
+        bits, scratch, downs, values = self.buffers
+        draws = rows * (top - 1)
+        return (
+            bits[:draws].reshape(rows, top - 1),
+            scratch[:draws].reshape(rows, top - 1),
+            downs[: rows * top].reshape(rows, top),
+            values[: (rows + 1) * top].reshape(rows + 1, top),
+        )
+
+
+_workspace = _Workspace()
+
+
 def decay_study(
     model: NoiseModel,
     max_level: int,
@@ -390,6 +439,10 @@ def decay_study(
     counter stream keyed by (seed, kind, strength), its draw l - 1 sampling
     its passage l -> l + 1 from the passage law (level 1 is reached with no
     downs), so its downs depend on neither n_instances nor higher levels.
+    The instances run in chunks of at most _CHUNK_CELLS (instance, level)
+    cells through the calling thread's workspace, so the memory a call
+    takes does not grow with n_instances, nor do the bytes depend on the
+    chunks.
     """
     max_level = checked_level(max_level, "max_level", 1)
     if (n_instances := checked_integer(n_instances, "n_instances")) < 1:
@@ -402,19 +455,26 @@ def decay_study(
         # every first arrival at a level lands on one state
         return list(enumerate(tables.distances([0], max_level)[0].tolist(), 1))
     key = derive_seed(seed, "noise", model.kind, repr(model.strength))
-    downs = _law_climbs(model, counter_bits(key, np.arange(n_instances), 0, max_level - 1))
-    # a distance depends on (level, downs) alone: each cell of one grid of
-    # levels by downs is taken once, then gathered per instance, and downs
-    # past the saturation row land on it, as every later row equals it
-    cells = np.minimum(downs, tables.saturation)
-    grid = tables.distances(range(int(cells.max()) + 1), max_level)
-    cells *= max_level
-    cells += np.arange(max_level)
-    values = grid.take(cells)
-    # np.add.reduce adds down axis 0 row by row, so each level's sum runs in
-    # instance order; one column would collapse to a 1-D reduction, which
-    # numpy sums pairwise
-    sums = np.add.reduce(values, axis=0) if max_level > 1 else np.cumsum(values)[-1:]
+    chunk = max(1, _CHUNK_CELLS // max_level)
+    sums = np.zeros(max_level)
+    for start in range(0, n_instances, chunk):
+        stop = min(start + chunk, n_instances)
+        bits, scratch, downs, values = _workspace.chunk(stop - start, max_level)
+        counter_bits(key, np.arange(start, stop), 0, max_level - 1, bits, scratch)
+        # a distance depends on (level, downs) alone: each cell of one grid
+        # of levels by downs is taken once, then gathered per instance, and
+        # downs past the saturation row land on it, as every later row
+        # equals it
+        cells = np.minimum(_law_climbs(model, bits, downs, scratch), tables.saturation, out=downs)
+        grid = tables.distances(range(int(cells.max()) + 1), max_level)
+        cells *= max_level
+        cells += np.arange(max_level)
+        values[0] = sums
+        grid.take(cells, out=values[1:], mode="clip")
+        # np.add.reduce adds down axis 0 row by row, so each level's sum runs
+        # on from the sums carried in, in instance order; one column would
+        # collapse to a 1-D reduction, which numpy sums pairwise
+        sums = np.add.reduce(values, axis=0) if max_level > 1 else np.cumsum(values)[-1:]
     return [(lvl, s / n_instances) for lvl, s in enumerate(sums.tolist(), 1)]
 
 

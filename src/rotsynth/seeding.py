@@ -70,11 +70,14 @@ def derive_rng(master_seed: int, *path: int | str) -> random.Random:
     return random.Random(derive_seed(master_seed, *path))
 
 
-def counter_bits(key: int, instances: np.ndarray, start: int, count: int) -> np.ndarray:
+def counter_bits(
+    key: int, instances: np.ndarray, start: int, count: int, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Draws start .. start + count - 1 of every instance's counter stream
     under key (taken mod 2**64) as 53-bit integers, uint64 of shape
     (len(instances), count): [r, c] is draw start + c of instance
-    instances[r].
+    instances[r].  out takes the draws and scratch the mix's shifts, each
+    a uint64 array of that shape; either is made for the call if not given.
 
     Draw j of instance i is the SplitMix64 finalizer of
     key + ((i << 32) | j) * 0x9E3779B97F4A7C15 (mod 2**64), shifted right by
@@ -84,7 +87,7 @@ def counter_bits(key: int, instances: np.ndarray, start: int, count: int) -> np.
     key = checked_integer(key, "key")
     start, count = checked_integer(start, "start"), checked_integer(count, "count")
     _check_draws(start, count)
-    return counter_draws(counter_rows(key, instances), start, count)
+    return counter_draws(counter_rows(key, instances), start, count, out, scratch)
 
 
 def _check_draws(start: int, count: int) -> None:
@@ -114,13 +117,15 @@ def counter_rows(key: int, instances: np.ndarray) -> np.ndarray:
     return row
 
 
-def counter_draws(rows: np.ndarray, start: int, count: int) -> np.ndarray:
+def counter_draws(
+    rows: np.ndarray, start: int, count: int, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """counter_bits for the instances whose counter_rows terms are rows."""
     _check_draws(start, count)
     draw = np.arange(start, start + count, dtype=np.uint64)
     draw *= _GAMMA
-    z = np.add(rows[:, None], draw)
-    tmp = np.empty_like(z)
+    z = np.add(rows[:, None], draw, out=out)
+    tmp = np.empty_like(z) if scratch is None else scratch
     z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= _MIX1
     z ^= np.right_shift(z, np.uint64(27), out=tmp)
@@ -197,16 +202,27 @@ def _segment_keys(masses, segment: int) -> np.ndarray:
 
 
 def inverse_cdf_picks(
-    keys: np.ndarray, guide: np.ndarray, segments: np.ndarray, bits: np.ndarray
+    keys: np.ndarray,
+    guide: np.ndarray,
+    segments: np.ndarray,
+    bits: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The outcomes of an inverse_cdf_table (keys, guide) that draws pick:
     bits (counter_bits' 53-bit integers, any shape) of the segments (their
     indices, broadcast against bits), each keyed s * 2^53 + u; and the flat
     indices of the draws that the guide left to a binary search over the
-    keys.  bits is spent: its buffer takes the keyed draws."""
+    keys.  bits is spent: its buffer takes the keyed draws.  out takes the
+    picks (an array of the guide's dtype) and scratch the guide slots (a
+    uint64 array), both C-contiguous of bits' shape; either is made for the
+    call if not given."""
     keyed = bits.view(np.int64)  # every draw is below 2^53
     keyed += np.left_shift(segments, 53)
-    picks = guide.take(keyed >> (53 - GUIDE_BITS))
+    slots = np.right_shift(keyed, 53 - GUIDE_BITS, out=None if scratch is None else scratch.view(np.int64))
+    # every slot is in the guide, so clipping moves none; unlike the default
+    # mode, it writes to out without a copy
+    picks = guide.take(slots, out=out, mode="clip")
     split = np.flatnonzero(picks < 0)
     picks.reshape(-1)[split] = np.searchsorted(keys, keyed.reshape(-1)[split], side="right")
     return picks, split

@@ -413,13 +413,15 @@ def _walker_ratio(model, points, walker_points):
 
 
 def _spy(monkeypatch, name):
-    """Record (arguments, result) of every call to noise.<name>."""
+    """Record (arguments, result) of every call to noise.<name>.  An array
+    result is recorded as a copy: decay_study's buffers take the next use,
+    or chunk, in place."""
     calls = []
     original = getattr(noise, name)
 
     def spy(*args):
         result = original(*args)
-        calls.append((args, result))
+        calls.append((args, result.copy() if isinstance(result, np.ndarray) else result))
         return result
 
     monkeypatch.setattr(noise, name, spy)
@@ -936,6 +938,70 @@ def test_gathered_means_are_the_running_sums_of_the_element_distances(model):
             assert repr(points) == repr(list(enumerate(running_means(tables, downs), 1)))
 
 
+# rows per chunk under the patched cell budget of the chunk tests
+_CHUNK = 7
+
+
+@pytest.mark.parametrize("model", _JUDGED_SUMS, ids=repr)
+def test_chunk_boundaries_are_exact(model, monkeypatch):
+    """With a cell budget of _CHUNK rows, decay_study runs n instances in
+    ceil(n / _CHUNK) chunks, each with one counter_bits call and one
+    _law_climbs call, and carries each level's sum from chunk to chunk: the
+    same bytes, by repr, as the one-chunk call and as oracles.running_means
+    on the spied downs of the chunks, concatenated.  At one instance, at a
+    chunk less one, a chunk, a chunk and one, and three chunks and two, and
+    at the tops 1 (whose sums take numpy's running sum, not its reduction),
+    2 and the cell's."""
+    tables = noise._climb_tables(model)
+    for top in (1, 2, {1e-4: 28, 1e-6: 22, 1e-8: 16}.get(model.strength, 14)):
+        for n in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 2):
+            whole = decay_study(model, top, n, 5)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(noise, "_CHUNK_CELLS", _CHUNK * top)
+                bits, laws = _spy(mp, "counter_bits"), _spy(mp, "_law_climbs")
+                points = decay_study(model, top, n, 5)
+            assert len(bits) == len(laws) == -(-n // _CHUNK)
+            downs = np.concatenate([climbs for _, climbs in laws])
+            assert repr(points) == repr(whole) == repr(list(enumerate(running_means(tables, downs), 1)))
+
+
+def test_threads_get_the_serial_bytes(monkeypatch):
+    """Eight threads, more than the cores, each run model-a decay_study
+    calls of their own (model, top, n) at once, with a short switch
+    interval, on a cell budget that splits most of the calls into chunks:
+    every call gives the bytes of the same call made in turn, in one chunk
+    where it fits, as each thread's workspace is its own."""
+    calls = [
+        (NoiseModel("a", 1e-4), 28, 1000),
+        (NoiseModel("a", 0.3), 14, 300),
+        (NoiseModel("a", 1e-6), 22, 40),
+        (NoiseModel("a", 0.05), 150, 200),
+        (NoiseModel("a", 1e-8), 2, 3000),
+        (NoiseModel("a", 0.45), 1, 5000),
+        (NoiseModel("a", 1e-4), 5, 700),
+        (NoiseModel("a", 0.15), 9, 1),
+    ]
+    want = [repr(decay_study(*call, 3)) for call in calls]
+    monkeypatch.setattr(noise, "_CHUNK_CELLS", 2**12)
+    assert sum(n > 2**12 // top for _, top, n in calls) >= 5
+    got = [[] for _ in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda i=i: got[i].extend(repr(decay_study(*calls[i], 3)) for _ in range(3)), daemon=True)
+            for i in range(len(calls))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[w] * 3 for w in want]
+
+
 def _check_prefixes(model, low, high, n, seed):
     points, downs = _study_downs(model, high, n, seed)
     short, short_downs = _study_downs(model, low, n, seed)
@@ -1036,10 +1102,40 @@ def test_decay_study_refuses_more_instances_than_the_counter_holds(model, n, mon
 
 
 def test_decay_study_takes_as_many_instances_as_the_counter_holds(monkeypatch):
+    """2^32 instances pass the checks, and the first array sized by the
+    instances holds those of the first chunk alone."""
     calls = _refuse_arange(monkeypatch)
     with pytest.raises(_Sized):
         decay_study(NoiseModel("a", 1e-4), 5, 2**32, 1)
-    assert calls == [(2**32,)]
+    assert calls == [(0, noise._CHUNK_CELLS // 5)]
+
+
+def _traced_peak(*args):
+    """tracemalloc's peak above entry of decay_study(*args), in bytes."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        decay_study(*args)
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_is_bounded_in_the_instances():
+    """The sampled path keeps one workspace per thread and runs its
+    instances through it in chunks: past the first call, the peak above
+    entry of a 10^5-instance criterion-8 cell (11 chunks; 82 MB when the
+    instances were taken at once) stays within twice that of a one-chunk
+    call, and a 1000-instance call peaks below 0.82 MB, that call's peak
+    without the workspace."""
+    model, top = NoiseModel("a", 1e-4), 28
+    chunk = noise._CHUNK_CELLS // top
+    decay_study(model, top, chunk, 1)  # builds the tables and the workspace
+    one, many = _traced_peak(model, top, chunk, 2), _traced_peak(model, top, 100_000, 3)
+    small = _traced_peak(model, top, 1000, 4)
+    print(f"peak above entry: {chunk} instances {one / 1e6:.3f} MB, 10^5 {many / 1e6:.3f} MB, 1000 {small / 1e6:.3f} MB")
+    assert many <= 2 * one
+    assert small < 0.82e6
 
 
 @given(st.floats() | st.fractions() | st.text())
