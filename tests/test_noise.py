@@ -414,8 +414,8 @@ def _walker_ratio(model, points, walker_points):
 
 def _spy(monkeypatch, name):
     """Record (arguments, result) of every call to noise.<name>.  An array
-    result is recorded as a copy: decay_study's buffers take the next use,
-    or chunk, in place."""
+    result is recorded as a copy, as decay_study rewrites its buffers in
+    place, within a chunk and from chunk to chunk."""
     calls = []
     original = getattr(noise, name)
 
