@@ -6,7 +6,8 @@ top.  Outcome 0 multiplies the cotangent of the state angle by cot(pi/8)
 (one level up), outcome 1 divides it (one level down); a failure at level 0
 yields a stabilizer state that is discarded.  The climb is therefore a
 biased random walk whose resource consumption this module simulates, solves
-exactly and tabulates as a law.
+exactly and tabulates as a law.  Its passages up the ladder are independent:
+passage_series solves them for the cost laws here and the noise of noise.py.
 
 Levels are capped at 150: the level-150 angle is below 1e-57 radians, far
 beyond any accuracy target in scope.
@@ -27,8 +28,8 @@ TAN_THETA0 = math.sqrt(2) - 1  # tan(pi/8)
 MAX_LEVEL = 150
 # climb_cost_laws leaves out less than this mass of each law
 CLIMB_LAW_CUT = 2.0**-60
-# and solves the climbs to this many levels at a time
-_LAW_BLOCK = 8
+# and each series it takes leaves out less than this (its docstring says why)
+_SERIES_TAIL = CLIMB_LAW_CUT / 4 / MAX_LEVEL**2
 
 
 def checked_integer(value, name: str) -> int:
@@ -170,51 +171,63 @@ def expected_climb_cost(family: Family, target_level: int) -> float:
     return total
 
 
-def _failure_layers(
-    probs: np.ndarray, tops: np.ndarray, restarts: int, bound: float
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """The joint law of downs and restarts of the climbs to the levels tops
-    (each at most len(probs)) at once, one layer of downs at a time:
-    layers[d][r, k] is P(d downs, r restarts) of the climb to tops[k], with
-    at most `restarts` - 1 restarts; with restarts 0, each restart counts
-    as a down instead (layers[s][0, k] is P(d + r = s)).  Returns the
-    layers, up to the first after which less than bound of every climb's
-    mass is still on its way, and per climb the mass that went past the
-    restart cut.
+def passage_series(up, top: int, cap: float, tail: float) -> tuple[list[list[float]], ...]:
+    """The series A, B, H of the passages of levels 0..top - 1 of the walk
+    whose merge at level l goes up with probability up[l], and the terms
+    each keeps.
 
-    Each (level, d, r) is visited at most once, so the chance of a visit is
-    a sum of positive terms over the visits that lead there: within a layer
-    the walk only restarts (at level 0) or goes up, and a down moves it to
-    the next layer.  The array of visits is (level, restarts, climb), and a
-    climb's levels at and above its top are never read: the downs into the
-    next layer are masked to the levels below each top.  Every step is an
-    elementwise product or sum, and the remaining mass is summed down
-    axis 0 row by row, so no byte depends on numpy's SIMD paths.
+    Passage l runs from the first arrival at level l to the first arrival at
+    l + 1.  Its outcome is R, whether a level-0 restart happened in it, and
+    D, the downs since the last restart if one did, else since it began.
+    The up probability depends on the level alone, so the passages are
+    independent, each with a law of its own.  With p = up[l] and
+    q = 1 - p, the passage fails k times, each a down and a passage l - 1,
+    before it goes up, and a failure that restarts forgets the downs before
+    it; in powers of z^D,
+
+        A_l(z) = p / (1 - q z A_{l-1}(z))        (no restart)
+        B_l(z) = (q / p) B_{l-1}(z) A_l(z)       (a restart)
+        H_l(z) = (q / p) (H_{l-1}(z) + A_{l-1}(z)) A_l(z),
+
+    from A_0 = p_0, B_0 = q_0 and H_0 = 0, where H_l holds the tail
+    P(D > k) of the passage.  Term k of a level needs terms up to k of the
+    level beneath, so every level takes term k in one lockstep, until each
+    level l >= 1 keeps its first min(K, cap) terms, K the least count whose
+    tail P(D >= K) is below tail, and cap a count past which the caller
+    need not tell the downs apart.  A level's kept terms depend on the
+    levels beneath it alone, not on top.  Every coefficient is a sum of
+    positive terms, taken in Python floats with math.fsum, so the bytes do
+    not depend on numpy's SIMD paths, and the tail is known without the
+    cancellation of 1 - sum.
     """
-    levels, climbs = len(probs), np.arange(len(tops))
-    fails = 1 - probs
-    below = (np.arange(levels)[:, None] < tops).astype(float)  # [level, climb]
-    down = (fails[1:, None] * below[1:])[:, None, :]
-    # two buffers, one layer's visits and the next one's, swapped each layer
-    visits, came = np.zeros((2, levels, max(restarts, 1), len(tops)))
-    came[0, 0] = 1.0
-    layers, lost = [], np.zeros(len(tops))
-    while True:
-        visits, came = came, visits
-        for r in range(1, restarts):
-            visits[0, r] += fails[0] * visits[0, r - 1]
-        if restarts:
-            lost += fails[0] * visits[0, -1]
-        for level in range(1, levels):
-            visits[level] += probs[level - 1] * visits[level - 1]
-        # the climb to T arrives from level T - 1
-        layers.append(probs[tops - 1] * visits[tops - 1, :, climbs].T)
-        np.multiply(visits[1:], down, out=came[:-1])
-        came[-1] = 0.0
-        if not restarts:
-            came[0] += fails[0] * visits[0]
-        if np.add.reduce(came.reshape(-1, len(tops)), axis=0).max() < bound:
-            return layers, lost
+    # below holds H + A per level; level 0's series stop after their first
+    # term, as the rest are zeros and the level above reads only what is there
+    a, b, h, below = ([[x]] + [[] for _ in range(1, top)] for x in (up[0], 1.0 - up[0], 0.0, up[0]))
+    kept = [1] + [0] * (top - 1)
+    while not all(kept):
+        for lv in range(1, top):
+            p, q, al = up[lv], 1.0 - up[lv], a[lv]
+            al.append(q * math.fsum(map(operator.mul, a[lv - 1], reversed(al))) if al else p)
+            b[lv].append(q / p * math.fsum(map(operator.mul, b[lv - 1], reversed(al))))
+            h[lv].append(rest := q / p * math.fsum(map(operator.mul, below[lv - 1], reversed(al))))
+            below[lv].append(rest + al[-1])
+            if not kept[lv] and (rest < tail or len(al) == cap):
+                kept[lv] = len(al)
+    return a, b, h, kept
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The series x y, less its last terms that together hold less than
+    _SERIES_TAIL.  Row i of a grid holds x_i y shifted by i (so the grid is
+    smaller with the shorter series as x), and the rows are added down
+    axis 0, one by one, so no sum follows numpy's SIMD paths."""
+    rows, width = len(x), len(x) + len(y) - 1
+    grid = np.zeros(rows * (width + 1))
+    # row i of the (rows, width + 1) view starts i cells later in the
+    # (rows, width) one
+    np.multiply.outer(x, y, out=grid.reshape(rows, width + 1)[:, : len(y)])
+    terms = np.add.reduce(grid[: rows * width].reshape(rows, width), axis=0)
+    return terms[: width - np.searchsorted(np.cumsum(terms[::-1]), _SERIES_TAIL)]
 
 
 def climb_cost_laws(family: Family, top: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -225,35 +238,62 @@ def climb_cost_laws(family: Family, top: int) -> Iterator[tuple[np.ndarray, np.n
 
     A climb to L with d downs and r level-0 restarts costs
     L + 2d + r + (r + 1) c, so one outcome per (d, r) with any mass, in the
-    order of d, then r, with the whole part L + 2d + r.  For H (c = 1) the
-    cost is L + 1 + 2(d + r): the law collapses to one outcome per d + r,
-    each restart counted as a down.  The climbs to the levels of each block
-    1..8, 9..16, ... (_LAW_BLOCK levels, the last cut at MAX_LEVEL) are
-    solved together to the block's end (_failure_layers), which bounds what
-    a solve holds and makes each level's law independent of top.  Each law
-    leaves out less than CLIMB_LAW_CUT of its mass: the climbs still on
-    their way, those past the restart cut (raised from 32 in steps of 8
-    until so) and the least likely outcomes dropped from the law each hold
-    less than a quarter of it.
+    order of d, then r, with the whole part L + 2d + r.  In powers of z^d,
+    with passage_series' A and B, an attempt from level 0 reaches L with
+    reach_L = A_0 ... A_{L-1} and restarts first with restart_L, the sum
+    over l < L of reach_l z^l B_l (passage l ended at its first restart),
+    so r restarts have the law reach_L restart_L^r.  H's cost,
+    L + 1 + 2(d + r), counts a restart as a down, and a passage then ends
+    with no restart or climbs back past its start: F_l = A_l / (1 - y) for
+    y = z^(l+1) B_l P_l, where P_l = F_0 ... F_{l-1} is H's law (kept in
+    reach), and 1 / (1 - y) = (1 + y)(1 + y^2)(1 + y^4)...  Each level's
+    law follows from the last level's, whatever top is.
+
+    Each law leaves out less than CLIMB_LAW_CUT, under a quarter of it to
+    each of: the passage series, each cut where its tail holds less than
+    _SERIES_TAIL = CLIMB_LAW_CUT / (4 MAX_LEVEL^2), as an attempt runs at
+    most MAX_LEVEL passages and a climb makes fewer than 1.5 attempts on
+    average (the tests check it); the products, each trimmed of last terms
+    that hold less than _SERIES_TAIL, as an attempt passes at most
+    MAX_LEVEL of them and the rows or factors fewer than MAX_LEVEL more;
+    the restarts past the last row, rho^R for R rows and
+    rho = restart_L(1), or for H past each passage's last factor, the mass
+    of y^(2^k), under CLIMB_LAW_CUT / (4 MAX_LEVEL); and the least likely
+    outcomes, which the law drops.  Before the drop, each law is scaled so that the fsum of
+    its masses is 1: a deep passage's float A and B may sum past 1 by a
+    fraction of an ulp, which would compound along the climb past what
+    _law_end allows.
     """
     top = checked_level(top, "top")
     base = base_average_cost(family)
     yield np.full(1, base), np.ones(1)
-    probs = np.array(success_probs(family))
+    a, b, _, kept = passage_series(success_probs(family), top, math.inf, _SERIES_TAIL)
     bound = CLIMB_LAW_CUT / 4
-    for first in range(1, top + 1, _LAW_BLOCK):
-        tops = np.arange(first, min(first + _LAW_BLOCK, MAX_LEVEL + 1))
-        restarts = 0 if base == 1.0 else 32
-        while True:
-            layers, lost = _failure_layers(probs[: tops[-1]], tops, restarts, bound)
-            if lost.max() < bound:
-                break
-            restarts += 8
-        d, r = np.indices((len(layers), max(restarts, 1)))
-        for k, level in enumerate(tops[tops <= top].tolist()):
-            cells = np.array([layer[:, k] for layer in layers])  # [d, r]
-            # the least likely outcomes, together below bound, are dropped
-            ranked = np.sort(cells, axis=None)
-            keep = cells >= ranked[np.searchsorted(np.cumsum(ranked), bound)]
-            # climb_walk's bill, in its order: the integers, then the base states
-            yield (level + 2 * d + r)[keep] + (r[keep] + 1) * base, cells[keep]
+    reach, restart = np.ones(1), np.zeros(0)
+    for level, a_l, b_l, terms in zip(range(1, top + 1), a, b, kept):
+        # reach B_l for l = level - 1: the attempts that restart in passage l
+        restarts = _product(np.array(b_l[:terms]), reach)
+        reach = _product(np.array(a_l[:terms]), reach)
+        if base == 1.0:  # H's law, times 1 / (1 - y) = (1 + y)(1 + y^2)...
+            y = np.concatenate((np.zeros(level), restarts))
+            while math.fsum(y.tolist()) >= bound / MAX_LEVEL:
+                reach = _product(np.concatenate(([1.0], y[1:])), reach)
+                y = _product(y, y)
+            rows = [reach]  # [d + r]
+        else:
+            if len(restarts):  # restart gains z^l restarts; no view of it is alive
+                restart.resize(max(len(restart), level - 1 + len(restarts)), refcheck=False)
+                restart[level - 1 : level - 1 + len(restarts)] += restarts
+            rho, rows, rest = math.fsum(restart.tolist()), [reach], 1.0
+            while (rest := rest * rho) >= bound:
+                rows.append(_product(restart, rows[-1]))
+        cells = np.zeros((max(map(len, rows)), len(rows)))  # [d, r]
+        for r, row in enumerate(rows):
+            cells[: len(row), r] = row
+        cells /= math.fsum(cells.ravel().tolist())
+        d, r = np.indices(cells.shape)
+        # the least likely outcomes, together below bound, are dropped
+        ranked = np.sort(cells, axis=None)
+        keep = cells >= ranked[np.searchsorted(np.cumsum(ranked), bound)]
+        # climb_walk's bill, in its order: the integers, then the base states
+        yield (level + 2 * d + r)[keep] + (r[keep] + 1) * base, cells[keep]

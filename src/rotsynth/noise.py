@@ -28,11 +28,11 @@ model, and a climb is an integer walk on (level, m).  Past the model's
 saturation row M, lam^m moves no distance by a bit (M is 0, and no draw is
 read, where lam is 0 or rounds to 1).  The passage from the first arrival
 at one level to the first arrival at the next has a fixed law of (restart
-or not, downs), whose series every level fills in one lockstep, to at most
-M terms, and one read-only inverse-CDF table per (model, top) samples:
-decay_study draws each passage of every instance with one counter-stream
-draw, in numpy, a chunk of instances at a time in one workspace per
-thread; propagate_to_level walks.  One distance expression turns the downs
+or not, downs), whose series ladder.passage_series fills, every level in
+one lockstep, to at most M terms, and one read-only inverse-CDF table per
+(model, top) samples: decay_study draws each passage of every instance
+with one counter-stream draw, in numpy, a chunk of instances at a time in
+one workspace per thread; propagate_to_level walks.  One distance expression turns the downs
 into bytes: decay_study takes it once per cell of a grid of levels by
 downs counts, gathers each instance's cells, and sums every level in
 instance order, carrying the sums from chunk to chunk.  The tests check
@@ -48,11 +48,10 @@ import random
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
-from .ladder import MAX_LEVEL, TAN_THETA0, Family, checked_integer, checked_level, ladder_angle
+from .ladder import MAX_LEVEL, TAN_THETA0, Family, checked_integer, checked_level, ladder_angle, passage_series
 from .qcore import DensityMatrix, dm_from_bloch
 from .seeding import COUNTER_LIMIT, counter_bits, derive_seed, inverse_cdf_picks, inverse_cdf_table
 from .study import fit_columns
@@ -232,54 +231,13 @@ def _climb_tables(model: NoiseModel) -> _ClimbTables:
     return _ClimbTables(model)
 
 
-def _passage_series(up: list[float], top: int, cap: int) -> tuple[list[list[float]], ...]:
-    """The series A, B, H of levels 0..top - 1, and the terms each keeps.
-
-    Passage l runs from the first arrival at level l to the first arrival at
-    l + 1.  Its outcome is R, whether a level-0 restart happened in it, and
-    D, the downs since the last restart if one did, else since it began; so
-    the downs at the first arrivals follow m_1 = 0 and
-    m_{l+1} = D if R else m_l + D.  The up probability depends on the level
-    alone, so the passages are independent, each with a law of its own.
-    With p = up[l] and q = 1 - p, the passage fails k times, each a down
-    and a passage l - 1, before it goes up, and a failure that restarts
-    forgets the downs before it; in powers of z^D,
-
-        A_l(z) = p / (1 - q z A_{l-1}(z))        (no restart)
-        B_l(z) = (q / p) B_{l-1}(z) A_l(z)       (a restart)
-        H_l(z) = (q / p) (H_{l-1}(z) + A_{l-1}(z)) A_l(z),
-
-    from A_0 = p_0, B_0 = q_0 and H_0 = 0, where H_l holds the tail
-    P(D > k) of the passage.  Term k of a level needs terms up to k of the
-    level beneath, so every level takes term k in one lockstep, until each
-    level l >= 1 keeps its first min(K, cap) terms, K the least count whose
-    tail P(D >= K) is below _LAW_TAIL and cap the saturation row M, past
-    which the downs need not be told apart.  Every coefficient is a sum of
-    positive terms, taken in Python floats with math.fsum, so the bytes do
-    not depend on numpy's SIMD paths, and the tail is known without the
-    cancellation of 1 - sum.
-    """
-    # below holds H + A per level; level 0's series stop after their first
-    # term, as the rest are zeros and the level above reads only what is there
-    a, b, h, below = ([[x]] + [[] for _ in range(1, top)] for x in (up[0], 1.0 - up[0], 0.0, up[0]))
-    kept = [1] + [0] * (top - 1)
-    while not all(kept):
-        for lv in range(1, top):
-            p, q, al = up[lv], 1.0 - up[lv], a[lv]
-            al.append(q * math.fsum(map(mul, a[lv - 1], reversed(al))) if al else p)
-            b[lv].append(q / p * math.fsum(map(mul, b[lv - 1], reversed(al))))
-            h[lv].append(tail := q / p * math.fsum(map(mul, below[lv - 1], reversed(al))))
-            below[lv].append(tail + al[-1])
-            if not kept[lv] and (tail < _LAW_TAIL or len(al) == cap):
-                kept[lv] = len(al)
-    return a, b, h, kept
-
-
 @lru_cache(maxsize=64)
 def _passage_table(model: NoiseModel, top: int) -> tuple[np.ndarray, ...]:
     """The seeding.inverse_cdf_table (keys, guide, restarts, downs) of the
-    passages 1..top - 1, which a level samples by inverse CDF, passage l
-    in segment l - 1: its kept terms of A, then those of B, the outcomes
+    passages 1..top - 1 (ladder.passage_series, whose outcome (R, D) takes
+    the downs at the first arrivals from m_l to m_{l+1} = D if R else
+    m_l + D), which a level samples by inverse CDF, passage l in segment
+    l - 1: its kept terms of A, then those of B, the outcomes
     that do not restart guided.  Where the cap M cut the terms short, A
     and B each get one more term, M: A's holds the rest of A_l(1), the
     mass that does not restart (no more than the kept terms leave of 1, so
@@ -289,7 +247,7 @@ def _passage_table(model: NoiseModel, top: int) -> tuple[np.ndarray, ...]:
     A_l(1).  restarts is -1 (every bit set) for a restart, else 0, and
     downs its D."""
     tables = _climb_tables(model)
-    a, b, h, kept = _passage_series(tables.up, top, tables.saturation)
+    a, b, h, kept = passage_series(tables.up, top, tables.saturation, _LAW_TAIL)
 
     def laws():
         stays = tables.up[0]

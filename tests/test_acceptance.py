@@ -12,8 +12,8 @@ import pytest
 from oracles import decay_z_scores, exact_decay, measure_qubit
 from rotsynth import factories, ladder, noise, qcore, study
 from rotsynth.ladder import ALL_FAMILIES, Family
-from rotsynth.seeding import DEFAULT_SEED, derive_rng
-from rotsynth.synthesis import SynthesisConfig, min_online_synthesize, synthesize
+from rotsynth.seeding import DEFAULT_SEED, counter_draws, counter_rows, derive_rng, derive_seed
+from rotsynth.synthesis import SynthesisConfig, _angle_table, lockstep_synthesize, min_online_synthesize, synthesize
 
 SQRT2 = math.sqrt(2)
 
@@ -150,6 +150,40 @@ def _slope(fit, low: float, high: float) -> str:
     return _margin(fit.slope, fit.slope_se, low, high, ".3f")
 
 
+# the largest |z| a study's bill may read against the exact climb means, as
+# perfbench's ORACLE_Z_MAX
+BILL_Z_MAX = 5
+
+
+def _bill_z(scheme: str, samples) -> float:
+    """z = sum(offline - E) / sqrt(sum((offline - E)^2)) of a study at
+    DEFAULT_SEED, where E sums expected_climb_cost over the states each
+    sample consumed.  The study's lockstep is replayed on its own targets,
+    accuracies and counter streams with a trace, which names those states;
+    the replay must bill the study's offline costs byte for byte."""
+    families, ancilla = study._scheme(scheme)
+    epsilons = np.array([s.epsilon for s in samples])
+    targets = np.array([s.target for s in samples])
+    offline = np.array([s.offline for s in samples])
+    streams = counter_rows(derive_seed(DEFAULT_SEED, "scaling", scheme), np.arange(len(samples)))
+    trace = []
+    result = lockstep_synthesize(
+        targets,
+        epsilons,
+        families,
+        lambda rows, start, count: counter_draws(streams.take(rows), start, count),
+        ancilla=ancilla,
+        trace=trace,
+    )
+    assert result.offline.tobytes() == offline.tobytes()
+    means = np.array([ladder.expected_climb_cost(f, level) for f, level, _ in _angle_table(families).plus])
+    expected = np.zeros(len(samples))
+    for rows, states in trace:
+        np.add.at(expected, rows, means.take(states))
+    gap = (offline - expected).tolist()
+    return math.fsum(gap) / math.sqrt(math.fsum(g * g for g in gap))
+
+
 def _crossover_se(h_samples, multi_samples, reps: int = 400) -> float:
     """Paired-bootstrap standard error of the offline crossover of two
     studies that share their (epsilon, target) per index: each replicate
@@ -177,13 +211,15 @@ def _crossover_se(h_samples, multi_samples, reps: int = 400) -> float:
 
 
 def test_criterion_5_h_only_scaling(h_only_study):
-    _, fit_on, fit_off = h_only_study
-    ok = 1.19 <= fit_on.slope <= 1.39 and 2.07 <= fit_off.slope <= 2.47
+    samples, fit_on, fit_off = h_only_study
+    z = _bill_z(study.H_ONLY, samples)
+    ok = 1.19 <= fit_on.slope <= 1.39 and 2.07 <= fit_off.slope <= 2.47 and abs(z) <= BILL_Z_MAX
     _report(
         "5",
         ok,
         f"h-only slopes: online {_slope(fit_on, 1.19, 1.39)} (want 1.19..1.39, ref 1.29), "
-        f"offline {_slope(fit_off, 2.07, 2.47)} (want 2.07..2.47, ref 2.27)",
+        f"offline {_slope(fit_off, 2.07, 2.47)} (want 2.07..2.47, ref 2.27); "
+        f"offline bill vs exact climb means z {z:+.2f} (want |z| <= {BILL_Z_MAX})",
     )
 
 
@@ -191,10 +227,12 @@ def test_criterion_6_multi_scaling(h_only_study, multi_study):
     h_samples, _, fit_off_h = h_only_study
     samples, fit_on, fit_off = multi_study
     crossover = study.sk_crossover(fit_off_h, fit_off)
+    z = _bill_z(study.MULTI, samples)
     ok = (
         1.02 <= fit_on.slope <= 1.22
         and 1.55 <= fit_off.slope <= 1.95
         and 1.28e-5 / 2 <= crossover <= 1.28e-5 * 2
+        and abs(z) <= BILL_Z_MAX
     )
     se = _crossover_se(h_samples, samples)
     _report(
@@ -203,7 +241,8 @@ def test_criterion_6_multi_scaling(h_only_study, multi_study):
         f"multi slopes: online {_slope(fit_on, 1.02, 1.22)} (want 1.02..1.22, ref 1.12), "
         f"offline {_slope(fit_off, 1.55, 1.95)} (want 1.55..1.95, ref 1.75); "
         f"offline crossover vs h-only {_margin(crossover, se, 1.28e-5 / 2, 1.28e-5 * 2, '.2e')} "
-        f"(want within 2x of 1.28e-5, paired-bootstrap SE)",
+        f"(want within 2x of 1.28e-5, paired-bootstrap SE); "
+        f"offline bill vs exact climb means z {z:+.2f} (want |z| <= {BILL_Z_MAX})",
     )
 
 
@@ -226,12 +265,14 @@ def test_criterion_7_min_online():
     expected = [n * 2.0**-k for k in range(1, kmax)]
     expected.append(n - sum(expected))
     pvalue = chisquare(observed, expected).pvalue
-    ok = 1.9 <= mean_online <= 2.1 and pvalue > 0.01 and 1.55 <= fit_off.slope <= 1.95
+    z = _bill_z(study.MIN_ONLINE, samples)
+    ok = 1.9 <= mean_online <= 2.1 and pvalue > 0.01 and 1.55 <= fit_off.slope <= 1.95 and abs(z) <= BILL_Z_MAX
     _report(
         "7",
         ok,
         f"min-online mean {mean_online:.3f} (want 1.9..2.1, ref {study.MIN_ONLINE_MEAN}), "
-        f"geometric chi2 p={pvalue:.3f} (want >0.01), offline slope {_slope(fit_off, 1.55, 1.95)} (want 1.55..1.95)",
+        f"geometric chi2 p={pvalue:.3f} (want >0.01), offline slope {_slope(fit_off, 1.55, 1.95)} (want 1.55..1.95); "
+        f"offline bill vs exact climb means z {z:+.2f} (want |z| <= {BILL_Z_MAX})",
     )
 
 

@@ -458,12 +458,15 @@ def test_the_tabulated_climbs_follow_the_failure_law(family, level):
 
 
 def test_the_lockstep_tables_keep_each_law_in_its_segment():
-    """Some laws of the PSI families sum past 1 by rounding (at top 40:
-    PSI0 from level 16, PSI1 36, PSI2 25 and 26); their segments end where
-    the running sum passes 1.  So the keys never decrease and no key
-    passes its segment's end: the first draw of every segment picks the
-    first outcome of its own law, not a tail outcome of the law before."""
-    top = 40
+    """A law may sum past 1 by rounding, and its segment then ends where
+    the running sum passes 1: none up to level 40 does, and up to level 60
+    one of each PSI family (PSI0 at 55, PSI1 at 50, PSI2 at 44; up to
+    MAX_LEVEL, PSI0 at 81, 98 and 123, PSI1 at 89 and PSI2 at 83, 88, 114,
+    127, 128 and 146 too, and no law of H).  So the keys never decrease and
+    no key passes its segment's end: the first draw of every segment picks
+    the first outcome of its own law, not a tail outcome of the law
+    before."""
+    top = 60
     tables = _lockstep_tables(ALL_FAMILIES, top)
     assert (np.diff(tables.keys) >= 0).all()
     first = {f: [costs[0] for costs, _ in climb_cost_laws(f, top)] for f in ALL_FAMILIES}
@@ -472,12 +475,13 @@ def test_the_lockstep_tables_keep_each_law_in_its_segment():
     assert drawn.tolist() == [first[f][level] for f, level, _ in states]
 
 
-@pytest.mark.parametrize(("family", "level"), _law_cases([0, 1, 3, 6, 12, 30]))
+@pytest.mark.parametrize(("family", "level"), _law_cases([0, 1, 3, 6, 8, 9, 12, 30, 40]))
 def test_climb_cost_laws_are_the_failure_law(family, level):
-    """Each tabulated law, billed as climb_walk bills, holds every cost of
-    the failure law within 1e-15 of its mass, loses less than
-    CLIMB_LAW_CUT (to rounding), and its mean is the walk solve's expected
-    cost within 1e-12 relative."""
+    """Each tabulated law, billed as climb_walk bills, at shallow and deep
+    levels and at 8 and 9, either side of where blocks of levels were once
+    solved together, holds every cost of the failure law within 1e-15 of
+    its mass, loses less than CLIMB_LAW_CUT (to rounding), and its mean is
+    the walk solve's expected cost within 1e-12 relative."""
     *_, (costs, masses) = climb_cost_laws(family, level)
     costs = costs.tolist()
     assert len(set(costs)) == len(costs)
@@ -492,15 +496,39 @@ def test_climb_cost_laws_are_the_failure_law(family, level):
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_each_climb_law_is_independent_of_the_top(family):
     """The laws up to any top are the first top + 1 laws up to 40, outcome
-    for outcome: every level is solved with its whole block of levels,
-    whichever top cuts the block, so the lockstep's cost draws do not
-    depend on the finest accuracy of their batch."""
+    for outcome: each level's law is built from the passages beneath it
+    alone, so the lockstep's cost draws do not depend on the finest
+    accuracy of their batch."""
     deep = list(climb_cost_laws(family, 40))
     for top in range(1, 41):
         laws = list(climb_cost_laws(family, top))
         assert len(laws) == top + 1
         for (costs, masses), (want_costs, want_masses) in zip(laws, deep):
             assert np.array_equal(costs, want_costs) and np.array_equal(masses, want_masses)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_every_climb_law_stays_in_its_segment(family):
+    """Every law up to MAX_LEVEL sums to 1 within 2^-50 before its last
+    mass, as _law_end and inverse_cdf_table take it: the float terms of a
+    deep passage may sum past 1 by a fraction of an ulp, which compounds
+    along the climb unless each law is scaled to sum to 1."""
+    worst = max(math.fsum(masses.tolist()[:-1]) for _, masses in climb_cost_laws(family, MAX_LEVEL))
+    assert worst <= 1 + 2**-50
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_a_climb_makes_fewer_than_one_and_a_half_attempts(family):
+    """climb_cost_laws' count of its quarters of CLIMB_LAW_CUT: a climb to
+    any level makes fewer than 1.5 attempts from level 0 on average,
+    1 / P(it reaches MAX_LEVEL without a restart), the product of each
+    passage's A_l(1) = p / (1 - q A_{l-1}(1))."""
+    up = success_probs(family)
+    stays = reach = up[0]
+    for p in up[1:]:
+        stays = p / (1 - (1 - p) * stays)
+        reach *= stays
+    assert 1 / reach < 1.5
 
 
 def test_expected_cost_increases_with_level():

@@ -27,7 +27,7 @@ from oracles import (
     walker_propagate,
 )
 from rotsynth import noise
-from rotsynth.ladder import MAX_LEVEL
+from rotsynth.ladder import MAX_LEVEL, passage_series
 from rotsynth.noise import (
     DecayFit,
     NoiseModel,
@@ -345,7 +345,7 @@ def test_distances_saturate_at_the_saturation_row(model):
         noise._climb_tables.cache_clear()
         noise._passage_table.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
-            series = _spy(mp, "_passage_series")
+            series = _spy(mp, "passage_series")
             decay_study(model, top, 2, 1)
         saturations.append(noise._climb_tables(model).saturation)
     cap = saturations[0]
@@ -599,7 +599,7 @@ def test_passage_series_equal_exact_arithmetic(model):
     outcome after A's terms holds the rest of the exact A_l(1) to 2^-51
     (the two keys' ceilings and the rounding of the float A_l(1))."""
     tables = noise._climb_tables(model)
-    series_a, series_b, series_h, kept = noise._passage_series(tables.up, 7, tables.saturation)
+    series_a, series_b, series_h, kept = passage_series(tables.up, 7, tables.saturation, noise._LAW_TAIL)
     keys = noise._passage_table(model, 7)[0]
     widths = np.diff(keys, prepend=0).tolist()
     up = [Fraction(u) for u in tables.up]
