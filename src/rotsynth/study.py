@@ -274,10 +274,25 @@ def comparison_table() -> dict:
 
 @dataclass(frozen=True)
 class FixedAngleRow:
+    """Mean costs at one accuracy; online_se and offline_se are the
+    standard errors of the means (nan for one sample)."""
+
     epsilon: float
     mean_online: float
     mean_offline: float
     n_samples: int
+    online_se: float
+    offline_se: float
+
+
+def _mean_and_se(values: list[float]) -> tuple[float, float]:
+    """The mean of the samples and its standard error,
+    sqrt(sum (x - mean)^2 / (n - 1) / n), squared by pow and summed by
+    math.fsum as in fit_columns."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    squares = math.fsum(map(pow, [x - mean for x in values], repeat(2)))
+    return mean, math.sqrt(squares / (n - 1) / n) if n > 1 else math.nan
 
 
 def fixed_angle_study(
@@ -287,7 +302,8 @@ def fixed_angle_study(
     n_samples: int,
     seed: int = 0,
 ) -> list[FixedAngleRow]:
-    """Mean costs of synthesizing one fixed angle at each accuracy."""
+    """Mean costs of synthesizing one fixed angle at each accuracy, with
+    their standard errors."""
     if not 0 < theta < TAU:
         raise ValueError("theta must lie in (0, 2*pi)")
     if (n_samples := checked_integer(n_samples, "n_samples")) < 1:
@@ -306,14 +322,9 @@ def fixed_angle_study(
                 result = synthesize(theta, config, rng)
             total_on.append(result.online_cost)
             total_off.append(result.offline_cost)
-        rows.append(
-            FixedAngleRow(
-                epsilon=epsilon,
-                mean_online=math.fsum(total_on) / n_samples,
-                mean_offline=math.fsum(total_off) / n_samples,
-                n_samples=n_samples,
-            )
-        )
+        mean_online, online_se = _mean_and_se(total_on)
+        mean_offline, offline_se = _mean_and_se(total_off)
+        rows.append(FixedAngleRow(epsilon, mean_online, mean_offline, n_samples, online_se, offline_se))
     return rows
 
 

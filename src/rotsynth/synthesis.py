@@ -12,12 +12,15 @@ the residual rotation is synthesized onto a free |+> ancilla which is then
 consumed by a single online use, doubling the remaining angle on failure.
 
 synthesize and min_online_synthesize compile one rotation at a time, each
-climb walked merge by merge on a random.Random.  lockstep_synthesize runs
-the same planner over many samples at once in numpy, drawing each climb's
-cost from its exact law by inverse CDF, with one 53-bit draw per climb and
-one per coin from a caller's counter stream.  Once only a few samples are
-left, it runs their ticks on in plain Python, with the same arithmetic on
-the same draws, so the bytes are the same.
+climb walked merge by merge on a random.Random.  They share one greedy loop,
+_greedy: synthesize runs it once, and min_online_synthesize validates its
+config once per call and runs every ancilla round through it on the same
+angle table.  lockstep_synthesize runs the same planner over many samples
+at once in numpy, drawing each climb's cost from its exact law by inverse
+CDF, with one 53-bit draw per climb and one per coin from a caller's counter
+stream.  Once only a few samples are left, it runs their ticks on in plain
+Python, with the same arithmetic on the same draws, so the bytes are the
+same.
 """
 from __future__ import annotations
 
@@ -188,6 +191,34 @@ def _table_and_start(config: SynthesisConfig) -> tuple[_AngleTable, int]:
     return table, start
 
 
+def _greedy(
+    residual: float, table: _AngleTable, start: int, eps: float, rnd: Callable[[], float]
+) -> tuple[float, float, int, list[tuple[Family, int, int]]]:
+    """The greedy loop of both scalar planners: fold the residual, and while
+    it is above eps consume the nearest state from start on, walking its
+    climb and flipping its coin on rnd.  Returns the final residual, the
+    offline cost, the Clifford corrections and the applied states."""
+    thresholds, angles, levels, probs = table.thresholds, table.angles, table.levels, table.probs
+    base_costs, plus, minus = table.base_costs, table.plus, table.minus
+    applied: list[tuple[Family, int, int]] = []
+    offline, corrections = 0.0, 0
+    while True:
+        residual, k = reduce_by_clifford(residual)
+        corrections += k
+        magnitude = abs(residual)
+        if magnitude <= eps:
+            return residual, offline, corrections, applied
+        i = bisect_right(thresholds, magnitude, start)
+        offline += climb_walk(probs[i], levels[i], base_costs[i], rnd)
+        # consume the state: rotate by +angle or -angle with probability 1/2
+        if rnd() < 0.5:
+            residual -= angles[i]
+            applied.append(plus[i])
+        else:
+            residual += angles[i]
+            applied.append(minus[i])
+
+
 def synthesize(target: float, config: SynthesisConfig, rng: random.Random) -> SynthesisResult:
     """Compile a Z-rotation by `target` to accuracy config.epsilon.
 
@@ -197,26 +228,7 @@ def synthesize(target: float, config: SynthesisConfig, rng: random.Random) -> Sy
     if not math.isfinite(target):
         raise ValueError("target must be finite")
     table, start = _table_and_start(config)
-    eps, rnd = config.epsilon, rng.random
-    thresholds, angles, levels, probs = table.thresholds, table.angles, table.levels, table.probs
-    base_costs, plus, minus = table.base_costs, table.plus, table.minus
-    applied: list[tuple[Family, int, int]] = []
-    offline, corrections = 0.0, 0
-    residual = target
-    while True:
-        residual, k = reduce_by_clifford(residual)
-        corrections += k
-        if abs(residual) <= eps:
-            break
-        i = bisect_right(thresholds, abs(residual), start)
-        offline += climb_walk(probs[i], levels[i], base_costs[i], rnd)
-        # consume the state: rotate by +angle or -angle with probability 1/2
-        if rnd() < 0.5:
-            residual -= angles[i]
-            applied.append(plus[i])
-        else:
-            residual += angles[i]
-            applied.append(minus[i])
+    residual, offline, corrections, applied = _greedy(target, table, start, config.epsilon, rng.random)
     return SynthesisResult(
         applied=tuple(applied),
         residual=residual,
@@ -246,12 +258,14 @@ def min_online_synthesize(
     """
     if not math.isfinite(target):
         raise ValueError("target must be finite")
-    # validates eps as the inner accuracy (so a NaN eps is reported as such,
-    # not as a mismatch), and the ladder depth it needs under the config's
-    # level cap
-    _table_and_start(replace(config, epsilon=eps))
-    if eps != config.epsilon:
+    if eps == config.epsilon:
+        table, start = _table_and_start(config)
+    else:
+        # validates eps as the inner accuracy first, so a NaN or too small
+        # eps is reported as such, not as a mismatch
+        _table_and_start(replace(config, epsilon=eps))
         raise ValueError(f"eps {eps!r} differs from config.epsilon {config.epsilon!r}")
+    rnd = rng.random
     corrections = online = 0
     offline = 0.0
     remaining = target
@@ -260,16 +274,16 @@ def min_online_synthesize(
         corrections += k
         if abs(remaining) <= eps:
             break
-        inner = synthesize(remaining, config, rng)
-        offline += inner.offline_cost
-        corrections += inner.clifford_corrections
+        residual, cost, k, _ = _greedy(remaining, table, start, eps, rnd)
+        offline += cost
+        corrections += k
         online += 1
-        if rng.random() < 0.5:
-            remaining = inner.residual
+        if rnd() < 0.5:
+            remaining = residual
             break
-        # the ancilla carried (remaining - inner.residual); failure applied
-        # its negative
-        remaining = 2 * remaining - inner.residual
+        # the ancilla carried (remaining - residual); failure applied its
+        # negative
+        remaining = 2 * remaining - residual
     return SynthesisResult(
         applied=(),
         residual=remaining,

@@ -14,9 +14,11 @@ force over every enabled state judges the planners' threshold lookups; the
 arrival law of a noisy climb's downs (the visits of its walk on level and
 downs) judges the noise module's passage-law sampler and gives the exact
 decay-study means of every model; the one-state rotation step replays
-the planner from its public pieces, and the coin replay feeds the scalar
-planners' coins to the numpy lockstep; the least-squares fit taken point
-by point, in Python floats over generators, judges study.fit_columns.
+the planner from its public pieces; the min-online rounds, each a whole
+synthesize call, judge min_online_synthesize's one loop; the coin replay
+feeds the scalar planners' coins to the numpy lockstep; the least-squares
+fit taken point by point, in Python floats over generators, judges
+study.fit_columns.
 The small helpers that only the tests read live here too: basis states,
 |+>, pure states as density matrices, Bloch vectors of density matrices, and
 reading a samples CSV back.
@@ -27,7 +29,7 @@ import csv
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -270,6 +272,39 @@ def apply_random_rotation(
         raise ValueError("rotation angle must be positive")
     sign = 1 if rng.random() < 0.5 else -1
     return residual - sign * rot_angle, sign
+
+
+def min_online_rounds(
+    target: float, eps: float, config: synthesis.SynthesisConfig, rng: random.Random
+) -> synthesis.SynthesisResult:
+    """The min-online planner round by round: each ancilla is a whole
+    synthesize call at config.epsilon, which validates the config again and
+    builds a result; eps is validated as an accuracy before its mismatch
+    with config.epsilon is raised."""
+    if not math.isfinite(target):
+        raise ValueError("target must be finite")
+    synthesis._table_and_start(replace(config, epsilon=eps))
+    if eps != config.epsilon:
+        raise ValueError(f"eps {eps!r} differs from config.epsilon {config.epsilon!r}")
+    corrections = online = 0
+    offline = 0.0
+    remaining = target
+    while True:
+        remaining, k = synthesis.reduce_by_clifford(remaining)
+        corrections += k
+        if abs(remaining) <= eps:
+            break
+        inner = synthesis.synthesize(remaining, config, rng)
+        offline += inner.offline_cost
+        corrections += inner.clifford_corrections
+        online += 1
+        if rng.random() < 0.5:
+            remaining = inner.residual
+            break
+        remaining = 2 * remaining - inner.residual
+    return synthesis.SynthesisResult(
+        applied=(), residual=remaining, online_cost=online, offline_cost=offline, clifford_corrections=corrections
+    )
 
 
 def coin_draws(coins: list[list[int]]):

@@ -332,6 +332,13 @@ def test_criterion_9_reference_crossovers():
 # --- criterion 10: fixed-angle spot checks ----------------------------------
 
 
+def _cell(mean: float, se: float, quoted: float) -> str:
+    """A criterion-10 cell: its mean, band (quoted +-30%), standard error
+    and signed distance to the nearer bound in SEs, negative outside."""
+    lo, hi = quoted * 0.7, quoted * 1.3
+    return f"{mean:.2f} (want {lo:.2f}..{hi:.2f}; SE {se:.2f}, {min(mean - lo, hi - mean) / se:+.1f} SE to the nearer bound)"
+
+
 def test_criterion_10_fixed_angle_spot_checks():
     row_h = study.fixed_angle_study(math.pi / 16, [1e-8], study.H_ONLY, 20_000, seed=DEFAULT_SEED)[0]
     row_m = study.fixed_angle_study(math.pi / 1024, [1e-12], study.MULTI, 4_000, seed=DEFAULT_SEED)[0]
@@ -341,9 +348,9 @@ def test_criterion_10_fixed_angle_spot_checks():
     _report(
         "10",
         on_ok and off_ok and multi_ok,
-        f"pi/16@1e-8 h-only: online {row_h.mean_online:.2f} (want 17.16..31.88), "
-        f"offline {row_h.mean_offline:.2f} (want 244.86..454.74); "
-        f"pi/1024@1e-12 multi: online {row_m.mean_online:.2f} (want 10.66..19.80)",
+        f"pi/16@1e-8 h-only: online {_cell(row_h.mean_online, row_h.online_se, 24.52)}, "
+        f"offline {_cell(row_h.mean_offline, row_h.offline_se, 349.8)}; "
+        f"pi/1024@1e-12 multi: online {_cell(row_m.mean_online, row_m.online_se, 15.23)}",
     )
 
 

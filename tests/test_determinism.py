@@ -30,7 +30,9 @@ digests and says so in CHANGES.md.  The re-recordings so far:
 * noise model a at 0.3 (pinned then, as no digest covered a near-symmetric
   mixture), when decay_study stopped walking near-symmetric mixtures merge
   by merge and sampled them from the passage law capped at the saturation
-  row; every other pinned byte stayed.
+  row; every other pinned byte stayed;
+* the fixed-angle row, when it gained the standard errors of its means
+  (the means kept their bytes, which FIXED_ANGLE_MEANS pins).
 """
 import hashlib
 import math
@@ -46,8 +48,11 @@ STUDY_DIGESTS = {
     "multi": "50c836d5638795841eda2bdb4373a9c5b1d4b79b5cf8345882e9ce69a15af2f1",
     "min-online": "c623ad24557b8a2d7a5bb82068858707a58c34d6305c6cfa6150022089289c69",
 }
-# FixedAngleRow(epsilon=1e-08, mean_online=30.52, mean_offline=463.415, n_samples=200)
-FIXED_ANGLE_DIGEST = "010178cbb68ca05ae81b265820b10b540dbcb591f6e02b676ee127ded2c5f04a"
+# FixedAngleRow(epsilon=1e-08, mean_online=30.52, mean_offline=463.415, n_samples=200,
+#               online_se=1.1701470937901473, offline_se=18.176137481426537)
+FIXED_ANGLE_DIGEST = "b01e821e8bf8aca3613ab7a49a73ee068f518bc0f5a3a62de230a2fa21b869c4"
+# the row's means as they were before the row gained its standard errors
+FIXED_ANGLE_MEANS = ("0x1.e851eb851eb85p+4", "0x1.cf6a3d70a3d71p+8")
 CLI_DIGESTS = {
     ("synth", "--target", "0.61", "--eps", "1e-9", "--families", "all", "--trials", "50"):
         "3428beabaa1b1174b5486d15aeeaa0a5e20b6880f944201cba3a77652f03bb1f",
@@ -115,6 +120,7 @@ def test_study_csv_bytes(scheme, tmp_path):
 def test_fixed_angle_row():
     (row,) = fixed_angle_study(math.pi / 16, [1e-8], "h-only", 200, seed=DEFAULT_SEED)
     assert _sha256(repr(row).encode()) == FIXED_ANGLE_DIGEST
+    assert (row.mean_online.hex(), row.mean_offline.hex()) == FIXED_ANGLE_MEANS
 
 
 @pytest.mark.parametrize("argv", sorted(CLI_DIGESTS))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pickle
+import statistics
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from rotsynth.study import (
     shift_for_unitary,
     sk_crossover,
 )
+from rotsynth.seeding import derive_rng
+from rotsynth.synthesis import SynthesisConfig, min_online_synthesize, synthesize
 
 
 def test_fit_loglog_two_points_exact():
@@ -379,6 +382,33 @@ def test_fixed_angle_study_quarter_turn():
         assert row.mean_online == pytest.approx(1.0)
         assert row.mean_offline == pytest.approx(1.0)
         assert row.n_samples == 50
+        assert row.online_se == row.offline_se == 0.0
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_fixed_angle_study_standard_errors(scheme):
+    """Each mean's standard error is the SD of its samples over sqrt(n):
+    the samples replayed from their streams, the SD by statistics; a single
+    sample has none."""
+    rows = fixed_angle_study(0.3, [1e-3, 1e-6], scheme, 40, seed=5)
+    families, ancilla = study._scheme(scheme)
+    for eps_index, row in enumerate(rows):
+        config = SynthesisConfig(epsilon=row.epsilon, families=families)
+        results = []
+        for i in range(40):
+            rng = derive_rng(5, "fixed", scheme, eps_index, i)
+            results.append(
+                min_online_synthesize(0.3, row.epsilon, config, rng) if ancilla else synthesize(0.3, config, rng)
+            )
+        for costs, mean, se in (
+            ([r.online_cost for r in results], row.mean_online, row.online_se),
+            ([r.offline_cost for r in results], row.mean_offline, row.offline_se),
+        ):
+            assert mean == statistics.fmean(costs)
+            assert se > 0
+            assert se == pytest.approx(statistics.stdev(costs) / math.sqrt(40), rel=1e-12)
+    (row,) = fixed_angle_study(0.3, [1e-3], scheme, 1)
+    assert math.isnan(row.online_se) and math.isnan(row.offline_se)
 
 
 def test_fixed_angle_study_validation():

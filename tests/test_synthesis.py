@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import CoinRecorder, apply_random_rotation, coin_draws, nearest_state
+from oracles import CoinRecorder, apply_random_rotation, coin_draws, min_online_rounds, nearest_state
 from rotsynth import synthesis
 from rotsynth.ladder import (
     ALL_FAMILIES,
@@ -444,6 +444,59 @@ def test_min_online_free_target():
 def test_min_online_rejects_bad_eps():
     with pytest.raises(ValueError):
         min_online_synthesize(1.0, 0.0, H_ONLY, derive_rng(14, "e"))
+
+
+def _min_online_case(rng: random.Random, i: int) -> tuple[float, float, SynthesisConfig]:
+    """Case i of the judge below: families alternate between H and all four,
+    epsilon is log-uniform in 1e-12..1e-2, every fourth target is a free
+    multiple of pi/2, every third config caps the ladder at most two levels
+    below the depth epsilon needs, and one case in seven passes an eps that
+    is not config.epsilon: a bad one, a too fine one or just another one."""
+    families = ALL_FAMILIES if i % 2 else (Family.H,)
+    epsilon = math.exp(rng.uniform(math.log(1e-12), math.log(1e-2)))
+    target = rng.randrange(-9, 10) * (math.pi / 2) if i % 4 == 0 else rng.uniform(-8, 8)
+    max_level = MAX_LEVEL
+    if i % 3 == 0:
+        need = next(lvl for lvl in range(MAX_LEVEL + 1) if min(rotation_angle(f, lvl) for f in families) <= epsilon / 2)
+        max_level = rng.randint(max(0, need - 2), MAX_LEVEL)
+    eps = epsilon
+    if i % 7 == 5:
+        eps = rng.choice([0.0, -epsilon, math.nan, math.inf, 1e-300, epsilon * 1.5])
+    return target, eps, SynthesisConfig(epsilon=epsilon, families=families, max_level=max_level)
+
+
+def test_min_online_matches_its_rounds_oracle():
+    """min_online_synthesize, one greedy loop on one validated table, gives
+    the bytes, errors and generator state of today's rounds oracle, where
+    each ancilla is a whole synthesize call."""
+    cases = random.Random(22)
+    seen = {"result": 0, "free": 0, "rounds": 0}
+    errors = set()
+    for i in range(2400):
+        target, eps, config = _min_online_case(cases, i)
+        outcomes = []
+        for run in (min_online_synthesize, min_online_rounds):
+            rng = random.Random(i)
+            try:
+                outcome = repr(run(target, eps, config, rng))
+            except ValueError as error:
+                outcome = f"ValueError: {error}"
+            outcomes.append((outcome, rng.getstate()))
+        assert outcomes[0] == outcomes[1], (i, target, eps, config)
+        outcome = outcomes[0][0]
+        if outcome.startswith("ValueError"):
+            errors.add(re.sub(r"-?\b(?:\d[\d.]*(?:e[-+]\d+)?|nan|inf)\b", "#", outcome))
+        else:
+            seen["result"] += 1
+            seen["free"] += "online_cost=0," in outcome
+            seen["rounds"] += "online_cost=1," not in outcome
+    assert min(seen.values()) >= 100, seen
+    assert errors == {
+        "ValueError: epsilon must be positive and finite",
+        "ValueError: finest enabled rotation # exceeds epsilon/#; raise max_level",
+        "ValueError: epsilon # is below what # levels reach: finest enabled rotation # exceeds epsilon/#",
+        "ValueError: eps # differs from config.epsilon #",
+    }, errors
 
 
 # --- config validation ------------------------------------------------------
