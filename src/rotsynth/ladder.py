@@ -18,6 +18,7 @@ import enum
 import math
 import operator
 import random
+from bisect import bisect_left
 from collections.abc import Iterator
 from functools import lru_cache
 
@@ -259,10 +260,12 @@ def climb_cost_laws(family: Family, top: int) -> Iterator[tuple[np.ndarray, np.n
     the restarts past the last row, rho^R for R rows and
     rho = restart_L(1), or for H past each passage's last factor, the mass
     of y^(2^k), under CLIMB_LAW_CUT / (4 MAX_LEVEL); and the least likely
-    outcomes, which the law drops.  Before the drop, each law is scaled so that the fsum of
-    its masses is 1: a deep passage's float A and B may sum past 1 by a
-    fraction of an ulp, which would compound along the climb past what
-    _law_end allows.
+    outcomes, which the law drops.  Before the drop, each law is scaled so
+    that the fsum of its masses is 1: a deep passage's float A and B may
+    sum past 1 by a fraction of an ulp, which would compound along the
+    climb.  Where rounding still takes the running sum past 1 before the
+    last mass (13 PSI laws up to MAX_LEVEL, the first at 44), the law ends
+    at the first outcome past 1, so each is an inverse-CDF segment as it is.
     """
     top = checked_level(top, "top")
     base = base_average_cost(family)
@@ -295,5 +298,9 @@ def climb_cost_laws(family: Family, top: int) -> Iterator[tuple[np.ndarray, np.n
         # the least likely outcomes, together below bound, are dropped
         ranked = np.sort(cells, axis=None)
         keep = cells >= ranked[np.searchsorted(np.cumsum(ranked), bound)]
+        masses = cells[keep].tolist()
+        end = len(masses)
+        if math.fsum(masses[:-1]) > 1.0:  # end at the first outcome past 1
+            end = bisect_left(range(end), True, key=lambda j: math.fsum(masses[: j + 1]) > 1.0) + 1
         # climb_walk's bill, in its order: the integers, then the base states
-        yield (level + 2 * d + r)[keep] + (r[keep] + 1) * base, cells[keep]
+        yield ((level + 2 * d + r)[keep] + (r[keep] + 1) * base)[:end], cells[keep][:end]

@@ -53,7 +53,7 @@ import numpy as np
 
 from .ladder import MAX_LEVEL, TAN_THETA0, Family, checked_integer, checked_level, ladder_angle, passage_series
 from .qcore import DensityMatrix, dm_from_bloch
-from .seeding import COUNTER_LIMIT, counter_bits, derive_seed, inverse_cdf_picks, inverse_cdf_table
+from .seeding import COUNTER_LIMIT, counter_draws, counter_rows, derive_seed, inverse_cdf_picks, inverse_cdf_table
 from .study import fit_columns
 
 # a passage keeps the terms of its law until the mass beyond them is below this
@@ -273,7 +273,7 @@ def _law_climbs(
     model: NoiseModel, bits: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
     """The (instances, top) matrix of downs at the first arrival at levels
-    1..top, with column l - 1 of bits (counter_bits' 53-bit integers)
+    1..top, with column l - 1 of bits (counter_draws' 53-bit integers)
     driving passage l (top - 1 columns).  The guide picks the outcome of
     all but about 2% of the draws on the criterion-8 grid, a binary search
     the others, among them every draw that picks a restart.  bits is
@@ -358,7 +358,7 @@ class _Workspace(threading.local):
 
     def chunk(self, rows: int, top: int) -> tuple[np.ndarray, ...]:
         """Views for rows instances by levels 1..top: the draws and the
-        scratch of counter_bits and _law_climbs (uint64, top - 1 columns),
+        scratch of counter_draws and _law_climbs (uint64, top - 1 columns),
         the downs at the first arrivals (intp) and the gathered distances
         (float64, after a row for the sums carried in)."""
         if self.cells < rows * top:
@@ -418,7 +418,7 @@ def decay_study(
     for start in range(0, n_instances, chunk):
         stop = min(start + chunk, n_instances)
         bits, scratch, downs, values = _workspace.chunk(stop - start, max_level)
-        counter_bits(key, np.arange(start, stop), 0, max_level - 1, bits, scratch)
+        counter_draws(counter_rows(key, np.arange(start, stop)), 0, max_level - 1, bits, scratch)
         # a distance depends on (level, downs) alone: each cell of one grid
         # of levels by downs is taken once, then gathered per instance, and
         # downs past the saturation row land on it, as every later row

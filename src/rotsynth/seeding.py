@@ -7,13 +7,14 @@ of scheduling order and stable across platforms and Python versions.
 
 Batched studies read a counter-based stream instead: draw j of instance i is
 a keyed hash of (i, j), so any block of draws is computed at once, in any
-order, and instance i reads the same draws whatever the batch.
-counter_bits gives each draw as its 53 random bits, an integer;
-counter_uniforms gives the same draws as those bits times 2**-53, exact
-uniforms on [0, 1).  Fixed laws are drawn from those bits by inverse CDF:
-inverse_cdf_table lays one read-only table out, a segment per law, and
-inverse_cdf_picks draws from it.  The noisy climbs' passages and the
-ladder climbs' costs are sampled so, and only this module knows the
+order, and instance i reads the same draws whatever the batch.  It has one
+reader: counter_rows mixes each instance's part of the hash once, and
+counter_draws gives a block of draws of those rows, each as its 53 random
+bits, an integer.  counter_uniforms reads the same draws and scales them by
+2**-53, to exact uniforms on [0, 1).  Fixed laws are drawn from the bits by
+inverse CDF: inverse_cdf_table lays one read-only table out, a segment per
+law, and inverse_cdf_picks draws from it.  The noisy climbs' passages and
+the ladder climbs' costs are sampled so, and only this module knows the
 layout.
 """
 from __future__ import annotations
@@ -70,36 +71,12 @@ def derive_rng(master_seed: int, *path: int | str) -> random.Random:
     return random.Random(derive_seed(master_seed, *path))
 
 
-def counter_bits(
-    key: int, instances: np.ndarray, start: int, count: int, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """Draws start .. start + count - 1 of every instance's counter stream
-    under key (taken mod 2**64) as 53-bit integers, uint64 of shape
-    (len(instances), count): [r, c] is draw start + c of instance
-    instances[r].  out takes the draws and scratch the mix's shifts, each
-    a uint64 array of that shape; either is made for the call if not given.
-
-    Draw j of instance i is the SplitMix64 finalizer of
-    key + ((i << 32) | j) * 0x9E3779B97F4A7C15 (mod 2**64), shifted right by
-    11.  The key, start and count must be integers, and the instances an
-    array of integers; instances and draws must lie in [0, 2**32).
-    """
-    key = checked_integer(key, "key")
-    start, count = checked_integer(start, "start"), checked_integer(count, "count")
-    _check_draws(start, count)
-    return counter_draws(counter_rows(key, instances), start, count, out, scratch)
-
-
-def _check_draws(start: int, count: int) -> None:
-    if not 0 <= start <= start + count <= COUNTER_LIMIT:
-        raise ValueError(f"draws must lie in [0, {COUNTER_LIMIT})")
-
-
 def counter_rows(key: int, instances: np.ndarray) -> np.ndarray:
-    """The part of counter_bits' mix that depends on the instance alone,
-    key + (i << 32) * 0x9E3779B97F4A7C15 (mod 2**64) per instance i, for
-    counter_draws: a study that reads its rows tick by tick takes it once.
-    The key must be an integer, the instances integers in [0, 2**32)."""
+    """The part of the counter stream's mix that depends on the instance
+    alone, key + (i << 32) * 0x9E3779B97F4A7C15 (mod 2**64) per instance i,
+    for counter_draws: a study that reads its rows block by block takes it
+    once.  The key must be an integer (taken mod 2**64), the instances an
+    array of integers in [0, 2**32)."""
     key = checked_integer(key, "key")
     rows = np.asarray(instances)
     if rows.dtype.kind not in "iu":
@@ -120,8 +97,19 @@ def counter_rows(key: int, instances: np.ndarray) -> np.ndarray:
 def counter_draws(
     rows: np.ndarray, start: int, count: int, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
-    """counter_bits for the instances whose counter_rows terms are rows."""
-    _check_draws(start, count)
+    """Draws start .. start + count - 1 of the counter stream of every
+    instance whose counter_rows terms are rows, as 53-bit integers, uint64
+    of shape (len(rows), count): [r, c] is draw start + c of row r.  out
+    takes the draws and scratch the mix's shifts, each a uint64 array of
+    that shape; either is made for the call if not given.
+
+    Draw j of instance i under key is the SplitMix64 finalizer of
+    key + ((i << 32) | j) * 0x9E3779B97F4A7C15 (mod 2**64), shifted right by
+    11.  start and count must be integers, and the draws lie in [0, 2**32).
+    """
+    start, count = checked_integer(start, "start"), checked_integer(count, "count")
+    if not 0 <= start <= start + count <= COUNTER_LIMIT:
+        raise ValueError(f"draws must lie in [0, {COUNTER_LIMIT})")
     draw = np.arange(start, start + count, dtype=np.uint64)
     draw *= _GAMMA
     z = np.add(rows[:, None], draw, out=out)
@@ -136,9 +124,9 @@ def counter_draws(
 
 
 def counter_uniforms(key: int, instances: np.ndarray, start: int, count: int) -> np.ndarray:
-    """counter_bits scaled by 2**-53: uniforms on [0, 1) with 53 random
-    bits, exact in float64, of the same shape and arguments."""
-    bits = counter_bits(key, instances, start, count)
+    """counter_draws(counter_rows(key, instances), start, count) scaled by
+    2**-53: uniforms on [0, 1) with 53 random bits, exact in float64."""
+    bits = counter_draws(counter_rows(key, instances), start, count)
     # in place, so the peak stays two blocks
     return np.multiply(bits, _ULP, out=bits.view(np.float64))
 
@@ -210,7 +198,7 @@ def inverse_cdf_picks(
     scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The outcomes of an inverse_cdf_table (keys, guide) that draws pick:
-    bits (counter_bits' 53-bit integers, any shape) of the segments (their
+    bits (counter_draws' 53-bit integers, any shape) of the segments (their
     indices, broadcast against bits), each keyed s * 2^53 + u; and the flat
     indices of the draws that the guide left to a binary search over the
     keys.  bits is spent: its buffer takes the keyed draws.  out takes the

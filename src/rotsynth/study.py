@@ -233,12 +233,16 @@ def sk_crossover(line_a: FitLine | ScalingFit, line_b: FitLine | ScalingFit) -> 
     """Accuracy where two cost lines intersect.
 
     Solves a0 + a1 x = b0 + b1 x for x = lnln(1/eps) and maps back to
-    eps = exp(-exp(x)).
+    eps = exp(-exp(x)), which must be a float in (0, 1): it underflows to 0
+    above about x = 6.61 and rounds to 1 below -37.4, and ValueError names x.
     """
     if line_a.slope == line_b.slope:
         raise ValueError("parallel lines have no crossover")
     x = (line_b.intercept - line_a.intercept) / (line_a.slope - line_b.slope)
-    return math.exp(-math.exp(x))
+    eps = math.exp(-math.exp(min(x, 709.0)))  # exp(x) overflows from about x = 709.8
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"the lines cross at lnln(1/eps) = {x!r}, where eps is no float in (0, 1)")
+    return eps
 
 
 def comparison_table() -> dict:

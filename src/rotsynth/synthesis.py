@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -307,8 +307,8 @@ class _LockstepTables(NamedTuple):
     table.start(top) cuts.  angles holds the suffix's angles; shift, first
     and thresholds are _state_bins of its thresholds, which
     _nearest_states reads.  keys, guide and costs are the
-    seeding.inverse_cdf_table of _climb_laws, and segments[i] is the
-    segment of state start + i."""
+    seeding.inverse_cdf_table of ladder.climb_cost_laws, family by family,
+    and segments[i] is the segment of state start + i."""
 
     start: int
     shift: int
@@ -345,31 +345,6 @@ def _nearest_states(shift: int, first: np.ndarray, thresholds: np.ndarray, m: np
     return i
 
 
-def _law_end(masses: np.ndarray) -> int:
-    """How many of a climb cost law's outcomes its inverse-CDF segment
-    keeps: all of them, or, where rounding takes the running sum of the
-    masses past 1 (by under 2^-50: none up to level 40, and 13 laws of PSI
-    families up to level 150, by 2.2e-16 in their last 19-52 outcomes),
-    those up to the first that passes it, which then takes the rest.  No
-    draw of the segment reaches the outcomes after it, whose keys would
-    lie past its end; a law that passes 1 by more is left for
-    inverse_cdf_table to refuse."""
-    mass = masses.tolist()
-    if not 1.0 < math.fsum(mass[:-1]) <= 1.0 + 2**-50:
-        return len(mass)
-    return bisect_left(range(len(mass)), True, key=lambda j: math.fsum(mass[: j + 1]) > 1.0) + 1
-
-
-def _climb_laws(families: tuple[Family, ...], top: int):
-    """The climb cost laws (ladder.climb_cost_laws) of levels 0..top of
-    the family set, family by family, as inverse_cdf_table segments, each
-    cut by _law_end, with its costs as the one column."""
-    for family in families:
-        for costs, masses in climb_cost_laws(family, top):
-            end = _law_end(masses)
-            yield masses[:end], end, costs[:end]
-
-
 @lru_cache(maxsize=8)
 def _lockstep_tables(families: tuple[Family, ...], top: int) -> _LockstepTables:
     """The lockstep tables of the family set up to level top.  The cost
@@ -379,7 +354,9 @@ def _lockstep_tables(families: tuple[Family, ...], top: int) -> _LockstepTables:
     start = table.start(top)
     rank = {f: r for r, f in enumerate(families)}
     # built first, so the bins are not held while the laws are solved
-    cost_table = inverse_cdf_table(_climb_laws(families, top))
+    cost_table = inverse_cdf_table(
+        (masses, len(masses), costs) for family in families for costs, masses in climb_cost_laws(family, top)
+    )
     tables = _LockstepTables(
         start,
         *_state_bins(np.array(table.thresholds[start:])),

@@ -37,11 +37,16 @@ digests and says so in CHANGES.md.  The re-recordings so far:
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
+from rotsynth import noise
 from rotsynth.cli import main
+from rotsynth.ladder import ALL_FAMILIES, Family
+from rotsynth.noise import NoiseModel
 from rotsynth.seeding import DEFAULT_SEED
 from rotsynth.study import export_samples_csv, fixed_angle_study, run_scaling_study
+from rotsynth.synthesis import _lockstep_tables
 
 STUDY_DIGESTS = {
     "h-only": "1d80e8e062df79c72659c26275a06e46ef77531c9d6d301e69d204450557f262",
@@ -104,6 +109,22 @@ CLI_FILE_DIGESTS = {
     ),
 }
 
+# the inverse-CDF tables, past the top levels the studies above reach: the
+# lockstep's, whose top 60 holds the first law of each PSI family that ends
+# where rounding takes its running sum past 1 (PSI0 at 55, PSI1 at 50, PSI2
+# at 44), and the criterion-8 grid's and a near-symmetric mixture's passages
+LOCKSTEP_TABLE_DIGESTS = {
+    ((Family.H,), 32): "a0471b55c5fe6dabea937c3c2f7aedaeefd814926814c654a564e7a398fb3f54",
+    (ALL_FAMILIES, 32): "e007dd17db28dd3cbdc5994c304014c30f704d9e4b731394460cb5bacc2abf3e",
+    (ALL_FAMILIES, 60): "40cfada96357dbedfc4eff710c8e786be3925cead5968eb54edb3705a4718c0d",
+}
+PASSAGE_TABLE_DIGESTS = {
+    (1e-4, 28): "6216fe800f084d4f0aabfef4a74f950e9f1e999e881a5f7fbac415a40d06dd33",
+    (1e-6, 22): "bc03fafd160817cac4bec8b3f38e18ad8d6411f32443cff62312da1b1e68eb37",
+    (1e-8, 16): "783e2e69c3623c8d1d83945f575fea8d0df7286a49eba02c2495471d20c63808",
+    (0.3, 20): "f844c8bc70dca00e8254de5bedc43982ec5c5fa9a2c75e34a29f8e2eb13f14f6",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -135,3 +156,24 @@ def test_cli_stdout_and_file(argv, capsys, tmp_path, monkeypatch):
     assert main(list(argv)) == 0
     digests = (_sha256(capsys.readouterr().out.encode()), _sha256((tmp_path / "out.json").read_bytes()))
     assert digests == CLI_FILE_DIGESTS[argv]
+
+
+def _arrays_sha256(arrays) -> str:
+    """The digest of the dtypes and bytes of the arrays among arrays, in turn."""
+    h = hashlib.sha256()
+    for array in arrays:
+        if isinstance(array, np.ndarray):
+            h.update(array.dtype.str.encode())
+            h.update(array.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("families, top", sorted(LOCKSTEP_TABLE_DIGESTS, key=repr), ids=repr)
+def test_lockstep_table_bytes(families, top):
+    assert _arrays_sha256(_lockstep_tables(families, top)) == LOCKSTEP_TABLE_DIGESTS[families, top]
+
+
+@pytest.mark.parametrize("strength, top", sorted(PASSAGE_TABLE_DIGESTS), ids=repr)
+def test_passage_table_bytes(strength, top):
+    table = noise._passage_table(NoiseModel("a", strength), top)
+    assert _arrays_sha256(table) == PASSAGE_TABLE_DIGESTS[strength, top]

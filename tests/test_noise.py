@@ -38,7 +38,7 @@ from rotsynth.noise import (
     propagate_to_level,
 )
 from rotsynth.qcore import DensityMatrix, trace_distance
-from rotsynth.seeding import DEFAULT_SEED, counter_bits, derive_rng, derive_seed
+from rotsynth.seeding import DEFAULT_SEED, counter_draws, counter_rows, derive_rng, derive_seed
 
 
 def test_strength_is_kept_as_a_float():
@@ -470,12 +470,12 @@ def test_the_model_alone_picks_the_path(model):
     (models b and c, and the mixture at weight 0 or 1) and the mixtures
     whose downs move no distance read no draws: no counter block and no
     passage law.  Every other mixture, the near-symmetric ones too, takes
-    the passage law in one block of counter_bits, and none walks."""
+    the passage law in one block of counter_draws, and none walks."""
     still = _pure(model) or model in _STILL_MODELS
     # top 1 has no passage: the law path samples an empty block
     for top, n in ((1, 3), (2, 1), (14, 40), (3, 250)):
         with pytest.MonkeyPatch.context() as mp:
-            spies = [_spy(mp, name) for name in ("counter_bits", "_law_climbs", "_noisy_climb")]
+            spies = [_spy(mp, name) for name in ("counter_draws", "_law_climbs", "_noisy_climb")]
             decay_study(model, top, n, 1)
         assert tuple(map(len, spies)) == ((0, 0, 0) if still else (1, 1, 0))
 
@@ -515,7 +515,7 @@ def test_pure_resource_means_equal_the_exact_first_arrival_states(kind, monkeypa
     l does not depend on the downs: every instance lands on the same
     distance, so the means are the same bytes whatever the seed and the
     count."""
-    spies = [_spy(monkeypatch, name) for name in ("counter_bits", "_law_climbs", "_noisy_climb")]
+    spies = [_spy(monkeypatch, name) for name in ("counter_draws", "_law_climbs", "_noisy_climb")]
     worst = 0.0
     for strength, top in _PURE_GRID.items():
         model = NoiseModel(kind, strength)
@@ -537,7 +537,7 @@ def test_a_mixture_that_rounds_to_the_pure_resource_returns_the_pure_means(monke
     model, pure = NoiseModel("a", 1e-300), NoiseModel("a", 0.0)
     assert np.array_equal(make_noisy_resource(model).mat, make_noisy_resource(pure).mat)
     assert noise._climb_tables(model).lam == 1.0
-    spies = [_spy(monkeypatch, name) for name in ("counter_bits", "_law_climbs", "_noisy_climb")]
+    spies = [_spy(monkeypatch, name) for name in ("counter_draws", "_law_climbs", "_noisy_climb")]
     for top in (28, 16):
         for seed, n in ((1, 1000), (5, 3)):
             assert repr(decay_study(model, top, n, seed)) == repr(decay_study(pure, top, n, seed))
@@ -672,7 +672,7 @@ def test_draws_beside_a_threshold_pick_adjacent_outcomes(model):
     local = keys - ((levels - 1) << 53)
     inside = np.flatnonzero((levels < top) & (local >= 1) & (local < 2**53))
     rows = np.arange(inside.size)
-    bits = counter_bits(3, np.arange(2 * inside.size), 0, top - 1)
+    bits = counter_draws(counter_rows(3, np.arange(2 * inside.size)), 0, top - 1)
     bits[2 * rows, levels[inside] - 1] = local[inside] - 1
     bits[2 * rows + 1, levels[inside] - 1] = local[inside]
     keyed = bits[np.arange(bits.shape[0]), np.repeat(levels[inside] - 1, 2)].astype(np.int64)
@@ -680,7 +680,7 @@ def test_draws_beside_a_threshold_pick_adjacent_outcomes(model):
     assert np.array_equal(picks[0::2], np.searchsorted(keys, keys[inside], side="left"))
     assert np.array_equal(picks[1::2], np.searchsorted(keys, keys[inside], side="right"))
     assert noise._law_climbs(model, bits.copy()).tolist() == _searched_climbs(model, bits)
-    draws = counter_bits(5, np.arange(2000), 0, top - 1)
+    draws = counter_draws(counter_rows(5, np.arange(2000)), 0, top - 1)
     assert noise._law_climbs(model, draws.copy()).tolist() == _searched_climbs(model, draws)
 
 
@@ -688,7 +688,7 @@ def test_draws_beside_a_threshold_pick_adjacent_outcomes(model):
 def test_law_climbs_run_the_downs_recursion(model):
     """The downs at the first arrivals are the loop m_1 = 0,
     m_{l+1} = D if R else m_l + D over each row's picked passages."""
-    bits = counter_bits(9, np.arange(500), 0, 14)
+    bits = counter_draws(counter_rows(9, np.arange(500)), 0, 14)
     assert noise._law_climbs(model, bits.copy()).tolist() == _searched_climbs(model, bits)
 
 
@@ -714,13 +714,13 @@ def _study_replay(model, top, n, seed):
     means at its own downs.  Returns the searched downs (none for a model
     that reads no draws) and the worst walker agreement."""
     with pytest.MonkeyPatch.context() as mp:
-        spies = [_spy(mp, name) for name in ("counter_bits", "_law_climbs")]
+        spies = [_spy(mp, name) for name in ("counter_draws", "_law_climbs")]
         points = decay_study(model, top, n, seed)
     tables = noise._climb_tables(model)
     climbs = np.empty((0, top), np.intp)
     if tables.saturation:
         key = derive_seed(seed, "noise", model.kind, repr(model.strength))
-        climbs = np.array(_searched_climbs(model, counter_bits(key, np.arange(n), 0, top - 1)), np.intp)
+        climbs = np.array(_searched_climbs(model, counter_draws(counter_rows(key, np.arange(n)), 0, top - 1)), np.intp)
         assert repr(points) == repr(list(enumerate(running_means(tables, climbs), 1)))
     else:
         assert not any(spies)
@@ -860,7 +860,7 @@ def test_law_downs_follow_the_walk():
     n, top, tests = 100_000, 6, []
     for model in (NoiseModel("a", 1e-4), NoiseModel("a", 0.2), NoiseModel("b", 1e-6), *_CAPPED_MODELS):
         key = derive_seed(DEFAULT_SEED, "law-vs-walk", model.kind, repr(model.strength))
-        law = noise._law_climbs(model, counter_bits(key, np.arange(n), 0, top - 1))
+        law = noise._law_climbs(model, counter_draws(counter_rows(key, np.arange(n)), 0, top - 1))
         tables = noise._climb_tables(model)
         rng = derive_rng(DEFAULT_SEED, "walk", model.kind, repr(model.strength))
         walk = np.array([noise._noisy_climb(tables.up, top, iter(rng.random, None)) for _ in range(n)])
@@ -945,7 +945,7 @@ _CHUNK = 7
 @pytest.mark.parametrize("model", _JUDGED_SUMS, ids=repr)
 def test_chunk_boundaries_are_exact(model, monkeypatch):
     """With a cell budget of _CHUNK rows, decay_study runs n instances in
-    ceil(n / _CHUNK) chunks, each with one counter_bits call and one
+    ceil(n / _CHUNK) chunks, each with one counter_draws call and one
     _law_climbs call, and carries each level's sum from chunk to chunk: the
     same bytes, by repr, as the one-chunk call and as oracles.running_means
     on the spied downs of the chunks, concatenated.  At one instance, at a
@@ -958,7 +958,7 @@ def test_chunk_boundaries_are_exact(model, monkeypatch):
             whole = decay_study(model, top, n, 5)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(noise, "_CHUNK_CELLS", _CHUNK * top)
-                bits, laws = _spy(mp, "counter_bits"), _spy(mp, "_law_climbs")
+                bits, laws = _spy(mp, "counter_draws"), _spy(mp, "_law_climbs")
                 points = decay_study(model, top, n, 5)
             assert len(bits) == len(laws) == -(-n // _CHUNK)
             downs = np.concatenate([climbs for _, climbs in laws])

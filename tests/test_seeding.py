@@ -16,7 +16,8 @@ from rotsynth.noise import NoiseModel, decay_study
 from rotsynth.seeding import (
     COUNTER_LIMIT,
     GUIDE_BITS,
-    counter_bits,
+    counter_draws,
+    counter_rows,
     counter_uniforms,
     derive_rng,
     derive_seed,
@@ -26,6 +27,12 @@ from rotsynth.seeding import (
 from rotsynth.study import fixed_angle_study, run_scaling_study
 
 _ROWS = [0, 1, 2, 149, COUNTER_LIMIT - 1]
+
+
+def _rows_and_draws(key, instances, start, count):
+    """The stream's one reader, counter_draws over counter_rows, with
+    counter_uniforms' arguments."""
+    return counter_draws(counter_rows(key, instances), start, count)
 
 
 def test_reference_is_splitmix64():
@@ -91,27 +98,27 @@ _EDGE_ROWS = np.array([0, 1, COUNTER_LIMIT - 2, COUNTER_LIMIT - 1])
 
 @pytest.mark.parametrize("start", [0, 7, COUNTER_LIMIT - 5])
 def test_uniforms_are_the_bits_scaled(start):
-    """counter_uniforms is counter_bits times 2^-53, bit for bit, and
-    counter_bits is the reference's 64-bit output shifted right by 11, on
+    """counter_uniforms is the rows' draws times 2^-53, bit for bit, and
+    each draw is the reference's 64-bit output shifted right by 11, on
     the first and last rows and draws of the counter space."""
     key = derive_seed(13, "bits")
-    bits = counter_bits(key, _EDGE_ROWS, start, 5)
+    bits = _rows_and_draws(key, _EDGE_ROWS, start, 5)
     assert bits.dtype == np.uint64 and int(bits.max()) < 2**53
     assert bits.tolist() == [[counter_word(key % 2**64, i, start + c) >> 11 for c in range(5)] for i in _EDGE_ROWS.tolist()]
     uniforms = counter_uniforms(key, _EDGE_ROWS, start, 5)
     assert np.array_equal(uniforms.view(np.uint64), (bits * 2.0**-53).view(np.uint64))
 
 
-def test_counter_bounds():
-    for counter in (counter_uniforms, counter_bits):
-        assert counter(1, [0], COUNTER_LIMIT - 2, 2).shape == (1, 2)
-        assert counter(1, np.arange(4), 5, 0).shape == (4, 0)
-        with pytest.raises(ValueError, match="draws"):
-            counter(1, [0], COUNTER_LIMIT - 2, 3)
-        with pytest.raises(ValueError, match="draws"):
-            counter(1, [0], -1, 3)
-        with pytest.raises(ValueError, match="instances"):
-            counter(1, np.array([0, COUNTER_LIMIT]), 0, 3)
+@pytest.mark.parametrize("counter", [counter_uniforms, _rows_and_draws], ids=lambda f: f.__name__)
+def test_counter_bounds(counter):
+    assert counter(1, [0], COUNTER_LIMIT - 2, 2).shape == (1, 2)
+    assert counter(1, np.arange(4), 5, 0).shape == (4, 0)
+    with pytest.raises(ValueError, match="draws"):
+        counter(1, [0], COUNTER_LIMIT - 2, 3)
+    with pytest.raises(ValueError, match="draws"):
+        counter(1, [0], -1, 3)
+    with pytest.raises(ValueError, match="instances"):
+        counter(1, np.array([0, COUNTER_LIMIT]), 0, 3)
 
 
 _BAD_ARGUMENTS = [
@@ -120,16 +127,21 @@ _BAD_ARGUMENTS = [
     ((1.5, [0], 0, 3), "^key must be an integer, got 1.5$"),
     ((np.float64(1.0), [0], 0, 3), "^key must be an integer"),
     ((1, [0], 0.5, 3), "^start must be an integer, got 0.5$"),
+    ((1, [0], 1.5, 2), "^start must be an integer, got 1.5$"),
     ((1, [0], 0, 3.0), "^count must be an integer, got 3.0$"),
+    ((1, [0], 0, 2.7), "^count must be an integer, got 2.7$"),
     ((1, [0.7], 0, 3), "^instances must be integers, got an array of float64$"),
     ((1, np.array([True]), 0, 3), "^instances must be integers, got an array of bool$"),
     # a negative instance raised OverflowError, or wrapped round to 2^64 - 1
     ((1, [-1], 0, 3), "^instances must lie in"),
     ((1, np.array([3, -1], np.int8), 0, 3), "^instances must lie in"),
+    ((1, [COUNTER_LIMIT], 0, 3), "^instances must lie in"),
+    ((1, [0], COUNTER_LIMIT - 2, 3), "^draws must lie in"),
+    ((1, [0], -1, 3), "^draws must lie in"),
 ]
 
 
-@pytest.mark.parametrize("counter", [counter_uniforms, counter_bits], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("counter", [counter_uniforms, _rows_and_draws], ids=lambda f: f.__name__)
 @pytest.mark.parametrize(("args", "message"), _BAD_ARGUMENTS, ids=[repr(args) for args, _ in _BAD_ARGUMENTS])
 def test_counter_refuses_a_bad_argument_by_name(counter, args, message):
     with pytest.raises(ValueError, match=message):
@@ -352,7 +364,7 @@ def test_picks_are_the_search_over_the_keys():
     the draws' buffer takes the keyed draws."""
     keys, guide, *_ = _law_table()
     local = np.unique(np.concatenate([keys % 2**53 + d for d in (-1, 0, 1)]).clip(0, 2**53 - 1))
-    draws = np.concatenate([local, counter_bits(3, np.arange(1), 0, 1000)[0]]).astype(np.uint64)
+    draws = np.concatenate([local, _rows_and_draws(3, np.arange(1), 0, 1000)[0]]).astype(np.uint64)
     bits = np.repeat(draws[:, None], len(_LAWS), axis=1)
     keyed = bits.astype(np.int64) + (np.arange(len(_LAWS)) << 53)
     picks, split = inverse_cdf_picks(keys, guide, np.arange(len(_LAWS)), bits)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 import statistics
 
 import numpy as np
@@ -165,6 +166,27 @@ def test_sk_crossover_algebra():
     assert sk_crossover(FitLine(1.0, 2.0), FitLine(1.0, 3.0)) == pytest.approx(math.exp(-1), rel=1e-12)
     with pytest.raises(ValueError):
         sk_crossover(FitLine(0.0, 2.0), FitLine(1.0, 2.0))
+    # just inside either end of the floats: a subnormal eps, and the float below 1
+    assert 0.0 < sk_crossover(FitLine(0.0, 1.0), FitLine(6.61, 0.0)) < 2.0**-1022
+    assert sk_crossover(FitLine(0.0, 1.0), FitLine(-37.4, 0.0)) == 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        6.62,  # eps = exp(-exp(x)) underflows to 0
+        700.0,
+        709.8,  # exp(x) overflows
+        1000.0,
+        -37.5,  # eps rounds to 1
+        -1000.0,
+    ],
+)
+def test_sk_crossover_refuses_a_crossing_where_eps_is_no_float(x):
+    """Lines that cross where eps is not a float in (0, 1) raise ValueError
+    naming x, not 0.0, 1.0 or math.exp's OverflowError."""
+    with pytest.raises(ValueError, match=f"^the lines cross at lnln\\(1/eps\\) = {re.escape(repr(x))}, "):
+        sk_crossover(FitLine(0.0, 1.0), FitLine(x, 0.0))
 
 
 def test_reference_crossovers_match_quoted_values():
