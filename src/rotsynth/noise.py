@@ -22,7 +22,9 @@ The up probability therefore depends on the level alone, and the distance
 at a first arrival on (level, m) alone.  A pure resource (models b and c,
 and the mixture at weight 0 or 1) has |s01|^2 = s00 s11, so lam = 1 and
 every first arrival at a level lands on one state: decay_study returns
-those exact distances and reads no draws.  For the other mixtures, the up
+those exact distances, solved once per model to MAX_LEVEL by _exact_means
+and served as a prefix of that row, and reads no draws.  For the other
+mixtures, the up
 probability and the per-level parts of the state are tabulated once per
 model, and a climb is an integer walk on (level, m).  Past the model's
 saturation row M, lam^m moves no distance by a bit (M is 0, and no draw is
@@ -34,8 +36,10 @@ one lockstep, to at most M terms, and one read-only inverse-CDF table per
 with one counter-stream draw, in numpy, a chunk of instances at a time in
 one workspace per thread; propagate_to_level walks.  One distance expression turns the downs
 into bytes: decay_study takes it once per cell of a grid of levels by
-downs counts, gathers each instance's cells, and sums every level in
-instance order, carrying the sums from chunk to chunk.  The tests check
+downs counts, gathers each instance's cells (clipped to the grid's last
+row where the grid stops at the underflow of lam^m, short of M: that row is
+the limit, as every later one is), and sums every level in instance order,
+carrying the sums from chunk to chunk.  The tests check
 the tables against exact oracles, the walk against a step-by-step walker
 and the generic density-matrix simulation, and the sampled climbs against
 the walk and the exact arrival law.
@@ -232,6 +236,15 @@ def _climb_tables(model: NoiseModel) -> _ClimbTables:
 
 
 @lru_cache(maxsize=64)
+def _exact_means(model: NoiseModel) -> tuple[tuple[int, float], ...]:
+    """(level, distance) at levels 1..MAX_LEVEL of a model whose saturation
+    row is 0: every first arrival at a level lands on one state.  distances
+    works one element at a time, so the first entries of this row are the
+    bytes of the row for any lower top."""
+    return tuple(enumerate(_climb_tables(model).distances([0], MAX_LEVEL)[0].tolist(), 1))
+
+
+@lru_cache(maxsize=64)
 def _passage_table(model: NoiseModel, top: int) -> tuple[np.ndarray, ...]:
     """The seeding.inverse_cdf_table (keys, guide, restarts, downs) of the
     passages 1..top - 1 (ladder.passage_series, whose outcome (R, D) takes
@@ -393,7 +406,8 @@ def decay_study(
     model's saturation row is 0 (a pure resource, or a mixture whose lam is
     0 or rounds to 1), every climb lands on one state per level, so the
     means are their exact distances, read from no draw and the same for
-    every seed and n_instances.  Otherwise instance i reads row i of the
+    every seed and n_instances: a new list of the first max_level of
+    _exact_means.  Otherwise instance i reads row i of the
     counter stream keyed by (seed, kind, strength), its draw l - 1 sampling
     its passage l -> l + 1 from the passage law (level 1 is reached with no
     downs), so its downs depend on neither n_instances nor higher levels.
@@ -410,8 +424,7 @@ def decay_study(
     checked_integer(seed, "seed")
     tables = _climb_tables(model)
     if not tables.saturation:
-        # every first arrival at a level lands on one state
-        return list(enumerate(tables.distances([0], max_level)[0].tolist(), 1))
+        return list(_exact_means(model)[:max_level])
     key = derive_seed(seed, "noise", model.kind, repr(model.strength))
     chunk = max(1, _CHUNK_CELLS // max_level)
     sums = np.zeros(max_level)
@@ -424,7 +437,12 @@ def decay_study(
         # downs past the saturation row land on it, as every later row
         # equals it
         cells = np.minimum(_law_climbs(model, bits, downs, scratch), tables.saturation, out=downs)
-        grid = tables.distances(range(int(cells.max()) + 1), max_level)
+        deepest = int(cells.max())
+        grid = tables.distances(range(deepest + 1), max_level)
+        if len(grid) <= deepest:
+            # the grid stopped at the underflow of lam^m, short of M: its
+            # last row is the limit, and so is every later one
+            np.minimum(cells, len(grid) - 1, out=cells)
         cells *= max_level
         cells += np.arange(max_level)
         values[0] = sums
@@ -439,12 +457,14 @@ def decay_study(
 @dataclass(frozen=True)
 class DecayFit:
     """distance ~ prefactor * base^(-level), fitted by least squares on the
-    log scale."""
+    log scale; slope_se is the standard error of the fitted slope of ln
+    distance against level, -ln base (study.ScalingFit.slope_se)."""
 
     prefactor: float
     base: float
     fit_range: tuple[int, int]
     residual_rms: float
+    slope_se: float
 
 
 def fit_exponential_decay(points: list[tuple[int, float]]) -> DecayFit:
@@ -460,4 +480,5 @@ def fit_exponential_decay(points: list[tuple[int, float]]) -> DecayFit:
         base=math.exp(-fit.slope),
         fit_range=(min(levels), max(levels)),
         residual_rms=fit.rms_residual,
+        slope_se=fit.slope_se,
     )

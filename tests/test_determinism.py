@@ -32,9 +32,13 @@ digests and says so in CHANGES.md.  The re-recordings so far:
   by merge and sampled them from the passage law capped at the saturation
   row; every other pinned byte stayed;
 * the fixed-angle row, when it gained the standard errors of its means
-  (the means kept their bytes, which FIXED_ANGLE_MEANS pins).
+  (the means kept their bytes, which FIXED_ANGLE_MEANS pins);
+* the four noise out.json files, when the decay fit gained the slope's
+  standard error (fit.slope_se): stdout stayed, and each file without that
+  key is the bytes it was before, which NOISE_FILES_BEFORE_SLOPE_SE pins.
 """
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -84,20 +88,20 @@ CLI_DIGESTS = {
 CLI_FILE_DIGESTS = {
     ("noise", "--model", "a", "--strength", "1e-4", "--out", "out.json"): (
         "535d6c2732f3bee6d85fccc4d8ca323cce1b8087bd30817393a1a43dcbb1b978",
-        "5594ce907139e575c54505a05ac60f47b645a0a6521f0b0cc77f3d03e4797711",
+        "c28a7040ca3e589dc8fc8645ddb2a794137a5e29fbd38542e93999e6a6da686d",
     ),
     # a near-symmetric mixture: its passage law is capped at its saturation row
     ("noise", "--model", "a", "--strength", "0.3", "--out", "out.json"): (
         "5db17ccf1d698d2bd4b9fcb893265b75cbacd27b5c28cfeb4c5a2e5393ce22be",
-        "420340881a065a99f56475124eb1f45d56e29d32558a1dbd90af142168e027ca",
+        "efea38b4da2db9d4b10d80eab8bac5ec946d213acaa99c220c60513f1df7a3b1",
     ),
     ("noise", "--model", "b", "--strength", "1e-6", "--out", "out.json"): (
         "a43ddfa28da62f092409098b79b50f7c2e59dbe4d30ea24c171e0a8f78422f4e",
-        "28399ff49dfdcace4d93e52373fdeabc5e916fce0f8d70fb85edfdfcc5845853",
+        "d495e19b3b9cb83dc530af7db8bdbfc3569ac4980bfe3bf89647b31f6b2d5649",
     ),
     ("noise", "--model", "c", "--strength", "1e-3", "--out", "out.json"): (
         "55cb6e7aa8a2364f0d6126a31cd27c4bda2ae7a7f5a6af161ff90fd9cb28525b",
-        "dbd9fbae7cd45d4ddcfc149d38400363d3a61c65c894cb63fbc4793c38c20825",
+        "b169ab3301492f9af22338f7c849572e57a43a188d3784d8b9689a19fee74c6b",
     ),
     ("scaling", "--scheme", "multi", "--trials", "300", "--format", "json", "--out", "out.json"): (
         "c395a4729acd11d56ce6c663356122307e55ba9b0ba8ba0e9088e8d1b2a4390c",
@@ -107,6 +111,17 @@ CLI_FILE_DIGESTS = {
         "79f217c710a4e123e0640a11b045b42d36331906ac693195d0008a10f03643cc",
         "2f00e7bc3f177aeb2dcb925b54b8befc93011ad67c855d40faeee2a385513130",
     ),
+}
+# the noise out.json digests as they were before the fit gained slope_se
+NOISE_FILES_BEFORE_SLOPE_SE = {
+    ("noise", "--model", "a", "--strength", "1e-4", "--out", "out.json"):
+        "5594ce907139e575c54505a05ac60f47b645a0a6521f0b0cc77f3d03e4797711",
+    ("noise", "--model", "a", "--strength", "0.3", "--out", "out.json"):
+        "420340881a065a99f56475124eb1f45d56e29d32558a1dbd90af142168e027ca",
+    ("noise", "--model", "b", "--strength", "1e-6", "--out", "out.json"):
+        "28399ff49dfdcace4d93e52373fdeabc5e916fce0f8d70fb85edfdfcc5845853",
+    ("noise", "--model", "c", "--strength", "1e-3", "--out", "out.json"):
+        "dbd9fbae7cd45d4ddcfc149d38400363d3a61c65c894cb63fbc4793c38c20825",
 }
 
 # the inverse-CDF tables, past the top levels the studies above reach: the
@@ -124,6 +139,12 @@ PASSAGE_TABLE_DIGESTS = {
     (1e-8, 16): "783e2e69c3623c8d1d83945f575fea8d0df7286a49eba02c2495471d20c63808",
     (0.3, 20): "f844c8bc70dca00e8254de5bedc43982ec5c5fa9a2c75e34a29f8e2eb13f14f6",
 }
+# decay_study at every top 1-150 (seed 1, 10 instances) of the models that
+# read no draws: b and c on the criterion-8 strengths, and the mixtures at
+# 0, 1 and 1/2, recorded while each call still solved its own distance row
+PURE_MEANS_MODELS = [NoiseModel(k, s) for k in "bc" for s in (1e-4, 1e-6, 1e-8)]
+PURE_MEANS_MODELS += [NoiseModel("a", 0.0), NoiseModel("a", 1.0), NoiseModel("a", 0.5)]
+PURE_MEANS_DIGEST = "781fb13a3d3f7f5e481cd990f65e58b0b2c2c1455476e6c8f9de25cd7f320f39"
 
 
 def _sha256(data: bytes) -> str:
@@ -158,6 +179,18 @@ def test_cli_stdout_and_file(argv, capsys, tmp_path, monkeypatch):
     assert digests == CLI_FILE_DIGESTS[argv]
 
 
+@pytest.mark.parametrize("argv", sorted(NOISE_FILES_BEFORE_SLOPE_SE))
+def test_noise_files_gained_only_the_slope_se(argv, capsys, tmp_path, monkeypatch):
+    """Each noise out.json, dumped again as study.export_json does but
+    without fit.slope_se, is the file written before the fit had that key."""
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 0
+    payload = json.loads((tmp_path / "out.json").read_text())
+    assert math.isfinite(payload["fit"].pop("slope_se"))
+    redumped = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert _sha256(redumped.encode()) == NOISE_FILES_BEFORE_SLOPE_SE[argv]
+
+
 def _arrays_sha256(arrays) -> str:
     """The digest of the dtypes and bytes of the arrays among arrays, in turn."""
     h = hashlib.sha256()
@@ -171,6 +204,17 @@ def _arrays_sha256(arrays) -> str:
 @pytest.mark.parametrize("families, top", sorted(LOCKSTEP_TABLE_DIGESTS, key=repr), ids=repr)
 def test_lockstep_table_bytes(families, top):
     assert _arrays_sha256(_lockstep_tables(families, top)) == LOCKSTEP_TABLE_DIGESTS[families, top]
+
+
+def test_pure_means_bytes():
+    """From a cleared cache, so that top 1 is served from the row solved to
+    MAX_LEVEL, and every later top from the cache."""
+    noise._exact_means.cache_clear()
+    h = hashlib.sha256()
+    for model in PURE_MEANS_MODELS:
+        for top in range(1, 151):
+            h.update(repr(noise.decay_study(model, top, 10, seed=1)).encode())
+    assert h.hexdigest() == PURE_MEANS_DIGEST
 
 
 @pytest.mark.parametrize("strength, top", sorted(PASSAGE_TABLE_DIGESTS), ids=repr)

@@ -563,6 +563,21 @@ def test_a_pure_model_still_checks_every_argument(kind):
         decay_study(model, 0, 3, 1)
 
 
+def test_a_caller_that_changes_the_exact_means_changes_no_later_call():
+    """A pure model's means come from one row solved per model, but each
+    call returns a list of its own: changing one leaves the next call's
+    means, at the same top and at a higher one, as they were."""
+    model = NoiseModel("b", 1e-6)
+    want, higher = repr(decay_study(model, 16, 10, 1)), repr(decay_study(model, 22, 10, 1))
+    points = decay_study(model, 16, 10, 1)
+    points[0] = (1, 0.0)
+    points.append((17, 1.0))
+    del points[3:8]
+    assert repr(decay_study(model, 16, 10, 1)) == want
+    assert repr(decay_study(model, 22, 10, 1)) == higher
+    assert decay_study(model, 16, 10, 1) is not decay_study(model, 16, 10, 1)
+
+
 def test_mixture_means_depend_on_the_seed():
     """Model a's arrivals above level 1 depend on the draws, so a different
     seed moves the mean at every such level: the stream is read.  (Every
@@ -759,6 +774,39 @@ def test_climbs_past_the_saturation_row_read_its_row():
     for n, seed in ((1, 4413), (1000, 1)):
         climbs, _ = _study_replay(model, 14, n, seed)
         assert (climbs[:, differ] >= cap).any() and climbs.max() > cap
+
+
+def test_downs_past_the_underflow_of_lam_read_the_limit_row(monkeypatch):
+    """For the 0.01 mixture the saturation row M lies past the search, at
+    the bound on the underflow of lam^m, beyond the first row u at which
+    lam^m is 0, where the distance grid stops.  Downs in (u, M] keep their
+    count, and each reads the limit row at its own level: the bytes of
+    oracles.element_distances at the full downs, not the last cell of the
+    grid.  The downs of instance 0 are pushed to 9500 + l at level l, those
+    of instance 2 to M, and instance 1 keeps its own."""
+    model, top = NoiseModel("a", 0.01), 6
+    tables = noise._climb_tables(model)
+    cap = tables.saturation
+    underflow = next(m for m in range(cap + 1) if tables.lam**m == 0.0)
+    assert cap >= noise._SATURATION_SEARCH and underflow < 9500 + top <= cap
+    law_climbs = noise._law_climbs
+    pushed = []
+
+    def deep(*args):
+        downs = law_climbs(*args)
+        downs[0] = 9500 + np.arange(1, top + 1)
+        downs[2:] = cap
+        pushed.append(downs.copy())
+        return downs
+
+    monkeypatch.setattr(noise, "_law_climbs", deep)
+    points = decay_study(model, top, 3, 1)
+    single = decay_study(model, top, 1, 1)
+    downs, _ = pushed
+    assert repr(points) == repr(list(enumerate(running_means(tables, downs), 1)))
+    # with one instance, each mean is its own distance: the limit's
+    assert [d for _, d in single] == element_distances(tables, downs[:1])[0].tolist()
+    assert [d for _, d in single] == tables.distances([math.inf], top)[0].tolist()
 
 
 def test_concurrent_tabulation_builds_the_serial_table():
@@ -1211,6 +1259,21 @@ def test_fit_exponential_decay_exact():
     assert fit.base == pytest.approx(3.0, rel=1e-9)
     assert fit.fit_range == (3, 11)
     assert fit.residual_rms == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fit_exponential_decay_slope_se_equals_scipy(seed):
+    """slope_se is the standard error of the slope of ln distance against
+    level, as scipy's linregress gives it, and 0 for an exact decay."""
+    from scipy.stats import linregress
+
+    rng = derive_rng(seed, "decay-fit")
+    points = [(lvl, 0.3 * 2.2**-lvl * math.exp(rng.gauss(0, 0.05))) for lvl in range(5, 17)]
+    fit = fit_exponential_decay(points)
+    want = linregress([lvl for lvl, _ in points], [math.log(d) for _, d in points]).stderr
+    assert fit.slope_se == pytest.approx(want, rel=1e-9)
+    exact = fit_exponential_decay([(i, 2.0**-i) for i in range(3, 12)])
+    assert exact.slope_se == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fit_exponential_decay_validation():
