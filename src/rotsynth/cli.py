@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 
 from . import factories, ladder, noise, study, synthesis
 from .ladder import ALL_FAMILIES, Family
@@ -254,7 +253,7 @@ def _cmd_noise(args: argparse.Namespace) -> int:
                 "instances": args.instances,
                 "seed": args.seed,
                 "means": [{"level": lvl, "distance": d} for lvl, d in points],
-                "fit": asdict(fit),
+                "fit": study.fit_fields(fit),
             },
             args.out,
         )

@@ -36,10 +36,8 @@ one lockstep, to at most M terms, and one read-only inverse-CDF table per
 with one counter-stream draw, in numpy, a chunk of instances at a time in
 one workspace per thread; propagate_to_level walks.  One distance expression turns the downs
 into bytes: decay_study takes it once per cell of a grid of levels by
-downs counts, gathers each instance's cells (clipped to the grid's last
-row where the grid stops at the underflow of lam^m, short of M: that row is
-the limit, as every later one is), and sums every level in instance order,
-carrying the sums from chunk to chunk.  The tests check
+downs counts up to M, gathers each instance's cells, and sums every level
+in instance order, carrying the sums from chunk to chunk.  The tests check
 the tables against exact oracles, the walk against a step-by-step walker
 and the generic density-matrix simulation, and the sampled climbs against
 the walk and the exact arrival law.
@@ -138,9 +136,9 @@ class _ClimbTables:
     is the bottom state at level l after m downs since the last restart,
     and distances(downs, top) the trace distances of the first-arrival
     states to the ideal ladder states, every row from the saturation row
-    M on equal to the last.  lam is 1 by construction for a pure resource.
-    Only per-level values are kept, so the size of the tables does not
-    depend on the climbs.  The entries of sigma are scaled by the larger
+    M on equal to the limit row, distances([math.inf], top).  lam is 1 by
+    construction for a pure resource.  Only per-level values are kept, so
+    the size of the tables does not depend on the climbs.  The entries of sigma are scaled by the larger
     diagonal one, so no power overflows and no model divides by zero.
     The ideal state at level l is (1, t, t^2) / (1 + t^2) with
     t = tan(pi/8)^(l + 1), and the diagonal difference is taken between the
@@ -190,19 +188,11 @@ class _ClimbTables:
     def distances(self, downs, top: int) -> np.ndarray:
         """Trace distances to the ideal ladder states of the first-arrival
         states: [r, l - 1] at level l after downs[r] downs since the last
-        restart, for levels 1..top and the ascending Python integers downs.
-        The rows stop where lam^m stops changing, as every later row would
-        equal the last: after the first if lam is 1, else after the first
-        whose lam^m underflows to 0."""
+        restart, for levels 1..top and each count in downs."""
         levels = slice(1, top + 1)
         # lam^m by Python's float pow, as in state(): numpy's pow may take a
         # SIMD path whose last bit depends on the CPU
-        scale = []
-        for m in downs:
-            scale.append(self.lam**m)
-            if scale[-1] == 0.0 or self.lam == 1.0:
-                break
-        scale = np.array(scale)[:, None]
+        scale = np.array([self.lam**m for m in downs])[:, None]
         # sqrt(d00^2 + dr^2 + di^2), in place after each first product
         dr = scale * self._rr[levels]
         dr -= self._cs[levels]
@@ -437,12 +427,7 @@ def decay_study(
         # downs past the saturation row land on it, as every later row
         # equals it
         cells = np.minimum(_law_climbs(model, bits, downs, scratch), tables.saturation, out=downs)
-        deepest = int(cells.max())
-        grid = tables.distances(range(deepest + 1), max_level)
-        if len(grid) <= deepest:
-            # the grid stopped at the underflow of lam^m, short of M: its
-            # last row is the limit, and so is every later one
-            np.minimum(cells, len(grid) - 1, out=cells)
+        grid = tables.distances(range(int(cells.max()) + 1), max_level)
         cells *= max_level
         cells += np.arange(max_level)
         values[0] = sums

@@ -358,12 +358,20 @@ def fits_summary(
         "scheme": scheme,
         "seed": seed,
         "eps_range": list(eps_range),
-        "online": asdict(fit_online),
-        "offline": asdict(fit_offline),
+        "online": fit_fields(fit_online),
+        "offline": fit_fields(fit_offline),
     }
 
 
+def fit_fields(fit) -> dict:
+    """A fit's fields for export_json, each non-finite one (a two-point
+    slope_se) as None, which JSON writes as null."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in asdict(fit).items()}
+
+
 def export_json(payload: dict, path: str) -> None:
+    """payload as strict JSON: a NaN or an infinity raises ValueError
+    before the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

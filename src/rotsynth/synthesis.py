@@ -58,9 +58,10 @@ def reduce_by_clifford(residual: float) -> tuple[float, int]:
     """Take a residual rotation mod 2*pi and fold free quarter turns out.
 
     Returns the equivalent residual in (-pi/4, pi/4] together with the number
-    of quarter-turn gates absorbed (zero cost).
+    of quarter-turn gates absorbed (zero cost).  A zero residual comes back
+    +0.0, as lockstep_synthesize's fold gives it.
     """
-    residual = math.remainder(residual, TAU)
+    residual = math.remainder(residual, TAU) + 0.0
     k = round(residual / HALF_PI)
     residual -= k * HALF_PI
     if residual <= -QUARTER_PI:
@@ -71,7 +72,7 @@ def reduce_by_clifford(residual: float) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """Planner settings; families (any iterable of Family members) is kept as a tuple.
+    """Planner settings; families (any iterable of distinct Family members) is kept as a tuple.
 
     max_level caps the levels the planner may consume; by default it is the
     whole ladder.  synthesize rejects a config whose finest enabled rotation
@@ -93,6 +94,9 @@ class SynthesisConfig:
             ) from None
         if not families:
             raise ValueError("at least one family must be enabled")
+        for i, family in enumerate(families):
+            if family in families[:i]:
+                raise ValueError(f"family {family.value!r} is repeated in families")
         object.__setattr__(self, "families", families)
         checked_level(self.max_level, "max_level")
 
@@ -445,13 +449,8 @@ def _finish(
                 bits.append(climbs[column])
                 rounds.append(on)
             r -= (-angles[j] if tail else angles[j]) * step
-            # the next tick's fold: np.rint keeps the sign of a zero
-            x = r / HALF_PI
-            k = math.copysign(round(x), x)
-            r -= k * HALF_PI
-            up = r <= -QUARTER_PI
-            r += up * HALF_PI
-            corr += abs(k - up)
+            r, k = reduce_by_clifford(r)
+            corr += k
             if abs(r) > eps or rnd:
                 running.append((dest, r, eps, corr, on, rnd, remaining, climbs, tails))
             else:
@@ -537,8 +536,8 @@ def lockstep_synthesize(
     tens of microseconds at any width, a sample's tick in Python about one.
     _finish takes each sample's entry as Python floats and does the same
     IEEE operations on them in the same order, each correctly rounded as
-    numpy's: round() for np.rint (half to even, with np.rint's -0.0 kept by
-    copysign), bisect_right over the same thresholds for _nearest_states,
+    numpy's: reduce_by_clifford for the fold (round() is np.rint's half to
+    even), bisect_right over the same thresholds for _nearest_states,
     the coin's 53-bit draw against 2^52, the same ancilla rounds and the
     same unmasked r -= signed angle * step.  It asks draws for its own rows
     a block at a time, appends one trace pair per tick and logs its climbs
@@ -555,13 +554,10 @@ def lockstep_synthesize(
     of the in-round sums, round by round, as min_online_synthesize bills,
     with ancilla.
 
-    The updates are unmasked: an entry that does not step (or fold up)
-    adds or subtracts a signed zero, and that leaves a residual's bytes
-    as they are unless it is -0.0.  None is: a difference x - y is -0.0
-    only for x = -0.0 and y = +0.0, and after r -= k * HALF_PI a zero r
-    gives k = rint(-0.0 / HALF_PI) = -0.0, so -0.0 - (-0.0) = +0.0; the
-    step up from <= -pi/4 leaves a positive residual, and an ancilla
-    round's 2 remaining - r starts from remaining, a folded residual.
+    The updates are unmasked: an entry that does not step subtracts a
+    signed zero, which leaves a residual's bytes as they are unless it is
+    -0.0.  None is: the fold ends by adding +0.0 or pi/2, so it never
+    returns -0.0.
     """
     targets = np.asarray(targets, dtype=float)
     eps = np.asarray(epsilons, dtype=float)
@@ -578,8 +574,8 @@ def lockstep_synthesize(
     finest = float(eps.min())
     # validates the families and the ladder's depth
     config = SynthesisConfig(epsilon=finest, families=families)
+    _table_and_start(config)
     top = auto_max_level(finest)
-    _table_and_start(replace(config, max_level=top))
     tables = _lockstep_tables(config.families, top)
     shift, first, thresholds, angles = tables.shift, tables.first, tables.thresholds, tables.angles
     n = len(targets)

@@ -186,6 +186,21 @@ def test_scaling_writes_json(tmp_path, capsys):
     assert "slope" in data["online"] and "slope" in data["offline"]
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_two_point_scaling_json_is_strict(tmp_path, capsys):
+    """Two samples leave each fit's slope_se undefined: it is written as
+    null, and the file parses with NaN and the infinities refused."""
+    out_path = tmp_path / "fits.json"
+    code, _, _ = run_cli(capsys, "scaling", "--scheme", "h-only", "--trials", "2", "--out", str(out_path), "--format", "json")
+    assert code == 0
+    data = json.loads(out_path.read_text(), parse_constant=_refuse)
+    assert data["online"]["slope_se"] is None and data["offline"]["slope_se"] is None
+    assert data["online"]["n_samples"] == 2
+
+
 def test_stdout_byte_identical_for_same_seed(capsys):
     args = ("scaling", "--scheme", "h-only", "--trials", "60", "--seed", "13")
     _, out1, _ = run_cli(capsys, *args)
@@ -326,6 +341,14 @@ def test_climb_rejects_all_families(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["climb", "--family", "all", "--level", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["synth", "min-online"])
+def test_repeated_family_is_error(command, capsys):
+    code, out, err = run_cli(capsys, command, "--target", "0.5", "--eps", "1e-6", "--families", "h,psi1,h")
+    assert code == 1
+    assert out == ""
+    assert err == "error: family 'h' is repeated in families\n"
 
 
 _SCALING = ("scaling", "--scheme", "h-only")

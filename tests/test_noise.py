@@ -238,9 +238,8 @@ _EPS = 2.0**-53
 
 def _grid_rows(tables, downs, top):
     """The rows of the climb tables' distance grid at the given downs
-    counts, past its last row on that row, as decay_study gathers them."""
-    grid = tables.distances(range(max(downs) + 1), top)
-    return grid[np.minimum(downs, len(grid) - 1)]
+    counts, as decay_study gathers them."""
+    return tables.distances(range(max(downs) + 1), top)[downs]
 
 
 def test_climb_tables_equal_the_exact_closed_form():
@@ -323,8 +322,6 @@ def test_climb_tables_do_not_grow_with_the_downs():
     assert set(sizes.values()) == {MAX_LEVEL + 1}
     assert dist == element_distances(tables, np.array(downs))[-1]
     assert all(math.isfinite(d) for _, d in points)
-    # the distance grid stops after one down: every later count is the same state
-    assert len(tables.distances(range(max(downs) + 1), MAX_LEVEL)) == 2
 
 
 @settings(max_examples=25, deadline=None)
@@ -332,11 +329,11 @@ def test_climb_tables_do_not_grow_with_the_downs():
 # the rest of B at level 26 is below an ulp, and A's rest must leave it room
 @example(NoiseModel("a", 0.9))
 def test_distances_saturate_at_the_saturation_row(model):
-    """Every row of the distance grid from the saturation row M to the
-    underflow of lam^m equals the last at every level, byte for byte, and
-    the row before M does not, unless M lies past the search, where it is
-    past the underflow.  M is the model's alone, the same whichever top
-    first builds the tables.  A capped model's first decay_study at top 150
+    """Every row of the distance grid from the saturation row M, up to and
+    past the underflow of lam^m, equals the limit row at every level, byte
+    for byte, and the row before M does not, unless M lies past the
+    search, where it is past the underflow.  M is the model's alone, the
+    same whichever top first builds the tables.  A capped model's first decay_study at top 150
     builds its series to at most M terms, each passage's keys stay in its
     own segment, 2 min(K, M) of them and 2 more where M cuts K short, and a
     lower top's passages are the first ones of top 150."""
@@ -352,11 +349,14 @@ def test_distances_saturate_at_the_saturation_row(model):
     assert saturations == [cap, cap]
     tables = noise._climb_tables(model)
     rows = tables.distances(range(cap, cap + 4096), MAX_LEVEL)
-    assert len(rows) < 4096 and {row.tobytes() for row in rows} == {rows[-1].tobytes()}
+    limit = tables.distances([math.inf], MAX_LEVEL)[0]
+    assert {row.tobytes() for row in rows} == {limit.tobytes()}
+    # lam^m is 1 at every m, or the rows reach past its underflow
+    assert tables.lam == 1.0 or tables.lam ** (cap + 4095) == 0.0
     if cap >= noise._SATURATION_SEARCH:
         assert tables.lam**cap == 0.0
     elif cap:
-        assert tables.distances([cap - 1], MAX_LEVEL)[0].tobytes() != rows[-1].tobytes()
+        assert tables.distances([cap - 1], MAX_LEVEL)[0].tobytes() != limit.tobytes()
         ((_, (series_a, _, series_h, kept)),) = series
         assert len(series_a[1]) <= cap
         keys, _, restarts, downs = noise._passage_table(model, 150)

@@ -86,6 +86,39 @@ def test_reduce_by_clifford_examples():
             assert abs(reduced) < 1e-12 and count == 2
 
 
+def _fold_edges() -> list[float]:
+    """Signed zeros and subnormals, and +-pi/4, the half-way multiples of
+    pi/2 (odd multiples of pi/4), +-pi and +-2 pi, each with its float
+    neighbours."""
+    subnormals = [5e-324, 1e-310, math.ulp(0.0) * 2**51]
+    centres = [QUARTER_PI * k for k in (1, 3, 5, 7, 9)] + [math.pi, 2 * math.pi]
+    near = [y for x in centres for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+    return [s * x for x in [0.0, *subnormals, *near] for s in (1.0, -1.0)]
+
+
+def test_reduce_by_clifford_is_the_lockstep_fold():
+    """At every edge value the lockstep's numpy fold (np.fmod into
+    [-pi, pi], then np.rint's quarter turns) gives reduce_by_clifford's
+    residual bytes and corrections: an accuracy above pi/4 finishes every
+    sample at its first fold."""
+    targets = _fold_edges()
+    folded = [reduce_by_clifford(x) for x in targets]
+    lockstep = lockstep_synthesize(targets, [1.0] * len(targets), (Family.H,), coin_draws([[]] * len(targets)))
+    assert lockstep.residuals.tobytes() == np.array([r for r, _ in folded]).tobytes()
+    assert lockstep.corrections.tolist() == [k for _, k in folded]
+    assert all(math.copysign(1.0, r) == 1.0 for r, _ in folded if r == 0.0)
+
+
+def test_zero_residuals_replay_in_the_lockstep():
+    """Targets that fold to zero: synthesize's residual is the lockstep's,
+    +0.0, also from -0.0 and -2 pi, whose remainder mod 2 pi is -0.0."""
+    targets = [-0.0, -2 * math.pi, -math.pi / 2]
+    results = [synthesize(t, H_ONLY, derive_rng(9, "zero", i)) for i, t in enumerate(targets)]
+    lockstep = lockstep_synthesize(targets, [H_ONLY.epsilon] * 3, (Family.H,), coin_draws([[]] * 3))
+    assert lockstep.residuals.tobytes() == np.array([r.residual for r in results]).tobytes()
+    assert lockstep.corrections.tolist() == [r.clifford_corrections for r in results]
+
+
 def test_apply_random_rotation_both_branches():
     rng = derive_rng(1, "rot")
     seen = set()
@@ -527,6 +560,20 @@ def test_config_validation():
 def test_config_rejects_families_that_are_not_family_members(families, bad):
     with pytest.raises(ValueError, match=f"^families must .* got {re.escape(repr(bad))}$"):
         SynthesisConfig(epsilon=1e-6, families=families)
+
+
+@pytest.mark.parametrize(
+    "families, repeated",
+    [((Family.H, Family.H), "h"), ((Family.PSI0, Family.H, Family.PSI2, Family.PSI0), "psi0")],
+)
+def test_config_and_lockstep_reject_a_repeated_family(families, repeated):
+    """A repeated family would double its states in the angle table and
+    its laws in the lockstep's tables."""
+    message = f"^family '{repeated}' is repeated in families$"
+    with pytest.raises(ValueError, match=message):
+        SynthesisConfig(epsilon=1e-6, families=families)
+    with pytest.raises(ValueError, match=message):
+        lockstep_synthesize([0.5], [1e-6], families, _no_draws)
 
 
 def test_config_stores_families_as_a_tuple():
