@@ -90,8 +90,9 @@ def _input_register(spec: FactorySpec) -> PureRegister:
 
 
 def simulate_factory_circuit(kind: Family) -> tuple[float, PureRegister]:
-    """Exact circuit run: success probability of the all-zero outcome and the
-    post-selected single-qubit output state."""
+    """Exact circuit run, not cached: the success probability of the all-zero
+    outcome, the squared norm of the final amplitudes' slice at 0 on the
+    measured qubits, and the normalised slice, the post-selected output."""
     spec = factory_spec(kind)
     reg = _input_register(spec)
     for gate, qubits in spec.gates:

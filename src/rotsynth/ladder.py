@@ -136,7 +136,7 @@ def climb_walk(probs: tuple[float, ...], target_level: int, base_cost: float, rn
     """Walk from level 0 to target_level, one rnd() draw per merge, and
     return the climb's cost in raw-resource units: one top resource per
     merge, and base_cost for the bottom at the start and again after every
-    level-0 restart."""
+    level-0 restart.  The scalar planners and simulate_climb bill with it."""
     level = downs = restarts = 0
     while level < target_level:
         if rnd() < probs[level]:
@@ -163,6 +163,7 @@ def expected_climb_cost(family: Family, target_level: int) -> float:
     resource per merge; a failure drops to l-1, from where the walk must
     return to l first: T_l = (1 + (1-p_l) T_{l-1}) / p_l.  A level-0 failure
     re-bills the bottom, i.e. T_{-1} = c, the base cost; E = c + sum T_l.
+    Nothing caches it: it is solved on every call.
     """
     target_level = checked_level(target_level, "target_level")
     total = passage = base_average_cost(family)

@@ -131,7 +131,7 @@ def run_scaling_study(
     function of (scheme, n_samples, eps_range, seed), and sample i does not
     depend on n_samples.  The study runs as one lockstep in this process:
     jobs is validated and has no effect.  It stays only because perfbench
-    passes it, and ROADMAP item 1's benchmark change deletes it.
+    passes it.
     """
     n_samples, jobs = checked_integer(n_samples, "n_samples"), checked_integer(jobs, "jobs")
     families, ancilla = _scheme(scheme)

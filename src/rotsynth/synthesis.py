@@ -113,29 +113,60 @@ class SynthesisResult:
 def auto_max_level(epsilon: float) -> int:
     """Smallest level whose H rotation is <= epsilon/2, capped at 150.  The planner
     needs no such cap (a state finer than epsilon/2 is never the nearest to a
-    residual above epsilon); lockstep_synthesize tabulates the climbs of the
-    levels up to it, and perfbench's set-up warms its angle tables up to it."""
+    residual above epsilon); lockstep_synthesize solves the climb laws of the
+    levels up to it."""
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     # the H table lists the H rotations finest first: level = MAX_LEVEL - index
     finer = bisect_right(_angle_table((Family.H,)).angles, epsilon / 2)
     return min(MAX_LEVEL, MAX_LEVEL + 1 - finer)
+
+
+def _state_bins(thresholds: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Bins that look magnitudes up among increasing thresholds without a
+    binary search.  A non-negative float's bits, read as an int64, run in
+    the order of its value, so bits >> shift cuts each binade into
+    2^(52 - shift) bins; shift is the largest (the bins the widest) for
+    which no bin holds two thresholds.  first[q] counts the thresholds
+    below bin q's first float, over the bins of every magnitude below 4
+    (1025 binades' worth, at most 8200 bins for all four families);
+    the thresholds come back with a +inf sentinel appended."""
+    bits = thresholds.view(np.int64)
+    shift = next(s for s in range(52, -1, -1) if (np.diff(bits >> s) > 0).all())
+    starts = (np.arange(1025 << (52 - shift)) << shift).view(np.float64)
+    return shift, np.searchsorted(thresholds, starts), np.append(thresholds, math.inf)
+
+
+def _nearest_states(shift: int, first: np.ndarray, thresholds: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """np.searchsorted(thresholds[:-1], m, side="right") over _state_bins
+    for magnitudes m in [0, 4): the thresholds below m's bin, plus the one
+    threshold its bin may hold if that is <= m (the sentinel never is)."""
+    i = first.take(m.view(np.int64) >> shift)
+    i += thresholds.take(i) <= m
+    return i
 
 
 class _AngleTable:
     """All (family, level) states of a family set by ascending rotation angle,
     then expected climb cost, family rank and level.  One level shrinks an
     angle by more than the families differ, so the states up to a level cap
-    form a suffix, and so do their thresholds.
+    form a suffix, from start(cap) on, and so do their thresholds.
 
     thresholds[i] is the least float magnitude in the gap (lo, hi] between
     states i and i + 1 that is nearer to hi, or as near with hi the lower
     in (cost, rank, level), the tie's order; the count of the thresholds
-    from start on at or below a magnitude is then its nearest state among
-    those from start on.  Whether a magnitude m is nearer to lo,
-    below < above or (below == above and lo wins the tie), holds at lo and
-    fails at hi, and once false it stays false as m grows:
+    at or below a magnitude is then its nearest state, and the count from
+    start on its nearest among those from start on.  Whether a magnitude m
+    is nearer to lo, below < above or (below == above and lo wins the tie),
+    holds at lo and fails at hi, and once false it stays false as m grows:
     below = fl(m - lo) never decreases and above = fl(hi - m) never
     increases.  So a bisection over the bit patterns of the floats, which
-    run in the order of their values, finds where it turns."""
+    run in the order of their values, finds where it turns.
+
+    The scalar planners and _finish read the lists, and lockstep_synthesize
+    the read-only arrays: shift, first and bounds (the thresholds and a +inf
+    sentinel) are the _state_bins that _nearest_states reads, and signed
+    holds the angles, then their negatives."""
 
     def __init__(self, families: tuple[Family, ...]):
         entries = sorted(
@@ -146,7 +177,8 @@ class _AngleTable:
         self.levels = [e[3] for e in entries]
         assert self.levels == sorted(self.levels, reverse=True), "level caps must cut suffixes"
         self.angles = [e[0] for e in entries]
-        lo, hi = np.array(self.angles[:-1]), np.array(self.angles[1:])
+        angles = np.array(self.angles)
+        lo, hi = angles[:-1], angles[1:]
         lower_wins = np.array([a[1:4] < b[1:4] for a, b in zip(entries, entries[1:])])
         near, far = lo.view(np.int64), hi.view(np.int64)
         while (far - near > 1).any():
@@ -155,6 +187,10 @@ class _AngleTable:
             nearer = (below < above) | ((below == above) & lower_wins)
             near, far = np.where(nearer, mid, near), np.where(nearer, far, mid)
         self.thresholds = far.view(np.float64).tolist()
+        self.shift, self.first, self.bounds = _state_bins(far.view(np.float64))
+        self.signed = np.concatenate((angles, -angles))
+        for array in (self.first, self.bounds, self.signed):
+            array.flags.writeable = False
         self.probs = [success_probs(e[4]) for e in entries]
         self.base_costs = [base_average_cost(e[4]) for e in entries]
         self.plus = [(e[4], e[3], 1) for e in entries]
@@ -183,25 +219,27 @@ def pick_state(residual: float, config: SynthesisConfig) -> tuple[Family, int]:
     return table.plus[bisect_right(table.thresholds, abs(residual), table.start(config.max_level))][:2]
 
 
-def _table_and_start(config: SynthesisConfig) -> tuple[_AngleTable, int]:
-    """The config's angle table and level-cap start; rejects too shallow a ladder."""
+def _checked_table(config: SynthesisConfig) -> _AngleTable:
+    """The config's angle table, once its ladder is checked deep enough for
+    its epsilon: every state above the level cap is then finer than
+    epsilon/2, so the planners may look up over the whole table."""
     table = _angle_table(config.families)
-    start = table.start(config.max_level)
-    if table.angles[start] > config.epsilon / 2:
-        finest = f"finest enabled rotation {table.angles[start]:.3e} exceeds epsilon/2"
+    finest = table.angles[table.start(config.max_level)]
+    if finest > config.epsilon / 2:
+        reason = f"finest enabled rotation {finest:.3e} exceeds epsilon/2"
         if config.max_level < MAX_LEVEL:
-            raise ValueError(f"{finest}; raise max_level")
-        raise ValueError(f"epsilon {config.epsilon:.3e} is below what {MAX_LEVEL} levels reach: {finest}")
-    return table, start
+            raise ValueError(f"{reason}; raise max_level")
+        raise ValueError(f"epsilon {config.epsilon:.3e} is below what {MAX_LEVEL} levels reach: {reason}")
+    return table
 
 
 def _greedy(
-    residual: float, table: _AngleTable, start: int, eps: float, rnd: Callable[[], float]
+    residual: float, table: _AngleTable, eps: float, rnd: Callable[[], float]
 ) -> tuple[float, float, int, list[tuple[Family, int, int]]]:
     """The greedy loop of both scalar planners: fold the residual, and while
-    it is above eps consume the nearest state from start on, walking its
-    climb and flipping its coin on rnd.  Returns the final residual, the
-    offline cost, the Clifford corrections and the applied states."""
+    it is above eps consume the nearest state, walking its climb and
+    flipping its coin on rnd.  Returns the final residual, the offline
+    cost, the Clifford corrections and the applied states."""
     thresholds, angles, levels, probs = table.thresholds, table.angles, table.levels, table.probs
     base_costs, plus, minus = table.base_costs, table.plus, table.minus
     applied: list[tuple[Family, int, int]] = []
@@ -212,7 +250,7 @@ def _greedy(
         magnitude = abs(residual)
         if magnitude <= eps:
             return residual, offline, corrections, applied
-        i = bisect_right(thresholds, magnitude, start)
+        i = bisect_right(thresholds, magnitude)
         offline += climb_walk(probs[i], levels[i], base_costs[i], rnd)
         # consume the state: rotate by +angle or -angle with probability 1/2
         if rnd() < 0.5:
@@ -231,8 +269,8 @@ def synthesize(target: float, config: SynthesisConfig, rng: random.Random) -> Sy
     """
     if not math.isfinite(target):
         raise ValueError("target must be finite")
-    table, start = _table_and_start(config)
-    residual, offline, corrections, applied = _greedy(target, table, start, config.epsilon, rng.random)
+    table = _checked_table(config)
+    residual, offline, corrections, applied = _greedy(target, table, config.epsilon, rng.random)
     return SynthesisResult(
         applied=tuple(applied),
         residual=residual,
@@ -263,11 +301,11 @@ def min_online_synthesize(
     if not math.isfinite(target):
         raise ValueError("target must be finite")
     if eps == config.epsilon:
-        table, start = _table_and_start(config)
+        table = _checked_table(config)
     else:
         # validates eps as the inner accuracy first, so a NaN or too small
         # eps is reported as such, not as a mismatch
-        _table_and_start(replace(config, epsilon=eps))
+        _checked_table(replace(config, epsilon=eps))
         raise ValueError(f"eps {eps!r} differs from config.epsilon {config.epsilon!r}")
     rnd = rng.random
     corrections = online = 0
@@ -278,7 +316,7 @@ def min_online_synthesize(
         corrections += k
         if abs(remaining) <= eps:
             break
-        residual, cost, k, _ = _greedy(remaining, table, start, eps, rnd)
+        residual, cost, k, _ = _greedy(remaining, table, eps, rnd)
         offline += cost
         corrections += k
         online += 1
@@ -306,77 +344,37 @@ _TAIL = 16
 
 
 class _LockstepTables(NamedTuple):
-    """The read-only arrays of lockstep_synthesize for the states of levels
-    0..top of a family set: the suffix of its _AngleTable that
-    table.start(top) cuts.  angles holds the suffix's angles; shift, first
-    and thresholds are _state_bins of its thresholds, which
-    _nearest_states reads.  keys, guide and costs are the
+    """The read-only climb laws of lockstep_synthesize for the states of
+    levels 0..top of a family set: keys, guide and costs are the
     seeding.inverse_cdf_table of ladder.climb_cost_laws, family by family,
-    and segments[i] is the segment of state start + i."""
+    and segments[i] is the segment of _AngleTable state i, or -1 for a
+    state above top, which the lockstep never consumes (auto_max_level)."""
 
-    start: int
-    shift: int
-    first: np.ndarray
-    thresholds: np.ndarray
-    angles: np.ndarray
     segments: np.ndarray
     keys: np.ndarray
     guide: np.ndarray
     costs: np.ndarray
 
 
-def _state_bins(thresholds: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """Bins that look magnitudes up among increasing thresholds without a
-    binary search.  A non-negative float's bits, read as an int64, run in
-    the order of its value, so bits >> shift cuts each binade into
-    2^(52 - shift) bins; shift is the largest (the bins the widest) for
-    which no bin holds two thresholds.  first[q] counts the thresholds
-    below bin q's first float, over the bins of every magnitude below 4
-    (1025 binades' worth, at most 8200 bins for all four families);
-    the thresholds come back with a +inf sentinel appended."""
-    bits = thresholds.view(np.int64)
-    shift = next(s for s in range(52, -1, -1) if (np.diff(bits >> s) > 0).all())
-    starts = (np.arange(1025 << (52 - shift)) << shift).view(np.float64)
-    return shift, np.searchsorted(thresholds, starts), np.append(thresholds, math.inf)
-
-
-def _nearest_states(shift: int, first: np.ndarray, thresholds: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """np.searchsorted(thresholds[:-1], m, side="right") over _state_bins
-    for magnitudes m in [0, 4): the thresholds below m's bin, plus the one
-    threshold its bin may hold if that is <= m (the sentinel never is)."""
-    i = first.take(m.view(np.int64) >> shift)
-    i += thresholds.take(i) <= m
-    return i
-
-
 @lru_cache(maxsize=8)
 def _lockstep_tables(families: tuple[Family, ...], top: int) -> _LockstepTables:
-    """The lockstep tables of the family set up to level top.  The cost
-    table takes each law as it is solved: the four families' table holds
-    about 133k outcomes at top 32, 16 bytes each."""
+    """The climb laws of the family set up to level top.  The cost table
+    takes each law as it is solved: the four families' table holds about
+    133k outcomes at top 32, 16 bytes each."""
     table = _angle_table(families)
-    start = table.start(top)
     rank = {f: r for r, f in enumerate(families)}
-    # built first, so the bins are not held while the laws are solved
+    segments = np.array([rank[f] * (top + 1) + level if level <= top else -1 for f, level, _ in table.plus])
+    segments.flags.writeable = False
     cost_table = inverse_cdf_table(
         (masses, len(masses), costs) for family in families for costs, masses in climb_cost_laws(family, top)
     )
-    tables = _LockstepTables(
-        start,
-        *_state_bins(np.array(table.thresholds[start:])),
-        np.array(table.angles[start:]),
-        np.array([rank[f] * (top + 1) + level for f, level, _ in table.plus[start:]]),
-        *cost_table,
-    )
-    for array in tables[2:]:
-        array.flags.writeable = False
-    return tables
+    return _LockstepTables(segments, *cost_table)
 
 
 def _climb_costs(tables: _LockstepTables, states: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """The costs of climbs to the states (indices into the tables' suffix),
-    each drawn from its law by inverse CDF with one 53-bit draw of bits,
-    which is spent."""
+    """The costs of climbs to the states (_AngleTable indices), each drawn
+    from its law by inverse CDF with one 53-bit draw of bits, which is
+    spent."""
     picks, _ = inverse_cdf_picks(tables.keys, tables.guide, tables.segments.take(states), bits)
     return tables.costs.take(picks)
 
@@ -404,8 +402,7 @@ def _bill_climbs(tables: _LockstepTables, bill: np.ndarray, log: list, stride: i
 
 
 def _finish(
-    tables: _LockstepTables,
-    families: tuple[Family, ...],
+    table: _AngleTable,
     tick: int,
     stragglers: list[tuple],
     draws: Callable[[np.ndarray, int, int], np.ndarray],
@@ -420,8 +417,7 @@ def _finish(
     draws, its coins' tails), in sample order.  Each sample's
     residual, corrections and online count go into outputs as it finishes;
     returns the log entry of the climbs, which the caller bills."""
-    table = _angle_table(families)
-    thresholds, angles, start = table.thresholds, table.angles, tables.start
+    thresholds, angles = table.thresholds, table.angles
     residuals, corrections, online = outputs
     dests, states, bits, rounds = [], [], [], []
     while stragglers:
@@ -430,7 +426,7 @@ def _finish(
         for dest, r, eps, corr, on, rnd, remaining, climbs, tails in stragglers:
             m = abs(r)
             step = m > eps
-            j = bisect_right(thresholds, m, start)
+            j = bisect_right(thresholds, m)
             tail = tails[column]
             if not ancilla:
                 on += 1
@@ -445,7 +441,7 @@ def _finish(
                 rnd = True
             if step:
                 dests.append(dest)
-                states.append(j - start)
+                states.append(j)
                 bits.append(climbs[column])
                 rounds.append(on)
             r -= (-angles[j] if tail else angles[j]) * step
@@ -456,7 +452,7 @@ def _finish(
             else:
                 residuals[dest], corrections[dest], online[dest] = r, corr, on
         if trace is not None:
-            trace.append((np.array(dests[since:], np.intp), np.array(states[since:], np.intp) + start))
+            trace.append((np.array(dests[since:], np.intp), np.array(states[since:], np.intp)))
         stragglers = running
         tick += 1
         if stragglers and not tick % _BLOCK_TICKS:
@@ -517,15 +513,15 @@ def lockstep_synthesize(
     others look their magnitude up and apply their coin.  The lookup is
     synthesize's, the count of the _AngleTable.thresholds at or below the
     magnitude, the magnitudes where the nearest of two neighbouring angles
-    turns from the lower to the upper.  It is read from bins of the
-    magnitude's float bits that hold one threshold at most
-    (_nearest_states), not searched.  Only states of levels up to
-    auto_max_level(min(epsilons)) are looked up: a state of angle
-    a <= epsilon/2 is never the nearest to a residual m > epsilon, as the H
-    ladder has one in [m/2, 3m/2], whose ratio 3 exceeds any of its level
-    steps.  Every operation is elementwise on a sample's own values and
-    draws, so a sample's result does not depend on the others in the
-    batch.  trace, if given, gets one (samples, states) pair of arrays per
+    turns from the lower to the upper, over the whole ladder.  It is read
+    from the table's bins of the magnitude's float bits, which hold one
+    threshold at most (_nearest_states), not searched.  Only states of
+    levels up to auto_max_level(min(epsilons)) are ever the nearest, so
+    only their climb laws are solved: a state of angle a <= epsilon/2 is
+    never the nearest to a residual m > epsilon, as the H ladder has one
+    in [m/2, 3m/2], whose ratio 3 exceeds any of its level steps.  Every
+    operation is elementwise on a sample's own values and draws, so a
+    sample's result does not depend on the others in the batch.  trace, if given, gets one (samples, states) pair of arrays per
     tick: the _AngleTable index of the state each planner step consumed.
     targets and epsilons are read, never written: float64 arrays are not
     copied.
@@ -574,10 +570,9 @@ def lockstep_synthesize(
     finest = float(eps.min())
     # validates the families and the ladder's depth
     config = SynthesisConfig(epsilon=finest, families=families)
-    _table_and_start(config)
-    top = auto_max_level(finest)
-    tables = _lockstep_tables(config.families, top)
-    shift, first, thresholds, angles = tables.shift, tables.first, tables.thresholds, tables.angles
+    table = _checked_table(config)
+    tables = _lockstep_tables(config.families, auto_max_level(finest))
+    shift, first, bounds, signed = table.shift, table.first, table.bounds, table.signed
     n = len(targets)
     online, corrections, residuals = np.zeros((3, n))
     # the entries: the samples that ran at the tick before the block's
@@ -594,10 +589,9 @@ def lockstep_synthesize(
     r = np.fmod(targets, TAU)
     np.subtract(r, TAU, out=r, where=r > math.pi)
     np.add(r, TAU, out=r, where=r < -math.pi)
-    # a step's rotation, heads at i and tails at i + len(angles): turns
-    # holds the offsets in the narrowest integers that index signed
-    signed = np.concatenate((angles, -angles))
-    tails_at = np.array(len(angles), np.min_scalar_type(len(signed)))
+    # a step's rotation, heads at signed[i] and tails at i + len(angles):
+    # turns holds the offsets in the narrowest integers that index signed
+    tails_at = np.array(len(table.angles), np.min_scalar_type(len(signed)))
     # counts in floats, exact to 2^53
     corr, on, remaining = np.zeros((3, n))
     rounds = np.zeros(n, bool)
@@ -644,9 +638,9 @@ def lockstep_synthesize(
             entries = (dest, r, eps, corr, on, rounds, remaining, climbs, flips)
             stragglers = list(zip(*(x.take(at, axis=0).tolist() for x in entries)))
             outputs = residuals, corrections, online
-            log.append(_finish(tables, config.families, tick, stragglers, draws, ancilla, trace, outputs))
+            log.append(_finish(table, tick, stragglers, draws, ancilla, trace, outputs))
             break
-        i = _nearest_states(shift, first, thresholds, m)
+        i = _nearest_states(shift, first, bounds, m)
         if ancilla:
             # a round ends: its ancilla carried remaining - r, so heads
             # leaves r, which the next tick finishes, and tails 2 remaining - r
@@ -668,7 +662,7 @@ def lockstep_synthesize(
         # residual's bytes as they are (see the docstring)
         r -= signed.take(i + turns[:, column]) * steps
         if trace is not None:
-            trace.append((step_dest, step_states + tables.start))
+            trace.append((step_dest, step_states))
     offline = np.zeros(n)
     # the rounds' bills in round order, as min_online_synthesize adds them
     for bills in _bill_climbs(tables, bill, log, n).reshape(-1, n):

@@ -283,7 +283,7 @@ def min_online_rounds(
     with config.epsilon is raised."""
     if not math.isfinite(target):
         raise ValueError("target must be finite")
-    synthesis._table_and_start(replace(config, epsilon=eps))
+    synthesis._checked_table(replace(config, epsilon=eps))
     if eps != config.epsilon:
         raise ValueError(f"eps {eps!r} differs from config.epsilon {config.epsilon!r}")
     corrections = online = 0

@@ -50,7 +50,7 @@ from rotsynth.ladder import ALL_FAMILIES, Family
 from rotsynth.noise import NoiseModel
 from rotsynth.seeding import DEFAULT_SEED
 from rotsynth.study import export_samples_csv, fixed_angle_study, run_scaling_study
-from rotsynth.synthesis import _lockstep_tables
+from rotsynth.synthesis import _angle_table, _lockstep_tables
 
 STUDY_DIGESTS = {
     "h-only": "1d80e8e062df79c72659c26275a06e46ef77531c9d6d301e69d204450557f262",
@@ -129,9 +129,24 @@ NOISE_FILES_BEFORE_SLOPE_SE = {
 # where rounding takes its running sum past 1 (PSI0 at 55, PSI1 at 50, PSI2
 # at 44), and the criterion-8 grid's and a near-symmetric mixture's passages
 LOCKSTEP_TABLE_DIGESTS = {
-    ((Family.H,), 32): "a0471b55c5fe6dabea937c3c2f7aedaeefd814926814c654a564e7a398fb3f54",
-    (ALL_FAMILIES, 32): "e007dd17db28dd3cbdc5994c304014c30f704d9e4b731394460cb5bacc2abf3e",
-    (ALL_FAMILIES, 60): "40cfada96357dbedfc4eff710c8e786be3925cead5968eb54edb3705a4718c0d",
+    ((Family.H,), 32): "b003c3db10fc7b0c46d3f27168cd97e199412ef6bc27dbd3dbb6e1a0e89ab76d",
+    (ALL_FAMILIES, 32): "f43ec71336c2965bb3db49fafee9509127b6dcc86cc62e13487045a6cb85a4d6",
+    (ALL_FAMILIES, 60): "9fb62bd8c04105de59510db5ecbd0b07f2c28b97fd21a7e1678d011509cbb11f",
+}
+# their laws alone (keys, guide, costs), recorded while each top's tables
+# also held the bins of its own suffix of the angle table
+LOCKSTEP_LAW_DIGESTS = {
+    ((Family.H,), 32): "364773aff2401be248fb102f802a578ca6768c621e8544c99892a8f97c2bb34f",
+    (ALL_FAMILIES, 32): "86233323328af296c0d6991517452d6a3b1ca4cd62c03dafa95c46d951a77d8c",
+    (ALL_FAMILIES, 60): "346803efd8d2ea75f4a7dd7118c6b0da1bbfdffecfe3deb107329e8d46c31818",
+}
+# a family set's nearest-state bins: the shift, and the digest of first,
+# bounds and signed, recorded as those of its lockstep tables at top 150
+# while each top had its own
+ANGLE_TABLE_BIN_DIGESTS = {
+    (Family.H,): (52, "5d25dc46dc9c55bf3f41156eff8b5f166c7f8cd160763ce276c3700a34d4119c"),
+    ALL_FAMILIES: (49, "cac39249bd89329403bd1b1208af5afe7116a1659aef8fa2b74bcf2178dcbddd"),
+    (Family.H, Family.PSI2): (50, "e5e46045efa033da68d21d1dde46fbc14be313fdb1f967ccf442826d45d64b5c"),
 }
 PASSAGE_TABLE_DIGESTS = {
     (1e-4, 28): "6216fe800f084d4f0aabfef4a74f950e9f1e999e881a5f7fbac415a40d06dd33",
@@ -203,7 +218,16 @@ def _arrays_sha256(arrays) -> str:
 
 @pytest.mark.parametrize("families, top", sorted(LOCKSTEP_TABLE_DIGESTS, key=repr), ids=repr)
 def test_lockstep_table_bytes(families, top):
-    assert _arrays_sha256(_lockstep_tables(families, top)) == LOCKSTEP_TABLE_DIGESTS[families, top]
+    tables = _lockstep_tables(families, top)
+    assert _arrays_sha256(tables) == LOCKSTEP_TABLE_DIGESTS[families, top]
+    assert _arrays_sha256((tables.keys, tables.guide, tables.costs)) == LOCKSTEP_LAW_DIGESTS[families, top]
+
+
+@pytest.mark.parametrize("families", sorted(ANGLE_TABLE_BIN_DIGESTS, key=repr), ids=repr)
+def test_angle_table_bin_bytes(families):
+    table = _angle_table(families)
+    digest = _arrays_sha256((table.first, table.bounds, table.signed))
+    assert (table.shift, digest) == ANGLE_TABLE_BIN_DIGESTS[families]
 
 
 def test_pure_means_bytes():

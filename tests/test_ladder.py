@@ -442,7 +442,7 @@ def _table_climbs(family: Family, level: int, n: int) -> list[float]:
     """n climb costs to the level drawn as lockstep_synthesize draws them:
     one counter-stream draw each, through the one-family lockstep tables."""
     tables = _lockstep_tables((family,), level)
-    state = [entry[:2] for entry in _angle_table((family,)).plus].index((family, level)) - tables.start
+    state = [entry[:2] for entry in _angle_table((family,)).plus].index((family, level))
     rows = counter_rows(derive_seed(DEFAULT_SEED, "table-climbs", family.value, level), np.arange(n))
     bits = counter_draws(rows, 0, 1)[:, 0]
     return _climb_costs(tables, np.full(n, state), bits).tolist()
@@ -471,9 +471,12 @@ def test_the_lockstep_tables_keep_each_law_in_its_segment():
     tables = _lockstep_tables(ALL_FAMILIES, top)
     assert (np.diff(tables.keys) >= 0).all()
     first = {f: [costs[0] for costs, _ in climb_cost_laws(f, top)] for f in ALL_FAMILIES}
-    states = _angle_table(ALL_FAMILIES).plus[tables.start :]
-    drawn = _climb_costs(tables, np.arange(len(states)), np.zeros(len(states), np.uint64))
-    assert drawn.tolist() == [first[f][level] for f, level, _ in states]
+    table = _angle_table(ALL_FAMILIES)
+    start = table.start(top)
+    # a state above the top has no law
+    assert (tables.segments[:start] == -1).all()
+    drawn = _climb_costs(tables, np.arange(start, len(table.plus)), np.zeros(len(table.plus) - start, np.uint64))
+    assert drawn.tolist() == [first[f][level] for f, level, _ in table.plus[start:]]
 
 
 @pytest.mark.parametrize(("family", "level"), _law_cases([0, 1, 3, 6, 8, 9, 12, 30, 40]))

@@ -779,11 +779,12 @@ def test_climbs_past_the_saturation_row_read_its_row():
 def test_downs_past_the_underflow_of_lam_read_the_limit_row(monkeypatch):
     """For the 0.01 mixture the saturation row M lies past the search, at
     the bound on the underflow of lam^m, beyond the first row u at which
-    lam^m is 0, where the distance grid stops.  Downs in (u, M] keep their
-    count, and each reads the limit row at its own level: the bytes of
-    oracles.element_distances at the full downs, not the last cell of the
-    grid.  The downs of instance 0 are pushed to 9500 + l at level l, those
-    of instance 2 to M, and instance 1 keeps its own."""
+    lam^m is 0; the distance grid runs to the deepest downs or M, whichever
+    is less.  Downs in (u, M] keep their count, and each reads the limit
+    row at its own level: the bytes of oracles.element_distances at the
+    full downs, not the last cell of the grid.  The downs of instance 0 are
+    pushed to 9500 + l at level l, those of instance 2 to M, and instance 1
+    keeps its own."""
     model, top = NoiseModel("a", 0.01), 6
     tables = noise._climb_tables(model)
     cap = tables.saturation

@@ -281,6 +281,12 @@ def test_auto_max_level_matches_linear_scan():
         assert auto_max_level(epsilon) == _auto_level_scan(epsilon)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+def test_auto_max_level_refuses_a_bad_accuracy(bad):
+    with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
+        auto_max_level(bad)
+
+
 # --- synthesize -------------------------------------------------------------
 
 
@@ -696,21 +702,16 @@ def _replay_samples(families: tuple[Family, ...]) -> list[tuple[float, float]]:
     return samples + [(mid, mid / 4) for mid in ties]
 
 
-def _nearest(thresholds: np.ndarray, magnitudes) -> list[int]:
-    """The states that lockstep_synthesize looks the magnitudes up to, in
-    the bins it looks them up in."""
-    return _nearest_states(*_state_bins(np.asarray(thresholds)), np.array(magnitudes, dtype=float)).tolist()
-
-
 def _judged(families: tuple[Family, ...], top: int, magnitudes: list[float]) -> None:
-    """The states that lockstep_synthesize and pick_state look the
-    magnitudes up to, among those up to top, are the brute-force nearest."""
+    """pick_state looks the magnitudes up to the brute-force nearest state
+    up to top, and lockstep_synthesize, in the family set's bins, to the
+    brute-force nearest state of the whole ladder."""
     table = _angle_table(families)
-    start = table.start(top)
     config = SynthesisConfig(epsilon=1e-3, families=families, max_level=top)
-    want = [nearest_state(families, top, m) for m in magnitudes]
-    assert [table.plus[start + i][:2] for i in _nearest(table.thresholds[start:], magnitudes)] == want
-    assert [pick_state(m, config) for m in magnitudes] == want
+    assert [pick_state(m, config) for m in magnitudes] == [nearest_state(families, top, m) for m in magnitudes]
+    looked_up = _nearest_states(table.shift, table.first, table.bounds, np.array(magnitudes, dtype=float))
+    want = [nearest_state(families, MAX_LEVEL, m) for m in magnitudes]
+    assert [table.plus[i][:2] for i in looked_up.tolist()] == want
 
 
 @pytest.mark.parametrize("top", [20, 32, 60, 150])
@@ -771,15 +772,41 @@ def test_each_state_bin_holds_at_most_one_threshold():
             assert first[0] == 0 and np.array_equal(first[1:], below[:-1])
             assert np.array_equal(sentinel, np.append(thresholds, math.inf))
             most = max(most, 52 - shift)
+        # the family set's own bins are the whole ladder's
+        assert table.shift == shift
+        assert np.array_equal(table.first, first) and np.array_equal(table.bounds, sentinel)
+        assert np.array_equal(table.signed, np.concatenate((table.angles, np.negative(table.angles))))
     assert most == 3
     print(f"at most 2^{most} bins a binade")
 
 
+def test_the_family_set_bins_pick_as_each_caps_bins():
+    """Above the finest angle of a level cap, the lookup in the family
+    set's bins picks the state that a lookup in bins of the cap's suffix of
+    the thresholds picks, at every threshold and its float neighbours, for
+    every family subset at every cap.  Below that angle the cap's lookup
+    picks its finest state and the family set's a finer one, which no
+    planner consumes: the depth check holds that angle to at most
+    epsilon/2."""
+    for families in FAMILY_SUBSETS:
+        table = _angle_table(families)
+        every = np.array(table.thresholds)
+        probes = np.concatenate((np.nextafter(every, 0), every, np.nextafter(every, math.inf)))
+        whole = _nearest_states(table.shift, table.first, table.bounds, probes)
+        for top in range(MAX_LEVEL + 1):
+            start = table.start(top)
+            above = probes > table.angles[start]
+            capped = _nearest_states(*_state_bins(every[start:]), probes[above]) + start
+            assert np.array_equal(whole[above], capped)
+            assert (whole[~above] <= start).all()
+
+
 @pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
 def test_every_lockstep_table_is_read_only(families):
-    tables = _lockstep_tables(families, 20)
-    assert type(tables.start) is int and type(tables.shift) is int
-    arrays = tables[2:]
+    """The climb laws of a top, and the family set's bins and signed angles."""
+    table = _angle_table(families)
+    assert type(table.shift) is int
+    arrays = (*_lockstep_tables(families, 20), table.first, table.bounds, table.signed)
     assert all(isinstance(array, np.ndarray) and not array.flags.writeable for array in arrays)
 
 
@@ -920,7 +947,7 @@ def test_the_lockstep_bills_each_climb_in_tick_order(families, ancilla):
     climbs = [{} for _ in samples]
     for tick, (rows, states) in enumerate(trace):
         bits = counter_draws(streams.take(rows), 2 * tick, 1)[:, 0]
-        for row, cost in zip(rows.tolist(), _climb_costs(tables, states - tables.start, bits).tolist()):
+        for row, cost in zip(rows.tolist(), _climb_costs(tables, states, bits).tolist()):
             climbs[row][tick] = cost
     offline = []
     for row, costs in enumerate(climbs):
@@ -940,6 +967,37 @@ def test_the_lockstep_bills_each_climb_in_tick_order(families, ancilla):
     if ancilla:
         assert max(lockstep.online.tolist()) >= 3
     print(f"{len(families)} families: {sum(steps)} climbs billed, up to {max(steps)} a sample")
+
+
+@pytest.mark.parametrize("ancilla", [False, True], ids=["greedy", "ancilla"])
+@pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
+def test_every_step_consumes_a_state_whose_law_is_solved(families, ancilla):
+    """On random targets with accuracies spread over 14 decades, every
+    traced step consumes a state at a level at most auto_max_level of its
+    own sample's epsilon, so one whose climb law _lockstep_tables solved
+    for the finest epsilon: the lookup runs over the whole ladder, and
+    only that bound keeps it inside the laws."""
+    rng = random.Random(23)
+    n = 3000
+    targets = np.array([rng.uniform(-20, 20) for _ in range(n)])
+    epsilons = np.array([10 ** -rng.uniform(1, 15) for _ in range(n)])
+    streams = counter_rows(derive_seed(9, "levels", len(families), ancilla), np.arange(n))
+    trace = []
+    lockstep_synthesize(
+        targets,
+        epsilons,
+        families,
+        lambda rows, start, count: counter_draws(streams.take(rows), start, count),
+        ancilla=ancilla,
+        trace=trace,
+    )
+    rows, states = map(np.concatenate, zip(*trace))
+    caps = np.array([auto_max_level(eps) for eps in epsilons.tolist()])
+    levels = np.array(_angle_table(families).levels).take(states)
+    assert (levels <= caps.take(rows)).all()
+    segments = _lockstep_tables(families, auto_max_level(float(epsilons.min()))).segments
+    assert (segments.take(states) >= 0).all()
+    print(f"{len(states)} steps, each at least {int((caps.take(rows) - levels).min())} levels under its cap")
 
 
 # a _TAIL at or above every sample count here: the lockstep hands every
@@ -992,9 +1050,9 @@ def test_the_finisher_changes_no_byte(families, ancilla, monkeypatch):
     samples = _replay_samples(families) + _EDGES
     finish, handoffs, default = synthesis._finish, [], synthesis._TAIL
 
-    def spy(tables, families, tick, stragglers, *rest):
+    def spy(table, tick, stragglers, *rest):
         handoffs.append((tick, len(stragglers)))
-        return finish(tables, families, tick, stragglers, *rest)
+        return finish(table, tick, stragglers, *rest)
 
     monkeypatch.setattr(synthesis, "_finish", spy)
     runs = {}
