@@ -204,7 +204,9 @@ def inverse_cdf_picks(
     keys.  bits is spent: its buffer takes the keyed draws.  out takes the
     picks (an array of the guide's dtype) and scratch the guide slots (a
     uint64 array), both C-contiguous of bits' shape; either is made for the
-    call if not given."""
+    call if not given.  A segment outside the table raises ValueError."""
+    if segments.size and not 0 <= segments.min() <= segments.max() < len(guide) >> GUIDE_BITS:
+        raise ValueError(f"segments must lie in [0, {len(guide) >> GUIDE_BITS})")
     keyed = bits.view(np.int64)  # every draw is below 2^53
     keyed += np.left_shift(segments, 53)
     slots = np.right_shift(keyed, 53 - GUIDE_BITS, out=None if scratch is None else scratch.view(np.int64))

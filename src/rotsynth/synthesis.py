@@ -113,8 +113,8 @@ class SynthesisResult:
 def auto_max_level(epsilon: float) -> int:
     """Smallest level whose H rotation is <= epsilon/2, capped at 150.  The planner
     needs no such cap (a state finer than epsilon/2 is never the nearest to a
-    residual above epsilon); lockstep_synthesize solves the climb laws of the
-    levels up to it."""
+    residual above epsilon); lockstep_synthesize reads the climb laws of the
+    levels up to it, from _AngleTable.climb_laws."""
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
     # the H table lists the H rotations finest first: level = MAX_LEVEL - index
@@ -166,7 +166,7 @@ class _AngleTable:
     The scalar planners and _finish read the lists, and lockstep_synthesize
     the read-only arrays: shift, first and bounds (the thresholds and a +inf
     sentinel) are the _state_bins that _nearest_states reads, and signed
-    holds the angles, then their negatives."""
+    holds the angles, then their negatives; climb_laws holds the climb laws."""
 
     def __init__(self, families: tuple[Family, ...]):
         entries = sorted(
@@ -195,11 +195,24 @@ class _AngleTable:
         self.base_costs = [base_average_cost(e[4]) for e in entries]
         self.plus = [(e[4], e[3], 1) for e in entries]
         self.minus = [(e[4], e[3], -1) for e in entries]
-        self.n_families = len(families)
+        self.families = families
+        self._climb_laws: _ClimbLaws | None = None
 
     def start(self, max_level: int) -> int:
         """Index of the first state with level <= max_level."""
-        return len(self.levels) - (max_level + 1) * self.n_families
+        return len(self.levels) - (max_level + 1) * len(self.families)
+
+    def climb_laws(self, top: int) -> _ClimbLaws:
+        """The climb laws of levels 0..top: a prefix of those of the deepest
+        top asked for so far, which a deeper top solves anew."""
+        laws = self._climb_laws
+        if laws is None or laws.top < top:
+            solving = {f: climb_cost_laws(f, top) for f in self.families}
+            # coarsest first, so each family's laws come level by level
+            solved = (next(solving[f]) for f, _, _ in reversed(self.plus[self.start(top) :]))
+            cost_table = inverse_cdf_table((masses, len(masses), costs) for costs, masses in solved)
+            laws = self._climb_laws = _ClimbLaws(top, len(self.levels) - 1, *cost_table)
+        return laws
 
 
 @lru_cache(maxsize=None)
@@ -343,43 +356,27 @@ _BLOCK_TICKS = 8
 _TAIL = 16
 
 
-class _LockstepTables(NamedTuple):
-    """The read-only climb laws of lockstep_synthesize for the states of
-    levels 0..top of a family set: keys, guide and costs are the
-    seeding.inverse_cdf_table of ladder.climb_cost_laws, family by family,
-    and segments[i] is the segment of _AngleTable state i, or -1 for a
-    state above top, which the lockstep never consumes (auto_max_level)."""
+class _ClimbLaws(NamedTuple):
+    """A family set's read-only climb laws of levels 0..top, laid out level
+    by level from the coarsest state (seeding.inverse_cdf_table): segment
+    last - i holds the ladder.climb_cost_laws law of _AngleTable state i."""
 
-    segments: np.ndarray
+    top: int
+    last: int
     keys: np.ndarray
     guide: np.ndarray
     costs: np.ndarray
 
 
-@lru_cache(maxsize=8)
-def _lockstep_tables(families: tuple[Family, ...], top: int) -> _LockstepTables:
-    """The climb laws of the family set up to level top.  The cost table
-    takes each law as it is solved: the four families' table holds about
-    133k outcomes at top 32, 16 bytes each."""
-    table = _angle_table(families)
-    rank = {f: r for r, f in enumerate(families)}
-    segments = np.array([rank[f] * (top + 1) + level if level <= top else -1 for f, level, _ in table.plus])
-    segments.flags.writeable = False
-    cost_table = inverse_cdf_table(
-        (masses, len(masses), costs) for family in families for costs, masses in climb_cost_laws(family, top)
-    )
-    return _LockstepTables(segments, *cost_table)
-
-
-def _climb_costs(tables: _LockstepTables, states: np.ndarray, bits: np.ndarray) -> np.ndarray:
+def _climb_costs(laws: _ClimbLaws, states: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """The costs of climbs to the states (_AngleTable indices), each drawn
     from its law by inverse CDF with one 53-bit draw of bits, which is
-    spent."""
-    picks, _ = inverse_cdf_picks(tables.keys, tables.guide, tables.segments.take(states), bits)
-    return tables.costs.take(picks)
+    spent.  A state above the laws' top raises ValueError."""
+    picks, _ = inverse_cdf_picks(laws.keys, laws.guide, laws.last - states, bits)
+    return laws.costs.take(picks)
 
 
-def _bill_climbs(tables: _LockstepTables, bill: np.ndarray, log: list, stride: int) -> np.ndarray:
+def _bill_climbs(laws: _ClimbLaws, bill: np.ndarray, log: list, stride: int) -> np.ndarray:
     """Draw the costs of the logged climbs, in one _climb_costs call, and
     add them in log order into bill, flat over (round, sample) with stride
     samples a round; returns bill, grown by zero rounds where the log
@@ -397,7 +394,7 @@ def _bill_climbs(tables: _LockstepTables, bill: np.ndarray, log: list, stride: i
         needed = (int(cells.max(initial=0)) // stride + 1) * stride
         if needed > len(bill):
             bill = np.concatenate((bill, np.zeros(needed - len(bill))))
-    np.add.at(bill, cells, _climb_costs(tables, states, bits))
+    np.add.at(bill, cells, _climb_costs(laws, states, bits))
     return bill
 
 
@@ -508,23 +505,23 @@ def lockstep_synthesize(
     two may differ in sign, which the quarter-turn fold then erases), then
     the round-half-even quarter-turn fold and the step up from <= -pi/4;
     the first part leaves any residual in [-pi, pi] as it is, so only the
-    targets take it.
-    A sample within its epsilon is done (or ends its ancilla round); the
-    others look their magnitude up and apply their coin.  The lookup is
-    synthesize's, the count of the _AngleTable.thresholds at or below the
-    magnitude, the magnitudes where the nearest of two neighbouring angles
-    turns from the lower to the upper, over the whole ladder.  It is read
-    from the table's bins of the magnitude's float bits, which hold one
-    threshold at most (_nearest_states), not searched.  Only states of
-    levels up to auto_max_level(min(epsilons)) are ever the nearest, so
-    only their climb laws are solved: a state of angle a <= epsilon/2 is
-    never the nearest to a residual m > epsilon, as the H ladder has one
-    in [m/2, 3m/2], whose ratio 3 exceeds any of its level steps.  Every
-    operation is elementwise on a sample's own values and draws, so a
-    sample's result does not depend on the others in the batch.  trace, if given, gets one (samples, states) pair of arrays per
-    tick: the _AngleTable index of the state each planner step consumed.
-    targets and epsilons are read, never written: float64 arrays are not
-    copied.
+    targets take it.  A sample within its epsilon is done (or ends its
+    ancilla round); the others look their magnitude up and apply their coin.
+    The lookup is synthesize's, the count of the _AngleTable.thresholds at
+    or below the magnitude, the magnitudes where the nearest of two
+    neighbouring angles turns from the lower to the upper, over the whole
+    ladder.  It is read from the table's bins of the magnitude's float bits,
+    which hold one threshold at most (_nearest_states), not searched.  Only
+    states of levels up to auto_max_level(min(epsilons)) are ever the
+    nearest, so the call asks climb_laws for theirs alone, and holds what it
+    gets: a state of angle a <= epsilon/2 is never the nearest to a residual
+    m > epsilon, as the H ladder has one in [m/2, 3m/2], whose ratio 3
+    exceeds any of its level steps.  Every operation is elementwise on a
+    sample's own values and draws, so a sample's result does not depend on
+    the others in the batch.  trace, if given, gets one (samples, states)
+    pair of arrays per tick: the _AngleTable index of the state each planner
+    step consumed.  targets and epsilons are read, never written: float64
+    arrays are not copied.
 
     Once at most _TAIL samples still run at a tick, the numpy loop stops
     after its fold and _finish runs the rest of that tick and the next ones
@@ -571,7 +568,7 @@ def lockstep_synthesize(
     # validates the families and the ladder's depth
     config = SynthesisConfig(epsilon=finest, families=families)
     table = _checked_table(config)
-    tables = _lockstep_tables(config.families, auto_max_level(finest))
+    laws = table.climb_laws(auto_max_level(finest))
     shift, first, bounds, signed = table.shift, table.first, table.bounds, table.signed
     n = len(targets)
     online, corrections, residuals = np.zeros((3, n))
@@ -611,7 +608,7 @@ def lockstep_synthesize(
             # the last block's arrays go before its climbs are billed and
             # the next block is drawn
             block = climbs = flips = turns = None
-            bill = _bill_climbs(tables, bill, log, n)
+            bill = _bill_climbs(laws, bill, log, n)
             # the entries that the last tick found done write their outputs
             # (the others' are written again when they finish) and leave
             residuals[dest], corrections[dest], online[dest] = r, corr, on
@@ -665,6 +662,6 @@ def lockstep_synthesize(
             trace.append((step_dest, step_states))
     offline = np.zeros(n)
     # the rounds' bills in round order, as min_online_synthesize adds them
-    for bills in _bill_climbs(tables, bill, log, n).reshape(-1, n):
+    for bills in _bill_climbs(laws, bill, log, n).reshape(-1, n):
         offline += bills
     return LockstepResult(online.astype(np.int64), offline, residuals, corrections.astype(np.int64))

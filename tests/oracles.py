@@ -20,8 +20,9 @@ feeds the scalar planners' coins to the numpy lockstep; the least-squares
 fit taken point by point, in Python floats over generators, judges
 study.fit_columns.
 The small helpers that only the tests read live here too: basis states,
-|+>, pure states as density matrices, Bloch vectors of density matrices, and
-reading a samples CSV back.
+|+>, pure states as density matrices, Bloch vectors of density matrices,
+reading a samples CSV back, and the first segments of a family set's climb
+laws, which hold the laws to a lower top.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ from rotsynth.ladder import (
 )
 from rotsynth.noise import NoiseModel, make_noisy_resource
 from rotsynth.qcore import GATES_1Q, DensityMatrix, PureRegister, apply_gate, xz_state
-from rotsynth.seeding import derive_seed
+from rotsynth.seeding import GUIDE_BITS, derive_seed
 from rotsynth.study import CSV_HEADER, ScalingFit, ScalingSample
 
 
@@ -259,6 +260,15 @@ def nearest_state(families: tuple[Family, ...], max_level: int, magnitude: float
     least distance is the least of all four."""
     states, angles = _states_by_tie(tuple(families), max_level)
     return states[int(np.argmin(np.abs(magnitude - angles)))]
+
+
+def climb_law_prefix(laws: synthesis._ClimbLaws, top: int, n_families: int) -> tuple[np.ndarray, ...]:
+    """The keys, guide and costs of the first (top + 1) * n_families
+    segments of laws, those of the states of levels 0..top: segment s's
+    keys lie in (s * 2^53, (s + 1) * 2^53]."""
+    n_segments = (top + 1) * n_families
+    outcomes = int(np.searchsorted(laws.keys, n_segments << 53, side="right"))
+    return laws.keys[:outcomes], laws.guide[: n_segments << GUIDE_BITS], laws.costs[:outcomes]
 
 
 def apply_random_rotation(

@@ -44,13 +44,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import climb_law_prefix
 from rotsynth import noise
 from rotsynth.cli import main
 from rotsynth.ladder import ALL_FAMILIES, Family
 from rotsynth.noise import NoiseModel
-from rotsynth.seeding import DEFAULT_SEED
+from rotsynth.seeding import DEFAULT_SEED, GUIDE_BITS
 from rotsynth.study import export_samples_csv, fixed_angle_study, run_scaling_study
-from rotsynth.synthesis import _angle_table, _lockstep_tables
+from rotsynth.synthesis import _angle_table, _AngleTable
 
 STUDY_DIGESTS = {
     "h-only": "1d80e8e062df79c72659c26275a06e46ef77531c9d6d301e69d204450557f262",
@@ -125,20 +126,24 @@ NOISE_FILES_BEFORE_SLOPE_SE = {
 }
 
 # the inverse-CDF tables, past the top levels the studies above reach: the
-# lockstep's, whose top 60 holds the first law of each PSI family that ends
-# where rounding takes its running sum past 1 (PSI0 at 55, PSI1 at 50, PSI2
-# at 44), and the criterion-8 grid's and a near-symmetric mixture's passages
+# lockstep's climb laws, whose top 60 holds the first law of each PSI family
+# that ends where rounding takes its running sum past 1 (PSI0 at 55, PSI1 at
+# 50, PSI2 at 44), and the criterion-8 grid's and a near-symmetric
+# mixture's passages.  The climb laws' digests were re-recorded when the
+# laws were laid out level by level rather than family by family, with no
+# segments array: H's alone hash as their keys, guide and costs did
+# before, as one family's two layouts are the same
 LOCKSTEP_TABLE_DIGESTS = {
-    ((Family.H,), 32): "b003c3db10fc7b0c46d3f27168cd97e199412ef6bc27dbd3dbb6e1a0e89ab76d",
-    (ALL_FAMILIES, 32): "f43ec71336c2965bb3db49fafee9509127b6dcc86cc62e13487045a6cb85a4d6",
-    (ALL_FAMILIES, 60): "9fb62bd8c04105de59510db5ecbd0b07f2c28b97fd21a7e1678d011509cbb11f",
-}
-# their laws alone (keys, guide, costs), recorded while each top's tables
-# also held the bins of its own suffix of the angle table
-LOCKSTEP_LAW_DIGESTS = {
     ((Family.H,), 32): "364773aff2401be248fb102f802a578ca6768c621e8544c99892a8f97c2bb34f",
-    (ALL_FAMILIES, 32): "86233323328af296c0d6991517452d6a3b1ca4cd62c03dafa95c46d951a77d8c",
-    (ALL_FAMILIES, 60): "346803efd8d2ea75f4a7dd7118c6b0da1bbfdffecfe3deb107329e8d46c31818",
+    (ALL_FAMILIES, 32): "78dc13f7a44a1a3c702f6ab4ff7f67de1d11cf191be74c8d213e07b01f4d7299",
+    (ALL_FAMILIES, 60): "cba4c4b278ad17a350da0090fec36e8ca707d91ea7dcfde96a4476ee23190dc4",
+}
+# each state's law apart from where the table lays it (_law_sha256),
+# recorded while the laws were laid out family by family
+LOCKSTEP_LAW_DIGESTS = {
+    ((Family.H,), 32): "de4786352468019188926a277eacd268c43c412e89343a6db1829af66ca91d4f",
+    (ALL_FAMILIES, 32): "8f2d697c52f916a2bd51985daa97849c43c69e211486eb090dbb38faf2b4d8bd",
+    (ALL_FAMILIES, 60): "6fdae54ec13e4006382870d24952e286cbd32833dce59600cab28c26c5bccac2",
 }
 # a family set's nearest-state bins: the shift, and the digest of first,
 # bounds and signed, recorded as those of its lockstep tables at top 150
@@ -216,11 +221,33 @@ def _arrays_sha256(arrays) -> str:
     return h.hexdigest()
 
 
+def _law_sha256(table: _AngleTable, laws, top: int) -> str:
+    """The digest of the climb laws of the table's states of levels 0..top,
+    state by state in table order, each apart from its segment s: its keys
+    less s * 2^53, its guide's slots as offsets from its first outcome (-1
+    kept) and its costs."""
+    n_segments = len(laws.guide) >> GUIDE_BITS
+    # segment s's keys lie in (s * 2^53, (s + 1) * 2^53]
+    edges = np.searchsorted(laws.keys, np.arange(n_segments + 1, dtype=np.int64) << 53, side="right").tolist()
+    assert edges[0] == 0 and edges[-1] == len(laws.keys)
+    arrays = []
+    for state, level in enumerate(table.levels):
+        if level <= top:
+            s = laws.last - state
+            lo, hi = edges[s], edges[s + 1]
+            slots = laws.guide[s << GUIDE_BITS : (s + 1) << GUIDE_BITS]
+            arrays += [laws.keys[lo:hi] - (s << 53), np.where(slots < 0, slots, slots - lo), laws.costs[lo:hi]]
+    return _arrays_sha256(arrays)
+
+
 @pytest.mark.parametrize("families, top", sorted(LOCKSTEP_TABLE_DIGESTS, key=repr), ids=repr)
 def test_lockstep_table_bytes(families, top):
-    tables = _lockstep_tables(families, top)
-    assert _arrays_sha256(tables) == LOCKSTEP_TABLE_DIGESTS[families, top]
-    assert _arrays_sha256((tables.keys, tables.guide, tables.costs)) == LOCKSTEP_LAW_DIGESTS[families, top]
+    """The laws of levels 0..top, the first segments of whatever deeper
+    laws the family set's table holds."""
+    table = _angle_table(families)
+    laws = table.climb_laws(top)
+    assert _arrays_sha256(climb_law_prefix(laws, top, len(families))) == LOCKSTEP_TABLE_DIGESTS[families, top]
+    assert _law_sha256(table, laws, top) == LOCKSTEP_LAW_DIGESTS[families, top]
 
 
 @pytest.mark.parametrize("families", sorted(ANGLE_TABLE_BIN_DIGESTS, key=repr), ids=repr)

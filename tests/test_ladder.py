@@ -26,7 +26,7 @@ from rotsynth.ladder import (
 )
 from rotsynth.noise import NoiseModel, decay_study, propagate_to_level
 from rotsynth.seeding import DEFAULT_SEED, counter_draws, counter_rows, derive_rng, derive_seed
-from rotsynth.synthesis import SynthesisConfig, _angle_table, _climb_costs, _lockstep_tables
+from rotsynth.synthesis import SynthesisConfig, _angle_table, _climb_costs
 
 SQRT2 = math.sqrt(2)
 
@@ -440,17 +440,17 @@ def test_simulate_climb_follows_the_failure_law(family, level):
 
 def _table_climbs(family: Family, level: int, n: int) -> list[float]:
     """n climb costs to the level drawn as lockstep_synthesize draws them:
-    one counter-stream draw each, through the one-family lockstep tables."""
-    tables = _lockstep_tables((family,), level)
-    state = [entry[:2] for entry in _angle_table((family,)).plus].index((family, level))
+    one counter-stream draw each, through the one-family climb laws."""
+    table = _angle_table((family,))
+    state = [entry[:2] for entry in table.plus].index((family, level))
     rows = counter_rows(derive_seed(DEFAULT_SEED, "table-climbs", family.value, level), np.arange(n))
     bits = counter_draws(rows, 0, 1)[:, 0]
-    return _climb_costs(tables, np.full(n, state), bits).tolist()
+    return _climb_costs(table.climb_laws(level), np.full(n, state), bits).tolist()
 
 
 @pytest.mark.parametrize(("family", "level"), _law_cases([1, 5, 12, 30]))
 def test_the_tabulated_climbs_follow_the_failure_law(family, level):
-    """The costs the lockstep tables draw, at shallow and deep levels:
+    """The costs the lockstep's climb laws draw, at shallow and deep levels:
     chi-squared of 2e5 draws against the exact law, and the z of their
     mean against expected_climb_cost."""
     p, z = _chi2_against_the_law(_table_climbs(family, level, 200_000), family, level, "table")
@@ -468,14 +468,12 @@ def test_the_lockstep_tables_keep_each_law_in_its_segment():
     the first outcome of its own law, not a tail outcome of the law
     before."""
     top = 60
-    tables = _lockstep_tables(ALL_FAMILIES, top)
-    assert (np.diff(tables.keys) >= 0).all()
-    first = {f: [costs[0] for costs, _ in climb_cost_laws(f, top)] for f in ALL_FAMILIES}
     table = _angle_table(ALL_FAMILIES)
+    laws = table.climb_laws(top)
+    assert (np.diff(laws.keys) >= 0).all()
+    first = {f: [costs[0] for costs, _ in climb_cost_laws(f, top)] for f in ALL_FAMILIES}
     start = table.start(top)
-    # a state above the top has no law
-    assert (tables.segments[:start] == -1).all()
-    drawn = _climb_costs(tables, np.arange(start, len(table.plus)), np.zeros(len(table.plus) - start, np.uint64))
+    drawn = _climb_costs(laws, np.arange(start, len(table.plus)), np.zeros(len(table.plus) - start, np.uint64))
     assert drawn.tolist() == [first[f][level] for f, level, _ in table.plus[start:]]
 
 

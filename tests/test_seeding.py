@@ -371,3 +371,14 @@ def test_picks_are_the_search_over_the_keys():
     assert np.array_equal(picks, np.searchsorted(keys, keyed, side="right"))
     assert np.array_equal(split, np.flatnonzero(guide.take(keyed >> _SLOT) < 0))
     assert np.array_equal(bits.view(np.int64), keyed)
+
+
+@pytest.mark.parametrize("segment", [-1, len(_LAWS), 2**40], ids=["below", "next", "far"])
+def test_a_segment_outside_the_table_is_refused(segment):
+    """Before its draws are spent: the guide read clips, so it would draw
+    from another segment's law."""
+    keys, guide, *_ = _law_table()
+    bits = np.zeros(3, np.uint64)
+    with pytest.raises(ValueError, match=rf"^segments must lie in \[0, {len(_LAWS)}\)$"):
+        inverse_cdf_picks(keys, guide, np.array([0, segment, 1]), bits)
+    assert not bits.any()

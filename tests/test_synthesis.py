@@ -10,7 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import CoinRecorder, apply_random_rotation, coin_draws, min_online_rounds, nearest_state
+from oracles import (
+    CoinRecorder,
+    apply_random_rotation,
+    climb_law_prefix,
+    coin_draws,
+    min_online_rounds,
+    nearest_state,
+)
 from rotsynth import synthesis
 from rotsynth.ladder import (
     ALL_FAMILIES,
@@ -27,8 +34,8 @@ from rotsynth.synthesis import (
     SynthesisConfig,
     SynthesisResult,
     _angle_table,
+    _AngleTable,
     _climb_costs,
-    _lockstep_tables,
     _nearest_states,
     _state_bins,
     auto_max_level,
@@ -803,10 +810,11 @@ def test_the_family_set_bins_pick_as_each_caps_bins():
 
 @pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
 def test_every_lockstep_table_is_read_only(families):
-    """The climb laws of a top, and the family set's bins and signed angles."""
+    """The climb laws, and the family set's bins and signed angles."""
     table = _angle_table(families)
     assert type(table.shift) is int
-    arrays = (*_lockstep_tables(families, 20), table.first, table.bounds, table.signed)
+    laws = table.climb_laws(20)
+    arrays = (laws.keys, laws.guide, laws.costs, table.first, table.bounds, table.signed)
     assert all(isinstance(array, np.ndarray) and not array.flags.writeable for array in arrays)
 
 
@@ -943,11 +951,11 @@ def test_the_lockstep_bills_each_climb_in_tick_order(families, ancilla):
         ancilla=ancilla,
         trace=trace,
     )
-    tables = _lockstep_tables(families, auto_max_level(min(epsilons)))
+    laws = _angle_table(families).climb_laws(auto_max_level(min(epsilons)))
     climbs = [{} for _ in samples]
     for tick, (rows, states) in enumerate(trace):
         bits = counter_draws(streams.take(rows), 2 * tick, 1)[:, 0]
-        for row, cost in zip(rows.tolist(), _climb_costs(tables, states, bits).tolist()):
+        for row, cost in zip(rows.tolist(), _climb_costs(laws, states, bits).tolist()):
             climbs[row][tick] = cost
     offline = []
     for row, costs in enumerate(climbs):
@@ -974,9 +982,10 @@ def test_the_lockstep_bills_each_climb_in_tick_order(families, ancilla):
 def test_every_step_consumes_a_state_whose_law_is_solved(families, ancilla):
     """On random targets with accuracies spread over 14 decades, every
     traced step consumes a state at a level at most auto_max_level of its
-    own sample's epsilon, so one whose climb law _lockstep_tables solved
-    for the finest epsilon: the lookup runs over the whole ladder, and
-    only that bound keeps it inside the laws."""
+    own sample's epsilon, so one whose climb law the lockstep solved for
+    the finest epsilon, in the laws' first (top + 1) * len(families)
+    segments: the lookup runs over the whole ladder, and only that bound
+    keeps it inside the laws."""
     rng = random.Random(23)
     n = 3000
     targets = np.array([rng.uniform(-20, 20) for _ in range(n)])
@@ -995,9 +1004,66 @@ def test_every_step_consumes_a_state_whose_law_is_solved(families, ancilla):
     caps = np.array([auto_max_level(eps) for eps in epsilons.tolist()])
     levels = np.array(_angle_table(families).levels).take(states)
     assert (levels <= caps.take(rows)).all()
-    segments = _lockstep_tables(families, auto_max_level(float(epsilons.min()))).segments
-    assert (segments.take(states) >= 0).all()
+    top = auto_max_level(float(epsilons.min()))
+    laws = _angle_table(families).climb_laws(top)
+    segments = laws.last - states
+    assert (segments >= 0).all() and (segments < (top + 1) * len(families)).all()
     print(f"{len(states)} steps, each at least {int((caps.take(rows) - levels).min())} levels under its cap")
+
+
+def test_a_climb_to_a_state_above_the_laws_top_is_refused():
+    """H state 0 is level 150, above top 10: its climb raises rather than
+    drawing from another level's law."""
+    laws = _AngleTable((Family.H,)).climb_laws(10)
+    with pytest.raises(ValueError, match=r"^segments must lie in \[0, 11\)$"):
+        _climb_costs(laws, np.array([0]), np.zeros(1, np.uint64))
+
+
+@pytest.mark.parametrize("families", [(Family.H,), ALL_FAMILIES], ids=["h", "all"])
+def test_the_climb_laws_of_a_top_are_a_prefix_of_a_deeper_tops(families):
+    """Laid out level by level from the coarsest state, the laws solved to
+    top 32 on a fresh table are, byte for byte and dtype for dtype, the
+    first segments of the family set's laws solved to 60 or deeper; a
+    table that holds the deeper laws serves top 32 from them."""
+    shallow = _AngleTable(families).climb_laws(32)
+    table = _angle_table(families)
+    deep = table.climb_laws(60)
+    assert table.climb_laws(32) is deep and deep.top >= 60
+    assert shallow.top == 32 and shallow.last == deep.last == len(table.levels) - 1
+    for own, served in zip((shallow.keys, shallow.guide, shallow.costs), climb_law_prefix(deep, 32, len(families))):
+        assert own.dtype == served.dtype and own.tobytes() == served.tobytes()
+
+
+def test_the_lockstep_gives_the_same_bytes_from_deeper_laws(monkeypatch):
+    """lockstep_synthesize on fixed counter draws gives the same results
+    and trace, byte for byte, greedy and with ancilla, from an empty
+    _angle_table cache, where it solves the laws to its own top, as after
+    the family set's laws were solved to a deeper top."""
+    monkeypatch.setattr(synthesis, "_angle_table", functools.lru_cache(synthesis._AngleTable))
+    rng = random.Random(31)
+    n = 2000
+    targets = np.array([rng.uniform(-20, 20) for _ in range(n)])
+    epsilons = np.array([10 ** -rng.uniform(2, 6) for _ in range(n)])
+    streams = counter_rows(derive_seed(8, "deeper-laws"), np.arange(n))
+
+    def run(ancilla: bool) -> list[bytes]:
+        trace = []
+        result = lockstep_synthesize(
+            targets,
+            epsilons,
+            ALL_FAMILIES,
+            lambda rows, start, count: counter_draws(streams.take(rows), start, count),
+            ancilla=ancilla,
+            trace=trace,
+        )
+        return [a.tobytes() for a in result] + [a.tobytes() for pair in trace for a in pair]
+
+    cold = [run(False), run(True)]
+    table = synthesis._angle_table(ALL_FAMILIES)
+    top = auto_max_level(float(epsilons.min()))
+    assert table.climb_laws(0).top == top
+    assert table.climb_laws(top + 20).top == top + 20
+    assert [run(False), run(True)] == cold
 
 
 # a _TAIL at or above every sample count here: the lockstep hands every
