@@ -19,28 +19,26 @@ with n = l + 1, the bottom state is
     N = s00^n + s11^n,  lam = |s01|^2 / (s00 s11).
 
 The up probability therefore depends on the level alone, and the distance
-at a first arrival on (level, m) alone.  A pure resource (models b and c,
-and the mixture at weight 0 or 1) has |s01|^2 = s00 s11, so lam = 1 and
-every first arrival at a level lands on one state: decay_study returns
-those exact distances, solved once per model to MAX_LEVEL by _exact_means
-and served as a prefix of that row, and reads no draws.  For the other
-mixtures, the up
-probability and the per-level parts of the state are tabulated once per
-model, and a climb is an integer walk on (level, m).  Past the model's
-saturation row M, lam^m moves no distance by a bit (M is 0, and no draw is
-read, where lam is 0 or rounds to 1).  The passage from the first arrival
-at one level to the first arrival at the next has a fixed law of (restart
-or not, downs), whose series ladder.passage_series fills, every level in
-one lockstep, to at most M terms, and one read-only inverse-CDF table per
-(model, top) samples: decay_study draws each passage of every instance
-with one counter-stream draw, in numpy, a chunk of instances at a time in
-one workspace per thread; propagate_to_level walks.  One distance expression turns the downs
-into bytes: decay_study takes it once per cell of a grid of levels by
-downs counts up to M, gathers each instance's cells, and sums every level
-in instance order, carrying the sums from chunk to chunk.  The tests check
-the tables against exact oracles, the walk against a step-by-step walker
-and the generic density-matrix simulation, and the sampled climbs against
-the walk and the exact arrival law.
+at a first arrival on (level, m) alone.  Past the model's saturation row M,
+lam^m moves no distance by a bit.  A pure resource (models b and c, and the
+mixture at weight 0 or 1) has |s01|^2 = s00 s11, so lam = 1 and M = 0, as
+where lam is 0 or rounds to 1: every first arrival at a level lands on one
+state.  One table per model, _ClimbTables, holds the up probabilities and
+the per-level parts of the state; where M is 0, the exact distances to
+MAX_LEVEL, which decay_study serves as a prefix, reading no draw; else the
+passage laws.  The passage from the first arrival at one level to the first
+arrival at the next has a fixed law of (restart or not, downs), whose series
+ladder.passage_series fills, every level in one lockstep, to at most M
+terms, and one read-only inverse-CDF table, of the deepest top asked for,
+samples: decay_study draws each passage of every instance with one
+counter-stream draw, in numpy, a chunk of instances at a time in one
+workspace per thread; propagate_to_level walks on (level, m).  One distance
+expression turns the downs into bytes: decay_study takes it once per cell of
+a grid of levels by downs counts up to M, gathers each instance's cells, and
+sums every level in instance order, carrying the sums from chunk to chunk.
+The tests check the tables against exact oracles, the walk against a
+step-by-step walker and the generic density-matrix simulation, and the
+sampled climbs against the walk and the exact arrival law.
 """
 from __future__ import annotations
 
@@ -50,6 +48,7 @@ import random
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +93,11 @@ class NoiseModel:
             raise ValueError("mixture weight cannot exceed 1")
 
 
+def _check_model(model) -> None:
+    if not isinstance(model, NoiseModel):  # refused before a cache hashes it
+        raise ValueError(f"model must be a NoiseModel, got {model!r}")
+
+
 def make_noisy_resource(model: NoiseModel) -> DensityMatrix:
     """Density matrix of one noisy raw resource (the matrix is read-only)."""
     if model.kind == "a":
@@ -119,14 +123,19 @@ def make_noisy_resource(model: NoiseModel) -> DensityMatrix:
     )
 
 
-def _is_pure(model: NoiseModel) -> bool:
-    """Models b and c tilt a pure state; a mixture is pure at weight 0 or 1."""
-    return model.kind != "a" or model.strength in (0.0, 1.0)
-
-
 def ideal_resource(level: int) -> DensityMatrix:
     a = ladder_angle(Family.H, level)
     return dm_from_bloch(math.sin(2 * a), 0.0, math.cos(2 * a))
+
+
+class _Passages(NamedTuple):
+    """_ClimbTables.passages(top): passage l of 1..top - 1 in segment l - 1."""
+
+    top: int
+    keys: np.ndarray
+    guide: np.ndarray
+    restarts: np.ndarray
+    downs: np.ndarray
 
 
 class _ClimbTables:
@@ -136,16 +145,18 @@ class _ClimbTables:
     is the bottom state at level l after m downs since the last restart,
     and distances(downs, top) the trace distances of the first-arrival
     states to the ideal ladder states, every row from the saturation row
-    M on equal to the limit row, distances([math.inf], top).  lam is 1 by
-    construction for a pure resource.  Only per-level values are kept, so
-    the size of the tables does not depend on the climbs.  The entries of sigma are scaled by the larger
-    diagonal one, so no power overflows and no model divides by zero.
-    The ideal state at level l is (1, t, t^2) / (1 + t^2) with
-    t = tan(pi/8)^(l + 1), and the diagonal difference is taken between the
-    small entries, ss - r11, which keeps its relative precision where r00
-    and the ideal cos^2 both round to 1.  The difference of two states is
-    traceless Hermitian 2x2, so its trace distance is the root of its
-    determinant magnitude, sqrt(d00^2 + |d01|^2).
+    M on equal to the limit row, distances([math.inf], top).  Where M is 0,
+    means holds the (level, distance) of the one state at each level
+    1..MAX_LEVEL (else it is empty); passages(top) the passage laws.  Only
+    per-level values and the deepest passage table asked for are kept, so
+    the size of the tables does not depend on the climbs.  The entries of
+    sigma are scaled by the larger diagonal one, so no power overflows and
+    no model divides by zero.  The ideal state at level l is
+    (1, t, t^2) / (1 + t^2) with t = tan(pi/8)^(l + 1), and the diagonal
+    difference is taken between the small entries, ss - r11, which keeps
+    its relative precision where r00 and the ideal cos^2 both round to 1.
+    The difference of two states is traceless Hermitian 2x2, so its trace
+    distance is the root of its determinant magnitude, sqrt(d00^2 + |d01|^2).
     """
 
     def __init__(self, model: NoiseModel):
@@ -153,8 +164,8 @@ class _ClimbTables:
         s00, s01, s11 = float(sigma[0, 0].real), complex(sigma[0, 1]), float(sigma[1, 1].real)
         big = max(s00, s11)
         x, y, z = s00 / big, s11 / big, s01 / big
-        if _is_pure(model):
-            # |s01|^2 = s00 s11, which the computed ratio can miss by an ulp
+        if model.kind != "a" or model.strength in (0.0, 1.0):
+            # pure: |s01|^2 = s00 s11, which the computed ratio can miss by an ulp
             self.lam = 1.0
         else:
             # |s01|^2 <= s00 s11 in a state, so lam <= 1 up to rounding; a
@@ -178,6 +189,10 @@ class _ClimbTables:
         self._cs = np.array(cs)
         self._d00sq = np.square(d00)
         self.saturation = self._saturation_row()
+        # distances works one element at a time, so the first entries of
+        # this row are the bytes of the row for any lower top
+        self.means = () if self.saturation else tuple(enumerate(self.distances([0], MAX_LEVEL)[0].tolist(), 1))
+        self._passages: _Passages | None = None
 
     def state(self, level: int, downs: int) -> tuple[float, complex, float]:
         """(r00, r01, r11) at level after downs since the last restart."""
@@ -203,6 +218,47 @@ class _ClimbTables:
         dr += di
         return np.sqrt(dr, out=dr)
 
+    def passages(self, top: int) -> _Passages:
+        """The read-only seeding.inverse_cdf_table of the passages
+        1..top - 1 (ladder.passage_series: outcome (R, D) takes the downs
+        at the first arrivals from m_l to m_{l+1} = D if R else m_l + D),
+        passage l in segment l - 1: its kept terms of A, then those of B,
+        the outcomes that do not restart guided.  Where the cap M cut the
+        terms short, A and B each get one more term, M: A's holds the rest
+        of A_l(1), the mass that does not restart (no more than the kept
+        terms leave of 1, so no key passes the segment's end), and B's the
+        rest of all by the segment's clamp to 1.  After either m' >= M, as
+        after the outcomes they stand for, and each key is the uncapped one
+        to the rounding of A_l(1).  restarts is -1 (every bit set) for a
+        restart, else 0, and downs its D.  A law depends on the levels
+        beneath it alone, so a lower top reads a prefix of the deepest
+        top's table, which a deeper top builds anew (threads that race may
+        each build one, and read the one they built)."""
+        table = self._passages
+        if table is None or table.top < top:
+            top = max(top, 2)  # inverse_cdf_table takes one law at least
+            a, b, h, kept = passage_series(self.up, top, self.saturation, _LAW_TAIL)
+
+            def laws():
+                stays = self.up[0]
+                for level in range(1, top):
+                    p, terms = self.up[level], kept[level]
+                    stays = p / (1.0 - (1.0 - p) * stays)  # A_l(1) = p / (1 - q A_{l-1}(1))
+                    a_terms, b_terms = a[level][:terms], b[level][:terms]
+                    if h[level][terms - 1] >= _LAW_TAIL:  # capped: B's last mass is the clamp's
+                        rest = min(stays - math.fsum(a_terms), 1.0 - math.fsum(a_terms + b_terms))
+                        a_terms, b_terms = a_terms + [max(0.0, rest)], b_terms + [0.0]
+                    restarts = np.repeat(np.array([0, -1], np.int64), len(a_terms))
+                    downs = np.tile(np.arange(len(a_terms), dtype=np.int64), 2)
+                    yield a_terms + b_terms, len(a_terms), restarts, downs
+
+            keys, guide, restarts, downs = inverse_cdf_table(laws())
+            # an intp guide picks straight into the intp buffers of _law_climbs
+            guide = guide.astype(np.intp)
+            guide.flags.writeable = False
+            table = self._passages = _Passages(top, keys, guide, restarts, downs)
+        return table
+
     def _saturation_row(self) -> int:
         """M: 0 if lam is 1 (every row is the first), else the least row from
         which every row equals the limit row, lam^inf = 0, if that is below
@@ -225,90 +281,36 @@ def _climb_tables(model: NoiseModel) -> _ClimbTables:
     return _ClimbTables(model)
 
 
-@lru_cache(maxsize=64)
-def _exact_means(model: NoiseModel) -> tuple[tuple[int, float], ...]:
-    """(level, distance) at levels 1..MAX_LEVEL of a model whose saturation
-    row is 0: every first arrival at a level lands on one state.  distances
-    works one element at a time, so the first entries of this row are the
-    bytes of the row for any lower top."""
-    return tuple(enumerate(_climb_tables(model).distances([0], MAX_LEVEL)[0].tolist(), 1))
-
-
-@lru_cache(maxsize=64)
-def _passage_table(model: NoiseModel, top: int) -> tuple[np.ndarray, ...]:
-    """The seeding.inverse_cdf_table (keys, guide, restarts, downs) of the
-    passages 1..top - 1 (ladder.passage_series, whose outcome (R, D) takes
-    the downs at the first arrivals from m_l to m_{l+1} = D if R else
-    m_l + D), which a level samples by inverse CDF, passage l in segment
-    l - 1: its kept terms of A, then those of B, the outcomes
-    that do not restart guided.  Where the cap M cut the terms short, A
-    and B each get one more term, M: A's holds the rest of A_l(1), the
-    mass that does not restart (no more than the kept terms leave of 1, so
-    no key passes the segment's end), and B's the rest of all by the
-    segment's clamp to 1.  After either m' >= M, as after the outcomes
-    they stand for, and each key is the uncapped one to the rounding of
-    A_l(1).  restarts is -1 (every bit set) for a restart, else 0, and
-    downs its D."""
-    tables = _climb_tables(model)
-    a, b, h, kept = passage_series(tables.up, top, tables.saturation, _LAW_TAIL)
-
-    def laws():
-        stays = tables.up[0]
-        for level in range(1, top):
-            p, terms = tables.up[level], kept[level]
-            stays = p / (1.0 - (1.0 - p) * stays)  # A_l(1) = p / (1 - q A_{l-1}(1))
-            a_terms, b_terms = a[level][:terms], b[level][:terms]
-            if h[level][terms - 1] >= _LAW_TAIL:  # capped: B's last mass is the clamp's
-                rest = min(stays - math.fsum(a_terms), 1.0 - math.fsum(a_terms + b_terms))
-                a_terms, b_terms = a_terms + [max(0.0, rest)], b_terms + [0.0]
-            restarts = np.repeat(np.array([0, -1], np.int64), len(a_terms))
-            downs = np.tile(np.arange(len(a_terms), dtype=np.int64), 2)
-            yield a_terms + b_terms, len(a_terms), restarts, downs
-
-    keys, guide, restarts, downs = inverse_cdf_table(laws())
-    # an intp guide picks straight into the intp buffers of _law_climbs
-    guide = guide.astype(np.intp)
-    guide.flags.writeable = False
-    return keys, guide, restarts, downs
-
-
-def _law_climbs(
-    model: NoiseModel, bits: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def _law_climbs(passages: _Passages, bits: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """The (instances, top) matrix of downs at the first arrival at levels
     1..top, with column l - 1 of bits (counter_draws' 53-bit integers)
-    driving passage l (top - 1 columns).  The guide picks the outcome of
-    all but about 2% of the draws on the criterion-8 grid, a binary search
-    the others, among them every draw that picks a restart.  bits is
-    spent.  out (intp, instances by top) takes the result and scratch (like
-    bits) the guide slots, then the downs of each passage, both
-    C-contiguous; either is made for the call if not given."""
-    n, passages = bits.shape
-    arrivals = np.empty((n, passages + 1), np.intp) if out is None else out
-    if not passages:
-        arrivals.fill(0)  # level 1 is reached with no downs
-        return arrivals
-    scratch = np.empty_like(bits) if scratch is None else scratch
-    keys, guide, restarts, downs = _passage_table(model, passages + 1)
+    driving passage l (top - 1 columns, at most passages.top - 1).  The
+    guide picks the outcome of all but about 2% of the draws on the
+    criterion-8 grid, a binary search the others, among them every draw
+    that picks a restart.  bits is spent.  out (intp, instances by top)
+    takes the result and scratch (like bits) the guide slots, then the
+    downs of each passage, both C-contiguous."""
+    n, width = bits.shape
+    _, keys, guide, restarts, downs = passages
     # the picks take the front of the result's buffer, which the running
     # sums overwrite once the picks are spent
-    front = arrivals.reshape(-1)[: n * passages].reshape(n, passages)
-    picks, split = inverse_cdf_picks(keys, guide, np.arange(passages), bits, front, scratch)
+    front = out.reshape(-1)[: n * width].reshape(n, width)
+    picks, split = inverse_cdf_picks(keys, guide, np.arange(width), bits, front, scratch)
     d = downs.take(picks, out=scratch.view(np.int64), mode="clip")
     # the rows that restart drop the downs before their last restart: the
     # sum before each restart, kept by its mask, and their running maximum,
     # as the sums grow (a row that restarts twice is worked, and written,
     # twice, alike)
-    rows = split[restarts.take(picks.reshape(-1).take(split)) < 0] // passages
+    rows = split[restarts.take(picks.reshape(-1).take(split)) < 0] // width
     masks = restarts.take(picks[rows])
-    arrivals[:, 0] = 0
-    sums = np.cumsum(d, axis=1, out=arrivals[:, 1:])
+    out[:, 0] = 0  # level 1 is reached with no downs
+    sums = np.cumsum(d, axis=1, out=out[:, 1:])
     tail = sums[rows]
     before = tail - d[rows]
     before &= masks
     tail -= np.maximum.accumulate(before, axis=1, out=before)
     sums[rows] = tail
-    return arrivals
+    return out
 
 
 def _noisy_climb(up: list[float], top: int, draws) -> list[int]:
@@ -344,6 +346,7 @@ def propagate_to_level(
     Returns the arrived bottom state and its trace distance to the ideal
     ladder state of that level.
     """
+    _check_model(model)
     target_level = checked_level(target_level, "target_level", 1)
     tables = _climb_tables(model)
     arrivals = _noisy_climb(tables.up, target_level, iter(rng.random, None))
@@ -396,16 +399,17 @@ def decay_study(
     model's saturation row is 0 (a pure resource, or a mixture whose lam is
     0 or rounds to 1), every climb lands on one state per level, so the
     means are their exact distances, read from no draw and the same for
-    every seed and n_instances: a new list of the first max_level of
-    _exact_means.  Otherwise instance i reads row i of the
-    counter stream keyed by (seed, kind, strength), its draw l - 1 sampling
-    its passage l -> l + 1 from the passage law (level 1 is reached with no
-    downs), so its downs depend on neither n_instances nor higher levels.
-    The instances run in chunks of at most _CHUNK_CELLS (instance, level)
-    cells through the calling thread's workspace, so the memory a call
-    takes does not grow with n_instances, nor do the bytes depend on the
-    chunks.
+    every seed and n_instances: a new list of the first max_level of the
+    tables' means.  Otherwise instance i reads row i of the counter stream
+    keyed by (seed, kind, strength), its draw l - 1 sampling its passage
+    l -> l + 1 from the passage table, asked for once per call (level 1 is
+    reached with no downs), so its downs depend on neither n_instances nor
+    higher levels.  The instances run in chunks of at most _CHUNK_CELLS
+    (instance, level) cells through the calling thread's workspace, so the
+    memory a call takes does not grow with n_instances, nor do the bytes
+    depend on the chunks.
     """
+    _check_model(model)
     max_level = checked_level(max_level, "max_level", 1)
     if (n_instances := checked_integer(n_instances, "n_instances")) < 1:
         raise ValueError("need at least one instance")
@@ -414,7 +418,8 @@ def decay_study(
     checked_integer(seed, "seed")
     tables = _climb_tables(model)
     if not tables.saturation:
-        return list(_exact_means(model)[:max_level])
+        return list(tables.means[:max_level])
+    passages = tables.passages(max_level)
     key = derive_seed(seed, "noise", model.kind, repr(model.strength))
     chunk = max(1, _CHUNK_CELLS // max_level)
     sums = np.zeros(max_level)
@@ -426,7 +431,7 @@ def decay_study(
         # of levels by downs is taken once, then gathered per instance, and
         # downs past the saturation row land on it, as every later row
         # equals it
-        cells = np.minimum(_law_climbs(model, bits, downs, scratch), tables.saturation, out=downs)
+        cells = np.minimum(_law_climbs(passages, bits, downs, scratch), tables.saturation, out=downs)
         grid = tables.distances(range(int(cells.max()) + 1), max_level)
         cells *= max_level
         cells += np.arange(max_level)

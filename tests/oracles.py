@@ -271,6 +271,16 @@ def climb_law_prefix(laws: synthesis._ClimbLaws, top: int, n_families: int) -> t
     return laws.keys[:outcomes], laws.guide[: n_segments << GUIDE_BITS], laws.costs[:outcomes]
 
 
+def passage_prefix(table: noise._Passages, top: int) -> tuple[np.ndarray, ...]:
+    """The keys, guide, restarts and downs of the first top - 1 segments of
+    table, those of passages 1..top - 1: segment s's keys lie in
+    (s * 2^53, (s + 1) * 2^53]."""
+    n_segments = top - 1
+    outcomes = int(np.searchsorted(table.keys, n_segments << 53, side="right"))
+    guide = table.guide[: n_segments << GUIDE_BITS]
+    return table.keys[:outcomes], guide, table.restarts[:outcomes], table.downs[:outcomes]
+
+
 def apply_random_rotation(
     residual: float, rot_angle: float, rng: random.Random
 ) -> tuple[float, int]:

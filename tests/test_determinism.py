@@ -44,10 +44,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import climb_law_prefix
+from oracles import climb_law_prefix, passage_prefix
 from rotsynth import noise
 from rotsynth.cli import main
-from rotsynth.ladder import ALL_FAMILIES, Family
+from rotsynth.ladder import ALL_FAMILIES, MAX_LEVEL, Family
 from rotsynth.noise import NoiseModel
 from rotsynth.seeding import DEFAULT_SEED, GUIDE_BITS
 from rotsynth.study import export_samples_csv, fixed_angle_study, run_scaling_study
@@ -260,7 +260,7 @@ def test_angle_table_bin_bytes(families):
 def test_pure_means_bytes():
     """From a cleared cache, so that top 1 is served from the row solved to
     MAX_LEVEL, and every later top from the cache."""
-    noise._exact_means.cache_clear()
+    noise._climb_tables.cache_clear()
     h = hashlib.sha256()
     for model in PURE_MEANS_MODELS:
         for top in range(1, 151):
@@ -270,5 +270,10 @@ def test_pure_means_bytes():
 
 @pytest.mark.parametrize("strength, top", sorted(PASSAGE_TABLE_DIGESTS), ids=repr)
 def test_passage_table_bytes(strength, top):
-    table = noise._passage_table(NoiseModel("a", strength), top)
-    assert _arrays_sha256(table) == PASSAGE_TABLE_DIGESTS[strength, top]
+    """The table built at its own top, and the same top read as a prefix of
+    the top-150 table."""
+    model = NoiseModel("a", strength)
+    own = noise._ClimbTables(model).passages(top)
+    assert own.top == top and _arrays_sha256(own) == PASSAGE_TABLE_DIGESTS[strength, top]
+    deepest = noise._ClimbTables(model).passages(MAX_LEVEL)
+    assert _arrays_sha256(passage_prefix(deepest, top)) == PASSAGE_TABLE_DIGESTS[strength, top]

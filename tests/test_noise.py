@@ -22,6 +22,7 @@ from oracles import (
     exact_climb,
     dm_measure_qubit,
     element_distances,
+    passage_prefix,
     running_means,
     walker_decay_study,
     walker_propagate,
@@ -299,15 +300,22 @@ def test_climb_tables_are_finite_for_every_model(model):
             assert all(math.isfinite(abs(x)) for x in tables.state(level, downs))
 
 
+def _sizes(tables):
+    """The lengths of the tables' sequences: the per-level values, the
+    means and, once built, the passage table's fields."""
+    return {name: len(value) for name, value in vars(tables).items() if isinstance(value, (list, tuple, np.ndarray))}
+
+
 def test_climb_tables_do_not_grow_with_the_downs():
     """A mixture near 1/2 climbs to the top level through thousands of
     downs (lam is 0 there, so the state after one down is the same after
-    any more).  The tables keep only their per-level values, and the climbs
+    any more).  The tables keep only their per-level values and means (its
+    saturation row is 0, so no passage table is built), and the climbs
     need memory of the order of their draws and downs, not of a grid of
     levels by downs (over 20 MB here)."""
     model = NoiseModel("a", 0.5)
     tables = noise._climb_tables(model)
-    sizes = {name: len(value) for name, value in vars(tables).items() if not isinstance(value, (float, int))}
+    sizes = _sizes(tables)
     downs = noise._noisy_climb(tables.up, MAX_LEVEL, iter(derive_rng(3, "deep").random, None))
     assert max(downs) > 2000
     tracemalloc.start()
@@ -318,8 +326,7 @@ def test_climb_tables_do_not_grow_with_the_downs():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    assert sizes == {name: len(value) for name, value in vars(tables).items() if not isinstance(value, (float, int))}
-    assert set(sizes.values()) == {MAX_LEVEL + 1}
+    assert sizes == _sizes(tables) == dict.fromkeys(sizes, MAX_LEVEL + 1) | {"means": MAX_LEVEL}
     assert dist == element_distances(tables, np.array(downs))[-1]
     assert all(math.isfinite(d) for _, d in points)
 
@@ -340,7 +347,6 @@ def test_distances_saturate_at_the_saturation_row(model):
     saturations = []
     for top in (5, 150):
         noise._climb_tables.cache_clear()
-        noise._passage_table.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
             series = _spy(mp, "passage_series")
             decay_study(model, top, 2, 1)
@@ -359,11 +365,11 @@ def test_distances_saturate_at_the_saturation_row(model):
         assert tables.distances([cap - 1], MAX_LEVEL)[0].tobytes() != limit.tobytes()
         ((_, (series_a, _, series_h, kept)),) = series
         assert len(series_a[1]) <= cap
-        keys, _, restarts, downs = noise._passage_table(model, 150)
+        keys, _, restarts, downs = _passages(model, 150)
         levels = _levels_of(keys)
         outcomes = [2 * (kept[lv] + (series_h[lv][kept[lv] - 1] >= 2.0**-60)) for lv in range(1, 150)]
         assert np.array_equal(levels, np.repeat(np.arange(1, 150), outcomes))
-        low, _, low_restarts, low_downs = noise._passage_table(model, 8)
+        _, low, _, low_restarts, low_downs = noise._ClimbTables(model).passages(8)
         first = levels < 8
         assert all(map(np.array_equal, (keys[first], restarts[first], downs[first]), (low, low_restarts, low_downs)))
 
@@ -426,6 +432,20 @@ def _spy(monkeypatch, name):
 
     monkeypatch.setattr(noise, name, spy)
     return calls
+
+
+def _passages(model, top):
+    """The passage table of levels 1..top - 1, read as the prefix of the
+    model's cached one."""
+    return passage_prefix(noise._climb_tables(model).passages(top), top)
+
+
+def _law_climbs(model, bits):
+    """noise._law_climbs on the model's cached passages, into buffers of
+    its own."""
+    n, width = bits.shape
+    out = np.empty((n, width + 1), np.intp)
+    return noise._law_climbs(noise._climb_tables(model).passages(width + 1), bits, out, np.empty_like(bits))
 
 
 def _pure(model):
@@ -615,7 +635,7 @@ def test_passage_series_equal_exact_arithmetic(model):
     (the two keys' ceilings and the rounding of the float A_l(1))."""
     tables = noise._climb_tables(model)
     series_a, series_b, series_h, kept = passage_series(tables.up, 7, tables.saturation, noise._LAW_TAIL)
-    keys = noise._passage_table(model, 7)[0]
+    keys = _passages(model, 7)[0]
     widths = np.diff(keys, prepend=0).tolist()
     up = [Fraction(u) for u in tables.up]
     terms = len(series_a[1])  # every level above 0 holds as many terms
@@ -660,7 +680,7 @@ def test_passage_series_equal_exact_arithmetic(model):
 def _searched_climbs(model, bits):
     """_law_climbs by a binary search over all of the table's keys and the
     loop m_1 = 0, m_{l+1} = D if R else m_l + D over each row's passages."""
-    keys, _, restarts, downs = noise._passage_table(model, bits.shape[1] + 1)
+    keys, _, restarts, downs = _passages(model, bits.shape[1] + 1)
     keyed = bits.astype(np.int64) + (np.arange(bits.shape[1]) << 53)
     climbs = []
     for row in np.searchsorted(keys, keyed, side="right").tolist():
@@ -681,7 +701,7 @@ def test_draws_beside_a_threshold_pick_adjacent_outcomes(model):
     that restarts: _law_climbs finds every restart among the searched
     draws."""
     top = 12
-    keys, guide, restarts = noise._passage_table(model, top)[:3]
+    keys, guide, restarts = _passages(model, top)[:3]
     assert not restarts[guide[guide >= 0]].any()
     levels = _levels_of(keys)
     local = keys - ((levels - 1) << 53)
@@ -694,9 +714,9 @@ def test_draws_beside_a_threshold_pick_adjacent_outcomes(model):
     picks = np.searchsorted(keys, keyed + (np.repeat(levels[inside] - 1, 2) << 53), side="right")
     assert np.array_equal(picks[0::2], np.searchsorted(keys, keys[inside], side="left"))
     assert np.array_equal(picks[1::2], np.searchsorted(keys, keys[inside], side="right"))
-    assert noise._law_climbs(model, bits.copy()).tolist() == _searched_climbs(model, bits)
+    assert _law_climbs(model, bits.copy()).tolist() == _searched_climbs(model, bits)
     draws = counter_draws(counter_rows(5, np.arange(2000)), 0, top - 1)
-    assert noise._law_climbs(model, draws.copy()).tolist() == _searched_climbs(model, draws)
+    assert _law_climbs(model, draws.copy()).tolist() == _searched_climbs(model, draws)
 
 
 @pytest.mark.parametrize("model", [NoiseModel("a", 1e-4), NoiseModel("a", 0.2)], ids=repr)
@@ -704,7 +724,7 @@ def test_law_climbs_run_the_downs_recursion(model):
     """The downs at the first arrivals are the loop m_1 = 0,
     m_{l+1} = D if R else m_l + D over each row's picked passages."""
     bits = counter_draws(counter_rows(9, np.arange(500)), 0, 14)
-    assert noise._law_climbs(model, bits.copy()).tolist() == _searched_climbs(model, bits)
+    assert _law_climbs(model, bits.copy()).tolist() == _searched_climbs(model, bits)
 
 
 # A pure model's decay_study reads no draws, so the study replays add a
@@ -813,12 +833,13 @@ def test_downs_past_the_underflow_of_lam_read_the_limit_row(monkeypatch):
 def test_concurrent_tabulation_builds_the_serial_table():
     """Threads that run decay_study for different tops at once on a cleared
     table cache (more threads than cores, with a short switch interval)
-    give the points of the same calls made in turn, and leave the tables
-    built in turn."""
+    give the points of the same calls made in turn, and leave a passage
+    table, of whichever top was built last, that is the prefix of the
+    table built in turn."""
     model, tops = NoiseModel("a", 0.05), (5, 20, 12, 3, 17, 20, 9)
     want = {top: decay_study(model, top, 50, 3) for top in tops}
-    tables = noise._passage_table(model, 20)
-    noise._passage_table.cache_clear()
+    serial = noise._climb_tables(model).passages(20)
+    noise._climb_tables.cache_clear()
     got = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -835,7 +856,71 @@ def test_concurrent_tabulation_builds_the_serial_table():
     finally:
         sys.setswitchinterval(interval)
     assert sorted(got) == sorted((top, want[top]) for top in tops)
-    assert all(np.array_equal(x, y) for x, y in zip(noise._passage_table(model, 20), tables, strict=True))
+    left = noise._climb_tables(model)._passages
+    assert left.top in tops
+    assert all(map(np.array_equal, passage_prefix(left, left.top), passage_prefix(serial, left.top)))
+
+
+# a mixture whose saturation row caps its passages, and one it does not
+_PREFIX_MODELS = [NoiseModel("a", 0.3), NoiseModel("a", 1e-4)]
+
+
+@pytest.mark.parametrize("model", _PREFIX_MODELS, ids=repr)
+def test_a_lower_top_reads_a_prefix_of_the_deepest_passage_table(model):
+    """The table built at a top of its own is the byte prefix, dtypes too,
+    of the top-150 table (the criterion-8 tops among them); every array is
+    read-only and the guide intp."""
+    deepest = noise._ClimbTables(model).passages(MAX_LEVEL)
+    for top in (2, 3, 8, 16, 22, 28, 77, 149):
+        own = noise._ClimbTables(model).passages(top)
+        assert own.top == top
+        for got, want in zip(own[1:], passage_prefix(deepest, top), strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for table in (own, deepest):
+        assert table.guide.dtype == np.intp
+        assert not any(array.flags.writeable for array in table[1:])
+
+
+def test_a_lower_top_after_a_deeper_one_builds_no_table(monkeypatch):
+    """The tables keep the deepest passage table asked for: a lower or equal
+    top, in decay_study too, reads that one and builds none, and a deeper
+    top builds one of its own and keeps it."""
+    model = NoiseModel("a", 0.3)
+    builds = _spy(monkeypatch, "inverse_cdf_table")
+    noise._climb_tables.cache_clear()
+    tables = noise._climb_tables(model)
+    deep = tables.passages(20)
+    assert len(builds) == 1 and deep.top == 20
+    assert all(tables.passages(top) is deep for top in (1, 2, 5, 19, 20))
+    for top in (1, 2, 14, 20):
+        decay_study(model, top, 30, 1)
+    assert len(builds) == 1
+    deeper = tables.passages(21)
+    assert len(builds) == 2 and deeper.top == 21 and tables.passages(20) is deeper
+
+
+@pytest.mark.parametrize("model", _PREFIX_MODELS, ids=repr)
+def test_decay_study_bytes_do_not_depend_on_the_deepest_top_built(model):
+    """decay_study from a cleared cache, which builds its own top's table,
+    gives the bytes it gives once the top-150 table is built."""
+    for top in (1, 2, 14, 28):
+        noise._climb_tables.cache_clear()
+        cold = repr(decay_study(model, top, 200, 5))
+        assert noise._climb_tables(model).passages(MAX_LEVEL).top == MAX_LEVEL
+        assert repr(decay_study(model, top, 200, 5)) == cold
+
+
+@pytest.mark.parametrize("model", ["a", ("a", 1e-4), {"kind": "a", "strength": 1e-4}, None], ids=repr)
+def test_a_model_that_is_not_a_noise_model_is_refused(model):
+    """decay_study and propagate_to_level name the model before any cache
+    lookup, so an unhashable one is refused alike."""
+    before = noise._climb_tables.cache_info()
+    message = f"^model must be a NoiseModel, got {re.escape(repr(model))}$"
+    with pytest.raises(ValueError, match=message):
+        decay_study(model, 16, 10, 1)
+    with pytest.raises(ValueError, match=message):
+        propagate_to_level(model, 16, derive_rng(1, "refused"))
+    assert noise._climb_tables.cache_info() == before
 
 
 _LIGHT_MODELS = list(dict.fromkeys(_GRID_MODELS + _LAW_JUDGE_MODELS + [NoiseModel("a", 0.05), NoiseModel("a", 0.2)]))
@@ -857,7 +942,7 @@ def test_passage_law_composes_to_the_arrival_law(model):
     otherwise, folded at M), and oracles.arrival_law's visits of the walk
     on (level, m), folded at M."""
     top = 16
-    keys, _, restarts, downs = noise._passage_table(model, top)
+    keys, _, restarts, downs = _passages(model, top)
     tables = noise._climb_tables(model)
     cap = tables.saturation
     # passage l's keys run up to l * 2^53, where passage l + 1's begin
@@ -909,7 +994,7 @@ def test_law_downs_follow_the_walk():
     n, top, tests = 100_000, 6, []
     for model in (NoiseModel("a", 1e-4), NoiseModel("a", 0.2), NoiseModel("b", 1e-6), *_CAPPED_MODELS):
         key = derive_seed(DEFAULT_SEED, "law-vs-walk", model.kind, repr(model.strength))
-        law = noise._law_climbs(model, counter_draws(counter_rows(key, np.arange(n)), 0, top - 1))
+        law = _law_climbs(model, counter_draws(counter_rows(key, np.arange(n)), 0, top - 1))
         tables = noise._climb_tables(model)
         rng = derive_rng(DEFAULT_SEED, "walk", model.kind, repr(model.strength))
         walk = np.array([noise._noisy_climb(tables.up, top, iter(rng.random, None)) for _ in range(n)])
