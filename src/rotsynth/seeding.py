@@ -152,7 +152,8 @@ def inverse_cdf_table(laws) -> tuple[np.ndarray, ...]:
     is an exact running sum in units of 2^-1074, rounded once, so the
     bytes depend on nothing but the masses.  Each law is written as it
     comes onto the ends of the arrays, which grow in place, so the laws
-    may be solved one at a time without holding them all.
+    may be solved one at a time without holding them all.  No laws raise
+    ValueError: the number and dtypes of the columns would be unknown.
     """
     keys, guide, columns = np.empty(0, np.int64), np.empty(0, np.int32), []
     for segment, (masses, guided, *values) in enumerate(laws):
@@ -170,6 +171,8 @@ def inverse_cdf_table(laws) -> tuple[np.ndarray, ...]:
         guide[-(2**GUIDE_BITS) :] = np.where(clear & (picked < guided), picked + first, -1)
         for column, value in zip(columns, values, strict=True):
             column[first:] = value
+    if not len(guide):
+        raise ValueError("need at least one law")
     for array in (keys, guide, *columns):
         array.flags.writeable = False
     return (keys, guide, *columns)

@@ -3,9 +3,11 @@
 A rotation consumed from a level-i ladder state applies +-2*theta_i with
 probability 1/2 each.  Quarter turns (S, Z) are free Cliffords, and
 reduce_by_clifford is the one place they are folded out of a residual.  The
-planner repeatedly folds the residual, picks the enabled state whose rotation
-is nearest to it, simulates a ladder instance for it (offline cost) and
-applies the coin-flip rotation (online cost), until |residual| <= epsilon.
+planner folds the target, then repeatedly picks the enabled state whose
+rotation is nearest to the residual, simulates a ladder instance for it
+(offline cost) and applies the coin-flip rotation (online cost), until
+|residual| <= epsilon.  A residual is folded again only after a step leaves
+(-pi/4, pi/4], where the fold is the identity.
 
 The min-online variant moves all coin flips onto offline-prepared ancillas:
 the residual rotation is synthesized onto a free |+> ancilla which is then
@@ -251,15 +253,16 @@ def _greedy(
 ) -> tuple[float, float, int, list[tuple[Family, int, int]]]:
     """The greedy loop of both scalar planners: fold the residual, and while
     it is above eps consume the nearest state, walking its climb and
-    flipping its coin on rnd.  Returns the final residual, the offline
+    flipping its coin on rnd.  A residual is folded again only after a step
+    leaves (-pi/4, pi/4]: within it reduce_by_clifford returns the residual
+    as it is, with no correction.  Returns the final residual, the offline
     cost, the Clifford corrections and the applied states."""
     thresholds, angles, levels, probs = table.thresholds, table.angles, table.levels, table.probs
     base_costs, plus, minus = table.base_costs, table.plus, table.minus
     applied: list[tuple[Family, int, int]] = []
-    offline, corrections = 0.0, 0
+    offline = 0.0
+    residual, corrections = reduce_by_clifford(residual)
     while True:
-        residual, k = reduce_by_clifford(residual)
-        corrections += k
         magnitude = abs(residual)
         if magnitude <= eps:
             return residual, offline, corrections, applied
@@ -272,6 +275,11 @@ def _greedy(
         else:
             residual += angles[i]
             applied.append(minus[i])
+        # within the fold's range the fold is the identity (a step never
+        # gives -0.0: x - x and -x + x are +0.0)
+        if not -QUARTER_PI < residual <= QUARTER_PI:
+            residual, k = reduce_by_clifford(residual)
+            corrections += k
 
 
 def synthesize(target: float, config: SynthesisConfig, rng: random.Random) -> SynthesisResult:
@@ -413,7 +421,9 @@ def _finish(
     round under way, rotation the round started from, the block's climb
     draws, its coins' tails), in sample order.  Each sample's
     residual, corrections and online count go into outputs as it finishes;
-    returns the log entry of the climbs, which the caller bills."""
+    returns the log entry of the climbs, which the caller bills.  As in
+    _greedy, a residual is folded only after a tick leaves it outside
+    (-pi/4, pi/4]."""
     thresholds, angles = table.thresholds, table.angles
     residuals, corrections, online = outputs
     dests, states, bits, rounds = [], [], [], []
@@ -442,8 +452,9 @@ def _finish(
                 bits.append(climbs[column])
                 rounds.append(on)
             r -= (-angles[j] if tail else angles[j]) * step
-            r, k = reduce_by_clifford(r)
-            corr += k
+            if not -QUARTER_PI < r <= QUARTER_PI:
+                r, k = reduce_by_clifford(r)
+                corr += k
             if abs(r) > eps or rnd:
                 running.append((dest, r, eps, corr, on, rnd, remaining, climbs, tails))
             else:
@@ -530,9 +541,11 @@ def lockstep_synthesize(
     _finish takes each sample's entry as Python floats and does the same
     IEEE operations on them in the same order, each correctly rounded as
     numpy's: reduce_by_clifford for the fold (round() is np.rint's half to
-    even), bisect_right over the same thresholds for _nearest_states,
-    the coin's 53-bit draw against 2^52, the same ancilla rounds and the
-    same unmasked r -= signed angle * step.  It asks draws for its own rows
+    even), called only after a tick leaves a residual outside
+    (-pi/4, pi/4], where both folds are the identity, bisect_right over
+    the same thresholds for _nearest_states, the coin's 53-bit draw against
+    2^52, the same ancilla rounds and the same unmasked
+    r -= signed angle * step.  It asks draws for its own rows
     a block at a time, appends one trace pair per tick and logs its climbs
     for the same billing, so no byte depends on _TAIL.
 

@@ -291,6 +291,14 @@ def test_a_cdf_past_one_before_the_last_outcome_is_refused(masses):
         inverse_cdf_table([*_FIVE, (masses, len(masses))])
 
 
+@pytest.mark.parametrize("laws", [[], (), iter(())], ids=["list", "tuple", "iterator"])
+def test_no_laws_are_refused(laws):
+    """With no law the number and dtypes of the value columns are unknown,
+    so the table would come back without them."""
+    with pytest.raises(ValueError, match=r"^need at least one law$"):
+        inverse_cdf_table(laws)
+
+
 def test_a_cdf_of_one_before_the_last_outcome_keeps_its_keys_in_the_segment():
     keys, guide = inverse_cdf_table([*_FIVE, ([0.25, 0.75, 0.5], 3)])
     assert keys[5:].tolist() == [(5 << 53) + 2**51, 6 << 53, 6 << 53]

@@ -103,6 +103,62 @@ def _fold_edges() -> list[float]:
     return [s * x for x in [0.0, *subnormals, *near] for s in (1.0, -1.0)]
 
 
+def _same_float(a: float, b: float) -> bool:
+    """The same bytes, sign included, both Python floats."""
+    return type(a) is type(b) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _in_fold_range(x: float) -> bool:
+    return -QUARTER_PI < x <= QUARTER_PI and not (x == 0.0 and math.copysign(1.0, x) < 0)
+
+
+@pytest.mark.parametrize(
+    "r",
+    sorted(
+        {y for x in _fold_edges() for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+         if _in_fold_range(x) and _in_fold_range(y)}
+    ),
+)
+def test_the_fold_is_the_identity_within_its_range(r):
+    """The premise of the planners' guard, which skips reduce_by_clifford
+    while a residual stays in (-pi/4, pi/4]: there, at the in-range entries
+    of _fold_edges and their float neighbours, it returns the residual's own
+    bytes and no correction."""
+    folded, k = reduce_by_clifford(r)
+    assert _same_float(folded, r) and type(k) is int and k == 0
+
+
+@given(st.floats(-QUARTER_PI, QUARTER_PI, exclude_min=True))
+@settings(max_examples=300)
+def test_the_fold_is_the_identity_anywhere_within_its_range(r):
+    assume(_in_fold_range(r))
+    folded, k = reduce_by_clifford(r)
+    assert _same_float(folded, r) and type(k) is int and k == 0
+
+
+@pytest.mark.parametrize(
+    "r, want",
+    [
+        (-QUARTER_PI, (QUARTER_PI, 1)),
+        (math.nextafter(-QUARTER_PI, -math.inf), None),
+        (math.nextafter(QUARTER_PI, math.inf), None),
+        (-0.0, (0.0, 0)),
+    ],
+    ids=["-pi/4", "below -pi/4", "above pi/4", "-0.0"],
+)
+def test_the_fold_moves_what_lies_outside_its_range(r, want):
+    """-pi/4 folds to +pi/4 with one correction, a float past either end
+    with one quarter turn into the range, and -0.0 to +0.0: each is outside
+    the guard, so the planners fold it."""
+    assert not _in_fold_range(r)
+    folded, k = reduce_by_clifford(r)
+    assert _in_fold_range(folded) and not _same_float(folded, r)
+    if want is None:
+        assert k == 1 and math.isclose(abs(r - folded), 2 * QUARTER_PI)
+    else:
+        assert _same_float(folded, want[0]) and k == want[1]
+
+
 def test_reduce_by_clifford_is_the_lockstep_fold():
     """At every edge value the lockstep's numpy fold (np.fmod into
     [-pi, pi], then np.rint's quarter turns) gives reduce_by_clifford's
@@ -348,6 +404,33 @@ def test_synthesize_matches_step_by_step_replay():
         else:
             # the replay has no depth check, and would not stop
             assert epsilon < 2 * min(rotation_angle(f, MAX_LEVEL) for f in families)
+    # the ends of the fold's range and their neighbours, which the replay,
+    # folding after every step, judges the guarded loop at
+    edges = [y for x in (QUARTER_PI, -QUARTER_PI) for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+    for i, (target, families) in enumerate(itertools.product(edges, FAMILY_SUBSETS)):
+        config = SynthesisConfig(epsilon=10 ** -rng.uniform(1, 14), families=families)
+        result = synthesize(target, config, random.Random(i))
+        replay = _replay_synthesize(target, config, random.Random(i))
+        assert result == replay and _same_float(result.residual, replay.residual)
+
+
+def test_a_step_onto_minus_quarter_pi_is_folded():
+    """From a target of theta_1 - pi/4 the H planner's first pick is level
+    1, and heads lands the residual on -pi/4 exactly (Sterbenz), the one
+    point the fold's range leaves out: synthesize, its replay, which folds
+    after every step, and the lockstep, whose few samples run in _finish,
+    fold it to +pi/4 with one correction alike."""
+    angle = rotation_angle(Family.H, 1)
+    target = angle - QUARTER_PI
+    assert target - angle == -QUARTER_PI and pick_state(target, H_ONLY) == (Family.H, 1)
+    results = [synthesize(target, H_ONLY, derive_rng(40, "edge", j)) for j in range(16)]
+    assert any(r.applied[0] == (Family.H, 1, 1) for r in results)
+    for j, result in enumerate(results):
+        assert result == _replay_synthesize(target, H_ONLY, derive_rng(40, "edge", j))
+    coins = [[s for *_, s in r.applied] for r in results]
+    lockstep = lockstep_synthesize([target] * 16, [H_ONLY.epsilon] * 16, (Family.H,), coin_draws(coins))
+    assert lockstep.corrections.tolist() == [r.clifford_corrections for r in results]
+    assert lockstep.residuals.tobytes() == np.array([r.residual for r in results]).tobytes()
 
 
 def test_synthesize_quarter_turn_target():
