@@ -33,9 +33,10 @@ terms, and one read-only inverse-CDF table, of the deepest top asked for,
 samples: decay_study draws each passage of every instance with one
 counter-stream draw, in numpy, a chunk of instances at a time in one
 workspace per thread; propagate_to_level walks on (level, m).  One distance
-expression turns the downs into bytes: decay_study takes it once per cell of
-a grid of levels by downs counts up to M, gathers each instance's cells, and
-sums every level in instance order, carrying the sums from chunk to chunk.
+expression turns the downs into bytes: the tables keep one grid of it, downs
+counts by levels, grown to the most downs a call has needed and never past
+row M, from which decay_study gathers each instance's cells, summing every
+level in instance order and carrying the sums from chunk to chunk.
 The tests check the tables against exact oracles, the walk against a
 step-by-step walker and the generic density-matrix simulation, and the
 sampled climbs against the walk and the exact arrival law.
@@ -147,8 +148,10 @@ class _ClimbTables:
     states to the ideal ladder states, every row from the saturation row
     M on equal to the limit row, distances([math.inf], top).  Where M is 0,
     means holds the (level, distance) of the one state at each level
-    1..MAX_LEVEL (else it is empty); passages(top) the passage laws.  Only
-    per-level values and the deepest passage table asked for are kept, so
+    1..MAX_LEVEL (else it is empty); passages(top) the passage laws and
+    grid(rows) the distances of the downs counts 0..rows - 1 at every
+    level.  Only per-level values, the means, the deepest passage table and
+    a grid of at most min(M + 1, most downs asked for + 1) rows are kept, so
     the size of the tables does not depend on the climbs.  The entries of
     sigma are scaled by the larger diagonal one, so no power overflows and
     no model divides by zero.  The ideal state at level l is
@@ -193,6 +196,7 @@ class _ClimbTables:
         # this row are the bytes of the row for any lower top
         self.means = () if self.saturation else tuple(enumerate(self.distances([0], MAX_LEVEL)[0].tolist(), 1))
         self._passages: _Passages | None = None
+        self._grid: np.ndarray | None = None
 
     def state(self, level: int, downs: int) -> tuple[float, complex, float]:
         """(r00, r01, r11) at level after downs since the last restart."""
@@ -217,6 +221,20 @@ class _ClimbTables:
         dr += self._d00sq[levels]
         dr += di
         return np.sqrt(dr, out=dr)
+
+    def grid(self, rows: int) -> np.ndarray:
+        """The read-only distances(range(R), MAX_LEVEL) for some R >= rows,
+        kept and grown to the most rows asked for, so a call that fits
+        solves none.  distances works one element at a time, so its columns
+        of levels 1..top are the bytes of the grid of top, and its first
+        rows those of a smaller grid (threads that race may each grow one,
+        and read the one they grew)."""
+        grid = self._grid
+        if grid is None or len(grid) < rows:
+            grid = self.distances(range(rows), MAX_LEVEL)
+            grid.flags.writeable = False
+            self._grid = grid
+        return grid
 
     def passages(self, top: int) -> _Passages:
         """The read-only seeding.inverse_cdf_table of the passages
@@ -285,11 +303,13 @@ def _law_climbs(passages: _Passages, bits: np.ndarray, out: np.ndarray, scratch:
     """The (instances, top) matrix of downs at the first arrival at levels
     1..top, with column l - 1 of bits (counter_draws' 53-bit integers)
     driving passage l (top - 1 columns, at most passages.top - 1).  The
-    guide picks the outcome of all but about 2% of the draws on the
-    criterion-8 grid, a binary search the others, among them every draw
-    that picks a restart.  bits is spent.  out (intp, instances by top)
-    takes the result and scratch (like bits) the guide slots, then the
-    downs of each passage, both C-contiguous."""
+    guide picks the outcome of all but about 1% of the draws on the
+    criterion-8 grid (0.79-0.94% per model-a cell, over 20 seeds of 1000
+    instances), a binary search the others, among them every draw that
+    picks a restart; where none does, the running sums are the result.
+    bits is spent.  out (intp, instances by top) takes the result and
+    scratch (like bits) the guide slots, then the downs of each passage,
+    both C-contiguous."""
     n, width = bits.shape
     _, keys, guide, restarts, downs = passages
     # the picks take the front of the result's buffer, which the running
@@ -302,9 +322,12 @@ def _law_climbs(passages: _Passages, bits: np.ndarray, out: np.ndarray, scratch:
     # as the sums grow (a row that restarts twice is worked, and written,
     # twice, alike)
     rows = split[restarts.take(picks.reshape(-1).take(split)) < 0] // width
-    masks = restarts.take(picks[rows])
+    if rows.size:
+        masks = restarts.take(picks[rows])
     out[:, 0] = 0  # level 1 is reached with no downs
     sums = np.cumsum(d, axis=1, out=out[:, 1:])
+    if not rows.size:  # no draw picked a restart
+        return out
     tail = sums[rows]
     before = tail - d[rows]
     before &= masks
@@ -407,7 +430,8 @@ def decay_study(
     higher levels.  The instances run in chunks of at most _CHUNK_CELLS
     (instance, level) cells through the calling thread's workspace, so the
     memory a call takes does not grow with n_instances, nor do the bytes
-    depend on the chunks.
+    depend on the chunks.  Each instance's distances are gathered from the
+    tables' grid, which grows only where a chunk's downs pass it.
     """
     _check_model(model)
     max_level = checked_level(max_level, "max_level", 1)
@@ -427,13 +451,13 @@ def decay_study(
         stop = min(start + chunk, n_instances)
         bits, scratch, downs, values = _workspace.chunk(stop - start, max_level)
         counter_draws(counter_rows(key, np.arange(start, stop)), 0, max_level - 1, bits, scratch)
-        # a distance depends on (level, downs) alone: each cell of one grid
-        # of levels by downs is taken once, then gathered per instance, and
-        # downs past the saturation row land on it, as every later row
-        # equals it
+        # a distance depends on (level, downs) alone: each instance's cells
+        # are gathered from the model's grid, and downs past the saturation
+        # row land on it, as every later row equals it
         cells = np.minimum(_law_climbs(passages, bits, downs, scratch), tables.saturation, out=downs)
-        grid = tables.distances(range(int(cells.max()) + 1), max_level)
-        cells *= max_level
+        # the gather clips an index past the grid, so it must hold every row
+        grid = tables.grid(int(cells.max()) + 1)
+        cells *= MAX_LEVEL
         cells += np.arange(max_level)
         values[0] = sums
         grid.take(cells, out=values[1:], mode="clip")

@@ -243,6 +243,11 @@ def _grid_rows(tables, downs, top):
     return tables.distances(range(max(downs) + 1), top)[downs]
 
 
+def _fresh_grid(tables):
+    """The tables' kept grid solved afresh: distances of its rows' downs."""
+    return tables.distances(range(len(tables._grid)), MAX_LEVEL)
+
+
 def test_climb_tables_equal_the_exact_closed_form():
     """At the replay models and the criterion-8 grid, levels 0..150: every
     up probability within 4 units of rounding of the exact fraction, and
@@ -727,6 +732,23 @@ def test_law_climbs_run_the_downs_recursion(model):
     assert _law_climbs(model, bits.copy()).tolist() == _searched_climbs(model, bits)
 
 
+@pytest.mark.parametrize("model", [NoiseModel("a", 1e-4), NoiseModel("a", 0.3)], ids=repr)
+def test_law_climbs_with_and_without_a_restart(model):
+    """A chunk whose draws pick no restart, which _law_climbs returns as the
+    running sums of its downs, and one in which three rows pick a restart,
+    whose sums it corrects: each gives the downs of the passage-by-passage
+    loop."""
+    top = 28
+    bits = counter_draws(counter_rows(4, np.arange(400)), 0, top - 1)
+    keys, _, restarts = _passages(model, top)[:3]
+    keyed = bits.astype(np.int64) + (np.arange(top - 1) << 53)
+    restarted = restarts[np.searchsorted(keys, keyed, side="right")].any(axis=1)
+    free, restart = np.flatnonzero(~restarted), np.flatnonzero(restarted)
+    for rows, picked in ((free[:10], 0), (np.sort(np.concatenate([free[:7], restart[:3]])), 3)):
+        assert restarted[rows].sum() == picked
+        assert _law_climbs(model, bits[rows]).tolist() == _searched_climbs(model, bits[rows])
+
+
 # A pure model's decay_study reads no draws, so the study replays add a
 # mixture for each pure replay model, across the same range of up
 # probabilities (0.59 .. 0.75): light mixtures for the pure models at
@@ -835,7 +857,8 @@ def test_concurrent_tabulation_builds_the_serial_table():
     table cache (more threads than cores, with a short switch interval)
     give the points of the same calls made in turn, and leave a passage
     table, of whichever top was built last, that is the prefix of the
-    table built in turn."""
+    table built in turn, and a distance grid, of whichever rows were grown
+    last, that is the bytes of a fresh solve of its rows."""
     model, tops = NoiseModel("a", 0.05), (5, 20, 12, 3, 17, 20, 9)
     want = {top: decay_study(model, top, 50, 3) for top in tops}
     serial = noise._climb_tables(model).passages(20)
@@ -856,9 +879,11 @@ def test_concurrent_tabulation_builds_the_serial_table():
     finally:
         sys.setswitchinterval(interval)
     assert sorted(got) == sorted((top, want[top]) for top in tops)
-    left = noise._climb_tables(model)._passages
+    tables = noise._climb_tables(model)
+    left = tables._passages
     assert left.top in tops
     assert all(map(np.array_equal, passage_prefix(left, left.top), passage_prefix(serial, left.top)))
+    assert tables._grid.tobytes() == _fresh_grid(tables).tobytes()
 
 
 # a mixture whose saturation row caps its passages, and one it does not
@@ -1041,14 +1066,12 @@ def test_decay_study_means_match_the_exact_law_on_the_criterion_8_grid(model):
 
 def _study_downs(model, top, n, seed):
     """The points of decay_study and the downs at its instances' first
-    arrivals (no rows for a model that reads no draws)."""
+    arrivals, its chunks' concatenated (no rows for a model that reads no
+    draws)."""
     with pytest.MonkeyPatch.context() as mp:
         laws = _spy(mp, "_law_climbs")
         points = decay_study(model, top, n, seed)
-    if not laws:
-        return points, np.empty((0, top), np.intp)
-    ((_, downs),) = laws
-    return points, downs
+    return points, np.concatenate([np.empty((0, top), np.intp), *(downs for _, downs in laws)])
 
 
 # the criterion-8 model-a cells, and two near-symmetric mixtures, capped at
@@ -1102,9 +1125,12 @@ def test_chunk_boundaries_are_exact(model, monkeypatch):
 def test_threads_get_the_serial_bytes(monkeypatch):
     """Eight threads, more than the cores, each run model-a decay_study
     calls of their own (model, top, n) at once, with a short switch
-    interval, on a cell budget that splits most of the calls into chunks:
-    every call gives the bytes of the same call made in turn, in one chunk
-    where it fits, as each thread's workspace is its own."""
+    interval, on a cell budget that splits most of the calls into chunks,
+    from a cleared table cache, so the threads grow the models' distance
+    grids as they go, two of them the same model's: every call gives the
+    bytes of the same call made in turn, in one chunk where it fits, as
+    each thread's workspace is its own and each chunk reads the grid it
+    got, and each grid left is the bytes of a fresh solve of its rows."""
     calls = [
         (NoiseModel("a", 1e-4), 28, 1000),
         (NoiseModel("a", 0.3), 14, 300),
@@ -1117,6 +1143,7 @@ def test_threads_get_the_serial_bytes(monkeypatch):
     ]
     want = [repr(decay_study(*call, 3)) for call in calls]
     monkeypatch.setattr(noise, "_CHUNK_CELLS", 2**12)
+    noise._climb_tables.cache_clear()
     assert sum(n > 2**12 // top for _, top, n in calls) >= 5
     got = [[] for _ in calls]
     interval = sys.getswitchinterval()
@@ -1134,6 +1161,89 @@ def test_threads_get_the_serial_bytes(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == [[w] * 3 for w in want]
+    for tables in map(noise._climb_tables, {model for model, _, _ in calls}):
+        assert tables._grid.tobytes() == _fresh_grid(tables).tobytes()
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["shallowest first", "deepest first"])
+@pytest.mark.parametrize("model", _JUDGED_SUMS, ids=repr)
+def test_decay_study_reads_the_kept_grid_whatever_the_order_of_the_tops(model, order, monkeypatch):
+    """From a cleared cache, on a cell budget of 9 rows, so each call runs
+    in several chunks, tops asked shallowest-first (the grid grows as the
+    downs deepen) or deepest-first (later calls fit) give the bytes, by
+    repr, of oracles.running_means on their spied downs; after each call
+    the grid is read-only, holds a row for each clipped downs count the
+    call gathered (the gather clips an index past the grid), and is the
+    bytes of a fresh solve of its rows."""
+    noise._climb_tables.cache_clear()
+    tables = noise._climb_tables(model)
+    tops = sorted({1, 2, 9, {1e-4: 28, 1e-6: 22, 1e-8: 16}.get(model.strength, 14)})[::order]
+    grew = []
+    for top in tops:
+        monkeypatch.setattr(noise, "_CHUNK_CELLS", 9 * top)
+        held = 0 if tables._grid is None else len(tables._grid)
+        points, downs = _study_downs(model, top, 80, 6)
+        need = min(int(downs.max()), tables.saturation) + 1
+        grew.append(held < need)
+        assert repr(points) == repr(list(enumerate(running_means(tables, downs), 1)))
+        assert len(tables._grid) >= need and not tables._grid.flags.writeable
+        assert tables._grid.tobytes() == _fresh_grid(tables).tobytes()
+    assert grew[0] and any(grew[1:]) == (order == 1)
+
+
+def test_a_capped_grid_stays_within_the_saturation_row():
+    """The 0.3 mixture (saturation row M = 14) climbs far past M, to level
+    28 in 1000 instances and to the ladder's top in 50; its downs clip at
+    M, so after the deepest climbs the grid holds M + 1 rows, and the means
+    are the bytes of oracles.running_means at the full downs."""
+    model = NoiseModel("a", 0.3)
+    noise._climb_tables.cache_clear()
+    tables = noise._climb_tables(model)
+    assert tables.saturation == 14
+    for top, n in ((28, 1000), (MAX_LEVEL, 50)):
+        points, downs = _study_downs(model, top, n, 2)
+        assert downs.max() > 5 * tables.saturation
+        assert tables._grid.shape == (tables.saturation + 1, MAX_LEVEL)
+        assert repr(points) == repr(list(enumerate(running_means(tables, downs), 1)))
+
+
+def test_the_grid_is_solved_once_per_growth(monkeypatch):
+    """Forty 10-instance calls and one of 300 in chunks of 7 solve the
+    distance grid only where a chunk's downs pass it: one
+    _ClimbTables.distances call per growth, not one per call or chunk.  A
+    call whose downs are pushed past the grid grows it to exactly the rows
+    it needs, and reads the bytes of oracles.running_means at those downs."""
+    model = NoiseModel("a", 1e-4)
+    noise._climb_tables.cache_clear()
+    tables = noise._climb_tables(model)
+    solves, distances = [], noise._ClimbTables.distances
+
+    def spy(self, downs, top):
+        solves.append(len(downs))
+        return distances(self, downs, top)
+
+    monkeypatch.setattr(noise._ClimbTables, "distances", spy)
+    rows = []
+    for seed in range(40):
+        decay_study(model, 28, 10, seed)
+        rows.append(len(tables._grid))
+    with monkeypatch.context() as mp:
+        mp.setattr(noise, "_CHUNK_CELLS", 7 * 28)
+        decay_study(model, 28, 300, 40)
+    rows.append(len(tables._grid))
+    print(f"{len(solves)} solves of {rows[-1]} rows at most over {len(rows)} calls")
+    assert all(map(int.__lt__, solves, solves[1:])) and set(rows) <= set(solves) and len(solves) < len(rows) / 4
+    law_climbs, deep = noise._law_climbs, rows[-1] + 10
+
+    def pushed(*args):
+        downs = law_climbs(*args)
+        downs[0, -1] = deep
+        return downs
+
+    monkeypatch.setattr(noise, "_law_climbs", pushed)
+    points, downs = _study_downs(model, 28, 10, 41)
+    assert solves[-1] == len(tables._grid) == deep + 1 == downs.max() + 1
+    assert repr(points) == repr(list(enumerate(running_means(tables, downs), 1)))
 
 
 def _check_prefixes(model, low, high, n, seed):
